@@ -1,7 +1,7 @@
 """Dense symmetric linear algebra for the PSD bounding machinery.
 
-Deliberately small kernels sized for matrices up to n ~ 100: a cyclic
-Jacobi eigensolver (robust, always converges on symmetric input), a
+Deliberately small kernels sized for matrices up to n ~ 100: a
+symmetric eigendecomposition (LAPACK via numpy.linalg.eigh), a
 Cholesky factorization that tolerates numerically semidefinite pivots,
 and an exact diagonal-dominance test.  All functions are pure and safe
 to call concurrently.
@@ -18,8 +18,6 @@ EIG_RESIDUAL_TOL = 1e-9  # |m v - lam v|_inf <= tol * max(1, |m|_inf)
 EIG_ORTHO_TOL = 1e-9
 CHOLESKY_TOL = 1e-10  # |L L^T - m|_inf <= tol * max(1, |m|_inf)
 PIVOT_CLAMP = 1e-12  # pivots in [-PIVOT_CLAMP, 0] are clamped to 0
-
-_MAX_SWEEPS = 60
 
 
 class NotPsd(ValueError):
@@ -58,41 +56,13 @@ class SymMatrix:
 
 
 def sym_eig(m: SymMatrix) -> list[tuple[float, np.ndarray]]:
-    """Full eigendecomposition by cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalue, unit eigenvector) pairs in ascending eigenvalue
     order; eigenvectors are mutually orthonormal.
     """
-    n = m.n
-    a = np.array(m.entries, dtype=float)
-    v = np.eye(n)
-    if n > 1:
-        scale = max(1.0, float(np.abs(a).max()))
-        for _ in range(_MAX_SWEEPS):
-            off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2)))
-            if off <= 1e-15 * n * scale:
-                break
-            # Sweep with a decreasing rotation threshold: skip entries that
-            # are already negligible relative to the matrix scale.
-            thresh = max(off / (n * n), 1e-18 * scale)
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) < thresh:
-                        continue
-                    theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t = t / (abs(theta) + np.hypot(1.0, theta))
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    rot = np.array([[c, s], [-s, c]])
-                    a[:, [p, q]] = a[:, [p, q]] @ rot
-                    a[[p, q], :] = rot.T @ a[[p, q], :]
-                    a[p, q] = a[q, p] = 0.0
-                    v[:, [p, q]] = v[:, [p, q]] @ rot
-    lams = np.diag(a).copy()
-    order = np.argsort(lams, kind="stable")
-    return [(float(lams[i]), v[:, i].copy()) for i in order]
+    lams, v = np.linalg.eigh(m.entries)
+    return [(float(lams[i]), v[:, i].copy()) for i in range(m.n)]
 
 
 def min_eigenpair(m: SymMatrix) -> tuple[float, np.ndarray]:

@@ -10,12 +10,18 @@ the derivative of the optimal objective with respect to the row's
 right-hand side.
 
 A solver invocation is single-threaded and reentrant; distinct
-LinearModel values may be solved concurrently.  There is no global
-mutable state.
+LinearModel values may be solved from several threads.  MILP solves
+then run one at a time: each points file descriptor 1 at descriptor 2,
+under a module lock, to keep HiGHS's stray lines off stdout.  There is
+no other global state.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,14 +253,15 @@ def _solve_milp_once(model: LinearModel, config: SolverConfig,
         lo = np.where(np.isin(model.row_rel, ("=", ">=")), rhs, -np.inf)
         hi = np.where(np.isin(model.row_rel, ("=", "<=")), rhs, np.inf)
         constraints.append(LinearConstraint(model._matrix(), lo, hi))
-    res = milp(
-        np.asarray(model.objective),
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(np.asarray(model.lower), np.asarray(model.upper)),
-        options={"mip_rel_gap": 0.0, "node_limit": config.node_limit,
-                 "presolve": presolve},
-    )
+    with _stdout_to_stderr():
+        res = milp(
+            np.asarray(model.objective),
+            constraints=constraints,
+            integrality=integrality,
+            bounds=Bounds(np.asarray(model.lower), np.asarray(model.upper)),
+            options={"mip_rel_gap": 0.0, "node_limit": config.node_limit,
+                     "presolve": presolve},
+        )
     nodes = int(getattr(res, "mip_node_count", 0) or 0)
     if res.status == 2:
         return MipSolution(INFEASIBLE, None, None, None, nodes)
@@ -281,6 +288,30 @@ def _solve_milp_once(model: LinearModel, config: SolverConfig,
     if bound is None:
         bound = float(res.fun)
     return MipSolution(OPTIMAL, np.asarray(res.x), float(res.fun), float(bound), nodes)
+
+
+_stdout_lock = threading.Lock()
+
+
+@contextmanager
+def _stdout_to_stderr():
+    """Point file descriptor 1 at descriptor 2 for the block's length.
+
+    HiGHS's MILP search prints lines such as
+    "HighsMipSolverData::transformNewIntegerFeasibleSolution tmpSolver.run();"
+    straight to descriptor 1, past any Python-level redirect, and would
+    corrupt machine-read stdout.  Descriptor 1 is process-wide, so the
+    lock lets one swap at a time exist.
+    """
+    with _stdout_lock:
+        sys.stdout.flush()
+        saved = os.dup(1)
+        os.dup2(2, 1)
+        try:
+            yield
+        finally:
+            os.dup2(saved, 1)
+            os.close(saved)
 
 
 def round_integral(sol_x: np.ndarray, cols: np.ndarray) -> np.ndarray:

@@ -2,10 +2,21 @@
 
 Two complementary routes around the mixed-integer SDP:
 
-* a lower-bound route that outer-approximates the PSD cones inside
-  branch-and-bound: solve the MILP, check the smallest eigenvalue of
-  each matrix block at the incumbent, and append the eigenvector row
-  v' M v >= 0 until every block clears the tolerance; and
+* a lower-bound route that outer-approximates the PSD cones with
+  eigenvector rows v' M v >= 0, in one cut loop with three phases:
+
+  1. root: solve the LP relaxation and cut every negative eigenpair of
+     every block, until no block violates or the LP is not optimal;
+  2. MILP rounds: solve the MILP, stop when every block clears the
+     tolerance, else cut the smallest eigenpair of each violating block;
+  3. fixed-integer polish: after each MILP round, rerun the LP phase on
+     a copy with the integer columns fixed at the rounded incumbent,
+     appending its cuts to the MILP model too.
+
+  Most cuts thus come from LPs, and branch-and-bound re-solves only
+  confirm them (the root-node cutting of Gally, Pfetsch & Ulbrich, 2018,
+  and Kobayashi & Takano, 2020).  A model with no integer columns skips
+  phases 1 and 3: its MILP already is the LP; and
 
 * an upper-bound route that inner-approximates each cone by the set of
   matrices U' Q U with Q diagonally dominant, which is plain linear
@@ -13,7 +24,7 @@ Two complementary routes around the mixed-integer SDP:
 
 Outer rows are valid for every integer assignment (they are linear in
 the block entries and independent of the binaries), so they are kept
-globally rather than per node.
+globally rather than per node, whichever phase found them.
 """
 
 from __future__ import annotations
@@ -25,8 +36,9 @@ import numpy as np
 
 from . import linalg
 from .linalg import SymMatrix, min_eigenpair
-from .lpmilp import (DEFAULT_CONFIG, OPTIMAL, LinearModel, MipSolution,
-                     SolverConfig, solve_milp)
+from .lpmilp import (CONTINUOUS, DEFAULT_CONFIG, OPTIMAL, LinearModel,
+                     MipSolution, NumericalFailure, SolverConfig, solve_lp,
+                     solve_milp)
 
 EIGEN_CUT_TOL = 1e-6
 MAX_CUT_ROUNDS_OUTER = 1000
@@ -78,37 +90,81 @@ class PsdBlockRef:
         return coeffs
 
 
-def eigen_cut_rows(model: LinearModel, blocks, x: np.ndarray,
-                   tol: float = EIGEN_CUT_TOL) -> int:
-    """Append v' M v >= 0 for every block violating the PSD tolerance."""
-    added = 0
-    for block in blocks:
-        lam, v = min_eigenpair(block.assemble(x))
-        if lam < -tol:
-            model.add_row(block.quadratic_form_coeffs(v), ">=", 0.0,
-                          name=f"eig_{block.name}_{model.num_rows}")
-            added += 1
-    return added
-
-
 def solve_misdp_outer(model: LinearModel, blocks, tol: float = EIGEN_CUT_TOL,
                       config: SolverConfig = DEFAULT_CONFIG,
-                      max_rounds: int = MAX_CUT_ROUNDS_OUTER) -> MipSolution:
-    """Eigen-cut outer approximation loop; the returned objective is a
-    valid lower bound on the MISDP optimum (exact in the cut-loop limit).
+                      max_rounds: int = MAX_CUT_ROUNDS_OUTER,
+                      vectors: list | None = None) -> MipSolution:
+    """Eigen-cut outer approximation loop (phases in the module
+    docstring); the returned objective is a valid lower bound on the
+    MISDP optimum (exact in the cut-loop limit).
 
     The model is mutated in place: appended rows stay valid and carry
     over to subsequent solves with different objectives over the same
-    feasible set.
+    feasible set.  When `vectors` is given, (block index, v) of every
+    appended row is added to it in append order.  LP and MILP solves
+    both count against max_rounds.
     """
+    vectors = [] if vectors is None else vectors
+    integer_cols = [j for j, kind in enumerate(model.integrality) if kind != CONTINUOUS]
+    rounds = 0
+    if integer_cols:
+        rounds = _lp_cut_phase(model, (model,), blocks, tol, config, max_rounds, vectors)
     sol = None
-    for _ in range(max_rounds):
+    while rounds < max_rounds:
+        rounds += 1
         sol = solve_milp(model, config)
         if sol.status != OPTIMAL:
             return sol
-        if eigen_cut_rows(model, blocks, sol.x, tol) == 0:
+        found = False
+        for b, block in enumerate(blocks):
+            lam, v = min_eigenpair(block.assemble(sol.x))
+            if lam < -tol:
+                _append_cut((model,), blocks, b, v, vectors)
+                found = True
+        if not found:
             return sol
+        if integer_cols:
+            fixed = model.copy()
+            for j in integer_cols:
+                val = float(np.rint(sol.x[j]))
+                fixed.set_bounds(j, val, val)
+            rounds += _lp_cut_phase(fixed, (fixed, model), blocks, tol, config,
+                                    max_rounds - rounds, vectors)
     raise CutLoopLimit(f"no PSD convergence after {max_rounds} rounds", best=sol)
+
+
+def _lp_cut_phase(lp: LinearModel, targets, blocks, tol: float,
+                  config: SolverConfig, budget: int, vectors: list) -> int:
+    """Solve the continuous relaxation of `lp` and cut every eigenpair
+    below -tol of every block into each model of `targets`, until no
+    block violates, the LP is not optimal, or `budget` solves are spent.
+    Returns the number of LP solves."""
+    for used in range(1, budget + 1):
+        try:
+            sol = solve_lp(lp, config)
+        except NumericalFailure:
+            return used  # LP cuts only speed the loop up; the MILP rounds decide
+        if sol.status != OPTIMAL:
+            return used
+        found = False
+        for b, block in enumerate(blocks):
+            for lam, v in linalg.sym_eig(block.assemble(sol.x)):
+                if lam >= -tol:
+                    break
+                _append_cut(targets, blocks, b, v, vectors)
+                found = True
+        if not found:
+            return used
+    return budget
+
+
+def _append_cut(models, blocks, b: int, v: np.ndarray, vectors: list) -> None:
+    """Append v' M v >= 0 for block b to each model and record (b, v)."""
+    block = blocks[b]
+    coeffs = block.quadratic_form_coeffs(v)
+    for m in models:
+        m.add_row(coeffs, ">=", 0.0, name=f"eig_{block.name}_{m.num_rows}")
+    vectors.append((b, v))
 
 
 def add_dd_inner(model: LinearModel, blocks, U: SymMatrix, V: SymMatrix) -> LinearModel:

@@ -277,7 +277,8 @@ class StageOracle:
 
     def _solve_model_with_registry(self, t: int, model: LinearModel, blocks):
         if self.ttype == AmbiguityType.TYPE3 and self.config.bound_mode == "lb":
-            sol, new_vecs = _outer_with_vectors(model, blocks)
+            new_vecs: list[tuple[int, np.ndarray]] = []
+            sol = misdp.solve_misdp_outer(model, blocks, vectors=new_vecs)
             self.stage_solves += 1
             if new_vecs:
                 self._eigen_registry.setdefault(t, []).extend(new_vecs)
@@ -333,25 +334,6 @@ def _next_dd_basis(block_value) -> np.ndarray:
         return misdp.scaled_basis(misdp.dd_basis_from_incumbent(block_value))
     except misdp.SingularBasis:
         return np.eye(block_value.n)
-
-
-def _outer_with_vectors(model: LinearModel, blocks):
-    """solve_misdp_outer variant that also returns the cut eigenvectors."""
-    vecs: list[tuple[int, np.ndarray]] = []
-    for _ in range(misdp.MAX_CUT_ROUNDS_OUTER):
-        sol = solve_milp(model)
-        if sol.status != OPTIMAL:
-            return sol, vecs
-        added = 0
-        for b_idx, block in enumerate(blocks):
-            lam, v = misdp.min_eigenpair(block.assemble(sol.x))
-            if lam < -misdp.EIGEN_CUT_TOL:
-                model.add_row(block.quadratic_form_coeffs(v), ">=", 0.0)
-                vecs.append((b_idx, v))
-                added += 1
-        if added == 0:
-            return sol, vecs
-    raise misdp.CutLoopLimit("no PSD convergence in stage solve", best=sol)
 
 
 def _all_binary_states(I: int) -> np.ndarray:
@@ -573,8 +555,12 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
                 raise AssertionError("lower bound decreased across iterations")
             report.lb_per_iter.append(lb)
             report.iterations = it
+            w = cfg.stall_window
+            stalled = (len(report.lb_per_iter) >= w and abs(lb - report.lb_per_iter[-w])
+                       <= cfg.tol * max(1.0, abs(lb)))
             sampled = (inst.T > 2 and inst.K ** (inst.T - 1) > cfg.tree_limit)
-            if not sampled or it == cfg.max_iters:
+            # a sampled run evaluates its policy only on its last iteration
+            if not sampled or stalled or it == cfg.max_iters:
                 ub, ub_err, ub_mode = evaluate_policy(oracle, rng)
                 incumbents[sol1.x_bits] = ub
             gap = (ub - lb) / max(1.0, abs(ub)) if np.isfinite(ub) else float("nan")
@@ -586,12 +572,9 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
             if exactish and np.isfinite(ub) and ub - lb <= cfg.tol * max(1.0, abs(ub)):
                 report.termination = "gap_closed"
                 break
-            w = cfg.stall_window
-            if len(report.lb_per_iter) >= w:
-                lo = report.lb_per_iter[-w]
-                if abs(lb - lo) <= cfg.tol * max(1.0, abs(lb)):
-                    report.termination = "lb_stalled"
-                    break
+            if stalled:
+                report.termination = "lb_stalled"
+                break
             backward_pass(inst, ttype, pool, trial_states, cfg, oracle)
         else:
             report.termination = "max_iters"

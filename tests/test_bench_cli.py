@@ -262,3 +262,15 @@ def test_cli_type3_writes_eigencut_csv(tmp_path):
     lines = open(prefix + ".eigencuts.csv").read().splitlines()
     assert lines[0] == "stage,eigen_cuts"
     assert len(lines) >= 2
+
+
+def test_cli_solve_stdout_holds_only_the_status_line(tmp_path, capfd):
+    # HiGHS writes stray lines to descriptor 1 during this run's MILP solves
+    p = tmp_path / "t3.json"
+    save_instance(make_pattern_instance(bench.TYPE3_PATTERNS[0], seed=1), p)
+    capfd.readouterr()
+    assert cli.main(["solve", "--instance", str(p), "--type", "3",
+                     "--out-prefix", str(tmp_path / "lb")]) == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("status=")

@@ -1,5 +1,8 @@
 import io
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -140,6 +143,38 @@ def test_milp_deterministic_nodes():
     assert s1.objective == s2.objective
     assert s1.node_count == s2.node_count
     assert np.array_equal(s1.x, s2.x)
+
+
+def test_concurrent_milp_solves_restore_stdout_descriptor():
+    # each solve swaps descriptor 1; overlapping swaps must not leak it
+    rng = np.random.default_rng(9)
+    w, p = rng.uniform(1, 10, 10), rng.uniform(1, 10, 10)
+    m = LinearModel()
+    for i in range(10):
+        m.add_var(0.0, 1.0, BINARY, obj=-p[i])
+    m.add_row((np.arange(10), w), "<=", float(0.4 * w.sum()))
+    expected = solve_milp(m).objective
+    before = os.fstat(1)
+    results = []
+
+    def worker():
+        for _ in range(5):
+            results.append(solve_milp(m.copy()).objective)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 30
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 def test_validation_errors():

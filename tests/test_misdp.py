@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from ddro import sddip
+from ddro import misdp, sddip
 from ddro.ambiguity import AmbiguityType, worst_case
 from ddro.bench import TYPE3_PATTERNS, enumerate_two_stage, make_pattern_instance
 from ddro.linalg import SymMatrix, min_eigenpair
 from ddro.lpmilp import INFEASIBLE, OPTIMAL, LinearModel, solve_milp
-from ddro.misdp import (InnerApproxViolation, PsdBlockRef, SingularBasis,
-                        add_dd_inner, add_dd_inner_general, audit_inner_psd,
-                        dd_basis_from_incumbent, run_type3_bounds,
-                        scaled_basis, solve_misdp_outer)
+from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef,
+                        SingularBasis, add_dd_inner, add_dd_inner_general,
+                        audit_inner_psd, dd_basis_from_incumbent,
+                        run_type3_bounds, scaled_basis, solve_misdp_outer)
 from ddro.model import replace_fields
 from ddro.reformulate import freeze_stage
 
@@ -173,6 +173,43 @@ def test_frozen_dual_sandwich_against_oracle():
         # inner-approximation solutions have PSD blocks
         for b in blocks:
             assert min_eigenpair(b.assemble(dd.x))[0] >= -1e-9
+
+
+def _sandwich_models():
+    """(x, model, blocks) of test_frozen_dual_sandwich_against_oracle."""
+    inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=5)
+    rng = np.random.default_rng(2)
+    for x in (np.zeros(3), np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+              np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0])):
+        q = rng.normal(size=inst.K) * 40 - 40
+        yield (x, *_frozen_type3(inst, x, q))
+
+
+def test_outer_vectors_replay_in_one_milp_solve():
+    for _, model, blocks in _sandwich_models():
+        vectors = []
+        outer = solve_misdp_outer(model.copy(), blocks, vectors=vectors)
+        assert outer.status == OPTIMAL
+        assert vectors
+        replay = model.copy()
+        for b, v in vectors:
+            replay.add_row(blocks[b].quadratic_form_coeffs(v), ">=", 0.0)
+        sol = solve_milp(replay)
+        assert sol.status == OPTIMAL
+        assert abs(sol.objective - outer.objective) <= 1e-7 * max(1.0, abs(outer.objective))
+        for b in blocks:
+            assert min_eigenpair(b.assemble(sol.x))[0] >= -EIGEN_CUT_TOL
+
+
+def test_outer_cuts_on_lps_before_branch_and_bound(monkeypatch):
+    calls = []
+    monkeypatch.setattr(misdp, "solve_milp",
+                        lambda *a, **k: calls.append(1) or solve_milp(*a, **k))
+    x, model, blocks = list(_sandwich_models())[3]
+    assert list(x) == [1.0, 1.0, 0.0]
+    assert solve_misdp_outer(model, blocks).status == OPTIMAL
+    # cutting only at MILP incumbents takes 43 MILP solves on this model
+    assert len(calls) < 43
 
 
 def test_run_type3_bounds_sandwich_with_exact():

@@ -258,3 +258,15 @@ def test_subgradient_dual_path_converges():
                                    subgradient_iters=25))
     assert rep.status == "Optimal"
     assert abs(rep.lb_per_iter[-1] - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
+def test_sampled_run_that_stalls_still_evaluates_its_policy():
+    # K^(T-1) = 36 > tree_limit: sampled mode; the lb stalls before max_iters
+    inst = generate_instance(1, 3, 3, 1, 6, 0.3, eps_mu=40, eps_S_lo=0.05, eps_S_hi=3.0)
+    rep = run(inst, 1, SddipConfig(max_iters=30, seed=0, tree_limit=10))
+    assert rep.termination == "lb_stalled"
+    assert rep.iterations < 30
+    assert np.isfinite(rep.ub_estimate)
+    assert rep.ub_mode == "sampled"
+    assert rep.first_stage_x
+    assert np.isfinite(rep.iter_rows[-1]["ub"])
