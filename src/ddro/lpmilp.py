@@ -47,14 +47,8 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All solver tolerances, centralized."""
+    """Solver limits, centralized (HiGHS runs with mip_rel_gap = 0)."""
 
-    lp_feas_tol: float = 1e-7
-    duality_tol: float = 1e-6
-    comp_slack_tol: float = 1e-6
-    int_tol: float = 1e-6
-    milp_abs_tol: float = 1e-6
-    milp_rel_tol: float = 1e-9
     node_limit: int = 200_000
     iteration_cap_base: int = 1000  # LP iteration cap = 10*(n + m + base)
 

@@ -18,9 +18,10 @@ Two complementary routes around the mixed-integer SDP:
   and Kobayashi & Takano, 2020).  A model with no integer columns skips
   phases 1 and 3: its MILP already is the LP; and
 
-* an upper-bound route that inner-approximates each cone by the set of
-  matrices U' Q U with Q diagonally dominant, which is plain linear
-  rows once U is fixed (identity by default).
+* an upper-bound route that inner-approximates each cone by the
+  diagonally dominant matrices DD(I), written as plain linear rows on
+  the block columns: every feasible point has PSD blocks, so the
+  optimum is an upper bound.
 
 Outer rows are valid for every integer assignment (they are linear in
 the block entries and independent of the binaries), so they are kept
@@ -43,10 +44,6 @@ from .lpmilp import (CONTINUOUS, DEFAULT_CONFIG, OPTIMAL, LinearModel,
 EIGEN_CUT_TOL = 1e-6
 MAX_CUT_ROUNDS_OUTER = 1000
 SANDWICH_REL_SLACK = 1e-6
-# HiGHS silently drops constraint-matrix entries with |a| <= this value.
-HIGHS_COEF_CUTOFF = 1e-9
-# Incumbent eigenvalue floor for iterated DD bases, relative to max(1, lambda_max).
-DD_EIG_FLOOR_REL = 1e-4
 # Inner-approximation blocks may dip to -PSD_AUDIT_REL * max(1, max|entry|).
 PSD_AUDIT_REL = 1e-6
 
@@ -57,11 +54,6 @@ class CutLoopLimit(RuntimeError):
     def __init__(self, message: str, best: MipSolution | None = None):
         super().__init__(message)
         self.best = best
-
-
-class SingularBasis(ValueError):
-    """DD basis is singular, or its factor rows hold coefficients that
-    HiGHS would drop."""
 
 
 class InnerApproxViolation(RuntimeError):
@@ -167,134 +159,42 @@ def _append_cut(models, blocks, b: int, v: np.ndarray, vectors: list) -> None:
     vectors.append((b, v))
 
 
-def add_dd_inner(model: LinearModel, blocks, U: SymMatrix, V: SymMatrix) -> LinearModel:
-    """Copy of the model with Z in DD(U) and Y in DD(V) rows.
+def add_dd_inner_general(model: LinearModel, blocks) -> LinearModel:
+    """Copy of the model with every block in DD(I).
 
-    Introduces a symmetric factor matrix per block (split into
-    nonnegative parts) with rows block = basis' Q basis and the
-    diagonal-dominance rows on Q.  Every feasible point then has PSD
-    blocks, so the optimum is a valid upper bound on the MISDP optimum.
-    """
-    return add_dd_inner_general(model, blocks, [U.entries, V.entries])
-
-
-def add_dd_inner_general(model: LinearModel, blocks, bases) -> LinearModel:
-    """add_dd_inner for general (possibly non-symmetric) square bases.
-
-    The iterated-Cholesky mode routes here: a Cholesky factor is
-    triangular, which the SymMatrix container cannot carry.  Each basis
-    is first scaled to unit max-abs entry (see scaled_basis); DD(cU) =
-    DD(U) for c > 0, so the cone is unchanged and only the factor-row
-    coefficients move away from the solver's cutoff.
+    For each pair a < b one row block[a, b] = qp - qm with qp, qm >= 0,
+    and for each a one row block[a, a] >= sum over b != a of (qp + qm).
+    A diagonally dominant matrix with a nonnegative diagonal is PSD, so
+    the optimum is a valid upper bound on the MISDP optimum.
     """
     out = model.copy()
-    for block, basis in zip(blocks, bases):
-        basis = np.asarray(basis, dtype=float)
-        if basis.shape != (block.dim, block.dim):
-            raise ValueError(f"basis shape {basis.shape} != block dimension {block.dim}")
-        _add_dd_rows(out, block, _factor_weights(scaled_basis(basis)))
+    for block in blocks:
+        _add_dd_rows(out, block)
     return out
 
 
-def scaled_basis(basis) -> np.ndarray:
-    """The basis divided by its max-abs entry, checked against what the
-    solver keeps.
-
-    Raises SingularBasis when the scaled basis has a singular value at
-    or below HIGHS_COEF_CUTOFF, or when a nonzero coefficient of its
-    factor rows block = U' Q U is: HiGHS would drop that coefficient
-    silently, the rows would stop forcing the block into DD(U), and the
-    stage optimum would no longer be an upper bound.
-    """
-    u = np.asarray(basis, dtype=float)
-    top = float(np.abs(u).max(initial=0.0))
-    if not np.isfinite(top) or top == 0.0:
-        raise SingularBasis("basis has no finite nonzero entry")
-    u = u / top
-    if np.linalg.svd(u, compute_uv=False).min() <= HIGHS_COEF_CUTOFF:
-        raise SingularBasis(f"scaled basis has a singular value <= {HIGHS_COEF_CUTOFF:g}")
-    w = np.abs(_factor_weights(u))
-    if np.any((w > 0.0) & (w <= HIGHS_COEF_CUTOFF)):
-        raise SingularBasis(f"factor row coefficient {w[w > 0.0].min():.3e} "
-                            f"<= solver cutoff {HIGHS_COEF_CUTOFF:g}")
-    return u
-
-
-def _factor_weights(u: np.ndarray) -> np.ndarray:
-    """w[a, b, c, d]: coefficient of Q[c, d] (c <= d) in (u' Q u)[a, b]
-    over the symmetric factor Q; sums that cancel to rounding noise are
-    set to exactly zero."""
-    p = np.einsum("ca,db->abcd", u, u)  # u[c, a] * u[d, b]
-    pt = p.swapaxes(2, 3)
-    w = p + pt
-    w[np.abs(w) <= 4.0 * np.finfo(float).eps * (np.abs(p) + np.abs(pt))] = 0.0
-    diag = np.arange(u.shape[0])
-    w[:, :, diag, diag] = p[:, :, diag, diag]
-    return w
-
-
-def _add_dd_rows(m: LinearModel, block: PsdBlockRef, w: np.ndarray) -> None:
+def _add_dd_rows(m: LinearModel, block: PsdBlockRef) -> None:
     d = block.dim
     tag = block.name
-    diag = m.add_vars(d, 0.0, np.inf, prefix=f"qd_{tag}_")
-    qp: dict[tuple[int, int], int] = {}
-    qm: dict[tuple[int, int], int] = {}
+    split: dict[tuple[int, int], tuple[int, int]] = {}
     for a in range(d):
         for b in range(a + 1, d):
-            qp[a, b] = m.add_var(0.0, np.inf, name=f"qp_{tag}_{a}_{b}")
-            qm[a, b] = m.add_var(0.0, np.inf, name=f"qm_{tag}_{a}_{b}")
-
-    def q_terms(cc: int, dd_: int) -> list[tuple[int, float]]:
-        if cc == dd_:
-            return [(int(diag[cc]), 1.0)]
-        key = (min(cc, dd_), max(cc, dd_))
-        return [(qp[key], 1.0), (qm[key], -1.0)]
-
-    # block[a, b] = (u' Q u)[a, b] over the symmetric factor Q
+            split[a, b] = split[b, a] = (m.add_var(0.0, np.inf, name=f"qp_{tag}_{a}_{b}"),
+                                         m.add_var(0.0, np.inf, name=f"qm_{tag}_{a}_{b}"))
+    # off-diagonal entries through the absolute-value split
     for a in range(d):
-        for b in range(a, d):
-            coeffs: dict[int, float] = {int(block.cols[a, b]): -1.0}
-            for cc in range(d):
-                for dd_ in range(cc, d):
-                    wt = float(w[a, b, cc, dd_])
-                    if wt == 0.0:
-                        continue
-                    for col, sgn in q_terms(cc, dd_):
-                        coeffs[col] = coeffs.get(col, 0.0) + sgn * wt
-            m.add_row(coeffs, "=", 0.0, name=f"ddfac_{tag}_{a}_{b}")
-    # diagonal dominance on Q via the absolute-value split
+        for b in range(a + 1, d):
+            qp, qm = split[a, b]
+            m.add_row({int(block.cols[a, b]): -1.0, qp: 1.0, qm: -1.0}, "=", 0.0,
+                      name=f"ddoff_{tag}_{a}_{b}")
+    # diagonal dominance
     for a in range(d):
-        coeffs = {int(diag[a]): 1.0}
+        coeffs = {int(block.cols[a, a]): 1.0}
         for b in range(d):
-            if b == a:
-                continue
-            key = (min(a, b), max(a, b))
-            coeffs[qp[key]] = coeffs.get(qp[key], 0.0) - 1.0
-            coeffs[qm[key]] = coeffs.get(qm[key], 0.0) - 1.0
+            if b != a:
+                qp, qm = split[a, b]
+                coeffs[qp] = coeffs[qm] = -1.0
         m.add_row(coeffs, ">=", 0.0, name=f"dd_{tag}_{a}")
-
-
-def dd_basis_from_incumbent(block_value: SymMatrix) -> np.ndarray:
-    """Next DD basis from a block incumbent: transpose Cholesky factor.
-
-    With basis u = L', the incumbent L L' = u' I u lies in DD(u) since
-    the identity is diagonally dominant.  Before factoring, the
-    incumbent is shifted by a multiple of the identity so that its
-    smallest eigenvalue is at least DD_EIG_FLOOR_REL * max(1, lambda_max)
-    = 1e-4 * max(1, lambda_max).  The shift absorbs slightly indefinite
-    blocks, and it keeps zero or rank-deficient incumbents (Z = 0,
-    Y = diag(11.9, 0)) from giving factor products near the solver's
-    1e-9 coefficient cutoff: scaled to unit max-abs entry, the factor's
-    diagonal stays above about 1e-2.  The paper does not fix the floor;
-    1e-4 trades distance from the cutoff against how closely a
-    near-singular incumbent is followed.  An incumbent whose eigenvalues
-    all clear the floor is factored unchanged.
-    """
-    lams = [lam for lam, _ in linalg.sym_eig(block_value)]
-    floor = DD_EIG_FLOOR_REL * max(1.0, lams[-1])
-    shift = max(0.0, floor - lams[0])
-    lifted = SymMatrix(block_value.entries + shift * np.eye(block_value.n))
-    return linalg.cholesky(lifted).T
 
 
 def audit_inner_psd(blocks, x: np.ndarray) -> None:
@@ -302,8 +202,8 @@ def audit_inner_psd(blocks, x: np.ndarray) -> None:
     a block whose smallest eigenvalue is below
     -PSD_AUDIT_REL * max(1, max|entry|).
 
-    Every point of DD(U) is PSD, so a violation means the solver did not
-    enforce the factor rows and the stage value is not an upper bound.
+    Every point of DD(I) is PSD, so a violation means the solver did not
+    enforce the DD rows and the stage value is not an upper bound.
     """
     for block in blocks:
         value = block.assemble(x)

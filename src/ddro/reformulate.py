@@ -29,12 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambiguity import RiskSpec
-from .lpmilp import LinearModel
+from .lpmilp import OPTIMAL, LinearModel, solve_milp
 from .misdp import PsdBlockRef
 from .model import Instance, StageBlock, build_stage_block, revenue_lower_bound
 
 DUAL_BOUND_FACTOR = 1e4
 DUAL_BOUND_AUDIT_REL = 1e-6
+FLAT_FACE_REL = 1e-7
 
 
 class UnboundedFactor(ValueError):
@@ -452,34 +453,43 @@ def freeze_stage(inst: Instance, ttype: int, t: int, x, q,
     return model, lay, blocks
 
 
+def on_flat_face(sol, solve_at, bound: float) -> bool:
+    """Flat-face rule for a solution whose dual rests on the big-M box.
+
+    solve_at(b) re-solves the same model with dual bound b.  A probe at
+    10x the box that is optimal and leaves the objective unchanged (to
+    FLAT_FACE_REL relative) means the dual sits on a flat optimal face,
+    so the value stands; otherwise the caller escalates the bound.
+    """
+    probe = solve_at(bound * 10.0)
+    return (probe.status == OPTIMAL and
+            abs(probe.objective - sol.objective)
+            <= FLAT_FACE_REL * max(1.0, abs(sol.objective)))
+
+
 def frozen_dual_value(inst: Instance, ttype: int, t: int, x, q,
                       risk: RiskSpec | None = None,
                       dual_bound: float | None = None) -> float:
-    """Dual-side worst-case value at frozen x (Types 1-2).
-
-    A dual resting on the big-M box is accepted when a 10x-box probe
-    leaves the value unchanged (flat optimal face); a value-improving
-    probe escalates the bound.
+    """Dual-side worst-case value at frozen x (Types 1-2); a dual resting
+    on the big-M box is settled by on_flat_face or escalates the bound.
     """
-    from .lpmilp import solve_milp
-
     if int(ttype) not in (1, 2):
         raise ValueError("frozen dual values without PSD handling need type 1 or 2")
+
+    def solve_at(b: float):
+        model, lay, _ = freeze_stage(inst, ttype, t, x, q, risk, b)
+        return solve_milp(model), lay
+
     bound = default_dual_bound(inst) if dual_bound is None else float(dual_bound)
     for _ in range(4):
-        model, lay, _ = freeze_stage(inst, ttype, t, x, q, risk, bound)
-        sol = solve_milp(model)
-        if sol.status != "Optimal":
+        sol, lay = solve_at(bound)
+        if sol.status != OPTIMAL:
             raise RuntimeError(f"frozen dual solve returned {sol.status}")
         try:
             audit_dual_bounds(lay, sol.x)
             return float(sol.objective)
         except DualAtBound:
-            probe_model, _, _ = freeze_stage(inst, ttype, t, x, q, risk, bound * 10.0)
-            probe = solve_milp(probe_model)
-            if (probe.status == "Optimal" and
-                    abs(probe.objective - sol.objective)
-                    <= 1e-7 * max(1.0, abs(sol.objective))):
+            if on_flat_face(sol, lambda b: solve_at(b)[0], bound):
                 return float(sol.objective)
             bound *= 10.0
     raise DualAtBound(f"dual bound {bound:g} still binding after escalations")

@@ -34,7 +34,7 @@ from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case, is_n
 from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_lp, solve_milp
 from .model import Instance, build_stage_block
 from .reformulate import (DualAtBound, audit_dual_bounds, build_stage,
-                          default_dual_bound)
+                          default_dual_bound, on_flat_face)
 
 LB_MONOTONE_SLACK = 1e-9
 
@@ -91,7 +91,6 @@ class SddipConfig:
     stall_window: int = 5
     ub_paths: int = 200
     tree_limit: float = 1e5
-    dd_iterative: bool = False
 
 
 def replace_config(cfg: SddipConfig, **kw) -> SddipConfig:
@@ -180,8 +179,6 @@ class StageOracle:
         self._terminal_cache: dict = {}
         self._stage_cache: dict = {}
         self._eigen_registry: dict[int, list[tuple[int, np.ndarray]]] = {}
-        self._dd_bases: dict[int, list[np.ndarray]] = {}
-        self._dd_version = 0
 
     def risk_spec(self, t: int) -> RiskSpec | None:
         if not self.config.risk:
@@ -214,15 +211,11 @@ class StageOracle:
         if t == inst.T:
             return self._solve_terminal(k, x_prev)
         key = (t, k, _bits(x_prev), self.pool.version, self.dual_bound,
-               len(self._eigen_registry.get(t, ())), self._dd_version)
+               len(self._eigen_registry.get(t, ())))
         hit = self._stage_cache.get(key)
         if hit is not None:
             return hit
-        sol, lay, blocks = self._solve_compiled(t, k, x_prev, pi=None)
-        if (self.config.dd_iterative and blocks
-                and self.config.bound_mode == "ub"):
-            self._dd_bases[t] = [_next_dd_basis(b.assemble(sol.x)) for b in blocks]
-            self._dd_version += 1
+        sol, lay, _ = self._solve_compiled(t, k, x_prev, pi=None)
         out = StageSolution(float(sol.objective),
                             _bits(round_integral(sol.x, lay.x)),
                             np.asarray(sol.x)[lay.theta].copy(),
@@ -233,19 +226,16 @@ class StageOracle:
     def _solve_compiled(self, t: int, k: int, x_prev, pi):
         """Build and solve a compiled (non-terminal) stage model, handling
         the dual-bound audit: a dual parked on the big-M box is accepted
-        when a 10x-box probe leaves the value unchanged (flat optimal
-        face); otherwise the bound escalates permanently."""
+        on a flat optimal face (reformulate.on_flat_face); otherwise the
+        bound escalates permanently."""
         while True:
             sol, lay, blocks = self._solve_once(t, k, x_prev, pi, self.dual_bound)
             try:
                 audit_dual_bounds(lay, sol.x)
                 return sol, lay, blocks
             except DualAtBound as err:
-                probe, _, _ = self._solve_once(t, k, x_prev, pi, self.dual_bound * 10.0)
-                flat = (probe.status == OPTIMAL and
-                        abs(probe.objective - sol.objective)
-                        <= 1e-7 * max(1.0, abs(sol.objective)))
-                if flat:
+                if on_flat_face(sol, lambda b: self._solve_once(t, k, x_prev, pi, b)[0],
+                                self.dual_bound):
                     return sol, lay, blocks
                 self._handle_dual_at_bound(t, sol, lay, err)
 
@@ -260,8 +250,7 @@ class StageOracle:
             dual_bound=dual_bound)
         if self.ttype == AmbiguityType.TYPE3:
             if self.config.bound_mode == "ub":
-                bases = self._dd_bases.get(t) or [np.eye(b.dim) for b in blocks]
-                model = misdp.add_dd_inner_general(model, blocks, bases)
+                model = misdp.add_dd_inner_general(model, blocks)
             else:
                 for b_idx, v in self._eigen_registry.get(t, []):
                     model.add_row(blocks[b_idx].quadratic_form_coeffs(v), ">=", 0.0)
@@ -324,16 +313,6 @@ class StageOracle:
     def state_values(self, t: int, k: int, states: np.ndarray) -> np.ndarray:
         """Stage values h(z) for an array of binary states (enumerated dual)."""
         return np.array([self.solve_stage(t, k, z).value for z in states])
-
-
-def _next_dd_basis(block_value) -> np.ndarray:
-    """Scaled Cholesky basis of a block incumbent, or the identity when
-    that basis is singular or its factor rows would fall below the
-    solver's coefficient cutoff."""
-    try:
-        return misdp.scaled_basis(misdp.dd_basis_from_incumbent(block_value))
-    except misdp.SingularBasis:
-        return np.eye(block_value.n)
 
 
 def _all_binary_states(I: int) -> np.ndarray:
@@ -443,25 +422,40 @@ def forward_pass(inst: Instance, ttype: int, pool: CutPool, num_paths: int,
     oracle = oracle or StageOracle(inst, ttype, cfg, pool)
     sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
     trial_states: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(2, inst.T + 1)}
-    if inst.T >= 2 and sol1.x_bits not in trial_states[2]:
+    if inst.T >= 2:
         trial_states[2].append(sol1.x_bits)
-    path_costs = []
-    for _ in range(num_paths):
-        x_prev = np.array(sol1.x_bits, dtype=float)
-        theta = sol1.theta
-        cost = sol1.g_cost
-        for t in range(2, inst.T + 1):
-            wc = worst_case(inst, AmbiguityType(int(ttype)), x_prev, theta,
-                            stage=t, risk=oracle.risk_spec(t - 1))
-            k = int(rng.choice(inst.K, p=wc.sampling_weights(oracle.risk_spec(t - 1))))
-            sol = oracle.solve_stage(t, k, x_prev)
-            cost += sol.g_cost
-            x_prev = np.array(sol.x_bits, dtype=float)
-            theta = sol.theta
-            if t + 1 <= inst.T and sol.x_bits not in trial_states[t + 1]:
-                trial_states[t + 1].append(sol.x_bits)
-        path_costs.append(cost)
+    path_costs = [_sample_path(oracle, sol1, rng, trial_states) for _ in range(num_paths)]
     return sol1.value, trial_states, sol1, path_costs
+
+
+def _sample_path(oracle: StageOracle, sol1: StageSolution, rng: np.random.Generator,
+                 trial_states: dict | None = None) -> float:
+    """Cost of one path from the stage-1 solution, each stage's
+    realization drawn from the worst-case distribution of the stage
+    before; each distinct state a stage passes on is appended to
+    trial_states[t + 1] when trial_states is given."""
+    inst = oracle.inst
+    x_prev = np.array(sol1.x_bits, dtype=float)
+    theta = sol1.theta
+    cost = sol1.g_cost
+    for t in range(2, inst.T + 1):
+        risk = oracle.risk_spec(t - 1)
+        wc = worst_case(inst, oracle.ttype, x_prev, theta, stage=t, risk=risk)
+        k = int(rng.choice(inst.K, p=wc.sampling_weights(risk)))
+        sol = oracle.solve_stage(t, k, x_prev)
+        cost += sol.g_cost
+        x_prev = np.array(sol.x_bits, dtype=float)
+        theta = sol.theta
+        if (trial_states is not None and t < inst.T
+                and sol.x_bits not in trial_states[t + 1]):
+            trial_states[t + 1].append(sol.x_bits)
+    return cost
+
+
+def _is_sampled(inst: Instance, config: SddipConfig) -> bool:
+    """Whether the policy is evaluated by sampled paths: more than two
+    stages and a support tree with more than tree_limit scenarios."""
+    return inst.T > 2 and inst.K ** (inst.T - 1) > config.tree_limit
 
 
 def backward_pass(inst: Instance, ttype: int, pool: CutPool, trial_states,
@@ -500,25 +494,11 @@ def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
         memo[key] = val
         return val
 
-    if inst.T == 2 or inst.K ** (inst.T - 1) <= oracle.config.tree_limit:
+    if not _is_sampled(inst, oracle.config):
         mode = "exact" if inst.T == 2 else "tree"
         return recurse(1, 0, np.zeros(inst.I)), 0.0, mode
-    costs = []
-    for _ in range(oracle.config.ub_paths):
-        sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
-        x_prev = np.array(sol1.x_bits, dtype=float)
-        theta = sol1.theta
-        cost = sol1.g_cost
-        for t in range(2, inst.T + 1):
-            wc = worst_case(inst, ttype, x_prev, theta, stage=t,
-                            risk=oracle.risk_spec(t - 1))
-            k = int(rng.choice(inst.K, p=wc.sampling_weights(oracle.risk_spec(t - 1))))
-            sol = oracle.solve_stage(t, k, x_prev)
-            cost += sol.g_cost
-            x_prev = np.array(sol.x_bits, dtype=float)
-            theta = sol.theta
-        costs.append(cost)
-    costs = np.asarray(costs)
+    sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
+    costs = np.array([_sample_path(oracle, sol1, rng) for _ in range(oracle.config.ub_paths)])
     return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), "sampled"
 
 
@@ -558,9 +538,8 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
             w = cfg.stall_window
             stalled = (len(report.lb_per_iter) >= w and abs(lb - report.lb_per_iter[-w])
                        <= cfg.tol * max(1.0, abs(lb)))
-            sampled = (inst.T > 2 and inst.K ** (inst.T - 1) > cfg.tree_limit)
             # a sampled run evaluates its policy only on its last iteration
-            if not sampled or stalled or it == cfg.max_iters:
+            if not _is_sampled(inst, cfg) or stalled or it == cfg.max_iters:
                 ub, ub_err, ub_mode = evaluate_policy(oracle, rng)
                 incumbents[sol1.x_bits] = ub
             gap = (ub - lb) / max(1.0, abs(ub)) if np.isfinite(ub) else float("nan")

@@ -212,5 +212,3 @@ def test_lp_export_roundtrip_text():
 def test_solver_config_defaults():
     cfg = SolverConfig()
     assert cfg.node_limit == 200_000
-    assert cfg.milp_abs_tol == 1e-6
-    assert cfg.milp_rel_tol == 1e-9

@@ -4,12 +4,11 @@ import pytest
 from ddro import misdp, sddip
 from ddro.ambiguity import AmbiguityType, worst_case
 from ddro.bench import TYPE3_PATTERNS, enumerate_two_stage, make_pattern_instance
-from ddro.linalg import SymMatrix, min_eigenpair
+from ddro.linalg import min_eigenpair
 from ddro.lpmilp import INFEASIBLE, OPTIMAL, LinearModel, solve_milp
 from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef,
-                        SingularBasis, add_dd_inner, add_dd_inner_general,
-                        audit_inner_psd, dd_basis_from_incumbent,
-                        run_type3_bounds, scaled_basis, solve_misdp_outer)
+                        add_dd_inner_general, audit_inner_psd, run_type3_bounds,
+                        solve_misdp_outer)
 from ddro.model import replace_fields
 from ddro.reformulate import freeze_stage
 
@@ -63,77 +62,41 @@ def test_dd_inner_identity_feasibility():
     m.set_bounds(a, 2.0, 2.0)
     m.set_bounds(b, 0.0, 0.0)
     m.set_bounds(c, 1.0, 1.0)
-    eye = SymMatrix(np.eye(2))
-    dd = add_dd_inner(m, [block], eye, eye)
+    dd = add_dd_inner_general(m, [block])
     assert solve_milp(dd).status == OPTIMAL  # diag(2,1) is dd
     m2, block2, (a2, b2, c2) = _block_model()
     m2.set_bounds(a2, 1.0, 1.0)
     m2.set_bounds(b2, 2.0, 2.0)
     m2.set_bounds(c2, 1.0, 1.0)
-    dd2 = add_dd_inner_general(m2, [block2], [np.eye(2)])
+    dd2 = add_dd_inner_general(m2, [block2])
     assert solve_milp(dd2).status == INFEASIBLE  # [[1,2],[2,1]] is not dd
 
 
 def test_dd_inner_value_dominates_psd_value():
     # min c with a = b = 1: dd needs c >= |b| = 1 here, same as PSD;
     # with a = 0.5, b = 1: PSD needs c >= 2, dd needs c >= ... infeasible
-    # unless c bound allows; use a generic U to exercise the factor rows
+    # unless c bound allows
     m, block, (a, b, c) = _block_model()
     m.set_bounds(a, 1.0, 1.0)
     m.set_bounds(b, 1.0, 1.0)
     m.set_objective(c, 1.0)
-    dd = add_dd_inner_general(m.copy(), [block], [np.eye(2)])
+    dd = add_dd_inner_general(m.copy(), [block])
     sol_dd = solve_milp(dd)
     sol_psd = solve_misdp_outer(m, [block])
     assert sol_dd.status == OPTIMAL
     assert sol_dd.objective >= sol_psd.objective - 1e-7
 
 
-def test_singular_basis_rejected():
-    m, block, _ = _block_model()
-    with pytest.raises(SingularBasis):
-        add_dd_inner_general(m, [block], [np.array([[1.0, 1.0], [1.0, 1.0]])])
-
-
-def test_dd_basis_from_incumbent_reconstructs():
-    z = SymMatrix(np.array([[4.0, 1.0], [1.0, 2.0]]))
-    u = dd_basis_from_incumbent(z)
-    assert np.abs(u.T @ u - z.entries).max() <= 1e-6
-
-
 def test_dd_inner_tiny_basis_matches_identity():
-    # the factor products of sqrt(1e-9) * I sit at the solver's coefficient
-    # cutoff; DD(cU) = DD(U), so the optimum must not change
-    optima = []
-    for basis in (np.eye(2), np.sqrt(1e-9) * np.eye(2)):
-        m, block, (a, b, c) = _block_model()
-        m.set_bounds(b, 1.0, 1.0)
-        m.set_objective(a, 1.0)
-        m.set_objective(c, 2.0)
-        sol = solve_milp(add_dd_inner_general(m, [block], [basis]))
-        assert sol.status == OPTIMAL
-        assert min_eigenpair(block.assemble(sol.x))[0] >= -1e-9
-        optima.append(sol.objective)
-    assert abs(optima[0] - 3.0) <= 1e-7  # dd needs a >= 1 and c >= 1
-    assert abs(optima[1] - optima[0]) <= 1e-7
-
-
-def test_scaled_basis_rejects_coefficients_below_cutoff():
-    u = scaled_basis(1e-6 * np.eye(2))
-    assert np.array_equal(u, np.eye(2))
-    # unit max-abs entry, but the diagonal product 1e-10 would be dropped
-    with pytest.raises(SingularBasis):
-        scaled_basis(np.diag([1.0, 1e-5]))
-    # products of a 45-degree rotation that cancel up to rounding are zero
-    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
-    assert np.allclose(scaled_basis(np.array([[c, -s], [s, c]])), [[1, -1], [1, 1]])
-
-
-def test_dd_basis_from_rank_deficient_incumbent_clears_cutoff():
-    for z in (np.zeros((2, 2)), np.diag([11.9, 0.0]), np.array([[1e6, -1e6], [-1e6, 1e6]])):
-        u = scaled_basis(dd_basis_from_incumbent(SymMatrix(z)))
-        products = np.abs(np.einsum("ca,db->abcd", u, u))
-        assert products[products > 0].min() >= 1e-5
+    # DD(I) rows on a 2x2 block with b = 1: the optimum of a + 2c is 3
+    m, block, (a, b, c) = _block_model()
+    m.set_bounds(b, 1.0, 1.0)
+    m.set_objective(a, 1.0)
+    m.set_objective(c, 2.0)
+    sol = solve_milp(add_dd_inner_general(m, [block]))
+    assert sol.status == OPTIMAL
+    assert min_eigenpair(block.assemble(sol.x))[0] >= -1e-9
+    assert abs(sol.objective - 3.0) <= 1e-7  # dd needs a >= 1 and c >= 1
 
 
 def test_inner_psd_audit_flags_non_psd_block():
@@ -162,8 +125,7 @@ def test_frozen_dual_sandwich_against_oracle():
         model, blocks = _frozen_type3(inst, x, q)
         outer = solve_misdp_outer(model.copy(), blocks)
         assert outer.status == OPTIMAL
-        dd = solve_milp(add_dd_inner_general(model, blocks,
-                                             [np.eye(b.dim) for b in blocks]))
+        dd = solve_milp(add_dd_inner_general(model, blocks))
         assert dd.status == OPTIMAL
         tol = 1e-5 * max(1.0, abs(oracle))
         assert outer.objective <= oracle + tol
@@ -233,9 +195,10 @@ def test_huge_radii_bounds_close():
 
 
 def test_iterated_dd_bases_still_upper_bound():
+    # the identity-DD route, the one upper-bound route, on pattern 3-1 seed 4
     inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=4)
     exact = enumerate_two_stage(inst, 3).objective
-    cfg = sddip.SddipConfig(max_iters=10, bound_mode="ub", dd_iterative=True)
+    cfg = sddip.SddipConfig(max_iters=10, bound_mode="ub")
     rep = sddip.run(inst, 3, cfg)
     assert exact <= rep.ub_estimate + 1e-6 * max(1.0, abs(exact))
 

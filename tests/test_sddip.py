@@ -230,6 +230,12 @@ def test_config_json_roundtrip():
         sddip.config_from_json('{"bogus_key": 1}')
 
 
+def test_config_rejects_removed_iterated_dd_key():
+    # a removed option is rejected, not silently ignored
+    with pytest.raises(ValueError):
+        sddip.config_from_json('{"dd_iterative": true}')
+
+
 def test_config_risk_override_keys():
     cfg = sddip.config_from_json('{"risk_lambda": 0.0, "risk_alpha": 0.9, "type": 1}')
     assert cfg.risk_lambda == 0.0 and cfg.risk_alpha == 0.9
