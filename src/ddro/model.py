@@ -76,6 +76,13 @@ class Instance:
 
 
 def validate_instance(inst: Instance) -> None:
+    for fld in fields(Instance):
+        val = getattr(inst, fld.name)
+        if isinstance(val, str):
+            continue
+        parts = val if fld.name == "support" else (val,)
+        if not all(np.all(np.isfinite(getattr(p, "entries", p))) for p in parts):
+            raise ValueError(f"{fld.name} entries must be finite")
     if min(inst.T, inst.I, inst.J, inst.K) < 1:
         raise ValueError("dimensions must be >= 1")
     if len(inst.support) != inst.T or inst.support[0].shape != (1, inst.J):

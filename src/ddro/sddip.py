@@ -63,6 +63,10 @@ class CutPool:
         self.cuts[t][k].append(cut)
         self.version += 1
 
+    def num_cuts(self, t: int) -> int:
+        """Cuts in cuts[t]; with appends only, a version of that stage."""
+        return sum(len(lst) for lst in self.cuts[t])
+
     def rows_for_stage_model(self, t: int):
         """(v, pi) pairs per realization for the stage-t model's proxies."""
         return [[(c.v, c.pi) for c in lst] for lst in self.cuts[t + 1]]
@@ -210,7 +214,7 @@ class StageOracle:
         inst = self.inst
         if t == inst.T:
             return self._solve_terminal(k, x_prev)
-        key = (t, k, _bits(x_prev), self.pool.version, self.dual_bound,
+        key = (t, k, _bits(x_prev), self.pool.num_cuts(t + 1), self.dual_bound,
                len(self._eigen_registry.get(t, ())))
         hit = self._stage_cache.get(key)
         if hit is not None:

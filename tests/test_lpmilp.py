@@ -3,6 +3,7 @@ import itertools
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -146,7 +147,8 @@ def test_milp_deterministic_nodes():
 
 
 def test_concurrent_milp_solves_restore_stdout_descriptor():
-    # each solve swaps descriptor 1; overlapping swaps must not leak it
+    # each solve swaps descriptor 1 and the warning filters; overlapping
+    # swaps must leak neither
     rng = np.random.default_rng(9)
     w, p = rng.uniform(1, 10, 10), rng.uniform(1, 10, 10)
     m = LinearModel()
@@ -155,6 +157,7 @@ def test_concurrent_milp_solves_restore_stdout_descriptor():
     m.add_row((np.arange(10), w), "<=", float(0.4 * w.sum()))
     expected = solve_milp(m).objective
     before = os.fstat(1)
+    filters = list(warnings.filters)
     results = []
 
     def worker():
@@ -175,6 +178,7 @@ def test_concurrent_milp_solves_restore_stdout_descriptor():
     assert results == [expected] * 30
     after = os.fstat(1)
     assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
+    assert warnings.filters == filters
 
 
 def test_validation_errors():
@@ -190,6 +194,26 @@ def test_validation_errors():
         m2.add_row({5: 1.0}, "<=", 1.0)
     with pytest.raises(ValueError):
         m2.add_row({0: 1.0}, "<<", 1.0)
+
+
+def test_matrix_sums_repeated_columns_like_dense_rows():
+    m = LinearModel()
+    m.add_vars(4, 0.0, 1.0)
+    m.add_row(([2, 0, 2, 3], [1.5, -1.0, 2.25, 0.0]), "<=", 1.0)
+    m.add_row(([], []), "=", 0.0)
+    m.add_row(([3, 1, 3, 3], [0.5, 4.0, -0.25, 7.0]), ">=", -2.0)
+    a = m._matrix()
+    assert a.has_canonical_format
+    assert np.array_equal(a.toarray(), np.vstack([m.dense_row(r) for r in range(3)]))
+
+
+def test_milp_rejects_nan_right_hand_side():
+    # HiGHS would report such a model Infeasible
+    m = LinearModel()
+    x = m.add_var(0.0, 1.0, BINARY, obj=-1.0)
+    m.add_row({x: 1.0}, "<=", np.nan)
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_milp(m)
 
 
 def test_lp_export_roundtrip_text():

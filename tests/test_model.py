@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -78,6 +79,14 @@ def test_validation_rejects_bad_fields():
         replace_fields(inst, risk_alpha=np.array([0.5, 1.0]))
     with pytest.raises(ValueError):
         replace_fields(inst, lambda_cov=np.array([-0.1, 1.1]))
+
+
+def test_from_json_rejects_nan_support():
+    # NaN < 0 is False, so the sign check alone lets NaN through
+    doc = json.loads(to_json(generate_instance(2, 2, 2, 2, 4, 0.5)))
+    doc["support"][1][0][0] = float("nan")
+    with pytest.raises(ValueError, match="support"):
+        from_json(json.dumps(doc))
 
 
 def test_budget_row():

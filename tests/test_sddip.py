@@ -30,6 +30,24 @@ def test_cutpool_append_only_versioning():
     assert len(list(pool.all_cuts())) == 2
 
 
+def test_stage_cache_keys_on_the_cuts_the_stage_reads():
+    # the stage-2 model of a T=3 run reads cuts[3] only
+    inst = generate_instance(1, 3, 3, 1, 3, 0.3, eps_mu=40, eps_S_lo=0.05,
+                             eps_S_hi=3.0)
+    pool = CutPool(inst.T, inst.K)
+    oracle = StageOracle(inst, 1, SddipConfig(), pool)
+    x_prev = np.zeros(inst.I)
+    first = oracle.solve_stage(2, 0, x_prev)
+    solves = oracle.stage_solves
+    pool.add(2, 0, Cut(-1e6, np.zeros(inst.I)))
+    assert oracle.solve_stage(2, 0, x_prev) is first
+    assert oracle.stage_solves == solves
+    pool.add(3, 1, Cut(-1e6, np.zeros(inst.I)))
+    again = oracle.solve_stage(2, 0, x_prev)
+    assert oracle.stage_solves == solves + 1
+    assert again.value == first.value
+
+
 def test_lagrangian_dual_one_dim_toy():
     # Q(0) = 5, Q(1) = 3: dual optimum at x_hat = 1 reaches 3 (pi = -2 family)
     q = {0: 5.0, 1: 3.0}
