@@ -28,7 +28,8 @@ from .model import Instance
 
 MAX_CUT_ROUNDS = 500
 CUT_VIOLATION_TOL = 1e-7
-SLATER_SLACK = 1e-9
+SLATER_SLACK = 1e-9  # a Type 3 set is nonempty iff its Slater slack reaches this
+SLATER_STALL_ROUNDS = 20
 
 
 class AmbiguityType(IntEnum):
@@ -203,7 +204,15 @@ class _Type3Geometry:
 
 
 def type3_slater_slack(inst: Instance, x, stage: int = 2) -> float:
-    """Largest joint slack of the ellipsoid and min-eigenvalue rows."""
+    """Joint slack of the ellipsoid and min-eigenvalue rows, to its sign.
+
+    Kelley's cutting planes bound the largest slack from below (the true
+    slack at the LP's point) and from above (the LP).  The loop stops as
+    soon as either bound certifies the slack's side of SLATER_SLACK: it
+    returns the best true slack, which is >= SLATER_SLACK exactly when
+    the set has a Slater point.  Bounds that straddle SLATER_SLACK and
+    stop closing raise NonConvergence.
+    """
     geo = _Type3Geometry(inst, x, stage)
     K = inst.K
     m = LinearModel()
@@ -211,22 +220,29 @@ def type3_slater_slack(inst: Instance, x, stage: int = 2) -> float:
     s = m.add_var(-np.inf, np.inf, obj=-1.0, name="slack")  # maximize s
     m.add_row((p, np.ones(K)), "=", 1.0)
     p_hat = np.full(K, 1.0 / K)
-    best = -np.inf
+    best, gap, stalled = -np.inf, np.inf, 0
     for _ in range(MAX_CUT_ROUNDS):
         geo.add_ellipsoid_cut(m, p, p_hat, slack_col=s)
         lam_min, v = geo.psd_gap(p_hat)
         geo.add_eigen_cut(m, p, v, slack_col=s)
-        true_slack = min(-geo.ellipsoid_value_grad(p_hat)[0], lam_min)
-        best = max(best, true_slack)
+        best = max(best, min(-geo.ellipsoid_value_grad(p_hat)[0], lam_min))
+        if best >= SLATER_SLACK:
+            return best
         sol = solve_lp(m)
         if sol.status != OPTIMAL:
-            return best
+            raise NonConvergence(f"Slater slack LP returned {sol.status}")
         s_hat = float(sol.x[s])
-        if s_hat - best <= 1e-10 * max(1.0, abs(s_hat)):
+        if s_hat < SLATER_SLACK:
             return best
+        # the gap must keep closing by more than the LP tolerance
+        stalled = stalled + 1 if s_hat - best > gap - 1e-10 * max(1.0, abs(s_hat)) else 0
+        if stalled >= SLATER_STALL_ROUNDS:
+            break
+        gap = min(gap, s_hat - best)
         p_hat = np.clip(sol.x[p], 0.0, None)
         p_hat = p_hat / p_hat.sum()
-    return best
+    raise NonConvergence(f"Slater slack bounds [{best:.12g}, {best + gap:.12g}] "
+                         f"stalled around the threshold {SLATER_SLACK:g}")
 
 
 def is_nonempty(inst: Instance, ttype: AmbiguityType, x, stage: int = 2) -> bool:
@@ -258,7 +274,7 @@ def worst_case(inst: Instance, ttype: AmbiguityType, x, q,
         return _finish(sol, p_cols, qt_cols)
 
     geo = _Type3Geometry(inst, x, stage)
-    if type3_slater_slack(inst, x, stage) < 1e-12:
+    if not is_nonempty(inst, ttype, x, stage):
         raise EmptyAmbiguity("empty type-3 ambiguity set", stage, x)
     for _ in range(MAX_CUT_ROUNDS):
         sol = solve_lp(m)

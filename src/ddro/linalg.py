@@ -1,10 +1,9 @@
 """Dense symmetric linear algebra for the PSD bounding machinery.
 
 Deliberately small kernels sized for matrices up to n ~ 100: a
-symmetric eigendecomposition (LAPACK via numpy.linalg.eigh), a
-Cholesky factorization that tolerates numerically semidefinite pivots,
-and an exact diagonal-dominance test.  All functions are pure and safe
-to call concurrently.
+symmetric eigendecomposition (LAPACK via numpy.linalg.eigh) and a
+Cholesky factorization that tolerates numerically semidefinite pivots.
+All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -95,10 +94,3 @@ def cholesky(m: SymMatrix) -> np.ndarray:
             elif np.abs(col).max(initial=0.0) > col_tol:
                 raise NotPsd(f"zero pivot with nonzero column at index {j}")
     return L
-
-
-def is_dd(m: SymMatrix) -> bool:
-    """Exact diagonal-dominance test: a_ii >= sum_{j != i} |a_ij| for all i."""
-    a = m.entries
-    off = np.sum(np.abs(a), axis=1) - np.abs(np.diag(a))
-    return bool(np.all(np.diag(a) >= off))

@@ -1,46 +1,55 @@
 """LP/MILP core for the stage subproblems.
 
-A thin, deterministic layer over scipy's HiGHS interface exposing the
-model container used throughout the kit: bounded variables with
-continuous/integer/binary flags, single-relation rows, minimization
-objective, constraint duals and reduced costs on LP solves, and a
-CPLEX-LP-dialect text export for cross-checking against external
-solvers.  Dual values follow the sensitivity convention: the marginal is
-the derivative of the optimal objective with respect to the row's
-right-hand side.
+A thin, deterministic layer over HiGHS exposing the model container used
+throughout the kit: bounded variables with continuous/integer/binary
+flags, single-relation rows, minimization objective, constraint duals
+and reduced costs on LP solves, and a CPLEX-LP-dialect text export for
+cross-checking against external solvers.  Dual values follow the
+sensitivity convention: the marginal is the derivative of the optimal
+objective with respect to the row's right-hand side.
 
-Every MILP solve runs HiGHS with fixed options: mip_rel_gap = 0 (each
-solve is proved optimal), mip_max_nodes = SolverConfig.node_limit,
-presolve on (off only for the retry of a model presolve mislabels), and
-mip_heuristic_run_feasibility_jump = False.  Feasibility Jump is a
-primal heuristic HiGHS 1.12 runs before every MILP, at a fixed cost per
-call that dominates the small stage models here: an 18-column, 15-row
+Models are solved on HiGHS handles from the bindings scipy bundles, not
+through scipy.optimize.milp/linprog, whose per-call option checks and
+input validation cost more than HiGHS itself on the small stage models
+here.  Each thread keeps two handles, one for MILPs and one for LPs,
+and gives each its fixed options once; an option HiGHS rejects raises
+HighsCallError.  A solve passes the model as one row-wise matrix with
+row bounds, sets the options that vary per call, and runs.
+
+MILP options: mip_rel_gap = 0 (each solve is proved optimal) and
+mip_heuristic_run_feasibility_jump = False, fixed; per call,
+mip_max_nodes = SolverConfig.node_limit and presolve on (off only for
+the retry of a model presolve mislabels).  Feasibility Jump is a primal
+heuristic HiGHS 1.12 runs before every MILP, at a fixed cost per call
+that dominates the small stage models here: an 18-column, 15-row
 terminal block took 11 ms per solve with it and 4.7 ms without (one
-node either way, 2-core Xeon).  LP solves run with presolve on and an
-iteration cap.
+node either way, 2-core Xeon).  LP options: presolve on, fixed; per
+call, an iteration cap of 10*(n + m + SolverConfig.iteration_cap_base).
 
 A solver invocation is single-threaded and reentrant; distinct
 LinearModel values may be solved from several threads.  MILP solves
 then run one at a time: under a module lock, each points file
 descriptor 1 at descriptor 2, to keep HiGHS's stray lines off stdout,
-and swaps the process-wide warning filters, to ignore scipy's warning
-that it passes the heuristic option to HiGHS verbatim.  Both are
-restored when the solve ends.
+and restores it when the solve ends.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 import threading
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+# scipy's bundled HiGHS bindings are a private module: every name ddro
+# uses from it is imported here, and tests/test_highs_bindings.py fails
+# by name if a scipy release moves one.
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
+                                           HighsVarType, MatrixFormat, _Highs,
+                                           kSolutionStatusFeasible)
 
 CONTINUOUS = 0
 INTEGER = 1
@@ -63,13 +72,14 @@ class NumericalFailure(RuntimeError):
 class SolverConfig:
     """Solver limits, centralized.
 
-    The other HiGHS options are fixed, not configurable: MILP solves
-    run with mip_rel_gap = 0, so every solve is proved optimal, with
-    presolve on, and with the Feasibility Jump heuristic off, which
-    saved about 6 ms per stage MILP (see the module docstring).
+    The other HiGHS options are fixed, not configurable, and set once
+    per kept handle: MILP solves run with mip_rel_gap = 0, so every
+    solve is proved optimal, with presolve on, and with the Feasibility
+    Jump heuristic off, which saved about 6 ms per stage MILP (see the
+    module docstring).
     """
 
-    node_limit: int = 200_000
+    node_limit: int = 200_000  # a MILP stopped here reports GapLimit
     iteration_cap_base: int = 1000  # LP iteration cap = 10*(n + m + base)
 
 
@@ -216,50 +226,101 @@ class MipSolution:
     node_count: int = 0
 
 
+class HighsCallError(RuntimeError):
+    """HiGHS rejected a call: an option it does not know or a model it
+    cannot load."""
+
+
+# Options each kept handle is given once; see the module docstring.
+_FIXED_OPTIONS = {
+    "milp": {"output_flag": False, "mip_rel_gap": 0.0,
+             "mip_heuristic_run_feasibility_jump": False},
+    "lp": {"output_flag": False, "presolve": "on"},
+}
+_handles = threading.local()
+_VAR_TYPES = (HighsVarType.kContinuous, HighsVarType.kInteger)
+
+
+def _handle(kind: str) -> _Highs:
+    """This thread's kept HiGHS handle for "milp" or "lp" solves."""
+    highs = getattr(_handles, kind, None)
+    if highs is None:
+        highs = _Highs()
+        _set_options(highs, _FIXED_OPTIONS[kind])
+        setattr(_handles, kind, highs)
+    return highs
+
+
+def _set_options(highs: _Highs, options: dict) -> None:
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) != HighsStatus.kOk:
+            raise HighsCallError(f"HiGHS rejected option {name} = {value!r}")
+
+
+def _highs_lp(model: LinearModel, integer: bool) -> HighsLp:
+    """The model as one HighsLp: the row-wise matrix with row bounds."""
+    model.validate()
+    a = model._matrix()
+    rhs = np.asarray(model.row_rhs)
+    rel = np.asarray(model.row_rel, dtype="<U2")
+    lp = HighsLp()
+    lp.num_col_ = model.num_vars
+    lp.num_row_ = model.num_rows
+    lp.col_cost_ = np.asarray(model.objective)
+    lp.col_lower_ = np.asarray(model.lower)
+    lp.col_upper_ = np.asarray(model.upper)
+    lp.row_lower_ = np.where(rel == "<=", -np.inf, rhs)
+    lp.row_upper_ = np.where(rel == ">=", np.inf, rhs)
+    matrix = lp.a_matrix_
+    matrix.format_ = MatrixFormat.kRowwise
+    matrix.num_col_ = model.num_vars
+    matrix.num_row_ = model.num_rows
+    matrix.start_ = a.indptr
+    matrix.index_ = a.indices
+    matrix.value_ = a.data
+    if integer:
+        lp.integrality_ = [_VAR_TYPES[kind != CONTINUOUS] for kind in model.integrality]
+    return lp
+
+
+def milp(highs: _Highs, lp: HighsLp) -> None:
+    """passModel + run on the thread's MILP handle.
+
+    Every MILP solve calls this module-level name once, so that the
+    benchmark's traced run can time HiGHS apart from marshalling by
+    patching it; ROADMAP item 1 moves that timing into counters.
+    """
+    if highs.passModel(lp) == HighsStatus.kError:
+        raise HighsCallError("HiGHS could not load the model")
+    highs.run()
+
+
+def linprog(highs: _Highs, lp: HighsLp) -> None:
+    """passModel + run on the thread's LP handle; see milp."""
+    if highs.passModel(lp) == HighsStatus.kError:
+        raise HighsCallError("HiGHS could not load the model")
+    highs.run()
+
+
 def solve_lp(model: LinearModel, config: SolverConfig = DEFAULT_CONFIG) -> LpSolution:
     """Solve the continuous relaxation, returning duals and reduced costs."""
-    model.validate()
-    n, m = model.num_vars, model.num_rows
-    a = model._matrix()
-    ub_rows = [r for r in range(m) if model.row_rel[r] != "="]
-    eq_rows = [r for r in range(m) if model.row_rel[r] == "="]
-    a_ub = b_ub = a_eq = b_eq = None
-    sign = np.ones(len(ub_rows))
-    if ub_rows:
-        sign = np.array([1.0 if model.row_rel[r] == "<=" else -1.0 for r in ub_rows])
-        a_ub = sparse.diags(sign) @ a[ub_rows, :]
-        b_ub = sign * np.asarray(model.row_rhs)[ub_rows]
-    if eq_rows:
-        a_eq = a[eq_rows, :]
-        b_eq = np.asarray(model.row_rhs)[eq_rows]
-    cap = 10 * (n + m + config.iteration_cap_base)
-    res = linprog(
-        np.asarray(model.objective),
-        A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=np.column_stack([model.lower, model.upper]),
-        method="highs",
-        options={"maxiter": cap, "presolve": True},
-    )
-    if res.status == 2:
+    lp = _highs_lp(model, integer=False)
+    highs = _handle("lp")
+    cap = 10 * (model.num_vars + model.num_rows + config.iteration_cap_base)
+    _set_options(highs, {"simplex_iteration_limit": cap, "ipm_iteration_limit": cap})
+    linprog(highs, lp)
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    if status == HighsModelStatus.kInfeasible:
         return LpSolution(INFEASIBLE, None, None, None, None)
-    if res.status == 3:
+    if status == HighsModelStatus.kUnbounded:
         return LpSolution(UNBOUNDED, None, None, None, None)
-    if res.status != 0:
-        raise NumericalFailure(f"LP solve failed: {res.message}")
-    duals = np.zeros(m)
-    if ub_rows:
-        duals[ub_rows] = sign * res.ineqlin.marginals
-    if eq_rows:
-        duals[eq_rows] = res.eqlin.marginals
-    reduced = np.asarray(res.lower.marginals) + np.asarray(res.upper.marginals)
-    return LpSolution(OPTIMAL, np.asarray(res.x), float(res.fun), duals, reduced)
-
-
-# Passed to HiGHS unchecked by scipy, which warns that it does so;
-# only that warning, for exactly these names, is ignored.
-_HIGHS_MILP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
-_VERBATIM_WARNING = re.escape(
-    f"Unrecognized options detected: {set(_HIGHS_MILP_OPTIONS)}.")
+    if status != HighsModelStatus.kOptimal:
+        raise NumericalFailure(f"LP solve failed: {highs.modelStatusToString(status)}")
+    sol = highs.getSolution()
+    return LpSolution(OPTIMAL, np.array(sol.col_value),
+                      info.objective_function_value,
+                      np.array(sol.row_dual), np.array(sol.col_dual))
 
 
 def solve_milp(model: LinearModel, config: SolverConfig = DEFAULT_CONFIG) -> MipSolution:
@@ -267,39 +328,35 @@ def solve_milp(model: LinearModel, config: SolverConfig = DEFAULT_CONFIG) -> Mip
     return _solve_milp_once(model, config, presolve=True)
 
 
+# A MILP stopped at one of these limits reports GapLimit, with the
+# incumbent if it has one.
+_LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
+           HighsModelStatus.kSolutionLimit)
+
+
 def _solve_milp_once(model: LinearModel, config: SolverConfig,
                      presolve: bool) -> MipSolution:
-    model.validate()
-    integrality = (np.asarray(model.integrality) != CONTINUOUS).astype(int)
-    constraints = []
-    if model.num_rows:
-        rhs = np.asarray(model.row_rhs)
-        rel = np.asarray(model.row_rel)
-        lo = np.where(rel == "<=", -np.inf, rhs)
-        hi = np.where(rel == ">=", np.inf, rhs)
-        constraints.append(LinearConstraint(model._matrix(), lo, hi))
-    with _stdout_to_stderr(), warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=_VERBATIM_WARNING,
-                                category=RuntimeWarning)
-        res = milp(
-            np.asarray(model.objective),
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(np.asarray(model.lower), np.asarray(model.upper)),
-            options={"mip_rel_gap": 0.0, "node_limit": config.node_limit,
-                     "presolve": presolve, **_HIGHS_MILP_OPTIONS},
-        )
-    nodes = int(getattr(res, "mip_node_count", 0) or 0)
-    if res.status == 2:
+    integer = any(kind != CONTINUOUS for kind in model.integrality)
+    lp = _highs_lp(model, integer)
+    highs = _handle("milp")
+    _set_options(highs, {"presolve": "on" if presolve else "off",
+                         "mip_max_nodes": config.node_limit})
+    with _stdout_to_stderr():
+        milp(highs, lp)
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    nodes = max(info.mip_node_count, 0) if integer else 0
+    if status == HighsModelStatus.kInfeasible:
         return MipSolution(INFEASIBLE, None, None, None, nodes)
-    if res.status == 3:
+    if status == HighsModelStatus.kUnbounded:
         return MipSolution(UNBOUNDED, None, None, None, nodes)
-    if res.status == 1:
-        x = np.asarray(res.x) if res.x is not None else None
-        obj = float(res.fun) if res.x is not None else None
-        bound = getattr(res, "mip_dual_bound", None)
-        return MipSolution(GAP_LIMIT, x, obj, bound, nodes)
-    if res.status == 4 and "unbounded or infeasible" in str(res.message):
+    if status in _LIMITS:
+        if info.primal_solution_status != kSolutionStatusFeasible:
+            return MipSolution(GAP_LIMIT, None, None, info.mip_dual_bound, nodes)
+        sol = highs.getSolution()
+        return MipSolution(GAP_LIMIT, np.array(sol.col_value),
+                           info.objective_function_value, info.mip_dual_bound, nodes)
+    if status == HighsModelStatus.kUnboundedOrInfeasible:
         relaxed = solve_lp(model, config)  # classify via the relaxation
         if relaxed.status == UNBOUNDED:
             return MipSolution(UNBOUNDED, None, None, None, nodes)
@@ -309,12 +366,12 @@ def _solve_milp_once(model: LinearModel, config: SolverConfig,
             # HiGHS presolve mislabels some big-M models whose relaxation
             # is fine; retry the search without it
             return _solve_milp_once(model, config, presolve=False)
-    if res.status != 0:
-        raise NumericalFailure(f"MILP solve failed: {res.message}")
-    bound = getattr(res, "mip_dual_bound", None)
-    if bound is None:
-        bound = float(res.fun)
-    return MipSolution(OPTIMAL, np.asarray(res.x), float(res.fun), float(bound), nodes)
+    if status != HighsModelStatus.kOptimal:
+        raise NumericalFailure(f"MILP solve failed: {highs.modelStatusToString(status)}")
+    obj = info.objective_function_value
+    bound = info.mip_dual_bound if integer else obj
+    sol = highs.getSolution()
+    return MipSolution(OPTIMAL, np.array(sol.col_value), obj, bound, nodes)
 
 
 _stdout_lock = threading.Lock()

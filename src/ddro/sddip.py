@@ -57,11 +57,9 @@ class CutPool:
         self.cuts: dict[int, list[list[Cut]]] = {
             t: [[] for _ in range(K)] for t in range(2, T + 1)
         }
-        self.version = 0
 
     def add(self, t: int, k: int, cut: Cut) -> None:
         self.cuts[t][k].append(cut)
-        self.version += 1
 
     def num_cuts(self, t: int) -> int:
         """Cuts in cuts[t]; with appends only, a version of that stage."""
@@ -483,7 +481,7 @@ def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
     memo: dict = {}
 
     def recurse(t: int, k: int, x_prev) -> float:
-        key = (t, k, _bits(x_prev), oracle.pool.version)
+        key = (t, k, _bits(x_prev))
         if key in memo:
             return memo[key]
         sol = oracle.solve_stage(t, k, x_prev)

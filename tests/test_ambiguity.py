@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ddro.ambiguity import (AmbiguityType, EmptyAmbiguity, RiskSpec, WorstCase,
-                            decision_moments_type23, is_nonempty, mean_map,
+from ddro import ambiguity
+from ddro.ambiguity import (AmbiguityType, EmptyAmbiguity, NonConvergence, RiskSpec,
+                            WorstCase, decision_moments_type23, is_nonempty, mean_map,
                             type1_bounds, type3_slater_slack, worst_case)
 from ddro.linalg import SymMatrix, sym_eig
 from ddro.model import generate_instance, replace_fields
@@ -259,6 +260,15 @@ def test_type3_slater_slack_positive_on_interior():
     tight = replace_fields(inst, gamma=1e-15, eta_cov=1.0)
     # mean pinned to mu(0) exactly: generically infeasible over draws
     assert type3_slater_slack(tight, np.ones(3)) < 1e-9
+
+
+def test_type3_slater_slack_flags_a_stalled_sign(monkeypatch):
+    # this set's largest slack is 10 to LP tolerance, so with the threshold
+    # at 10 neither Kelley bound can settle the sign
+    inst = make_inst(J=2, seed=13)
+    monkeypatch.setattr(ambiguity, "SLATER_SLACK", 10.0)
+    with pytest.raises(NonConvergence, match="stalled"):
+        type3_slater_slack(inst, np.zeros(3))
 
 
 def test_risk_reduces_to_neutral_at_zero_lambda():

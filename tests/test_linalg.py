@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ddro import linalg
-from ddro.linalg import NotPsd, SymMatrix, cholesky, is_dd, min_eigenpair, sym_eig
+from ddro.linalg import NotPsd, SymMatrix, cholesky, min_eigenpair, sym_eig
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -122,15 +122,6 @@ def test_cholesky_rank_deficient():
     assert np.abs(L @ L.T - a).max() <= 1e-12
 
 
-def test_is_dd_examples():
-    assert is_dd(SymMatrix(np.eye(3)))
-    assert not is_dd(SymMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
-    assert is_dd(SymMatrix(np.array([[3.0, -1.0, -1.0],
-                                     [-1.0, 2.0, 0.0],
-                                     [-1.0, 0.0, 2.0]])))
-    assert not is_dd(SymMatrix(np.array([[-1.0]])))
-
-
 def test_dd_implies_psd():
     rng = np.random.default_rng(3)
     found = 0
@@ -142,7 +133,7 @@ def test_dd_implies_psd():
         np.fill_diagonal(a, np.abs(a).sum(axis=1) - np.abs(np.diag(a))
                          + rng.uniform(0, 1, n))
         m = SymMatrix(a)
-        assert is_dd(m)
+        assert np.all(np.diag(a) >= np.abs(a).sum(axis=1) - np.abs(np.diag(a)))
         found += 1
         assert min_eigenpair(m)[0] >= -1e-9
     assert found == 500

@@ -8,9 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from ddro.lpmilp import (BINARY, CONTINUOUS, GAP_LIMIT, INFEASIBLE, INTEGER,
-                         OPTIMAL, UNBOUNDED, LinearModel, SolverConfig,
-                         solve_lp, solve_milp, write_lp)
+from ddro import lpmilp
+from ddro.lpmilp import (BINARY, CONTINUOUS, DEFAULT_CONFIG, GAP_LIMIT, INFEASIBLE,
+                         INTEGER, OPTIMAL, UNBOUNDED, LinearModel, NumericalFailure,
+                         SolverConfig, solve_lp, solve_milp, write_lp)
 
 
 def test_lp_trivial_with_dual():
@@ -144,6 +145,126 @@ def test_milp_deterministic_nodes():
     assert s1.objective == s2.objective
     assert s1.node_count == s2.node_count
     assert np.array_equal(s1.x, s2.x)
+
+
+def _branching_knapsack(seed):
+    # near-equal profit/weight ratios: HiGHS must branch to prove optimality
+    rng = np.random.default_rng(seed)
+    w = rng.integers(1000, 2000, 25).astype(float)
+    p = w + rng.integers(0, 10, 25)
+    m = LinearModel()
+    for i in range(25):
+        m.add_var(0.0, 1.0, BINARY, obj=-p[i])
+    m.add_row((np.arange(25), w), "<=", float(np.floor(0.5 * w.sum())))
+    return m, w
+
+
+def test_node_limit_gives_gap_limit_with_incumbent():
+    m, w = _branching_knapsack(0)
+    exact = solve_milp(m)
+    assert exact.status == OPTIMAL and exact.node_count > 1
+    sol = solve_milp(m, SolverConfig(node_limit=1))
+    assert sol.status == GAP_LIMIT
+    assert sol.x is not None and np.abs(sol.x - np.rint(sol.x)).max() <= 1e-6
+    assert float(w @ np.rint(sol.x)) <= m.row_rhs[0]
+    assert sol.objective >= exact.objective - 1e-9 * abs(exact.objective)
+    assert sol.best_bound <= exact.objective + 1e-9 * abs(exact.objective)
+
+
+def test_lp_iteration_cap_raises_numerical_failure():
+    m = _random_feasible_lp(np.random.default_rng(4))
+    assert solve_lp(m).status == OPTIMAL
+    zero_cap = SolverConfig(iteration_cap_base=-(m.num_vars + m.num_rows))
+    with pytest.raises(NumericalFailure, match="Iteration limit"):
+        solve_lp(m, zero_cap)
+
+
+def _in_fresh_thread(fn):
+    # a new thread gets new kept handles, as a new process would; what fn
+    # raises there is raised here
+    out = []
+
+    def target():
+        try:
+            out.append(fn())
+        except BaseException as exc:
+            out.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
+
+
+def test_per_call_options_do_not_leak_between_solves():
+    knapsack, _ = _branching_knapsack(1)
+    lp = _random_feasible_lp(np.random.default_rng(4))
+    zero_cap = SolverConfig(iteration_cap_base=-(lp.num_vars + lp.num_rows))
+
+    def normal_solves():
+        mip, rel = solve_milp(knapsack), solve_lp(lp)
+        return (mip.objective, mip.x.tolist(), mip.node_count,
+                rel.objective, rel.x.tolist(), rel.duals.tolist())
+
+    def after_odd_solves():
+        no_presolve = lpmilp._solve_milp_once(knapsack, DEFAULT_CONFIG, presolve=False)
+        assert solve_milp(knapsack, SolverConfig(node_limit=1)).status == GAP_LIMIT
+        with pytest.raises(NumericalFailure):
+            solve_lp(lp, zero_cap)
+        return no_presolve.node_count, normal_solves()
+
+    fresh = _in_fresh_thread(normal_solves)
+    no_presolve_nodes, after = _in_fresh_thread(after_odd_solves)
+    assert no_presolve_nodes != fresh[2]  # presolve changes this search
+    assert after == fresh
+
+
+def test_unknown_highs_option_raises_typed_error(monkeypatch):
+    # HiGHS's error status for the name, not a scipy warning
+    fixed = {**lpmilp._FIXED_OPTIONS["lp"], "presolve_typo": "on"}
+    monkeypatch.setitem(lpmilp._FIXED_OPTIONS, "lp", fixed)
+    m = _random_feasible_lp(np.random.default_rng(4))
+    with pytest.raises(lpmilp.HighsCallError, match="presolve_typo"):
+        _in_fresh_thread(lambda: solve_lp(m))
+
+
+def test_model_highs_cannot_load_raises_typed_error():
+    # HiGHS refuses matrix entries above 1e15; scipy reported such a
+    # model Infeasible
+    m = LinearModel()
+    x = m.add_var(0.0, 1.0, BINARY, obj=1.0)
+    m.add_row({x: 1e16}, "<=", 1.0)
+    with pytest.raises(lpmilp.HighsCallError):
+        solve_milp(m)
+    with pytest.raises(lpmilp.HighsCallError):
+        solve_lp(m)
+
+
+def test_row_duals_match_finite_differences():
+    # one active row of each relation; a nondegenerate optimum
+    def build(rhs):
+        m = LinearModel()
+        x = m.add_var(0.0, 10.0, obj=1.0)
+        y = m.add_var(0.0, 10.0, obj=2.0)
+        z = m.add_var(0.0, 10.0, obj=3.0)
+        m.add_row({x: 1.0, y: 1.0, z: 1.0}, ">=", rhs[0])
+        m.add_row({x: 1.0, y: -1.0}, "<=", rhs[1])
+        m.add_row({y: 1.0, z: -2.0}, "=", rhs[2])
+        return m
+
+    rhs = np.array([6.0, 1.0, 0.5])
+    duals = solve_lp(build(rhs)).duals
+    h = 1e-4
+    for r in range(3):
+        step = np.zeros(3)
+        step[r] = h
+        up = solve_lp(build(rhs + step)).objective
+        down = solve_lp(build(rhs - step)).objective
+        assert abs(duals[r]) > 1e-3  # each row binds
+        assert abs((up - down) / (2 * h) - duals[r]) <= 1e-7
 
 
 def test_concurrent_milp_solves_restore_stdout_descriptor():

@@ -4,7 +4,7 @@ name it patches must exist, or a traced run fails at install time."""
 import importlib.util
 from pathlib import Path
 
-from ddro import sddip
+from ddro import lpmilp, sddip
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -24,3 +24,20 @@ def test_span_sites_exist_on_ddro_modules():
         assert hasattr(module, attr), f"ddro.{mod}.{attr} is patched but missing"
     assert callable(sddip.StageOracle.solve_stage)
     assert callable(sddip.CutPool.add)
+
+
+def test_traced_highs_sites_run_once_per_solve(monkeypatch):
+    # the traced run times HiGHS by patching lpmilp.milp and lpmilp.linprog;
+    # each must be the call a solve makes, once
+    calls = []
+    for name in ("milp", "linprog"):
+        run = getattr(lpmilp, name)
+        monkeypatch.setattr(lpmilp, name,
+                            lambda *a, name=name, run=run: calls.append(name) or run(*a))
+    m = lpmilp.LinearModel()
+    x = m.add_var(0.0, 3.0, lpmilp.INTEGER, obj=-1.0)
+    m.add_row({x: 2.0}, "<=", 5.0)
+    assert lpmilp.solve_milp(m).objective == -2.0
+    assert calls == ["milp"]
+    assert lpmilp.solve_lp(m).objective == -2.5
+    assert calls == ["milp", "linprog"]
