@@ -12,10 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Fixed module tolerances; not user configuration.
-EIG_RESIDUAL_TOL = 1e-9  # |m v - lam v|_inf <= tol * max(1, |m|_inf)
-EIG_ORTHO_TOL = 1e-9
-CHOLESKY_TOL = 1e-10  # |L L^T - m|_inf <= tol * max(1, |m|_inf)
 PIVOT_CLAMP = 1e-12  # pivots in [-PIVOT_CLAMP, 0] are clamped to 0
 
 

@@ -18,13 +18,14 @@ row bounds, sets the options that vary per call, and runs.
 
 MILP options: mip_rel_gap = 0 (each solve is proved optimal) and
 mip_heuristic_run_feasibility_jump = False, fixed; per call,
-mip_max_nodes = SolverConfig.node_limit and presolve on (off only for
-the retry of a model presolve mislabels).  Feasibility Jump is a primal
-heuristic HiGHS 1.12 runs before every MILP, at a fixed cost per call
-that dominates the small stage models here: an 18-column, 15-row
-terminal block took 11 ms per solve with it and 4.7 ms without (one
-node either way, 2-core Xeon).  LP options: presolve on, fixed; per
-call, an iteration cap of 10*(n + m + SolverConfig.iteration_cap_base).
+mip_max_nodes = NODE_LIMIT and presolve on (off only for the retry of a
+model presolve mislabels).  Feasibility Jump is a primal heuristic
+HiGHS 1.12 runs before every MILP, at a fixed cost per call that
+dominates the small stage models here: an 18-column, 15-row terminal
+block took 11 ms per solve with it and 4.7 ms without (one node either
+way, 2-core Xeon).  LP options: presolve on, fixed; per call, an
+iteration cap of 10*(n + m + ITERATION_CAP_BASE).  The two limits are
+module constants, read at each call.
 
 A solver invocation is single-threaded and reentrant; distinct
 LinearModel values may be solved from several threads.  MILP solves
@@ -55,7 +56,6 @@ CONTINUOUS = 0
 INTEGER = 1
 BINARY = 2
 
-_KIND_NAMES = {CONTINUOUS: "continuous", INTEGER: "integer", BINARY: "binary"}
 _RELATIONS = ("<=", "=", ">=")
 
 OPTIMAL = "Optimal"
@@ -68,22 +68,8 @@ class NumericalFailure(RuntimeError):
     """Solver hit its iteration cap or reported a numerical breakdown."""
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver limits, centralized.
-
-    The other HiGHS options are fixed, not configurable, and set once
-    per kept handle: MILP solves run with mip_rel_gap = 0, so every
-    solve is proved optimal, with presolve on, and with the Feasibility
-    Jump heuristic off, which saved about 6 ms per stage MILP (see the
-    module docstring).
-    """
-
-    node_limit: int = 200_000  # a MILP stopped here reports GapLimit
-    iteration_cap_base: int = 1000  # LP iteration cap = 10*(n + m + base)
-
-
-DEFAULT_CONFIG = SolverConfig()
+NODE_LIMIT = 200_000  # a MILP stopped here reports GapLimit
+ITERATION_CAP_BASE = 1000  # LP iteration cap = 10*(n + m + base)
 
 
 class LinearModel:
@@ -151,9 +137,6 @@ class LinearModel:
 
     def set_objective(self, col: int, coef: float) -> None:
         self.objective[col] = float(coef)
-
-    def add_objective(self, col: int, coef: float) -> None:
-        self.objective[col] += float(coef)
 
     def set_bounds(self, col: int, lb: float, ub: float) -> None:
         if lb > ub:
@@ -302,11 +285,11 @@ def linprog(highs: _Highs, lp: HighsLp) -> None:
     highs.run()
 
 
-def solve_lp(model: LinearModel, config: SolverConfig = DEFAULT_CONFIG) -> LpSolution:
+def solve_lp(model: LinearModel) -> LpSolution:
     """Solve the continuous relaxation, returning duals and reduced costs."""
     lp = _highs_lp(model, integer=False)
     highs = _handle("lp")
-    cap = 10 * (model.num_vars + model.num_rows + config.iteration_cap_base)
+    cap = 10 * (model.num_vars + model.num_rows + ITERATION_CAP_BASE)
     _set_options(highs, {"simplex_iteration_limit": cap, "ipm_iteration_limit": cap})
     linprog(highs, lp)
     status = highs.getModelStatus()
@@ -323,9 +306,9 @@ def solve_lp(model: LinearModel, config: SolverConfig = DEFAULT_CONFIG) -> LpSol
                       np.array(sol.row_dual), np.array(sol.col_dual))
 
 
-def solve_milp(model: LinearModel, config: SolverConfig = DEFAULT_CONFIG) -> MipSolution:
+def solve_milp(model: LinearModel) -> MipSolution:
     """Exact branch-and-bound solve (zero relative gap) via HiGHS."""
-    return _solve_milp_once(model, config, presolve=True)
+    return _solve_milp_once(model, presolve=True)
 
 
 # A MILP stopped at one of these limits reports GapLimit, with the
@@ -334,13 +317,12 @@ _LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
            HighsModelStatus.kSolutionLimit)
 
 
-def _solve_milp_once(model: LinearModel, config: SolverConfig,
-                     presolve: bool) -> MipSolution:
+def _solve_milp_once(model: LinearModel, presolve: bool) -> MipSolution:
     integer = any(kind != CONTINUOUS for kind in model.integrality)
     lp = _highs_lp(model, integer)
     highs = _handle("milp")
     _set_options(highs, {"presolve": "on" if presolve else "off",
-                         "mip_max_nodes": config.node_limit})
+                         "mip_max_nodes": NODE_LIMIT})
     with _stdout_to_stderr():
         milp(highs, lp)
     status = highs.getModelStatus()
@@ -357,7 +339,7 @@ def _solve_milp_once(model: LinearModel, config: SolverConfig,
         return MipSolution(GAP_LIMIT, np.array(sol.col_value),
                            info.objective_function_value, info.mip_dual_bound, nodes)
     if status == HighsModelStatus.kUnboundedOrInfeasible:
-        relaxed = solve_lp(model, config)  # classify via the relaxation
+        relaxed = solve_lp(model)  # classify via the relaxation
         if relaxed.status == UNBOUNDED:
             return MipSolution(UNBOUNDED, None, None, None, nodes)
         if relaxed.status == INFEASIBLE:
@@ -365,7 +347,7 @@ def _solve_milp_once(model: LinearModel, config: SolverConfig,
         if relaxed.status == OPTIMAL and presolve:
             # HiGHS presolve mislabels some big-M models whose relaxation
             # is fine; retry the search without it
-            return _solve_milp_once(model, config, presolve=False)
+            return _solve_milp_once(model, presolve=False)
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure(f"MILP solve failed: {highs.modelStatusToString(status)}")
     obj = info.objective_function_value
@@ -423,7 +405,6 @@ def _lp_terms(cols: np.ndarray, vals: np.ndarray, names: list[str]) -> str:
 
 def write_lp(model: LinearModel, path, name: str = "ddro_model") -> None:
     """Export in the CPLEX LP text dialect for external cross-checking."""
-    rel_map = {"<=": "<=", "=": "=", ">=": ">="}
     lines = [f"\\ {name}", "Minimize"]
     obj_cols = np.arange(model.num_vars)
     obj_vals = np.asarray(model.objective)
@@ -433,7 +414,7 @@ def write_lp(model: LinearModel, path, name: str = "ddro_model") -> None:
         lines.append(
             f" {_lp_name(model.row_names[r])}: "
             + _lp_terms(model.row_cols[r], model.row_vals[r], model.names)
-            + f" {rel_map[model.row_rel[r]]} {model.row_rhs[r]:.17g}"
+            + f" {model.row_rel[r]} {model.row_rhs[r]:.17g}"
         )
     lines.append("Bounds")
     for i in range(model.num_vars):

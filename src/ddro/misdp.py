@@ -37,9 +37,8 @@ import numpy as np
 
 from . import linalg
 from .linalg import SymMatrix, min_eigenpair
-from .lpmilp import (CONTINUOUS, DEFAULT_CONFIG, OPTIMAL, LinearModel,
-                     MipSolution, NumericalFailure, SolverConfig, solve_lp,
-                     solve_milp)
+from .lpmilp import (CONTINUOUS, OPTIMAL, LinearModel, MipSolution, NumericalFailure,
+                     solve_lp, solve_milp)
 
 EIGEN_CUT_TOL = 1e-6
 MAX_CUT_ROUNDS_OUTER = 1000
@@ -82,9 +81,7 @@ class PsdBlockRef:
         return coeffs
 
 
-def solve_misdp_outer(model: LinearModel, blocks, tol: float = EIGEN_CUT_TOL,
-                      config: SolverConfig = DEFAULT_CONFIG,
-                      max_rounds: int = MAX_CUT_ROUNDS_OUTER,
+def solve_misdp_outer(model: LinearModel, blocks,
                       vectors: list | None = None) -> MipSolution:
     """Eigen-cut outer approximation loop (phases in the module
     docstring); the returned objective is a valid lower bound on the
@@ -94,23 +91,25 @@ def solve_misdp_outer(model: LinearModel, blocks, tol: float = EIGEN_CUT_TOL,
     over to subsequent solves with different objectives over the same
     feasible set.  When `vectors` is given, (block index, v) of every
     appended row is added to it in append order.  LP and MILP solves
-    both count against max_rounds.
+    both count against MAX_CUT_ROUNDS_OUTER; a block eigenvalue below
+    -EIGEN_CUT_TOL is cut.
     """
+    max_rounds = MAX_CUT_ROUNDS_OUTER
     vectors = [] if vectors is None else vectors
     integer_cols = [j for j, kind in enumerate(model.integrality) if kind != CONTINUOUS]
     rounds = 0
     if integer_cols:
-        rounds = _lp_cut_phase(model, (model,), blocks, tol, config, max_rounds, vectors)
+        rounds = _lp_cut_phase(model, (model,), blocks, max_rounds, vectors)
     sol = None
     while rounds < max_rounds:
         rounds += 1
-        sol = solve_milp(model, config)
+        sol = solve_milp(model)
         if sol.status != OPTIMAL:
             return sol
         found = False
         for b, block in enumerate(blocks):
             lam, v = min_eigenpair(block.assemble(sol.x))
-            if lam < -tol:
+            if lam < -EIGEN_CUT_TOL:
                 _append_cut((model,), blocks, b, v, vectors)
                 found = True
         if not found:
@@ -120,20 +119,20 @@ def solve_misdp_outer(model: LinearModel, blocks, tol: float = EIGEN_CUT_TOL,
             for j in integer_cols:
                 val = float(np.rint(sol.x[j]))
                 fixed.set_bounds(j, val, val)
-            rounds += _lp_cut_phase(fixed, (fixed, model), blocks, tol, config,
+            rounds += _lp_cut_phase(fixed, (fixed, model), blocks,
                                     max_rounds - rounds, vectors)
     raise CutLoopLimit(f"no PSD convergence after {max_rounds} rounds", best=sol)
 
 
-def _lp_cut_phase(lp: LinearModel, targets, blocks, tol: float,
-                  config: SolverConfig, budget: int, vectors: list) -> int:
+def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int,
+                  vectors: list) -> int:
     """Solve the continuous relaxation of `lp` and cut every eigenpair
-    below -tol of every block into each model of `targets`, until no
+    below -EIGEN_CUT_TOL of every block into each model of `targets`, until no
     block violates, the LP is not optimal, or `budget` solves are spent.
     Returns the number of LP solves."""
     for used in range(1, budget + 1):
         try:
-            sol = solve_lp(lp, config)
+            sol = solve_lp(lp)
         except NumericalFailure:
             return used  # LP cuts only speed the loop up; the MILP rounds decide
         if sol.status != OPTIMAL:
@@ -141,7 +140,7 @@ def _lp_cut_phase(lp: LinearModel, targets, blocks, tol: float,
         found = False
         for b, block in enumerate(blocks):
             for lam, v in linalg.sym_eig(block.assemble(sol.x)):
-                if lam >= -tol:
+                if lam >= -EIGEN_CUT_TOL:
                     break
                 _append_cut(targets, blocks, b, v, vectors)
                 found = True

@@ -12,7 +12,9 @@ through the binary open-facility vector: shipments are capped by demand
 and by capacity of open facilities, newly built facilities must fit the
 stage budget, and open facilities stay open.  Because openings are
 monotone, the capacity row uses the current indicator x_ti scaled by
-h_ti; a compatibility mode reproduces the history-sum form.
+h_ti.  This departs from the printed history-sum row; the two give the
+same stage values for the recipe capacities
+(tests/test_model.py::test_capacity_history_equivalence).
 """
 
 from __future__ import annotations
@@ -276,15 +278,11 @@ class StageBlock:
 
 
 def build_stage_block(inst: Instance, t: int, x_prev, xi,
-                      x_prev_as_copy: bool = False,
-                      capacity_mode: str = "indicator",
-                      history_opens=None) -> StageBlock:
+                      x_prev_as_copy: bool = False) -> StageBlock:
     """Rows of the stage-t feasible set at previous state x_prev and demand xi.
 
     With x_prev_as_copy the previous state enters as a free binary copy
     vector (used by the Lagrangian relaxation) instead of fixed data.
-    capacity_mode "history" reproduces the literal history-sum capacity
-    row given the number of stages each facility has already been open.
     """
     I, J = inst.I, inst.J
     xi = np.asarray(xi, dtype=float)
@@ -304,22 +302,9 @@ def build_stage_block(inst: Instance, t: int, x_prev, xi,
     for j in range(J):  # demand caps
         m.add_row((y[:, j], np.ones(I)), "<=", float(xi[j]), name=f"dem_{j}")
     for i in range(I):  # capacity of open facilities
-        h_ti = float(inst.h[t - 1, i])
-        cols = list(y[i, :])
-        vals = [1.0] * J
-        if capacity_mode == "indicator":
-            cols.append(x[i])
-            vals.append(-h_ti)
-            rhs = 0.0
-        elif capacity_mode == "history":
-            if history_opens is None:
-                raise ValueError("capacity_mode='history' needs history_opens")
-            cols.append(x[i])
-            vals.append(-h_ti)
-            rhs = h_ti * float(history_opens[i])
-        else:
-            raise ValueError("capacity_mode must be 'indicator' or 'history'")
-        m.add_row((np.array(cols), np.array(vals)), "<=", rhs, name=f"cap_{i}")
+        cols = np.append(y[i, :], x[i])
+        vals = np.append(np.ones(J), -float(inst.h[t - 1, i]))
+        m.add_row((cols, vals), "<=", 0.0, name=f"cap_{i}")
     f_t = inst.f[t - 1]
     if x_prev_as_copy:
         cols = np.concatenate([x, z])
@@ -334,11 +319,6 @@ def build_stage_block(inst: Instance, t: int, x_prev, xi,
         for i in range(I):
             m.add_row(({x[i]: 1.0}), ">=", float(x_prev[i]), name=f"keep_{i}")
     return StageBlock(model=m, x=x, y=y, z_copy=z)
-
-
-def stage_cost(inst: Instance, y_values: np.ndarray) -> float:
-    """g_t: transport cost minus revenue for the given flow matrix."""
-    return float(np.sum((inst.c - inst.R[None, :]) * y_values))
 
 
 def revenue_lower_bound(inst: Instance, t: int) -> float:

@@ -18,8 +18,9 @@ and the per-realization reweighting duals, and reduces exactly to the
 risk-neutral rows at a zero blend weight.
 
 McCormick needs finite dual bounds; the default big-M is
-1e4 * (1 + max revenue + max transport cost), and a post-solve audit
-flags any dual sitting at its bound so callers can rerun with 10x M.
+1e4 * (1 + max revenue + max transport cost).  A post-solve audit flags
+any dual sitting at its bound, and solve_with_dual_bound settles it on
+a flat optimal face or reruns with 10x M.
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ import numpy as np
 from .ambiguity import RiskSpec
 from .lpmilp import OPTIMAL, LinearModel, solve_milp
 from .misdp import PsdBlockRef
-from .model import Instance, StageBlock, build_stage_block, revenue_lower_bound
+from .model import Instance, build_stage_block, revenue_lower_bound
 
 DUAL_BOUND_FACTOR = 1e4
 DUAL_BOUND_AUDIT_REL = 1e-6
 FLAT_FACE_REL = 1e-7
+MAX_DUAL_ESCALATIONS = 3
 
 
 class UnboundedFactor(ValueError):
@@ -43,12 +45,21 @@ class UnboundedFactor(ValueError):
 
 
 class DualAtBound(RuntimeError):
-    """A dual variable sits at its big-M bound: rerun with a larger bound."""
+    """A dual variable still sits at its big-M bound after the last
+    escalation."""
 
     def __init__(self, message: str, family: str = "", scale: float = 0.0):
         super().__init__(message)
         self.family = family
         self.scale = scale
+
+
+@dataclass
+class DualBound:
+    """A big-M dual bound and how often it has been escalated."""
+
+    value: float
+    escalations: int = 0
 
 
 @dataclass
@@ -88,77 +99,76 @@ def mccormick_binary_product(model: LinearModel, b: int, y: int, z: int,
     return rows
 
 
-def _start_layout(inst: Instance, block: StageBlock, theta: np.ndarray,
-                  dual_bound: float) -> VarLayout:
+def _start_stage(inst: Instance, t: int, x_prev, xi, x_prev_as_copy: bool,
+                 dual_bound: float | None) -> tuple[LinearModel, VarLayout, float]:
+    """Common head of every stage builder: the stage feasible block, the
+    continuation proxies theta and the layout; returns (model, layout, M)."""
+    if not 1 <= t < inst.T:
+        raise ValueError(f"stage {t} has no continuation (T={inst.T})")
+    M = default_dual_bound(inst) if dual_bound is None else float(dual_bound)
+    block = build_stage_block(inst, t, x_prev, xi, x_prev_as_copy=x_prev_as_copy)
+    m = block.model
+    theta = m.add_vars(inst.K, revenue_lower_bound(inst, t), np.inf, prefix="th_")
     lay = VarLayout(x=block.x, y=block.y, theta=theta, z_copy=block.z_copy,
-                    dual_bound=dual_bound)
+                    dual_bound=M)
     lay.families = {"x": block.x, "y": block.y, "theta": theta}
     if block.z_copy is not None:
         lay.families["z_copy"] = block.z_copy
-    return lay
+    return m, lay, M
 
 
-def _add_theta(inst: Instance, t: int, m: LinearModel) -> np.ndarray:
-    return m.add_vars(inst.K, revenue_lower_bound(inst, t), np.inf, prefix="th_")
-
-
-def _add_cut_rows(m: LinearModel, theta: np.ndarray, x: np.ndarray, cuts) -> None:
-    if cuts is None:
-        return
-    for k, cut_list in enumerate(cuts):
-        for v, pi in cut_list:
-            coeffs = {int(theta[k]): 1.0}
-            for i, col in enumerate(x):
-                if pi[i] != 0.0:
-                    coeffs[int(col)] = -float(pi[i])
-            m.add_row(coeffs, ">=", float(v))
-
-
-def _add_risk_columns(m: LinearModel, inst: Instance, lay: VarLayout) -> tuple[np.ndarray, int]:
-    pi_cvar = m.add_vars(inst.K, 0.0, np.inf, prefix="pic_")
-    shift = m.add_var(-np.inf, np.inf, name="cvar_shift")
-    lay.families["pi_cvar"] = pi_cvar
-    lay.families["cvar_shift"] = np.array([shift])
-    return pi_cvar, shift
-
-
-def _emit_value_rows(m: LinearModel, inst: Instance, theta: np.ndarray,
-                     dual_coeffs_per_k, risk: RiskSpec | None,
-                     pi_cvar, shift, shift_sign: float) -> None:
-    """Dual-feasibility rows, with the two CVaR families when risk is on.
+def _finish_stage(m: LinearModel, inst: Instance, lay: VarLayout, dual_coeffs_per_k,
+                  risk: RiskSpec | None, cuts, shift_sign: float) -> None:
+    """Common tail of every stage builder: the CVaR columns when risk is
+    on, one dual-feasibility row per realization (plus its CVaR row), and
+    the pooled cut rows.
 
     shift_sign encodes the printed convention of the risk theorems: the
     moment-window form carries +lam*shift and rows pi_k + shift >= theta_k;
     the matching/cone forms carry -lam*shift and rows pi_k - shift >= theta_k.
     """
-    K = inst.K
-    for k in range(K):
+    theta = lay.theta
+    if risk is not None:
+        pi_cvar = m.add_vars(inst.K, 0.0, np.inf, prefix="pic_")
+        shift = m.add_var(-np.inf, np.inf, name="cvar_shift")
+        lay.families["pi_cvar"] = pi_cvar
+        lay.families["cvar_shift"] = np.array([shift])
+        m.set_objective(shift, shift_sign * risk.lam)
+    for k in range(inst.K):
         coeffs = dict(dual_coeffs_per_k[k])
         if risk is None:
             coeffs[int(theta[k])] = coeffs.get(int(theta[k]), 0.0) - 1.0
             m.add_row(coeffs, ">=", 0.0, name=f"dual_{k}")
         else:
-            ratio = risk.lam / (1.0 - risk.alpha)
-            coeffs[int(pi_cvar[k])] = -ratio
+            coeffs[int(pi_cvar[k])] = -risk.lam / (1.0 - risk.alpha)
             coeffs[int(theta[k])] = -(1.0 - risk.lam)
             m.add_row(coeffs, ">=", 0.0, name=f"dual_{k}")
             m.add_row({int(pi_cvar[k]): 1.0, shift: shift_sign,
                        int(theta[k]): -1.0}, ">=", 0.0, name=f"cvar_{k}")
+    for k, cut_list in enumerate(cuts or ()):
+        for v, pi in cut_list:
+            coeffs = {int(theta[k]): 1.0}
+            for i, col in enumerate(lay.x):
+                if pi[i] != 0.0:
+                    coeffs[int(col)] = -float(pi[i])
+            m.add_row(coeffs, ">=", float(v))
 
 
 def build_type1_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
                       risk: RiskSpec | None = None, *, x_prev_as_copy: bool = False,
-                      dual_bound: float | None = None,
-                      include_prob_bound_duals: bool = False
+                      dual_bound: float | None = None
                       ) -> tuple[LinearModel, VarLayout]:
-    """Moment-window stage model (mean/second-moment windows per coordinate)."""
-    _check_not_terminal(inst, t)
-    M = default_dual_bound(inst) if dual_bound is None else float(dual_bound)
-    block = build_stage_block(inst, t, x_prev, xi, x_prev_as_copy=x_prev_as_copy)
-    m, x = block.model, block.x
+    """Moment-window stage model (mean/second-moment windows per coordinate).
+
+    The printed model also carries duals of the probability bounds
+    0 <= p_k <= 1.  They are left out, since they cannot lower the stage
+    value: gamma_lo only tightens its row, and gamma_hi costs as much as
+    beta1, which relaxes every row by as much (tests/test_reformulate.py::
+    test_prob_bound_dual_columns_are_neutral).
+    """
+    m, lay, M = _start_stage(inst, t, x_prev, xi, x_prev_as_copy, dual_bound)
+    x = lay.x
     I, J, K = inst.I, inst.J, inst.K
-    theta = _add_theta(inst, t, m)
-    lay = _start_layout(inst, block, theta, M)
     s_base = inst.mu_bar**2 + inst.sigma_bar**2
     a1 = m.add_var(0.0, np.inf, obj=-1.0, name="al1")
     b1 = m.add_var(0.0, np.inf, obj=1.0, name="be1")
@@ -192,13 +202,6 @@ def build_type1_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
     lay.audit_families = ("alpha2", "alpha3", "beta2", "beta3")
 
     xi_next = inst.stage_support(t + 1)
-    gam_lo = gam_hi = None
-    if include_prob_bound_duals:
-        gam_lo = m.add_vars(K, 0.0, np.inf, prefix="gl_")
-        gam_hi = m.add_vars(K, 0.0, np.inf, prefix="gh_")
-        for k in range(K):
-            m.set_objective(int(gam_hi[k]), 1.0)  # upper probability bound is 1
-        lay.families.update({"gamma_lo": gam_lo, "gamma_hi": gam_hi})
     dual_coeffs = []
     for k in range(K):
         coeffs = {a1: -1.0, b1: 1.0}
@@ -207,16 +210,8 @@ def build_type1_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
             coeffs[int(b2[j])] = xi_next[k, j]
             coeffs[int(a3[j])] = -(xi_next[k, j] ** 2)
             coeffs[int(b3[j])] = xi_next[k, j] ** 2
-        if include_prob_bound_duals:
-            coeffs[int(gam_lo[k])] = -1.0
-            coeffs[int(gam_hi[k])] = 1.0
         dual_coeffs.append(coeffs)
-    pi_cvar = shift = None
-    if risk is not None:
-        pi_cvar, shift = _add_risk_columns(m, inst, lay)
-        m.set_objective(shift, risk.lam)
-    _emit_value_rows(m, inst, theta, dual_coeffs, risk, pi_cvar, shift, 1.0)
-    _add_cut_rows(m, theta, x, cuts)
+    _finish_stage(m, inst, lay, dual_coeffs, risk, cuts, 1.0)
     return m, lay
 
 
@@ -262,6 +257,8 @@ def _matrix_vars(m: LinearModel, shape, lb, ub, prefix) -> np.ndarray:
 
 
 def _symmetry_rows(m: LinearModel, cols: np.ndarray, tag: str) -> None:
+    """Rows cols[j, jp] = cols[jp, j]; they do not change the stage value
+    (tests/test_reformulate.py::test_y_symmetry_rows_do_not_change_value)."""
     n = cols.shape[0]
     for j in range(n):
         for jp in range(j + 1, n):
@@ -271,16 +268,11 @@ def _symmetry_rows(m: LinearModel, cols: np.ndarray, tag: str) -> None:
 
 def build_type2_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
                       risk: RiskSpec | None = None, *, x_prev_as_copy: bool = False,
-                      dual_bound: float | None = None,
-                      symmetry_rows: bool = True) -> tuple[LinearModel, VarLayout]:
+                      dual_bound: float | None = None) -> tuple[LinearModel, VarLayout]:
     """Exact moment-matching stage model (duals s, u, Y; products w, z, v)."""
-    _check_not_terminal(inst, t)
-    M = default_dual_bound(inst) if dual_bound is None else float(dual_bound)
-    block = build_stage_block(inst, t, x_prev, xi, x_prev_as_copy=x_prev_as_copy)
-    m, x = block.model, block.x
+    m, lay, M = _start_stage(inst, t, x_prev, xi, x_prev_as_copy, dual_bound)
+    x = lay.x
     I, J, K = inst.I, inst.J, inst.K
-    theta = _add_theta(inst, t, m)
-    lay = _start_layout(inst, block, theta, M)
     sig = inst.Sigma_bar.entries
     s = m.add_var(-np.inf, np.inf, obj=1.0, name="s")
     u = _matrix_vars(m, (J,), -M, M, "u_")
@@ -303,8 +295,7 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
                 for ip in range(I):
                     mccormick_binary_product(m, int(x[ip]), int(zz[i, j, jp]),
                                              int(v[i, ip, j, jp]), -M, M)
-    if symmetry_rows:
-        _symmetry_rows(m, Y, "Y")
+    _symmetry_rows(m, Y, "Y")
     lay.families.update({"s": np.array([s]), "u": u, "Y": Y, "w": w, "z": zz, "v": v})
     lay.audit_families = ("u", "Y")
     xi_next = inst.stage_support(t + 1)
@@ -315,12 +306,7 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
         for j in range(J):
             coeffs[int(u[j])] = coeffs.get(int(u[j]), 0.0) + xi_next[k, j]
         dual_coeffs.append(coeffs)
-    pi_cvar = shift = None
-    if risk is not None:
-        pi_cvar, shift = _add_risk_columns(m, inst, lay)
-        m.set_objective(shift, -risk.lam)
-    _emit_value_rows(m, inst, theta, dual_coeffs, risk, pi_cvar, shift, -1.0)
-    _add_cut_rows(m, theta, x, cuts)
+    _finish_stage(m, inst, lay, dual_coeffs, risk, cuts, -1.0)
     return m, lay
 
 
@@ -332,13 +318,9 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
 
     Returns block descriptors for Z = [[z1, z2], [z2', z3]] and Y.
     """
-    _check_not_terminal(inst, t)
-    M = default_dual_bound(inst) if dual_bound is None else float(dual_bound)
-    block = build_stage_block(inst, t, x_prev, xi, x_prev_as_copy=x_prev_as_copy)
-    m, x = block.model, block.x
+    m, lay, M = _start_stage(inst, t, x_prev, xi, x_prev_as_copy, dual_bound)
+    x = lay.x
     I, J, K = inst.I, inst.J, inst.K
-    theta = _add_theta(inst, t, m)
-    lay = _start_layout(inst, block, theta, M)
     sig = inst.Sigma_bar.entries
     eta = inst.eta_cov
     s = m.add_var(-np.inf, np.inf, obj=1.0, name="s")
@@ -387,12 +369,7 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
         for j in range(J):
             coeffs[int(z2[j])] = coeffs.get(int(z2[j]), 0.0) - 2.0 * xi_next[k, j]
         dual_coeffs.append(coeffs)
-    pi_cvar = shift = None
-    if risk is not None:
-        pi_cvar, shift = _add_risk_columns(m, inst, lay)
-        m.set_objective(shift, -risk.lam)
-    _emit_value_rows(m, inst, theta, dual_coeffs, risk, pi_cvar, shift, -1.0)
-    _add_cut_rows(m, theta, x, cuts)
+    _finish_stage(m, inst, lay, dual_coeffs, risk, cuts, -1.0)
     zdim = J + 1
     zcols = np.empty((zdim, zdim), dtype=int)
     zcols[:J, :J] = z1
@@ -417,21 +394,15 @@ def build_stage(inst: Instance, ttype: int, t: int, x_prev, xi, cuts=None,
     raise ValueError(f"unknown ambiguity type {ttype}")
 
 
-def _check_not_terminal(inst: Instance, t: int) -> None:
-    if not 1 <= t < inst.T:
-        raise ValueError(f"stage {t} has no continuation (T={inst.T})")
-
-
-def audit_dual_bounds(layout: VarLayout, x_sol: np.ndarray) -> None:
-    """Raise DualAtBound if any audited dual sits within 1e-6*M of its bound."""
+def audit_dual_bounds(layout: VarLayout, x_sol: np.ndarray) -> str | None:
+    """The first audited dual family with an entry within
+    DUAL_BOUND_AUDIT_REL * M of its bound M, or None."""
     M = layout.dual_bound
-    tol = DUAL_BOUND_AUDIT_REL * M
     for fam in layout.audit_families:
-        vals = np.asarray(x_sol)[layout.families[fam]]
-        if np.any(np.abs(vals) >= M - tol):
-            raise DualAtBound(
-                f"dual family {fam} at its bound {M:g}; rerun with 10x bound",
-                family=fam, scale=M)
+        if np.any(np.abs(np.asarray(x_sol)[layout.families[fam]])
+                  >= M - DUAL_BOUND_AUDIT_REL * M):
+            return fam
+    return None
 
 
 def freeze_stage(inst: Instance, ttype: int, t: int, x, q,
@@ -453,26 +424,45 @@ def freeze_stage(inst: Instance, ttype: int, t: int, x, q,
     return model, lay, blocks
 
 
-def on_flat_face(sol, solve_at, bound: float) -> bool:
-    """Flat-face rule for a solution whose dual rests on the big-M box.
+def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None):
+    """Solve a compiled model, escalating its big-M box while a dual
+    rests on it; the one escalation routine of the kit.
 
-    solve_at(b) re-solves the same model with dual bound b.  A probe at
-    10x the box that is optimal and leaves the objective unchanged (to
-    FLAT_FACE_REL relative) means the dual sits on a flat optimal face,
-    so the value stands; otherwise the caller escalates the bound.
+    solve_at(b) builds and solves the model with dual bound b and returns
+    a tuple whose first two entries are the solution and its VarLayout.
+    Each round audits the optimal solution (audit_dual_bounds).  A dual
+    at its bound is still accepted when a probe at 10x the box is optimal and
+    leaves the objective unchanged to FLAT_FACE_REL relative: the dual
+    then sits on a flat optimal face.  Otherwise on_binding(sol, layout)
+    runs, if given, and may raise; then the bound grows 10x, at most
+    MAX_DUAL_ESCALATIONS times over the life of `bound`, which is updated
+    in place.  Returns the accepted round's solve_at result.
     """
-    probe = solve_at(bound * 10.0)
-    return (probe.status == OPTIMAL and
-            abs(probe.objective - sol.objective)
-            <= FLAT_FACE_REL * max(1.0, abs(sol.objective)))
+    while True:
+        out = solve_at(bound.value)
+        sol, lay = out[0], out[1]
+        if sol.status != OPTIMAL:
+            raise RuntimeError(f"dual-bounded solve returned {sol.status}")
+        family = audit_dual_bounds(lay, sol.x)
+        if family is None:
+            return out
+        probe = solve_at(bound.value * 10.0)[0]
+        if (probe.status == OPTIMAL and abs(probe.objective - sol.objective)
+                <= FLAT_FACE_REL * max(1.0, abs(sol.objective))):
+            return out
+        if on_binding is not None:
+            on_binding(sol, lay)
+        if bound.escalations >= MAX_DUAL_ESCALATIONS:
+            raise DualAtBound(f"dual family {family} at bound {bound.value:g} after "
+                              f"{bound.escalations} escalations", family, bound.value)
+        bound.value *= 10.0
+        bound.escalations += 1
 
 
 def frozen_dual_value(inst: Instance, ttype: int, t: int, x, q,
-                      risk: RiskSpec | None = None,
-                      dual_bound: float | None = None) -> float:
-    """Dual-side worst-case value at frozen x (Types 1-2); a dual resting
-    on the big-M box is settled by on_flat_face or escalates the bound.
-    """
+                      risk: RiskSpec | None = None) -> float:
+    """Dual-side worst-case value at frozen x (Types 1-2), from the
+    default big-M box escalated by solve_with_dual_bound."""
     if int(ttype) not in (1, 2):
         raise ValueError("frozen dual values without PSD handling need type 1 or 2")
 
@@ -480,16 +470,5 @@ def frozen_dual_value(inst: Instance, ttype: int, t: int, x, q,
         model, lay, _ = freeze_stage(inst, ttype, t, x, q, risk, b)
         return solve_milp(model), lay
 
-    bound = default_dual_bound(inst) if dual_bound is None else float(dual_bound)
-    for _ in range(4):
-        sol, lay = solve_at(bound)
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"frozen dual solve returned {sol.status}")
-        try:
-            audit_dual_bounds(lay, sol.x)
-            return float(sol.objective)
-        except DualAtBound:
-            if on_flat_face(sol, lambda b: solve_at(b)[0], bound):
-                return float(sol.objective)
-            bound *= 10.0
-    raise DualAtBound(f"dual bound {bound:g} still binding after escalations")
+    sol, _ = solve_with_dual_bound(solve_at, DualBound(default_dual_bound(inst)))
+    return float(sol.objective)

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -33,10 +35,14 @@ from . import misdp
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case, is_nonempty
 from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_lp, solve_milp
 from .model import Instance, build_stage_block
-from .reformulate import (DualAtBound, audit_dual_bounds, build_stage,
-                          default_dual_bound, on_flat_face)
+from .reformulate import DualBound, build_stage, default_dual_bound, solve_with_dual_bound
 
 LB_MONOTONE_SLACK = 1e-9
+DUAL_ENUM_STATES = 256  # the dual enumerates h(z) when 2^I <= this
+SUBGRADIENT_ITERS = 50  # subgradient steps of the non-enumerated dual
+STALL_WINDOW = 5  # iterations over which an unmoved lb means a stall
+UB_PATHS = 200  # sampled paths of a sampled policy evaluation
+TREE_LIMIT = 1e5  # policies are evaluated on sampled paths above K^(T-1) = this
 
 
 @dataclass(frozen=True)
@@ -86,13 +92,17 @@ class SddipConfig:
     risk_lambda: float | None = None  # override the instance blend weights
     risk_alpha: float | None = None  # override the instance CVaR levels
     bound_mode: str = "exact"  # "exact" (types 1-2) | "lb" | "ub" (type 3)
-    dual_bound: float | None = None
-    max_dual_escalations: int = 3
-    subgradient_iters: int = 50
-    dual_enum_states: int = 256  # enumerate h(z) when 2^I <= this
-    stall_window: int = 5
-    ub_paths: int = 200
-    tree_limit: float = 1e5
+
+    def __post_init__(self):
+        for name in ("max_iters", "num_paths"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+        if self.bound_mode not in ("exact", "lb", "ub"):
+            raise ValueError(f"bound_mode must be exact, lb or ub, got {self.bound_mode!r}")
 
 
 def replace_config(cfg: SddipConfig, **kw) -> SddipConfig:
@@ -119,6 +129,7 @@ class SolveReport:
     iterations: int = 0
     stage_solves: int = 0
     dual_solves: int = 0
+    dual_escalations: int = 0
     wall_time: float = 0.0
     ub_mode: str = ""
     status: str = ""
@@ -173,9 +184,7 @@ class StageOracle:
             raise ValueError(f"bound_mode {config.bound_mode!r} applies to type 3 only")
         self.config = config
         self.pool = pool
-        self.dual_bound = (config.dual_bound if config.dual_bound is not None
-                           else default_dual_bound(inst))
-        self.escalations = 0
+        self.dual_bound = DualBound(default_dual_bound(inst))
         self.stage_solves = 0
         self.dual_solves = 0
         self._terminal_cache: dict = {}
@@ -187,32 +196,19 @@ class StageOracle:
             return None
         return RiskSpec(float(self.inst.risk_lambda[t]), float(self.inst.risk_alpha[t]))
 
-    # -- terminal stage ----------------------------------------------------
-    def _solve_terminal(self, k: int, x_prev) -> StageSolution:
-        key = (k, _bits(x_prev))
-        hit = self._terminal_cache.get(key)
-        if hit is not None:
-            return hit
-        inst = self.inst
-        xi = inst.stage_support(inst.T)[k]
-        block = build_stage_block(inst, inst.T, np.asarray(x_prev, dtype=float), xi)
-        sol = solve_milp(block.model)
-        self.stage_solves += 1
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"terminal stage solve returned {sol.status}")
-        out = StageSolution(float(sol.objective),
-                            _bits(round_integral(sol.x, block.x)),
-                            None, float(sol.objective))
-        self._terminal_cache[key] = out
-        return out
-
-    # -- compiled stages ---------------------------------------------------
     def solve_stage(self, t: int, k: int, x_prev) -> StageSolution:
         """Value/decision of the stage-t subproblem at (x_prev, xi_t^k)."""
         inst = self.inst
         if t == inst.T:
-            return self._solve_terminal(k, x_prev)
-        key = (t, k, _bits(x_prev), self.pool.num_cuts(t + 1), self.dual_bound,
+            key = (k, _bits(x_prev))
+            hit = self._terminal_cache.get(key)
+            if hit is None:
+                sol, block = self._solve_terminal(k, x_prev, pi=None)
+                hit = StageSolution(float(sol.objective), _bits(round_integral(sol.x, block.x)),
+                                    None, float(sol.objective))
+                self._terminal_cache[key] = hit
+            return hit
+        key = (t, k, _bits(x_prev), self.pool.num_cuts(t + 1),
                len(self._eigen_registry.get(t, ())))
         hit = self._stage_cache.get(key)
         if hit is not None:
@@ -225,96 +221,82 @@ class StageOracle:
         self._stage_cache[key] = out
         return out
 
+    def _solve_terminal(self, k: int, x_prev, pi):
+        """Solve the terminal stage at x_prev, or, when pi is given, with
+        a free binary copy z of the incoming state and objective term
+        -pi'z; returns (solution, stage block)."""
+        inst = self.inst
+        as_copy = pi is not None
+        block = build_stage_block(inst, inst.T, None if as_copy else np.asarray(x_prev, float),
+                                  inst.stage_support(inst.T)[k], x_prev_as_copy=as_copy)
+        if as_copy:
+            for i, col in enumerate(block.z_copy):
+                block.model.set_objective(int(col), -float(pi[i]))
+        sol = solve_milp(block.model)
+        self.stage_solves += 1
+        if sol.status != OPTIMAL:
+            raise RuntimeError(f"terminal stage solve returned {sol.status}")
+        return sol, block
+
     def _solve_compiled(self, t: int, k: int, x_prev, pi):
-        """Build and solve a compiled (non-terminal) stage model, handling
-        the dual-bound audit: a dual parked on the big-M box is accepted
-        on a flat optimal face (reformulate.on_flat_face); otherwise the
-        bound escalates permanently."""
-        while True:
-            sol, lay, blocks = self._solve_once(t, k, x_prev, pi, self.dual_bound)
-            try:
-                audit_dual_bounds(lay, sol.x)
-                return sol, lay, blocks
-            except DualAtBound as err:
-                if on_flat_face(sol, lambda b: self._solve_once(t, k, x_prev, pi, b)[0],
-                                self.dual_bound):
-                    return sol, lay, blocks
-                self._handle_dual_at_bound(t, sol, lay, err)
+        """Build and solve a compiled (non-terminal) stage model through
+        reformulate.solve_with_dual_bound, with the emptiness check of the
+        next stage's ambiguity set as its hook.  An escalation is
+        permanent for the run, so it empties the stage cache."""
+        def check_nonempty(sol, lay):
+            x_hat = round_integral(sol.x, lay.x)
+            if not is_nonempty(self.inst, self.ttype, x_hat, stage=t + 1):
+                raise EmptyAmbiguity(
+                    f"stage {t + 1} ambiguity set empty at state {list(x_hat)}",
+                    stage=t + 1, x=x_hat)
+
+        escalations = self.dual_bound.escalations
+        out = solve_with_dual_bound(lambda b: self._solve_once(t, k, x_prev, pi, b),
+                                    self.dual_bound, check_nonempty)
+        if self.dual_bound.escalations != escalations:
+            self._stage_cache.clear()
+        return out
 
     def _solve_once(self, t: int, k: int, x_prev, pi, dual_bound):
         inst = self.inst
-        xi = inst.stage_support(t)[k]
-        cuts = self.pool.rows_for_stage_model(t)
         as_copy = pi is not None
         model, lay, blocks = build_stage(
             inst, int(self.ttype), t, None if as_copy else np.asarray(x_prev, float),
-            xi, cuts=cuts, risk=self.risk_spec(t), x_prev_as_copy=as_copy,
-            dual_bound=dual_bound)
-        if self.ttype == AmbiguityType.TYPE3:
-            if self.config.bound_mode == "ub":
-                model = misdp.add_dd_inner_general(model, blocks)
-            else:
-                for b_idx, v in self._eigen_registry.get(t, []):
-                    model.add_row(blocks[b_idx].quadratic_form_coeffs(v), ">=", 0.0)
+            inst.stage_support(t)[k], cuts=self.pool.rows_for_stage_model(t),
+            risk=self.risk_spec(t), x_prev_as_copy=as_copy, dual_bound=dual_bound)
+        mode = self.config.bound_mode  # "lb" and "ub" are Type 3 routes
+        if mode == "ub":
+            model = misdp.add_dd_inner_general(model, blocks)
+        for b_idx, v in self._eigen_registry.get(t, []):
+            model.add_row(blocks[b_idx].quadratic_form_coeffs(v), ">=", 0.0)
         if as_copy:
             for i, col in enumerate(lay.z_copy):
                 model.set_objective(int(col), -float(pi[i]))
-        sol = self._solve_model_with_registry(t, model, blocks)
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"stage {t} solve returned {sol.status}")
-        if self.ttype == AmbiguityType.TYPE3 and self.config.bound_mode == "ub":
-            misdp.audit_inner_psd(blocks, sol.x)
-        return sol, lay, blocks
-
-    def _solve_model_with_registry(self, t: int, model: LinearModel, blocks):
-        if self.ttype == AmbiguityType.TYPE3 and self.config.bound_mode == "lb":
+        if mode == "lb":
             new_vecs: list[tuple[int, np.ndarray]] = []
             sol = misdp.solve_misdp_outer(model, blocks, vectors=new_vecs)
-            self.stage_solves += 1
             if new_vecs:
                 self._eigen_registry.setdefault(t, []).extend(new_vecs)
-            return sol
-        sol = solve_milp(model)
+        else:
+            sol = solve_milp(model)
         self.stage_solves += 1
-        return sol
-
-    def _handle_dual_at_bound(self, t: int, sol, lay, err) -> None:
-        x_hat = round_integral(sol.x, lay.x)
-        if not is_nonempty(self.inst, self.ttype, x_hat, stage=t + 1):
-            raise EmptyAmbiguity(
-                f"stage {t + 1} ambiguity set empty at state {list(x_hat)}",
-                stage=t + 1, x=x_hat)
-        if self.escalations >= self.config.max_dual_escalations:
-            raise DualAtBound(
-                f"dual bound {self.dual_bound:g} still binding after "
-                f"{self.escalations} escalations", family=err.family)
-        self.dual_bound *= 10.0
-        self.escalations += 1
-        self._stage_cache.clear()
+        if sol.status != OPTIMAL:
+            raise RuntimeError(f"stage {t} solve returned {sol.status}")
+        if mode == "ub":
+            misdp.audit_inner_psd(blocks, sol.x)
+        return sol, lay, blocks
 
     # -- copied-state evaluations for the Lagrangian dual -------------------
     def relaxed_value(self, t: int, k: int, pi: np.ndarray):
         """L(pi): stage model with a free binary copy z of the incoming
         state and objective term -pi'z; returns (value, z*)."""
-        inst = self.inst
         self.dual_solves += 1
-        if t == inst.T:
-            xi = inst.stage_support(t)[k]
-            block = build_stage_block(inst, t, None, xi, x_prev_as_copy=True)
-            model, z_cols = block.model, block.z_copy
-            for i, col in enumerate(z_cols):
-                model.set_objective(int(col), -float(pi[i]))
-            sol = solve_milp(model)
-            self.stage_solves += 1
-            if sol.status != OPTIMAL:
-                raise RuntimeError(f"relaxed terminal solve returned {sol.status}")
-            return float(sol.objective), round_integral(sol.x, z_cols)
-        sol, lay, _ = self._solve_compiled(t, k, None, pi=np.asarray(pi, dtype=float))
+        pi = np.asarray(pi, dtype=float)
+        if t == self.inst.T:
+            sol, lay = self._solve_terminal(k, None, pi)
+        else:
+            sol, lay, _ = self._solve_compiled(t, k, None, pi)
         return float(sol.objective), round_integral(sol.x, lay.z_copy)
-
-    def state_values(self, t: int, k: int, states: np.ndarray) -> np.ndarray:
-        """Stage values h(z) for an array of binary states (enumerated dual)."""
-        return np.array([self.solve_stage(t, k, z).value for z in states])
 
 
 def _all_binary_states(I: int) -> np.ndarray:
@@ -346,11 +328,12 @@ def _hypograph_dual(h: np.ndarray, states: np.ndarray, x_hat: np.ndarray):
     return pi_val, v
 
 
-def lagrangian_dual(evaluate, x_hat, max_iters: int = 50, step_rule=None):
+def lagrangian_dual(evaluate, x_hat):
     """Maximize g(pi) = L(pi) + pi'x_hat for a relaxed-stage evaluator
     evaluate(pi) -> (L(pi), z*).
 
-    Subgradient ascent (step a/(b+m), best-iterate retention) warm-starts
+    SUBGRADIENT_ITERS steps of subgradient ascent (step a/(10+m) with
+    a = max(1, |L(0)|)/I, best-iterate retention) warm-start
     a cutting-plane polish over the visited states; any stopping point
     yields a valid cut, so the phases only affect tightness.  Returns
     (pi, L(pi)) for the best multiplier found.
@@ -361,15 +344,13 @@ def lagrangian_dual(evaluate, x_hat, max_iters: int = 50, step_rule=None):
     L0, z0 = evaluate(pi)
     seen: dict[tuple, float] = {_bits(z0): L0 + float(pi @ z0)}
     best_pi, best_L, best_g = pi.copy(), L0, L0 + float(pi @ x_hat)
-    if step_rule is None:
-        a = max(1.0, abs(L0)) / I
-        step_rule = lambda m_it: a / (10.0 + m_it)
+    a = max(1.0, abs(L0)) / I
     z_star = z0
-    for m_it in range(max_iters):
+    for m_it in range(SUBGRADIENT_ITERS):
         sub = x_hat - z_star
         if not np.any(sub):
             break
-        pi = pi + step_rule(m_it) * sub
+        pi = pi + a / (10.0 + m_it) * sub
         L, z_star = evaluate(pi)
         seen[_bits(z_star)] = L + float(pi @ z_star)  # h(z*) recovered
         g = L + float(pi @ x_hat)
@@ -396,18 +377,15 @@ def lagrangian_dual(evaluate, x_hat, max_iters: int = 50, step_rule=None):
 
 def _dual_cut(oracle: StageOracle, t: int, k: int, x_hat) -> Cut:
     inst = oracle.inst
-    cfg = oracle.config
-    relaxed = (oracle.ttype == AmbiguityType.TYPE3 and cfg.bound_mode == "lb"
-               and t < inst.T)
+    relaxed = oracle.config.bound_mode == "lb" and t < inst.T
     origin = "RelaxedLagrangian" if relaxed else "Lagrangian"
-    if 2**inst.I <= cfg.dual_enum_states:
+    if 2**inst.I <= DUAL_ENUM_STATES:
         states = _all_binary_states(inst.I)
-        h = oracle.state_values(t, k, states)
+        h = np.array([oracle.solve_stage(t, k, z).value for z in states])
         oracle.dual_solves += 1
         pi, v = _hypograph_dual(h, states, np.asarray(x_hat, dtype=float))
         return Cut(v=v, pi=pi, origin=origin)
-    pi, v = lagrangian_dual(lambda p: oracle.relaxed_value(t, k, p),
-                            x_hat, max_iters=cfg.subgradient_iters)
+    pi, v = lagrangian_dual(lambda p: oracle.relaxed_value(t, k, p), x_hat)
     return Cut(v=v, pi=pi, origin=origin)
 
 
@@ -454,10 +432,10 @@ def _sample_path(oracle: StageOracle, sol1: StageSolution, rng: np.random.Genera
     return cost
 
 
-def _is_sampled(inst: Instance, config: SddipConfig) -> bool:
+def _is_sampled(inst: Instance) -> bool:
     """Whether the policy is evaluated by sampled paths: more than two
-    stages and a support tree with more than tree_limit scenarios."""
-    return inst.T > 2 and inst.K ** (inst.T - 1) > config.tree_limit
+    stages and a support tree with more than TREE_LIMIT scenarios."""
+    return inst.T > 2 and inst.K ** (inst.T - 1) > TREE_LIMIT
 
 
 def backward_pass(inst: Instance, ttype: int, pool: CutPool, trial_states,
@@ -496,11 +474,11 @@ def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
         memo[key] = val
         return val
 
-    if not _is_sampled(inst, oracle.config):
+    if not _is_sampled(inst):
         mode = "exact" if inst.T == 2 else "tree"
         return recurse(1, 0, np.zeros(inst.I)), 0.0, mode
     sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
-    costs = np.array([_sample_path(oracle, sol1, rng) for _ in range(oracle.config.ub_paths)])
+    costs = np.array([_sample_path(oracle, sol1, rng) for _ in range(UB_PATHS)])
     return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), "sampled"
 
 
@@ -537,11 +515,11 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
                 raise AssertionError("lower bound decreased across iterations")
             report.lb_per_iter.append(lb)
             report.iterations = it
-            w = cfg.stall_window
+            w = STALL_WINDOW
             stalled = (len(report.lb_per_iter) >= w and abs(lb - report.lb_per_iter[-w])
                        <= cfg.tol * max(1.0, abs(lb)))
             # a sampled run evaluates its policy only on its last iteration
-            if not _is_sampled(inst, cfg) or stalled or it == cfg.max_iters:
+            if not _is_sampled(inst) or stalled or it == cfg.max_iters:
                 ub, ub_err, ub_mode = evaluate_policy(oracle, rng)
                 incumbents[sol1.x_bits] = ub
             gap = (ub - lb) / max(1.0, abs(ub)) if np.isfinite(ub) else float("nan")
@@ -574,6 +552,7 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
         report.first_stage_x = list(min(ties))
     report.stage_solves = oracle.stage_solves
     report.dual_solves = oracle.dual_solves
+    report.dual_escalations = oracle.dual_bound.escalations
     report.eigen_cuts_per_stage = {
         str(t): len(v) for t, v in sorted(oracle._eigen_registry.items())}
     report.wall_time = time.perf_counter() - t_start

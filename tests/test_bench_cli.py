@@ -167,6 +167,17 @@ def test_cli_exit_codes(tmp_path):
                      "--type", "1"]) == 1
     # validation error: bad arguments
     assert cli.main(["solve", "--type", "1"]) == 1
+    # validation error: bad run-config values, from --config or a flag
+    good = tmp_path / "inst.json"
+    save_instance(generate_instance(7, 2, 3, 1, 4, 0.8), good)
+    for doc in ({"max_iters": "3"}, {"max_iters": 2.5}, {"max_iters": 0},
+                {"tol": -1}, {"bound_mode": "both"}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--instance", str(good), "--type", "1",
+                         "--config", str(cfg_path)]) == 1, doc
+    assert cli.main(["solve", "--instance", str(good), "--type", "1",
+                     "--max-iters", "0"]) == 1
     # unbounded: empty ambiguity set
     inst = generate_instance(7, 2, 3, 1, 4, 0.8)
     from ddro.linalg import SymMatrix
@@ -274,3 +285,14 @@ def test_cli_solve_stdout_holds_only_the_status_line(tmp_path, capfd):
     lines = capfd.readouterr().out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("status=")
+
+
+def test_readme_config_keys_match_sddip_config():
+    import dataclasses
+    import re
+
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    listed = re.search(r"`--config` \(keys:\s*([a-z_,\s]+);", readme)
+    assert listed, "README lists no --config keys"
+    keys = [k.strip() for k in listed.group(1).split(",")]
+    assert keys == [f.name for f in dataclasses.fields(sddip.SddipConfig)]

@@ -3,15 +3,14 @@ import itertools
 import os
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
 
 from ddro import lpmilp
-from ddro.lpmilp import (BINARY, CONTINUOUS, DEFAULT_CONFIG, GAP_LIMIT, INFEASIBLE,
-                         INTEGER, OPTIMAL, UNBOUNDED, LinearModel, NumericalFailure,
-                         SolverConfig, solve_lp, solve_milp, write_lp)
+from ddro.lpmilp import (BINARY, CONTINUOUS, GAP_LIMIT, INFEASIBLE, INTEGER, OPTIMAL,
+                         UNBOUNDED, LinearModel, NumericalFailure, solve_lp, solve_milp,
+                         write_lp)
 
 
 def test_lp_trivial_with_dual():
@@ -159,11 +158,12 @@ def _branching_knapsack(seed):
     return m, w
 
 
-def test_node_limit_gives_gap_limit_with_incumbent():
+def test_node_limit_gives_gap_limit_with_incumbent(monkeypatch):
     m, w = _branching_knapsack(0)
     exact = solve_milp(m)
     assert exact.status == OPTIMAL and exact.node_count > 1
-    sol = solve_milp(m, SolverConfig(node_limit=1))
+    monkeypatch.setattr(lpmilp, "NODE_LIMIT", 1)
+    sol = solve_milp(m)
     assert sol.status == GAP_LIMIT
     assert sol.x is not None and np.abs(sol.x - np.rint(sol.x)).max() <= 1e-6
     assert float(w @ np.rint(sol.x)) <= m.row_rhs[0]
@@ -171,12 +171,12 @@ def test_node_limit_gives_gap_limit_with_incumbent():
     assert sol.best_bound <= exact.objective + 1e-9 * abs(exact.objective)
 
 
-def test_lp_iteration_cap_raises_numerical_failure():
+def test_lp_iteration_cap_raises_numerical_failure(monkeypatch):
     m = _random_feasible_lp(np.random.default_rng(4))
     assert solve_lp(m).status == OPTIMAL
-    zero_cap = SolverConfig(iteration_cap_base=-(m.num_vars + m.num_rows))
+    monkeypatch.setattr(lpmilp, "ITERATION_CAP_BASE", -(m.num_vars + m.num_rows))
     with pytest.raises(NumericalFailure, match="Iteration limit"):
-        solve_lp(m, zero_cap)
+        solve_lp(m)
 
 
 def _in_fresh_thread(fn):
@@ -199,10 +199,9 @@ def _in_fresh_thread(fn):
     return out[0]
 
 
-def test_per_call_options_do_not_leak_between_solves():
+def test_per_call_options_do_not_leak_between_solves(monkeypatch):
     knapsack, _ = _branching_knapsack(1)
     lp = _random_feasible_lp(np.random.default_rng(4))
-    zero_cap = SolverConfig(iteration_cap_base=-(lp.num_vars + lp.num_rows))
 
     def normal_solves():
         mip, rel = solve_milp(knapsack), solve_lp(lp)
@@ -210,10 +209,14 @@ def test_per_call_options_do_not_leak_between_solves():
                 rel.objective, rel.x.tolist(), rel.duals.tolist())
 
     def after_odd_solves():
-        no_presolve = lpmilp._solve_milp_once(knapsack, DEFAULT_CONFIG, presolve=False)
-        assert solve_milp(knapsack, SolverConfig(node_limit=1)).status == GAP_LIMIT
-        with pytest.raises(NumericalFailure):
-            solve_lp(lp, zero_cap)
+        no_presolve = lpmilp._solve_milp_once(knapsack, presolve=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmilp, "NODE_LIMIT", 1)
+            assert solve_milp(knapsack).status == GAP_LIMIT
+        with monkeypatch.context() as patch:
+            patch.setattr(lpmilp, "ITERATION_CAP_BASE", -(lp.num_vars + lp.num_rows))
+            with pytest.raises(NumericalFailure):
+                solve_lp(lp)
         return no_presolve.node_count, normal_solves()
 
     fresh = _in_fresh_thread(normal_solves)
@@ -268,8 +271,7 @@ def test_row_duals_match_finite_differences():
 
 
 def test_concurrent_milp_solves_restore_stdout_descriptor():
-    # each solve swaps descriptor 1 and the warning filters; overlapping
-    # swaps must leak neither
+    # each solve swaps descriptor 1; overlapping swaps must not leak it
     rng = np.random.default_rng(9)
     w, p = rng.uniform(1, 10, 10), rng.uniform(1, 10, 10)
     m = LinearModel()
@@ -278,7 +280,6 @@ def test_concurrent_milp_solves_restore_stdout_descriptor():
     m.add_row((np.arange(10), w), "<=", float(0.4 * w.sum()))
     expected = solve_milp(m).objective
     before = os.fstat(1)
-    filters = list(warnings.filters)
     results = []
 
     def worker():
@@ -299,7 +300,6 @@ def test_concurrent_milp_solves_restore_stdout_descriptor():
     assert results == [expected] * 30
     after = os.fstat(1)
     assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
-    assert warnings.filters == filters
 
 
 def test_validation_errors():
@@ -355,5 +355,4 @@ def test_lp_export_roundtrip_text():
 
 
 def test_solver_config_defaults():
-    cfg = SolverConfig()
-    assert cfg.node_limit == 200_000
+    assert lpmilp.NODE_LIMIT == 200_000

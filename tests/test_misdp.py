@@ -203,14 +203,15 @@ def test_iterated_dd_bases_still_upper_bound():
     assert exact <= rep.ub_estimate + 1e-6 * max(1.0, abs(exact))
 
 
-def test_cut_loop_limit_carries_best():
+def test_cut_loop_limit_carries_best(monkeypatch):
     from ddro.misdp import CutLoopLimit, solve_misdp_outer as outer
 
     m, block, (a, b, c) = _block_model()
     m.set_bounds(a, 1.0, 1.0)
     m.set_bounds(b, 1.0, 1.0)
     m.set_objective(c, 1.0)
+    monkeypatch.setattr(misdp, "MAX_CUT_ROUNDS_OUTER", 1)
     with pytest.raises(CutLoopLimit) as err:
-        outer(m, [block], max_rounds=1)
+        outer(m, [block])
     assert err.value.best is not None
     assert err.value.best.status == OPTIMAL

@@ -151,11 +151,14 @@ def test_capacity_history_equivalence():
         x_prev = (rng.random(2) < 0.5).astype(float)
         opens = x_prev * rng.integers(1, 3, 2)  # stages already open
         xi = inst.support[2][int(rng.integers(0, 3))]
-        a = build_stage_block(inst, 3, x_prev, xi, capacity_mode="indicator")
-        b = build_stage_block(inst, 3, x_prev, xi, capacity_mode="history",
-                              history_opens=opens)
+        a = build_stage_block(inst, 3, x_prev, xi)
+        # the printed history-sum row: sum_j y_ij <= h_i (x_i + opens_i)
+        history = a.model.copy()
+        for i in range(inst.I):
+            history.row_rhs[history.row_names.index(f"cap_{i}")] = (
+                float(inst.h[2, i]) * float(opens[i]))
         va = solve_milp(a.model)
-        vb = solve_milp(b.model)
+        vb = solve_milp(history)
         assert va.status == vb.status == OPTIMAL
         assert abs(va.objective - vb.objective) <= 1e-7 * max(1.0, abs(va.objective))
         checked += 1

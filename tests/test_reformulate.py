@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from ddro.bench import TYPE2_PATTERNS, make_pattern_instance
 from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, OPTIMAL, LinearModel, solve_lp, solve_milp
 from ddro.model import generate_instance, replace_fields
-from ddro.reformulate import (UnboundedFactor, build_stage, build_type1_stage,
+from ddro.reformulate import (MAX_DUAL_ESCALATIONS, DualAtBound, DualBound, UnboundedFactor,
+                              VarLayout, build_stage, build_type1_stage,
                               build_type2_stage, build_type3_stage,
-                              frozen_dual_value, mccormick_binary_product)
+                              frozen_dual_value, mccormick_binary_product,
+                              solve_with_dual_bound)
 
 
 def test_mccormick_interval_collapse_property():
@@ -164,8 +167,12 @@ def test_full_stage_model_risk_reduction():
 def test_y_symmetry_rows_do_not_change_value():
     inst = make_pattern_instance(TYPE2_PATTERNS[1], seed=4)
     xi = inst.support[0][0]
-    m_sym, _ = build_type2_stage(inst, 1, np.zeros(3), xi, symmetry_rows=True)
-    m_free, _ = build_type2_stage(inst, 1, np.zeros(3), xi, symmetry_rows=False)
+    m_sym, _ = build_type2_stage(inst, 1, np.zeros(3), xi)
+    keep = [r for r, name in enumerate(m_sym.row_names) if not name.startswith("sym_")]
+    assert len(keep) < m_sym.num_rows
+    m_free = m_sym.copy()
+    for attr in ("row_cols", "row_vals", "row_rel", "row_rhs", "row_names"):
+        setattr(m_free, attr, [getattr(m_sym, attr)[r] for r in keep])
     v_sym = solve_milp(m_sym)
     v_free = solve_milp(m_free)
     assert v_sym.status == v_free.status == OPTIMAL
@@ -176,9 +183,16 @@ def test_prob_bound_dual_columns_are_neutral():
     inst = generate_instance(31, 2, 3, 1, 5, 0.8)
     xi = inst.support[0][0]
     m_off, _ = build_type1_stage(inst, 1, np.zeros(3), xi)
-    m_on, lay = build_type1_stage(inst, 1, np.zeros(3), xi,
-                                  include_prob_bound_duals=True)
-    assert "gamma_lo" in lay.families and "gamma_hi" in lay.families
+    # the printed form: duals gamma_lo, gamma_hi >= 0 of 0 <= p_k <= 1
+    # enter each value row as -gamma_lo_k + gamma_hi_k, at cost gamma_hi_k
+    m_on = m_off.copy()
+    for k in range(inst.K):
+        gam_lo = m_on.add_var(0.0, np.inf, name=f"gl_{k}")
+        gam_hi = m_on.add_var(0.0, np.inf, obj=1.0, name=f"gh_{k}")
+        r = m_on.row_names.index(f"dual_{k}")
+        m_on.row_cols[r] = np.append(m_on.row_cols[r], [gam_lo, gam_hi])
+        m_on.row_vals[r] = np.append(m_on.row_vals[r], [-1.0, 1.0])
+    assert m_on.num_vars == m_off.num_vars + 2 * inst.K
     v_off = solve_milp(m_off)
     v_on = solve_milp(m_on)
     assert abs(v_off.objective - v_on.objective) <= 1e-7 * max(1.0, abs(v_off.objective))
@@ -217,3 +231,60 @@ def test_build_stage_dispatch():
         assert lay.theta.shape == (inst.K,)
     with pytest.raises(ValueError):
         build_stage(inst, 4, 1, np.zeros(2), xi)
+
+
+def _fake_solve_at(dual, objective, probe_status=OPTIMAL):
+    """solve_at for one audited dual column: at box b the dual takes
+    dual(b) and the objective objective(b).  The routine alternates a
+    solve and a 10x probe, so every second call is a probe; probes
+    report probe_status."""
+    calls = []
+
+    def solve_at(b):
+        status = probe_status if len(calls) % 2 else OPTIMAL
+        calls.append(b)
+        lay = VarLayout(x=np.array([], dtype=int), y=np.array([], dtype=int),
+                        theta=np.array([], dtype=int), z_copy=None,
+                        families={"d": np.array([0])}, audit_families=("d",),
+                        dual_bound=b)
+        return SimpleNamespace(status=status, x=np.array([dual(b)]),
+                               objective=objective(b)), lay
+
+    return solve_at, calls
+
+
+def test_dual_bound_escalation_routine():
+    # accept: a dual inside the box is taken at once, with no probe
+    solve_at, calls = _fake_solve_at(lambda b: 5.0, lambda b: -5.0)
+    sol, _ = solve_with_dual_bound(solve_at, DualBound(100.0))
+    assert sol.objective == -5.0 and calls == [100.0]
+    # flat face: the dual rests on the box but a 10x probe keeps the value
+    solve_at, calls = _fake_solve_at(lambda b: b, lambda b: -5.0)
+    bound = DualBound(100.0)
+    solve_with_dual_bound(solve_at, bound)
+    assert calls == [100.0, 1000.0] and bound.escalations == 0
+    # escalate: the dual binds at 0.1 and 1, its value moves, and 10 holds it
+    hooked = []
+    solve_at, calls = _fake_solve_at(lambda b: min(b, 5.0), lambda b: -min(b, 5.0))
+    bound = DualBound(0.1)
+    sol, _ = solve_with_dual_bound(solve_at, bound, lambda s, lay: hooked.append(s.x[0]))
+    assert sol.objective == -5.0 and hooked == [0.1, 1.0]
+    assert (bound.value, bound.escalations) == (10.0, 2)
+    assert calls == [0.1, 1.0, 1.0, 10.0, 10.0]
+    # a probe that is not optimal escalates too
+    solve_at, calls = _fake_solve_at(lambda b: min(b, 5.0), lambda b: -5.0, "Infeasible")
+    bound = DualBound(1.0)
+    sol, _ = solve_with_dual_bound(solve_at, bound)
+    assert bound.escalations == 1 and sol.objective == -5.0
+    # cap: the escalations of one DualBound add up to MAX_DUAL_ESCALATIONS
+    solve_at, calls = _fake_solve_at(lambda b: b, lambda b: -b)
+    bound = DualBound(1.0, escalations=1)
+    with pytest.raises(DualAtBound, match=f"after {MAX_DUAL_ESCALATIONS} escalations"):
+        solve_with_dual_bound(solve_at, bound)
+    assert bound.escalations == MAX_DUAL_ESCALATIONS == 3
+    assert calls == [1.0, 10.0, 10.0, 100.0, 100.0, 1000.0]
+    # the hook may stop the escalation
+    solve_at, calls = _fake_solve_at(lambda b: b, lambda b: -b)
+    with pytest.raises(ZeroDivisionError):
+        solve_with_dual_bound(solve_at, DualBound(1.0), lambda s, lay: 1 / 0)
+    assert calls == [1.0, 10.0]

@@ -9,6 +9,7 @@ from ddro.bench import terminal_value
 from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, solve_milp
 from ddro.model import generate_instance, replace_fields, zero_lambda
+from ddro.reformulate import DualAtBound
 from ddro.sddip import (Cut, CutPool, SddipConfig, StageOracle, backward_pass,
                         forward_pass, lagrangian_dual, run)
 
@@ -246,12 +247,25 @@ def test_config_json_roundtrip():
     assert cfg.max_iters == 5 and cfg.seed == 9 and cfg.tol == 1e-5
     with pytest.raises(ValueError):
         sddip.config_from_json('{"bogus_key": 1}')
+    # the smallest valid values pass; malformed ones are rejected
+    assert sddip.config_from_json('{"max_iters": 1, "num_paths": 1, "tol": 0}').tol == 0
+    for doc in ('{"max_iters": "3"}', '{"max_iters": 2.5}', '{"max_iters": 0}',
+                '{"max_iters": true}', '{"num_paths": 0}', '{"num_paths": 1.0}',
+                '{"tol": -1}', '{"tol": NaN}', '{"tol": Infinity}', '{"tol": "0"}',
+                '{"bound_mode": "both"}'):
+        with pytest.raises(ValueError):
+            sddip.config_from_json(doc)
+    with pytest.raises(ValueError):
+        sddip.replace_config(SddipConfig(), max_iters=0)
 
 
 def test_config_rejects_removed_iterated_dd_key():
     # a removed option is rejected, not silently ignored
-    with pytest.raises(ValueError):
-        sddip.config_from_json('{"dd_iterative": true}')
+    for key in ("dd_iterative", "dual_bound", "max_dual_escalations",
+                "subgradient_iters", "dual_enum_states", "stall_window",
+                "ub_paths", "tree_limit"):
+        with pytest.raises(ValueError):
+            sddip.config_from_json(f'{{"{key}": 1}}')
 
 
 def test_config_risk_override_keys():
@@ -272,25 +286,44 @@ def test_bound_mode_guards():
         run(inst, 3, SddipConfig(bound_mode="exact"))
 
 
-def test_subgradient_dual_path_converges():
+def test_subgradient_dual_path_converges(monkeypatch):
     # force the non-enumerated dual (subgradient + cutting-plane polish)
     from ddro.bench import enumerate_two_stage
 
     inst = generate_instance(100, 2, 3, 1, 10, 0.8)
     ref = enumerate_two_stage(inst, 1).objective
-    rep = run(inst, 1, SddipConfig(max_iters=20, dual_enum_states=0,
-                                   subgradient_iters=25))
+    monkeypatch.setattr(sddip, "DUAL_ENUM_STATES", 0)
+    monkeypatch.setattr(sddip, "SUBGRADIENT_ITERS", 25)
+    rep = run(inst, 1, SddipConfig(max_iters=20))
     assert rep.status == "Optimal"
     assert abs(rep.lb_per_iter[-1] - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
-def test_sampled_run_that_stalls_still_evaluates_its_policy():
-    # K^(T-1) = 36 > tree_limit: sampled mode; the lb stalls before max_iters
+def test_sampled_run_that_stalls_still_evaluates_its_policy(monkeypatch):
+    # K^(T-1) = 36 > TREE_LIMIT: sampled mode; the lb stalls before max_iters
     inst = generate_instance(1, 3, 3, 1, 6, 0.3, eps_mu=40, eps_S_lo=0.05, eps_S_hi=3.0)
-    rep = run(inst, 1, SddipConfig(max_iters=30, seed=0, tree_limit=10))
+    monkeypatch.setattr(sddip, "TREE_LIMIT", 10)
+    rep = run(inst, 1, SddipConfig(max_iters=30, seed=0))
     assert rep.termination == "lb_stalled"
     assert rep.iterations < 30
     assert np.isfinite(rep.ub_estimate)
     assert rep.ub_mode == "sampled"
     assert rep.first_stage_x
     assert np.isfinite(rep.iter_rows[-1]["ub"])
+
+
+# lb of small_instance() with SddipConfig(max_iters=10) from the default big-M
+DEFAULT_RUN_LB = -3707.748873225256
+
+
+def test_small_dual_bound_escalates_to_the_default_runs_lb(monkeypatch):
+    monkeypatch.setattr(sddip, "default_dual_bound", lambda inst: 0.1)
+    rep = run(small_instance(), 1, SddipConfig(max_iters=10))
+    assert rep.dual_escalations > 0
+    assert abs(rep.lb_per_iter[-1] - DEFAULT_RUN_LB) <= 1e-9 * abs(DEFAULT_RUN_LB)
+
+
+def test_dual_bound_still_binding_after_three_escalations_raises(monkeypatch):
+    monkeypatch.setattr(sddip, "default_dual_bound", lambda inst: 0.01)
+    with pytest.raises(DualAtBound, match="after 3 escalations"):
+        run(small_instance(), 1, SddipConfig(max_iters=10))
