@@ -80,8 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("export-lp", help="dump a compiled stage model")
     x.add_argument("--instance", required=True)
     x.add_argument("--type", type=int, choices=(1, 2, 3), required=True)
-    x.add_argument("--stage", type=int, default=1)
-    x.add_argument("--k", type=int, default=0, help="stage realization index")
+    x.add_argument("--stage", type=int, default=1, help="stage, 1..T")
+    x.add_argument("--k", type=int, default=0,
+                   help="stage realization index, 0..K-1 (stage 1 has one)")
     x.add_argument("--out", required=True)
 
     v = sub.add_parser("verify", help="assert lb report <= ub report")
@@ -174,7 +175,11 @@ def _cmd_bench(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     inst = model.load_instance(args.instance)
-    if args.stage >= inst.T:
+    if not 1 <= args.stage <= inst.T:
+        raise ValueError(f"--stage must lie in 1..{inst.T}, got {args.stage}")
+    if not 0 <= args.k < inst.K:
+        raise ValueError(f"--k must lie in 0..{inst.K - 1}, got {args.k}")
+    if args.stage == inst.T:
         block = model.build_stage_block(
             inst, args.stage, np.zeros(inst.I),
             inst.stage_support(args.stage)[args.k])

@@ -16,6 +16,15 @@ and gives each its fixed options once; an option HiGHS rejects raises
 HighsCallError.  A solve passes the model as one row-wise matrix with
 row bounds, sets the options that vary per call, and runs.
 
+Rows are append-only and assembled once.  A model keeps its rows in
+canonical CSR form (columns sorted, a repeated column summed), built and
+checked as each row first reaches a solve or validate(); copy() shares
+that matrix, so a copy that gains rows assembles only those.  What a
+re-solve changes in place -- right-hand sides (set_rhs), objective
+entries and bounds -- is read afresh and checked on every solve.  A
+caller can thus compile a model once and re-solve copies of it, patched
+and extended, at the cost of the new rows alone.
+
 MILP options: mip_rel_gap = 0 (each solve is proved optimal) and
 mip_heuristic_run_feasibility_jump = False, fixed; per call,
 mip_max_nodes = NODE_LIMIT and presolve on (off only for the retry of a
@@ -73,7 +82,11 @@ ITERATION_CAP_BASE = 1000  # LP iteration cap = 10*(n + m + base)
 
 
 class LinearModel:
-    """Mixed-integer linear model: minimize c'x subject to rows and bounds."""
+    """Mixed-integer linear model: minimize c'x subject to rows and bounds.
+
+    Rows are append-only (see the module docstring): add_row stores
+    read-only arrays, and set_rhs is the one change a stored row takes.
+    """
 
     def __init__(self) -> None:
         self.objective: list[float] = []
@@ -86,6 +99,7 @@ class LinearModel:
         self.row_rel: list[str] = []
         self.row_rhs: list[float] = []
         self.row_names: list[str] = []
+        self._rows = _EMPTY_ROWS  # checked CSR of the first _rows.count rows
 
     @property
     def num_vars(self) -> int:
@@ -115,7 +129,12 @@ class LinearModel:
                          for _ in range(count)], dtype=int)
 
     def add_row(self, coeffs, rel: str, rhs: float, name: str | None = None) -> int:
-        """Append a constraint; coeffs is a {col: val} dict or (cols, vals) pair."""
+        """Append a constraint; coeffs is a {col: val} dict or (cols, vals) pair.
+
+        The row keeps read-only copies of its columns and values: rows are
+        append-only, and copies of the model share the assembled matrix of
+        the rows they inherit, so a stored row never changes in place.
+        """
         if rel not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}")
         if isinstance(coeffs, dict):
@@ -123,10 +142,12 @@ class LinearModel:
             vals = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
         else:
             cols, vals = coeffs
-            cols = np.asarray(cols, dtype=int)
-            vals = np.asarray(vals, dtype=float)
+            cols = np.array(cols, dtype=int)
+            vals = np.array(vals, dtype=float)
         if cols.size and (cols.min() < 0 or cols.max() >= self.num_vars):
             raise ValueError("row references unknown column")
+        cols.flags.writeable = False
+        vals.flags.writeable = False
         idx = self.num_rows
         self.row_cols.append(cols)
         self.row_vals.append(vals)
@@ -137,6 +158,9 @@ class LinearModel:
 
     def set_objective(self, col: int, coef: float) -> None:
         self.objective[col] = float(coef)
+
+    def set_rhs(self, row: int, value: float) -> None:
+        self.row_rhs[row] = float(value)
 
     def set_bounds(self, col: int, lb: float, ub: float) -> None:
         if lb > ub:
@@ -150,6 +174,9 @@ class LinearModel:
         return row
 
     def copy(self) -> "LinearModel":
+        """An independent copy that shares the assembled matrix of the
+        rows assembled so far (by a solve or validate()), so solving it
+        assembles only the rows appended to it."""
         m = LinearModel()
         m.objective = list(self.objective)
         m.lower = list(self.lower)
@@ -161,34 +188,107 @@ class LinearModel:
         m.row_rel = list(self.row_rel)
         m.row_rhs = list(self.row_rhs)
         m.row_names = list(self.row_names)
+        m._rows = self._rows
         return m
 
     def validate(self) -> None:
-        if not np.all(np.isfinite(self.objective)):
+        """Raise ValueError on input HiGHS would misread: a non-finite
+        objective or constraint coefficient, a NaN right-hand side or
+        bound, or binary bounds outside [0, 1].
+
+        Rows are assembled into the kept matrix here, and their
+        coefficients are checked once, as they enter it; the objective,
+        bounds and right-hand sides are checked on every call.
+        """
+        self._solver_arrays()
+
+    def _solver_arrays(self):
+        """(assembled rows, objective, lower, upper, rhs), checked as
+        validate() describes."""
+        rows = self._row_matrix()
+        objective = np.asarray(self.objective, dtype=float)
+        if not np.all(np.isfinite(objective)):
             raise ValueError("objective coefficients must be finite")
-        if self.row_vals and not np.all(np.isfinite(np.concatenate(self.row_vals))):
+        if not rows.finite:
             raise ValueError("constraint coefficients must be finite")
-        if np.any(np.isnan(self.row_rhs)):
+        rhs = np.asarray(self.row_rhs, dtype=float)
+        if np.any(np.isnan(rhs)):
             raise ValueError("right-hand sides must not be NaN")
-        lower, upper = np.asarray(self.lower), np.asarray(self.upper)
+        lower = np.asarray(self.lower, dtype=float)
+        upper = np.asarray(self.upper, dtype=float)
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
             raise ValueError("variable bounds must not be NaN")
         bad = (np.asarray(self.integrality) == BINARY) & ((lower < 0.0) | (upper > 1.0))
         if np.any(bad):
             name = self.names[int(np.flatnonzero(bad)[0])]
             raise ValueError(f"binary variable {name} has bounds outside [0, 1]")
+        return rows, objective, lower, upper, rhs
+
+    def _row_matrix(self) -> "_RowMatrix":
+        """Every row assembled: the kept matrix, extended by the rows
+        appended since it was made."""
+        done = self._rows
+        if done.count != self.num_rows:
+            if done.count > self.num_rows:
+                raise RuntimeError("rows were removed from a model with assembled rows")
+            self._rows = done.extend(_assemble(
+                self.row_cols[done.count:], self.row_vals[done.count:],
+                self.row_rel[done.count:], self.num_vars))
+        return self._rows
 
     def _matrix(self) -> sparse.csr_matrix:
-        if not self.num_rows:
-            return sparse.csr_matrix((0, self.num_vars))
-        indptr = np.zeros(self.num_rows + 1, dtype=np.int64)
-        np.cumsum([cols.size for cols in self.row_cols], out=indptr[1:])
-        a = sparse.csr_matrix(
-            (np.concatenate(self.row_vals), np.concatenate(self.row_cols), indptr),
-            shape=(self.num_rows, self.num_vars),
-        )
-        a.sum_duplicates()  # a column repeated in a row sums, as in COO input
-        return a
+        """The rows as a scipy CSR matrix, copied from the kept arrays."""
+        rows = self._row_matrix()
+        return sparse.csr_matrix((rows.value, rows.index, rows.start),
+                                 shape=(self.num_rows, self.num_vars), copy=True)
+
+
+@dataclass(frozen=True)
+class _RowMatrix:
+    """The first `count` rows of a model in row-wise CSR form, canonical as
+    scipy.sparse's sum_duplicates leaves it (columns sorted within a row,
+    a repeated column summed), with each row's relation as two masks.
+
+    A row is assembled and checked once: copies of a model share the
+    object, and appending rows makes a new one for the copy alone.
+    """
+
+    count: int
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    no_lower: np.ndarray  # relation "<="
+    no_upper: np.ndarray  # relation ">="
+    finite: bool  # every coefficient of the rows is finite
+
+    def extend(self, tail: "_RowMatrix") -> "_RowMatrix":
+        if not self.count:
+            return tail
+        return _RowMatrix(
+            self.count + tail.count,
+            np.concatenate([self.start, tail.start[1:] + self.start[-1]]),
+            np.concatenate([self.index, tail.index]),
+            np.concatenate([self.value, tail.value]),
+            np.concatenate([self.no_lower, tail.no_lower]),
+            np.concatenate([self.no_upper, tail.no_upper]),
+            self.finite and tail.finite)
+
+
+_EMPTY_ROWS = _RowMatrix(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                         np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), True)
+
+
+def _assemble(row_cols, row_vals, row_rel, num_vars: int) -> _RowMatrix:
+    """The given rows, built in one pass and canonicalized by scipy."""
+    indptr = np.zeros(len(row_cols) + 1, dtype=np.int64)
+    np.cumsum([cols.size for cols in row_cols], out=indptr[1:])
+    values = np.concatenate(row_vals)
+    a = sparse.csr_matrix((values, np.concatenate(row_cols), indptr),
+                          shape=(len(row_cols), num_vars))
+    a.sum_duplicates()  # a column repeated in a row sums, as in COO input
+    rel = np.asarray(row_rel, dtype="<U2")
+    return _RowMatrix(len(row_cols), a.indptr, a.indices, a.data, rel == "<=", rel == ">=",
+                      bool(np.all(np.isfinite(values))))
 
 
 @dataclass
@@ -242,25 +342,22 @@ def _set_options(highs: _Highs, options: dict) -> None:
 
 def _highs_lp(model: LinearModel, integer: bool) -> HighsLp:
     """The model as one HighsLp: the row-wise matrix with row bounds."""
-    model.validate()
-    a = model._matrix()
-    rhs = np.asarray(model.row_rhs)
-    rel = np.asarray(model.row_rel, dtype="<U2")
+    rows, objective, lower, upper, rhs = model._solver_arrays()
     lp = HighsLp()
     lp.num_col_ = model.num_vars
     lp.num_row_ = model.num_rows
-    lp.col_cost_ = np.asarray(model.objective)
-    lp.col_lower_ = np.asarray(model.lower)
-    lp.col_upper_ = np.asarray(model.upper)
-    lp.row_lower_ = np.where(rel == "<=", -np.inf, rhs)
-    lp.row_upper_ = np.where(rel == ">=", np.inf, rhs)
+    lp.col_cost_ = objective
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.where(rows.no_lower, -np.inf, rhs)
+    lp.row_upper_ = np.where(rows.no_upper, np.inf, rhs)
     matrix = lp.a_matrix_
     matrix.format_ = MatrixFormat.kRowwise
     matrix.num_col_ = model.num_vars
     matrix.num_row_ = model.num_rows
-    matrix.start_ = a.indptr
-    matrix.index_ = a.indices
-    matrix.value_ = a.data
+    matrix.start_ = rows.start
+    matrix.index_ = rows.index
+    matrix.value_ = rows.value
     if integer:
         lp.integrality_ = [_VAR_TYPES[kind != CONTINUOUS] for kind in model.integrality]
     return lp

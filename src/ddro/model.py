@@ -267,6 +267,15 @@ def save_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
+@dataclass(frozen=True)
+class DataRows:
+    """Row ids of the stage rows whose right-hand sides carry the data."""
+
+    dem: np.ndarray  # (J,) demand caps: xi_j
+    budget: int  # N + f_t'x_prev; N when the previous state is copied
+    keep: np.ndarray  # (I,) keep-open rows: x_prev_i; 0 when copied
+
+
 @dataclass
 class StageBlock:
     """Compiled stage feasible set: model rows over (x, y) plus the layout."""
@@ -275,6 +284,7 @@ class StageBlock:
     x: np.ndarray  # (I,) column ids
     y: np.ndarray  # (I, J) column ids
     z_copy: np.ndarray | None  # (I,) copied-state column ids, when relaxed
+    data_rows: DataRows
 
 
 def build_stage_block(inst: Instance, t: int, x_prev, xi,
@@ -283,9 +293,10 @@ def build_stage_block(inst: Instance, t: int, x_prev, xi,
 
     With x_prev_as_copy the previous state enters as a free binary copy
     vector (used by the Lagrangian relaxation) instead of fixed data.
+    The data enter only the right-hand sides of block.data_rows, which
+    set_stage_data rewrites on a copy of the model.
     """
     I, J = inst.I, inst.J
-    xi = np.asarray(xi, dtype=float)
     m = LinearModel()
     x = m.add_vars(I, 0.0, 1.0, BINARY, prefix="x_")
     y_kind = INTEGER if inst.y_integrality == "integer" else CONTINUOUS
@@ -297,28 +308,41 @@ def build_stage_block(inst: Instance, t: int, x_prev, xi,
     z = None
     if x_prev_as_copy:
         z = m.add_vars(I, 0.0, 1.0, BINARY, prefix="z_")
-    else:
-        x_prev = np.asarray(x_prev, dtype=float)
-    for j in range(J):  # demand caps
-        m.add_row((y[:, j], np.ones(I)), "<=", float(xi[j]), name=f"dem_{j}")
+    dem = np.array([m.add_row((y[:, j], np.ones(I)), "<=", 0.0, name=f"dem_{j}")
+                    for j in range(J)], dtype=int)
     for i in range(I):  # capacity of open facilities
         cols = np.append(y[i, :], x[i])
         vals = np.append(np.ones(J), -float(inst.h[t - 1, i]))
         m.add_row((cols, vals), "<=", 0.0, name=f"cap_{i}")
     f_t = inst.f[t - 1]
     if x_prev_as_copy:
-        cols = np.concatenate([x, z])
-        vals = np.concatenate([f_t, -f_t])
-        m.add_row((cols, vals), "<=", float(inst.N), name="budget")
-        for i in range(I):
-            m.add_row((np.array([x[i], z[i]]), np.array([1.0, -1.0])), ">=", 0.0,
-                      name=f"keep_{i}")
+        budget = m.add_row((np.concatenate([x, z]), np.concatenate([f_t, -f_t])), "<=",
+                           float(inst.N), name="budget")
+        keep = [m.add_row((np.array([x[i], z[i]]), np.array([1.0, -1.0])), ">=", 0.0,
+                          name=f"keep_{i}") for i in range(I)]
     else:
-        m.add_row((x, f_t.astype(float)), "<=",
-                  float(inst.N + f_t @ x_prev), name="budget")
-        for i in range(I):
-            m.add_row(({x[i]: 1.0}), ">=", float(x_prev[i]), name=f"keep_{i}")
-    return StageBlock(model=m, x=x, y=y, z_copy=z)
+        budget = m.add_row((x, f_t.astype(float)), "<=", float(inst.N), name="budget")
+        keep = [m.add_row(({x[i]: 1.0}), ">=", 0.0, name=f"keep_{i}") for i in range(I)]
+    block = StageBlock(model=m, x=x, y=y, z_copy=z,
+                       data_rows=DataRows(dem, budget, np.array(keep, dtype=int)))
+    x_prev = None if x_prev_as_copy else np.asarray(x_prev, dtype=float)
+    set_stage_data(m, block.data_rows, inst, t, x_prev, xi)
+    return block
+
+
+def set_stage_data(m: LinearModel, rows: DataRows, inst: Instance, t: int, x_prev,
+                   xi) -> None:
+    """Set the right-hand sides that carry the stage-t data: the demand
+    caps from xi and, unless x_prev is None (a copied state), the budget
+    and keep-open rows from x_prev."""
+    xi = np.asarray(xi, dtype=float)
+    for j, row in enumerate(rows.dem):
+        m.set_rhs(int(row), float(xi[j]))
+    if x_prev is not None:
+        x_prev = np.asarray(x_prev, dtype=float)
+        m.set_rhs(rows.budget, float(inst.N + inst.f[t - 1] @ x_prev))
+        for i, row in enumerate(rows.keep):
+            m.set_rhs(int(row), float(x_prev[i]))
 
 
 def revenue_lower_bound(inst: Instance, t: int) -> float:

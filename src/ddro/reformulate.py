@@ -32,7 +32,7 @@ import numpy as np
 from .ambiguity import RiskSpec
 from .lpmilp import OPTIMAL, LinearModel, solve_milp
 from .misdp import PsdBlockRef
-from .model import Instance, build_stage_block, revenue_lower_bound
+from .model import DataRows, Instance, build_stage_block, revenue_lower_bound
 
 DUAL_BOUND_FACTOR = 1e4
 DUAL_BOUND_AUDIT_REL = 1e-6
@@ -73,6 +73,7 @@ class VarLayout:
     families: dict[str, np.ndarray] = field(default_factory=dict)
     audit_families: tuple[str, ...] = ()
     dual_bound: float = 0.0
+    data_rows: DataRows | None = None  # the stage block's data rows
 
     def cost_value(self, inst: Instance, x_sol: np.ndarray) -> float:
         """Stage cost g_t of the flow part of a solution vector."""
@@ -110,7 +111,7 @@ def _start_stage(inst: Instance, t: int, x_prev, xi, x_prev_as_copy: bool,
     m = block.model
     theta = m.add_vars(inst.K, revenue_lower_bound(inst, t), np.inf, prefix="th_")
     lay = VarLayout(x=block.x, y=block.y, theta=theta, z_copy=block.z_copy,
-                    dual_bound=M)
+                    dual_bound=M, data_rows=block.data_rows)
     lay.families = {"x": block.x, "y": block.y, "theta": theta}
     if block.z_copy is not None:
         lay.families["z_copy"] = block.z_copy
@@ -121,7 +122,7 @@ def _finish_stage(m: LinearModel, inst: Instance, lay: VarLayout, dual_coeffs_pe
                   risk: RiskSpec | None, cuts, shift_sign: float) -> None:
     """Common tail of every stage builder: the CVaR columns when risk is
     on, one dual-feasibility row per realization (plus its CVaR row), and
-    the pooled cut rows.
+    the pooled cut rows (add_cut_rows).
 
     shift_sign encodes the printed convention of the risk theorems: the
     moment-window form carries +lam*shift and rows pi_k + shift >= theta_k;
@@ -145,9 +146,15 @@ def _finish_stage(m: LinearModel, inst: Instance, lay: VarLayout, dual_coeffs_pe
             m.add_row(coeffs, ">=", 0.0, name=f"dual_{k}")
             m.add_row({int(pi_cvar[k]): 1.0, shift: shift_sign,
                        int(theta[k]): -1.0}, ">=", 0.0, name=f"cvar_{k}")
+    add_cut_rows(m, lay, cuts)
+
+
+def add_cut_rows(m: LinearModel, lay: VarLayout, cuts) -> None:
+    """One row theta_k - pi'x >= v per cut (v, pi) in cuts[k], realization
+    by realization: the last rows of a compiled stage model."""
     for k, cut_list in enumerate(cuts or ()):
         for v, pi in cut_list:
-            coeffs = {int(theta[k]): 1.0}
+            coeffs = {int(lay.theta[k]): 1.0}
             for i, col in enumerate(lay.x):
                 if pi[i] != 0.0:
                     coeffs[int(col)] = -float(pi[i])

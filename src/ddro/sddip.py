@@ -34,8 +34,9 @@ import numpy as np
 from . import misdp
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case, is_nonempty
 from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_lp, solve_milp
-from .model import Instance, build_stage_block
-from .reformulate import DualBound, build_stage, default_dual_bound, solve_with_dual_bound
+from .model import Instance, StageBlock, build_stage_block, set_stage_data
+from .reformulate import (DualBound, VarLayout, add_cut_rows, build_stage, default_dual_bound,
+                          solve_with_dual_bound)
 
 LB_MONOTONE_SLACK = 1e-9
 DUAL_ENUM_STATES = 256  # the dual enumerates h(z) when 2^I <= this
@@ -103,6 +104,19 @@ class SddipConfig:
             raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
         if self.bound_mode not in ("exact", "lb", "ub"):
             raise ValueError(f"bound_mode must be exact, lb or ub, got {self.bound_mode!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        if not isinstance(self.risk, bool):
+            raise ValueError(f"risk must be true or false, got {self.risk!r}")
+        for name, closed in (("risk_lambda", True), ("risk_alpha", False)):
+            val = getattr(self, name)
+            if val is None:
+                continue
+            if isinstance(val, bool) or not isinstance(val, numbers.Real) or not (
+                    0 <= val <= 1 if closed else 0 < val < 1):
+                span = "[0, 1]" if closed else "(0, 1)"
+                raise ValueError(f"{name} must lie in {span}, got {val!r}")
 
 
 def replace_config(cfg: SddipConfig, **kw) -> SddipConfig:
@@ -111,6 +125,8 @@ def replace_config(cfg: SddipConfig, **kw) -> SddipConfig:
 
 def config_from_json(text: str) -> SddipConfig:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"run config must be a JSON object, got {type(doc).__name__}")
     known = {f.name for f in dataclasses.fields(SddipConfig)}
     extra = set(doc) - known - {"type"}
     if extra:
@@ -170,9 +186,36 @@ def _bits(x) -> tuple[int, ...]:
     return tuple(int(round(float(b))) for b in np.asarray(x).ravel())
 
 
+@dataclass
+class _Compiled:
+    """A stage model compiled once for copying: built without cuts, and
+    `extended`, its copy with the pool's cuts at `cuts` cuts (plus the DD
+    rows on the "ub" route)."""
+
+    model: LinearModel
+    lay: VarLayout
+    blocks: list
+    cuts: int = -1
+    extended: LinearModel | None = None
+
+
 class StageOracle:
     """Builds and solves stage subproblems with caching, PSD handling,
-    and big-M escalation on the dual-bound audit."""
+    and big-M escalation on the dual-bound audit.
+
+    Stage models are compiled once and re-solved by patching: the oracle
+    keeps one model per (stage, copy mode, big-M) and one terminal block
+    per copy mode, whose rows are assembled once (see lpmilp.LinearModel).
+    A solve takes a copy, sets the right-hand sides that carry the state
+    and realization (model.set_stage_data) and the z-copy costs -pi, and
+    appends only what the kept model lacks.  For the cut rows, a copy
+    extended by the pool's cuts is kept while the number of cuts in the
+    stage's pool is unchanged; the eigen rows of the "lb" route are
+    appended per solve.  The solved model has the columns, rows, row
+    order and coefficients of a fresh build, so results do not change.
+    An escalation of the big-M bound drops the kept models along with
+    the stage cache.
+    """
 
     def __init__(self, inst: Instance, ttype: int, config: SddipConfig,
                  pool: CutPool):
@@ -189,6 +232,8 @@ class StageOracle:
         self.dual_solves = 0
         self._terminal_cache: dict = {}
         self._stage_cache: dict = {}
+        self._terminal_blocks: dict[bool, StageBlock] = {}
+        self._compiled: dict[tuple, _Compiled] = {}
         self._eigen_registry: dict[int, list[tuple[int, np.ndarray]]] = {}
 
     def risk_spec(self, t: int) -> RiskSpec | None:
@@ -225,13 +270,7 @@ class StageOracle:
         """Solve the terminal stage at x_prev, or, when pi is given, with
         a free binary copy z of the incoming state and objective term
         -pi'z; returns (solution, stage block)."""
-        inst = self.inst
-        as_copy = pi is not None
-        block = build_stage_block(inst, inst.T, None if as_copy else np.asarray(x_prev, float),
-                                  inst.stage_support(inst.T)[k], x_prev_as_copy=as_copy)
-        if as_copy:
-            for i, col in enumerate(block.z_copy):
-                block.model.set_objective(int(col), -float(pi[i]))
+        block = self._terminal_block(k, x_prev, pi)
         sol = solve_milp(block.model)
         self.stage_solves += 1
         if sol.status != OPTIMAL:
@@ -242,7 +281,8 @@ class StageOracle:
         """Build and solve a compiled (non-terminal) stage model through
         reformulate.solve_with_dual_bound, with the emptiness check of the
         next stage's ambiguity set as its hook.  An escalation is
-        permanent for the run, so it empties the stage cache."""
+        permanent for the run, so it empties the stage cache and drops
+        the kept models."""
         def check_nonempty(sol, lay):
             x_hat = round_integral(sol.x, lay.x)
             if not is_nonempty(self.inst, self.ttype, x_hat, stage=t + 1):
@@ -255,23 +295,65 @@ class StageOracle:
                                     self.dual_bound, check_nonempty)
         if self.dual_bound.escalations != escalations:
             self._stage_cache.clear()
+            self._compiled.clear()
         return out
 
-    def _solve_once(self, t: int, k: int, x_prev, pi, dual_bound):
+    def _terminal_block(self, k: int, x_prev, pi) -> StageBlock:
+        """The terminal block of one solve: a copy of the block kept for
+        the copy mode, with the data of (k, x_prev) and the costs -pi."""
         inst = self.inst
         as_copy = pi is not None
-        model, lay, blocks = build_stage(
-            inst, int(self.ttype), t, None if as_copy else np.asarray(x_prev, float),
-            inst.stage_support(t)[k], cuts=self.pool.rows_for_stage_model(t),
-            risk=self.risk_spec(t), x_prev_as_copy=as_copy, dual_bound=dual_bound)
-        mode = self.config.bound_mode  # "lb" and "ub" are Type 3 routes
-        if mode == "ub":
-            model = misdp.add_dd_inner_general(model, blocks)
+        kept = self._terminal_blocks.get(as_copy)
+        if kept is None:
+            kept = build_stage_block(inst, inst.T, np.zeros(inst.I), np.zeros(inst.J),
+                                     x_prev_as_copy=as_copy)
+            kept.model.validate()
+            self._terminal_blocks[as_copy] = kept
+        model = kept.model.copy()
+        self._set_data(model, kept.data_rows, kept.z_copy, inst.T, k, x_prev, pi)
+        return dataclasses.replace(kept, model=model)
+
+    def _stage_model(self, t: int, k: int, x_prev, pi, dual_bound: float):
+        """(model, layout, PSD blocks) of one stage-t solve at big-M
+        dual_bound: a copy of the kept model with the pool's cuts, the
+        eigen rows found so far, the data of (k, x_prev) and the costs -pi."""
+        inst = self.inst
+        as_copy = pi is not None
+        key = (t, as_copy, dual_bound)
+        comp = self._compiled.get(key)
+        if comp is None:
+            model, lay, blocks = build_stage(
+                inst, int(self.ttype), t, np.zeros(inst.I), np.zeros(inst.J), cuts=None,
+                risk=self.risk_spec(t), x_prev_as_copy=as_copy, dual_bound=dual_bound)
+            model.validate()
+            comp = self._compiled[key] = _Compiled(model, lay, blocks)
+        cuts = self.pool.num_cuts(t + 1)
+        if comp.cuts != cuts:
+            extended = comp.model.copy()
+            add_cut_rows(extended, comp.lay, self.pool.rows_for_stage_model(t))
+            if self.config.bound_mode == "ub":
+                extended = misdp.add_dd_inner_general(extended, comp.blocks)
+            extended.validate()
+            comp.cuts, comp.extended = cuts, extended
+        model = comp.extended.copy()
         for b_idx, v in self._eigen_registry.get(t, []):
-            model.add_row(blocks[b_idx].quadratic_form_coeffs(v), ">=", 0.0)
-        if as_copy:
-            for i, col in enumerate(lay.z_copy):
+            model.add_row(comp.blocks[b_idx].quadratic_form_coeffs(v), ">=", 0.0)
+        self._set_data(model, comp.lay.data_rows, comp.lay.z_copy, t, k, x_prev, pi)
+        return model, comp.lay, comp.blocks
+
+    def _set_data(self, model: LinearModel, rows, z_copy, t: int, k: int, x_prev,
+                  pi) -> None:
+        """Set the stage-t data of realization k and, without pi, of the
+        state x_prev; with pi, the objective term -pi'z of the copy z."""
+        set_stage_data(model, rows, self.inst, t, None if pi is not None else x_prev,
+                       self.inst.stage_support(t)[k])
+        if pi is not None:
+            for i, col in enumerate(z_copy):
                 model.set_objective(int(col), -float(pi[i]))
+
+    def _solve_once(self, t: int, k: int, x_prev, pi, dual_bound):
+        model, lay, blocks = self._stage_model(t, k, x_prev, pi, dual_bound)
+        mode = self.config.bound_mode  # "lb" and "ub" are Type 3 routes
         if mode == "lb":
             new_vecs: list[tuple[int, np.ndarray]] = []
             sol = misdp.solve_misdp_outer(model, blocks, vectors=new_vecs)

@@ -207,6 +207,36 @@ def test_cli_export_lp(tmp_path):
     assert "th_" in text  # continuation proxies carry layout names
 
 
+def test_cli_export_lp_rejects_stage_and_k_out_of_range(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    save_instance(generate_instance(3, 2, 2, 1, 4, 0.8), inst_path)
+    out = tmp_path / "model.lp"
+    base = ["export-lp", "--instance", str(inst_path), "--type", "1", "--out", str(out)]
+    capsys.readouterr()
+    for flags in (["--stage", "0"], ["--stage", "3"], ["--stage", "5"],
+                  ["--stage", "2", "--k", "4"], ["--stage", "2", "--k", "99"],
+                  ["--stage", "2", "--k", "-1"], ["--stage", "1", "--k", "-1"]):
+        assert cli.main(base + flags) == 1, flags
+        assert "validation error:" in capsys.readouterr().err, flags
+    assert not out.exists()
+    assert cli.main(base + ["--stage", "2", "--k", "3"]) == 0
+    assert "stage2_terminal" in out.read_text()
+
+
+def test_cli_config_checks_seed_risk_and_shape(tmp_path, capsys):
+    good = tmp_path / "inst.json"
+    save_instance(generate_instance(7, 2, 3, 1, 4, 0.8), good)
+    cfg_path = tmp_path / "cfg.json"
+    capsys.readouterr()
+    for text in ('{"seed": "x"}', '{"seed": true}', '{"seed": -1}', '{"risk": "yes"}',
+                 '{"risk_lambda": 2}', '{"risk_alpha": 1.0}', "5", "null", '"abc"'):
+        cfg_path.write_text(text)
+        assert cli.main(["solve", "--instance", str(good), "--type", "1",
+                         "--config", str(cfg_path)]) == 1, text
+        err = capsys.readouterr().err
+        assert "validation error:" in err and "Traceback" not in err, text
+
+
 def test_cli_bench_subcommand(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({

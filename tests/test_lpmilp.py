@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from ddro import lpmilp
 from ddro.lpmilp import (BINARY, CONTINUOUS, GAP_LIMIT, INFEASIBLE, INTEGER, OPTIMAL,
@@ -356,3 +357,111 @@ def test_lp_export_roundtrip_text():
 
 def test_solver_config_defaults():
     assert lpmilp.NODE_LIMIT == 200_000
+
+
+def highs_arrays(model: LinearModel) -> dict:
+    """Every array of the HighsLp a MILP solve passes to HiGHS, as lists."""
+    lp = lpmilp._highs_lp(model, integer=True)
+    matrix = lp.a_matrix_
+    out = {"num_col": lp.num_col_, "num_row": lp.num_row_,
+           "integrality": [int(kind) for kind in lp.integrality_]}
+    for owner, names in ((lp, ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
+                               "row_upper_")),
+                         (matrix, ("start_", "index_", "value_"))):
+        for name in names:
+            out[name] = np.asarray(getattr(owner, name)).tolist()
+    return out
+
+
+def lp_text(model: LinearModel) -> str:
+    buf = io.StringIO()
+    write_lp(model, buf)
+    return buf.getvalue()
+
+
+# (cols, vals, rel, rhs) rows; the third repeats column 2 and the last column 0
+_BASE_ROWS = ((([0, 1], [1.0, 2.0]), "<=", 4.0), (([3, 1], [1.0, -1.0]), ">=", -1.0),
+              (([2, 0, 2], [1.5, -1.0, 2.25]), "<=", 3.0))
+_NEW_ROWS = ((([1, 4, 1], [0.5, 1.0, 0.25]), "=", 1.0),
+             (([4, 0, 0], [2.0, 1.0, -3.0]), "<=", 2.5))
+
+
+def _rows_model(rows, ncols=4) -> LinearModel:
+    m = LinearModel()
+    for j in range(ncols):
+        m.add_var(0.0, 3.0, INTEGER if j % 2 else CONTINUOUS, obj=float(j) - 1.5)
+    for coeffs, rel, rhs in rows:
+        m.add_row(coeffs, rel, rhs)
+    return m
+
+
+def test_copy_assembles_only_new_rows_like_a_fresh_model():
+    template = _rows_model(_BASE_ROWS)
+    template.validate()  # assembles the template's rows once
+    kept = template._rows
+    before = (highs_arrays(template), lp_text(template))
+    copy = template.copy()
+    assert copy._rows is kept
+    copy.add_var(0.0, 1.0, BINARY, obj=-1.0)
+    for coeffs, rel, rhs in _NEW_ROWS:
+        copy.add_row(coeffs, rel, rhs)
+    copy.set_rhs(1, 0.5)
+    copy.set_rhs(3, 1.75)
+    fresh = _rows_model(_BASE_ROWS, ncols=4)
+    fresh.add_var(0.0, 1.0, BINARY, obj=-1.0)
+    for coeffs, rel, rhs in _NEW_ROWS:
+        fresh.add_row(coeffs, rel, rhs)
+    fresh.row_rhs[1], fresh.row_rhs[3] = 0.5, 1.75
+    assert highs_arrays(copy) == highs_arrays(fresh)
+    assert lp_text(copy) == lp_text(fresh)
+    # the kept prefix was extended for the copy alone, by the new rows only
+    assert copy._rows.count == 5 and template._rows is kept and kept.count == 3
+    assert np.array_equal(copy._rows.index[:kept.index.size], kept.index)
+    # the canonical form is what scipy's sum_duplicates makes of the rows
+    a = sparse.csr_matrix(
+        (np.concatenate(fresh.row_vals), np.concatenate(fresh.row_cols),
+         np.cumsum([0] + [c.size for c in fresh.row_cols])), shape=(5, 5))
+    a.sum_duplicates()
+    assert np.array_equal(copy._rows.start, a.indptr)
+    assert np.array_equal(copy._rows.index, a.indices)
+    assert np.array_equal(copy._rows.value, a.data)
+    # solving the copy leaves the template as it was
+    assert solve_milp(copy).status == OPTIMAL
+    assert (highs_arrays(template), lp_text(template)) == before
+    assert template._rows is kept
+
+
+def test_stored_rows_are_read_only_copies():
+    m = LinearModel()
+    m.add_vars(3, 0.0, 1.0)
+    cols, vals = np.array([0, 2]), np.array([1.0, 2.0])
+    r = m.add_row((cols, vals), "<=", 1.0)
+    cols[0], vals[0] = 1, 9.0  # the caller's arrays stay the caller's
+    assert m.row_cols[r].tolist() == [0, 2] and m.row_vals[r].tolist() == [1.0, 2.0]
+    m.validate()
+    shared = m.copy()
+    for stored in (m.row_cols[r], m.row_vals[r], shared.row_vals[r]):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0
+    d = m.add_row({1: 1.0}, ">=", 0.0)
+    with pytest.raises(ValueError, match="read-only"):
+        m.row_vals[d][0] = 5.0
+    # rows are append-only: a model that lost assembled rows is not solved
+    m.validate()
+    for rows in (m.row_cols, m.row_vals, m.row_rel, m.row_rhs, m.row_names):
+        del rows[-1]
+    with pytest.raises(RuntimeError, match="removed"):
+        solve_lp(m)
+
+
+def test_row_checks_cover_rows_assembled_earlier():
+    # a non-finite coefficient assembled before a copy still fails the copy's solve
+    m = LinearModel()
+    m.add_var(0.0, 1.0)
+    m.add_row({0: np.inf}, "<=", 1.0)
+    m._row_matrix()
+    copy = m.copy()
+    copy.add_row({0: 1.0}, "<=", 1.0)
+    for model in (m, copy):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            solve_lp(model)

@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from ddro import sddip
+from ddro import misdp, sddip
 from ddro.ambiguity import EmptyAmbiguity
-from ddro.bench import terminal_value
+from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, make_pattern_instance,
+                        terminal_value)
 from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, solve_milp
-from ddro.model import generate_instance, replace_fields, zero_lambda
-from ddro.reformulate import DualAtBound
+from ddro.model import build_stage_block, generate_instance, replace_fields, zero_lambda
+from ddro.reformulate import DualAtBound, build_stage
 from ddro.sddip import (Cut, CutPool, SddipConfig, StageOracle, backward_pass,
                         forward_pass, lagrangian_dual, run)
+from test_lpmilp import highs_arrays, lp_text
 
 
 def small_instance(seed=7, **over):
@@ -327,3 +329,125 @@ def test_dual_bound_still_binding_after_three_escalations_raises(monkeypatch):
     monkeypatch.setattr(sddip, "default_dual_bound", lambda inst: 0.01)
     with pytest.raises(DualAtBound, match="after 3 escalations"):
         run(small_instance(), 1, SddipConfig(max_iters=10))
+
+
+def test_config_rejects_bad_seed_risk_and_risk_overrides():
+    for doc in ('{"seed": "x"}', '{"seed": -1}', '{"seed": true}', '{"seed": 1.5}',
+                '{"risk": "yes"}', '{"risk": 1}', '{"risk_lambda": 1.5}',
+                '{"risk_lambda": -0.1}', '{"risk_lambda": "0.5"}', '{"risk_lambda": NaN}',
+                '{"risk_alpha": 0}', '{"risk_alpha": 1}', '{"risk_alpha": true}'):
+        with pytest.raises(ValueError):
+            sddip.config_from_json(doc)
+    ok = sddip.config_from_json('{"seed": 0, "risk": true, "risk_lambda": 1, '
+                                '"risk_alpha": 0.5}')
+    assert ok.seed == 0 and ok.risk is True and ok.risk_lambda == 1
+    assert sddip.config_from_json('{"risk_lambda": 0}').risk_lambda == 0
+    with pytest.raises(ValueError):
+        sddip.replace_config(SddipConfig(), seed=-3)
+
+
+def test_config_json_must_be_an_object():
+    for text in ("5", "null", '"abc"', "[1, 2]"):
+        with pytest.raises(ValueError, match="JSON object"):
+            sddip.config_from_json(text)
+
+
+# -- compiled stage models equal fresh builds ---------------------------------
+
+def _fresh_model(oracle, t, k, x_prev, pi, dual_bound):
+    """The stage-t model of one solve built from scratch: the builder with
+    the pool's cuts, then the DD copy ("ub"), the eigen rows, and the
+    z-copy costs -pi."""
+    inst = oracle.inst
+    as_copy = pi is not None
+    x_arg = None if as_copy else np.asarray(x_prev, dtype=float)
+    xi = inst.stage_support(t)[k]
+    if t == inst.T:
+        block = build_stage_block(inst, t, x_arg, xi, x_prev_as_copy=as_copy)
+        model, z = block.model, block.z_copy
+    else:
+        model, lay, blocks = build_stage(
+            inst, int(oracle.ttype), t, x_arg, xi, cuts=oracle.pool.rows_for_stage_model(t),
+            risk=oracle.risk_spec(t), x_prev_as_copy=as_copy, dual_bound=dual_bound)
+        if oracle.config.bound_mode == "ub":
+            model = misdp.add_dd_inner_general(model, blocks)
+        for b, v in oracle._eigen_registry.get(t, []):
+            model.add_row(blocks[b].quadratic_form_coeffs(v), ">=", 0.0)
+        z = lay.z_copy
+    if as_copy:
+        for i, col in enumerate(z):
+            model.set_objective(int(col), -float(pi[i]))
+    return model
+
+
+def _data_rhs(model, inst):
+    names = ([f"dem_{j}" for j in range(inst.J)] + ["budget"]
+             + [f"keep_{i}" for i in range(inst.I)])
+    return [model.row_rhs[model.row_names.index(name)] for name in names]
+
+
+def _expected_data_rhs(inst, t, k, x_prev):
+    """Demand caps xi_j, budget N + f'x_prev and keep rows x_prev_i; with a
+    copied state (x_prev None) N and 0."""
+    x = np.zeros(inst.I) if x_prev is None else np.asarray(x_prev, dtype=float)
+    return (inst.stage_support(t)[k].tolist() + [float(inst.N + inst.f[t - 1] @ x)]
+            + x.tolist())
+
+
+def _oracle_model(oracle, t, k, x_prev, pi, dual_bound):
+    if t == oracle.inst.T:
+        return oracle._terminal_block(k, x_prev, pi).model
+    return oracle._stage_model(t, k, x_prev, pi, dual_bound)[0]
+
+
+def _add_cuts(pool, inst, rng, per_k):
+    for t in range(2, inst.T + 1):
+        for k in range(inst.K):
+            for _ in range(per_k):
+                pi = rng.normal(size=inst.I) * (rng.random(inst.I) < 0.7)
+                pool.add(t, k, Cut(float(rng.normal(-500.0, 50.0)), pi))
+
+
+EQUIVALENCE_CASES = (
+    ("type1", lambda: generate_instance(1, 3, 3, 1, 3, 0.3, eps_mu=40, eps_S_lo=0.05,
+                                        eps_S_hi=3.0), 1, "exact", False),
+    ("type1-risk", lambda: generate_instance(1, 3, 3, 1, 3, 0.3, eps_mu=40,
+                                             eps_S_lo=0.05, eps_S_hi=3.0), 1, "exact", True),
+    ("type2", lambda: make_pattern_instance(TYPE2_PATTERNS[0], seed=1), 2, "exact", False),
+    ("type3-lb", lambda: make_pattern_instance(TYPE3_PATTERNS[0], seed=1), 3, "lb", False),
+    ("type3-ub", lambda: make_pattern_instance(TYPE3_PATTERNS[0], seed=1), 3, "ub", False),
+)
+
+
+@pytest.mark.parametrize("label, make, ttype, mode, risk", EQUIVALENCE_CASES,
+                         ids=[case[0] for case in EQUIVALENCE_CASES])
+def test_patched_stage_models_equal_fresh_builds(label, make, ttype, mode, risk):
+    # every model the oracle solves, at every k, three states and a copy
+    # with pi != 0, equals a fresh build: same LP text, same HiGHS arrays
+    inst = make()
+    rng = np.random.default_rng(3)
+    pool = CutPool(inst.T, inst.K)
+    oracle = StageOracle(inst, ttype, SddipConfig(bound_mode=mode, risk=risk), pool)
+    M = oracle.dual_bound.value
+    if mode == "lb":
+        blocks = build_stage(inst, ttype, 1, np.zeros(inst.I), inst.xi1())[2]
+        oracle._eigen_registry[1] = [(b, rng.normal(size=blocks[b].dim))
+                                     for b in (0, 1, 0)]
+    states = [np.zeros(inst.I), (np.arange(inst.I) % 2).astype(float), np.ones(inst.I)]
+    pi = rng.normal(scale=50.0, size=inst.I)
+    kept_text = None
+    for per_k in (1, 2):  # a second cut version refreshes the cut-extended copies
+        _add_cuts(pool, inst, rng, per_k)
+        for t in range(1, inst.T + 1):
+            for k in range(inst.stage_support(t).shape[0]):
+                for x_prev, p in [(x, None) for x in states] + [(None, pi)]:
+                    mine = _oracle_model(oracle, t, k, x_prev, p, M)
+                    fresh = _fresh_model(oracle, t, k, x_prev, p, M)
+                    assert _data_rhs(mine, inst) == _expected_data_rhs(inst, t, k, x_prev)
+                    assert lp_text(mine) == lp_text(fresh), (label, t, k, x_prev, p)
+                    assert highs_arrays(mine) == highs_arrays(fresh), (label, t, k)
+        if kept_text is None:
+            kept_text = lp_text(oracle._compiled[(1, False, M)].model)
+    # solving patched copies leaves the kept model as it was built
+    oracle.solve_stage(1, 0, np.zeros(inst.I))
+    assert lp_text(oracle._compiled[(1, False, M)].model) == kept_text
