@@ -104,11 +104,13 @@ def _cmd_gen(args) -> int:
 
 
 def _load_config(args) -> sddip.SddipConfig:
+    """The run config: --config, then the flags; a Type 3 run whose route
+    neither sets takes the "lb" route."""
+    cfg, file_keys = sddip.SddipConfig(), ()
     if args.config:
         with open(args.config) as fh:
-            cfg = sddip.config_from_json(fh.read())
-    else:
-        cfg = sddip.SddipConfig()
+            text = fh.read()
+        cfg, file_keys = sddip.config_from_json(text), json.loads(text)
     overrides = {}
     for name, val in (("max_iters", args.max_iters), ("num_paths", args.num_paths),
                       ("tol", args.tol), ("seed", args.seed),
@@ -120,14 +122,14 @@ def _load_config(args) -> sddip.SddipConfig:
         overrides["risk"] = True
     if args.bound is not None:
         overrides["bound_mode"] = args.bound
+    elif args.type == 3 and "bound_mode" not in file_keys:
+        overrides["bound_mode"] = "lb"
     return sddip.replace_config(cfg, **overrides)
 
 
 def _cmd_solve(args) -> int:
     inst = model.load_instance(args.instance)
     cfg = _load_config(args)
-    if args.type == 3 and args.bound is None:
-        cfg = sddip.replace_config(cfg, bound_mode="lb")
     report = sddip.run(inst, args.type, cfg)
     if args.out_prefix:
         with open(args.out_prefix + ".json", "w") as fh:
@@ -193,13 +195,22 @@ def _cmd_export_lp(args) -> int:
     return EXIT_OK
 
 
+def _report_bound(path, side: str) -> float:
+    """The last lower bound ("lb") or the upper-bound estimate ("ub") of
+    a solve report; a report without a finite one is a validation error."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} is not a solve report")
+    found = doc["lb_per_iter"][-1:] if side == "lb" else [doc["ub_estimate"]]
+    if not found or not isinstance(found[0], (int, float)) or not np.isfinite(found[0]):
+        raise ValueError(f"{path} holds no finite {side}")
+    return float(found[0])
+
+
 def _cmd_verify(args) -> int:
-    with open(args.lb_report) as fh:
-        lb_doc = json.load(fh)
-    with open(args.ub_report) as fh:
-        ub_doc = json.load(fh)
-    lb = lb_doc["lb_per_iter"][-1]
-    ub = ub_doc["ub_estimate"]
+    lb = _report_bound(args.lb_report, "lb")
+    ub = _report_bound(args.ub_report, "ub")
     slack = misdp.SANDWICH_REL_SLACK * max(1.0, abs(ub))
     if lb > ub + slack:
         print(f"FAIL: lb={lb} > ub={ub}", file=sys.stderr)

@@ -15,6 +15,10 @@ monotone, the capacity row uses the current indicator x_ti scaled by
 h_ti.  This departs from the printed history-sum row; the two give the
 same stage values for the recipe capacities
 (tests/test_model.py::test_capacity_history_equivalence).
+
+The incoming state enters every stage model as a binary copy z, pinned
+to the state by its bounds; the same model with z freed is the
+Lagrangian relaxation of SDDiP (Zou, Ahmed & Sun 2019).
 """
 
 from __future__ import annotations
@@ -267,34 +271,26 @@ def save_instance(inst: Instance, path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class DataRows:
-    """Row ids of the stage rows whose right-hand sides carry the data."""
-
-    dem: np.ndarray  # (J,) demand caps: xi_j
-    budget: int  # N + f_t'x_prev; N when the previous state is copied
-    keep: np.ndarray  # (I,) keep-open rows: x_prev_i; 0 when copied
-
-
 @dataclass
 class StageBlock:
-    """Compiled stage feasible set: model rows over (x, y) plus the layout."""
+    """Compiled stage feasible set: model rows over (x, y, z) plus the layout."""
 
     model: LinearModel
     x: np.ndarray  # (I,) column ids
     y: np.ndarray  # (I, J) column ids
-    z_copy: np.ndarray | None  # (I,) copied-state column ids, when relaxed
-    data_rows: DataRows
+    z_copy: np.ndarray  # (I,) column ids of the incoming-state copy
+    dem: np.ndarray  # (J,) demand-cap row ids
 
 
-def build_stage_block(inst: Instance, t: int, x_prev, xi,
-                      x_prev_as_copy: bool = False) -> StageBlock:
-    """Rows of the stage-t feasible set at previous state x_prev and demand xi.
+def build_stage_block(inst: Instance, t: int, x_prev, xi) -> StageBlock:
+    """Rows of the stage-t feasible set at incoming state x_prev and demand xi.
 
-    With x_prev_as_copy the previous state enters as a free binary copy
-    vector (used by the Lagrangian relaxation) instead of fixed data.
-    The data enter only the right-hand sides of block.data_rows, which
-    set_stage_data rewrites on a copy of the model.
+    The incoming state enters as a binary copy z, as in SDDiP: the budget
+    row reads f_t'x - f_t'z <= N and the keep-open rows x_i - z_i >= 0.
+    set_stage_data pins z to x_prev by its bounds; x_prev None leaves z
+    free in [0, 1], the Lagrangian relaxation of z = x_prev.  The data
+    enter only the demand right-hand sides and the bounds and costs of z,
+    so a compiled block is re-solved by patching a copy of its model.
     """
     I, J = inst.I, inst.J
     m = LinearModel()
@@ -305,9 +301,7 @@ def build_stage_block(inst: Instance, t: int, x_prev, xi,
         for j in range(J):
             y[i, j] = m.add_var(0.0, float(inst.h[t - 1, i]), y_kind, name=f"y_{i}_{j}")
             m.set_objective(y[i, j], float(inst.c[i, j] - inst.R[j]))
-    z = None
-    if x_prev_as_copy:
-        z = m.add_vars(I, 0.0, 1.0, BINARY, prefix="z_")
+    z = m.add_vars(I, 0.0, 1.0, BINARY, prefix="z_")
     dem = np.array([m.add_row((y[:, j], np.ones(I)), "<=", 0.0, name=f"dem_{j}")
                     for j in range(J)], dtype=int)
     for i in range(I):  # capacity of open facilities
@@ -315,34 +309,27 @@ def build_stage_block(inst: Instance, t: int, x_prev, xi,
         vals = np.append(np.ones(J), -float(inst.h[t - 1, i]))
         m.add_row((cols, vals), "<=", 0.0, name=f"cap_{i}")
     f_t = inst.f[t - 1]
-    if x_prev_as_copy:
-        budget = m.add_row((np.concatenate([x, z]), np.concatenate([f_t, -f_t])), "<=",
-                           float(inst.N), name="budget")
-        keep = [m.add_row((np.array([x[i], z[i]]), np.array([1.0, -1.0])), ">=", 0.0,
-                          name=f"keep_{i}") for i in range(I)]
-    else:
-        budget = m.add_row((x, f_t.astype(float)), "<=", float(inst.N), name="budget")
-        keep = [m.add_row(({x[i]: 1.0}), ">=", 0.0, name=f"keep_{i}") for i in range(I)]
-    block = StageBlock(model=m, x=x, y=y, z_copy=z,
-                       data_rows=DataRows(dem, budget, np.array(keep, dtype=int)))
-    x_prev = None if x_prev_as_copy else np.asarray(x_prev, dtype=float)
-    set_stage_data(m, block.data_rows, inst, t, x_prev, xi)
-    return block
+    m.add_row((np.concatenate([x, z]), np.concatenate([f_t, -f_t])), "<=", float(inst.N),
+              name="budget")
+    for i in range(I):
+        m.add_row((np.array([x[i], z[i]]), np.array([1.0, -1.0])), ">=", 0.0,
+                  name=f"keep_{i}")
+    set_stage_data(m, dem, z, x_prev, xi)
+    return StageBlock(model=m, x=x, y=y, z_copy=z, dem=dem)
 
 
-def set_stage_data(m: LinearModel, rows: DataRows, inst: Instance, t: int, x_prev,
-                   xi) -> None:
-    """Set the right-hand sides that carry the stage-t data: the demand
-    caps from xi and, unless x_prev is None (a copied state), the budget
-    and keep-open rows from x_prev."""
+def set_stage_data(m: LinearModel, dem, z, x_prev, xi, pi=None) -> None:
+    """Write the stage data into a stage model: the demand caps xi on the
+    rows dem, the bounds of the copy columns z -- pinned at x_prev, or
+    [0, 1] when x_prev is None -- and their costs -pi (0 without pi)."""
     xi = np.asarray(xi, dtype=float)
-    for j, row in enumerate(rows.dem):
+    for j, row in enumerate(dem):
         m.set_rhs(int(row), float(xi[j]))
-    if x_prev is not None:
-        x_prev = np.asarray(x_prev, dtype=float)
-        m.set_rhs(rows.budget, float(inst.N + inst.f[t - 1] @ x_prev))
-        for i, row in enumerate(rows.keep):
-            m.set_rhs(int(row), float(x_prev[i]))
+    lo, hi = (np.zeros(len(z)), np.ones(len(z))) if x_prev is None else (x_prev, x_prev)
+    cost = np.zeros(len(z)) if pi is None else -np.asarray(pi, dtype=float)
+    for i, col in enumerate(z):
+        m.set_bounds(int(col), float(lo[i]), float(hi[i]))
+        m.set_objective(int(col), float(cost[i]))
 
 
 def revenue_lower_bound(inst: Instance, t: int) -> float:

@@ -1,13 +1,14 @@
 """Stage subproblem compilers.
 
 Each builder turns a stage Bellman subproblem into a mixed-integer
-linear model: the stage feasible rows, the dual variables of the inner
-worst-case problem, per-realization dual-feasibility rows against the
-continuation proxies theta_t^k, pooled under-approximation cut rows, and
-McCormick envelopes that linearize every product of a binary state entry
-with a bounded dual.  Minimizing the compiled model therefore evaluates
-the stage cost plus the worst case of the current continuation
-approximation.
+linear model: the stage feasible rows (with the incoming state as the
+pinned copy z of model.build_stage_block), the dual variables of the
+inner worst-case problem, per-realization dual-feasibility rows against
+the continuation proxies theta_t^k, and McCormick envelopes that
+linearize every product of a binary state entry with a bounded dual.
+add_cut_rows appends the pooled under-approximation cut rows.
+Minimizing the compiled model therefore evaluates the stage cost plus
+the worst case of the current continuation approximation.
 
 Type 1 carries moment-window duals (alpha, beta); Type 2 the matching
 duals (s, u, Y) with bilinear w, z and trilinear v envelopes; Type 3 the
@@ -32,7 +33,7 @@ import numpy as np
 from .ambiguity import RiskSpec
 from .lpmilp import OPTIMAL, LinearModel, solve_milp
 from .misdp import PsdBlockRef
-from .model import DataRows, Instance, build_stage_block, revenue_lower_bound
+from .model import Instance, build_stage_block, revenue_lower_bound
 
 DUAL_BOUND_FACTOR = 1e4
 DUAL_BOUND_AUDIT_REL = 1e-6
@@ -69,11 +70,11 @@ class VarLayout:
     x: np.ndarray
     y: np.ndarray
     theta: np.ndarray
-    z_copy: np.ndarray | None
+    z_copy: np.ndarray  # the incoming-state copy
     families: dict[str, np.ndarray] = field(default_factory=dict)
     audit_families: tuple[str, ...] = ()
     dual_bound: float = 0.0
-    data_rows: DataRows | None = None  # the stage block's data rows
+    dem: np.ndarray | None = None  # the stage block's demand-cap rows
 
     def cost_value(self, inst: Instance, x_sol: np.ndarray) -> float:
         """Stage cost g_t of the flow part of a solution vector."""
@@ -100,29 +101,27 @@ def mccormick_binary_product(model: LinearModel, b: int, y: int, z: int,
     return rows
 
 
-def _start_stage(inst: Instance, t: int, x_prev, xi, x_prev_as_copy: bool,
+def _start_stage(inst: Instance, t: int, x_prev, xi,
                  dual_bound: float | None) -> tuple[LinearModel, VarLayout, float]:
     """Common head of every stage builder: the stage feasible block, the
     continuation proxies theta and the layout; returns (model, layout, M)."""
     if not 1 <= t < inst.T:
         raise ValueError(f"stage {t} has no continuation (T={inst.T})")
     M = default_dual_bound(inst) if dual_bound is None else float(dual_bound)
-    block = build_stage_block(inst, t, x_prev, xi, x_prev_as_copy=x_prev_as_copy)
+    block = build_stage_block(inst, t, x_prev, xi)
     m = block.model
     theta = m.add_vars(inst.K, revenue_lower_bound(inst, t), np.inf, prefix="th_")
     lay = VarLayout(x=block.x, y=block.y, theta=theta, z_copy=block.z_copy,
-                    dual_bound=M, data_rows=block.data_rows)
-    lay.families = {"x": block.x, "y": block.y, "theta": theta}
-    if block.z_copy is not None:
-        lay.families["z_copy"] = block.z_copy
+                    dual_bound=M, dem=block.dem)
+    lay.families = {"x": block.x, "y": block.y, "theta": theta, "z_copy": block.z_copy}
     return m, lay, M
 
 
 def _finish_stage(m: LinearModel, inst: Instance, lay: VarLayout, dual_coeffs_per_k,
-                  risk: RiskSpec | None, cuts, shift_sign: float) -> None:
+                  risk: RiskSpec | None, shift_sign: float) -> None:
     """Common tail of every stage builder: the CVaR columns when risk is
-    on, one dual-feasibility row per realization (plus its CVaR row), and
-    the pooled cut rows (add_cut_rows).
+    on and one dual-feasibility row per realization (plus its CVaR row).
+    The pooled cut rows come after, appended by add_cut_rows.
 
     shift_sign encodes the printed convention of the risk theorems: the
     moment-window form carries +lam*shift and rows pi_k + shift >= theta_k;
@@ -146,13 +145,12 @@ def _finish_stage(m: LinearModel, inst: Instance, lay: VarLayout, dual_coeffs_pe
             m.add_row(coeffs, ">=", 0.0, name=f"dual_{k}")
             m.add_row({int(pi_cvar[k]): 1.0, shift: shift_sign,
                        int(theta[k]): -1.0}, ">=", 0.0, name=f"cvar_{k}")
-    add_cut_rows(m, lay, cuts)
 
 
 def add_cut_rows(m: LinearModel, lay: VarLayout, cuts) -> None:
     """One row theta_k - pi'x >= v per cut (v, pi) in cuts[k], realization
     by realization: the last rows of a compiled stage model."""
-    for k, cut_list in enumerate(cuts or ()):
+    for k, cut_list in enumerate(cuts):
         for v, pi in cut_list:
             coeffs = {int(lay.theta[k]): 1.0}
             for i, col in enumerate(lay.x):
@@ -161,9 +159,8 @@ def add_cut_rows(m: LinearModel, lay: VarLayout, cuts) -> None:
             m.add_row(coeffs, ">=", float(v))
 
 
-def build_type1_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
-                      risk: RiskSpec | None = None, *, x_prev_as_copy: bool = False,
-                      dual_bound: float | None = None
+def build_type1_stage(inst: Instance, t: int, x_prev, xi,
+                      risk: RiskSpec | None = None, *, dual_bound: float | None = None
                       ) -> tuple[LinearModel, VarLayout]:
     """Moment-window stage model (mean/second-moment windows per coordinate).
 
@@ -173,7 +170,7 @@ def build_type1_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
     beta1, which relaxes every row by as much (tests/test_reformulate.py::
     test_prob_bound_dual_columns_are_neutral).
     """
-    m, lay, M = _start_stage(inst, t, x_prev, xi, x_prev_as_copy, dual_bound)
+    m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
     I, J, K = inst.I, inst.J, inst.K
     s_base = inst.mu_bar**2 + inst.sigma_bar**2
@@ -218,7 +215,7 @@ def build_type1_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
             coeffs[int(a3[j])] = -(xi_next[k, j] ** 2)
             coeffs[int(b3[j])] = xi_next[k, j] ** 2
         dual_coeffs.append(coeffs)
-    _finish_stage(m, inst, lay, dual_coeffs, risk, cuts, 1.0)
+    _finish_stage(m, inst, lay, dual_coeffs, risk, 1.0)
     return m, lay
 
 
@@ -273,11 +270,11 @@ def _symmetry_rows(m: LinearModel, cols: np.ndarray, tag: str) -> None:
                       name=f"sym_{tag}_{j}_{jp}")
 
 
-def build_type2_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
-                      risk: RiskSpec | None = None, *, x_prev_as_copy: bool = False,
-                      dual_bound: float | None = None) -> tuple[LinearModel, VarLayout]:
+def build_type2_stage(inst: Instance, t: int, x_prev, xi,
+                      risk: RiskSpec | None = None, *, dual_bound: float | None = None
+                      ) -> tuple[LinearModel, VarLayout]:
     """Exact moment-matching stage model (duals s, u, Y; products w, z, v)."""
-    m, lay, M = _start_stage(inst, t, x_prev, xi, x_prev_as_copy, dual_bound)
+    m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
     I, J, K = inst.I, inst.J, inst.K
     sig = inst.Sigma_bar.entries
@@ -313,19 +310,18 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
         for j in range(J):
             coeffs[int(u[j])] = coeffs.get(int(u[j]), 0.0) + xi_next[k, j]
         dual_coeffs.append(coeffs)
-    _finish_stage(m, inst, lay, dual_coeffs, risk, cuts, -1.0)
+    _finish_stage(m, inst, lay, dual_coeffs, risk, -1.0)
     return m, lay
 
 
-def build_type3_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
-                      risk: RiskSpec | None = None, *, x_prev_as_copy: bool = False,
-                      dual_bound: float | None = None
+def build_type3_stage(inst: Instance, t: int, x_prev, xi,
+                      risk: RiskSpec | None = None, *, dual_bound: float | None = None
                       ) -> tuple[LinearModel, VarLayout, list[PsdBlockRef]]:
     """Ellipsoid/cone stage model; PSD is left to the bounding module.
 
     Returns block descriptors for Z = [[z1, z2], [z2', z3]] and Y.
     """
-    m, lay, M = _start_stage(inst, t, x_prev, xi, x_prev_as_copy, dual_bound)
+    m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
     I, J, K = inst.I, inst.J, inst.K
     sig = inst.Sigma_bar.entries
@@ -376,7 +372,7 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
         for j in range(J):
             coeffs[int(z2[j])] = coeffs.get(int(z2[j]), 0.0) - 2.0 * xi_next[k, j]
         dual_coeffs.append(coeffs)
-    _finish_stage(m, inst, lay, dual_coeffs, risk, cuts, -1.0)
+    _finish_stage(m, inst, lay, dual_coeffs, risk, -1.0)
     zdim = J + 1
     zcols = np.empty((zdim, zdim), dtype=int)
     zcols[:J, :J] = z1
@@ -387,17 +383,17 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi, cuts=None,
     return m, lay, blocks
 
 
-def build_stage(inst: Instance, ttype: int, t: int, x_prev, xi, cuts=None,
+def build_stage(inst: Instance, ttype: int, t: int, x_prev, xi,
                 risk: RiskSpec | None = None, **kwargs):
     """Dispatch on ambiguity type; returns (model, layout, psd_blocks)."""
     if int(ttype) == 1:
-        m, lay = build_type1_stage(inst, t, x_prev, xi, cuts, risk, **kwargs)
+        m, lay = build_type1_stage(inst, t, x_prev, xi, risk, **kwargs)
         return m, lay, []
     if int(ttype) == 2:
-        m, lay = build_type2_stage(inst, t, x_prev, xi, cuts, risk, **kwargs)
+        m, lay = build_type2_stage(inst, t, x_prev, xi, risk, **kwargs)
         return m, lay, []
     if int(ttype) == 3:
-        return build_type3_stage(inst, t, x_prev, xi, cuts, risk, **kwargs)
+        return build_type3_stage(inst, t, x_prev, xi, risk, **kwargs)
     raise ValueError(f"unknown ambiguity type {ttype}")
 
 
@@ -420,7 +416,7 @@ def freeze_stage(inst: Instance, ttype: int, t: int, x, q,
     needs PSD handling on the returned blocks)."""
     x = np.asarray(x, dtype=float)
     model, lay, blocks = build_stage(inst, ttype, t, x, np.zeros(inst.J),
-                                     cuts=None, risk=risk, dual_bound=dual_bound)
+                                     risk=risk, dual_bound=dual_bound)
     q = np.asarray(q, dtype=float)
     for i, col in enumerate(lay.x):
         model.set_bounds(int(col), x[i], x[i])

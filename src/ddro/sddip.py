@@ -50,7 +50,6 @@ TREE_LIMIT = 1e5  # policies are evaluated on sampled paths above K^(T-1) = this
 class Cut:
     v: float
     pi: np.ndarray
-    origin: str = "Lagrangian"
 
 
 class CutPool:
@@ -204,10 +203,12 @@ class StageOracle:
     and big-M escalation on the dual-bound audit.
 
     Stage models are compiled once and re-solved by patching: the oracle
-    keeps one model per (stage, copy mode, big-M) and one terminal block
-    per copy mode, whose rows are assembled once (see lpmilp.LinearModel).
-    A solve takes a copy, sets the right-hand sides that carry the state
-    and realization (model.set_stage_data) and the z-copy costs -pi, and
+    keeps one model per (stage, big-M) and one terminal block, whose rows
+    are assembled once (see lpmilp.LinearModel).  In each, the incoming
+    state is the binary copy z.  A solve takes a copy and writes its data
+    (model.set_stage_data): the demand right-hand sides of the
+    realization, and the bounds of z -- pinned at the state, or, for the
+    Lagrangian relaxation, free in [0, 1] with costs -pi.  Then it
     appends only what the kept model lacks.  For the cut rows, a copy
     extended by the pool's cuts is kept while the number of cuts in the
     stage's pool is unchanged; the eigen rows of the "lb" route are
@@ -232,7 +233,7 @@ class StageOracle:
         self.dual_solves = 0
         self._terminal_cache: dict = {}
         self._stage_cache: dict = {}
-        self._terminal_blocks: dict[bool, StageBlock] = {}
+        self._terminal: StageBlock | None = None
         self._compiled: dict[tuple, _Compiled] = {}
         self._eigen_registry: dict[int, list[tuple[int, np.ndarray]]] = {}
 
@@ -299,18 +300,17 @@ class StageOracle:
         return out
 
     def _terminal_block(self, k: int, x_prev, pi) -> StageBlock:
-        """The terminal block of one solve: a copy of the block kept for
-        the copy mode, with the data of (k, x_prev) and the costs -pi."""
+        """The terminal block of one solve: a copy of the kept block, with
+        the data of (k, x_prev) and the costs -pi."""
         inst = self.inst
-        as_copy = pi is not None
-        kept = self._terminal_blocks.get(as_copy)
+        kept = self._terminal
         if kept is None:
-            kept = build_stage_block(inst, inst.T, np.zeros(inst.I), np.zeros(inst.J),
-                                     x_prev_as_copy=as_copy)
+            kept = build_stage_block(inst, inst.T, np.zeros(inst.I), np.zeros(inst.J))
             kept.model.validate()
-            self._terminal_blocks[as_copy] = kept
+            self._terminal = kept
         model = kept.model.copy()
-        self._set_data(model, kept.data_rows, kept.z_copy, inst.T, k, x_prev, pi)
+        xi = inst.stage_support(inst.T)[k]
+        set_stage_data(model, kept.dem, kept.z_copy, x_prev, xi, pi)
         return dataclasses.replace(kept, model=model)
 
     def _stage_model(self, t: int, k: int, x_prev, pi, dual_bound: float):
@@ -318,15 +318,13 @@ class StageOracle:
         dual_bound: a copy of the kept model with the pool's cuts, the
         eigen rows found so far, the data of (k, x_prev) and the costs -pi."""
         inst = self.inst
-        as_copy = pi is not None
-        key = (t, as_copy, dual_bound)
-        comp = self._compiled.get(key)
+        comp = self._compiled.get((t, dual_bound))
         if comp is None:
             model, lay, blocks = build_stage(
-                inst, int(self.ttype), t, np.zeros(inst.I), np.zeros(inst.J), cuts=None,
-                risk=self.risk_spec(t), x_prev_as_copy=as_copy, dual_bound=dual_bound)
+                inst, int(self.ttype), t, np.zeros(inst.I), np.zeros(inst.J),
+                risk=self.risk_spec(t), dual_bound=dual_bound)
             model.validate()
-            comp = self._compiled[key] = _Compiled(model, lay, blocks)
+            comp = self._compiled[(t, dual_bound)] = _Compiled(model, lay, blocks)
         cuts = self.pool.num_cuts(t + 1)
         if comp.cuts != cuts:
             extended = comp.model.copy()
@@ -338,18 +336,9 @@ class StageOracle:
         model = comp.extended.copy()
         for b_idx, v in self._eigen_registry.get(t, []):
             model.add_row(comp.blocks[b_idx].quadratic_form_coeffs(v), ">=", 0.0)
-        self._set_data(model, comp.lay.data_rows, comp.lay.z_copy, t, k, x_prev, pi)
+        set_stage_data(model, comp.lay.dem, comp.lay.z_copy, x_prev,
+                       inst.stage_support(t)[k], pi)
         return model, comp.lay, comp.blocks
-
-    def _set_data(self, model: LinearModel, rows, z_copy, t: int, k: int, x_prev,
-                  pi) -> None:
-        """Set the stage-t data of realization k and, without pi, of the
-        state x_prev; with pi, the objective term -pi'z of the copy z."""
-        set_stage_data(model, rows, self.inst, t, None if pi is not None else x_prev,
-                       self.inst.stage_support(t)[k])
-        if pi is not None:
-            for i, col in enumerate(z_copy):
-                model.set_objective(int(col), -float(pi[i]))
 
     def _solve_once(self, t: int, k: int, x_prev, pi, dual_bound):
         model, lay, blocks = self._stage_model(t, k, x_prev, pi, dual_bound)
@@ -382,10 +371,8 @@ class StageOracle:
 
 
 def _all_binary_states(I: int) -> np.ndarray:
-    out = np.zeros((2**I, I))
-    for s in range(2**I):
-        out[s] = [(s >> i) & 1 for i in range(I)]
-    return out
+    """Every binary state, row s holding the bits of s (lowest first)."""
+    return ((np.arange(2**I)[:, None] >> np.arange(I)) & 1).astype(float)
 
 
 def _hypograph_dual(h: np.ndarray, states: np.ndarray, x_hat: np.ndarray):
@@ -441,7 +428,7 @@ def lagrangian_dual(evaluate, x_hat):
     # cutting-plane polish on the hypograph of the visited states
     for _ in range(40):
         states = np.array([list(b) for b in seen])
-        h = np.array([seen[_bits(s)] for s in states])
+        h = np.array(list(seen.values()))
         try:
             pi_cand, _ = _hypograph_dual(h, states, x_hat)
         except RuntimeError:
@@ -459,16 +446,14 @@ def lagrangian_dual(evaluate, x_hat):
 
 def _dual_cut(oracle: StageOracle, t: int, k: int, x_hat) -> Cut:
     inst = oracle.inst
-    relaxed = oracle.config.bound_mode == "lb" and t < inst.T
-    origin = "RelaxedLagrangian" if relaxed else "Lagrangian"
     if 2**inst.I <= DUAL_ENUM_STATES:
         states = _all_binary_states(inst.I)
         h = np.array([oracle.solve_stage(t, k, z).value for z in states])
         oracle.dual_solves += 1
         pi, v = _hypograph_dual(h, states, np.asarray(x_hat, dtype=float))
-        return Cut(v=v, pi=pi, origin=origin)
+        return Cut(v=v, pi=pi)
     pi, v = lagrangian_dual(lambda p: oracle.relaxed_value(t, k, p), x_hat)
-    return Cut(v=v, pi=pi, origin=origin)
+    return Cut(v=v, pi=pi)
 
 
 def forward_pass(inst: Instance, ttype: int, pool: CutPool, num_paths: int,

@@ -8,6 +8,7 @@ from ddro import bench, cli, sddip
 from ddro.bench import (ExperimentSpec, enumerate_two_stage,
                         exact_multistage_value, make_pattern_instance,
                         run_experiment, solve_didr, spec_from_json)
+from ddro.linalg import SymMatrix
 from ddro.model import (from_json, generate_instance, load_instance,
                         replace_fields, save_instance, to_json, zero_lambda)
 
@@ -161,6 +162,61 @@ def test_cli_type3_bounds_and_verify(tmp_path):
                      "--ub-report", ub_prefix + ".json"]) == 0
 
 
+def test_cli_type3_route_from_config_file(tmp_path):
+    # the route a --config file sets is kept; lb only when nothing sets one
+    p = tmp_path / "t3.json"
+    save_instance(make_pattern_instance(bench.TYPE3_PATTERNS[0], seed=1), p)
+    cfg_path = tmp_path / "cfg.json"
+    for doc, route in (({"bound_mode": "ub"}, "ub"), ({"max_iters": 1}, "lb")):
+        cfg_path.write_text(json.dumps(doc))
+        prefix = str(tmp_path / route)
+        assert cli.main(["solve", "--instance", str(p), "--type", "3", "--max-iters", "1",
+                         "--config", str(cfg_path), "--out-prefix", prefix]) == 0, doc
+        assert json.loads(open(prefix + ".json").read())["bound_mode"] == route
+    cfg_path.write_text(json.dumps({"bound_mode": "exact"}))
+    assert cli.main(["solve", "--instance", str(p), "--type", "3",
+                     "--config", str(cfg_path)]) == 1
+
+
+def _empty_ambiguity_instance():
+    inst = generate_instance(7, 2, 3, 1, 4, 0.8)
+    return replace_fields(
+        inst,
+        mu_bar=np.array([10.0]), sigma_bar=np.array([1.0]),
+        eps_mu=np.array([1.0]), lambda_mu=np.zeros((1, 3)),
+        lambda_S=np.zeros((1, 3)), Sigma_bar=SymMatrix(np.array([[1.0]])),
+        support=(np.array([[10.0]]),
+                 np.array([[20.0], [21.0], [22.0], [23.0]])),
+    )
+
+
+def test_cli_verify_rejects_reports_without_finite_bounds(tmp_path, capsys):
+    # an Unbounded run's report has no lb and a NaN ub: verify cannot pass on it
+    good, empty = tmp_path / "good.json", tmp_path / "empty.json"
+    save_instance(generate_instance(7, 2, 3, 1, 4, 0.8), good)
+    save_instance(_empty_ambiguity_instance(), empty)
+    ok, unb = str(tmp_path / "ok"), str(tmp_path / "unb")
+    assert cli.main(["solve", "--instance", str(good), "--type", "1",
+                     "--out-prefix", ok]) == 0
+    assert cli.main(["solve", "--instance", str(empty), "--type", "1",
+                     "--out-prefix", unb]) == 3
+    doc = json.loads(open(unb + ".json").read())
+    assert doc["lb_per_iter"] == [] and np.isnan(doc["ub_estimate"])
+    capsys.readouterr()
+    for lb_rep, ub_rep in ((ok, unb), (unb, ok)):
+        assert cli.main(["verify", "--lb-report", lb_rep + ".json",
+                         "--ub-report", ub_rep + ".json"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("validation error:") and unb + ".json" in out.err
+        assert "Traceback" not in out.err
+    (tmp_path / "five.json").write_text("5")
+    assert cli.main(["verify", "--lb-report", str(tmp_path / "five.json"),
+                     "--ub-report", ok + ".json"]) == 1
+    assert "five.json is not a solve report" in capsys.readouterr().err
+    assert cli.main(["verify", "--lb-report", ok + ".json", "--ub-report", ok + ".json"]) == 0
+
+
 def test_cli_exit_codes(tmp_path):
     # validation error: missing file
     assert cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
@@ -179,18 +235,8 @@ def test_cli_exit_codes(tmp_path):
     assert cli.main(["solve", "--instance", str(good), "--type", "1",
                      "--max-iters", "0"]) == 1
     # unbounded: empty ambiguity set
-    inst = generate_instance(7, 2, 3, 1, 4, 0.8)
-    from ddro.linalg import SymMatrix
-    empty = replace_fields(
-        inst,
-        mu_bar=np.array([10.0]), sigma_bar=np.array([1.0]),
-        eps_mu=np.array([1.0]), lambda_mu=np.zeros((1, 3)),
-        lambda_S=np.zeros((1, 3)), Sigma_bar=SymMatrix(np.array([[1.0]])),
-        support=(np.array([[10.0]]),
-                 np.array([[20.0], [21.0], [22.0], [23.0]])),
-    )
     p = tmp_path / "empty.json"
-    save_instance(empty, p)
+    save_instance(_empty_ambiguity_instance(), p)
     assert cli.main(["solve", "--instance", str(p), "--type", "1"]) == 3
     assert cli.main(["enum", "--instance", str(p), "--type", "1"]) == 3
 
@@ -205,6 +251,8 @@ def test_cli_export_lp(tmp_path):
     text = out.read_text()
     assert "Minimize" in text and "Binaries" in text and "End" in text
     assert "th_" in text  # continuation proxies carry layout names
+    # the incoming state is the copy z, fixed by its bounds at all-closed
+    assert "keep_0: 1 x_0 - 1 z_4 >= 0" in text and " 0 <= z_4 <= 0" in text
 
 
 def test_cli_export_lp_rejects_stage_and_k_out_of_range(tmp_path, capsys):

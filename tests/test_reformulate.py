@@ -8,9 +8,9 @@ from ddro.ambiguity import AmbiguityType, RiskSpec, is_nonempty, worst_case
 from ddro.bench import TYPE2_PATTERNS, make_pattern_instance
 from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, OPTIMAL, LinearModel, solve_lp, solve_milp
-from ddro.model import generate_instance, replace_fields
+from ddro.model import build_stage_block, generate_instance, replace_fields
 from ddro.reformulate import (MAX_DUAL_ESCALATIONS, DualAtBound, DualBound, UnboundedFactor,
-                              VarLayout, build_stage, build_type1_stage,
+                              VarLayout, add_cut_rows, build_stage, build_type1_stage,
                               build_type2_stage, build_type3_stage,
                               frozen_dual_value, mccormick_binary_product,
                               solve_with_dual_bound)
@@ -201,10 +201,11 @@ def test_prob_bound_dual_columns_are_neutral():
 def test_cut_rows_raise_stage_value():
     inst = generate_instance(12, 2, 3, 1, 4, 0.8)
     xi = inst.support[0][0]
-    m0, _ = build_type1_stage(inst, 1, np.zeros(3), xi, cuts=None)
+    m0, lay = build_type1_stage(inst, 1, np.zeros(3), xi)
     base = solve_milp(m0).objective
     lifted = [[(base / inst.K, np.zeros(3))] for _ in range(inst.K)]
-    m1, _ = build_type1_stage(inst, 1, np.zeros(3), xi, cuts=lifted)
+    m1 = m0.copy()
+    add_cut_rows(m1, lay, lifted)
     lifted_val = solve_milp(m1).objective
     assert lifted_val >= base - 1e-9 * max(1.0, abs(base))
 
@@ -220,6 +221,72 @@ def test_type3_block_descriptors():
     assert np.array_equal(z_block.cols[: inst.J, inst.J], lay.families["z2"])
     assert z_block.cols[inst.J, inst.J] == lay.families["z3"][0]
     assert np.array_equal(y_block.cols, lay.families["Y"])
+
+
+def _fixed_data_form(model, z, x_prev):
+    """The stage model without the copy z: its columns substituted by
+    x_prev, so the budget row carries N + f'x_prev and the keep-open rows
+    x_i >= x_prev_i in their right-hand sides."""
+    z = np.asarray(z)
+    kept = np.setdiff1d(np.arange(model.num_vars), z)
+    new_id = np.full(model.num_vars, -1)
+    new_id[kept] = np.arange(kept.size)
+    value = np.zeros(model.num_vars)
+    value[z] = x_prev
+    out = LinearModel()
+    for c in kept:
+        out.add_var(model.lower[c], model.upper[c], model.integrality[c],
+                    model.objective[c], model.names[c])
+    for r in range(model.num_rows):
+        cols, vals = model.row_cols[r], model.row_vals[r]
+        free = new_id[cols] >= 0
+        out.add_row((new_id[cols[free]], vals[free]), model.row_rel[r],
+                    model.row_rhs[r] - float(vals @ value[cols]), model.row_names[r])
+    return out
+
+
+# Capacities below the demand make the stage value depend on the state.
+FIXED_DATA_CASES = (
+    ("type1-T3", lambda: generate_instance(1, 3, 3, 2, 3, 0.3, eps_mu=40, eps_S_lo=0.05,
+                                           eps_S_hi=3.0, capacity=30.0), 1),
+    ("type1-T2", lambda: generate_instance(12, 2, 3, 2, 4, 0.8, capacity=30.0), 1),
+    ("type2", lambda: replace_fields(make_pattern_instance(TYPE2_PATTERNS[0], seed=1),
+                                     h=np.full((2, 3), 8.0)), 2),
+)
+
+
+@pytest.mark.parametrize("label, make, ttype", FIXED_DATA_CASES,
+                         ids=[case[0] for case in FIXED_DATA_CASES])
+def test_pinned_copy_equals_fixed_data_form(label, make, ttype):
+    # the stage model with its copy z pinned by bounds has the optimal
+    # value of the form that writes x_prev into the row right-hand sides
+    inst = make()
+    for t in range(1, inst.T + 1):
+        f_t = inst.f[t - 1]
+        xi = max(inst.stage_support(t), key=np.sum)  # the largest demand
+        values = []
+        for bits in itertools.product((0.0, 1.0), repeat=inst.I):
+            x_prev = np.array(bits)
+            if t == inst.T:
+                block = build_stage_block(inst, t, x_prev, xi)
+                pinned, z = block.model, block.z_copy
+            else:
+                pinned, lay, _ = build_stage(inst, ttype, t, x_prev, xi)
+                z = lay.z_copy
+            fixed = _fixed_data_form(pinned, z, x_prev)
+            assert fixed.num_vars == pinned.num_vars - inst.I
+            budget = fixed.row_names.index("budget")
+            assert fixed.row_rhs[budget] == inst.N + f_t @ x_prev
+            for i in range(inst.I):
+                r = fixed.row_names.index(f"keep_{i}")
+                assert fixed.row_vals[r].tolist() == [1.0]
+                assert (fixed.row_rel[r], fixed.row_rhs[r]) == (">=", x_prev[i])
+            a, b = solve_milp(pinned), solve_milp(fixed)
+            assert a.status == b.status == OPTIMAL, (label, t, bits)
+            assert abs(a.objective - b.objective) <= 1e-9 * max(1.0, abs(b.objective)), (
+                label, t, bits)
+            values.append(round(b.objective, 6))
+        assert len(set(values)) > 1, (label, t)  # the state matters at this stage
 
 
 def test_build_stage_dispatch():

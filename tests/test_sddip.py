@@ -10,7 +10,7 @@ from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, make_pattern_instance,
 from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, solve_milp
 from ddro.model import build_stage_block, generate_instance, replace_fields, zero_lambda
-from ddro.reformulate import DualAtBound, build_stage
+from ddro.reformulate import DualAtBound, add_cut_rows, build_stage
 from ddro.sddip import (Cut, CutPool, SddipConfig, StageOracle, backward_pass,
                         forward_pass, lagrangian_dual, run)
 from test_lpmilp import highs_arrays, lp_text
@@ -355,43 +355,45 @@ def test_config_json_must_be_an_object():
 # -- compiled stage models equal fresh builds ---------------------------------
 
 def _fresh_model(oracle, t, k, x_prev, pi, dual_bound):
-    """The stage-t model of one solve built from scratch: the builder with
-    the pool's cuts, then the DD copy ("ub"), the eigen rows, and the
-    z-copy costs -pi."""
+    """The stage-t model of one solve built from scratch: the builder, the
+    pool's cuts (add_cut_rows), then the DD copy ("ub"), the eigen rows,
+    and the z-copy costs -pi."""
     inst = oracle.inst
-    as_copy = pi is not None
-    x_arg = None if as_copy else np.asarray(x_prev, dtype=float)
     xi = inst.stage_support(t)[k]
     if t == inst.T:
-        block = build_stage_block(inst, t, x_arg, xi, x_prev_as_copy=as_copy)
+        block = build_stage_block(inst, t, x_prev, xi)
         model, z = block.model, block.z_copy
     else:
-        model, lay, blocks = build_stage(
-            inst, int(oracle.ttype), t, x_arg, xi, cuts=oracle.pool.rows_for_stage_model(t),
-            risk=oracle.risk_spec(t), x_prev_as_copy=as_copy, dual_bound=dual_bound)
+        model, lay, blocks = build_stage(inst, int(oracle.ttype), t, x_prev, xi,
+                                         risk=oracle.risk_spec(t), dual_bound=dual_bound)
+        add_cut_rows(model, lay, oracle.pool.rows_for_stage_model(t))
         if oracle.config.bound_mode == "ub":
             model = misdp.add_dd_inner_general(model, blocks)
         for b, v in oracle._eigen_registry.get(t, []):
             model.add_row(blocks[b].quadratic_form_coeffs(v), ">=", 0.0)
         z = lay.z_copy
-    if as_copy:
+    if pi is not None:
         for i, col in enumerate(z):
             model.set_objective(int(col), -float(pi[i]))
     return model
 
 
-def _data_rhs(model, inst):
-    names = ([f"dem_{j}" for j in range(inst.J)] + ["budget"]
-             + [f"keep_{i}" for i in range(inst.I)])
-    return [model.row_rhs[model.row_names.index(name)] for name in names]
+def _stage_data(model, inst):
+    """Demand right-hand sides, then the bounds and costs of the copy z."""
+    dem = [model.row_rhs[model.row_names.index(f"dem_{j}")] for j in range(inst.J)]
+    z = [model.names.index(f"z_{inst.I + inst.I * inst.J + i}") for i in range(inst.I)]
+    return (dem, [model.lower[c] for c in z], [model.upper[c] for c in z],
+            [model.objective[c] for c in z])
 
 
-def _expected_data_rhs(inst, t, k, x_prev):
-    """Demand caps xi_j, budget N + f'x_prev and keep rows x_prev_i; with a
-    copied state (x_prev None) N and 0."""
-    x = np.zeros(inst.I) if x_prev is None else np.asarray(x_prev, dtype=float)
-    return (inst.stage_support(t)[k].tolist() + [float(inst.N + inst.f[t - 1] @ x)]
-            + x.tolist())
+def _expected_stage_data(inst, t, k, x_prev, pi):
+    """Demand caps xi_j; z pinned at x_prev, or in [0, 1] with costs -pi
+    for a copied state (x_prev None)."""
+    dem = inst.stage_support(t)[k].tolist()
+    if x_prev is None:
+        return dem, [0.0] * inst.I, [1.0] * inst.I, (-pi).tolist()
+    x = np.asarray(x_prev, dtype=float).tolist()
+    return dem, x, x, [0.0] * inst.I
 
 
 def _oracle_model(oracle, t, k, x_prev, pi, dual_bound):
@@ -443,11 +445,14 @@ def test_patched_stage_models_equal_fresh_builds(label, make, ttype, mode, risk)
                 for x_prev, p in [(x, None) for x in states] + [(None, pi)]:
                     mine = _oracle_model(oracle, t, k, x_prev, p, M)
                     fresh = _fresh_model(oracle, t, k, x_prev, p, M)
-                    assert _data_rhs(mine, inst) == _expected_data_rhs(inst, t, k, x_prev)
+                    expected = _expected_stage_data(inst, t, k, x_prev, p)
+                    assert _stage_data(mine, inst) == expected
                     assert lp_text(mine) == lp_text(fresh), (label, t, k, x_prev, p)
                     assert highs_arrays(mine) == highs_arrays(fresh), (label, t, k)
         if kept_text is None:
-            kept_text = lp_text(oracle._compiled[(1, False, M)].model)
+            kept_text = lp_text(oracle._compiled[(1, M)].model)
+    # one kept model per (stage, big-M): states and copies share it
+    assert set(oracle._compiled) == {(t, M) for t in range(1, inst.T)}
     # solving patched copies leaves the kept model as it was built
     oracle.solve_stage(1, 0, np.zeros(inst.I))
-    assert lp_text(oracle._compiled[(1, False, M)].model) == kept_text
+    assert lp_text(oracle._compiled[(1, M)].model) == kept_text
