@@ -203,7 +203,8 @@ def _report_bound(path, side: str) -> float:
     if not isinstance(doc, dict):
         raise ValueError(f"{path} is not a solve report")
     found = doc["lb_per_iter"][-1:] if side == "lb" else [doc["ub_estimate"]]
-    if not found or not isinstance(found[0], (int, float)) or not np.isfinite(found[0]):
+    if (not found or isinstance(found[0], bool) or not isinstance(found[0], (int, float))
+            or not np.isfinite(found[0])):
         raise ValueError(f"{path} holds no finite {side}")
     return float(found[0])
 

@@ -14,7 +14,11 @@ input validation cost more than HiGHS itself on the small stage models
 here.  Each thread keeps two handles, one for MILPs and one for LPs,
 and gives each its fixed options once; an option HiGHS rejects raises
 HighsCallError.  A solve passes the model as one row-wise matrix with
-row bounds, sets the options that vary per call, and runs.
+row bounds, through passModel's array overload (int32 CSR arrays, as
+the kept matrix holds them), sets the options that vary per call, and
+runs.  The third kind of handle belongs to one WarmLp, a cut loop's LP
+that only gains rows: it keeps its model loaded, and each re-solve adds
+the new rows (addRows) and restarts dual simplex from the last basis.
 
 Rows are append-only and assembled once.  A model keeps its rows in
 canonical CSR form (columns sorted, a repeated column summed), built and
@@ -25,16 +29,18 @@ entries and bounds -- is read afresh and checked on every solve.  A
 caller can thus compile a model once and re-solve copies of it, patched
 and extended, at the cost of the new rows alone.
 
-MILP options: mip_rel_gap = 0 (each solve is proved optimal) and
-mip_heuristic_run_feasibility_jump = False, fixed; per call,
+MILP options: mip_rel_gap = 0 (each solve is proved optimal) and the
+primal heuristics Feasibility Jump, RINS and RENS off, fixed; per call,
 mip_max_nodes = NODE_LIMIT and presolve on (off only for the retry of a
-model presolve mislabels).  Feasibility Jump is a primal heuristic
-HiGHS 1.12 runs before every MILP, at a fixed cost per call that
-dominates the small stage models here: an 18-column, 15-row terminal
-block took 11 ms per solve with it and 4.7 ms without (one node either
-way, 2-core Xeon).  LP options: presolve on, fixed; per call, an
-iteration cap of 10*(n + m + ITERATION_CAP_BASE).  The two limits are
-module constants, read at each call.
+model presolve mislabels).  HiGHS 1.12 runs these heuristics in every
+MILP, at a cost that dominates the small stage models here, whose
+solves end at the root anyway: an 18-column, 15-row terminal block took
+11 ms per solve with Feasibility Jump and 4.7 ms without; the 22
+stage-1 MILPs of the type3_lower benchmark at seed 1 (100 columns,
+about 330 rows, one node each) took 1.40 s with RINS and RENS and
+0.55 s without (2-core Xeon).  LP options: presolve on, fixed; per
+call, an iteration cap of 10*(n + m + ITERATION_CAP_BASE).  The two
+limits are module constants, read at each call.
 
 A solver invocation is single-threaded and reentrant; distinct
 LinearModel values may be solved from several threads.  MILP solves
@@ -50,6 +56,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -57,9 +64,8 @@ from scipy import sparse
 # scipy's bundled HiGHS bindings are a private module: every name ddro
 # uses from it is imported here, and tests/test_highs_bindings.py fails
 # by name if a scipy release moves one.
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, HighsStatus,
-                                           HighsVarType, MatrixFormat, _Highs,
-                                           kSolutionStatusFeasible)
+from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat,
+                                           ObjSense, _Highs, kSolutionStatusFeasible)
 
 CONTINUOUS = 0
 INTEGER = 1
@@ -254,8 +260,8 @@ class _RowMatrix:
     """
 
     count: int
-    start: np.ndarray
-    index: np.ndarray
+    start: np.ndarray  # int32, as HiGHS's array calls take it
+    index: np.ndarray  # int32
     value: np.ndarray
     no_lower: np.ndarray  # relation "<="
     no_upper: np.ndarray  # relation ">="
@@ -274,7 +280,7 @@ class _RowMatrix:
             self.finite and tail.finite)
 
 
-_EMPTY_ROWS = _RowMatrix(0, np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+_EMPTY_ROWS = _RowMatrix(0, np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32),
                          np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), True)
 
 
@@ -287,7 +293,8 @@ def _assemble(row_cols, row_vals, row_rel, num_vars: int) -> _RowMatrix:
                           shape=(len(row_cols), num_vars))
     a.sum_duplicates()  # a column repeated in a row sums, as in COO input
     rel = np.asarray(row_rel, dtype="<U2")
-    return _RowMatrix(len(row_cols), a.indptr, a.indices, a.data, rel == "<=", rel == ">=",
+    return _RowMatrix(len(row_cols), a.indptr.astype(np.int32, copy=False),
+                      a.indices.astype(np.int32, copy=False), a.data, rel == "<=", rel == ">=",
                       bool(np.all(np.isfinite(values))))
 
 
@@ -317,20 +324,27 @@ class HighsCallError(RuntimeError):
 # Options each kept handle is given once; see the module docstring.
 _FIXED_OPTIONS = {
     "milp": {"output_flag": False, "mip_rel_gap": 0.0,
-             "mip_heuristic_run_feasibility_jump": False},
+             "mip_heuristic_run_feasibility_jump": False,
+             "mip_heuristic_run_rins": False, "mip_heuristic_run_rens": False},
     "lp": {"output_flag": False, "presolve": "on"},
 }
 _handles = threading.local()
-_VAR_TYPES = (HighsVarType.kContinuous, HighsVarType.kInteger)
+_ROWWISE = int(MatrixFormat.kRowwise)
+_MINIMIZE = int(ObjSense.kMinimize)
 
 
 def _handle(kind: str) -> _Highs:
     """This thread's kept HiGHS handle for "milp" or "lp" solves."""
     highs = getattr(_handles, kind, None)
     if highs is None:
-        highs = _Highs()
-        _set_options(highs, _FIXED_OPTIONS[kind])
+        highs = _new_handle(kind)
         setattr(_handles, kind, highs)
+    return highs
+
+
+def _new_handle(kind: str) -> _Highs:
+    highs = _Highs()
+    _set_options(highs, _FIXED_OPTIONS[kind])
     return highs
 
 
@@ -340,55 +354,107 @@ def _set_options(highs: _Highs, options: dict) -> None:
             raise HighsCallError(f"HiGHS rejected option {name} = {value!r}")
 
 
-def _highs_lp(model: LinearModel, integer: bool) -> HighsLp:
-    """The model as one HighsLp: the row-wise matrix with row bounds."""
-    rows, objective, lower, upper, rhs = model._solver_arrays()
-    lp = HighsLp()
-    lp.num_col_ = model.num_vars
-    lp.num_row_ = model.num_rows
-    lp.col_cost_ = objective
-    lp.col_lower_ = lower
-    lp.col_upper_ = upper
-    lp.row_lower_ = np.where(rows.no_lower, -np.inf, rhs)
-    lp.row_upper_ = np.where(rows.no_upper, np.inf, rhs)
-    matrix = lp.a_matrix_
-    matrix.format_ = MatrixFormat.kRowwise
-    matrix.num_col_ = model.num_vars
-    matrix.num_row_ = model.num_rows
-    matrix.start_ = rows.start
-    matrix.index_ = rows.index
-    matrix.value_ = rows.value
+def _row_bounds(rows: _RowMatrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.where(rows.no_lower, -np.inf, rhs), np.where(rows.no_upper, np.inf, rhs)
+
+
+def _highs_model(model: LinearModel, integer: bool, arrays=None) -> tuple:
+    """The model as the arguments of _Highs.passModel's array overload:
+    the row-wise matrix with row bounds, minimized, without offset.
+    `arrays` is the model's _solver_arrays() when the caller has them."""
+    rows, objective, lower, upper, rhs = model._solver_arrays() if arrays is None else arrays
+    # one entry per column, 0 continuous or 1 integer; HiGHS reads num_col of them
+    integrality = np.zeros(model.num_vars, dtype=np.int32)
     if integer:
-        lp.integrality_ = [_VAR_TYPES[kind != CONTINUOUS] for kind in model.integrality]
-    return lp
+        integrality[np.asarray(model.integrality) != CONTINUOUS] = 1
+    return (model.num_vars, model.num_rows, rows.index.size, _ROWWISE, _MINIMIZE, 0.0,
+            objective, lower, upper, *_row_bounds(rows, rhs),
+            rows.start, rows.index, rows.value, integrality)
 
 
-def milp(highs: _Highs, lp: HighsLp) -> None:
-    """passModel + run on the thread's MILP handle.
+def milp(highs: _Highs, load) -> None:
+    """load() -- a passModel call on the thread's MILP handle -- then run.
 
     Every MILP solve calls this module-level name once, so that the
     benchmark's traced run can time HiGHS apart from marshalling by
     patching it; ROADMAP item 1 moves that timing into counters.
     """
-    if highs.passModel(lp) == HighsStatus.kError:
-        raise HighsCallError("HiGHS could not load the model")
-    highs.run()
+    _load_and_run(highs, load)
 
 
-def linprog(highs: _Highs, lp: HighsLp) -> None:
-    """passModel + run on the thread's LP handle; see milp."""
-    if highs.passModel(lp) == HighsStatus.kError:
+def linprog(highs: _Highs, load) -> None:
+    """load() -- passModel, or addRows on a WarmLp's kept model -- then
+    run, on an LP handle.  Every LP solve calls it once; see milp."""
+    _load_and_run(highs, load)
+
+
+def _load_and_run(highs: _Highs, load) -> None:
+    if load() == HighsStatus.kError:
         raise HighsCallError("HiGHS could not load the model")
     highs.run()
 
 
 def solve_lp(model: LinearModel) -> LpSolution:
     """Solve the continuous relaxation, returning duals and reduced costs."""
-    lp = _highs_lp(model, integer=False)
+    args = _highs_model(model, integer=False)
     highs = _handle("lp")
+    return _run_lp(highs, model, partial(highs.passModel, *args))
+
+
+class WarmLp:
+    """The continuous relaxation of a model that only gains rows between
+    solves, kept loaded on a HiGHS handle of its own.
+
+    The first solve passes the model; each later one sends only the rows
+    appended since (addRows) and re-runs, so dual simplex restarts from
+    the last basis.  Every solve validates the model, caps the
+    iterations and maps the result as solve_lp does.  An objective,
+    bound or loaded right-hand side changed since the last solve raises
+    RuntimeError rather than re-solving a stale model.
+    """
+
+    def __init__(self, model: LinearModel):
+        self.model = model
+        self._highs: _Highs | None = None
+        self._loaded: tuple = ()  # objective, lower, upper, rhs as loaded
+
+    def solve(self) -> LpSolution:
+        model = self.model
+        arrays = model._solver_arrays()
+        if self._highs is None:
+            self._highs = _new_handle("lp")
+            load = partial(self._highs.passModel, *_highs_model(model, False, arrays))
+        else:
+            load = self._new_rows(arrays)
+        self._loaded = arrays[1:]
+        try:
+            return _run_lp(self._highs, model, load)
+        except HighsCallError:
+            self._highs = None  # what the handle holds is unknown: pass it all again
+            raise
+
+    def _new_rows(self, arrays):
+        """addRows of the rows appended since the last solve, after
+        checking that nothing else changed."""
+        rows, objective, lower, upper, rhs = arrays
+        old_objective, old_lower, old_upper, old_rhs = self._loaded
+        done = old_rhs.size
+        if not (np.array_equal(objective, old_objective) and np.array_equal(lower, old_lower)
+                and np.array_equal(upper, old_upper) and np.array_equal(rhs[:done], old_rhs)):
+            raise RuntimeError("a kept LP changed other than by appended rows")
+        row_lower, row_upper = _row_bounds(rows, rhs)
+        first = rows.start[done]
+        highs = self._highs
+        return partial(highs.addRows, rows.count - done, row_lower[done:],
+                       row_upper[done:], rows.index.size - first, rows.start[done:-1] - first,
+                       rows.index[first:], rows.value[first:])
+
+
+def _run_lp(highs: _Highs, model: LinearModel, load) -> LpSolution:
+    """Load and run an LP under the iteration cap, and read its result."""
     cap = 10 * (model.num_vars + model.num_rows + ITERATION_CAP_BASE)
     _set_options(highs, {"simplex_iteration_limit": cap, "ipm_iteration_limit": cap})
-    linprog(highs, lp)
+    linprog(highs, load)
     status = highs.getModelStatus()
     info = highs.getInfo()
     if status == HighsModelStatus.kInfeasible:
@@ -416,12 +482,12 @@ _LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
 
 def _solve_milp_once(model: LinearModel, presolve: bool) -> MipSolution:
     integer = any(kind != CONTINUOUS for kind in model.integrality)
-    lp = _highs_lp(model, integer)
+    args = _highs_model(model, integer)
     highs = _handle("milp")
     _set_options(highs, {"presolve": "on" if presolve else "off",
                          "mip_max_nodes": NODE_LIMIT})
     with _stdout_to_stderr():
-        milp(highs, lp)
+        milp(highs, partial(highs.passModel, *args))
     status = highs.getModelStatus()
     info = highs.getInfo()
     nodes = max(info.mip_node_count, 0) if integer else 0

@@ -15,8 +15,11 @@ Two complementary routes around the mixed-integer SDP:
 
   Most cuts thus come from LPs, and branch-and-bound re-solves only
   confirm them (the root-node cutting of Gally, Pfetsch & Ulbrich, 2018,
-  and Kobayashi & Takano, 2020).  A model with no integer columns skips
-  phases 1 and 3: its MILP already is the LP; and
+  and Kobayashi & Takano, 2020).  Each LP phase is Kelley's (1960)
+  loop on one lpmilp.WarmLp: the LP stays loaded, and each round adds
+  its cuts and restarts dual simplex from the last basis.  A model with
+  no integer columns skips phases 1 and 3: its MILP already is the LP;
+  and
 
 * an upper-bound route that inner-approximates each cone by the
   diagonally dominant matrices DD(I), written as plain linear rows on
@@ -38,7 +41,7 @@ import numpy as np
 from . import linalg
 from .linalg import SymMatrix, min_eigenpair
 from .lpmilp import (CONTINUOUS, OPTIMAL, LinearModel, MipSolution, NumericalFailure,
-                     solve_lp, solve_milp)
+                     WarmLp, solve_milp)
 
 EIGEN_CUT_TOL = 1e-6
 MAX_CUT_ROUNDS_OUTER = 1000
@@ -130,9 +133,10 @@ def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int,
     below -EIGEN_CUT_TOL of every block into each model of `targets`, until no
     block violates, the LP is not optimal, or `budget` solves are spent.
     Returns the number of LP solves."""
+    warm = WarmLp(lp)
     for used in range(1, budget + 1):
         try:
-            sol = solve_lp(lp)
+            sol = warm.solve()
         except NumericalFailure:
             return used  # LP cuts only speed the loop up; the MILP rounds decide
         if sol.status != OPTIMAL:

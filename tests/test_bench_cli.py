@@ -217,6 +217,25 @@ def test_cli_verify_rejects_reports_without_finite_bounds(tmp_path, capsys):
     assert cli.main(["verify", "--lb-report", ok + ".json", "--ub-report", ok + ".json"]) == 0
 
 
+def test_cli_verify_rejects_boolean_bounds(tmp_path, capsys):
+    # JSON true is a Python bool, an int subclass: it must not pass as 1.0
+    reports = {"num": {"lb_per_iter": [0.5], "ub_estimate": 1.0},
+               "lb_true": {"lb_per_iter": [True], "ub_estimate": 1.0},
+               "ub_true": {"lb_per_iter": [0.5], "ub_estimate": True}}
+    for name, doc in reports.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    path = lambda name: str(tmp_path / f"{name}.json")
+    assert cli.main(["verify", "--lb-report", path("num"), "--ub-report", path("num")]) == 0
+    capsys.readouterr()
+    for lb_rep, ub_rep, bad in (("lb_true", "num", "lb"), ("num", "ub_true", "ub")):
+        assert cli.main(["verify", "--lb-report", path(lb_rep),
+                         "--ub-report", path(ub_rep)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("validation error:")
+        assert f"holds no finite {bad}" in out.err
+
+
 def test_cli_exit_codes(tmp_path):
     # validation error: missing file
     assert cli.main(["solve", "--instance", str(tmp_path / "nope.json"),

@@ -10,8 +10,8 @@ from scipy import sparse
 
 from ddro import lpmilp
 from ddro.lpmilp import (BINARY, CONTINUOUS, GAP_LIMIT, INFEASIBLE, INTEGER, OPTIMAL,
-                         UNBOUNDED, LinearModel, NumericalFailure, solve_lp, solve_milp,
-                         write_lp)
+                         UNBOUNDED, LinearModel, NumericalFailure, WarmLp, solve_lp,
+                         solve_milp, write_lp)
 
 
 def test_lp_trivial_with_dual():
@@ -359,18 +359,17 @@ def test_solver_config_defaults():
     assert lpmilp.NODE_LIMIT == 200_000
 
 
+# the arguments of _Highs.passModel's array overload, in order
+PASS_MODEL_ARGS = ("num_col", "num_row", "num_nz", "a_format", "sense", "offset",
+                   "col_cost", "col_lower", "col_upper", "row_lower", "row_upper",
+                   "a_start", "a_index", "a_value", "integrality")
+
+
 def highs_arrays(model: LinearModel) -> dict:
-    """Every array of the HighsLp a MILP solve passes to HiGHS, as lists."""
-    lp = lpmilp._highs_lp(model, integer=True)
-    matrix = lp.a_matrix_
-    out = {"num_col": lp.num_col_, "num_row": lp.num_row_,
-           "integrality": [int(kind) for kind in lp.integrality_]}
-    for owner, names in ((lp, ("col_cost_", "col_lower_", "col_upper_", "row_lower_",
-                               "row_upper_")),
-                         (matrix, ("start_", "index_", "value_"))):
-        for name in names:
-            out[name] = np.asarray(getattr(owner, name)).tolist()
-    return out
+    """Every argument of the passModel call a MILP solve makes, as lists."""
+    args = lpmilp._highs_model(model, integer=True)
+    assert len(args) == len(PASS_MODEL_ARGS)
+    return {name: np.asarray(arg).tolist() for name, arg in zip(PASS_MODEL_ARGS, args)}
 
 
 def lp_text(model: LinearModel) -> str:
@@ -465,3 +464,84 @@ def test_row_checks_cover_rows_assembled_earlier():
     for model in (m, copy):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             solve_lp(model)
+
+
+def _grow_random_lp(rng, m: LinearModel, x0: np.ndarray) -> None:
+    # one to three rows of either inequality in general position; a
+    # negative slack may cut x0 off, so some rounds end infeasible
+    for _ in range(int(rng.integers(1, 4))):
+        a = rng.normal(size=m.num_vars)
+        slack = float(rng.uniform(-1.0, 3.0))
+        if rng.integers(2):
+            m.add_row((np.arange(m.num_vars), a), "<=", float(a @ x0) + slack)
+        else:
+            m.add_row((np.arange(m.num_vars), a), ">=", float(a @ x0) - slack)
+
+
+def test_warm_lp_matches_cold_solves_as_rows_are_appended():
+    rng = np.random.default_rng(11)
+    warm_rounds, statuses = 0, set()
+    for _ in range(40):
+        n = int(rng.integers(2, 15))
+        m = LinearModel()
+        lo = rng.uniform(-5, 0, n)
+        hi = lo + rng.uniform(0.5, 10, n)
+        for i in range(n):
+            m.add_var(lo[i], hi[i], obj=float(rng.normal()))
+        x0 = rng.uniform(lo, hi)
+        warm = WarmLp(m)
+        for rnd in range(5):
+            _grow_random_lp(rng, m, x0)
+            got, cold = warm.solve(), solve_lp(m)
+            statuses.add(got.status)
+            assert got.status == cold.status
+            if got.status != OPTIMAL:
+                break
+            warm_rounds += rnd > 0
+            assert abs(got.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+            assert np.abs(got.duals - cold.duals).max() <= 1e-7
+    assert statuses == {OPTIMAL, INFEASIBLE} and warm_rounds > 50
+
+
+def test_warm_lp_refuses_a_model_changed_other_than_by_rows():
+    def changes():
+        yield lambda m: m.set_bounds(0, 0.0, 2.0)
+        yield lambda m: m.set_objective(1, 0.5)
+        yield lambda m: m.set_rhs(0, 7.0)
+
+    for change in changes():
+        m = LinearModel()
+        x = m.add_var(0.0, 10.0, obj=-1.0)
+        y = m.add_var(0.0, 10.0, obj=-2.0)
+        m.add_row({x: 1.0, y: 1.0}, "<=", 8.0)
+        warm = WarmLp(m)
+        assert warm.solve().objective == -16.0
+        m.add_row({x: 1.0, y: 3.0}, "<=", 9.0)
+        change(m)
+        with pytest.raises(RuntimeError, match="changed"):
+            warm.solve()
+
+
+def test_warm_lp_iteration_cap_raises_numerical_failure(monkeypatch):
+    m = LinearModel()
+    x = m.add_var(0.0, 10.0, obj=-1.0)
+    y = m.add_var(0.0, 10.0, obj=-2.0)
+    m.add_row({x: 1.0, y: 1.0}, "<=", 8.0)
+    warm = WarmLp(m)
+    assert warm.solve().objective == -16.0
+    m.add_row({x: 1.0, y: 3.0}, "<=", 9.0)  # cuts the optimum off
+    with monkeypatch.context() as patch:
+        patch.setattr(lpmilp, "ITERATION_CAP_BASE", -(m.num_vars + m.num_rows))
+        with pytest.raises(NumericalFailure, match="Iteration limit"):
+            warm.solve()
+    assert warm.solve().objective == pytest.approx(-8.5, abs=1e-12)
+
+
+def test_milp_handle_runs_without_rins_and_rens():
+    def options():
+        highs = lpmilp._handle("milp")
+        return [highs.getOptionValue(name)[1]
+                for name in ("mip_heuristic_run_rins", "mip_heuristic_run_rens",
+                             "mip_heuristic_run_feasibility_jump")]
+
+    assert _in_fresh_thread(options) == [False, False, False]

@@ -41,3 +41,11 @@ def test_traced_highs_sites_run_once_per_solve(monkeypatch):
     assert calls == ["milp"]
     assert lpmilp.solve_lp(m).objective == -2.5
     assert calls == ["milp", "linprog"]
+    # a kept LP calls it once per solve too, the first (passModel) and each
+    # warm one (addRows) alike
+    warm = lpmilp.WarmLp(m)
+    assert warm.solve().objective == -2.5
+    assert calls == ["milp", "linprog", "linprog"]
+    m.add_row({x: 1.0}, "<=", 2.0)
+    assert warm.solve().objective == -2.0
+    assert calls == ["milp", "linprog", "linprog", "linprog"]
