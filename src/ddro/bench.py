@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import misdp, sddip
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case
-from .linalg import SymMatrix, cholesky
+from .linalg import SymMatrix
 from .lpmilp import OPTIMAL, solve_milp
 from .model import (Instance, build_stage_block, generate_instance,
                     validate_instance, zero_lambda)
@@ -245,7 +246,7 @@ def make_pattern_instance(pattern: Pattern, seed: int = 0, K: int = 10) -> Insta
         sigma_bar = np.sqrt(np.diag(Sigma.entries))
         lam_S = lam_mu.copy()
         lam_cov = np.asarray(pattern.second_coeffs, dtype=float)
-        L = cholesky(Sigma)
+        L = np.linalg.cholesky(Sigma.entries)
         z = rng.standard_normal((K, J))
         # span from near-zero demand up to the inflated mean so the mean
         # ellipsoid binds differently across candidates
@@ -302,19 +303,29 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.table not in TABLES:
             raise ValueError(f"table must be one of {TABLES}")
-        for name in ("seeds", "K_grid", "rho_grid", "N_grid"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be a nonempty explicit list")
+        for name, kind, what in (("seeds", numbers.Integral, "integers"),
+                                 ("K_grid", numbers.Integral, "integers"),
+                                 ("rho_grid", numbers.Real, "numbers"),
+                                 ("N_grid", numbers.Real, "numbers")):
+            val = getattr(self, name)
+            if (not isinstance(val, (list, tuple)) or not val
+                    or any(isinstance(v, bool) or not isinstance(v, kind) for v in val)):
+                raise ValueError(f"{name} must be a nonempty list of {what}, got {val!r}")
         if self.ttype not in (1, 2, 3):
             raise ValueError("ttype must be 1, 2, or 3")
 
 
 def spec_from_json(text: str) -> ExperimentSpec:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"an experiment spec must be a JSON object, got {type(doc).__name__}")
     known = {f.name for f in dataclasses.fields(ExperimentSpec)}
     extra = set(doc) - known
     if extra:
         raise ValueError(f"unknown experiment keys: {sorted(extra)}")
+    missing = {"table", "seeds"} - set(doc)
+    if missing:
+        raise ValueError(f"missing experiment keys: {sorted(missing)}")
     spec = ExperimentSpec(**doc)
     spec.validate()
     return spec

@@ -181,16 +181,11 @@ def _cmd_export_lp(args) -> int:
         raise ValueError(f"--stage must lie in 1..{inst.T}, got {args.stage}")
     if not 0 <= args.k < inst.K:
         raise ValueError(f"--k must lie in 0..{inst.K - 1}, got {args.k}")
-    if args.stage == inst.T:
-        block = model.build_stage_block(
-            inst, args.stage, np.zeros(inst.I),
-            inst.stage_support(args.stage)[args.k])
-        write_lp(block.model, args.out, name=f"stage{args.stage}_terminal")
-    else:
-        k = 0 if args.stage == 1 else args.k
-        m, _, _ = build_stage(inst, args.type, args.stage, np.zeros(inst.I),
-                              inst.stage_support(args.stage)[k])
-        write_lp(m, args.out, name=f"stage{args.stage}_type{args.type}")
+    k = 0 if args.stage == 1 else args.k
+    m, _, _ = build_stage(inst, args.type, args.stage, np.zeros(inst.I),
+                          inst.stage_support(args.stage)[k])
+    kind = "terminal" if args.stage == inst.T else f"type{args.type}"
+    write_lp(m, args.out, name=f"stage{args.stage}_{kind}")
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -1,9 +1,8 @@
 """Dense symmetric linear algebra for the PSD bounding machinery.
 
-Deliberately small kernels sized for matrices up to n ~ 100: a
-symmetric eigendecomposition (LAPACK via numpy.linalg.eigh) and a
-Cholesky factorization that tolerates numerically semidefinite pivots.
-All functions are pure and safe to call concurrently.
+An immutable symmetric matrix and its eigendecomposition (LAPACK via
+numpy.linalg.eigh), sized for matrices up to n ~ 100.  All functions
+are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -11,12 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-PIVOT_CLAMP = 1e-12  # pivots in [-PIVOT_CLAMP, 0] are clamped to 0
-
-
-class NotPsd(ValueError):
-    """Cholesky pivot below -PIVOT_CLAMP: the matrix is not positive semidefinite."""
 
 
 @dataclass(frozen=True)
@@ -63,30 +56,3 @@ def sym_eig(m: SymMatrix) -> list[tuple[float, np.ndarray]]:
 def min_eigenpair(m: SymMatrix) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue and its eigenvector."""
     return sym_eig(m)[0]
-
-
-def cholesky(m: SymMatrix) -> np.ndarray:
-    """Lower-triangular L with m = L L^T.
-
-    Pivots in [-PIVOT_CLAMP, 0] are clamped to 0 so numerically
-    semidefinite inputs factor; a pivot below -PIVOT_CLAMP raises NotPsd.
-    """
-    n = m.n
-    a = m.entries
-    scale = max(1.0, float(np.abs(a).max()))
-    L = np.zeros((n, n))
-    # Residual column under a zero pivot must vanish for a PSD matrix.
-    col_tol = np.sqrt(PIVOT_CLAMP * scale)
-    for j in range(n):
-        d = a[j, j] - float(L[j, :j] @ L[j, :j])
-        if d < -PIVOT_CLAMP:
-            raise NotPsd(f"pivot {d:.3e} at index {j}")
-        d = max(d, 0.0)
-        L[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            col = a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]
-            if L[j, j] > 0.0:
-                L[j + 1 :, j] = col / L[j, j]
-            elif np.abs(col).max(initial=0.0) > col_tol:
-                raise NotPsd(f"zero pivot with nonzero column at index {j}")
-    return L

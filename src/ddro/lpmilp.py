@@ -174,11 +174,6 @@ class LinearModel:
         self.lower[col] = float(lb)
         self.upper[col] = float(ub)
 
-    def dense_row(self, r: int) -> np.ndarray:
-        row = np.zeros(self.num_vars)
-        np.add.at(row, self.row_cols[r], self.row_vals[r])
-        return row
-
     def copy(self) -> "LinearModel":
         """An independent copy that shares the assembled matrix of the
         rows assembled so far (by a solve or validate()), so solving it
@@ -241,12 +236,6 @@ class LinearModel:
                 self.row_cols[done.count:], self.row_vals[done.count:],
                 self.row_rel[done.count:], self.num_vars))
         return self._rows
-
-    def _matrix(self) -> sparse.csr_matrix:
-        """The rows as a scipy CSR matrix, copied from the kept arrays."""
-        rows = self._row_matrix()
-        return sparse.csr_matrix((rows.value, rows.index, rows.start),
-                                 shape=(self.num_rows, self.num_vars), copy=True)
 
 
 @dataclass(frozen=True)

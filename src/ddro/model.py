@@ -240,6 +240,8 @@ def to_json(inst: Instance) -> str:
 
 def from_json(text: str) -> Instance:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported instance format: {doc.get('version')!r}")
     kwargs = {}
@@ -254,7 +256,8 @@ def from_json(text: str) -> Instance:
         else:
             kwargs[fld.name] = raw
     for name in ("T", "I", "J", "K"):
-        kwargs[name] = int(kwargs[name])
+        if isinstance(kwargs[name], bool) or not isinstance(kwargs[name], int):
+            raise ValueError(f"{name} must be an integer, got {kwargs[name]!r}")
     inst = Instance(**kwargs)
     validate_instance(inst)
     return inst

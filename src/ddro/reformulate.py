@@ -8,7 +8,9 @@ the continuation proxies theta_t^k, and McCormick envelopes that
 linearize every product of a binary state entry with a bounded dual.
 add_cut_rows appends the pooled under-approximation cut rows.
 Minimizing the compiled model therefore evaluates the stage cost plus
-the worst case of the current continuation approximation.
+the worst case of the current continuation approximation.  build_stage
+covers every stage t = 1..T: the terminal stage, whose cost-to-go is
+zero, compiles to the stage block alone, with no proxies and no duals.
 
 Type 1 carries moment-window duals (alpha, beta); Type 2 the matching
 duals (s, u, Y) with bilinear w, z and trilinear v envelopes; Type 3 the
@@ -33,7 +35,7 @@ import numpy as np
 from .ambiguity import RiskSpec
 from .lpmilp import OPTIMAL, LinearModel, solve_milp
 from .misdp import PsdBlockRef
-from .model import Instance, build_stage_block, revenue_lower_bound
+from .model import Instance, StageBlock, build_stage_block, revenue_lower_bound
 
 DUAL_BOUND_FACTOR = 1e4
 DUAL_BOUND_AUDIT_REL = 1e-6
@@ -109,12 +111,17 @@ def _start_stage(inst: Instance, t: int, x_prev, xi,
         raise ValueError(f"stage {t} has no continuation (T={inst.T})")
     M = default_dual_bound(inst) if dual_bound is None else float(dual_bound)
     block = build_stage_block(inst, t, x_prev, xi)
-    m = block.model
-    theta = m.add_vars(inst.K, revenue_lower_bound(inst, t), np.inf, prefix="th_")
+    theta = block.model.add_vars(inst.K, revenue_lower_bound(inst, t), np.inf, prefix="th_")
+    return block.model, _block_layout(block, theta, M), M
+
+
+def _block_layout(block: StageBlock, theta: np.ndarray, dual_bound: float = 0.0) -> VarLayout:
+    """The layout of a stage model made of the stage block and the
+    continuation proxies theta."""
     lay = VarLayout(x=block.x, y=block.y, theta=theta, z_copy=block.z_copy,
-                    dual_bound=M, dem=block.dem)
+                    dual_bound=dual_bound, dem=block.dem)
     lay.families = {"x": block.x, "y": block.y, "theta": theta, "z_copy": block.z_copy}
-    return m, lay, M
+    return lay
 
 
 def _finish_stage(m: LinearModel, inst: Instance, lay: VarLayout, dual_coeffs_per_k,
@@ -384,17 +391,23 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi,
 
 
 def build_stage(inst: Instance, ttype: int, t: int, x_prev, xi,
-                risk: RiskSpec | None = None, **kwargs):
-    """Dispatch on ambiguity type; returns (model, layout, psd_blocks)."""
-    if int(ttype) == 1:
-        m, lay = build_type1_stage(inst, t, x_prev, xi, risk, **kwargs)
-        return m, lay, []
-    if int(ttype) == 2:
-        m, lay = build_type2_stage(inst, t, x_prev, xi, risk, **kwargs)
-        return m, lay, []
+                risk: RiskSpec | None = None, dual_bound: float | None = None):
+    """Dispatch on ambiguity type; returns (model, layout, psd_blocks).
+
+    The terminal stage t = T has no continuation: its model is the stage
+    block's, with no theta, no audited duals and no PSD blocks, whatever
+    the type, risk and dual bound.
+    """
+    if int(ttype) not in (1, 2, 3):
+        raise ValueError(f"unknown ambiguity type {ttype}")
+    if t == inst.T:
+        block = build_stage_block(inst, t, x_prev, xi)
+        return block.model, _block_layout(block, np.zeros(0, dtype=int)), []
     if int(ttype) == 3:
-        return build_type3_stage(inst, t, x_prev, xi, risk, **kwargs)
-    raise ValueError(f"unknown ambiguity type {ttype}")
+        return build_type3_stage(inst, t, x_prev, xi, risk, dual_bound=dual_bound)
+    builder = build_type1_stage if int(ttype) == 1 else build_type2_stage
+    m, lay = builder(inst, t, x_prev, xi, risk, dual_bound=dual_bound)
+    return m, lay, []
 
 
 def audit_dual_bounds(layout: VarLayout, x_sol: np.ndarray) -> str | None:

@@ -34,7 +34,8 @@ import numpy as np
 from . import misdp
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case, is_nonempty
 from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_lp, solve_milp
-from .model import Instance, StageBlock, build_stage_block, set_stage_data
+# build_stage_block is no longer called here, but perfbench/spans.py traces it by this name
+from .model import Instance, build_stage_block, set_stage_data  # noqa: F401
 from .reformulate import (DualBound, VarLayout, add_cut_rows, build_stage, default_dual_bound,
                           solve_with_dual_bound)
 
@@ -68,12 +69,13 @@ class CutPool:
         self.cuts[t][k].append(cut)
 
     def num_cuts(self, t: int) -> int:
-        """Cuts in cuts[t]; with appends only, a version of that stage."""
-        return sum(len(lst) for lst in self.cuts[t])
+        """Cuts in cuts[t]; with appends only, a version of that stage.
+        There are none past the terminal stage."""
+        return sum(len(lst) for lst in self.cuts.get(t, ()))
 
     def rows_for_stage_model(self, t: int):
         """(v, pi) pairs per realization for the stage-t model's proxies."""
-        return [[(c.v, c.pi) for c in lst] for lst in self.cuts[t + 1]]
+        return [[(c.v, c.pi) for c in lst] for lst in self.cuts.get(t + 1, ())]
 
     def all_cuts(self):
         for t, per_k in sorted(self.cuts.items()):
@@ -177,7 +179,7 @@ class SolveReport:
 class StageSolution:
     value: float
     x_bits: tuple[int, ...]
-    theta: np.ndarray | None
+    theta: np.ndarray  # continuation proxies; empty at the terminal stage
     g_cost: float
 
 
@@ -202,16 +204,18 @@ class StageOracle:
     """Builds and solves stage subproblems with caching, PSD handling,
     and big-M escalation on the dual-bound audit.
 
-    Stage models are compiled once and re-solved by patching: the oracle
-    keeps one model per (stage, big-M) and one terminal block, whose rows
-    are assembled once (see lpmilp.LinearModel).  In each, the incoming
-    state is the binary copy z.  A solve takes a copy and writes its data
-    (model.set_stage_data): the demand right-hand sides of the
-    realization, and the bounds of z -- pinned at the state, or, for the
-    Lagrangian relaxation, free in [0, 1] with costs -pi.  Then it
-    appends only what the kept model lacks.  For the cut rows, a copy
-    extended by the pool's cuts is kept while the number of cuts in the
-    stage's pool is unchanged; the eigen rows of the "lb" route are
+    Every stage t = 1..T takes the same path; the terminal stage is the
+    one whose model (reformulate.build_stage) has no continuation, hence
+    no cuts, audited duals or PSD blocks.  Stage models are compiled once
+    and re-solved by patching: the oracle keeps one model per (stage,
+    big-M), whose rows are assembled once (see lpmilp.LinearModel).  In
+    each, the incoming state is the binary copy z.  A solve takes a copy
+    and writes its data (model.set_stage_data): the demand right-hand
+    sides of the realization, and the bounds of z -- pinned at the state,
+    or, for the Lagrangian relaxation, free in [0, 1] with costs -pi.
+    Then it appends only what the kept model lacks.  For the cut rows, a
+    copy extended by the pool's cuts is kept while the number of cuts in
+    the stage's pool is unchanged; the eigen rows of the "lb" route are
     appended per solve.  The solved model has the columns, rows, row
     order and coefficients of a fresh build, so results do not change.
     An escalation of the big-M bound drops the kept models along with
@@ -231,55 +235,35 @@ class StageOracle:
         self.dual_bound = DualBound(default_dual_bound(inst))
         self.stage_solves = 0
         self.dual_solves = 0
-        self._terminal_cache: dict = {}
         self._stage_cache: dict = {}
-        self._terminal: StageBlock | None = None
         self._compiled: dict[tuple, _Compiled] = {}
         self._eigen_registry: dict[int, list[tuple[int, np.ndarray]]] = {}
 
     def risk_spec(self, t: int) -> RiskSpec | None:
-        if not self.config.risk:
+        """The blend of the stage-t inner measure, which carries the
+        stage-(t+1) parameters; the terminal stage has no inner measure."""
+        if not self.config.risk or t == self.inst.T:
             return None
         return RiskSpec(float(self.inst.risk_lambda[t]), float(self.inst.risk_alpha[t]))
 
     def solve_stage(self, t: int, k: int, x_prev) -> StageSolution:
         """Value/decision of the stage-t subproblem at (x_prev, xi_t^k)."""
         inst = self.inst
-        if t == inst.T:
-            key = (k, _bits(x_prev))
-            hit = self._terminal_cache.get(key)
-            if hit is None:
-                sol, block = self._solve_terminal(k, x_prev, pi=None)
-                hit = StageSolution(float(sol.objective), _bits(round_integral(sol.x, block.x)),
-                                    None, float(sol.objective))
-                self._terminal_cache[key] = hit
-            return hit
         key = (t, k, _bits(x_prev), self.pool.num_cuts(t + 1),
                len(self._eigen_registry.get(t, ())))
         hit = self._stage_cache.get(key)
         if hit is not None:
             return hit
         sol, lay, _ = self._solve_compiled(t, k, x_prev, pi=None)
-        out = StageSolution(float(sol.objective),
-                            _bits(round_integral(sol.x, lay.x)),
+        value = float(sol.objective)  # at t = T, the stage cost itself
+        out = StageSolution(value, _bits(round_integral(sol.x, lay.x)),
                             np.asarray(sol.x)[lay.theta].copy(),
-                            lay.cost_value(inst, sol.x))
+                            value if t == inst.T else lay.cost_value(inst, sol.x))
         self._stage_cache[key] = out
         return out
 
-    def _solve_terminal(self, k: int, x_prev, pi):
-        """Solve the terminal stage at x_prev, or, when pi is given, with
-        a free binary copy z of the incoming state and objective term
-        -pi'z; returns (solution, stage block)."""
-        block = self._terminal_block(k, x_prev, pi)
-        sol = solve_milp(block.model)
-        self.stage_solves += 1
-        if sol.status != OPTIMAL:
-            raise RuntimeError(f"terminal stage solve returned {sol.status}")
-        return sol, block
-
     def _solve_compiled(self, t: int, k: int, x_prev, pi):
-        """Build and solve a compiled (non-terminal) stage model through
+        """Build and solve a compiled stage model through
         reformulate.solve_with_dual_bound, with the emptiness check of the
         next stage's ambiguity set as its hook.  An escalation is
         permanent for the run, so it empties the stage cache and drops
@@ -299,20 +283,6 @@ class StageOracle:
             self._compiled.clear()
         return out
 
-    def _terminal_block(self, k: int, x_prev, pi) -> StageBlock:
-        """The terminal block of one solve: a copy of the kept block, with
-        the data of (k, x_prev) and the costs -pi."""
-        inst = self.inst
-        kept = self._terminal
-        if kept is None:
-            kept = build_stage_block(inst, inst.T, np.zeros(inst.I), np.zeros(inst.J))
-            kept.model.validate()
-            self._terminal = kept
-        model = kept.model.copy()
-        xi = inst.stage_support(inst.T)[k]
-        set_stage_data(model, kept.dem, kept.z_copy, x_prev, xi, pi)
-        return dataclasses.replace(kept, model=model)
-
     def _stage_model(self, t: int, k: int, x_prev, pi, dual_bound: float):
         """(model, layout, PSD blocks) of one stage-t solve at big-M
         dual_bound: a copy of the kept model with the pool's cuts, the
@@ -329,7 +299,7 @@ class StageOracle:
         if comp.cuts != cuts:
             extended = comp.model.copy()
             add_cut_rows(extended, comp.lay, self.pool.rows_for_stage_model(t))
-            if self.config.bound_mode == "ub":
+            if self.config.bound_mode == "ub" and comp.blocks:
                 extended = misdp.add_dd_inner_general(extended, comp.blocks)
             extended.validate()
             comp.cuts, comp.extended = cuts, extended
@@ -343,7 +313,7 @@ class StageOracle:
     def _solve_once(self, t: int, k: int, x_prev, pi, dual_bound):
         model, lay, blocks = self._stage_model(t, k, x_prev, pi, dual_bound)
         mode = self.config.bound_mode  # "lb" and "ub" are Type 3 routes
-        if mode == "lb":
+        if mode == "lb" and blocks:  # the terminal stage has no PSD blocks
             new_vecs: list[tuple[int, np.ndarray]] = []
             sol = misdp.solve_misdp_outer(model, blocks, vectors=new_vecs)
             if new_vecs:
@@ -362,11 +332,7 @@ class StageOracle:
         """L(pi): stage model with a free binary copy z of the incoming
         state and objective term -pi'z; returns (value, z*)."""
         self.dual_solves += 1
-        pi = np.asarray(pi, dtype=float)
-        if t == self.inst.T:
-            sol, lay = self._solve_terminal(k, None, pi)
-        else:
-            sol, lay, _ = self._solve_compiled(t, k, None, pi)
+        sol, lay, _ = self._solve_compiled(t, k, None, np.asarray(pi, dtype=float))
         return float(sol.objective), round_integral(sol.x, lay.z_copy)
 
 
@@ -456,17 +422,14 @@ def _dual_cut(oracle: StageOracle, t: int, k: int, x_hat) -> Cut:
     return Cut(v=v, pi=pi)
 
 
-def forward_pass(inst: Instance, ttype: int, pool: CutPool, num_paths: int,
-                 rng: np.random.Generator, config: SddipConfig | None = None,
-                 oracle: StageOracle | None = None):
+def forward_pass(oracle: StageOracle, num_paths: int, rng: np.random.Generator):
     """Sample trial states under the stage-wise worst-case distributions.
 
     Returns (lb, trial_states, first_stage, path_costs): lb is the
-    stage-1 model value under the current pool; trial_states[t] holds
-    the distinct incoming states for the stage-t backward duals.
+    stage-1 model value under the oracle's current pool; trial_states[t]
+    holds the distinct incoming states for the stage-t backward duals.
     """
-    cfg = config or SddipConfig(num_paths=num_paths)
-    oracle = oracle or StageOracle(inst, ttype, cfg, pool)
+    inst = oracle.inst
     sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
     trial_states: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(2, inst.T + 1)}
     if inst.T >= 2:
@@ -505,12 +468,10 @@ def _is_sampled(inst: Instance) -> bool:
     return inst.T > 2 and inst.K ** (inst.T - 1) > TREE_LIMIT
 
 
-def backward_pass(inst: Instance, ttype: int, pool: CutPool, trial_states,
-                  config: SddipConfig | None = None,
-                  oracle: StageOracle | None = None) -> CutPool:
-    """Append one multi-cut family per (stage, realization, trial state)."""
-    cfg = config or SddipConfig()
-    oracle = oracle or StageOracle(inst, ttype, cfg, pool)
+def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
+    """Append one multi-cut family per (stage, realization, trial state)
+    to the oracle's pool."""
+    inst, pool = oracle.inst, oracle.pool
     for t in range(inst.T, 1, -1):
         for x_hat in trial_states.get(t, ()):  # distinct incoming states
             for k in range(inst.K):
@@ -562,8 +523,7 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
             updates["risk_alpha"] = np.full(inst.T, float(cfg.risk_alpha))
         inst = replace_fields(inst, **updates)
         cfg = replace_config(cfg, risk=True, risk_lambda=None, risk_alpha=None)
-    pool = CutPool(inst.T, inst.K)
-    oracle = StageOracle(inst, ttype, cfg, pool)
+    oracle = StageOracle(inst, ttype, cfg, CutPool(inst.T, inst.K))
     rng = np.random.default_rng(cfg.seed)
     report = SolveReport(ambiguity_type=int(ttype), bound_mode=cfg.bound_mode,
                          seed=cfg.seed)
@@ -575,8 +535,7 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
     try:
         for it in range(1, cfg.max_iters + 1):
             t_iter = time.perf_counter()
-            lb, trial_states, sol1, _ = forward_pass(
-                inst, ttype, pool, cfg.num_paths, rng, cfg, oracle)
+            lb, trial_states, sol1, _ = forward_pass(oracle, cfg.num_paths, rng)
             if report.lb_per_iter and lb < report.lb_per_iter[-1] - LB_MONOTONE_SLACK * max(
                     1.0, abs(lb)):
                 raise AssertionError("lower bound decreased across iterations")
@@ -601,7 +560,7 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
             if stalled:
                 report.termination = "lb_stalled"
                 break
-            backward_pass(inst, ttype, pool, trial_states, cfg, oracle)
+            backward_pass(oracle, trial_states)
         else:
             report.termination = "max_iters"
         report.status = "Optimal" if report.termination == "gap_closed" else "BoundLimit"

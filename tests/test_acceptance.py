@@ -114,8 +114,8 @@ def _run_with_pool(inst, ttype, iters=4, seed=0, bound_mode=None):
     oracle = StageOracle(inst, ttype, cfg, pool)
     rng = np.random.default_rng(seed)
     for _ in range(iters):
-        _, states, _, _ = forward_pass(inst, ttype, pool, 1, rng, cfg, oracle)
-        backward_pass(inst, ttype, pool, states, cfg, oracle)
+        _, states, _, _ = forward_pass(oracle, 1, rng)
+        backward_pass(oracle, states)
     return pool
 
 
@@ -211,8 +211,8 @@ def test_criterion_7_psd_compliance():
         oracle = StageOracle(inst, 3, cfg, pool)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            _, states, _, _ = forward_pass(inst, 3, pool, 1, rng, cfg, oracle)
-            backward_pass(inst, 3, pool, states, cfg, oracle)
+            _, states, _, _ = forward_pass(oracle, 1, rng)
+            backward_pass(oracle, states)
         sol, lay, blocks = oracle._solve_compiled(1, 0, np.zeros(inst.I), None)
         lam_mins = [min_eigenpair(b.assemble(sol.x))[0] for b in blocks]
         for lam in lam_mins:

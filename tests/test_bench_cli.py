@@ -290,6 +290,43 @@ def test_cli_export_lp_rejects_stage_and_k_out_of_range(tmp_path, capsys):
     assert "stage2_terminal" in out.read_text()
 
 
+def test_cli_rejects_malformed_instance_files(tmp_path, capsys):
+    # a non-object document, or a dimension that is not an integer, is a
+    # validation error, not a traceback or a silently truncated value
+    doc = json.loads(to_json(generate_instance(7, 2, 3, 1, 4, 0.8)))
+    path = tmp_path / "inst.json"
+    capsys.readouterr()
+    for text in ("[1, 2]", "5", json.dumps({**doc, "K": 4.9}),
+                 json.dumps({**doc, "T": True}), json.dumps({**doc, "I": "3"})):
+        path.write_text(text)
+        for cmd in (["solve", "--type", "1"], ["export-lp", "--type", "1", "--out",
+                                               str(tmp_path / "m.lp")]):
+            assert cli.main(cmd + ["--instance", str(path)]) == 1, text
+            err = capsys.readouterr().err
+            assert err.startswith("validation error:") and "Traceback" not in err, text
+    with pytest.raises(ValueError, match="K must be an integer"):
+        from_json(json.dumps({**doc, "K": 4.9}))
+    assert from_json(json.dumps(doc)).K == 4
+
+
+def test_cli_bench_rejects_malformed_specs(tmp_path, capsys):
+    # a non-object spec, a missing key, or a grid that is not a list of
+    # numbers exits 1 before any cell runs
+    spec_path, out_dir = tmp_path / "spec.json", tmp_path / "arts"
+    base = {"table": "support_sweep", "seeds": [1], "J": 1, "max_iters": 2}
+    capsys.readouterr()
+    for doc in (5, [base], {"seeds": [1]}, {**base, "seeds": 5}, {**base, "seeds": [1.5]},
+                {**base, "K_grid": [4, "6"]}, {**base, "K_grid": [True]},
+                {**base, "rho_grid": 0.8}, {**base, "N_grid": [None]}):
+        spec_path.write_text(json.dumps(doc))
+        assert cli.main(["bench", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 1, doc
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err, doc
+        with pytest.raises(ValueError):
+            spec_from_json(json.dumps(doc))
+    assert not out_dir.exists()
+
+
 def test_cli_config_checks_seed_risk_and_shape(tmp_path, capsys):
     good = tmp_path / "inst.json"
     save_instance(generate_instance(7, 2, 3, 1, 4, 0.8), good)

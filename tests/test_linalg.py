@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ddro import linalg
-from ddro.linalg import NotPsd, SymMatrix, cholesky, min_eigenpair, sym_eig
+from ddro.linalg import SymMatrix, min_eigenpair, sym_eig
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -90,38 +89,6 @@ def test_eigenvalue_sum_equals_trace():
         assert abs(lams - tr) <= 1e-9 * max(1.0, abs(tr))
 
 
-def test_cholesky_identity():
-    assert np.array_equal(cholesky(SymMatrix(np.eye(4))), np.eye(4))
-
-
-def test_cholesky_product():
-    m = SymMatrix(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    L = cholesky(m)
-    assert np.abs(np.triu(L, 1)).max() == 0.0  # lower triangular
-    assert np.abs(L @ L.T - m.entries).max() <= 1e-10 * 4.0
-
-
-def test_cholesky_rejects_indefinite():
-    with pytest.raises(NotPsd):
-        cholesky(SymMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
-
-
-def test_cholesky_contract_random():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        n = int(rng.integers(1, 8))
-        m = random_psd(rng, n)
-        L = cholesky(m)
-        scale = max(1.0, np.abs(m.entries).max())
-        assert np.abs(L @ L.T - m.entries).max() <= 1e-10 * scale
-
-
-def test_cholesky_rank_deficient():
-    a = np.array([[1.0, 1.0], [1.0, 1.0]])
-    L = cholesky(SymMatrix(a))
-    assert np.abs(L @ L.T - a).max() <= 1e-12
-
-
 def test_dd_implies_psd():
     rng = np.random.default_rng(3)
     found = 0
@@ -140,8 +107,10 @@ def test_dd_implies_psd():
 
 
 def test_cholesky_iff_psd_cross_check():
-    # cholesky succeeds exactly when the smallest eigenvalue clears the
-    # PSD tolerance, on a spread of clearly PSD / clearly indefinite cases
+    # the PSD verdict of min_eigenpair agrees with an independent one: a
+    # Cholesky factorization (numpy's) succeeds exactly when the smallest
+    # eigenvalue clears the PSD tolerance, on a spread of clearly PSD /
+    # clearly indefinite cases
     rng = np.random.default_rng(17)
     n_checked = 0
     for _ in range(1000):
@@ -155,9 +124,9 @@ def test_cholesky_iff_psd_cross_check():
         if abs(lam_min) <= 1e-8 * scale:
             continue  # too close to the boundary to classify
         try:
-            cholesky(m)
+            np.linalg.cholesky(m.entries)
             ok = True
-        except NotPsd:
+        except np.linalg.LinAlgError:
             ok = False
         assert ok == (lam_min >= -1e-10 * scale)
         n_checked += 1

@@ -39,6 +39,20 @@ def test_lp_unbounded():
     assert solve_lp(m).status == UNBOUNDED
 
 
+def dense_row(m: LinearModel, r: int) -> np.ndarray:
+    """Row r of m as a dense vector, a repeated column summed."""
+    row = np.zeros(m.num_vars)
+    np.add.at(row, m.row_cols[r], m.row_vals[r])
+    return row
+
+
+def csr_matrix(m: LinearModel) -> sparse.csr_matrix:
+    """The rows of m as a scipy CSR matrix, copied from its kept arrays."""
+    rows = m._row_matrix()
+    return sparse.csr_matrix((rows.value, rows.index, rows.start),
+                             shape=(m.num_rows, m.num_vars), copy=True)
+
+
 def _random_feasible_lp(rng):
     n = int(rng.integers(2, 21))
     nr = int(rng.integers(1, 16))
@@ -72,7 +86,7 @@ def test_lp_duality_gap_random():
         assert abs(sol.objective - dual_obj) <= 1e-6 * max(1.0, abs(sol.objective))
         # complementary slackness
         for r in range(m.num_rows):
-            act = float(m.dense_row(r) @ sol.x)
+            act = float(dense_row(m, r) @ sol.x)
             if abs(sol.duals[r]) > 1e-7:
                 assert abs(act - m.row_rhs[r]) <= 1e-6
 
@@ -324,9 +338,9 @@ def test_matrix_sums_repeated_columns_like_dense_rows():
     m.add_row(([2, 0, 2, 3], [1.5, -1.0, 2.25, 0.0]), "<=", 1.0)
     m.add_row(([], []), "=", 0.0)
     m.add_row(([3, 1, 3, 3], [0.5, 4.0, -0.25, 7.0]), ">=", -2.0)
-    a = m._matrix()
+    a = csr_matrix(m)
     assert a.has_canonical_format
-    assert np.array_equal(a.toarray(), np.vstack([m.dense_row(r) for r in range(3)]))
+    assert np.array_equal(a.toarray(), np.vstack([dense_row(m, r) for r in range(3)]))
 
 
 def test_milp_rejects_nan_right_hand_side():

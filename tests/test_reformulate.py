@@ -14,6 +14,7 @@ from ddro.reformulate import (MAX_DUAL_ESCALATIONS, DualAtBound, DualBound, Unbo
                               build_type2_stage, build_type3_stage,
                               frozen_dual_value, mccormick_binary_product,
                               solve_with_dual_bound)
+from test_lpmilp import lp_text
 
 
 def test_mccormick_interval_collapse_property():
@@ -58,6 +59,22 @@ def test_builders_reject_terminal_stage():
     inst = generate_instance(1, 2, 2, 1, 4, 0.8)
     with pytest.raises(ValueError):
         build_type1_stage(inst, 2, np.zeros(2), inst.support[1][0])
+
+
+def test_build_stage_at_the_terminal_stage_is_the_stage_block():
+    # the terminal stage has no continuation: whatever the type, risk and
+    # big-M, build_stage gives the stage block's model, with no proxies
+    inst = generate_instance(4, 3, 2, 1, 4, 0.8)
+    xi = inst.stage_support(inst.T)[1]
+    for ttype in (1, 2, 3):
+        for x_prev in (np.zeros(2), np.array([1.0, 0.0])):
+            m, lay, blocks = build_stage(inst, ttype, inst.T, x_prev, xi,
+                                         risk=RiskSpec(0.5, 0.9), dual_bound=10.0)
+            block = build_stage_block(inst, inst.T, x_prev, xi)
+            assert lp_text(m) == lp_text(block.model), (ttype, x_prev)
+            assert lay.theta.size == 0 and lay.audit_families == () and blocks == []
+            for name in ("x", "y", "z_copy", "dem"):
+                assert np.array_equal(getattr(lay, name), getattr(block, name)), name
 
 
 def _sample_q(rng, inst, scale=50.0):

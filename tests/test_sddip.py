@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ddro import misdp, sddip
+from ddro import lpmilp, misdp, sddip
 from ddro.ambiguity import EmptyAmbiguity
 from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, make_pattern_instance,
                         terminal_value)
@@ -82,13 +82,32 @@ def test_lagrangian_dual_zero_multiplier_is_valid():
         assert L0 <= direct + 1e-9
 
 
+def test_type3_lb_terminal_solves_run_no_lp(monkeypatch):
+    # the terminal stage has no PSD blocks, so the "lb" route solves its
+    # MILP directly, without the LP phase of the cut loop
+    inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1)
+    oracle = StageOracle(inst, 3, SddipConfig(bound_mode="lb"), CutPool(inst.T, inst.K))
+    calls = []
+    linprog = lpmilp.linprog
+    monkeypatch.setattr(lpmilp, "linprog", lambda *a: calls.append(1) or linprog(*a))
+    x_prev = np.array([0.0, 0.0, 1.0])
+    for k in range(inst.K):
+        sol = oracle.solve_stage(inst.T, k, x_prev)
+        truth = terminal_value(inst, x_prev, inst.stage_support(inst.T)[k])
+        assert abs(sol.value - truth) <= 1e-9 * max(1.0, abs(truth))
+        assert sol.g_cost == sol.value and sol.theta.size == 0
+    assert calls == [] and oracle.stage_solves == inst.K
+    oracle.solve_stage(1, 0, np.zeros(inst.I))
+    assert calls  # a stage-1 solve does run the LP phase
+
+
 def test_forward_pass_structure_two_stage():
     inst = small_instance()
     pool = CutPool(inst.T, inst.K)
     cfg = SddipConfig(num_paths=3)
     oracle = StageOracle(inst, 1, cfg, pool)
     rng = np.random.default_rng(0)
-    lb, trial_states, sol1, costs = forward_pass(inst, 1, pool, 3, rng, cfg, oracle)
+    lb, trial_states, sol1, costs = forward_pass(oracle, 3, rng)
     assert len(costs) == 3
     assert list(trial_states) == [2]
     assert trial_states[2] == [sol1.x_bits]
@@ -108,8 +127,8 @@ def test_forward_deterministic_when_k1():
     pool = CutPool(inst.T, inst.K)
     cfg = SddipConfig()
     oracle = StageOracle(inst, 1, cfg, pool)
-    out1 = forward_pass(inst, 1, pool, 2, np.random.default_rng(1), cfg, oracle)
-    out2 = forward_pass(inst, 1, pool, 2, np.random.default_rng(999), cfg, oracle)
+    out1 = forward_pass(oracle, 2, np.random.default_rng(1))
+    out2 = forward_pass(oracle, 2, np.random.default_rng(999))
     assert out1[0] == out2[0]
     assert out1[1] == out2[1]
     assert out1[3] == out2[3]
@@ -173,8 +192,8 @@ def test_cut_validity_exhaustive_two_stage():
     oracle = StageOracle(inst, 1, cfg, pool)
     rng = np.random.default_rng(0)
     for _ in range(4):
-        _, trial_states, _, _ = forward_pass(inst, 1, pool, 1, rng, cfg, oracle)
-        backward_pass(inst, 1, pool, trial_states, cfg, oracle)
+        _, trial_states, _, _ = forward_pass(oracle, 1, rng)
+        backward_pass(oracle, trial_states)
     assert pool.num_cuts(2) > 0
     xi2 = inst.stage_support(2)
     for t, k, cut in pool.all_cuts():
@@ -191,9 +210,9 @@ def test_appending_cuts_never_decreases_lb():
     cfg = SddipConfig()
     oracle = StageOracle(inst, 1, cfg, pool)
     rng = np.random.default_rng(0)
-    lb0, states, _, _ = forward_pass(inst, 1, pool, 1, rng, cfg, oracle)
-    backward_pass(inst, 1, pool, states, cfg, oracle)
-    lb1, _, _, _ = forward_pass(inst, 1, pool, 1, rng, cfg, oracle)
+    lb0, states, _, _ = forward_pass(oracle, 1, rng)
+    backward_pass(oracle, states)
+    lb1, _, _, _ = forward_pass(oracle, 1, rng)
     assert lb1 >= lb0 - 1e-9 * max(1.0, abs(lb0))
 
 
@@ -397,8 +416,6 @@ def _expected_stage_data(inst, t, k, x_prev, pi):
 
 
 def _oracle_model(oracle, t, k, x_prev, pi, dual_bound):
-    if t == oracle.inst.T:
-        return oracle._terminal_block(k, x_prev, pi).model
     return oracle._stage_model(t, k, x_prev, pi, dual_bound)[0]
 
 
@@ -451,8 +468,9 @@ def test_patched_stage_models_equal_fresh_builds(label, make, ttype, mode, risk)
                     assert highs_arrays(mine) == highs_arrays(fresh), (label, t, k)
         if kept_text is None:
             kept_text = lp_text(oracle._compiled[(1, M)].model)
-    # one kept model per (stage, big-M): states and copies share it
-    assert set(oracle._compiled) == {(t, M) for t in range(1, inst.T)}
+    # one kept model per (stage, big-M), the terminal stage's too: states
+    # and copies share it
+    assert set(oracle._compiled) == {(t, M) for t in range(1, inst.T + 1)}
     # solving patched copies leaves the kept model as it was built
     oracle.solve_stage(1, 0, np.zeros(inst.I))
     assert lp_text(oracle._compiled[(1, M)].model) == kept_text
