@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import numbers
 import os
 import time
@@ -311,8 +312,17 @@ class ExperimentSpec:
             if (not isinstance(val, (list, tuple)) or not val
                     or any(isinstance(v, bool) or not isinstance(v, kind) for v in val)):
                 raise ValueError(f"{name} must be a nonempty list of {what}, got {val!r}")
+        for name in ("T", "I", "J", "max_iters", "ttype"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
         if self.ttype not in (1, 2, 3):
-            raise ValueError("ttype must be 1, 2, or 3")
+            raise ValueError(f"ttype must be 1, 2 or 3, got {self.ttype!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
+            raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+        if self.distribution not in ("normal", "lognormal"):
+            raise ValueError(f"distribution must be normal or lognormal, got {self.distribution!r}")
 
 
 def spec_from_json(text: str) -> ExperimentSpec:

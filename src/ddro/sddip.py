@@ -1,5 +1,5 @@
-"""Decomposition engine: sampled forward passes, backward passes that
-price Lagrangian cuts, cut pooling, bound tracking, and termination.
+"""Decomposition engine: forward passes, backward passes that price
+Lagrangian cuts, cut pooling, bound tracking, and termination.
 
 A cut (v, pi) for the stage value function comes from relaxing a binary
 copy of the incoming state: for ANY multiplier pi, the relaxed stage
@@ -16,8 +16,10 @@ by full support-tree recursion while the tree is small, and by
 Monte-Carlo path sampling under the stage-wise worst-case distributions
 otherwise; the mode is flagged in the report.
 
-Forward-pass paths and per-realization dual solves are independent
-work items; the cut pool is append-only and updated between passes.
+One walker, _sample_path, draws every sampled path: forward passes walk
+to stage T-1 for trial states, the sampled evaluation to stage T for
+costs.  Per-realization dual solves are independent work items; the cut
+pool is append-only and updated between passes.
 """
 
 from __future__ import annotations
@@ -425,41 +427,36 @@ def _dual_cut(oracle: StageOracle, t: int, k: int, x_hat) -> Cut:
 def forward_pass(oracle: StageOracle, num_paths: int, rng: np.random.Generator):
     """Sample trial states under the stage-wise worst-case distributions.
 
-    Returns (lb, trial_states, first_stage, path_costs): lb is the
-    stage-1 model value under the oracle's current pool; trial_states[t]
-    holds the distinct incoming states for the stage-t backward duals.
+    Returns (first_stage, trial_states): the stage-1 solution under the
+    oracle's current pool, whose value is the lower bound, and per t the
+    distinct incoming states of the stage-t backward duals, taken from
+    num_paths paths walked to stage T-1 (at T = 2, stage 1 alone).
     """
     inst = oracle.inst
     sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
     trial_states: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(2, inst.T + 1)}
     if inst.T >= 2:
         trial_states[2].append(sol1.x_bits)
-    path_costs = [_sample_path(oracle, sol1, rng, trial_states) for _ in range(num_paths)]
-    return sol1.value, trial_states, sol1, path_costs
+    for _ in range(num_paths):
+        for t, sol in enumerate(_sample_path(oracle, sol1, rng, inst.T - 1), start=3):
+            if sol.x_bits not in trial_states[t]:
+                trial_states[t].append(sol.x_bits)
+    return sol1, trial_states
 
 
 def _sample_path(oracle: StageOracle, sol1: StageSolution, rng: np.random.Generator,
-                 trial_states: dict | None = None) -> float:
-    """Cost of one path from the stage-1 solution, each stage's
-    realization drawn from the worst-case distribution of the stage
-    before; each distinct state a stage passes on is appended to
-    trial_states[t + 1] when trial_states is given."""
-    inst = oracle.inst
-    x_prev = np.array(sol1.x_bits, dtype=float)
-    theta = sol1.theta
-    cost = sol1.g_cost
-    for t in range(2, inst.T + 1):
-        risk = oracle.risk_spec(t - 1)
-        wc = worst_case(inst, oracle.ttype, x_prev, theta, stage=t, risk=risk)
-        k = int(rng.choice(inst.K, p=wc.sampling_weights(risk)))
-        sol = oracle.solve_stage(t, k, x_prev)
-        cost += sol.g_cost
+                 last: int):
+    """Yield the stage solutions of one path from the stage-1 solution,
+    stages 2..last, each stage's realization drawn from the worst-case
+    distribution of the stage before."""
+    sol = sol1
+    for t in range(2, last + 1):
         x_prev = np.array(sol.x_bits, dtype=float)
-        theta = sol.theta
-        if (trial_states is not None and t < inst.T
-                and sol.x_bits not in trial_states[t + 1]):
-            trial_states[t + 1].append(sol.x_bits)
-    return cost
+        risk = oracle.risk_spec(t - 1)
+        wc = worst_case(oracle.inst, oracle.ttype, x_prev, sol.theta, stage=t, risk=risk)
+        k = int(rng.choice(oracle.inst.K, p=wc.sampling_weights(risk)))
+        sol = oracle.solve_stage(t, k, x_prev)
+        yield sol
 
 
 def _is_sampled(inst: Instance) -> bool:
@@ -506,7 +503,8 @@ def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
         mode = "exact" if inst.T == 2 else "tree"
         return recurse(1, 0, np.zeros(inst.I)), 0.0, mode
     sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
-    costs = np.array([_sample_path(oracle, sol1, rng) for _ in range(UB_PATHS)])
+    costs = np.array([sum((sol.g_cost for sol in _sample_path(oracle, sol1, rng, inst.T)),
+                          sol1.g_cost) for _ in range(UB_PATHS)])
     return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), "sampled"
 
 
@@ -535,7 +533,8 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
     try:
         for it in range(1, cfg.max_iters + 1):
             t_iter = time.perf_counter()
-            lb, trial_states, sol1, _ = forward_pass(oracle, cfg.num_paths, rng)
+            sol1, trial_states = forward_pass(oracle, cfg.num_paths, rng)
+            lb = sol1.value
             if report.lb_per_iter and lb < report.lb_per_iter[-1] - LB_MONOTONE_SLACK * max(
                     1.0, abs(lb)):
                 raise AssertionError("lower bound decreased across iterations")

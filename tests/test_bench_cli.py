@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -217,6 +218,16 @@ def test_cli_verify_rejects_reports_without_finite_bounds(tmp_path, capsys):
     assert cli.main(["verify", "--lb-report", ok + ".json", "--ub-report", ok + ".json"]) == 0
 
 
+def test_cli_verify_fails_when_lb_exceeds_ub(tmp_path, capsys):
+    (tmp_path / "lb.json").write_text(json.dumps({"lb_per_iter": [0.5, 2.0]}))
+    (tmp_path / "ub.json").write_text(json.dumps({"ub_estimate": 1.0}))
+    capsys.readouterr()
+    assert cli.main(["verify", "--lb-report", str(tmp_path / "lb.json"),
+                     "--ub-report", str(tmp_path / "ub.json")]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("FAIL: lb=2.0 > ub=1.0")
+
+
 def test_cli_verify_rejects_boolean_bounds(tmp_path, capsys):
     # JSON true is a Python bool, an int subclass: it must not pass as 1.0
     reports = {"num": {"lb_per_iter": [0.5], "ub_estimate": 1.0},
@@ -310,14 +321,19 @@ def test_cli_rejects_malformed_instance_files(tmp_path, capsys):
 
 
 def test_cli_bench_rejects_malformed_specs(tmp_path, capsys):
-    # a non-object spec, a missing key, or a grid that is not a list of
-    # numbers exits 1 before any cell runs
+    # a non-object spec, a missing key, a grid that is not a list of
+    # numbers, or a scalar of the wrong type or range exits 1 before any cell runs
     spec_path, out_dir = tmp_path / "spec.json", tmp_path / "arts"
     base = {"table": "support_sweep", "seeds": [1], "J": 1, "max_iters": 2}
     capsys.readouterr()
     for doc in (5, [base], {"seeds": [1]}, {**base, "seeds": 5}, {**base, "seeds": [1.5]},
                 {**base, "K_grid": [4, "6"]}, {**base, "K_grid": [True]},
-                {**base, "rho_grid": 0.8}, {**base, "N_grid": [None]}):
+                {**base, "rho_grid": 0.8}, {**base, "N_grid": [None]},
+                {**base, "T": "2"}, {**base, "T": 0}, {**base, "I": 2.5}, {**base, "J": True},
+                {**base, "max_iters": 0}, {**base, "tol": -1}, {**base, "tol": "1e-6"},
+                {**base, "tol": True}, {**base, "tol": float("inf")}, {**base, "ttype": True},
+                {**base, "ttype": 4}, {**base, "ttype": 2.0},
+                {**base, "distribution": "uniform"}, {**base, "distribution": None}):
         spec_path.write_text(json.dumps(doc))
         assert cli.main(["bench", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 1, doc
         err = capsys.readouterr().err
@@ -394,6 +410,32 @@ def test_cli_risk_flags(tmp_path):
     rep_n = json.loads(open(neutral_prefix + ".json").read())
     assert abs(rep_r["lb_per_iter"][-1] - rep_n["lb_per_iter"][-1]) <= 1e-8 * max(
         1.0, abs(rep_n["lb_per_iter"][-1]))
+
+
+def test_cli_risk_flag_with_zero_blend_weights_matches_neutral(tmp_path):
+    inst = generate_instance(7, 2, 3, 1, 6, 0.8)
+    assert not np.any(inst.risk_lambda)
+    inst_path = tmp_path / "inst.json"
+    save_instance(inst, inst_path)
+    lbs = {}
+    for name, flags in (("risk", ["--risk"]), ("neutral", [])):
+        prefix = str(tmp_path / name)
+        assert cli.main(["solve", "--instance", str(inst_path), "--type", "1",
+                         "--out-prefix", prefix, *flags]) == 0
+        lbs[name] = json.loads(open(prefix + ".json").read())["lb_per_iter"][-1]
+    assert abs(lbs["risk"] - lbs["neutral"]) <= 1e-8 * max(1.0, abs(lbs["neutral"]))
+
+
+def test_run_experiment_type3_pattern_table(tmp_path):
+    spec = ExperimentSpec(table="patterns_type3", seeds=[1], max_iters=4)
+    assert run_experiment(spec, str(tmp_path))["cells"] == 4
+    with open(tmp_path / "cells.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        assert row["status"] == "ok", row
+        dddr, enum = float(row["dddr_obj"]), float(row["enum_obj"])
+        assert dddr <= enum + 1e-6 * max(1.0, abs(enum)), row
 
 
 def test_cli_type3_writes_eigencut_csv(tmp_path):

@@ -82,6 +82,68 @@ def test_lagrangian_dual_zero_multiplier_is_valid():
         assert L0 <= direct + 1e-9
 
 
+def _exact_dual(h, x_hat):
+    """The dual's maximum: the hypograph LP over all binary states."""
+    pi, L = sddip._hypograph_dual(h, sddip._all_binary_states(x_hat.size), x_hat)
+    return L + pi @ x_hat
+
+
+def _toy_dual(monkeypatch, h, x_hat):
+    """lagrangian_dual on the toy evaluator L(pi) = min_z h(z) - pi'z over
+    the binary states z.  Returns g(pi) = L(pi) + pi'x_hat at its result,
+    its evaluations as (pi, z*, g(pi)) split into the subgradient phase
+    and the polish, and the outcome of each hypograph LP."""
+    states = sddip._all_binary_states(x_hat.size)
+    hypograph_dual = sddip._hypograph_dual
+    evals, lps = [], []
+
+    def evaluate(pi):
+        s = int(np.argmin(h - states @ pi))
+        L = float(h[s] - states[s] @ pi)
+        evals.append((pi.copy(), tuple(states[s]), L + float(pi @ x_hat)))
+        return L, states[s].copy()
+
+    def recording_hypograph(*args):
+        try:
+            out = hypograph_dual(*args)
+        except RuntimeError:
+            lps.append("failed")
+            raise
+        lps.append("optimal")
+        return out
+
+    monkeypatch.setattr(sddip, "_hypograph_dual", recording_hypograph)
+    pi, L = lagrangian_dual(evaluate, x_hat)
+    assert np.all(L + states @ pi <= h + 1e-9)  # a valid cut ...
+    assert abs(L - np.min(h - states @ pi)) <= 1e-9  # ... whose L is L(pi)
+    # x_hat is never visited, so the subgradient phase takes all its steps
+    assert all(z != tuple(x_hat) for _, z, _ in evals)
+    n_sub = 1 + sddip.SUBGRADIENT_ITERS
+    return L + pi @ x_hat, evals[:n_sub], evals[n_sub:], lps
+
+
+def test_lagrangian_dual_polish_beats_subgradient(monkeypatch):
+    # at a fractional x_hat the dual is the convex-hull bound, -5 here from
+    # the states (1, 0) and (0, 1); the subgradient steps stop short of it
+    h, x_hat = np.array([-2.0, -9.0, -1.0, -3.0]), np.array([0.5, 0.5])
+    exact = _exact_dual(h, x_hat)
+    g, sub, polish, lps = _toy_dual(monkeypatch, h, x_hat)
+    assert abs(exact + 5.0) <= 1e-9 and abs(g - exact) <= 1e-9
+    assert max(e[2] for e in sub) < g - 1e-3  # the polish beat the subgradient
+    assert {e[1] for e in polish} - {e[1] for e in sub}  # and visited a new state
+    assert lps and set(lps) == {"optimal"}
+
+
+def test_lagrangian_dual_polish_stops_on_unbounded_hypograph(monkeypatch):
+    # h(x_hat) is too high for the subgradient steps to reach x_hat, so the
+    # visited states leave the hypograph LP unbounded and the polish stops
+    h, x_hat = np.array([0.0, 1000.0]), np.array([1.0])
+    exact = _exact_dual(h, x_hat)
+    g, sub, polish, lps = _toy_dual(monkeypatch, h, x_hat)
+    assert lps == ["failed"] and polish == []
+    assert abs(exact - 1000.0) <= 1e-9 and g == max(e[2] for e in sub) and 0.0 < g < exact
+
+
 def test_type3_lb_terminal_solves_run_no_lp(monkeypatch):
     # the terminal stage has no PSD blocks, so the "lb" route solves its
     # MILP directly, without the LP phase of the cut loop
@@ -107,11 +169,10 @@ def test_forward_pass_structure_two_stage():
     cfg = SddipConfig(num_paths=3)
     oracle = StageOracle(inst, 1, cfg, pool)
     rng = np.random.default_rng(0)
-    lb, trial_states, sol1, costs = forward_pass(oracle, 3, rng)
-    assert len(costs) == 3
+    sol1, trial_states = forward_pass(oracle, 3, rng)
     assert list(trial_states) == [2]
     assert trial_states[2] == [sol1.x_bits]
-    assert np.isfinite(lb)
+    assert np.isfinite(sol1.value)
 
 
 def _wide_windows(inst):
@@ -127,11 +188,50 @@ def test_forward_deterministic_when_k1():
     pool = CutPool(inst.T, inst.K)
     cfg = SddipConfig()
     oracle = StageOracle(inst, 1, cfg, pool)
-    out1 = forward_pass(oracle, 2, np.random.default_rng(1))
-    out2 = forward_pass(oracle, 2, np.random.default_rng(999))
-    assert out1[0] == out2[0]
-    assert out1[1] == out2[1]
-    assert out1[3] == out2[3]
+    sol_a, states_a = forward_pass(oracle, 2, np.random.default_rng(1))
+    sol_b, states_b = forward_pass(oracle, 2, np.random.default_rng(999))
+    assert sol_a.value == sol_b.value
+    assert states_a == states_b
+
+
+def _record_forward_pass(monkeypatch, inst, num_paths):
+    """forward_pass on a fresh oracle, recording the stage of each
+    worst_case call, each solve_stage call and each stage-model solve."""
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    seen = {"worst_case": [], "solve_stage": [], "model_solve": []}
+
+    def recording(key, fn, stage_of):
+        def wrapped(*args, **kw):
+            seen[key].append(stage_of(*args, **kw))
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(sddip, "worst_case", recording(
+        "worst_case", sddip.worst_case, lambda *a, stage, **kw: stage))
+    monkeypatch.setattr(oracle, "solve_stage", recording(
+        "solve_stage", oracle.solve_stage, lambda t, *a: t))
+    monkeypatch.setattr(oracle, "_solve_once", recording(
+        "model_solve", oracle._solve_once, lambda t, *a: t))
+    sol1, trial_states = forward_pass(oracle, num_paths, np.random.default_rng(0))
+    return sol1, trial_states, seen
+
+
+def test_two_stage_forward_pass_solves_stage_one_only(monkeypatch):
+    # stage 2's decisions are no trial state at T = 2: no path is walked
+    sol1, trial_states, seen = _record_forward_pass(monkeypatch, small_instance(), 3)
+    assert seen["worst_case"] == []
+    assert seen["solve_stage"] == [1] and set(seen["model_solve"]) == {1}
+    assert trial_states == {2: [sol1.x_bits]}
+
+
+def test_three_stage_forward_pass_stops_before_stage_three(monkeypatch):
+    inst = _wide_windows(generate_instance(3, 3, 2, 1, 3, 0.8))
+    sol1, trial_states, seen = _record_forward_pass(monkeypatch, inst, 4)
+    assert seen["worst_case"] == [2] * 4
+    assert seen["solve_stage"] == [1] + [2] * 4
+    assert 3 not in seen["model_solve"]
+    assert trial_states[2] == [sol1.x_bits]
+    assert trial_states[3] and len(set(trial_states[3])) == len(trial_states[3])
 
 
 def _extensive_form_value(inst):
@@ -192,7 +292,7 @@ def test_cut_validity_exhaustive_two_stage():
     oracle = StageOracle(inst, 1, cfg, pool)
     rng = np.random.default_rng(0)
     for _ in range(4):
-        _, trial_states, _, _ = forward_pass(oracle, 1, rng)
+        _, trial_states = forward_pass(oracle, 1, rng)
         backward_pass(oracle, trial_states)
     assert pool.num_cuts(2) > 0
     xi2 = inst.stage_support(2)
@@ -210,10 +310,10 @@ def test_appending_cuts_never_decreases_lb():
     cfg = SddipConfig()
     oracle = StageOracle(inst, 1, cfg, pool)
     rng = np.random.default_rng(0)
-    lb0, states, _, _ = forward_pass(oracle, 1, rng)
+    sol0, states = forward_pass(oracle, 1, rng)
     backward_pass(oracle, states)
-    lb1, _, _, _ = forward_pass(oracle, 1, rng)
-    assert lb1 >= lb0 - 1e-9 * max(1.0, abs(lb0))
+    sol1, _ = forward_pass(oracle, 1, rng)
+    assert sol1.value >= sol0.value - 1e-9 * max(1.0, abs(sol0.value))
 
 
 def test_risk_neutral_flag_equivalence():
