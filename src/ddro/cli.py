@@ -197,7 +197,9 @@ def _report_bound(path, side: str) -> float:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} is not a solve report")
-    found = doc["lb_per_iter"][-1:] if side == "lb" else [doc["ub_estimate"]]
+    if side == "lb" and not isinstance(doc.get("lb_per_iter"), list):
+        raise ValueError(f"{path}: lb_per_iter is not a list")
+    found = doc["lb_per_iter"][-1:] if side == "lb" else [doc.get("ub_estimate")]
     if (not found or isinstance(found[0], bool) or not isinstance(found[0], (int, float))
             or not np.isfinite(found[0])):
         raise ValueError(f"{path} holds no finite {side}")

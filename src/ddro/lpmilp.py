@@ -20,14 +20,23 @@ runs.  The third kind of handle belongs to one WarmLp, a cut loop's LP
 that only gains rows: it keeps its model loaded, and each re-solve adds
 the new rows (addRows) and restarts dual simplex from the last basis.
 
+The bindings are the extension module scipy.optimize._highspy._core.
+Importing it by that name first runs scipy.optimize's package __init__,
+which imports scipy.sparse too: `import ddro.cli` took 0.83-0.87 s that
+way and takes 0.22 s without (scipy 1.17, 2-core Xeon), more than many
+solves take.  So the module is loaded from its file, found next to
+scipy's own, and registered in sys.modules under its usual name; a
+later import of scipy.optimize reuses that module object.  Where the
+file is not found, the plain import runs instead.
+
 Rows are append-only and assembled once.  A model keeps its rows in
-canonical CSR form (columns sorted, a repeated column summed), built and
-checked as each row first reaches a solve or validate(); copy() shares
-that matrix, so a copy that gains rows assembles only those.  What a
-re-solve changes in place -- right-hand sides (set_rhs), objective
-entries and bounds -- is read afresh and checked on every solve.  A
-caller can thus compile a model once and re-solve copies of it, patched
-and extended, at the cost of the new rows alone.
+canonical CSR form (columns sorted, a repeated column summed), built in
+numpy and checked as each row first reaches a solve or validate();
+copy() shares that matrix, so a copy that gains rows assembles only
+those.  What a re-solve changes in place -- right-hand sides (set_rhs),
+objective entries and bounds -- is read afresh and checked on every
+solve.  A caller can thus compile a model once and re-solve copies of
+it, patched and extended, at the cost of the new rows alone.
 
 MILP options: mip_rel_gap = 0 (each solve is proved optimal) and the
 primal heuristics Feasibility Jump, RINS and RENS off, fixed; per call,
@@ -51,6 +60,9 @@ and restores it when the solve ends.
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
 import os
 import sys
 import threading
@@ -59,13 +71,48 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import sparse
+import scipy
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _core_file() -> str | None:
+    """The path of scipy's compiled _core extension, or None if absent."""
+    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            return base + suffix
+    return None
+
+
+def _load_core():
+    """scipy's HiGHS bindings: the module already imported, else loaded
+    from its extension file and registered under its usual name, else
+    (no such file) the plain import."""
+    path = None if _CORE in sys.modules else _core_file()
+    try:
+        if path is None:
+            return importlib.import_module(_CORE)
+        spec = importlib.util.spec_from_file_location(_CORE, path)
+        core = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(core)
+    except ImportError as exc:
+        raise ImportError(f"ddro needs the HiGHS bindings {_CORE}, which scipy "
+                          f"{scipy.__version__} does not provide: {exc}") from exc
+    sys.modules[_CORE] = core
+    return core
+
 
 # scipy's bundled HiGHS bindings are a private module: every name ddro
-# uses from it is imported here, and tests/test_highs_bindings.py fails
-# by name if a scipy release moves one.
-from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus, MatrixFormat,
-                                           ObjSense, _Highs, kSolutionStatusFeasible)
+# uses from it is read here, and tests/test_highs_bindings.py fails by
+# name if a scipy release moves one.
+_core = _load_core()
+HighsModelStatus = _core.HighsModelStatus
+HighsStatus = _core.HighsStatus
+MatrixFormat = _core.MatrixFormat
+ObjSense = _core.ObjSense
+_Highs = _core._Highs
+kSolutionStatusFeasible = _core.kSolutionStatusFeasible
 
 CONTINUOUS = 0
 INTEGER = 1
@@ -242,7 +289,8 @@ class LinearModel:
 class _RowMatrix:
     """The first `count` rows of a model in row-wise CSR form, canonical as
     scipy.sparse's sum_duplicates leaves it (columns sorted within a row,
-    a repeated column summed), with each row's relation as two masks.
+    a repeated column summed, explicit zeros kept), with each row's
+    relation as two masks.  _assemble builds it in numpy.
 
     A row is assembled and checked once: copies of a model share the
     object, and appending rows makes a new one for the copy alone.
@@ -274,17 +322,32 @@ _EMPTY_ROWS = _RowMatrix(0, np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.in
 
 
 def _assemble(row_cols, row_vals, row_rel, num_vars: int) -> _RowMatrix:
-    """The given rows, built in one pass and canonicalized by scipy."""
-    indptr = np.zeros(len(row_cols) + 1, dtype=np.int64)
-    np.cumsum([cols.size for cols in row_cols], out=indptr[1:])
-    values = np.concatenate(row_vals)
-    a = sparse.csr_matrix((values, np.concatenate(row_cols), indptr),
-                          shape=(len(row_cols), num_vars))
-    a.sum_duplicates()  # a column repeated in a row sums, as in COO input
+    """The given rows in canonical CSR form, built in one pass.
+
+    Entries are sorted by (row, column) with a stable sort, and the
+    entries of a repeated column are summed in the order they were
+    given, left to right, as sum_duplicates does.  np.add.at sums that
+    way; np.add.reduceat would add a run of three or more as
+    first + (rest), which differs in the last bit.  Explicit zeros stay,
+    also where repeated columns cancel.
+    """
+    count = len(row_cols)
+    rows = np.repeat(np.arange(count), [cols.size for cols in row_cols])
+    cols = np.concatenate(row_cols)
+    key = rows * num_vars + cols  # one per (row, column)
+    order = np.argsort(key, kind="stable")
+    key, cols, values = key[order], cols[order], np.concatenate(row_vals)[order]
+    first = np.ones(key.size, dtype=bool)  # the first entry of its key
+    first[1:] = key[1:] != key[:-1]
+    kept = key[first]
+    summed = values
+    if kept.size < key.size:  # a repeated column
+        summed = np.full(kept.size, -0.0)  # -0.0 + x is x, for every x
+        np.add.at(summed, np.cumsum(first) - 1, values)
+    start = np.searchsorted(kept, np.arange(count + 1) * num_vars).astype(np.int32)
     rel = np.asarray(row_rel, dtype="<U2")
-    return _RowMatrix(len(row_cols), a.indptr.astype(np.int32, copy=False),
-                      a.indices.astype(np.int32, copy=False), a.data, rel == "<=", rel == ">=",
-                      bool(np.all(np.isfinite(values))))
+    return _RowMatrix(count, start, cols[first].astype(np.int32), summed,
+                      rel == "<=", rel == ">=", bool(np.all(np.isfinite(values))))
 
 
 @dataclass

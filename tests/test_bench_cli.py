@@ -215,6 +215,17 @@ def test_cli_verify_rejects_reports_without_finite_bounds(tmp_path, capsys):
     assert cli.main(["verify", "--lb-report", str(tmp_path / "five.json"),
                      "--ub-report", ok + ".json"]) == 1
     assert "five.json is not a solve report" in capsys.readouterr().err
+    # lb_per_iter not a list, or missing; ub_estimate missing
+    bad = str(tmp_path / "bad.json")
+    not_a_list = "bad.json: lb_per_iter is not a list"
+    for doc, lb_rep, ub_rep, why in (({"lb_per_iter": 5}, bad, ok + ".json", not_a_list),
+                                     ({"lb_per_iter": None}, bad, ok + ".json", not_a_list),
+                                     ({}, bad, ok + ".json", not_a_list),
+                                     ({}, ok + ".json", bad, "bad.json holds no finite ub")):
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        assert cli.main(["verify", "--lb-report", lb_rep, "--ub-report", ub_rep]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and why in err
     assert cli.main(["verify", "--lb-report", ok + ".json", "--ub-report", ok + ".json"]) == 0
 
 

@@ -6,10 +6,16 @@ import error of every module."""
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 CORE = "scipy.optimize._highspy._core"
 LPMILP = Path(importlib.util.find_spec("ddro.lpmilp").origin)
@@ -25,12 +31,18 @@ INSTANCES = {
 
 
 def _used_names():
-    """(names imported from CORE, {name: attributes lpmilp uses on it})
-    for the imported names and the local names of INSTANCES."""
+    """(names lpmilp reads from CORE, {name: attributes lpmilp uses on it})
+    for the read names and the local names of INSTANCES.  lpmilp loads
+    CORE as `_core` and binds each name it uses as `name = _core.name`."""
     tree = ast.parse(LPMILP.read_text())
-    imported = [alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.module == CORE
-                for alias in node.names]
+    imported = sorted({node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                       and node.value.id == "_core"})
+    bound = {node.targets[0].id for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute)
+             and isinstance(node.value.value, ast.Name) and node.value.value.id == "_core"
+             and node.targets[0].id == node.value.attr}
+    assert bound == set(imported), "lpmilp reads names of _core other than as `name = _core.name`"
     attrs = {name: set() for name in [*imported, *INSTANCES]}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -41,7 +53,7 @@ def _used_names():
 
 def test_lpmilp_binding_names_exist_in_scipy():
     imported, attrs = _used_names()
-    assert "_Highs" in imported, "lpmilp no longer imports _Highs from " + CORE
+    assert "_Highs" in imported, "lpmilp no longer reads _Highs from " + CORE
     try:
         core = importlib.import_module(CORE)
     except ImportError as exc:
@@ -81,3 +93,59 @@ def test_array_overloads_take_int32_csr():
     assert highs.getNumRow() == 2
     assert highs.run() == core.HighsStatus.kOk
     assert highs.getInfo().objective_function_value == pytest.approx(-3.0)
+
+
+def test_import_ddro_loads_neither_scipy_optimize_nor_sparse():
+    # a fresh interpreter: pyproject's filterwarnings make pytest import
+    # scipy.optimize itself
+    script = textwrap.dedent("""
+        import json, sys
+        import ddro.cli
+        from ddro import lpmilp
+        loaded = {name: name in sys.modules for name in ("scipy.optimize", "scipy.sparse")}
+        import numpy as np
+        import scipy.optimize
+        import scipy.optimize._highspy._core as core
+        from scipy.optimize import LinearConstraint, milp
+        res = milp([-1.0, -1.0], integrality=[1, 1], bounds=(0, 3),
+                   constraints=LinearConstraint([[1.0, 2.0]], -np.inf, 4.0))
+        print(json.dumps({"loaded": loaded, "same_core": core is lpmilp._core
+                          and sys.modules[core.__name__] is lpmilp._core,
+                          "status": int(res.status), "fun": float(res.fun)}))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(LPMILP.parents[1])})
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    assert out["loaded"] == {"scipy.optimize": False, "scipy.sparse": False}
+    assert out["same_core"], "scipy.optimize loaded a second copy of " + CORE
+    assert out["status"] == 0 and out["fun"] == -3.0
+
+
+def test_core_loader_falls_back_to_the_plain_import(monkeypatch):
+    from ddro import lpmilp
+
+    imported = []
+    import_module = importlib.import_module
+    monkeypatch.setattr(lpmilp, "_core_file", lambda: None)
+    monkeypatch.delitem(sys.modules, CORE)
+    # the plain import binds _core on its package; put the kept one back after
+    monkeypatch.setattr(sys.modules["scipy.optimize._highspy"], "_core", lpmilp._core)
+    monkeypatch.setattr(importlib, "import_module",
+                        lambda name: imported.append(name) or import_module(name))
+    core = lpmilp._load_core()
+    assert imported == [CORE]
+    assert sys.modules[CORE] is core and core._Highs is lpmilp._Highs
+
+
+def test_core_loader_names_the_scipy_version_when_both_ways_fail(monkeypatch):
+    from ddro import lpmilp
+
+    def missing(name):
+        raise ImportError(f"No module named {name!r}")
+
+    monkeypatch.setattr(lpmilp, "_core_file", lambda: None)
+    monkeypatch.delitem(sys.modules, CORE)
+    monkeypatch.setattr(importlib, "import_module", missing)
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} does not provide"):
+        lpmilp._load_core()

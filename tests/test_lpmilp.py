@@ -343,6 +343,55 @@ def test_matrix_sums_repeated_columns_like_dense_rows():
     assert np.array_equal(a.toarray(), np.vstack([dense_row(m, r) for r in range(3)]))
 
 
+def _random_row(rng, num_vars: int):
+    """Columns and values of one random row over the first num_vars - 2
+    columns, so the last two stay unused.  A short row (at most 16
+    entries, which scipy's sort keeps in their given order) repeats
+    columns freely and may hold a pair that cancels to 0.0; a long row
+    repeats a column at most twice, so no sum depends on the order."""
+    used = num_vars - 2
+    if used < 9 or rng.integers(4):
+        cols = list(rng.integers(0, used, size=int(rng.integers(0, 13))))
+        vals = list(rng.normal(size=len(cols)) * 10.0 ** rng.integers(-3, 4, size=len(cols)))
+        vals = [v if rng.integers(6) else rng.choice([0.0, -0.0]) for v in vals]
+        if rng.integers(2):  # a pair that cancels
+            c, v = int(rng.integers(used)), float(rng.normal())
+            cols += [c, c]
+            vals += [v, -v]
+        return cols, vals
+    cols = rng.permutation(np.repeat(np.arange(used), 2))[:int(rng.integers(17, 2 * used))]
+    return cols, rng.normal(size=cols.size)
+
+
+def test_assemble_matches_scipy_sum_duplicates():
+    rng = np.random.default_rng(2024)
+    for trial in range(300):
+        num_vars = int(rng.integers(3, 8)) if rng.integers(2) else int(rng.integers(12, 30))
+        num_rows = 1 if trial % 10 == 0 else int(rng.integers(2, 9))
+        row_cols, row_vals = [], []
+        for _ in range(num_rows):
+            cols, vals = _random_row(rng, num_vars)
+            row_cols.append(np.array(cols, dtype=int))
+            row_vals.append(np.array(vals, dtype=float))
+        rows = lpmilp._assemble(row_cols, row_vals, ["<="] * num_rows, num_vars)
+        a = sparse.csr_matrix((np.concatenate(row_vals), np.concatenate(row_cols),
+                               np.cumsum([0] + [c.size for c in row_cols])),
+                              shape=(num_rows, num_vars))
+        a.sum_duplicates()
+        assert rows.start.dtype == np.int32 and rows.index.dtype == np.int32
+        assert rows.value.dtype == np.float64
+        assert np.array_equal(rows.start, a.indptr)
+        assert np.array_equal(rows.index, a.indices)
+        assert np.array_equal(rows.value, a.data)
+        assert rows.value.tobytes() == a.data.tobytes()  # the signs of zeros too
+    # a column that cancels keeps its explicit zero; an empty row and the
+    # unused trailing columns hold no entry
+    rows = lpmilp._assemble([np.array([2, 0, 2]), np.array([], dtype=int)],
+                            [np.array([1.5, 3.0, -1.5]), np.array([])], ["<=", "="], 5)
+    assert rows.start.tolist() == [0, 2, 2]
+    assert rows.index.tolist() == [0, 2] and rows.value.tolist() == [3.0, 0.0]
+
+
 def test_milp_rejects_nan_right_hand_side():
     # HiGHS would report such a model Infeasible
     m = LinearModel()
