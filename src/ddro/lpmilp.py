@@ -22,12 +22,11 @@ the new rows (addRows) and restarts dual simplex from the last basis.
 
 The bindings are the extension module scipy.optimize._highspy._core.
 Importing it by that name first runs scipy.optimize's package __init__,
-which imports scipy.sparse too: `import ddro.cli` took 0.83-0.87 s that
-way and takes 0.22 s without (scipy 1.17, 2-core Xeon), more than many
-solves take.  So the module is loaded from its file, found next to
-scipy's own, and registered in sys.modules under its usual name; a
-later import of scipy.optimize reuses that module object.  Where the
-file is not found, the plain import runs instead.
+which imports scipy.sparse too, and those cost more than many solves
+take.  So the module is loaded from its file, looked up in its own
+directory under scipy's, and registered in sys.modules under its usual
+name; a later import of scipy.optimize reuses that module object.
+Where the file is not found, the plain import runs instead.
 
 Rows are append-only and assembled once.  A model keeps its rows in
 canonical CSR form (columns sorted, a repeated column summed), built in
@@ -61,7 +60,6 @@ and restores it when the solve ends.
 from __future__ import annotations
 
 import importlib
-import importlib.machinery
 import importlib.util
 import os
 import sys
@@ -69,31 +67,23 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from importlib.machinery import PathFinder
 
 import numpy as np
 import scipy
 
 _CORE = "scipy.optimize._highspy._core"
-
-
-def _core_file() -> str | None:
-    """The path of scipy's compiled _core extension, or None if absent."""
-    base = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if os.path.isfile(base + suffix):
-            return base + suffix
-    return None
+_CORE_DIR = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
 
 
 def _load_core():
     """scipy's HiGHS bindings: the module already imported, else loaded
-    from its extension file and registered under its usual name, else
-    (no such file) the plain import."""
-    path = None if _CORE in sys.modules else _core_file()
+    from its extension file in _CORE_DIR and registered under its usual
+    name, else (no such file) the plain import."""
+    spec = None if _CORE in sys.modules else PathFinder.find_spec(_CORE, [_CORE_DIR])
     try:
-        if path is None:
+        if spec is None:
             return importlib.import_module(_CORE)
-        spec = importlib.util.spec_from_file_location(_CORE, path)
         core = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(core)
     except ImportError as exc:
@@ -340,10 +330,8 @@ def _assemble(row_cols, row_vals, row_rel, num_vars: int) -> _RowMatrix:
     first = np.ones(key.size, dtype=bool)  # the first entry of its key
     first[1:] = key[1:] != key[:-1]
     kept = key[first]
-    summed = values
-    if kept.size < key.size:  # a repeated column
-        summed = np.full(kept.size, -0.0)  # -0.0 + x is x, for every x
-        np.add.at(summed, np.cumsum(first) - 1, values)
+    summed = np.full(kept.size, -0.0)  # -0.0 + x is x, for every x
+    np.add.at(summed, np.cumsum(first) - 1, values)
     start = np.searchsorted(kept, np.arange(count + 1) * num_vars).astype(np.int32)
     rel = np.asarray(row_rel, dtype="<U2")
     return _RowMatrix(count, start, cols[first].astype(np.int32), summed,

@@ -113,8 +113,10 @@ def test_import_ddro_loads_neither_scipy_optimize_nor_sparse():
                           and sys.modules[core.__name__] is lpmilp._core,
                           "status": int(res.status), "fun": float(res.fun)}))
     """)
+    pythonpath = os.pathsep.join([str(LPMILP.parents[1]),
+                                  os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=120, env={**os.environ, "PYTHONPATH": str(LPMILP.parents[1])})
+                          timeout=120, env={**os.environ, "PYTHONPATH": pythonpath})
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.strip().splitlines()[-1])
     assert out["loaded"] == {"scipy.optimize": False, "scipy.sparse": False}
@@ -122,12 +124,12 @@ def test_import_ddro_loads_neither_scipy_optimize_nor_sparse():
     assert out["status"] == 0 and out["fun"] == -3.0
 
 
-def test_core_loader_falls_back_to_the_plain_import(monkeypatch):
+def test_core_loader_falls_back_to_the_plain_import(monkeypatch, tmp_path):
     from ddro import lpmilp
 
     imported = []
     import_module = importlib.import_module
-    monkeypatch.setattr(lpmilp, "_core_file", lambda: None)
+    monkeypatch.setattr(lpmilp, "_CORE_DIR", str(tmp_path))  # no extension file there
     monkeypatch.delitem(sys.modules, CORE)
     # the plain import binds _core on its package; put the kept one back after
     monkeypatch.setattr(sys.modules["scipy.optimize._highspy"], "_core", lpmilp._core)
@@ -138,13 +140,13 @@ def test_core_loader_falls_back_to_the_plain_import(monkeypatch):
     assert sys.modules[CORE] is core and core._Highs is lpmilp._Highs
 
 
-def test_core_loader_names_the_scipy_version_when_both_ways_fail(monkeypatch):
+def test_core_loader_names_the_scipy_version_when_both_ways_fail(monkeypatch, tmp_path):
     from ddro import lpmilp
 
     def missing(name):
         raise ImportError(f"No module named {name!r}")
 
-    monkeypatch.setattr(lpmilp, "_core_file", lambda: None)
+    monkeypatch.setattr(lpmilp, "_CORE_DIR", str(tmp_path))  # no extension file there
     monkeypatch.delitem(sys.modules, CORE)
     monkeypatch.setattr(importlib, "import_module", missing)
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__} does not provide"):
