@@ -91,6 +91,17 @@ def validate_instance(inst: Instance) -> None:
             raise ValueError(f"{fld.name} entries must be finite")
     if min(inst.T, inst.I, inst.J, inst.K) < 1:
         raise ValueError("dimensions must be >= 1")
+    T, I, J = inst.T, inst.I, inst.J
+    shapes = {"facility_xy": (I, 2), "customer_xy": (J, 2), "c": (I, J), "f": (T, I),
+              "h": (T, I), "R": (J,), "mu_bar": (J,), "sigma_bar": (J,),
+              "Sigma_bar": (J, J), "lambda_mu": (J, I), "lambda_S": (J, I),
+              "lambda_cov": (I,), "eps_mu": (J,), "eps_S_lo": (J,), "eps_S_hi": (J,),
+              "risk_lambda": (T,), "risk_alpha": (T,)}
+    for name, shape in shapes.items():
+        val = getattr(inst, name)
+        got = np.shape(getattr(val, "entries", val))
+        if got != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {got}")
     if len(inst.support) != inst.T or inst.support[0].shape != (1, inst.J):
         raise ValueError("support must hold T stages with a singleton stage 1")
     for t in range(1, inst.T):

@@ -4,11 +4,14 @@ Lagrangian cuts, cut pooling, bound tracking, and termination.
 A cut (v, pi) for the stage value function comes from relaxing a binary
 copy of the incoming state: for ANY multiplier pi, the relaxed stage
 value L(pi) satisfies Q(x, xi) >= L(pi) + pi'x for every binary x, so
-early stopping of the dual search is always safe.  The dual itself is
-maximized by subgradient ascent with best-iterate retention followed by
-a finite cutting-plane polish; when the state dimension is small the
-stage values of all binary states are enumerated (and cached) and the
-dual reduces to one exact hypograph LP.
+early stopping of the dual search is always safe.  Every cut comes from
+one route, subgradient ascent on the dual with best-iterate retention
+(lagrangian_dual over StageOracle.relaxed_value).  Trial states are
+binary, and a cut is tight at its trial state x_hat once a step's
+relaxed solution z* equals x_hat.  A search that stops short still
+leaves a valid cut; since Optimal needs an exactly evaluated upper bound
+to meet the lower bound, a loose cut costs iterations or ends the run in
+BoundLimit, never in a wrong Optimal.
 
 Upper bounds evaluate the current policy: exactly for two-stage runs
 (first-stage cost plus the worst case over the exact terminal values),
@@ -35,15 +38,16 @@ import numpy as np
 
 from . import misdp
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case, is_nonempty
-from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_lp, solve_milp
-# build_stage_block is no longer called here, but perfbench/spans.py traces it by this name
+from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_milp
+# perfbench/spans.py traces solve_lp and build_stage_block by these names;
+# neither is called here
+from .lpmilp import solve_lp  # noqa: F401
 from .model import Instance, build_stage_block, set_stage_data  # noqa: F401
 from .reformulate import (DualBound, VarLayout, add_cut_rows, build_stage, default_dual_bound,
                           solve_with_dual_bound)
 
 LB_MONOTONE_SLACK = 1e-9
-DUAL_ENUM_STATES = 256  # the dual enumerates h(z) when 2^I <= this
-SUBGRADIENT_ITERS = 50  # subgradient steps of the non-enumerated dual
+SUBGRADIENT_ITERS = 50  # subgradient steps of the Lagrangian dual
 STALL_WINDOW = 5  # iterations over which an unmoved lb means a stall
 UB_PATHS = 200  # sampled paths of a sampled policy evaluation
 TREE_LIMIT = 1e5  # policies are evaluated on sampled paths above K^(T-1) = this
@@ -139,6 +143,10 @@ def config_from_json(text: str) -> SddipConfig:
 
 @dataclass
 class SolveReport:
+    """What a run found and did.  stage_solves counts every stage MILP
+    solved, the relaxed solves of the Lagrangian duals among them;
+    dual_solves counts those relaxed solves alone."""
+
     lb_per_iter: list[float] = field(default_factory=list)
     eigen_cuts_per_stage: dict = field(default_factory=dict)
     ub_estimate: float = float("nan")
@@ -338,90 +346,32 @@ class StageOracle:
         return float(sol.objective), round_integral(sol.x, lay.z_copy)
 
 
-def _all_binary_states(I: int) -> np.ndarray:
-    """Every binary state, row s holding the bits of s (lowest first)."""
-    return ((np.arange(2**I)[:, None] >> np.arange(I)) & 1).astype(float)
-
-
-def _hypograph_dual(h: np.ndarray, states: np.ndarray, x_hat: np.ndarray):
-    """Exact Lagrangian dual over enumerated states: max_w,pi w subject to
-    w <= h(z) + pi'(x_hat - z); at a binary x_hat the optimum is tight."""
-    n_states, I = states.shape
-    m = LinearModel()
-    w = m.add_var(-np.inf, np.inf, obj=-1.0, name="w")
-    pi = m.add_vars(I, -np.inf, np.inf, prefix="pi_")
-    for s in range(n_states):
-        coeffs = {w: 1.0}
-        diff = states[s] - x_hat
-        for i in range(I):
-            if diff[i] != 0.0:
-                coeffs[int(pi[i])] = diff[i]
-        m.add_row(coeffs, "<=", float(h[s]))
-    sol = solve_lp(m)
-    if sol.status != OPTIMAL:
-        raise RuntimeError(f"dual hypograph LP returned {sol.status}")
-    pi_val = np.asarray(sol.x)[pi]
-    v = float(np.min(h - states @ pi_val))
-    return pi_val, v
-
-
 def lagrangian_dual(evaluate, x_hat):
     """Maximize g(pi) = L(pi) + pi'x_hat for a relaxed-stage evaluator
-    evaluate(pi) -> (L(pi), z*).
+    evaluate(pi) -> (L(pi), z*) by subgradient ascent from pi = 0: at
+    most SUBGRADIENT_ITERS steps a/(10+m) along x_hat - z*, with
+    a = max(1, |L(0)|)/I, keeping the best iterate.  Returns (pi, L(pi))
+    for the best multiplier found.
 
-    SUBGRADIENT_ITERS steps of subgradient ascent (step a/(10+m) with
-    a = max(1, |L(0)|)/I, best-iterate retention) warm-start
-    a cutting-plane polish over the visited states; any stopping point
-    yields a valid cut, so the phases only affect tightness.  Returns
-    (pi, L(pi)) for the best multiplier found.
+    Any multiplier yields a valid cut.  The search stops once z* equals
+    x_hat: then g(pi) = h(x_hat), the stage value at x_hat, which bounds
+    g from above, so at a binary x_hat the cut is tight.
     """
     x_hat = np.asarray(x_hat, dtype=float)
-    I = x_hat.size
-    pi = np.zeros(I)
-    L0, z0 = evaluate(pi)
-    seen: dict[tuple, float] = {_bits(z0): L0 + float(pi @ z0)}
-    best_pi, best_L, best_g = pi.copy(), L0, L0 + float(pi @ x_hat)
-    a = max(1.0, abs(L0)) / I
-    z_star = z0
+    pi = np.zeros(x_hat.size)
+    L, z_star = evaluate(pi)
+    best_pi, best_L, best_g = pi, L, L  # g(0) = L(0)
+    a = max(1.0, abs(L)) / x_hat.size
     for m_it in range(SUBGRADIENT_ITERS):
         sub = x_hat - z_star
         if not np.any(sub):
             break
         pi = pi + a / (10.0 + m_it) * sub
         L, z_star = evaluate(pi)
-        seen[_bits(z_star)] = L + float(pi @ z_star)  # h(z*) recovered
         g = L + float(pi @ x_hat)
         if g > best_g:
-            best_pi, best_L, best_g = pi.copy(), L, g
-    # cutting-plane polish on the hypograph of the visited states
-    for _ in range(40):
-        states = np.array([list(b) for b in seen])
-        h = np.array(list(seen.values()))
-        try:
-            pi_cand, _ = _hypograph_dual(h, states, x_hat)
-        except RuntimeError:
-            break
-        L, z_star = evaluate(pi_cand)
-        g = L + float(pi_cand @ x_hat)
-        if g > best_g:
-            best_pi, best_L, best_g = pi_cand.copy(), L, g
-        bits = _bits(z_star)
-        if bits in seen:
-            break
-        seen[bits] = L + float(pi_cand @ z_star)
+            best_pi, best_L, best_g = pi, L, g
     return best_pi, best_L
-
-
-def _dual_cut(oracle: StageOracle, t: int, k: int, x_hat) -> Cut:
-    inst = oracle.inst
-    if 2**inst.I <= DUAL_ENUM_STATES:
-        states = _all_binary_states(inst.I)
-        h = np.array([oracle.solve_stage(t, k, z).value for z in states])
-        oracle.dual_solves += 1
-        pi, v = _hypograph_dual(h, states, np.asarray(x_hat, dtype=float))
-        return Cut(v=v, pi=pi)
-    pi, v = lagrangian_dual(lambda p: oracle.relaxed_value(t, k, p), x_hat)
-    return Cut(v=v, pi=pi)
 
 
 def forward_pass(oracle: StageOracle, num_paths: int, rng: np.random.Generator):
@@ -467,13 +417,13 @@ def _is_sampled(inst: Instance) -> bool:
 
 def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
     """Append one multi-cut family per (stage, realization, trial state)
-    to the oracle's pool."""
+    to the oracle's pool, each cut from the Lagrangian dual at that state."""
     inst, pool = oracle.inst, oracle.pool
     for t in range(inst.T, 1, -1):
         for x_hat in trial_states.get(t, ()):  # distinct incoming states
             for k in range(inst.K):
-                cut = _dual_cut(oracle, t, k, np.array(x_hat, dtype=float))
-                pool.add(t, k, cut)
+                pi, v = lagrangian_dual(lambda p: oracle.relaxed_value(t, k, p), x_hat)
+                pool.add(t, k, Cut(v=v, pi=pi))
     return pool
 
 

@@ -329,6 +329,22 @@ def test_cli_rejects_malformed_instance_files(tmp_path, capsys):
     with pytest.raises(ValueError, match="K must be an integer"):
         from_json(json.dumps({**doc, "K": 4.9}))
     assert from_json(json.dumps(doc)).K == 4
+    # an array of the wrong shape for (T, I, J) = (2, 3, 1) is rejected by
+    # name, not solved (c) or left to an IndexError (f)
+    reshaped = {name: doc[name] + doc[name] for name in (
+        "facility_xy", "customer_xy", "h", "R", "mu_bar", "sigma_bar", "lambda_mu",
+        "lambda_S", "lambda_cov", "eps_mu", "eps_S_lo", "eps_S_hi", "risk_lambda",
+        "risk_alpha")}
+    reshaped["c"] = [row * 2 for row in doc["c"]]
+    reshaped["f"] = doc["f"][:1]
+    reshaped["Sigma_bar"] = np.kron(np.eye(2), doc["Sigma_bar"]).tolist()
+    for name, val in reshaped.items():
+        path.write_text(json.dumps({**doc, name: val}))
+        for cmd in (["solve", "--type", "1"], ["export-lp", "--type", "1", "--out",
+                                               str(tmp_path / "m.lp")]):
+            assert cli.main(cmd + ["--instance", str(path)]) == 1, name
+            err = capsys.readouterr().err
+            assert err.startswith(f"validation error: {name} must have shape"), (name, err)
 
 
 def test_cli_bench_rejects_malformed_specs(tmp_path, capsys):

@@ -82,66 +82,40 @@ def test_lagrangian_dual_zero_multiplier_is_valid():
         assert L0 <= direct + 1e-9
 
 
-def _exact_dual(h, x_hat):
-    """The dual's maximum: the hypograph LP over all binary states."""
-    pi, L = sddip._hypograph_dual(h, sddip._all_binary_states(x_hat.size), x_hat)
-    return L + pi @ x_hat
+def test_lagrangian_dual_that_stops_short_still_gives_a_valid_cut():
+    # h(x_hat) is too high for the subgradient steps to reach x_hat, so the
+    # search takes all its steps and ends below the dual's maximum h(x_hat)
+    h, x_hat = np.array([0.0, 1000.0]), np.array([1.0])
+    states = np.array([[0.0], [1.0]])
+    visited = []
 
-
-def _toy_dual(monkeypatch, h, x_hat):
-    """lagrangian_dual on the toy evaluator L(pi) = min_z h(z) - pi'z over
-    the binary states z.  Returns g(pi) = L(pi) + pi'x_hat at its result,
-    its evaluations as (pi, z*, g(pi)) split into the subgradient phase
-    and the polish, and the outcome of each hypograph LP."""
-    states = sddip._all_binary_states(x_hat.size)
-    hypograph_dual = sddip._hypograph_dual
-    evals, lps = [], []
-
-    def evaluate(pi):
+    def evaluate(pi):  # L(pi) = min_z h(z) - pi'z over the binary states z
         s = int(np.argmin(h - states @ pi))
-        L = float(h[s] - states[s] @ pi)
-        evals.append((pi.copy(), tuple(states[s]), L + float(pi @ x_hat)))
-        return L, states[s].copy()
+        visited.append(s)
+        return float(h[s] - states[s] @ pi), states[s].copy()
 
-    def recording_hypograph(*args):
-        try:
-            out = hypograph_dual(*args)
-        except RuntimeError:
-            lps.append("failed")
-            raise
-        lps.append("optimal")
-        return out
-
-    monkeypatch.setattr(sddip, "_hypograph_dual", recording_hypograph)
     pi, L = lagrangian_dual(evaluate, x_hat)
+    assert visited == [0] * (1 + sddip.SUBGRADIENT_ITERS)  # x_hat is never visited
     assert np.all(L + states @ pi <= h + 1e-9)  # a valid cut ...
     assert abs(L - np.min(h - states @ pi)) <= 1e-9  # ... whose L is L(pi)
-    # x_hat is never visited, so the subgradient phase takes all its steps
-    assert all(z != tuple(x_hat) for _, z, _ in evals)
-    n_sub = 1 + sddip.SUBGRADIENT_ITERS
-    return L + pi @ x_hat, evals[:n_sub], evals[n_sub:], lps
+    assert 0.0 < L + pi @ x_hat < h[1]  # ... and not tight
 
 
-def test_lagrangian_dual_polish_beats_subgradient(monkeypatch):
-    # at a fractional x_hat the dual is the convex-hull bound, -5 here from
-    # the states (1, 0) and (0, 1); the subgradient steps stop short of it
-    h, x_hat = np.array([-2.0, -9.0, -1.0, -3.0]), np.array([0.5, 0.5])
-    exact = _exact_dual(h, x_hat)
-    g, sub, polish, lps = _toy_dual(monkeypatch, h, x_hat)
-    assert abs(exact + 5.0) <= 1e-9 and abs(g - exact) <= 1e-9
-    assert max(e[2] for e in sub) < g - 1e-3  # the polish beat the subgradient
-    assert {e[1] for e in polish} - {e[1] for e in sub}  # and visited a new state
-    assert lps and set(lps) == {"optimal"}
-
-
-def test_lagrangian_dual_polish_stops_on_unbounded_hypograph(monkeypatch):
-    # h(x_hat) is too high for the subgradient steps to reach x_hat, so the
-    # visited states leave the hypograph LP unbounded and the polish stops
-    h, x_hat = np.array([0.0, 1000.0]), np.array([1.0])
-    exact = _exact_dual(h, x_hat)
-    g, sub, polish, lps = _toy_dual(monkeypatch, h, x_hat)
-    assert lps == ["failed"] and polish == []
-    assert abs(exact - 1000.0) <= 1e-9 and g == max(e[2] for e in sub) and 0.0 < g < exact
+def test_backward_pass_makes_only_relaxed_solves_and_tight_cuts():
+    # every cut comes from relaxed solves, and each is tight at its binary
+    # trial state: v + pi'x_hat is the stage value there.  A capacity of 20
+    # makes the stage value depend on the state, so the search must step
+    inst = small_instance(h=np.full((2, 3), 20.0))
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    x_hat = (0, 1, 0)
+    stage_solves, dual_solves = oracle.stage_solves, oracle.dual_solves
+    backward_pass(oracle, {2: [x_hat]})
+    assert oracle.dual_solves > dual_solves
+    assert oracle.stage_solves - stage_solves == oracle.dual_solves - dual_solves
+    for k in range(inst.K):
+        (cut,) = oracle.pool.cuts[2][k]
+        value = oracle.solve_stage(2, k, np.array(x_hat, dtype=float)).value
+        assert abs(cut.v + cut.pi @ np.array(x_hat) - value) <= 1e-9
 
 
 def test_type3_lb_terminal_solves_run_no_lp(monkeypatch):
@@ -408,12 +382,11 @@ def test_bound_mode_guards():
 
 
 def test_subgradient_dual_path_converges(monkeypatch):
-    # force the non-enumerated dual (subgradient + cutting-plane polish)
+    # with a shorter subgradient search the cuts still close the gap
     from ddro.bench import enumerate_two_stage
 
     inst = generate_instance(100, 2, 3, 1, 10, 0.8)
     ref = enumerate_two_stage(inst, 1).objective
-    monkeypatch.setattr(sddip, "DUAL_ENUM_STATES", 0)
     monkeypatch.setattr(sddip, "SUBGRADIENT_ITERS", 25)
     rep = run(inst, 1, SddipConfig(max_iters=20))
     assert rep.status == "Optimal"
