@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import misdp, sddip
+from . import sddip
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case
 from .linalg import SymMatrix
 from .lpmilp import OPTIMAL, solve_milp
@@ -346,7 +346,7 @@ def _cell_solve(inst: Instance, ttype: int, cfg: sddip.SddipConfig) -> dict:
     out: dict = {}
     try:
         if ttype == 3:
-            lb_rep, ub_rep = misdp.run_type3_bounds(inst, cfg)
+            lb_rep, ub_rep = sddip.run_type3_bounds(inst, cfg)
             out.update(lb=lb_rep.lb_per_iter[-1], ub=ub_rep.ub_estimate,
                        gap=(ub_rep.ub_estimate - lb_rep.lb_per_iter[-1])
                        / max(1.0, abs(ub_rep.ub_estimate)),

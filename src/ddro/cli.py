@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import bench, misdp, model, sddip
+from . import bench, model, sddip
 from .ambiguity import EmptyAmbiguity
 from .lpmilp import NumericalFailure, write_lp
 from .reformulate import DualAtBound, build_stage
@@ -209,7 +209,7 @@ def _report_bound(path, side: str) -> float:
 def _cmd_verify(args) -> int:
     lb = _report_bound(args.lb_report, "lb")
     ub = _report_bound(args.ub_report, "ub")
-    slack = misdp.SANDWICH_REL_SLACK * max(1.0, abs(ub))
+    slack = sddip.SANDWICH_REL_SLACK * max(1.0, abs(ub))
     if lb > ub + slack:
         print(f"FAIL: lb={lb} > ub={ub}", file=sys.stderr)
         return EXIT_SOLVER

@@ -28,12 +28,14 @@ Two complementary routes around the mixed-integer SDP:
 
 Outer rows are valid for every integer assignment (they are linear in
 the block entries and independent of the binaries), so they are kept
-globally rather than per node, whichever phase found them.
+globally rather than per node, whichever phase found them.  A cut is
+just a row of the model: this module keeps no list of eigenvectors,
+and a caller that wants the cuts again reads the rows appended to the
+model it passed in.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +47,12 @@ from .lpmilp import (CONTINUOUS, OPTIMAL, LinearModel, MipSolution, NumericalFai
 
 EIGEN_CUT_TOL = 1e-6
 MAX_CUT_ROUNDS_OUTER = 1000
-SANDWICH_REL_SLACK = 1e-6
 # Inner-approximation blocks may dip to -PSD_AUDIT_REL * max(1, max|entry|).
 PSD_AUDIT_REL = 1e-6
 
 
 class CutLoopLimit(RuntimeError):
     """Outer-approximation cut loop hit its round limit."""
-
-    def __init__(self, message: str, best: MipSolution | None = None):
-        super().__init__(message)
-        self.best = best
 
 
 class InnerApproxViolation(RuntimeError):
@@ -74,46 +71,39 @@ class PsdBlockRef:
     def assemble(self, x: np.ndarray) -> SymMatrix:
         return SymMatrix.from_array(x[self.cols], asym_tol=1e-5)
 
-    def quadratic_form_coeffs(self, v: np.ndarray) -> dict[int, float]:
-        """Coefficients of v' M v as a linear row over the block columns."""
-        coeffs: dict[int, float] = {}
-        for a in range(self.dim):
-            for b in range(self.dim):
-                col = int(self.cols[a, b])
-                coeffs[col] = coeffs.get(col, 0.0) + float(v[a] * v[b])
-        return coeffs
+    def quadratic_form_coeffs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """v' M v as a (cols, vals) row over the block columns; a column
+        the block repeats appears once per position, and assembling the
+        row sums it."""
+        return self.cols.ravel(), np.outer(v, v).ravel()
 
 
-def solve_misdp_outer(model: LinearModel, blocks,
-                      vectors: list | None = None) -> MipSolution:
+def solve_misdp_outer(model: LinearModel, blocks) -> MipSolution:
     """Eigen-cut outer approximation loop (phases in the module
     docstring); the returned objective is a valid lower bound on the
     MISDP optimum (exact in the cut-loop limit).
 
-    The model is mutated in place: appended rows stay valid and carry
-    over to subsequent solves with different objectives over the same
-    feasible set.  When `vectors` is given, (block index, v) of every
-    appended row is added to it in append order.  LP and MILP solves
-    both count against MAX_CUT_ROUNDS_OUTER; a block eigenvalue below
-    -EIGEN_CUT_TOL is cut.
+    The model is mutated in place: every row appended is a cut
+    v' M v >= 0, valid for subsequent solves with different objectives
+    over the same feasible set, so the cuts are the model's rows past
+    its row count on entry.  LP and MILP solves both count against
+    MAX_CUT_ROUNDS_OUTER; a block eigenvalue below -EIGEN_CUT_TOL is cut.
     """
     max_rounds = MAX_CUT_ROUNDS_OUTER
-    vectors = [] if vectors is None else vectors
     integer_cols = [j for j, kind in enumerate(model.integrality) if kind != CONTINUOUS]
     rounds = 0
     if integer_cols:
-        rounds = _lp_cut_phase(model, (model,), blocks, max_rounds, vectors)
-    sol = None
+        rounds = _lp_cut_phase(model, (model,), blocks, max_rounds)
     while rounds < max_rounds:
         rounds += 1
         sol = solve_milp(model)
         if sol.status != OPTIMAL:
             return sol
         found = False
-        for b, block in enumerate(blocks):
+        for block in blocks:
             lam, v = min_eigenpair(block.assemble(sol.x))
             if lam < -EIGEN_CUT_TOL:
-                _append_cut((model,), blocks, b, v, vectors)
+                _append_cut((model,), block, v)
                 found = True
         if not found:
             return sol
@@ -122,13 +112,11 @@ def solve_misdp_outer(model: LinearModel, blocks,
             for j in integer_cols:
                 val = float(np.rint(sol.x[j]))
                 fixed.set_bounds(j, val, val)
-            rounds += _lp_cut_phase(fixed, (fixed, model), blocks,
-                                    max_rounds - rounds, vectors)
-    raise CutLoopLimit(f"no PSD convergence after {max_rounds} rounds", best=sol)
+            rounds += _lp_cut_phase(fixed, (fixed, model), blocks, max_rounds - rounds)
+    raise CutLoopLimit(f"no PSD convergence after {max_rounds} rounds")
 
 
-def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int,
-                  vectors: list) -> int:
+def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int) -> int:
     """Solve the continuous relaxation of `lp` and cut every eigenpair
     below -EIGEN_CUT_TOL of every block into each model of `targets`, until no
     block violates, the LP is not optimal, or `budget` solves are spent.
@@ -142,24 +130,22 @@ def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int,
         if sol.status != OPTIMAL:
             return used
         found = False
-        for b, block in enumerate(blocks):
+        for block in blocks:
             for lam, v in linalg.sym_eig(block.assemble(sol.x)):
                 if lam >= -EIGEN_CUT_TOL:
                     break
-                _append_cut(targets, blocks, b, v, vectors)
+                _append_cut(targets, block, v)
                 found = True
         if not found:
             return used
     return budget
 
 
-def _append_cut(models, blocks, b: int, v: np.ndarray, vectors: list) -> None:
-    """Append v' M v >= 0 for block b to each model and record (b, v)."""
-    block = blocks[b]
-    coeffs = block.quadratic_form_coeffs(v)
+def _append_cut(models, block: PsdBlockRef, v: np.ndarray) -> None:
+    """Append v' M v >= 0 for the block to each model."""
+    row = block.quadratic_form_coeffs(v)
     for m in models:
-        m.add_row(coeffs, ">=", 0.0, name=f"eig_{block.name}_{m.num_rows}")
-    vectors.append((b, v))
+        m.add_row(row, ">=", 0.0, name=f"eig_{block.name}_{m.num_rows}")
 
 
 def add_dd_inner_general(model: LinearModel, blocks) -> LinearModel:
@@ -217,18 +203,3 @@ def audit_inner_psd(blocks, x: np.ndarray) -> None:
                 f"inner-approximation block {block.name} has min eigenvalue "
                 f"{lam:.3e} (entry scale {scale:.3e})")
 
-
-def run_type3_bounds(inst, config=None):
-    """Lower and upper bound runs for the Type 3 model; asserts lb <= ub."""
-    from . import sddip  # runtime import: sddip builds on this module
-
-    cfg = config if config is not None else sddip.SddipConfig()
-    t0 = time.perf_counter()
-    lb_report = sddip.run(inst, 3, sddip.replace_config(cfg, bound_mode="lb"))
-    ub_report = sddip.run(inst, 3, sddip.replace_config(cfg, bound_mode="ub"))
-    lb = lb_report.lb_per_iter[-1]
-    ub = ub_report.ub_estimate
-    if lb > ub + SANDWICH_REL_SLACK * max(1.0, abs(ub)):
-        raise AssertionError(f"bound sandwich violated: lb={lb} > ub={ub}")
-    lb_report.wall_time = time.perf_counter() - t0
-    return lb_report, ub_report

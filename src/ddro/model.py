@@ -24,6 +24,8 @@ Lagrangian relaxation of SDDiP (Zou, Ahmed & Sun 2019).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,6 +84,13 @@ class Instance:
 
 
 def validate_instance(inst: Instance) -> None:
+    for name, strict in (("N", False), ("rho_bar", True), ("gamma", False),
+                         ("eta_cov", True)):
+        val = getattr(inst, name)
+        if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+                or not math.isfinite(val) or val < 0 or (strict and val == 0)):
+            raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} 0, "
+                             f"got {val!r}")
     for fld in fields(Instance):
         val = getattr(inst, fld.name)
         if isinstance(val, str):

@@ -51,11 +51,6 @@ class DualAtBound(RuntimeError):
     """A dual variable still sits at its big-M bound after the last
     escalation."""
 
-    def __init__(self, message: str, family: str = "", scale: float = 0.0):
-        super().__init__(message)
-        self.family = family
-        self.scale = scale
-
 
 @dataclass
 class DualBound:
@@ -470,7 +465,7 @@ def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None):
             on_binding(sol, lay)
         if bound.escalations >= MAX_DUAL_ESCALATIONS:
             raise DualAtBound(f"dual family {family} at bound {bound.value:g} after "
-                              f"{bound.escalations} escalations", family, bound.value)
+                              f"{bound.escalations} escalations")
         bound.value *= 10.0
         bound.escalations += 1
 

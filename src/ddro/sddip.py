@@ -51,6 +51,7 @@ SUBGRADIENT_ITERS = 50  # subgradient steps of the Lagrangian dual
 STALL_WINDOW = 5  # iterations over which an unmoved lb means a stall
 UB_PATHS = 200  # sampled paths of a sampled policy evaluation
 TREE_LIMIT = 1e5  # policies are evaluated on sampled paths above K^(T-1) = this
+SANDWICH_REL_SLACK = 1e-6  # run_type3_bounds accepts lb <= ub + this * max(1, |ub|)
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,9 @@ def _bits(x) -> tuple[int, ...]:
 
 @dataclass
 class _Compiled:
-    """A stage model compiled once for copying: built without cuts, and
-    `extended`, its copy with the pool's cuts at `cuts` cuts (plus the DD
-    rows on the "ub" route)."""
+    """A stage model compiled once for copying: built without cuts (with
+    the DD rows on the "ub" route), and `extended`, its copy with the
+    pool's cuts at `cuts` cuts."""
 
     model: LinearModel
     lay: VarLayout
@@ -223,11 +224,14 @@ class StageOracle:
     and writes its data (model.set_stage_data): the demand right-hand
     sides of the realization, and the bounds of z -- pinned at the state,
     or, for the Lagrangian relaxation, free in [0, 1] with costs -pi.
-    Then it appends only what the kept model lacks.  For the cut rows, a
-    copy extended by the pool's cuts is kept while the number of cuts in
-    the stage's pool is unchanged; the eigen rows of the "lb" route are
-    appended per solve.  The solved model has the columns, rows, row
-    order and coefficients of a fresh build, so results do not change.
+    On the "ub" route the kept model carries the DD rows of its PSD
+    blocks, written once when it is compiled.  Each solve appends only
+    what the kept model lacks: for the cut rows, a copy extended by the
+    pool's cuts is kept while the number of cuts in the stage's pool is
+    unchanged; the eigen rows of the "lb" route, stored as the cut loop
+    appended them, are replayed per solve.  The solved model equals a
+    fresh build that adds the stage block, the DD rows, the cuts and the
+    eigen rows in that order.
     An escalation of the big-M bound drops the kept models along with
     the stage cache.
     """
@@ -247,7 +251,7 @@ class StageOracle:
         self.dual_solves = 0
         self._stage_cache: dict = {}
         self._compiled: dict[tuple, _Compiled] = {}
-        self._eigen_registry: dict[int, list[tuple[int, np.ndarray]]] = {}
+        self._eigen_rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def risk_spec(self, t: int) -> RiskSpec | None:
         """The blend of the stage-t inner measure, which carries the
@@ -260,7 +264,7 @@ class StageOracle:
         """Value/decision of the stage-t subproblem at (x_prev, xi_t^k)."""
         inst = self.inst
         key = (t, k, _bits(x_prev), self.pool.num_cuts(t + 1),
-               len(self._eigen_registry.get(t, ())))
+               len(self._eigen_rows.get(t, ())))
         hit = self._stage_cache.get(key)
         if hit is not None:
             return hit
@@ -295,27 +299,28 @@ class StageOracle:
 
     def _stage_model(self, t: int, k: int, x_prev, pi, dual_bound: float):
         """(model, layout, PSD blocks) of one stage-t solve at big-M
-        dual_bound: a copy of the kept model with the pool's cuts, the
-        eigen rows found so far, the data of (k, x_prev) and the costs -pi."""
+        dual_bound: a copy of the kept model (DD rows included on the "ub"
+        route) with the pool's cuts, the eigen rows found so far, the data
+        of (k, x_prev) and the costs -pi."""
         inst = self.inst
         comp = self._compiled.get((t, dual_bound))
         if comp is None:
             model, lay, blocks = build_stage(
                 inst, int(self.ttype), t, np.zeros(inst.I), np.zeros(inst.J),
                 risk=self.risk_spec(t), dual_bound=dual_bound)
+            if self.config.bound_mode == "ub" and blocks:
+                model = misdp.add_dd_inner_general(model, blocks)
             model.validate()
             comp = self._compiled[(t, dual_bound)] = _Compiled(model, lay, blocks)
         cuts = self.pool.num_cuts(t + 1)
         if comp.cuts != cuts:
             extended = comp.model.copy()
             add_cut_rows(extended, comp.lay, self.pool.rows_for_stage_model(t))
-            if self.config.bound_mode == "ub" and comp.blocks:
-                extended = misdp.add_dd_inner_general(extended, comp.blocks)
             extended.validate()
             comp.cuts, comp.extended = cuts, extended
         model = comp.extended.copy()
-        for b_idx, v in self._eigen_registry.get(t, []):
-            model.add_row(comp.blocks[b_idx].quadratic_form_coeffs(v), ">=", 0.0)
+        for row in self._eigen_rows.get(t, ()):
+            model.add_row(row, ">=", 0.0)
         set_stage_data(model, comp.lay.dem, comp.lay.z_copy, x_prev,
                        inst.stage_support(t)[k], pi)
         return model, comp.lay, comp.blocks
@@ -324,10 +329,11 @@ class StageOracle:
         model, lay, blocks = self._stage_model(t, k, x_prev, pi, dual_bound)
         mode = self.config.bound_mode  # "lb" and "ub" are Type 3 routes
         if mode == "lb" and blocks:  # the terminal stage has no PSD blocks
-            new_vecs: list[tuple[int, np.ndarray]] = []
-            sol = misdp.solve_misdp_outer(model, blocks, vectors=new_vecs)
-            if new_vecs:
-                self._eigen_registry.setdefault(t, []).extend(new_vecs)
+            done = model.num_rows
+            sol = misdp.solve_misdp_outer(model, blocks)
+            if model.num_rows > done:
+                self._eigen_rows.setdefault(t, []).extend(
+                    zip(model.row_cols[done:], model.row_vals[done:]))
         else:
             sol = solve_milp(model)
         self.stage_solves += 1
@@ -529,6 +535,20 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
     report.dual_solves = oracle.dual_solves
     report.dual_escalations = oracle.dual_bound.escalations
     report.eigen_cuts_per_stage = {
-        str(t): len(v) for t, v in sorted(oracle._eigen_registry.items())}
+        str(t): len(v) for t, v in sorted(oracle._eigen_rows.items())}
     report.wall_time = time.perf_counter() - t_start
     return report
+
+
+def run_type3_bounds(inst: Instance, config: SddipConfig | None = None):
+    """Lower and upper bound runs for the Type 3 model; asserts lb <= ub."""
+    cfg = config if config is not None else SddipConfig()
+    t0 = time.perf_counter()
+    lb_report = run(inst, 3, replace_config(cfg, bound_mode="lb"))
+    ub_report = run(inst, 3, replace_config(cfg, bound_mode="ub"))
+    lb = lb_report.lb_per_iter[-1]
+    ub = ub_report.ub_estimate
+    if lb > ub + SANDWICH_REL_SLACK * max(1.0, abs(ub)):
+        raise AssertionError(f"bound sandwich violated: lb={lb} > ub={ub}")
+    lb_report.wall_time = time.perf_counter() - t0
+    return lb_report, ub_report

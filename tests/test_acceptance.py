@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from ddro import bench, misdp, sddip
+from ddro import bench
 from ddro.ambiguity import (AmbiguityType, RiskSpec, is_nonempty, type1_bounds,
                             worst_case)
 from ddro.bench import (PATTERN_SUITES, budget_feasible_states,
@@ -21,7 +21,8 @@ from ddro.bench import (PATTERN_SUITES, budget_feasible_states,
 from ddro.linalg import min_eigenpair
 from ddro.model import generate_instance, replace_fields, zero_lambda
 from ddro.reformulate import frozen_dual_value
-from ddro.sddip import CutPool, SddipConfig, StageOracle, backward_pass, forward_pass, run
+from ddro.sddip import (CutPool, SddipConfig, StageOracle, backward_pass, forward_pass, run,
+                        run_type3_bounds)
 
 REL = 1e-6
 
@@ -92,7 +93,7 @@ def test_criterion_3_type3_sandwich():
             inst = make_pattern_instance(pat, seed=seed)
             exact = enumerate_two_stage(inst, 3)
             assert exact.status == "ok"
-            lb_rep, ub_rep = misdp.run_type3_bounds(
+            lb_rep, ub_rep = run_type3_bounds(
                 inst, SddipConfig(max_iters=12, seed=0))
             lb = lb_rep.lb_per_iter[-1]
             ub = ub_rep.ub_estimate

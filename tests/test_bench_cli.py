@@ -345,6 +345,16 @@ def test_cli_rejects_malformed_instance_files(tmp_path, capsys):
             assert cli.main(cmd + ["--instance", str(path)]) == 1, name
             err = capsys.readouterr().err
             assert err.startswith(f"validation error: {name} must have shape"), (name, err)
+    # a scalar that is not a finite real number, is a bool or is out of
+    # range is rejected by name, not solved or left to a TypeError
+    for name, val in (("N", [100, 100]), ("N", -3.0), ("gamma", -5.0), ("gamma", True),
+                      ("rho_bar", "x"), ("eta_cov", -1.0)):
+        path.write_text(json.dumps({**doc, name: val}))
+        for cmd in (["solve", "--type", "1"], ["export-lp", "--type", "1", "--out",
+                                               str(tmp_path / "m.lp")]):
+            assert cli.main(cmd + ["--instance", str(path)]) == 1, (name, val)
+            err = capsys.readouterr().err
+            assert err.startswith(f"validation error: {name} "), (name, val, err)
 
 
 def test_cli_bench_rejects_malformed_specs(tmp_path, capsys):

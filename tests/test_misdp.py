@@ -1,16 +1,21 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
 from ddro import misdp, sddip
 from ddro.ambiguity import AmbiguityType, worst_case
-from ddro.bench import TYPE3_PATTERNS, enumerate_two_stage, make_pattern_instance
+from ddro.bench import (TYPE3_PATTERNS, enumerate_two_stage, exact_multistage_value,
+                        make_pattern_instance)
 from ddro.linalg import min_eigenpair
 from ddro.lpmilp import INFEASIBLE, OPTIMAL, LinearModel, solve_milp
 from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef,
-                        add_dd_inner_general, audit_inner_psd, run_type3_bounds,
-                        solve_misdp_outer)
+                        add_dd_inner_general, audit_inner_psd, solve_misdp_outer)
 from ddro.model import replace_fields
 from ddro.reformulate import freeze_stage
+from ddro.sddip import run_type3_bounds
+from test_lpmilp import csr_matrix
 
 
 def _block_model(z_bounds=(0.0, 10.0)):
@@ -25,12 +30,16 @@ def _block_model(z_bounds=(0.0, 10.0)):
 
 
 def test_psd_block_quadratic_coeffs():
-    _, block, (a, b, c) = _block_model()
+    m, block, (a, b, c) = _block_model()
     v = np.array([1.0, 2.0])
-    coeffs = block.quadratic_form_coeffs(v)
-    assert coeffs[a] == 1.0
-    assert coeffs[b] == 4.0  # both off-diagonal positions share the column
-    assert coeffs[c] == 4.0
+    cols, vals = block.quadratic_form_coeffs(v)
+    assert cols.tolist() == [a, b, b, c]
+    assert vals.tolist() == [1.0, 2.0, 2.0, 4.0]
+    m.add_row((cols, vals), ">=", 0.0)
+    row = csr_matrix(m).toarray()[-1]
+    assert row[a] == 1.0
+    assert row[b] == 4.0  # both off-diagonal positions share the column
+    assert row[c] == 4.0
 
 
 def test_outer_no_cuts_when_already_psd():
@@ -149,13 +158,13 @@ def _sandwich_models():
 
 def test_outer_vectors_replay_in_one_milp_solve():
     for _, model, blocks in _sandwich_models():
-        vectors = []
-        outer = solve_misdp_outer(model.copy(), blocks, vectors=vectors)
+        looped = model.copy()
+        outer = solve_misdp_outer(looped, blocks)
         assert outer.status == OPTIMAL
-        assert vectors
+        assert looped.num_rows > model.num_rows
         replay = model.copy()
-        for b, v in vectors:
-            replay.add_row(blocks[b].quadratic_form_coeffs(v), ">=", 0.0)
+        for row in zip(looped.row_cols[model.num_rows:], looped.row_vals[model.num_rows:]):
+            replay.add_row(row, ">=", 0.0)
         sol = solve_milp(replay)
         assert sol.status == OPTIMAL
         assert abs(sol.objective - outer.objective) <= 1e-7 * max(1.0, abs(outer.objective))
@@ -185,6 +194,37 @@ def test_run_type3_bounds_sandwich_with_exact():
     assert exact <= ub + tol
 
 
+def test_run_type3_bounds_sandwich_at_three_stages():
+    # pattern 3-1 stretched to T = 3: stage 3 repeats stage 2's support,
+    # so the eigen rows of stage 2, an intermediate PSD stage, are replayed
+    inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1, K=4)
+    inst = replace_fields(
+        inst, T=3, support=inst.support + (inst.support[1],),
+        f=np.vstack([inst.f, inst.f[-1:]]), h=np.vstack([inst.h, inst.h[-1:]]),
+        risk_lambda=np.append(inst.risk_lambda, inst.risk_lambda[-1]),
+        risk_alpha=np.append(inst.risk_alpha, inst.risk_alpha[-1]))
+    exact = exact_multistage_value(inst, 3)
+    lb_rep, ub_rep = run_type3_bounds(inst, sddip.SddipConfig(max_iters=12))
+    tol = 1e-6 * max(1.0, abs(exact))
+    assert lb_rep.lb_per_iter[-1] <= exact + tol
+    assert exact <= ub_rep.ub_estimate + tol
+    assert set(lb_rep.eigen_cuts_per_stage) == {"1", "2"}
+
+
+def test_misdp_imports_no_engine_module():
+    # misdp sits below the engine: no import of sddip, bench or cli, at
+    # module level or inside a function
+    tree = ast.parse(pathlib.Path(misdp.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rsplit(".", 1)[-1])
+            names.update(alias.name for alias in node.names)
+    assert not names & {"sddip", "bench", "cli"}
+
+
 def test_huge_radii_bounds_close():
     inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1)
     inst = replace_fields(inst, gamma=1e6, eta_cov=1e6)
@@ -211,7 +251,5 @@ def test_cut_loop_limit_carries_best(monkeypatch):
     m.set_bounds(b, 1.0, 1.0)
     m.set_objective(c, 1.0)
     monkeypatch.setattr(misdp, "MAX_CUT_ROUNDS_OUTER", 1)
-    with pytest.raises(CutLoopLimit) as err:
+    with pytest.raises(CutLoopLimit):
         outer(m, [block])
-    assert err.value.best is not None
-    assert err.value.best.status == OPTIMAL

@@ -137,6 +137,24 @@ def test_type3_lb_terminal_solves_run_no_lp(monkeypatch):
     assert calls  # a stage-1 solve does run the LP phase
 
 
+def test_type3_ub_dd_rows_are_written_once_per_compiled_model(monkeypatch):
+    # the DD rows belong to the compiled "ub" stage model: a new cut
+    # version re-extends it without writing them again
+    inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1)
+    oracle = StageOracle(inst, 3, SddipConfig(bound_mode="ub"), CutPool(inst.T, inst.K))
+    calls = []
+    add_dd = misdp.add_dd_inner_general
+    monkeypatch.setattr(misdp, "add_dd_inner_general",
+                        lambda *a: calls.append(1) or add_dd(*a))
+    rng = np.random.default_rng(0)
+    _, trial_states = forward_pass(oracle, 1, rng)
+    backward_pass(oracle, trial_states)
+    assert oracle.pool.num_cuts(2) > 0
+    forward_pass(oracle, 1, rng)  # stage 1 again, under the second cut version
+    assert oracle._compiled[(1, oracle.dual_bound.value)].cuts == oracle.pool.num_cuts(2)
+    assert len(calls) == sum(1 for comp in oracle._compiled.values() if comp.blocks) == 1
+
+
 def test_forward_pass_structure_two_stage():
     inst = small_instance()
     pool = CutPool(inst.T, inst.K)
@@ -448,8 +466,8 @@ def test_config_json_must_be_an_object():
 
 def _fresh_model(oracle, t, k, x_prev, pi, dual_bound):
     """The stage-t model of one solve built from scratch: the builder, the
-    pool's cuts (add_cut_rows), then the DD copy ("ub"), the eigen rows,
-    and the z-copy costs -pi."""
+    DD copy ("ub"), the pool's cuts (add_cut_rows), the eigen rows, and
+    the z-copy costs -pi."""
     inst = oracle.inst
     xi = inst.stage_support(t)[k]
     if t == inst.T:
@@ -458,11 +476,11 @@ def _fresh_model(oracle, t, k, x_prev, pi, dual_bound):
     else:
         model, lay, blocks = build_stage(inst, int(oracle.ttype), t, x_prev, xi,
                                          risk=oracle.risk_spec(t), dual_bound=dual_bound)
-        add_cut_rows(model, lay, oracle.pool.rows_for_stage_model(t))
         if oracle.config.bound_mode == "ub":
             model = misdp.add_dd_inner_general(model, blocks)
-        for b, v in oracle._eigen_registry.get(t, []):
-            model.add_row(blocks[b].quadratic_form_coeffs(v), ">=", 0.0)
+        add_cut_rows(model, lay, oracle.pool.rows_for_stage_model(t))
+        for row in oracle._eigen_rows.get(t, []):
+            model.add_row(row, ">=", 0.0)
         z = lay.z_copy
     if pi is not None:
         for i, col in enumerate(z):
@@ -523,8 +541,9 @@ def test_patched_stage_models_equal_fresh_builds(label, make, ttype, mode, risk)
     M = oracle.dual_bound.value
     if mode == "lb":
         blocks = build_stage(inst, ttype, 1, np.zeros(inst.I), inst.xi1())[2]
-        oracle._eigen_registry[1] = [(b, rng.normal(size=blocks[b].dim))
-                                     for b in (0, 1, 0)]
+        oracle._eigen_rows[1] = [
+            blocks[b].quadratic_form_coeffs(rng.normal(size=blocks[b].dim))
+            for b in (0, 1, 0)]
     states = [np.zeros(inst.I), (np.arange(inst.I) % 2).astype(float), np.ones(inst.I)]
     pi = rng.normal(scale=50.0, size=inst.I)
     kept_text = None
