@@ -417,7 +417,7 @@ def milp(highs: _Highs, load) -> None:
 
     Every MILP solve calls this module-level name once, so that the
     benchmark's traced run can time HiGHS apart from marshalling by
-    patching it; ROADMAP item 1 moves that timing into counters.
+    patching it; ROADMAP item 4 moves that timing into counters.
     """
     _load_and_run(highs, load)
 

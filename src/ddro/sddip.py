@@ -144,9 +144,12 @@ def config_from_json(text: str) -> SddipConfig:
 
 @dataclass
 class SolveReport:
-    """What a run found and did.  stage_solves counts every stage MILP
-    solved, the relaxed solves of the Lagrangian duals among them;
-    dual_solves counts those relaxed solves alone."""
+    """What a run found and did.  stage_solves counts stage solves, not
+    MILPs: every stage model solved, the relaxed solves of the Lagrangian
+    duals and the big-M probes and re-solves among them.  A stage solve
+    on the Type 3 "lb" route is one eigen-cut loop of several LPs and
+    MILPs, and a hit of the stage cache is no solve.  dual_solves counts
+    the relaxed evaluations of the duals alone."""
 
     lb_per_iter: list[float] = field(default_factory=list)
     eigen_cuts_per_stage: dict = field(default_factory=dict)
@@ -232,6 +235,15 @@ class StageOracle:
     appended them, are replayed per solve.  The solved model equals a
     fresh build that adds the stage block, the DD rows, the cuts and the
     eigen rows in that order.
+    The stage cache holds one entry per solve_stage solve, keyed on the
+    model it solved: (t, k, state, cuts in the pool of stage t+1, eigen
+    rows of the solved model).  On the "lb" route the cut loop appends
+    eigen rows during the solve, so the entry lands past the row count
+    of the lookup that missed, where the next lookup finds it; a re-solve
+    there would replay the same rows in the same order.  The count is the
+    accepted solve's own: a flat-face probe at 10x the big-M
+    (reformulate.solve_with_dual_bound) may append rows after it, and a
+    lookup that counts those misses.  Other routes append no eigen rows.
     An escalation of the big-M bound drops the kept models along with
     the stage cache.
     """
@@ -261,27 +273,29 @@ class StageOracle:
         return RiskSpec(float(self.inst.risk_lambda[t]), float(self.inst.risk_alpha[t]))
 
     def solve_stage(self, t: int, k: int, x_prev) -> StageSolution:
-        """Value/decision of the stage-t subproblem at (x_prev, xi_t^k)."""
+        """Value/decision of the stage-t subproblem at (x_prev, xi_t^k).
+        The stage cache is read at the eigen rows stored now, and written
+        at those of the model solved, which include the rows its cut loop
+        appended (see StageOracle)."""
         inst = self.inst
-        key = (t, k, _bits(x_prev), self.pool.num_cuts(t + 1),
-               len(self._eigen_rows.get(t, ())))
-        hit = self._stage_cache.get(key)
+        key = (t, k, _bits(x_prev), self.pool.num_cuts(t + 1))
+        hit = self._stage_cache.get(key + (len(self._eigen_rows.get(t, ())),))
         if hit is not None:
             return hit
-        sol, lay, _ = self._solve_compiled(t, k, x_prev, pi=None)
+        sol, lay, _, eigen_rows = self._solve_compiled(t, k, x_prev, pi=None)
         value = float(sol.objective)  # at t = T, the stage cost itself
         out = StageSolution(value, _bits(round_integral(sol.x, lay.x)),
                             np.asarray(sol.x)[lay.theta].copy(),
                             value if t == inst.T else lay.cost_value(inst, sol.x))
-        self._stage_cache[key] = out
+        self._stage_cache[key + (eigen_rows,)] = out
         return out
 
     def _solve_compiled(self, t: int, k: int, x_prev, pi):
         """Build and solve a compiled stage model through
         reformulate.solve_with_dual_bound, with the emptiness check of the
-        next stage's ambiguity set as its hook.  An escalation is
-        permanent for the run, so it empties the stage cache and drops
-        the kept models."""
+        next stage's ambiguity set as its hook; returns the accepted
+        _solve_once result.  An escalation is permanent for the run, so
+        it empties the stage cache and drops the kept models."""
         def check_nonempty(sol, lay):
             x_hat = round_integral(sol.x, lay.x)
             if not is_nonempty(self.inst, self.ttype, x_hat, stage=t + 1):
@@ -326,6 +340,8 @@ class StageOracle:
         return model, comp.lay, comp.blocks
 
     def _solve_once(self, t: int, k: int, x_prev, pi, dual_bound):
+        """(solution, layout, PSD blocks, eigen rows of the solved model):
+        the rows replayed plus those the cut loop appended."""
         model, lay, blocks = self._stage_model(t, k, x_prev, pi, dual_bound)
         mode = self.config.bound_mode  # "lb" and "ub" are Type 3 routes
         if mode == "lb" and blocks:  # the terminal stage has no PSD blocks
@@ -341,14 +357,14 @@ class StageOracle:
             raise RuntimeError(f"stage {t} solve returned {sol.status}")
         if mode == "ub":
             misdp.audit_inner_psd(blocks, sol.x)
-        return sol, lay, blocks
+        return sol, lay, blocks, len(self._eigen_rows.get(t, ()))
 
     # -- copied-state evaluations for the Lagrangian dual -------------------
     def relaxed_value(self, t: int, k: int, pi: np.ndarray):
         """L(pi): stage model with a free binary copy z of the incoming
         state and objective term -pi'z; returns (value, z*)."""
         self.dual_solves += 1
-        sol, lay, _ = self._solve_compiled(t, k, None, np.asarray(pi, dtype=float))
+        sol, lay, _, _ = self._solve_compiled(t, k, None, np.asarray(pi, dtype=float))
         return float(sol.objective), round_integral(sol.x, lay.z_copy)
 
 

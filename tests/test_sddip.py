@@ -3,16 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from ddro import lpmilp, misdp, sddip
+from ddro import lpmilp, misdp, reformulate, sddip
 from ddro.ambiguity import EmptyAmbiguity
 from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, make_pattern_instance,
                         terminal_value)
 from ddro.linalg import SymMatrix
-from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, solve_milp
+from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, round_integral, solve_milp
 from ddro.model import build_stage_block, generate_instance, replace_fields, zero_lambda
 from ddro.reformulate import DualAtBound, add_cut_rows, build_stage
 from ddro.sddip import (Cut, CutPool, SddipConfig, StageOracle, backward_pass,
-                        forward_pass, lagrangian_dual, run)
+                        evaluate_policy, forward_pass, lagrangian_dual, run)
 from test_lpmilp import highs_arrays, lp_text
 
 
@@ -135,6 +135,74 @@ def test_type3_lb_terminal_solves_run_no_lp(monkeypatch):
     assert calls == [] and oracle.stage_solves == inst.K
     oracle.solve_stage(1, 0, np.zeros(inst.I))
     assert calls  # a stage-1 solve does run the LP phase
+
+
+def _type3_lb_oracle():
+    inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1)
+    return inst, StageOracle(inst, 3, SddipConfig(bound_mode="lb"), CutPool(inst.T, inst.K))
+
+
+def test_type3_lb_policy_evaluation_reuses_the_forward_stage_one_solve(monkeypatch):
+    # the forward pass's stage-1 cut loop appends eigen rows; its solution
+    # is cached under the model it solved, rows included, so evaluating
+    # the policy right after runs no stage-1 cut loop
+    inst, oracle = _type3_lb_oracle()
+    loops = []
+    outer = misdp.solve_misdp_outer
+    monkeypatch.setattr(misdp, "solve_misdp_outer",
+                        lambda *a: loops.append(1) or outer(*a))
+    rng = np.random.default_rng(0)
+    sol1, _ = forward_pass(oracle, 1, rng)
+    assert len(loops) == 1 and oracle._eigen_rows[1]
+    evaluate_policy(oracle, rng)
+    assert len(loops) == 1
+    x0 = np.zeros(inst.I)
+    assert oracle.solve_stage(1, 0, x0) is sol1
+    # a fresh solve of the model with the stored rows replayed appends
+    # none and returns the cached solution
+    model, lay, blocks = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
+    rows = model.num_rows
+    fresh = outer(model, blocks)
+    assert model.num_rows == rows
+    assert float(fresh.objective) == sol1.value
+    assert sddip._bits(round_integral(fresh.x, lay.x)) == sol1.x_bits
+
+
+def test_type3_lb_stage_cache_keys_on_the_accepted_solve_not_its_probe(monkeypatch):
+    # an audit that flags once makes solve_with_dual_bound probe at 10x
+    # the big-M; the probe's cut loop appends rows after the accepted
+    # solve at M, whose solution is stored at the M solve's row count
+    inst, oracle = _type3_lb_oracle()
+    audit = reformulate.audit_dual_bounds
+    flagged = []
+
+    def audit_once(lay, x):
+        if not flagged:
+            flagged.append(1)
+            return lay.audit_families[0]
+        return audit(lay, x)
+
+    monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
+    counts = []  # the eigen rows of each model solved
+    solve_once = oracle._solve_once
+
+    def counting(*args):
+        out = solve_once(*args)
+        counts.append(out[3])
+        return out
+
+    monkeypatch.setattr(oracle, "_solve_once", counting)
+    x0 = np.zeros(inst.I)
+    sol = oracle.solve_stage(1, 0, x0)
+    assert flagged and oracle.dual_bound.escalations == 0
+    at_m, after_probe = counts  # the solve at M, then the probe at 10x M
+    assert at_m < after_probe == len(oracle._eigen_rows[1])
+    assert oracle._stage_cache == {(1, 0, (0,) * inst.I, 0, at_m): sol}
+    # a lookup with the probe's rows stored is another model: it solves
+    solves = oracle.stage_solves
+    again = oracle.solve_stage(1, 0, x0)
+    assert oracle.stage_solves == solves + 1 and again is not sol
+    assert oracle._stage_cache[(1, 0, (0,) * inst.I, 0, counts[-1])] is again
 
 
 def test_type3_ub_dd_rows_are_written_once_per_compiled_model(monkeypatch):
