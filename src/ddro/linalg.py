@@ -34,11 +34,12 @@ class SymMatrix:
         return self.entries.shape[0]
 
     @staticmethod
-    def from_array(a, asym_tol: float = 1e-8) -> "SymMatrix":
-        """Symmetrize (a + a^T)/2, rejecting inputs with larger asymmetry."""
+    def from_array(a) -> "SymMatrix":
+        """Symmetrize (a + a^T)/2, rejecting inputs whose asymmetry
+        exceeds 1e-8 * max(1, max|entry|)."""
         a = np.asarray(a, dtype=float)
         scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-        if np.abs(a - a.T).max(initial=0.0) > asym_tol * scale:
+        if np.abs(a - a.T).max(initial=0.0) > 1e-8 * scale:
             raise ValueError("matrix asymmetry exceeds tolerance")
         return SymMatrix((a + a.T) / 2.0)
 

@@ -69,7 +69,9 @@ class PsdBlockRef:
     cols: np.ndarray  # (dim, dim) int array of column ids
 
     def assemble(self, x: np.ndarray) -> SymMatrix:
-        return SymMatrix.from_array(x[self.cols], asym_tol=1e-5)
+        """The block's value at x; cols is a symmetric map, so this
+        raises ValueError on one that is not."""
+        return SymMatrix(x[self.cols])
 
     def quadratic_form_coeffs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """v' M v as a (cols, vals) row over the block columns; a column

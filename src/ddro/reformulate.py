@@ -20,6 +20,14 @@ bounding module.  The optional risk blend adds the CVaR shift variable
 and the per-realization reweighting duals, and reduces exactly to the
 risk-neutral rows at a zero blend weight.
 
+Each distinct product has one column and one envelope: the symmetric
+duals Y and z1, and their products x_i Y and x_i z1, have one column per
+unordered pair j <= jp, as ambiguity's moment-matching master has one
+covariance row per pair; x_i x_ip Y has one per i < ip, since x_i^2 = x_i
+folds its diagonal into x_i Y.  The layout's families keep their full
+index shapes and repeat a column wherever products are equal; a merged
+column carries the summed coefficients of its positions.
+
 McCormick needs finite dual bounds; the default big-M is
 1e4 * (1 + max revenue + max transport cost).  A post-solve audit flags
 any dual sitting at its bound, and solve_with_dual_bound settles it on
@@ -225,7 +233,7 @@ def _quadratic_value_coeffs(inst: Instance, xi_k: np.ndarray, Y: np.ndarray,
                             prod: np.ndarray, tri: np.ndarray) -> dict[int, float]:
     """Coefficients of (xi - mu(x))(xi - mu(x))' . Y with the binary
     products substituted: prod[i,j,jp] = x_i Y[j,jp], tri[i,ip,j,jp] =
-    x_i x_ip Y[j,jp]."""
+    x_i x_ip Y[j,jp]; a column the maps repeat sums its terms."""
     J, I = inst.J, inst.I
     mu_b = inst.mu_bar
     lam = inst.lambda_mu
@@ -255,21 +263,47 @@ def _quadratic_value_coeffs(inst: Instance, xi_k: np.ndarray, Y: np.ndarray,
     return coeffs
 
 
-def _matrix_vars(m: LinearModel, shape, lb, ub, prefix) -> np.ndarray:
-    cols = np.empty(shape, dtype=int)
-    for idx in np.ndindex(*shape):
-        cols[idx] = m.add_var(lb, ub, name=prefix + "_".join(map(str, idx)))
+def _pair_vars(m: LinearModel, n: int, lb, ub, prefix) -> np.ndarray:
+    """Symmetric (n, n) column map: one column per unordered pair j <= jp."""
+    cols = np.empty((n, n), dtype=int)
+    for j in range(n):
+        for jp in range(j, n):
+            cols[j, jp] = cols[jp, j] = m.add_var(lb, ub, name=f"{prefix}{j}_{jp}")
     return cols
 
 
-def _symmetry_rows(m: LinearModel, cols: np.ndarray, tag: str) -> None:
-    """Rows cols[j, jp] = cols[jp, j]; they do not change the stage value
-    (tests/test_reformulate.py::test_y_symmetry_rows_do_not_change_value)."""
-    n = cols.shape[0]
-    for j in range(n):
-        for jp in range(j + 1, n):
-            m.add_row({int(cols[j, jp]): 1.0, int(cols[jp, j]): -1.0}, "=", 0.0,
-                      name=f"sym_{tag}_{j}_{jp}")
+def _product_vars(m: LinearModel, x: np.ndarray, factor: np.ndarray, M: float) -> np.ndarray:
+    """Column map p[i, ...] = x_i * factor[...] for binary columns x: for
+    each x_i one column in [-M, M], named after its factors, and one
+    McCormick envelope per distinct column of factor, so p repeats a
+    column wherever factor does."""
+    cols = np.empty((len(x),) + factor.shape, dtype=int)
+    for i, b in enumerate(x):
+        made: dict[int, int] = {}
+        for idx in np.ndindex(*factor.shape):
+            f = int(factor[idx])
+            if f not in made:
+                made[f] = m.add_var(-M, M, name=f"{m.names[b]}.{m.names[f]}")
+                mccormick_binary_product(m, int(b), f, made[f], -M, M)
+            cols[(i,) + idx] = made[f]
+    return cols
+
+
+def _trilinear_vars(m: LinearModel, x: np.ndarray, prod: np.ndarray, M: float) -> np.ndarray:
+    """Column map of x_i * x_ip * factor from prod = x_i * factor.  Its
+    diagonal i = ip is prod itself, as x_i^2 = x_i; off it, one column
+    x_ip * prod[i] per i < ip, shared by (ip, i)."""
+    tri = np.repeat(prod[:, None], len(x), axis=1)
+    for ip in range(1, len(x)):
+        tri[:ip, ip] = tri[ip, :ip] = _product_vars(m, x[ip:ip + 1], prod[:ip], M)[0]
+    return tri
+
+
+def _add_objective(m: LinearModel, cols: np.ndarray, weights) -> None:
+    """Add weights to the objective of cols, position by position, so a
+    repeated column gets their sum."""
+    for c, w in zip(cols.ravel(), np.broadcast_to(weights, cols.shape).ravel()):
+        m.set_objective(int(c), m.objective[c] + float(w))
 
 
 def build_type2_stage(inst: Instance, t: int, x_prev, xi,
@@ -278,30 +312,18 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi,
     """Exact moment-matching stage model (duals s, u, Y; products w, z, v)."""
     m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
-    I, J, K = inst.I, inst.J, inst.K
+    J, K = inst.J, inst.K
     sig = inst.Sigma_bar.entries
     s = m.add_var(-np.inf, np.inf, obj=1.0, name="s")
-    u = _matrix_vars(m, (J,), -M, M, "u_")
-    Y = _matrix_vars(m, (J, J), -M, M, "Y_")
-    w = _matrix_vars(m, (I, J), -M, M, "w_")
-    zz = _matrix_vars(m, (I, J, J), -M, M, "z_")
-    v = _matrix_vars(m, (I, I, J, J), -M, M, "v_")
-    for j in range(J):
-        m.set_objective(int(u[j]), float(inst.mu_bar[j]))
-        for jp in range(J):
-            m.set_objective(int(Y[j, jp]), float(sig[j, jp]))
-    for i in range(I):
-        for j in range(J):
-            m.set_objective(int(w[i, j]), float(inst.mu_bar[j] * inst.lambda_mu[j, i]))
-            mccormick_binary_product(m, int(x[i]), int(u[j]), int(w[i, j]), -M, M)
-            for jp in range(J):
-                m.set_objective(int(zz[i, j, jp]), float(sig[j, jp] * inst.lambda_cov[i]))
-                mccormick_binary_product(m, int(x[i]), int(Y[j, jp]),
-                                         int(zz[i, j, jp]), -M, M)
-                for ip in range(I):
-                    mccormick_binary_product(m, int(x[ip]), int(zz[i, j, jp]),
-                                             int(v[i, ip, j, jp]), -M, M)
-    _symmetry_rows(m, Y, "Y")
+    u = m.add_vars(J, -M, M, prefix="u_")
+    Y = _pair_vars(m, J, -M, M, "Y_")
+    w = _product_vars(m, x, u, M)
+    zz = _product_vars(m, x, Y, M)
+    v = _trilinear_vars(m, x, zz, M)
+    _add_objective(m, u, inst.mu_bar)
+    _add_objective(m, Y, sig)
+    _add_objective(m, w, inst.mu_bar[None, :] * inst.lambda_mu.T)
+    _add_objective(m, zz, sig[None] * inst.lambda_cov[:, None, None])
     lay.families.update({"s": np.array([s]), "u": u, "Y": Y, "w": w, "z": zz, "v": v})
     lay.audit_families = ("u", "Y")
     xi_next = inst.stage_support(t + 1)
@@ -325,43 +347,27 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi,
     """
     m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
-    I, J, K = inst.I, inst.J, inst.K
+    J, K = inst.J, inst.K
     sig = inst.Sigma_bar.entries
     eta = inst.eta_cov
     s = m.add_var(-np.inf, np.inf, obj=1.0, name="s")
-    z1 = _matrix_vars(m, (J, J), -M, M, "z1_")
-    z2 = _matrix_vars(m, (J,), -M, M, "z2_")
+    z1 = _pair_vars(m, J, -M, M, "z1_")
+    z2 = m.add_vars(J, -M, M, prefix="z2_")
     z3 = m.add_var(0.0, np.inf, obj=float(inst.gamma), name="z3")
-    Y = _matrix_vars(m, (J, J), -M, M, "Y3_")
-    w3 = _matrix_vars(m, (I, J, J), -M, M, "w3_")
-    u3 = _matrix_vars(m, (I, J), -M, M, "u3_")
-    r3 = _matrix_vars(m, (I, J, J), -M, M, "R3_")
-    v3 = _matrix_vars(m, (I, I, J, J), -M, M, "v3_")
-    for j in range(J):
-        m.set_objective(int(z2[j]), -2.0 * inst.mu_bar[j])
-        m.set_bounds(int(z1[j, j]), 0.0, M)  # PSD diagonal
-        m.set_bounds(int(Y[j, j]), 0.0, M)
-        for jp in range(J):
-            m.set_objective(int(z1[j, jp]), float(sig[j, jp]))
-            m.set_objective(int(Y[j, jp]), eta * float(sig[j, jp]))
-    for i in range(I):
-        for j in range(J):
-            m.set_objective(int(u3[i, j]), -2.0 * inst.mu_bar[j] * inst.lambda_mu[j, i])
-            mccormick_binary_product(m, int(x[i]), int(z2[j]), int(u3[i, j]), -M, M)
-            for jp in range(J):
-                m.set_objective(int(w3[i, j, jp]),
-                                float(sig[j, jp] * inst.lambda_cov[i]))
-                m.set_objective(int(r3[i, j, jp]),
-                                eta * float(sig[j, jp] * inst.lambda_cov[i]))
-                mccormick_binary_product(m, int(x[i]), int(z1[j, jp]),
-                                         int(w3[i, j, jp]), -M, M)
-                mccormick_binary_product(m, int(x[i]), int(Y[j, jp]),
-                                         int(r3[i, j, jp]), -M, M)
-                for ip in range(I):
-                    mccormick_binary_product(m, int(x[ip]), int(r3[i, j, jp]),
-                                             int(v3[i, ip, j, jp]), -M, M)
-    _symmetry_rows(m, z1, "z1")
-    _symmetry_rows(m, Y, "Y3")
+    Y = _pair_vars(m, J, -M, M, "Y3_")
+    for c in (*np.diag(z1), *np.diag(Y)):
+        m.set_bounds(int(c), 0.0, M)  # PSD diagonal
+    w3 = _product_vars(m, x, z1, M)
+    u3 = _product_vars(m, x, z2, M)
+    r3 = _product_vars(m, x, Y, M)
+    v3 = _trilinear_vars(m, x, r3, M)
+    lam_cov = inst.lambda_cov[:, None, None]
+    _add_objective(m, z2, -2.0 * inst.mu_bar)
+    _add_objective(m, z1, sig)
+    _add_objective(m, Y, eta * sig)
+    _add_objective(m, u3, -2.0 * inst.mu_bar[None, :] * inst.lambda_mu.T)
+    _add_objective(m, w3, sig[None] * lam_cov)
+    _add_objective(m, r3, eta * (sig[None] * lam_cov))
     lay.families.update({"s": np.array([s]), "z1": z1, "z2": z2,
                          "z3": np.array([z3]), "Y": Y, "w": w3, "u": u3,
                          "R": r3, "v": v3})

@@ -42,6 +42,17 @@ def test_psd_block_quadratic_coeffs():
     assert row[c] == 4.0
 
 
+def test_psd_block_assemble_rejects_an_asymmetric_map():
+    # a symmetric map reads a symmetric block; one with a distinct column
+    # per off-diagonal position raises, however small the difference
+    _, block, (a, b, c) = _block_model()
+    x = np.array([1.0, 2.0, 3.0, 2.0 + 1e-9])
+    assert block.assemble(x).entries.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+    split = PsdBlockRef("Z", 2, np.array([[a, b], [3, c]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        split.assemble(x)
+
+
 def test_outer_no_cuts_when_already_psd():
     m, block, (a, b, c) = _block_model()
     m.set_bounds(b, 0.0, 0.0)

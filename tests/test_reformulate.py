@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from ddro.ambiguity import AmbiguityType, RiskSpec, is_nonempty, worst_case
-from ddro.bench import TYPE2_PATTERNS, make_pattern_instance
+from ddro.bench import TYPE2_PATTERNS, TYPE3_PATTERNS, make_pattern_instance
 from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, OPTIMAL, LinearModel, solve_lp, solve_milp
 from ddro.model import build_stage_block, generate_instance, replace_fields
 from ddro.reformulate import (MAX_DUAL_ESCALATIONS, DualAtBound, DualBound, UnboundedFactor,
                               VarLayout, add_cut_rows, build_stage, build_type1_stage,
                               build_type2_stage, build_type3_stage,
-                              frozen_dual_value, mccormick_binary_product,
+                              freeze_stage, frozen_dual_value, mccormick_binary_product,
                               solve_with_dual_bound)
 from test_lpmilp import lp_text
 
@@ -181,19 +181,61 @@ def test_full_stage_model_risk_reduction():
     assert np.all(np.asarray(m1.objective)[lay1.families["pi_cvar"]] == 0.0)
 
 
-def test_y_symmetry_rows_do_not_change_value():
-    inst = make_pattern_instance(TYPE2_PATTERNS[1], seed=4)
+# Products of x with each dual family: (product, dual, x factors).
+PRODUCT_FAMILIES = {
+    2: (("w", "u", 1), ("z", "Y", 1), ("v", "Y", 2)),
+    3: (("w", "z1", 1), ("u", "z2", 1), ("R", "Y", 1), ("v", "Y", 2)),
+}
+
+
+@pytest.mark.parametrize("ttype", (2, 3), ids=("type2", "type3"))
+@pytest.mark.parametrize("risk", (None, RiskSpec(0.5, 0.9)), ids=("neutral", "risk"))
+def test_product_columns_equal_their_products(ttype, risk):
+    # at every binary state each product column takes the value of its
+    # factors' product; the big-M box keeps the MILP bounded without PSD
+    # handling, and the maps repeat one column for every equal product
+    suite = TYPE2_PATTERNS if ttype == 2 else TYPE3_PATTERNS
+    inst = make_pattern_instance(suite[0], seed=1)
+    q = _sample_q(np.random.default_rng(7), inst)
+    bilinear = "z" if ttype == 2 else "R"
+    for bits in itertools.product((0.0, 1.0), repeat=inst.I):
+        x = np.array(bits)
+        model, lay, _ = freeze_stage(inst, ttype, 1, x, q, risk)
+        sol = solve_milp(model)
+        assert sol.status == OPTIMAL, bits
+        val = {fam: sol.x[cols] for fam, cols in lay.families.items()}
+        tol = 1e-9 * lay.dual_bound
+        for prod, dual, order in PRODUCT_FAMILIES[ttype]:
+            if order == 1:
+                want = np.multiply.outer(x, val[dual])
+            else:
+                want = np.multiply.outer(np.outer(x, x), val[dual])
+            assert np.abs(val[prod] - want).max() <= tol, (prod, bits)
+        fam = lay.families
+        assert np.array_equal(fam["Y"], fam["Y"].T)
+        assert np.array_equal(fam["v"], fam["v"].transpose(1, 0, 2, 3))
+        assert np.array_equal(fam["v"], fam["v"].transpose(0, 1, 3, 2))
+        for i in range(inst.I):
+            assert np.array_equal(fam["v"][i, i], fam[bilinear][i])
+
+
+@pytest.mark.parametrize("ttype, families, envelope_rows, rows", (
+    (2, ("w", "z", "v"), 96, 115), (3, ("w", "u", "R", "v"), 132, 151)),
+    ids=("type2", "type3"))
+def test_stage_models_envelope_each_distinct_product_once(ttype, families, envelope_rows,
+                                                          rows):
+    # one column and one four-row McCormick envelope per distinct product
+    # (at I=3, J=2: u, z2 products I*J, symmetric ones I*J(J+1)/2, and
+    # trilinear ones I(I-1)/2 * J(J+1)/2), and no rows tying equal columns
+    suite = TYPE2_PATTERNS if ttype == 2 else TYPE3_PATTERNS
+    inst = make_pattern_instance(suite[0], seed=1)
     xi = inst.support[0][0]
-    m_sym, _ = build_type2_stage(inst, 1, np.zeros(3), xi)
-    keep = [r for r, name in enumerate(m_sym.row_names) if not name.startswith("sym_")]
-    assert len(keep) < m_sym.num_rows
-    m_free = m_sym.copy()
-    for attr in ("row_cols", "row_vals", "row_rel", "row_rhs", "row_names"):
-        setattr(m_free, attr, [getattr(m_sym, attr)[r] for r in keep])
-    v_sym = solve_milp(m_sym)
-    v_free = solve_milp(m_free)
-    assert v_sym.status == v_free.status == OPTIMAL
-    assert abs(v_sym.objective - v_free.objective) <= 1e-6 * max(1.0, abs(v_sym.objective))
+    m, lay, _ = build_stage(inst, ttype, 1, np.zeros(inst.I), xi)
+    assert not any(name.startswith("sym_") for name in m.row_names)
+    products = np.unique(np.concatenate([lay.families[f].ravel() for f in families]))
+    block_rows = build_stage_block(inst, 1, np.zeros(inst.I), xi).model.num_rows
+    assert m.num_rows - block_rows - inst.K == 4 * products.size == envelope_rows
+    assert (inst.I, inst.J, inst.K, m.num_rows) == (3, 2, 10, rows)
 
 
 def test_prob_bound_dual_columns_are_neutral():

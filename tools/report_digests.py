@@ -13,6 +13,18 @@ the benchmark does.
 
 removes the named top-level report fields before hashing (repeat --drop
 for more), to show that a change alters only those fields.
+
+    python3 tools/report_digests.py --values 1 2 > values.jsonl
+    python3 tools/report_digests.py --values --against values.jsonl 1 2
+
+The value mode prints, in place of the digest, one JSON line per case
+with the report's status, termination, iterations, first_stage_x, lb
+(the last lower bound) and ub (ub_estimate).  Given the dump of another
+commit with --against, it also compares: a case that differs in a
+discrete field, has no counterpart, or moves lb or ub by more than
+REL_TOL = 1e-6 relative to max(1, |value|) is listed on stderr,
+and the exit code is 1.  This shows that a change which moves the last
+bits of the bounds keeps every result.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -31,6 +44,9 @@ import workloads  # noqa: E402  (perfbench/workloads.py)
 from ddro.sddip import SolveReport  # noqa: E402
 
 FIELDS = sorted(f.name for f in dataclasses.fields(SolveReport))
+DISCRETE = ("status", "termination", "iterations", "first_stage_x")
+BOUNDS = ("lb", "ub")
+REL_TOL = 1e-6  # largest relative lb or ub difference --against accepts
 
 
 def report_text(report: SolveReport, drop=()) -> str:
@@ -44,19 +60,93 @@ def report_text(report: SolveReport, drop=()) -> str:
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
+def report_values(report: SolveReport) -> dict:
+    """The result fields of a report that the value mode compares."""
+    doc = {name: getattr(report, name) for name in DISCRETE}
+    doc["lb"] = report.lb_per_iter[-1] if report.lb_per_iter else float("nan")
+    doc["ub"] = report.ub_estimate
+    return doc
+
+
+def bound_gap(a: float, b: float) -> float:
+    """|a - b| relative to max(1, |a|, |b|): 0 when both are equal or
+    NaN, inf when only one is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(1.0, abs(a), abs(b))
+
+
+def compare(new: dict, old: dict) -> list[str]:
+    """What differs between two value records of one case."""
+    out = [f"{name} {old[name]} -> {new[name]}" for name in DISCRETE if new[name] != old[name]]
+    for name in BOUNDS:
+        gap = bound_gap(new[name], old[name])
+        if gap > REL_TOL:
+            out.append(f"{name} {old[name]!r} -> {new[name]!r} (rel {gap:.3g})")
+    return out
+
+
+def key(rec: dict) -> tuple:
+    return rec["workload"], rec["seed"], rec["case"]
+
+
+def check_against(records: list[dict], path: str) -> int:
+    """Compare value records with the --values dump at path, over the
+    seeds the records cover; list each case that differs or has no
+    counterpart on stderr, and return 1 if there is one."""
+    with open(path) as fh:
+        old = {key(rec): rec for rec in map(json.loads, fh)}
+    seeds = {rec["seed"] for rec in records}
+    old = {k: rec for k, rec in old.items() if k[1] in seeds}
+    failed, largest = 0, dict.fromkeys(BOUNDS, 0.0)
+    for rec in records:
+        prev = old.pop(key(rec), None)
+        if prev is None:
+            diffs = ["no counterpart"]
+        else:
+            diffs = compare(rec, prev)
+            for b in BOUNDS:
+                largest[b] = max(largest[b], bound_gap(rec[b], prev[b]))
+        if diffs:
+            failed += 1
+            print("DIFF {} {} {}: ".format(*key(rec)) + "; ".join(diffs), file=sys.stderr)
+    for k in old:
+        failed += 1
+        print("DIFF {} {} {}: missing here".format(*k), file=sys.stderr)
+    print(f"{failed} case(s) differ; largest relative lb difference "
+          f"{largest['lb']:.3g}, ub {largest['ub']:.3g}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seeds", nargs="+", type=int, help="workload seeds")
     ap.add_argument("--drop", action="append", default=[], choices=FIELDS,
                     metavar="FIELD", help="report field left out of the digest; repeatable")
+    ap.add_argument("--values", action="store_true",
+                    help="print each case's result fields as a JSON line, not a digest")
+    ap.add_argument("--against", metavar="FILE",
+                    help="--values dump of another commit to compare with; exit 1 on a difference")
     args = ap.parse_args(argv)
+    if args.against and not args.values:
+        ap.error("--against needs --values")
+    if args.values and args.drop:
+        ap.error("--drop applies to digests, not --values")
+    records = []
     for seed in args.seeds:
         for name in workloads.WORKLOADS:
             for case in workloads.build(name, seed):
-                text = report_text(case.solve(), args.drop)
-                digest = hashlib.md5(text.encode()).hexdigest()
-                print(f"{name} {seed} {case.label} {digest}", flush=True)
-    return 0
+                report = case.solve()
+                if args.values:
+                    records.append({"workload": name, "seed": seed, "case": case.label,
+                                    **report_values(report)})
+                    print(json.dumps(records[-1]), flush=True)
+                else:
+                    digest = hashlib.md5(report_text(report, args.drop).encode()).hexdigest()
+                    print(f"{name} {seed} {case.label} {digest}", flush=True)
+    return check_against(records, args.against) if args.against else 0
 
 
 if __name__ == "__main__":
