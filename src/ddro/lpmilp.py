@@ -50,6 +50,13 @@ about 330 rows, one node each) took 1.40 s with RINS and RENS and
 call, an iteration cap of 10*(n + m + ITERATION_CAP_BASE).  The two
 limits are module constants, read at each call.
 
+solve_milps solves independent models as one block-diagonal MILP, run
+once to save HiGHS's fixed cost per call and searched at its root node
+alone, since blocks that branch multiply one search tree; it returns
+None if the batch does not close there.  Each model gets its block of
+x, its objective summed as HiGHS sums one (math.fsum), and that less
+the batch's gap as best_bound.
+
 A solver invocation is single-threaded and reentrant; distinct
 LinearModel values may be solved from several threads.  MILP solves
 then run one at a time: under a module lock, each points file
@@ -61,6 +68,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import math
 import os
 import sys
 import threading
@@ -511,7 +519,36 @@ def _run_lp(highs: _Highs, model: LinearModel, load) -> LpSolution:
 
 def solve_milp(model: LinearModel) -> MipSolution:
     """Exact branch-and-bound solve (zero relative gap) via HiGHS."""
-    return _solve_milp_once(model, presolve=True)
+    return _solve_milp_once([model], presolve=True)
+
+
+def solve_milps(models: list[LinearModel]) -> list[MipSolution] | None:
+    """One solution per model from one block-diagonal MILP searched at its
+    root alone, or None if it does not close there (see the module docstring)."""
+    try:
+        batch = _solve_milp_once(models, presolve=True, node_limit=1)
+    except NumericalFailure:
+        return None
+    if batch.status != OPTIMAL:
+        return None
+    gap = batch.objective - batch.best_bound
+    xs = np.split(batch.x, np.cumsum([m.num_vars for m in models])[:-1])
+    objs = [math.fsum(np.asarray(m.objective) * x) for m, x in zip(models, xs)]  # as HiGHS
+    return [MipSolution(OPTIMAL, x, obj, obj - gap, batch.node_count) for x, obj in zip(xs, objs)]
+
+
+def _block_diagonal(parts) -> tuple:
+    """One passModel argument tuple from those of several models (see
+    _highs_model): columns, then rows, in model order."""
+    (ncol, nrow, nnz, _, _, _, cost, lower, upper, row_lower, row_upper,
+     start, index, value, integrality) = zip(*parts)
+    col0 = np.cumsum((0,) + ncol[:-1])
+    nz0 = np.cumsum((0,) + nnz[:-1])
+    cat = np.concatenate
+    start = cat([s[:-1] + o for s, o in zip(start, nz0)] + [[sum(nnz)]]).astype(np.int32)
+    index = cat([ix + o for ix, o in zip(index, col0)]).astype(np.int32)
+    return (sum(ncol), sum(nrow), sum(nnz), _ROWWISE, _MINIMIZE, 0.0, cat(cost), cat(lower),
+            cat(upper), cat(row_lower), cat(row_upper), start, index, cat(value), cat(integrality))
 
 
 # A MILP stopped at one of these limits reports GapLimit, with the
@@ -520,12 +557,14 @@ _LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
            HighsModelStatus.kSolutionLimit)
 
 
-def _solve_milp_once(model: LinearModel, presolve: bool) -> MipSolution:
-    integer = any(kind != CONTINUOUS for kind in model.integrality)
-    args = _highs_model(model, integer)
+def _solve_milp_once(models: list[LinearModel], presolve: bool, node_limit=None) -> MipSolution:
+    """Solve one model, or several as one, in node_limit (or NODE_LIMIT) nodes."""
+    integer = any(kind != CONTINUOUS for m in models for kind in m.integrality)
+    parts = [_highs_model(m, integer) for m in models]
+    args = parts[0] if len(parts) == 1 else _block_diagonal(parts)
     highs = _handle("milp")
     _set_options(highs, {"presolve": "on" if presolve else "off",
-                         "mip_max_nodes": NODE_LIMIT})
+                         "mip_max_nodes": node_limit or NODE_LIMIT})
     with _stdout_to_stderr():
         milp(highs, partial(highs.passModel, *args))
     status = highs.getModelStatus()
@@ -541,8 +580,8 @@ def _solve_milp_once(model: LinearModel, presolve: bool) -> MipSolution:
         sol = highs.getSolution()
         return MipSolution(GAP_LIMIT, np.array(sol.col_value),
                            info.objective_function_value, info.mip_dual_bound, nodes)
-    if status == HighsModelStatus.kUnboundedOrInfeasible:
-        relaxed = solve_lp(model)  # classify via the relaxation
+    if status == HighsModelStatus.kUnboundedOrInfeasible and len(models) == 1:
+        relaxed = solve_lp(models[0])  # classify via the relaxation
         if relaxed.status == UNBOUNDED:
             return MipSolution(UNBOUNDED, None, None, None, nodes)
         if relaxed.status == INFEASIBLE:
@@ -550,7 +589,7 @@ def _solve_milp_once(model: LinearModel, presolve: bool) -> MipSolution:
         if relaxed.status == OPTIMAL and presolve:
             # HiGHS presolve mislabels some big-M models whose relaxation
             # is fine; retry the search without it
-            return _solve_milp_once(model, presolve=False)
+            return _solve_milp_once(models, presolve=False, node_limit=node_limit)
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure(f"MILP solve failed: {highs.modelStatusToString(status)}")
     obj = info.objective_function_value

@@ -21,8 +21,8 @@ otherwise; the mode is flagged in the report.
 
 One walker, _sample_path, draws every sampled path: forward passes walk
 to stage T-1 for trial states, the sampled evaluation to stage T for
-costs.  Per-realization dual solves are independent work items; the cut
-pool is append-only and updated between passes.
+costs.  The terminal stage's dual searches run in lockstep, its MILPs in
+batches (StageOracle); the cut pool is append-only, updated per pass.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import misdp
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case, is_nonempty
-from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_milp
+from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_milp, solve_milps
 # perfbench/spans.py traces solve_lp and build_stage_block by these names;
 # neither is called here
 from .lpmilp import solve_lp  # noqa: F401
@@ -218,12 +218,15 @@ class StageOracle:
     """Builds and solves stage subproblems with caching, PSD handling,
     and big-M escalation on the dual-bound audit.
 
-    Every stage t = 1..T takes the same path; the terminal stage is the
-    one whose model (reformulate.build_stage) has no continuation, hence
-    no cuts, audited duals or PSD blocks.  Stage models are compiled once
-    and re-solved by patching: the oracle keeps one model per (stage,
-    big-M), whose rows are assembled once (see lpmilp.LinearModel).  In
-    each, the incoming state is the binary copy z.  A solve takes a copy
+    The terminal stage's model (reformulate.build_stage) has no cuts,
+    audited duals or PSD blocks, so its solves need no escalation and
+    their order is free.  They alone run in batches (lpmilp.solve_milps)
+    until one fails to close at its root, then one by one: models that
+    branch, or take tens of milliseconds, cost more batched.
+    Stage models are compiled once and re-solved by patching: the oracle
+    keeps one model per (stage, big-M), whose rows are assembled once
+    (see lpmilp.LinearModel).  In each, the incoming state is the binary
+    copy z.  A solve takes a copy
     and writes its data (model.set_stage_data): the demand right-hand
     sides of the realization, and the bounds of z -- pinned at the state,
     or, for the Lagrangian relaxation, free in [0, 1] with costs -pi.
@@ -264,6 +267,7 @@ class StageOracle:
         self._stage_cache: dict = {}
         self._compiled: dict[tuple, _Compiled] = {}
         self._eigen_rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._batch_terminal = True  # until a terminal batch fails its root
 
     def risk_spec(self, t: int) -> RiskSpec | None:
         """The blend of the stage-t inner measure, which carries the
@@ -277,18 +281,36 @@ class StageOracle:
         The stage cache is read at the eigen rows stored now, and written
         at those of the model solved, which include the rows its cut loop
         appended (see StageOracle)."""
-        inst = self.inst
-        key = (t, k, _bits(x_prev), self.pool.num_cuts(t + 1))
-        hit = self._stage_cache.get(key + (len(self._eigen_rows.get(t, ())),))
+        if t == self.inst.T:
+            return self.solve_terminal(x_prev, [k])[0]
+        hit = self._stage_cache.get(self._stage_key(t, k, x_prev))
         if hit is not None:
             return hit
         sol, lay, _, eigen_rows = self._solve_compiled(t, k, x_prev, pi=None)
-        value = float(sol.objective)  # at t = T, the stage cost itself
-        out = StageSolution(value, _bits(round_integral(sol.x, lay.x)),
-                            np.asarray(sol.x)[lay.theta].copy(),
-                            value if t == inst.T else lay.cost_value(inst, sol.x))
-        self._stage_cache[key + (eigen_rows,)] = out
+        out = self._stage_solution(t, sol, lay)
+        self._stage_cache[self._stage_key(t, k, x_prev, eigen_rows)] = out
         return out
+
+    def solve_terminal(self, x_prev, ks) -> list[StageSolution]:
+        """solve_stage(T, k, x_prev) for each k in ks, the misses as one batch."""
+        keys = [self._stage_key(self.inst.T, k, x_prev) for k in ks]
+        missed = [j for j, key in enumerate(keys) if key not in self._stage_cache]
+        if missed:
+            sols, lay = self._solve_terminal_batch([(ks[j], x_prev, None) for j in missed])
+            for j, sol in zip(missed, sols):
+                self._stage_cache[keys[j]] = self._stage_solution(self.inst.T, sol, lay)
+        return [self._stage_cache[key] for key in keys]
+
+    def _stage_key(self, t: int, k: int, x_prev, eigen_rows: int | None = None) -> tuple:
+        """The stage-cache key at eigen_rows rows, by default those stored now."""
+        rows = len(self._eigen_rows.get(t, ())) if eigen_rows is None else eigen_rows
+        return (t, k, _bits(x_prev), self.pool.num_cuts(t + 1), rows)
+
+    def _stage_solution(self, t: int, sol, lay: VarLayout) -> StageSolution:
+        value = float(sol.objective)  # at t = T, the stage cost itself
+        return StageSolution(value, _bits(round_integral(sol.x, lay.x)),
+                             np.asarray(sol.x)[lay.theta].copy(),
+                             value if t == self.inst.T else lay.cost_value(self.inst, sol.x))
 
     def _solve_compiled(self, t: int, k: int, x_prev, pi):
         """Build and solve a compiled stage model through
@@ -363,37 +385,68 @@ class StageOracle:
     def relaxed_value(self, t: int, k: int, pi: np.ndarray):
         """L(pi): stage model with a free binary copy z of the incoming
         state and objective term -pi'z; returns (value, z*)."""
+        if t == self.inst.T:
+            return self.relaxed_terminal_values([(k, pi)])[0]
         self.dual_solves += 1
         sol, lay, _, _ = self._solve_compiled(t, k, None, np.asarray(pi, dtype=float))
         return float(sol.objective), round_integral(sol.x, lay.z_copy)
 
+    def relaxed_terminal_values(self, jobs):
+        """relaxed_value(T, k, pi) of each (k, pi) job, as one batch."""
+        self.dual_solves += len(jobs)
+        sols, lay = self._solve_terminal_batch(
+            [(k, None, np.asarray(pi, dtype=float)) for k, pi in jobs])
+        return [(float(sol.objective), round_integral(sol.x, lay.z_copy)) for sol in sols]
 
-def lagrangian_dual(evaluate, x_hat):
-    """Maximize g(pi) = L(pi) + pi'x_hat for a relaxed-stage evaluator
-    evaluate(pi) -> (L(pi), z*) by subgradient ascent from pi = 0: at
-    most SUBGRADIENT_ITERS steps a/(10+m) along x_hat - z*, with
-    a = max(1, |L(0)|)/I, keeping the best iterate.  Returns (pi, L(pi))
-    for the best multiplier found.
+    def _solve_terminal_batch(self, jobs):
+        """(solutions, layout) of the terminal models of (k, x_prev, pi)
+        jobs, as one batch or one by one (see StageOracle)."""
+        T, bound = self.inst.T, self.dual_bound.value
+        models = [self._stage_model(T, k, x, pi, bound)[0] for k, x, pi in jobs]
+        sols = None
+        if len(models) > 1 and self._batch_terminal:
+            sols = solve_milps(models)
+            self._batch_terminal = sols is not None
+        if sols is None:
+            sols = [solve_milp(m) for m in models]
+        self.stage_solves += len(jobs)
+        for sol in sols:
+            if sol.status != OPTIMAL:
+                raise RuntimeError(f"stage {T} solve returned {sol.status}")
+        return sols, self._compiled[(T, bound)].lay
 
-    Any multiplier yields a valid cut.  The search stops once z* equals
+
+def lagrangian_dual(evaluate, x_hats):
+    """Searches in lockstep, one per trial state x_hat, each maximizing
+    g(pi) = L(pi) + pi'x_hat of its relaxed stage by subgradient ascent
+    from pi = 0: at most SUBGRADIENT_ITERS steps a/(10+m) along
+    x_hat - z*, with a = max(1, |L(0)|)/I.  evaluate([(search, pi)])
+    returns [(L(pi), z*)], called once a step with the searches still
+    active.  Returns the best (pi, L(pi)) of each search.
+
+    Any multiplier yields a valid cut.  A search stops once z* equals
     x_hat: then g(pi) = h(x_hat), the stage value at x_hat, which bounds
     g from above, so at a binary x_hat the cut is tight.
     """
-    x_hat = np.asarray(x_hat, dtype=float)
-    pi = np.zeros(x_hat.size)
-    L, z_star = evaluate(pi)
-    best_pi, best_L, best_g = pi, L, L  # g(0) = L(0)
-    a = max(1.0, abs(L)) / x_hat.size
+    x_hats = [np.asarray(x, dtype=float) for x in x_hats]
+    pis = [np.zeros(x.size) for x in x_hats]
+    first = evaluate(list(enumerate(pis)))
+    z_stars = [z for _, z in first]
+    best = [(pi, L, L) for pi, (L, _) in zip(pis, first)]  # g(0) = L(0)
+    steps = [max(1.0, abs(L)) / x.size for (L, _), x in zip(first, x_hats)]
+    active = range(len(x_hats))
     for m_it in range(SUBGRADIENT_ITERS):
-        sub = x_hat - z_star
-        if not np.any(sub):
+        active = [j for j in active if np.any(x_hats[j] != z_stars[j])]
+        if not active:
             break
-        pi = pi + a / (10.0 + m_it) * sub
-        L, z_star = evaluate(pi)
-        g = L + float(pi @ x_hat)
-        if g > best_g:
-            best_pi, best_L, best_g = pi, L, g
-    return best_pi, best_L
+        for j in active:
+            pis[j] = pis[j] + steps[j] / (10.0 + m_it) * (x_hats[j] - z_stars[j])
+        for j, (L, z_star) in zip(active, evaluate([(j, pis[j]) for j in active])):
+            z_stars[j] = z_star
+            g = L + float(pis[j] @ x_hats[j])
+            if g > best[j][2]:
+                best[j] = (pis[j], L, g)
+    return [(pi, L) for pi, L, _ in best]
 
 
 def forward_pass(oracle: StageOracle, num_paths: int, rng: np.random.Generator):
@@ -439,37 +492,45 @@ def _is_sampled(inst: Instance) -> bool:
 
 def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
     """Append one multi-cut family per (stage, realization, trial state)
-    to the oracle's pool, each cut from the Lagrangian dual at that state."""
+    to the oracle's pool, each from the Lagrangian dual at that state (in
+    lockstep at the terminal stage, where the order of solves is free)."""
     inst, pool = oracle.inst, oracle.pool
     for t in range(inst.T, 1, -1):
-        for x_hat in trial_states.get(t, ()):  # distinct incoming states
-            for k in range(inst.K):
-                pi, v = lagrangian_dual(lambda p: oracle.relaxed_value(t, k, p), x_hat)
-                pool.add(t, k, Cut(v=v, pi=pi))
+        jobs = [(x_hat, k) for x_hat in trial_states.get(t, ()) for k in range(inst.K)]
+        if t == inst.T and jobs:
+            cuts = lagrangian_dual(lambda steps: oracle.relaxed_terminal_values(
+                [(jobs[j][1], pi) for j, pi in steps]), [x_hat for x_hat, _ in jobs])
+        else:
+            cuts = [lagrangian_dual(lambda steps: [oracle.relaxed_value(t, k, pi)
+                                                   for _, pi in steps], [x_hat])[0]
+                    for x_hat, k in jobs]
+        for (_, k), (pi, v) in zip(jobs, cuts):
+            pool.add(t, k, Cut(v=v, pi=pi))
     return pool
 
 
 def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
     """Upper-bound evaluation of the current policy; see module docstring."""
     inst = oracle.inst
-    ttype = oracle.ttype
-    memo: dict = {}
+    memo, continuation = {}, {}
 
     def recurse(t: int, k: int, x_prev) -> float:
         key = (t, k, _bits(x_prev))
-        if key in memo:
-            return memo[key]
-        sol = oracle.solve_stage(t, k, x_prev)
-        if t == inst.T:
-            memo[key] = sol.value
-            return sol.value
-        x_now = np.array(sol.x_bits, dtype=float)
-        q = np.array([recurse(t + 1, kp, x_now) for kp in range(inst.K)])
-        wc = worst_case(inst, ttype, x_now, q, stage=t + 1,
-                        risk=oracle.risk_spec(t))
-        val = sol.g_cost + wc.value
-        memo[key] = val
-        return val
+        if key not in memo:
+            sol = oracle.solve_stage(t, k, x_prev)
+            memo[key] = sol.value if t == inst.T else sol.g_cost + worst(t, sol.x_bits)
+        return memo[key]
+
+    def worst(t: int, x_bits) -> float:
+        """The worst case over stage t+1 from x_bits, once per evaluation."""
+        if (t, x_bits) not in continuation:
+            x_now = np.array(x_bits, dtype=float)
+            q = ([sol.value for sol in oracle.solve_terminal(x_now, range(inst.K))]
+                 if t + 1 == inst.T
+                 else [recurse(t + 1, kp, x_now) for kp in range(inst.K)])
+            continuation[t, x_bits] = worst_case(inst, oracle.ttype, x_now, np.array(q),
+                                                 stage=t + 1, risk=oracle.risk_spec(t)).value
+        return continuation[t, x_bits]
 
     if not _is_sampled(inst):
         mode = "exact" if inst.T == 2 else "tree"

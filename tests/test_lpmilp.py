@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import os
 import sys
 import threading
@@ -186,6 +187,114 @@ def test_node_limit_gives_gap_limit_with_incumbent(monkeypatch):
     assert sol.best_bound <= exact.objective + 1e-9 * abs(exact.objective)
 
 
+def _terminal_models():
+    """Terminal-stage models as the engine's batches solve them, a pinned
+    state and a relaxed copy with multipliers per realization: Type 1 at
+    I = 6 and I = 9 (the two_stage benchmark instances) and Type 3."""
+    from ddro.bench import TYPE3_PATTERNS, make_pattern_instance
+    from ddro.model import generate_instance
+    from ddro.sddip import CutPool, SddipConfig, StageOracle
+
+    rng = np.random.default_rng(11)
+    models = []
+    for inst, ttype, mode in ((generate_instance(1, 2, 6, 2, 4, 0.8), 1, "exact"),
+                              (generate_instance(1, 2, 9, 2, 4, 0.8), 1, "exact"),
+                              (make_pattern_instance(TYPE3_PATTERNS[0], seed=1), 3, "lb")):
+        oracle = StageOracle(inst, ttype, SddipConfig(bound_mode=mode), CutPool(inst.T, inst.K))
+        for k in range(inst.K):
+            x = rng.integers(0, 2, inst.I).astype(float)
+            pi = rng.normal(scale=300.0, size=inst.I)
+            for x_prev, p in ((x, None), (None, pi)):
+                models.append(oracle._stage_model(inst.T, k, x_prev, p,
+                                                  oracle.dual_bound.value)[0])
+    return models
+
+
+def _feasible(m: LinearModel, x: np.ndarray, tol: float = 1e-6) -> bool:
+    """x meets m's bounds, integrality and rows to tol (relative to the
+    right-hand side)."""
+    lower, upper = np.asarray(m.lower), np.asarray(m.upper)
+    if np.any(x < lower - tol) or np.any(x > upper + tol):
+        return False
+    ints = np.asarray(m.integrality) != CONTINUOUS
+    if np.any(np.abs(x[ints] - np.rint(x[ints])) > tol):
+        return False
+    activity = csr_matrix(m) @ x
+    for act, rel, rhs in zip(activity, m.row_rel, m.row_rhs):
+        slack = tol * max(1.0, abs(rhs))
+        if (rel != ">=" and act > rhs + slack) or (rel != "<=" and act < rhs - slack):
+            return False
+    return True
+
+
+def test_milp_batch_solves_each_model_as_alone():
+    # one block-diagonal solve gives each model solve_milp's optimum,
+    # at a point feasible for that model
+    models = _terminal_models()
+    assert max(m.num_vars for m in models) >= 36  # the I = 9 blocks
+    alone = [solve_milp(m) for m in models]
+    for picked in (slice(None), slice(0, 8), slice(-3, None)):
+        batch = models[picked]
+        sols = lpmilp.solve_milps(batch)
+        assert len(sols) == len(batch)
+        for m, sol, ref in zip(batch, sols, alone[picked]):
+            assert sol.status == OPTIMAL and sol.x.shape == (m.num_vars,)
+            assert abs(sol.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+            assert _feasible(m, sol.x)
+            assert sol.objective == math.fsum(np.asarray(m.objective) * sol.x)
+
+
+def test_milp_batch_bounds_are_valid():
+    # each model's bound is its objective minus the batch's gap, one gap
+    # for all, and bounds its optimum from below
+    models = _terminal_models()
+    sols = lpmilp.solve_milps(models)
+    gaps = [sol.objective - sol.best_bound for sol in sols]
+    assert max(gaps) - min(gaps) <= 1e-9 * max(abs(sol.objective) for sol in sols)
+    for m, sol in zip(models, sols):
+        best = solve_milp(m).objective
+        assert abs(sol.objective - best) <= 1e-9 * max(1.0, abs(best))
+        assert sol.best_bound <= best + 1e-9 * max(1.0, abs(best))
+
+
+def test_milp_batch_of_one_is_solve_milp():
+    # a model that closes at its root is solved by a batch of one exactly
+    # as solve_milp solves it
+    for m in _terminal_models()[::5]:
+        (sol,) = lpmilp.solve_milps([m])
+        ref = solve_milp(m)
+        assert (sol.status, sol.objective, sol.best_bound, sol.node_count) == (
+            ref.status, ref.objective, ref.best_bound, ref.node_count)
+        assert np.array_equal(sol.x, ref.x)
+
+
+def test_milp_batch_that_does_not_close_at_its_root_gives_none():
+    # the batch is searched at its root alone: a block that branches, an
+    # infeasible block or an unbounded one (which HiGHS calls "infeasible
+    # or unbounded" in a batch) gives None, and no solution for any model
+    models = _terminal_models()[:3]
+    infeasible = LinearModel()
+    x = infeasible.add_var(0.0, 1.0, BINARY)
+    infeasible.add_row({x: 1.0}, ">=", 2.0)
+    unbounded = LinearModel()
+    x, y = unbounded.add_var(0.0, np.inf, INTEGER, obj=-1.0), unbounded.add_var(0.0, np.inf, INTEGER)
+    unbounded.add_row({x: 1.0, y: -1.0}, "<=", 0.5)
+    assert solve_milp(unbounded).status == UNBOUNDED
+    assert lpmilp.solve_milps(models) is not None
+    for bad in (infeasible, unbounded, _branching_knapsack(1)[0]):
+        assert lpmilp.solve_milps([bad] + models) is None
+        assert lpmilp.solve_milps(models + [bad]) is None
+
+
+def test_milp_batch_of_models_that_close_alone_may_not_close_at_its_root():
+    # two knapsacks that close alone in 147 and 4 nodes take thousands as
+    # one block-diagonal search: no batch, however few nodes each takes
+    knapsacks = [_branching_knapsack(seed)[0] for seed in range(2)]
+    assert all(sol.status == OPTIMAL and sol.node_count < 1000
+               for sol in map(solve_milp, knapsacks))
+    assert lpmilp.solve_milps(knapsacks) is None
+
+
 def test_lp_iteration_cap_raises_numerical_failure(monkeypatch):
     m = _random_feasible_lp(np.random.default_rng(4))
     assert solve_lp(m).status == OPTIMAL
@@ -224,7 +333,7 @@ def test_per_call_options_do_not_leak_between_solves(monkeypatch):
                 rel.objective, rel.x.tolist(), rel.duals.tolist())
 
     def after_odd_solves():
-        no_presolve = lpmilp._solve_milp_once(knapsack, presolve=False)
+        no_presolve = lpmilp._solve_milp_once([knapsack], presolve=False)
         with monkeypatch.context() as patch:
             patch.setattr(lpmilp, "NODE_LIMIT", 1)
             assert solve_milp(knapsack).status == GAP_LIMIT

@@ -49,3 +49,7 @@ def test_traced_highs_sites_run_once_per_solve(monkeypatch):
     m.add_row({x: 1.0}, "<=", 2.0)
     assert warm.solve().objective == -2.0
     assert calls == ["milp", "linprog", "linprog", "linprog"]
+    # a batch of MILPs is one solve
+    sols = lpmilp.solve_milps([m, m.copy(), m])
+    assert [sol.objective for sol in sols] == [-2.0] * 3
+    assert calls == ["milp", "linprog", "linprog", "linprog", "milp"]

@@ -51,6 +51,11 @@ def test_stage_cache_keys_on_the_cuts_the_stage_reads():
     assert again.value == first.value
 
 
+def _one_by_one(evaluate):
+    """A lockstep evaluator from a one-search evaluator evaluate(pi)."""
+    return lambda steps: [evaluate(pi) for _, pi in steps]
+
+
 def test_lagrangian_dual_one_dim_toy():
     # Q(0) = 5, Q(1) = 3: dual optimum at x_hat = 1 reaches 3 (pi = -2 family)
     q = {0: 5.0, 1: 3.0}
@@ -60,7 +65,7 @@ def test_lagrangian_dual_one_dim_toy():
         z_star = min(vals, key=lambda z: (vals[z], z))
         return vals[z_star], np.array([float(z_star)])
 
-    pi, L = lagrangian_dual(evaluate, np.array([1.0]))
+    ((pi, L),) = lagrangian_dual(_one_by_one(evaluate), [np.array([1.0])])
     g = L + pi[0] * 1.0
     # grid-search oracle over multipliers
     grid_best = max(min(5.0 - p * 0.0, 3.0 - p * 1.0) + p * 1.0
@@ -73,13 +78,20 @@ def test_lagrangian_dual_one_dim_toy():
 
 
 def test_lagrangian_dual_zero_multiplier_is_valid():
+    # at pi = 0, L bounds the stage value at every state, from the one
+    # relaxed solve and from the terminal batch alike
     inst = small_instance()
     pool = CutPool(inst.T, inst.K)
     oracle = StageOracle(inst, 1, SddipConfig(), pool)
     L0, _ = oracle.relaxed_value(2, 0, np.zeros(3))
+    batch = oracle.relaxed_terminal_values([(k, np.zeros(3)) for k in range(inst.K)])
+    assert abs(batch[0][0] - L0) <= 1e-9 * max(1.0, abs(L0))
     for bits in itertools.product((0.0, 1.0), repeat=3):
-        direct = oracle.solve_stage(2, 0, np.array(bits)).value
-        assert L0 <= direct + 1e-9
+        for k, (L, _) in enumerate(batch):
+            direct = oracle.solve_stage(2, k, np.array(bits)).value
+            assert L <= direct + 1e-9
+            if k == 0:
+                assert L0 <= direct + 1e-9
 
 
 def test_lagrangian_dual_that_stops_short_still_gives_a_valid_cut():
@@ -94,11 +106,61 @@ def test_lagrangian_dual_that_stops_short_still_gives_a_valid_cut():
         visited.append(s)
         return float(h[s] - states[s] @ pi), states[s].copy()
 
-    pi, L = lagrangian_dual(evaluate, x_hat)
+    ((pi, L),) = lagrangian_dual(_one_by_one(evaluate), [x_hat])
     assert visited == [0] * (1 + sddip.SUBGRADIENT_ITERS)  # x_hat is never visited
     assert np.all(L + states @ pi <= h + 1e-9)  # a valid cut ...
     assert abs(L - np.min(h - states @ pi)) <= 1e-9  # ... whose L is L(pi)
     assert 0.0 < L + pi @ x_hat < h[1]  # ... and not tight
+
+
+def _toy_searches(seed, count, dim=3):
+    """count dual problems over binary states of dimension dim: stage
+    values h_j and binary trial states x_hat_j.  In turn, x_hat_j is the
+    minimizer of h_j (no step), a random state (a few steps), or a state
+    far above the others (every step)."""
+    rng = np.random.default_rng(seed)
+    states = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+    hs, x_hats = [], []
+    for j in range(count):
+        h = rng.uniform(-1030.0, -970.0, len(states))
+        s = int(np.argmin(h)) if j % 3 == 0 else int(rng.integers(len(states)))
+        if j % 3 == 2:
+            h[s] += 5000.0
+        hs.append(h)
+        x_hats.append(states[s].copy())
+    return states, hs, x_hats
+
+
+def test_lagrangian_dual_lockstep_equals_each_search_alone():
+    # a batch returns, for each search, exactly the (pi, L) it returns
+    # alone; each evaluator call gets the searches still active, in order
+    states, hs, x_hats = _toy_searches(5, 7)
+
+    def relaxed(j, pi):  # L(pi) = min_z h_j(z) - pi'z, the first minimizer
+        vals = hs[j] - states @ pi
+        s = int(np.argmin(vals))
+        return float(vals[s]), states[s].copy()
+
+    calls = []
+
+    def batch(steps):
+        calls.append([j for j, _ in steps])
+        return [relaxed(j, pi) for j, pi in steps]
+
+    together = lagrangian_dual(batch, x_hats)
+    assert calls[0] == list(range(len(x_hats)))
+    assert all(b and set(b) <= set(a) and b == sorted(b) for a, b in zip(calls, calls[1:]))
+    assert len(calls) == 1 + sddip.SUBGRADIENT_ITERS  # the far searches take every step
+    for j, x_hat in enumerate(x_hats):
+        alone = []  # the evaluator calls of the search run alone
+
+        def one(steps, j=j):
+            alone.append(1)
+            return [relaxed(j, pi) for _, pi in steps]
+
+        ((pi, L),) = lagrangian_dual(one, [x_hat])
+        assert np.array_equal(together[j][0], pi) and together[j][1] == L
+        assert sum(j in c for c in calls) == len(alone)
 
 
 def test_backward_pass_makes_only_relaxed_solves_and_tight_cuts():
@@ -116,6 +178,125 @@ def test_backward_pass_makes_only_relaxed_solves_and_tight_cuts():
         (cut,) = oracle.pool.cuts[2][k]
         value = oracle.solve_stage(2, k, np.array(x_hat, dtype=float)).value
         assert abs(cut.v + cut.pi @ np.array(x_hat) - value) <= 1e-9
+
+
+def test_terminal_batch_adds_the_cuts_of_searches_run_one_by_one():
+    # the lockstep backward pass adds, per realization and in trial-state
+    # order, the cut each search returns when run alone on a fresh oracle
+    inst = small_instance(h=np.full((2, 3), 20.0))
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    states = [(0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    backward_pass(oracle, {2: states})
+    alone = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    for k in range(inst.K):
+        assert len(oracle.pool.cuts[2][k]) == len(states)
+        for x_hat, cut in zip(states, oracle.pool.cuts[2][k]):
+            ((pi, v),) = lagrangian_dual(
+                _one_by_one(lambda p: alone.relaxed_value(2, k, p)), [x_hat])
+            assert np.array_equal(cut.pi, pi) and cut.v == v
+    assert oracle.dual_solves == alone.dual_solves
+
+
+def test_policy_evaluation_caches_each_batched_terminal_solve():
+    # at T = 2 the K terminal solves of the first-stage state run as one
+    # batch, each cached under solve_stage's key: solve_stage then hits
+    # for every k and returns what a fresh oracle's solve does
+    inst = small_instance()
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    evaluate_policy(oracle, np.random.default_rng(0))
+    x = np.array(oracle.solve_stage(1, 0, np.zeros(inst.I)).x_bits, dtype=float)
+    solves = oracle.stage_solves
+    assert solves == 1 + inst.K
+    fresh = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    for k in range(inst.K):
+        sol, ref = oracle.solve_stage(inst.T, k, x), fresh.solve_stage(inst.T, k, x)
+        assert oracle.stage_solves == solves
+        assert sol.value == ref.value and sol.x_bits == ref.x_bits
+    assert fresh.stage_solves == inst.K
+
+
+# (stage_solves, dual_solves) of these runs at SddipConfig(max_iters=10),
+# with every terminal solve on its own
+RUN_COUNTERS = (
+    ("small", lambda: small_instance(), (26, 18)),
+    ("capacity-20", lambda: small_instance(h=np.full((2, 3), 20.0)), (26, 18)),
+    ("three-stage", lambda: _wide_windows(generate_instance(3, 3, 2, 1, 3, 0.8)), (23, 12)),
+)
+
+
+@pytest.mark.parametrize("label, make, counters", RUN_COUNTERS,
+                         ids=[case[0] for case in RUN_COUNTERS])
+def test_batched_terminal_solves_keep_the_run_counters(label, make, counters):
+    rep = run(make(), 1, SddipConfig(max_iters=10))
+    assert (rep.stage_solves, rep.dual_solves) == counters
+
+
+def test_an_infeasible_terminal_batch_raises_as_one_solve_does(monkeypatch):
+    # a row no copy z can meet makes realization 1 infeasible: the batches
+    # that hold it raise what solve_stage raises for it
+    inst = small_instance()
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    stage_model = oracle._stage_model
+
+    def infeasible_at_k1(t, k, *args):
+        model, lay, blocks = stage_model(t, k, *args)
+        if k == 1:
+            model.add_row({int(lay.z_copy[0]): 1.0}, ">=", 2.0)
+        return model, lay, blocks
+
+    monkeypatch.setattr(oracle, "_stage_model", infeasible_at_k1)
+    x = np.zeros(inst.I)
+    message = "stage 2 solve returned Infeasible"
+    with pytest.raises(RuntimeError, match=message):
+        oracle.solve_stage(2, 1, x)
+    with pytest.raises(RuntimeError, match=message):
+        oracle.solve_terminal(x, range(inst.K))
+    with pytest.raises(RuntimeError, match=message):
+        oracle.relaxed_terminal_values([(k, np.zeros(inst.I)) for k in range(inst.K)])
+    assert not oracle._stage_cache
+
+
+def test_a_terminal_batch_that_does_not_close_at_its_root_ends_batching(monkeypatch):
+    # at capacity 40 some relaxed terminal MILPs of this instance need
+    # more than the root as a batch of two: that batch gives no solution,
+    # and the oracle then solves every terminal model alone, as a run that
+    # never batches does
+    inst = generate_instance(3, 2, 4, 3, 3, 0.8, capacity=40.0)
+    config = SddipConfig(max_iters=1)
+    batches = []
+    solve_milps = sddip.solve_milps
+    monkeypatch.setattr(sddip, "solve_milps",
+                        lambda models: batches.append(solve_milps(models)) or batches[-1])
+    rep = run(inst, 1, config)
+    assert len(batches) > 1 and batches[-1] is None
+    assert all(sols is not None for sols in batches[:-1])
+    monkeypatch.setattr(sddip, "solve_milps", lambda models: None)
+    alone = run(inst, 1, config)
+    assert rep.to_json() == alone.to_json()
+
+
+def test_terminal_solves_take_the_batch_path_alone(monkeypatch):
+    # solve_stage and relaxed_value at t = T go through the terminal
+    # batch path and give what a batch gives; only stages t < T take the
+    # dual-bound route
+    stages = []
+    compiled = StageOracle._solve_compiled
+    monkeypatch.setattr(StageOracle, "_solve_compiled",
+                        lambda self, t, *a, **kw: stages.append(t) or compiled(self, t, *a, **kw))
+    inst = small_instance()
+    oracle, batch = (StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+                     for _ in range(2))
+    x, pi = np.array([0.0, 1.0, 0.0]), np.array([40.0, -25.0, 10.0])
+    pinned = batch.solve_terminal(x, range(inst.K))
+    relaxed = batch.relaxed_terminal_values([(k, pi) for k in range(inst.K)])
+    for k in range(inst.K):
+        sol, (L, z) = oracle.solve_stage(inst.T, k, x), oracle.relaxed_value(inst.T, k, pi)
+        assert (sol.value, sol.x_bits) == (pinned[k].value, pinned[k].x_bits)
+        assert L == relaxed[k][0] and np.array_equal(z, relaxed[k][1])
+    assert stages == [] and oracle.stage_solves == batch.stage_solves
+    assert oracle.dual_solves == batch.dual_solves == inst.K
+    oracle.solve_stage(1, 0, np.zeros(inst.I))
+    assert stages == [1]
 
 
 def test_type3_lb_terminal_solves_run_no_lp(monkeypatch):
