@@ -30,7 +30,7 @@ from . import sddip
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case
 from .linalg import SymMatrix
 from .lpmilp import OPTIMAL, solve_milp
-from .model import (Instance, build_stage_block, generate_instance,
+from .model import (Instance, build_stage_block, generate_instance, replace_fields,
                     validate_instance, zero_lambda)
 
 ENUM_MAX_FACILITIES = 12
@@ -271,6 +271,19 @@ def make_pattern_instance(pattern: Pattern, seed: int = 0, K: int = 10) -> Insta
     )
     validate_instance(inst)
     return inst
+
+
+def stretch_to_three_stages(inst: Instance) -> Instance:
+    """A two-stage instance stretched to T = 3: stage 3 repeats stage 2's
+    support, budgets, capacities and risk parameters, so stage 2 becomes
+    an intermediate stage (with PSD blocks, for Type 3)."""
+    if inst.T != 2:
+        raise ValueError(f"stretch_to_three_stages needs a two-stage instance, got T={inst.T}")
+    return replace_fields(
+        inst, T=3, support=inst.support + (inst.support[1],),
+        f=np.vstack([inst.f, inst.f[-1:]]), h=np.vstack([inst.h, inst.h[-1:]]),
+        risk_lambda=np.append(inst.risk_lambda, inst.risk_lambda[-1]),
+        risk_alpha=np.append(inst.risk_alpha, inst.risk_alpha[-1]))
 
 
 def solve_didr(inst: Instance, ttype: int, config=None) -> sddip.SolveReport:

@@ -441,12 +441,13 @@ def freeze_stage(inst: Instance, ttype: int, t: int, x, q,
     return model, lay, blocks
 
 
-def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None):
+def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None, first=None):
     """Solve a compiled model, escalating its big-M box while a dual
     rests on it; the one escalation routine of the kit.
 
     solve_at(b) builds and solves the model with dual bound b and returns
-    a tuple whose first two entries are the solution and its VarLayout.
+    a tuple whose first two entries are the solution and its VarLayout;
+    first, if given, is solve_at(bound.value)'s result, already at hand.
     Each round audits the optimal solution (audit_dual_bounds).  A dual
     at its bound is still accepted when a probe at 10x the box is optimal and
     leaves the objective unchanged to FLAT_FACE_REL relative: the dual
@@ -455,8 +456,8 @@ def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None):
     MAX_DUAL_ESCALATIONS times over the life of `bound`, which is updated
     in place.  Returns the accepted round's solve_at result.
     """
+    out = first if first is not None else solve_at(bound.value)
     while True:
-        out = solve_at(bound.value)
         sol, lay = out[0], out[1]
         if sol.status != OPTIMAL:
             raise RuntimeError(f"dual-bounded solve returned {sol.status}")
@@ -474,6 +475,7 @@ def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None):
                               f"{bound.escalations} escalations")
         bound.value *= 10.0
         bound.escalations += 1
+        out = solve_at(bound.value)
 
 
 def frozen_dual_value(inst: Instance, ttype: int, t: int, x, q,

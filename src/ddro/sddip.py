@@ -6,7 +6,7 @@ copy of the incoming state: for ANY multiplier pi, the relaxed stage
 value L(pi) satisfies Q(x, xi) >= L(pi) + pi'x for every binary x, so
 early stopping of the dual search is always safe.  Every cut comes from
 one route, subgradient ascent on the dual with best-iterate retention
-(lagrangian_dual over StageOracle.relaxed_value).  Trial states are
+(lagrangian_dual over StageOracle.relaxed_values).  Trial states are
 binary, and a cut is tight at its trial state x_hat once a step's
 relaxed solution z* equals x_hat.  A search that stops short still
 leaves a valid cut; since Optimal needs an exactly evaluated upper bound
@@ -21,13 +21,18 @@ otherwise; the mode is flagged in the report.
 
 One walker, _sample_path, draws every sampled path: forward passes walk
 to stage T-1 for trial states, the sampled evaluation to stage T for
-costs.  The terminal stage's dual searches run in lockstep, its MILPs in
-batches (StageOracle); the cut pool is append-only, updated per pass.
+costs.  Every stage without a cut loop -- all but the PSD stages of the
+Type 3 "lb" route -- runs its dual searches in lockstep, and the tree
+evaluation solves the K children of a state together; their MILPs go to
+HiGHS in batches (StageOracle).  Each worst case is computed once per
+run (StageOracle.worst_case).  The cut pool is append-only, updated per
+pass.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -37,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import misdp
-from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case, is_nonempty
+from .ambiguity import (AmbiguityType, EmptyAmbiguity, RiskSpec, WorstCase, is_nonempty,
+                        worst_case)
 from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_milp, solve_milps
 # perfbench/spans.py traces solve_lp and build_stage_block by these names;
 # neither is called here
@@ -216,13 +222,25 @@ class _Compiled:
 
 class StageOracle:
     """Builds and solves stage subproblems with caching, PSD handling,
-    and big-M escalation on the dual-bound audit.
+    big-M escalation on the dual-bound audit, and batching.
 
-    The terminal stage's model (reformulate.build_stage) has no cuts,
-    audited duals or PSD blocks, so its solves need no escalation and
-    their order is free.  They alone run in batches (lpmilp.solve_milps)
-    until one fails to close at its root, then one by one: models that
-    branch, or take tens of milliseconds, cost more batched.
+    Every solve goes through one entry point, _solve_jobs, for a list of
+    (k, x_prev, pi) jobs at one stage: pinned states for solve_stages,
+    copied states for relaxed_values.  A stage without a cut loop (the
+    terminal stage, every Type 1/2 stage, every Type 3 "ub" stage) solves
+    two or more jobs as one block-diagonal MILP searched at its root
+    alone (lpmilp.solve_milps).  Each block, in job order, is the first
+    round of its own reformulate.solve_with_dual_bound: the blocks are
+    audited in turn (and checked for PSD on the "ub" route), a flagged
+    one probes at 10x the big-M from its batch solution, which is neither
+    solved nor counted again, and an escalation solves the jobs after it
+    again, at the new big-M, as a new batch.  The first batch of a stage
+    that does not close at its root ends batching for that stage alone,
+    whose jobs then run one by one: models that branch, or take tens of
+    milliseconds, cost more batched.  Type 3 "lb" stages with PSD blocks
+    never batch: their relaxed solves append eigen rows, so solve order
+    decides the rows, and their jobs and dual searches run one after
+    another (batches).
     Stage models are compiled once and re-solved by patching: the oracle
     keeps one model per (stage, big-M), whose rows are assembled once
     (see lpmilp.LinearModel).  In each, the incoming state is the binary
@@ -238,7 +256,7 @@ class StageOracle:
     appended them, are replayed per solve.  The solved model equals a
     fresh build that adds the stage block, the DD rows, the cuts and the
     eigen rows in that order.
-    The stage cache holds one entry per solve_stage solve, keyed on the
+    The stage cache holds one entry per pinned solve, keyed on the
     model it solved: (t, k, state, cuts in the pool of stage t+1, eigen
     rows of the solved model).  On the "lb" route the cut loop appends
     eigen rows during the solve, so the entry lands past the row count
@@ -249,6 +267,8 @@ class StageOracle:
     lookup that counts those misses.  Other routes append no eigen rows.
     An escalation of the big-M bound drops the kept models along with
     the stage cache.
+    A worst case (ambiguity.worst_case) depends on its stage, state and
+    stage values alone, so worst_case computes each once per run.
     """
 
     def __init__(self, inst: Instance, ttype: int, config: SddipConfig,
@@ -267,7 +287,11 @@ class StageOracle:
         self._stage_cache: dict = {}
         self._compiled: dict[tuple, _Compiled] = {}
         self._eigen_rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        self._batch_terminal = True  # until a terminal batch fails its root
+        self._worst: dict[tuple, WorstCase] = {}
+        # whether stage t batches: not where a cut loop runs, and not after
+        # one of its batches failed at its root
+        self._batching = {t: config.bound_mode != "lb" or t == inst.T
+                          for t in range(1, inst.T + 1)}
 
     def risk_spec(self, t: int) -> RiskSpec | None:
         """The blend of the stage-t inner measure, which carries the
@@ -276,30 +300,53 @@ class StageOracle:
             return None
         return RiskSpec(float(self.inst.risk_lambda[t]), float(self.inst.risk_alpha[t]))
 
+    def batches(self, t: int) -> bool:
+        """Whether the jobs of stage t still run as one batch (see StageOracle)."""
+        return self._batching[t]
+
+    def worst_case(self, t: int, x_prev, q) -> WorstCase:
+        """ambiguity.worst_case over the stage-t set at x_prev with stage
+        values q, under the stage-(t-1) risk blend; computed once per
+        (t, state, q) for the run."""
+        q = np.asarray(q, dtype=float)
+        key = (t, _bits(x_prev), q.tobytes())
+        if key not in self._worst:
+            self._worst[key] = worst_case(self.inst, self.ttype, np.asarray(x_prev, dtype=float),
+                                          q, stage=t, risk=self.risk_spec(t - 1))
+        return self._worst[key]
+
     def solve_stage(self, t: int, k: int, x_prev) -> StageSolution:
-        """Value/decision of the stage-t subproblem at (x_prev, xi_t^k).
-        The stage cache is read at the eigen rows stored now, and written
-        at those of the model solved, which include the rows its cut loop
-        appended (see StageOracle)."""
-        if t == self.inst.T:
-            return self.solve_terminal(x_prev, [k])[0]
-        hit = self._stage_cache.get(self._stage_key(t, k, x_prev))
-        if hit is not None:
-            return hit
-        sol, lay, _, eigen_rows = self._solve_compiled(t, k, x_prev, pi=None)
-        out = self._stage_solution(t, sol, lay)
-        self._stage_cache[self._stage_key(t, k, x_prev, eigen_rows)] = out
+        """Value/decision of the stage-t subproblem at (x_prev, xi_t^k)."""
+        return self.solve_stages(t, x_prev, [k])[0]
+
+    def solve_stages(self, t: int, x_prev, ks) -> list[StageSolution]:
+        """solve_stage(t, k, x_prev) for each k in ks, the misses as one
+        batch.  The stage cache is read at the eigen rows stored now, and
+        written at those of the model solved, which include the rows its
+        cut loop appended (see StageOracle); where a cut loop runs, each
+        lookup follows the solves before it."""
+        if not self._batching[t] and len(ks) > 1:
+            return [self.solve_stage(t, k, x_prev) for k in ks]
+        keys = [self._stage_key(t, k, x_prev) for k in ks]
+        out = [self._stage_cache.get(key) for key in keys]
+        missed = [j for j, sol in enumerate(out) if sol is None]
+        solved = self._solve_jobs(t, [(ks[j], x_prev, None) for j in missed])
+        for j, (sol, lay, _, eigen_rows) in zip(missed, solved):
+            out[j] = self._stage_solution(t, sol, lay)
+            self._stage_cache[self._stage_key(t, ks[j], x_prev, eigen_rows)] = out[j]
         return out
 
-    def solve_terminal(self, x_prev, ks) -> list[StageSolution]:
-        """solve_stage(T, k, x_prev) for each k in ks, the misses as one batch."""
-        keys = [self._stage_key(self.inst.T, k, x_prev) for k in ks]
-        missed = [j for j, key in enumerate(keys) if key not in self._stage_cache]
-        if missed:
-            sols, lay = self._solve_terminal_batch([(ks[j], x_prev, None) for j in missed])
-            for j, sol in zip(missed, sols):
-                self._stage_cache[keys[j]] = self._stage_solution(self.inst.T, sol, lay)
-        return [self._stage_cache[key] for key in keys]
+    def relaxed_value(self, t: int, k: int, pi: np.ndarray):
+        """L(pi): stage model with a free binary copy z of the incoming
+        state and objective term -pi'z; returns (value, z*)."""
+        return self.relaxed_values(t, [(k, pi)])[0]
+
+    def relaxed_values(self, t: int, jobs):
+        """relaxed_value(t, k, pi) of each (k, pi) job, as one batch."""
+        self.dual_solves += len(jobs)
+        solved = self._solve_jobs(t, [(k, None, np.asarray(pi, dtype=float)) for k, pi in jobs])
+        return [(float(sol.objective), round_integral(sol.x, lay.z_copy))
+                for sol, lay, _, _ in solved]
 
     def _stage_key(self, t: int, k: int, x_prev, eigen_rows: int | None = None) -> tuple:
         """The stage-cache key at eigen_rows rows, by default those stored now."""
@@ -312,12 +359,48 @@ class StageOracle:
                              np.asarray(sol.x)[lay.theta].copy(),
                              value if t == self.inst.T else lay.cost_value(self.inst, sol.x))
 
-    def _solve_compiled(self, t: int, k: int, x_prev, pi):
+    def _solve_jobs(self, t: int, jobs) -> list:
+        """The accepted _solve_once result of each (k, x_prev, pi) job at
+        stage t, in job order: one batch while the stage batches, each
+        block accepted by _solve_compiled from its batch solution, and the
+        jobs after an escalation batched again at the new big-M."""
+        out = []
+        while len(out) < len(jobs):
+            rest = jobs[len(out):]
+            batch = self._solve_batch(t, rest) if len(rest) > 1 and self._batching[t] else None
+            if batch is None:
+                return out + [self._solve_compiled(t, k, x_prev, pi) for k, x_prev, pi in rest]
+            for (k, x_prev, pi), first in zip(rest, batch):
+                escalations = self.dual_bound.escalations
+                out.append(self._solve_compiled(t, k, x_prev, pi, first))
+                if self.dual_bound.escalations != escalations:
+                    break
+        return out
+
+    def _solve_batch(self, t: int, jobs):
+        """The _solve_once result of each job at the current big-M, from one
+        block-diagonal MILP (lpmilp.solve_milps), or None if it does not
+        close at its root, which ends batching for stage t."""
+        bound = self.dual_bound.value
+        built = [self._stage_model(t, k, x_prev, pi, bound) for k, x_prev, pi in jobs]
+        sols = solve_milps([model for model, _, _ in built])
+        if sols is None:
+            self._batching[t] = False
+            return None
+        self.stage_solves += len(jobs)
+        if self.config.bound_mode == "ub":
+            for sol, (_, _, blocks) in zip(sols, built):
+                misdp.audit_inner_psd(blocks, sol.x)
+        # a stage that batches runs no cut loop, so it has no eigen rows
+        return [(sol, lay, blocks, 0) for sol, (_, lay, blocks) in zip(sols, built)]
+
+    def _solve_compiled(self, t: int, k: int, x_prev, pi, first=None):
         """Build and solve a compiled stage model through
-        reformulate.solve_with_dual_bound, with the emptiness check of the
-        next stage's ambiguity set as its hook; returns the accepted
-        _solve_once result.  An escalation is permanent for the run, so
-        it empties the stage cache and drops the kept models."""
+        reformulate.solve_with_dual_bound, from the _solve_once result
+        first if given, with the emptiness check of the next stage's
+        ambiguity set as its hook; returns the accepted _solve_once
+        result.  An escalation is permanent for the run, so it empties
+        the stage cache and drops the kept models."""
         def check_nonempty(sol, lay):
             x_hat = round_integral(sol.x, lay.x)
             if not is_nonempty(self.inst, self.ttype, x_hat, stage=t + 1):
@@ -327,7 +410,7 @@ class StageOracle:
 
         escalations = self.dual_bound.escalations
         out = solve_with_dual_bound(lambda b: self._solve_once(t, k, x_prev, pi, b),
-                                    self.dual_bound, check_nonempty)
+                                    self.dual_bound, check_nonempty, first)
         if self.dual_bound.escalations != escalations:
             self._stage_cache.clear()
             self._compiled.clear()
@@ -380,40 +463,6 @@ class StageOracle:
         if mode == "ub":
             misdp.audit_inner_psd(blocks, sol.x)
         return sol, lay, blocks, len(self._eigen_rows.get(t, ()))
-
-    # -- copied-state evaluations for the Lagrangian dual -------------------
-    def relaxed_value(self, t: int, k: int, pi: np.ndarray):
-        """L(pi): stage model with a free binary copy z of the incoming
-        state and objective term -pi'z; returns (value, z*)."""
-        if t == self.inst.T:
-            return self.relaxed_terminal_values([(k, pi)])[0]
-        self.dual_solves += 1
-        sol, lay, _, _ = self._solve_compiled(t, k, None, np.asarray(pi, dtype=float))
-        return float(sol.objective), round_integral(sol.x, lay.z_copy)
-
-    def relaxed_terminal_values(self, jobs):
-        """relaxed_value(T, k, pi) of each (k, pi) job, as one batch."""
-        self.dual_solves += len(jobs)
-        sols, lay = self._solve_terminal_batch(
-            [(k, None, np.asarray(pi, dtype=float)) for k, pi in jobs])
-        return [(float(sol.objective), round_integral(sol.x, lay.z_copy)) for sol in sols]
-
-    def _solve_terminal_batch(self, jobs):
-        """(solutions, layout) of the terminal models of (k, x_prev, pi)
-        jobs, as one batch or one by one (see StageOracle)."""
-        T, bound = self.inst.T, self.dual_bound.value
-        models = [self._stage_model(T, k, x, pi, bound)[0] for k, x, pi in jobs]
-        sols = None
-        if len(models) > 1 and self._batch_terminal:
-            sols = solve_milps(models)
-            self._batch_terminal = sols is not None
-        if sols is None:
-            sols = [solve_milp(m) for m in models]
-        self.stage_solves += len(jobs)
-        for sol in sols:
-            if sol.status != OPTIMAL:
-                raise RuntimeError(f"stage {T} solve returned {sol.status}")
-        return sols, self._compiled[(T, bound)].lay
 
 
 def lagrangian_dual(evaluate, x_hats):
@@ -477,9 +526,8 @@ def _sample_path(oracle: StageOracle, sol1: StageSolution, rng: np.random.Genera
     sol = sol1
     for t in range(2, last + 1):
         x_prev = np.array(sol.x_bits, dtype=float)
-        risk = oracle.risk_spec(t - 1)
-        wc = worst_case(oracle.inst, oracle.ttype, x_prev, sol.theta, stage=t, risk=risk)
-        k = int(rng.choice(oracle.inst.K, p=wc.sampling_weights(risk)))
+        wc = oracle.worst_case(t, x_prev, sol.theta)
+        k = int(rng.choice(oracle.inst.K, p=wc.sampling_weights(oracle.risk_spec(t - 1))))
         sol = oracle.solve_stage(t, k, x_prev)
         yield sol
 
@@ -492,50 +540,42 @@ def _is_sampled(inst: Instance) -> bool:
 
 def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
     """Append one multi-cut family per (stage, realization, trial state)
-    to the oracle's pool, each from the Lagrangian dual at that state (in
-    lockstep at the terminal stage, where the order of solves is free)."""
+    to the oracle's pool, each from the Lagrangian dual at that state: a
+    stage's searches in lockstep where it batches, else one after another
+    (see StageOracle)."""
     inst, pool = oracle.inst, oracle.pool
     for t in range(inst.T, 1, -1):
         jobs = [(x_hat, k) for x_hat in trial_states.get(t, ()) for k in range(inst.K)]
-        if t == inst.T and jobs:
-            cuts = lagrangian_dual(lambda steps: oracle.relaxed_terminal_values(
-                [(jobs[j][1], pi) for j, pi in steps]), [x_hat for x_hat, _ in jobs])
-        else:
-            cuts = [lagrangian_dual(lambda steps: [oracle.relaxed_value(t, k, pi)
-                                                   for _, pi in steps], [x_hat])[0]
-                    for x_hat, k in jobs]
-        for (_, k), (pi, v) in zip(jobs, cuts):
-            pool.add(t, k, Cut(v=v, pi=pi))
+        for group in [jobs] if oracle.batches(t) else [[job] for job in jobs]:
+            cuts = lagrangian_dual(
+                lambda steps, group=group: oracle.relaxed_values(
+                    t, [(group[j][1], pi) for j, pi in steps]),
+                [x_hat for x_hat, _ in group])
+            for (_, k), (pi, v) in zip(group, cuts):
+                pool.add(t, k, Cut(v=v, pi=pi))
     return pool
 
 
 def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
     """Upper-bound evaluation of the current policy; see module docstring."""
     inst = oracle.inst
-    memo, continuation = {}, {}
 
-    def recurse(t: int, k: int, x_prev) -> float:
-        key = (t, k, _bits(x_prev))
-        if key not in memo:
-            sol = oracle.solve_stage(t, k, x_prev)
-            memo[key] = sol.value if t == inst.T else sol.g_cost + worst(t, sol.x_bits)
-        return memo[key]
+    @functools.cache
+    def continuation(t: int, x_bits) -> float:
+        """The worst case over stage t+1 from the stage-t state x_bits
+        (none past the terminal stage), with the K stage-(t+1) solves as
+        one batch."""
+        if t == inst.T:
+            return 0.0
+        x = np.array(x_bits, dtype=float)
+        q = [sol.value if t + 1 == inst.T else sol.g_cost + continuation(t + 1, sol.x_bits)
+             for sol in oracle.solve_stages(t + 1, x, range(inst.K))]
+        return oracle.worst_case(t + 1, x, q).value
 
-    def worst(t: int, x_bits) -> float:
-        """The worst case over stage t+1 from x_bits, once per evaluation."""
-        if (t, x_bits) not in continuation:
-            x_now = np.array(x_bits, dtype=float)
-            q = ([sol.value for sol in oracle.solve_terminal(x_now, range(inst.K))]
-                 if t + 1 == inst.T
-                 else [recurse(t + 1, kp, x_now) for kp in range(inst.K)])
-            continuation[t, x_bits] = worst_case(inst, oracle.ttype, x_now, np.array(q),
-                                                 stage=t + 1, risk=oracle.risk_spec(t)).value
-        return continuation[t, x_bits]
-
+    sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
     if not _is_sampled(inst):
         mode = "exact" if inst.T == 2 else "tree"
-        return recurse(1, 0, np.zeros(inst.I)), 0.0, mode
-    sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
+        return sol1.g_cost + continuation(1, sol1.x_bits), 0.0, mode
     costs = np.array([sum((sol.g_cost for sol in _sample_path(oracle, sol1, rng, inst.T)),
                           sol1.g_cost) for _ in range(UB_PATHS)])
     return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), "sampled"

@@ -509,3 +509,14 @@ def test_readme_config_keys_match_sddip_config():
     assert listed, "README lists no --config keys"
     keys = [k.strip() for k in listed.group(1).split(",")]
     assert keys == [f.name for f in dataclasses.fields(sddip.SddipConfig)]
+
+
+def test_stretch_to_three_stages_repeats_stage_two():
+    inst = make_pattern_instance(bench.TYPE3_PATTERNS[0], seed=1, K=4)
+    out = bench.stretch_to_three_stages(inst)
+    assert out.T == 3 and np.array_equal(out.stage_support(3), inst.stage_support(2))
+    for name in ("f", "h", "risk_lambda", "risk_alpha"):
+        field = getattr(out, name)
+        assert np.array_equal(field[:2], getattr(inst, name)) and np.array_equal(field[2], field[1])
+    with pytest.raises(ValueError, match="two-stage"):
+        bench.stretch_to_three_stages(out)

@@ -7,7 +7,7 @@ import pytest
 from ddro import misdp, sddip
 from ddro.ambiguity import AmbiguityType, worst_case
 from ddro.bench import (TYPE3_PATTERNS, enumerate_two_stage, exact_multistage_value,
-                        make_pattern_instance)
+                        make_pattern_instance, stretch_to_three_stages)
 from ddro.linalg import min_eigenpair
 from ddro.lpmilp import INFEASIBLE, OPTIMAL, LinearModel, solve_milp
 from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef,
@@ -208,12 +208,7 @@ def test_run_type3_bounds_sandwich_with_exact():
 def test_run_type3_bounds_sandwich_at_three_stages():
     # pattern 3-1 stretched to T = 3: stage 3 repeats stage 2's support,
     # so the eigen rows of stage 2, an intermediate PSD stage, are replayed
-    inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1, K=4)
-    inst = replace_fields(
-        inst, T=3, support=inst.support + (inst.support[1],),
-        f=np.vstack([inst.f, inst.f[-1:]]), h=np.vstack([inst.h, inst.h[-1:]]),
-        risk_lambda=np.append(inst.risk_lambda, inst.risk_lambda[-1]),
-        risk_alpha=np.append(inst.risk_alpha, inst.risk_alpha[-1]))
+    inst = stretch_to_three_stages(make_pattern_instance(TYPE3_PATTERNS[0], seed=1, K=4))
     exact = exact_multistage_value(inst, 3)
     lb_rep, ub_rep = run_type3_bounds(inst, sddip.SddipConfig(max_iters=12))
     tol = 1e-6 * max(1.0, abs(exact))

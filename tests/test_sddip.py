@@ -5,8 +5,8 @@ import pytest
 
 from ddro import lpmilp, misdp, reformulate, sddip
 from ddro.ambiguity import EmptyAmbiguity
-from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, make_pattern_instance,
-                        terminal_value)
+from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, exact_value_function,
+                        make_pattern_instance, stretch_to_three_stages, terminal_value)
 from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, round_integral, solve_milp
 from ddro.model import build_stage_block, generate_instance, replace_fields, zero_lambda
@@ -84,7 +84,7 @@ def test_lagrangian_dual_zero_multiplier_is_valid():
     pool = CutPool(inst.T, inst.K)
     oracle = StageOracle(inst, 1, SddipConfig(), pool)
     L0, _ = oracle.relaxed_value(2, 0, np.zeros(3))
-    batch = oracle.relaxed_terminal_values([(k, np.zeros(3)) for k in range(inst.K)])
+    batch = oracle.relaxed_values(2, [(k, np.zeros(3)) for k in range(inst.K)])
     assert abs(batch[0][0] - L0) <= 1e-9 * max(1.0, abs(L0))
     for bits in itertools.product((0.0, 1.0), repeat=3):
         for k, (L, _) in enumerate(batch):
@@ -250,9 +250,9 @@ def test_an_infeasible_terminal_batch_raises_as_one_solve_does(monkeypatch):
     with pytest.raises(RuntimeError, match=message):
         oracle.solve_stage(2, 1, x)
     with pytest.raises(RuntimeError, match=message):
-        oracle.solve_terminal(x, range(inst.K))
+        oracle.solve_stages(2, x, range(inst.K))
     with pytest.raises(RuntimeError, match=message):
-        oracle.relaxed_terminal_values([(k, np.zeros(inst.I)) for k in range(inst.K)])
+        oracle.relaxed_values(2, [(k, np.zeros(inst.I)) for k in range(inst.K)])
     assert not oracle._stage_cache
 
 
@@ -276,27 +276,258 @@ def test_a_terminal_batch_that_does_not_close_at_its_root_ends_batching(monkeypa
 
 
 def test_terminal_solves_take_the_batch_path_alone(monkeypatch):
-    # solve_stage and relaxed_value at t = T go through the terminal
-    # batch path and give what a batch gives; only stages t < T take the
-    # dual-bound route
+    # solve_stage and relaxed_value at t = T, one job each, give what the
+    # batch entry point (solve_stages, relaxed_values) gives for all K; a
+    # batch makes no one-model solve (_solve_once), a single job makes one
     stages = []
-    compiled = StageOracle._solve_compiled
-    monkeypatch.setattr(StageOracle, "_solve_compiled",
-                        lambda self, t, *a, **kw: stages.append(t) or compiled(self, t, *a, **kw))
+    solve_once = StageOracle._solve_once
+    monkeypatch.setattr(StageOracle, "_solve_once",
+                        lambda self, t, *a: stages.append(t) or solve_once(self, t, *a))
     inst = small_instance()
     oracle, batch = (StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
                      for _ in range(2))
     x, pi = np.array([0.0, 1.0, 0.0]), np.array([40.0, -25.0, 10.0])
-    pinned = batch.solve_terminal(x, range(inst.K))
-    relaxed = batch.relaxed_terminal_values([(k, pi) for k in range(inst.K)])
+    pinned = batch.solve_stages(inst.T, x, range(inst.K))
+    relaxed = batch.relaxed_values(inst.T, [(k, pi) for k in range(inst.K)])
+    assert stages == []
     for k in range(inst.K):
         sol, (L, z) = oracle.solve_stage(inst.T, k, x), oracle.relaxed_value(inst.T, k, pi)
         assert (sol.value, sol.x_bits) == (pinned[k].value, pinned[k].x_bits)
         assert L == relaxed[k][0] and np.array_equal(z, relaxed[k][1])
-    assert stages == [] and oracle.stage_solves == batch.stage_solves
+    assert stages == [inst.T] * (2 * inst.K) and oracle.stage_solves == batch.stage_solves
     assert oracle.dual_solves == batch.dual_solves == inst.K
     oracle.solve_stage(1, 0, np.zeros(inst.I))
-    assert stages == [1]
+    assert stages[2 * inst.K:] == [1]
+
+
+def _three_stage_instance():
+    """The T = 3, I = 3, K = 3 Type 1 instance of the multi_stage recipe."""
+    return generate_instance(1, 3, 3, 1, 3, 0.3, eps_mu=40, eps_S_lo=0.05, eps_S_hi=3.0)
+
+
+STAGE_TWO_CASES = (
+    ("type1", _three_stage_instance, 1, "exact"),
+    ("type3-ub", lambda: stretch_to_three_stages(
+        make_pattern_instance(TYPE3_PATTERNS[0], seed=1, K=4)), 3, "ub"),
+)
+
+
+@pytest.mark.parametrize("label, make, ttype, mode", STAGE_TWO_CASES,
+                         ids=[case[0] for case in STAGE_TWO_CASES])
+def test_lockstep_searches_below_the_terminal_stage_add_the_cuts_of_searches_alone(
+        monkeypatch, label, make, ttype, mode):
+    # a backward pass over a T = 3 forward pass's trial states adds, per
+    # stage, realization and trial state, the cut each search returns when
+    # run alone, with the same solves; stage 2's searches run in lockstep
+    inst, config = make(), SddipConfig(bound_mode=mode)
+    batches = []
+    solve_batch = StageOracle._solve_batch
+    monkeypatch.setattr(StageOracle, "_solve_batch",
+                        lambda self, t, jobs: batches.append((t, len(jobs)))
+                        or solve_batch(self, t, jobs))
+    oracle, alone = (StageOracle(inst, ttype, config, CutPool(inst.T, inst.K))
+                     for _ in range(2))
+    _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
+    forward_pass(alone, 2, np.random.default_rng(0))
+    batches.clear()
+    backward_pass(oracle, trial_states)
+    assert (2, len(trial_states[2]) * inst.K) in batches  # stage 2's first step
+    steps_at_two = sum(t == 2 for t, _ in batches)
+    for t in (3, 2):
+        for x_hat in trial_states[t]:
+            for k in range(inst.K):
+                ((pi, v),) = lagrangian_dual(
+                    _one_by_one(lambda p: alone.relaxed_value(t, k, p)), [x_hat])
+                alone.pool.add(t, k, Cut(v, pi))
+    assert steps_at_two > 1 or not oracle.batches(2)  # stage 2's searches take steps
+    assert oracle.pool.num_cuts(2) == alone.pool.num_cuts(2) > 0
+    assert oracle.pool.num_cuts(3) == alone.pool.num_cuts(3) > 0
+    for (t, k, mine), (t_alone, k_alone, cut) in zip(oracle.pool.all_cuts(),
+                                                     alone.pool.all_cuts()):
+        assert (t, k) == (t_alone, k_alone)
+        assert np.array_equal(mine.pi, cut.pi) and mine.v == cut.v
+    assert (oracle.stage_solves, oracle.dual_solves) == (alone.stage_solves, alone.dual_solves)
+
+
+def _run_passes(oracle, iterations):
+    rng = np.random.default_rng(0)
+    for _ in range(iterations):
+        _, trial_states = forward_pass(oracle, 2, rng)
+        backward_pass(oracle, trial_states)
+
+
+def test_a_flagged_block_of_a_stage_two_batch_probes_from_its_batch_solution(monkeypatch):
+    # the audit flags the second block of the first stage-2 batch: the
+    # probe at 10x the big-M finds a flat face, the batch solution stands,
+    # and the flag costs the probe alone, as for the block solved alone;
+    # every cut still under-approximates its stage value function
+    inst = _three_stage_instance()
+    plain = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    _run_passes(plain, 3)
+    flagged, blocks = [], []
+    solve_batch = StageOracle._solve_batch
+
+    def recording(self, t, jobs):
+        out = solve_batch(self, t, jobs)
+        if t == 2 and out is not None and not blocks:
+            blocks.append(out[1][0].x)
+        return out
+
+    audit = reformulate.audit_dual_bounds
+
+    def audit_once(lay, x):
+        if not flagged and blocks and x is blocks[0]:
+            flagged.append(1)
+            return lay.audit_families[0]
+        return audit(lay, x)
+
+    monkeypatch.setattr(StageOracle, "_solve_batch", recording)
+    monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    _run_passes(oracle, 3)
+    assert flagged and oracle.dual_bound.escalations == 0 and oracle.batches(2)
+    assert oracle.stage_solves == plain.stage_solves + 1
+    assert oracle.dual_solves == plain.dual_solves
+    assert oracle.pool.num_cuts(2) == plain.pool.num_cuts(2) > 0
+    for (t, k, cut), (_, _, other) in zip(oracle.pool.all_cuts(), plain.pool.all_cuts()):
+        assert np.array_equal(cut.pi, other.pi) and cut.v == other.v
+        for bits in itertools.product((0.0, 1.0), repeat=inst.I):
+            truth = exact_value_function(inst, 1, t, np.array(bits), k)
+            assert cut.v + float(cut.pi @ np.array(bits)) <= truth + 1e-6 * max(1.0, abs(truth))
+
+
+def test_an_escalation_inside_a_stage_two_batch_solves_the_rest_again(monkeypatch):
+    # the audit flags the first block of the first stage-2 batch and no
+    # probe finds a flat face: the big-M escalates from that block's batch
+    # solution, and the other blocks are solved again, as one batch at the
+    # new big-M; the cuts stay valid
+    inst = _three_stage_instance()
+    batches, flagged = [], []  # (stage, jobs, big-M, first block's x) of each batch
+    solve_batch = StageOracle._solve_batch
+
+    def recording(self, t, jobs):
+        bound = self.dual_bound.value
+        out = solve_batch(self, t, jobs)
+        batches.append((t, len(jobs), bound, out[0][0].x if out else None))
+        return out
+
+    audit = reformulate.audit_dual_bounds
+
+    def audit_once(lay, x):
+        if not flagged and batches and batches[-1][0] == 2 and x is batches[-1][3]:
+            flagged.append(len(batches) - 1)
+            return lay.audit_families[0]
+        return audit(lay, x)
+
+    monkeypatch.setattr(StageOracle, "_solve_batch", recording)
+    monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
+    monkeypatch.setattr(reformulate, "FLAT_FACE_REL", -1.0)
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    M = oracle.dual_bound.value
+    _run_passes(oracle, 3)
+    (at,) = flagged
+    assert oracle.dual_bound.escalations == 1 and oracle.dual_bound.value == 10.0 * M
+    t, jobs, bound, _ = batches[at]
+    assert (t, bound) == (2, M) and jobs >= 3
+    assert batches[at + 1][:3] == (2, jobs - 1, 10.0 * M)
+    assert oracle.pool.num_cuts(2) > 0
+    for t, k, cut in oracle.pool.all_cuts():
+        for bits in itertools.product((0.0, 1.0), repeat=inst.I):
+            truth = exact_value_function(inst, 1, t, np.array(bits), k)
+            assert cut.v + float(cut.pi @ np.array(bits)) <= truth + 1e-6 * max(1.0, abs(truth))
+
+
+def test_a_type3_ub_batch_checks_each_block_for_psd(monkeypatch):
+    # stage-2 "ub" models branch, so their batches do not close at the
+    # root; with a batch that returns each model's own solution, every
+    # block's PSD blocks are checked, as a solve of one model checks them
+    inst = stretch_to_three_stages(make_pattern_instance(TYPE3_PATTERNS[0], seed=1, K=4))
+    oracle = StageOracle(inst, 3, SddipConfig(bound_mode="ub"), CutPool(inst.T, inst.K))
+    monkeypatch.setattr(sddip, "solve_milps", lambda models: [solve_milp(m) for m in models])
+    audited = []
+    audit = misdp.audit_inner_psd
+    monkeypatch.setattr(misdp, "audit_inner_psd",
+                        lambda blocks, x: audited.append((len(blocks), x)) or audit(blocks, x))
+    x = np.array([0.0, 0.0, 1.0])
+    sols = oracle.solve_stages(2, x, range(inst.K))
+    assert oracle.batches(2) and oracle.stage_solves == inst.K
+    assert [n for n, _ in audited] == [2] * inst.K
+    alone = StageOracle(inst, 3, SddipConfig(bound_mode="ub"), CutPool(inst.T, inst.K))
+    for k, (sol, (_, bx)) in enumerate(zip(sols, audited)):
+        assert sddip._bits(round_integral(bx, oracle._compiled[(2, oracle.dual_bound.value)]
+                                          .lay.x)) == sol.x_bits
+        ref = alone.solve_stage(2, k, x)
+        assert (sol.value, sol.x_bits) == (ref.value, ref.x_bits)
+
+
+def test_a_stage_two_batch_that_fails_at_its_root_ends_batching_for_stage_two_only(
+        monkeypatch):
+    # the first stage-2 batch gives no solution: stage 2 then solves one
+    # model at a time, terminal batches go on, and the report equals that
+    # of a run in which every batch closes
+    inst, config = _three_stage_instance(), SddipConfig(max_iters=10)
+    ref = run(inst, 1, config)
+    stages, calls = [], []  # the stage of each batch; (stage, closed) of each
+    solve_batch = StageOracle._solve_batch
+    monkeypatch.setattr(StageOracle, "_solve_batch",
+                        lambda self, t, jobs: stages.append(t) or solve_batch(self, t, jobs))
+    solve_milps = sddip.solve_milps
+
+    def failing_first_at_two(models):
+        t = stages[-1]
+        sols = None if t == 2 and not calls.count((2, False)) else solve_milps(models)
+        calls.append((t, sols is not None))
+        return sols
+
+    monkeypatch.setattr(sddip, "solve_milps", failing_first_at_two)
+    rep = run(inst, 1, config)
+    assert [c for c in calls if c[0] == 2] == [(2, False)]
+    assert (3, True) in calls[calls.index((2, False)):]
+    assert all(closed for t, closed in calls if t == 3)
+    assert rep.to_json() == ref.to_json()
+
+
+def test_oracle_worst_case_is_the_direct_worst_case_computed_once_per_key(monkeypatch):
+    inst = _three_stage_instance()
+    oracle = StageOracle(inst, 1, SddipConfig(risk=True), CutPool(inst.T, inst.K))
+    computed = []
+    worst_case = sddip.worst_case
+    monkeypatch.setattr(sddip, "worst_case",
+                        lambda *a, stage, **kw: computed.append(stage)
+                        or worst_case(*a, stage=stage, **kw))
+    x, q = np.array([1.0, 0.0, 0.0]), np.array([-900.0, -1500.0, -2400.0])
+    first = oracle.worst_case(2, x, q)
+    direct = worst_case(inst, oracle.ttype, x, q, stage=2, risk=oracle.risk_spec(1))
+    assert first.value == direct.value and np.array_equal(first.p, direct.p)
+    assert np.array_equal(first.q_cvar, direct.q_cvar)
+    assert oracle.worst_case(2, x.copy(), list(q)) is first
+    assert computed == [2]
+    oracle.worst_case(2, x, q + 1.0)
+    oracle.worst_case(3, x, q)
+    oracle.worst_case(2, np.array([0.0, 1.0, 0.0]), q)
+    oracle.worst_case(2, x, q)
+    assert computed == [2, 2, 3, 2]
+
+
+# (stage_solves, dual_solves) of the multi_stage benchmark cases at seed 1
+MULTI_STAGE_COUNTERS = (
+    ((3, 3, 6), None, (50, 30)),
+    ((4, 3, 3), None, (38, 21)),
+    ((4, 3, 3), dict(risk_lambda=0.5, risk_alpha=0.9), (38, 21)),
+    ((5, 3, 3), None, (50, 27)),
+    ((3, 5, 3), None, (26, 15)),
+)
+
+
+@pytest.mark.parametrize("shape, risk, counters", MULTI_STAGE_COUNTERS,
+                         ids=["T%d-I%d-K%d" % c[0] + ("-risk" if c[1] else "")
+                              for c in MULTI_STAGE_COUNTERS])
+def test_batched_stage_solves_keep_the_multi_stage_counters(shape, risk, counters):
+    T, I, K = shape
+    inst = generate_instance(1, T, I, 1, K, 0.3, eps_mu=40, eps_S_lo=0.05, eps_S_hi=3.0)
+    config = SddipConfig(max_iters=30, seed=1, **(risk or {}))
+    rep = run(inst, 1, config)
+    assert (rep.stage_solves, rep.dual_solves) == counters
 
 
 def test_type3_lb_terminal_solves_run_no_lp(monkeypatch):
@@ -386,6 +617,52 @@ def test_type3_lb_stage_cache_keys_on_the_accepted_solve_not_its_probe(monkeypat
     assert oracle._stage_cache[(1, 0, (0,) * inst.I, 0, counts[-1])] is again
 
 
+def _type3_lb_stretch_oracle():
+    inst = stretch_to_three_stages(make_pattern_instance(TYPE3_PATTERNS[0], seed=1, K=4))
+    return inst, StageOracle(inst, 3, SddipConfig(bound_mode="lb"), CutPool(inst.T, inst.K))
+
+
+def test_type3_lb_psd_stages_run_one_search_after_another(monkeypatch):
+    # a PSD stage of the "lb" route never batches: each relaxed solve runs
+    # its own cut loop, whose eigen rows the next solve replays, so the
+    # searches of stage 2 run one after another; the terminal stage batches
+    inst, oracle = _type3_lb_stretch_oracle()
+    assert [oracle.batches(t) for t in (1, 2, 3)] == [False, False, True]
+    _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
+    calls, loops = [], []
+    relaxed = oracle.relaxed_values
+    monkeypatch.setattr(oracle, "relaxed_values",
+                        lambda t, jobs: calls.append((t, len(jobs))) or relaxed(t, jobs))
+    outer = misdp.solve_misdp_outer
+    monkeypatch.setattr(misdp, "solve_misdp_outer", lambda *a: loops.append(1) or outer(*a))
+    backward_pass(oracle, trial_states)
+    at_two = [n for t, n in calls if t == 2]
+    assert at_two and set(at_two) == {1} and len(loops) == sum(at_two)
+    assert max(n for t, n in calls if t == 3) == len(trial_states[3]) * inst.K > 1
+
+
+def test_type3_lb_stage_lookups_follow_the_solves_before_them(monkeypatch):
+    # each stage-2 cut loop here appends a valid row (Z[0, 0] >= 0), so a
+    # solve moves the row count of the next lookup: solve_stages looks each
+    # k up after the solves before it, as solve_stage one k at a time does
+    outer = misdp.solve_misdp_outer
+
+    def appending(model, blocks):
+        sol = outer(model, blocks)
+        model.add_row({int(blocks[0].cols[0, 0]): 1.0}, ">=", 0.0)
+        return sol
+
+    monkeypatch.setattr(misdp, "solve_misdp_outer", appending)
+    x = np.array([0.0, 0.0, 1.0])
+    (_, batch), (_, alone) = _type3_lb_stretch_oracle(), _type3_lb_stretch_oracle()
+    batch.solve_stage(2, 1, x)
+    sols = batch.solve_stages(2, x, [0, 1])
+    refs = [alone.solve_stage(2, k, x) for k in (1, 0, 1)][1:]
+    assert batch.stage_solves == alone.stage_solves == 3
+    assert [(s.value, s.x_bits) for s in sols] == [(r.value, r.x_bits) for r in refs]
+    assert batch._stage_cache.keys() == alone._stage_cache.keys()
+
+
 def test_type3_ub_dd_rows_are_written_once_per_compiled_model(monkeypatch):
     # the DD rows belong to the compiled "ub" stage model: a new cut
     # version re-extends it without writing them again
@@ -402,6 +679,26 @@ def test_type3_ub_dd_rows_are_written_once_per_compiled_model(monkeypatch):
     forward_pass(oracle, 1, rng)  # stage 1 again, under the second cut version
     assert oracle._compiled[(1, oracle.dual_bound.value)].cuts == oracle.pool.num_cuts(2)
     assert len(calls) == sum(1 for comp in oracle._compiled.values() if comp.blocks) == 1
+
+
+def test_tree_evaluation_solves_the_children_of_each_state_once(monkeypatch):
+    # the three stage-2 children of the first-stage state share one state,
+    # whose terminal children are solved, as one batch, once
+    inst = _three_stage_instance()
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    calls = []
+    solve_stages = oracle.solve_stages
+
+    def recording(t, x_prev, ks):
+        out = solve_stages(t, x_prev, ks)
+        calls.append((t, sddip._bits(x_prev), [sol.x_bits for sol in out]))
+        return out
+
+    monkeypatch.setattr(oracle, "solve_stages", recording)
+    evaluate_policy(oracle, np.random.default_rng(0))
+    (x1,), children = calls[0][2], calls[1][2]
+    assert len(set(children)) < len(children)
+    assert [(t, x) for t, x, _ in calls] == [(1, (0,) * inst.I), (2, x1), (3, children[0])]
 
 
 def test_forward_pass_structure_two_stage():
@@ -437,9 +734,10 @@ def test_forward_deterministic_when_k1():
 
 def _record_forward_pass(monkeypatch, inst, num_paths):
     """forward_pass on a fresh oracle, recording the stage of each
-    worst_case call, each solve_stage call and each stage-model solve."""
+    StageOracle.worst_case call, each ambiguity worst case it computes,
+    each solve_stage call and each stage-model solve."""
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
-    seen = {"worst_case": [], "solve_stage": [], "model_solve": []}
+    seen = {"worst_case": [], "computed": [], "solve_stage": [], "model_solve": []}
 
     def recording(key, fn, stage_of):
         def wrapped(*args, **kw):
@@ -447,8 +745,10 @@ def _record_forward_pass(monkeypatch, inst, num_paths):
             return fn(*args, **kw)
         return wrapped
 
+    monkeypatch.setattr(oracle, "worst_case", recording(
+        "worst_case", oracle.worst_case, lambda t, *a: t))
     monkeypatch.setattr(sddip, "worst_case", recording(
-        "worst_case", sddip.worst_case, lambda *a, stage, **kw: stage))
+        "computed", sddip.worst_case, lambda *a, stage, **kw: stage))
     monkeypatch.setattr(oracle, "solve_stage", recording(
         "solve_stage", oracle.solve_stage, lambda t, *a: t))
     monkeypatch.setattr(oracle, "_solve_once", recording(
@@ -460,7 +760,7 @@ def _record_forward_pass(monkeypatch, inst, num_paths):
 def test_two_stage_forward_pass_solves_stage_one_only(monkeypatch):
     # stage 2's decisions are no trial state at T = 2: no path is walked
     sol1, trial_states, seen = _record_forward_pass(monkeypatch, small_instance(), 3)
-    assert seen["worst_case"] == []
+    assert seen["worst_case"] == seen["computed"] == []
     assert seen["solve_stage"] == [1] and set(seen["model_solve"]) == {1}
     assert trial_states == {2: [sol1.x_bits]}
 
@@ -469,6 +769,7 @@ def test_three_stage_forward_pass_stops_before_stage_three(monkeypatch):
     inst = _wide_windows(generate_instance(3, 3, 2, 1, 3, 0.8))
     sol1, trial_states, seen = _record_forward_pass(monkeypatch, inst, 4)
     assert seen["worst_case"] == [2] * 4
+    assert seen["computed"] == [2]  # the four paths leave one state, one q
     assert seen["solve_stage"] == [1] + [2] * 4
     assert 3 not in seen["model_solve"]
     assert trial_states[2] == [sol1.x_bits]
@@ -593,6 +894,14 @@ def test_three_stage_run_converges_to_exact():
     assert rep.status == "Optimal"
     assert abs(rep.lb_per_iter[-1] - exact) <= 1e-6 * max(1.0, abs(exact))
     assert rep.ub_mode == "tree"
+
+
+def test_single_stage_run_evaluates_its_one_stage():
+    # at T = 1 stage 1 is the terminal stage: the policy's cost is its value
+    inst = generate_instance(1, 1, 3, 1, 3, 0.3)
+    rep = run(inst, 1, SddipConfig(max_iters=5))
+    assert rep.status == "Optimal" and rep.ub_mode == "tree"
+    assert rep.ub_estimate == rep.lb_per_iter[-1] == -2554.5
 
 
 def test_report_csv_shape():

@@ -7,7 +7,11 @@ over the four workloads, prints one line: workload, seed, case label and
 the md5 of SolveReport.to_json() (timing excluded).  Run it on two
 commits and diff the outputs to show that a change keeps every report
 byte-identical.  Type 3 cases solve under their case's bound_mode, as
-the benchmark does.
+the benchmark does.  After the workload lines come those of the
+"type3_stretch" cases, which no workload covers: Type 3 patterns 3-1,
+3-3 and 3-4 at K = 4 stretched to T = 3 (bench.stretch_to_three_stages),
+whose stage 2 is an intermediate PSD stage, on the "lb" and "ub" routes.
+Pattern 3-2 is left out: its two routes take about 10 s.
 
     python3 tools/report_digests.py --drop stage_solves 1 2 3
 
@@ -41,12 +45,40 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
-from ddro.sddip import SolveReport  # noqa: E402
+from ddro import bench  # noqa: E402
+from ddro.sddip import SddipConfig, SolveReport  # noqa: E402
 
 FIELDS = sorted(f.name for f in dataclasses.fields(SolveReport))
 DISCRETE = ("status", "termination", "iterations", "first_stage_x")
 BOUNDS = ("lb", "ub")
 REL_TOL = 1e-6  # largest relative lb or ub difference --against accepts
+STRETCH = "type3_stretch"
+STRETCH_PATTERNS = ("3-1", "3-3", "3-4")
+STRETCH_K = 4  # realizations per stage of a stretch case
+
+
+def stretch_cases(seed: int):
+    """The type3_stretch cases at one seed, as workloads.Case."""
+    for pat in bench.TYPE3_PATTERNS:
+        if pat.name not in STRETCH_PATTERNS:
+            continue
+        inst = bench.stretch_to_three_stages(
+            bench.make_pattern_instance(pat, seed=seed, K=STRETCH_K))
+        for mode in ("lb", "ub"):
+            config = SddipConfig(max_iters=workloads.TYPE3_ITERS, seed=seed, bound_mode=mode)
+            yield workloads.Case(f"p{pat.name}-{mode}", mode, inst, 3, config, None)
+
+
+def all_cases(seeds):
+    """(workload, seed, case) of every case: the workloads' at each seed,
+    then the stretch cases at each seed."""
+    for seed in seeds:
+        for name in workloads.WORKLOADS:
+            for case in workloads.build(name, seed):
+                yield name, seed, case
+    for seed in seeds:
+        for case in stretch_cases(seed):
+            yield STRETCH, seed, case
 
 
 def report_text(report: SolveReport, drop=()) -> str:
@@ -135,17 +167,15 @@ def main(argv=None) -> int:
     if args.values and args.drop:
         ap.error("--drop applies to digests, not --values")
     records = []
-    for seed in args.seeds:
-        for name in workloads.WORKLOADS:
-            for case in workloads.build(name, seed):
-                report = case.solve()
-                if args.values:
-                    records.append({"workload": name, "seed": seed, "case": case.label,
-                                    **report_values(report)})
-                    print(json.dumps(records[-1]), flush=True)
-                else:
-                    digest = hashlib.md5(report_text(report, args.drop).encode()).hexdigest()
-                    print(f"{name} {seed} {case.label} {digest}", flush=True)
+    for name, seed, case in all_cases(args.seeds):
+        report = case.solve()
+        if args.values:
+            records.append({"workload": name, "seed": seed, "case": case.label,
+                            **report_values(report)})
+            print(json.dumps(records[-1]), flush=True)
+        else:
+            digest = hashlib.md5(report_text(report, args.drop).encode()).hexdigest()
+            print(f"{name} {seed} {case.label} {digest}", flush=True)
     return check_against(records, args.against) if args.against else 0
 
 
