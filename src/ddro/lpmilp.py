@@ -17,8 +17,9 @@ HighsCallError.  A solve passes the model as one row-wise matrix with
 row bounds, through passModel's array overload (int32 CSR arrays, as
 the kept matrix holds them), sets the options that vary per call, and
 runs.  The third kind of handle belongs to one WarmLp, a cut loop's LP
-that only gains rows: it keeps its model loaded, and each re-solve adds
-the new rows (addRows) and restarts dual simplex from the last basis.
+that only gains rows: it keeps its model loaded, and each re-solve
+checks and adds the new rows alone (addRows) and restarts dual simplex
+from the last basis.
 
 The bindings are the extension module scipy.optimize._highspy._core.
 Importing it by that name first runs scipy.optimize's package __init__,
@@ -38,17 +39,23 @@ solve.  A caller can thus compile a model once and re-solve copies of
 it, patched and extended, at the cost of the new rows alone.
 
 MILP options: mip_rel_gap = 0 (each solve is proved optimal) and the
-primal heuristics Feasibility Jump, RINS and RENS off, fixed; per call,
-mip_max_nodes = NODE_LIMIT and presolve on (off only for the retry of a
-model presolve mislabels).  HiGHS 1.12 runs these heuristics in every
-MILP, at a cost that dominates the small stage models here, whose
-solves end at the root anyway: an 18-column, 15-row terminal block took
-11 ms per solve with Feasibility Jump and 4.7 ms without; the 22
-stage-1 MILPs of the type3_lower benchmark at seed 1 (100 columns,
-about 330 rows, one node each) took 1.40 s with RINS and RENS and
-0.55 s without (2-core Xeon).  LP options: presolve on, fixed; per
-call, an iteration cap of 10*(n + m + ITERATION_CAP_BASE).  The two
-limits are module constants, read at each call.
+primal heuristics Feasibility Jump, RINS, RENS and the root
+reduced-cost heuristic off, fixed; per call, mip_max_nodes = NODE_LIMIT
+and presolve on (off only for the retry of a model presolve
+mislabels).  HiGHS 1.12 runs these heuristics in every MILP, at a cost
+that dominates the small stage models here, whose solves end at the
+root anyway: an 18-column, 15-row terminal block took 11 ms per solve
+with Feasibility Jump and 4.7 ms without; the 22 stage-1 MILPs of the
+type3_lower benchmark at seed 1 (100 columns, about 330 rows, one node
+each) took 1.40 s with RINS and RENS and 0.55 s without; the root
+reduced-cost heuristic solves a sub-MIP of its own, and the 37 stage-1
+MILPs of one seed-1 round of two_stage, type3_lower and type3_upper
+took 0.32 s with it and 0.25 s without, to equal objectives (2-core
+Xeon).  Models that branch may need more nodes without it: a 25-item
+knapsack in tests/test_lpmilp.py took 147 nodes with it and 2333
+without.  LP options: presolve on, fixed; per call, an iteration cap
+of 10*(n + m + ITERATION_CAP_BASE).  The two limits are module
+constants, read at each call.
 
 solve_milps solves independent models as one block-diagonal MILP, run
 once to save HiGHS's fixed cost per call and searched at its root node
@@ -151,6 +158,7 @@ class LinearModel:
         self.row_rhs: list[float] = []
         self.row_names: list[str] = []
         self._rows = _EMPTY_ROWS  # checked CSR of the first _rows.count rows
+        self._edits = 0  # calls of set_objective, set_rhs and set_bounds
 
     @property
     def num_vars(self) -> int:
@@ -209,15 +217,18 @@ class LinearModel:
 
     def set_objective(self, col: int, coef: float) -> None:
         self.objective[col] = float(coef)
+        self._edits += 1
 
     def set_rhs(self, row: int, value: float) -> None:
         self.row_rhs[row] = float(value)
+        self._edits += 1
 
     def set_bounds(self, col: int, lb: float, ub: float) -> None:
         if lb > ub:
             raise ValueError(f"lb {lb} > ub {ub}")
         self.lower[col] = float(lb)
         self.upper[col] = float(ub)
+        self._edits += 1
 
     def copy(self) -> "LinearModel":
         """An independent copy that shares the assembled matrix of the
@@ -249,17 +260,12 @@ class LinearModel:
         self._solver_arrays()
 
     def _solver_arrays(self):
-        """(assembled rows, objective, lower, upper, rhs), checked as
-        validate() describes."""
-        rows = self._row_matrix()
+        """(assembled rows, objective, lower, upper, row lower, row upper),
+        checked as validate() describes."""
         objective = np.asarray(self.objective, dtype=float)
         if not np.all(np.isfinite(objective)):
             raise ValueError("objective coefficients must be finite")
-        if not rows.finite:
-            raise ValueError("constraint coefficients must be finite")
-        rhs = np.asarray(self.row_rhs, dtype=float)
-        if np.any(np.isnan(rhs)):
-            raise ValueError("right-hand sides must not be NaN")
+        rows, row_lower, row_upper = self._rows_from(0)
         lower = np.asarray(self.lower, dtype=float)
         upper = np.asarray(self.upper, dtype=float)
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
@@ -268,7 +274,20 @@ class LinearModel:
         if np.any(bad):
             name = self.names[int(np.flatnonzero(bad)[0])]
             raise ValueError(f"binary variable {name} has bounds outside [0, 1]")
-        return rows, objective, lower, upper, rhs
+        return rows, objective, lower, upper, row_lower, row_upper
+
+    def _rows_from(self, first: int):
+        """(every row assembled, lower and upper bounds of the rows from
+        `first` on), with the coefficients of the rows not yet assembled
+        and the right-hand sides from `first` on checked."""
+        rows = self._row_matrix()
+        if not rows.finite:
+            raise ValueError("constraint coefficients must be finite")
+        rhs = np.asarray(self.row_rhs[first:], dtype=float)
+        if np.any(np.isnan(rhs)):
+            raise ValueError("right-hand sides must not be NaN")
+        return (rows, np.where(rows.no_lower[first:], -np.inf, rhs),
+                np.where(rows.no_upper[first:], np.inf, rhs))
 
     def _row_matrix(self) -> "_RowMatrix":
         """Every row assembled: the kept matrix, extended by the rows
@@ -373,7 +392,8 @@ class HighsCallError(RuntimeError):
 _FIXED_OPTIONS = {
     "milp": {"output_flag": False, "mip_rel_gap": 0.0,
              "mip_heuristic_run_feasibility_jump": False,
-             "mip_heuristic_run_rins": False, "mip_heuristic_run_rens": False},
+             "mip_heuristic_run_rins": False, "mip_heuristic_run_rens": False,
+             "mip_heuristic_run_root_reduced_cost": False},
     "lp": {"output_flag": False, "presolve": "on"},
 }
 _handles = threading.local()
@@ -402,21 +422,16 @@ def _set_options(highs: _Highs, options: dict) -> None:
             raise HighsCallError(f"HiGHS rejected option {name} = {value!r}")
 
 
-def _row_bounds(rows: _RowMatrix, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.where(rows.no_lower, -np.inf, rhs), np.where(rows.no_upper, np.inf, rhs)
-
-
-def _highs_model(model: LinearModel, integer: bool, arrays=None) -> tuple:
+def _highs_model(model: LinearModel, integer: bool) -> tuple:
     """The model as the arguments of _Highs.passModel's array overload:
-    the row-wise matrix with row bounds, minimized, without offset.
-    `arrays` is the model's _solver_arrays() when the caller has them."""
-    rows, objective, lower, upper, rhs = model._solver_arrays() if arrays is None else arrays
+    the row-wise matrix with row bounds, minimized, without offset."""
+    rows, objective, lower, upper, row_lower, row_upper = model._solver_arrays()
     # one entry per column, 0 continuous or 1 integer; HiGHS reads num_col of them
     integrality = np.zeros(model.num_vars, dtype=np.int32)
     if integer:
         integrality[np.asarray(model.integrality) != CONTINUOUS] = 1
     return (model.num_vars, model.num_rows, rows.index.size, _ROWWISE, _MINIMIZE, 0.0,
-            objective, lower, upper, *_row_bounds(rows, rhs),
+            objective, lower, upper, row_lower, row_upper,
             rows.start, rows.index, rows.value, integrality)
 
 
@@ -453,48 +468,48 @@ class WarmLp:
     """The continuous relaxation of a model that only gains rows between
     solves, kept loaded on a HiGHS handle of its own.
 
-    The first solve passes the model; each later one sends only the rows
-    appended since (addRows) and re-runs, so dual simplex restarts from
-    the last basis.  Every solve validates the model, caps the
-    iterations and maps the result as solve_lp does.  An objective,
-    bound or loaded right-hand side changed since the last solve raises
-    RuntimeError rather than re-solving a stale model.
+    The first solve validates and passes the model; each later one
+    checks and sends only the rows appended since (addRows) and re-runs,
+    so dual simplex restarts from the last basis, and its Python work
+    does not grow with the model.  Every solve caps the iterations and
+    maps the result as solve_lp does.  A re-solve after a column was
+    added, or after set_objective, set_bounds or set_rhs was called on
+    the model (it counts those calls), raises RuntimeError rather than
+    re-solving a stale model: the rows a kept LP gains are appended with
+    their right-hand sides.
     """
 
     def __init__(self, model: LinearModel):
         self.model = model
         self._highs: _Highs | None = None
-        self._loaded: tuple = ()  # objective, lower, upper, rhs as loaded
+        self._loaded = (0, 0, 0)  # the model's edits, columns and rows as loaded
 
     def solve(self) -> LpSolution:
         model = self.model
-        arrays = model._solver_arrays()
         if self._highs is None:
+            args = _highs_model(model, False)
             self._highs = _new_handle("lp")
-            load = partial(self._highs.passModel, *_highs_model(model, False, arrays))
+            load = partial(self._highs.passModel, *args)
         else:
-            load = self._new_rows(arrays)
-        self._loaded = arrays[1:]
+            load = self._new_rows()
+        self._loaded = (model._edits, model.num_vars, model.num_rows)
         try:
             return _run_lp(self._highs, model, load)
         except HighsCallError:
             self._highs = None  # what the handle holds is unknown: pass it all again
             raise
 
-    def _new_rows(self, arrays):
-        """addRows of the rows appended since the last solve, after
-        checking that nothing else changed."""
-        rows, objective, lower, upper, rhs = arrays
-        old_objective, old_lower, old_upper, old_rhs = self._loaded
-        done = old_rhs.size
-        if not (np.array_equal(objective, old_objective) and np.array_equal(lower, old_lower)
-                and np.array_equal(upper, old_upper) and np.array_equal(rhs[:done], old_rhs)):
+    def _new_rows(self):
+        """addRows of the rows appended since the last solve, checked,
+        after checking that nothing else changed."""
+        model = self.model
+        edits, num_vars, done = self._loaded
+        if model._edits != edits or model.num_vars != num_vars:
             raise RuntimeError("a kept LP changed other than by appended rows")
-        row_lower, row_upper = _row_bounds(rows, rhs)
+        rows, row_lower, row_upper = model._rows_from(done)
         first = rows.start[done]
-        highs = self._highs
-        return partial(highs.addRows, rows.count - done, row_lower[done:],
-                       row_upper[done:], rows.index.size - first, rows.start[done:-1] - first,
+        return partial(self._highs.addRows, rows.count - done, row_lower, row_upper,
+                       rows.index.size - first, rows.start[done:-1] - first,
                        rows.index[first:], rows.value[first:])
 
 
@@ -504,7 +519,6 @@ def _run_lp(highs: _Highs, model: LinearModel, load) -> LpSolution:
     _set_options(highs, {"simplex_iteration_limit": cap, "ipm_iteration_limit": cap})
     linprog(highs, load)
     status = highs.getModelStatus()
-    info = highs.getInfo()
     if status == HighsModelStatus.kInfeasible:
         return LpSolution(INFEASIBLE, None, None, None, None)
     if status == HighsModelStatus.kUnbounded:
@@ -512,9 +526,8 @@ def _run_lp(highs: _Highs, model: LinearModel, load) -> LpSolution:
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure(f"LP solve failed: {highs.modelStatusToString(status)}")
     sol = highs.getSolution()
-    return LpSolution(OPTIMAL, np.array(sol.col_value),
-                      info.objective_function_value,
-                      np.array(sol.row_dual), np.array(sol.col_dual))
+    return LpSolution(OPTIMAL, np.array(sol.col_value, dtype=float), highs.getObjectiveValue(),
+                      np.array(sol.row_dual, dtype=float), np.array(sol.col_dual, dtype=float))
 
 
 def solve_milp(model: LinearModel) -> MipSolution:

@@ -5,10 +5,20 @@ Two complementary routes around the mixed-integer SDP:
 * a lower-bound route that outer-approximates the PSD cones with
   eigenvector rows v' M v >= 0, in one cut loop with three phases:
 
-  1. root: solve the LP relaxation and cut every negative eigenpair of
-     every block, until no block violates or the LP is not optimal;
-  2. MILP rounds: solve the MILP, stop when every block clears the
-     tolerance, else cut the smallest eigenpair of each violating block;
+  1. root: solve the LP relaxation and cut every eigenpair of every
+     block below -EIGEN_CUT_TOL * max(1, max|block entry|), the scale
+     PSD_AUDIT_REL uses, until no block violates that or the LP is not
+     optimal.  The tolerance scales with the block because stage blocks
+     hold entries up to about 1e6: under the absolute tolerance, the
+     first stage-1 root phase of the benchmark's pattern 3-4 (seed 1)
+     ran 70 LPs, and its last 22 cut violations of 1.5e-6...2.8e-2 that
+     moved the LP objective by 1.3e-10 relative; the scaled rule stops
+     it after 48.  Root cuts only speed the loop up, and any subset of
+     them leaves a valid relaxation, so the phases below keep the
+     absolute tolerance;
+  2. MILP rounds: solve the MILP, stop when no block has an eigenvalue
+     below -EIGEN_CUT_TOL, else cut the smallest eigenpair of each
+     violating block;
   3. fixed-integer polish: after each MILP round, rerun the LP phase on
      a copy with the integer columns fixed at the rounded incumbent,
      appending its cuts to the MILP model too.
@@ -89,13 +99,15 @@ def solve_misdp_outer(model: LinearModel, blocks) -> MipSolution:
     v' M v >= 0, valid for subsequent solves with different objectives
     over the same feasible set, so the cuts are the model's rows past
     its row count on entry.  LP and MILP solves both count against
-    MAX_CUT_ROUNDS_OUTER; a block eigenvalue below -EIGEN_CUT_TOL is cut.
+    MAX_CUT_ROUNDS_OUTER; a block eigenvalue below -EIGEN_CUT_TOL is cut,
+    in the root phase only one below -EIGEN_CUT_TOL * max(1, max|entry|),
+    and the blocks of an optimal solution returned clear -EIGEN_CUT_TOL.
     """
     max_rounds = MAX_CUT_ROUNDS_OUTER
     integer_cols = [j for j, kind in enumerate(model.integrality) if kind != CONTINUOUS]
     rounds = 0
     if integer_cols:
-        rounds = _lp_cut_phase(model, (model,), blocks, max_rounds)
+        rounds = _lp_cut_phase(model, (model,), blocks, max_rounds, scaled=True)
     while rounds < max_rounds:
         rounds += 1
         sol = solve_milp(model)
@@ -118,11 +130,12 @@ def solve_misdp_outer(model: LinearModel, blocks) -> MipSolution:
     raise CutLoopLimit(f"no PSD convergence after {max_rounds} rounds")
 
 
-def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int) -> int:
+def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int, scaled: bool = False) -> int:
     """Solve the continuous relaxation of `lp` and cut every eigenpair
     below -EIGEN_CUT_TOL of every block into each model of `targets`, until no
-    block violates, the LP is not optimal, or `budget` solves are spent.
-    Returns the number of LP solves."""
+    block violates, the LP is not optimal, or `budget` solves are spent;
+    `scaled` scales the tolerance by max(1, max|block entry|), block by
+    block.  Returns the number of LP solves."""
     warm = WarmLp(lp)
     for used in range(1, budget + 1):
         try:
@@ -133,14 +146,21 @@ def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int) -> int:
             return used
         found = False
         for block in blocks:
-            for lam, v in linalg.sym_eig(block.assemble(sol.x)):
-                if lam >= -EIGEN_CUT_TOL:
+            value = block.assemble(sol.x)
+            tol = EIGEN_CUT_TOL * (_entry_scale(value) if scaled else 1.0)
+            for lam, v in linalg.sym_eig(value):
+                if lam >= -tol:
                     break
                 _append_cut(targets, block, v)
                 found = True
         if not found:
             return used
     return budget
+
+
+def _entry_scale(value: SymMatrix) -> float:
+    """max(1, max|entry|) of a block value."""
+    return max(1.0, float(np.abs(value.entries).max()))
 
 
 def _append_cut(models, block: PsdBlockRef, v: np.ndarray) -> None:
@@ -199,7 +219,7 @@ def audit_inner_psd(blocks, x: np.ndarray) -> None:
     for block in blocks:
         value = block.assemble(x)
         lam = min_eigenpair(value)[0]
-        scale = max(1.0, float(np.abs(value.entries).max()))
+        scale = _entry_scale(value)
         if lam < -PSD_AUDIT_REL * scale:
             raise InnerApproxViolation(
                 f"inner-approximation block {block.name} has min eigenvalue "

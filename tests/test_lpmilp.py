@@ -287,11 +287,14 @@ def test_milp_batch_that_does_not_close_at_its_root_gives_none():
 
 
 def test_milp_batch_of_models_that_close_alone_may_not_close_at_its_root():
-    # two knapsacks that close alone in 147 and 4 nodes take thousands as
-    # one block-diagonal search: no batch, however few nodes each takes
+    # two knapsacks that close alone (in 2333 and 671 nodes) take more
+    # than twice as many as one block-diagonal search: no batch, however
+    # few nodes each takes
     knapsacks = [_branching_knapsack(seed)[0] for seed in range(2)]
-    assert all(sol.status == OPTIMAL and sol.node_count < 1000
-               for sol in map(solve_milp, knapsacks))
+    alone = [solve_milp(m) for m in knapsacks]
+    assert all(sol.status == OPTIMAL for sol in alone)
+    twice = 2 * sum(sol.node_count for sol in alone)
+    assert lpmilp._solve_milp_once(knapsacks, presolve=True, node_limit=twice).status == GAP_LIMIT
     assert lpmilp.solve_milps(knapsacks) is None
 
 
@@ -324,7 +327,10 @@ def _in_fresh_thread(fn):
 
 
 def test_per_call_options_do_not_leak_between_solves(monkeypatch):
-    knapsack, _ = _branching_knapsack(1)
+    knapsack, _ = _branching_knapsack(0)
+    # two columns fixed by their bounds, which presolve removes
+    knapsack.set_bounds(0, 1.0, 1.0)
+    knapsack.set_bounds(1, 0.0, 0.0)
     lp = _random_feasible_lp(np.random.default_rng(4))
 
     def normal_solves():
@@ -680,6 +686,8 @@ def test_warm_lp_refuses_a_model_changed_other_than_by_rows():
         yield lambda m: m.set_bounds(0, 0.0, 2.0)
         yield lambda m: m.set_objective(1, 0.5)
         yield lambda m: m.set_rhs(0, 7.0)
+        yield lambda m: m.set_rhs(1, 9.0)  # even an appended row's: rows come with their rhs
+        yield lambda m: m.add_var(0.0, 1.0)
 
     for change in changes():
         m = LinearModel()
@@ -692,6 +700,45 @@ def test_warm_lp_refuses_a_model_changed_other_than_by_rows():
         change(m)
         with pytest.raises(RuntimeError, match="changed"):
             warm.solve()
+
+
+def _loaded_lp(highs) -> tuple:
+    """The LP a HiGHS handle holds, column-wise, as lists."""
+    highs.ensureColwise()
+    lp = highs.getLp()
+    a = lp.a_matrix_
+    return (lp.num_col_, lp.num_row_, list(lp.col_cost_), list(lp.col_lower_),
+            list(lp.col_upper_), list(lp.row_lower_), list(lp.row_upper_),
+            list(a.start_), list(a.index_), list(a.value_))
+
+
+def test_warm_lp_re_solve_after_appended_rows_equals_a_cold_solve(monkeypatch):
+    # a re-solve assembles and checks the appended rows alone, reading no
+    # whole-model arrays; HiGHS then holds the model a cold solve passes,
+    # and the warm optimum is the cold one
+    rng = np.random.default_rng(5)
+    m = LinearModel()
+    for _ in range(6):
+        m.add_var(-2.0, 3.0, obj=float(rng.normal()))
+    x0 = rng.uniform(-2.0, 3.0, 6)  # every row below holds at x0
+    m.add_row((np.arange(6), rng.normal(size=6)), "<=", 10.0)
+    warm = WarmLp(m)
+    assert warm.solve().status == OPTIMAL
+    for _ in range(5):
+        for rel in ("<=", "=", ">="):
+            cols = rng.integers(0, 6, 4)  # a repeated column is summed
+            vals = rng.normal(size=4)
+            slack = {"<=": 0.5, "=": 0.0, ">=": -0.5}[rel]
+            m.add_row((cols, vals), rel, float(vals @ x0[cols]) + slack)
+        with monkeypatch.context() as patch:
+            patch.setattr(LinearModel, "_solver_arrays", lambda self: pytest.fail("whole model"))
+            got = warm.solve()
+        cold = solve_lp(m)
+        assert got.status == cold.status == OPTIMAL
+        assert abs(got.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+        highs = lpmilp._new_handle("lp")
+        highs.passModel(*lpmilp._highs_model(m, integer=False))
+        assert _loaded_lp(warm._highs) == _loaded_lp(highs)
 
 
 def test_warm_lp_iteration_cap_raises_numerical_failure(monkeypatch):
@@ -714,6 +761,7 @@ def test_milp_handle_runs_without_rins_and_rens():
         highs = lpmilp._handle("milp")
         return [highs.getOptionValue(name)[1]
                 for name in ("mip_heuristic_run_rins", "mip_heuristic_run_rens",
-                             "mip_heuristic_run_feasibility_jump")]
+                             "mip_heuristic_run_feasibility_jump",
+                             "mip_heuristic_run_root_reduced_cost")]
 
-    assert _in_fresh_thread(options) == [False, False, False]
+    assert _in_fresh_thread(options) == [False, False, False, False]

@@ -9,7 +9,7 @@ from ddro.ambiguity import AmbiguityType, worst_case
 from ddro.bench import (TYPE3_PATTERNS, enumerate_two_stage, exact_multistage_value,
                         make_pattern_instance, stretch_to_three_stages)
 from ddro.linalg import min_eigenpair
-from ddro.lpmilp import INFEASIBLE, OPTIMAL, LinearModel, solve_milp
+from ddro.lpmilp import BINARY, INFEASIBLE, OPTIMAL, LinearModel, solve_milp
 from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef,
                         add_dd_inner_general, audit_inner_psd, solve_misdp_outer)
 from ddro.model import replace_fields
@@ -192,6 +192,30 @@ def test_outer_cuts_on_lps_before_branch_and_bound(monkeypatch):
     assert solve_misdp_outer(model, blocks).status == OPTIMAL
     # cutting only at MILP incumbents takes 43 MILP solves on this model
     assert len(calls) < 43
+
+
+def test_root_lp_phase_stops_at_the_block_scale(monkeypatch):
+    # a = b = 1000 fixed, c >= 1000 - 2e-4 minimized: the root LP's block
+    # has a smallest eigenvalue of about -1e-4, below -EIGEN_CUT_TOL but
+    # above -EIGEN_CUT_TOL * 1000, so the root phase cuts nothing; the
+    # MILP rounds cut it, and the blocks returned clear -EIGEN_CUT_TOL
+    m = LinearModel()
+    a = m.add_var(1000.0, 1000.0)
+    b = m.add_var(1000.0, 1000.0)
+    c = m.add_var(1000.0 - 2e-4, 2000.0, obj=1.0)
+    m.add_var(0.0, 1.0, BINARY, obj=1.0)  # an integer column: the LP phases run
+    block = PsdBlockRef("Z", 2, np.array([[a, b], [b, c]]))
+    x = np.array([1000.0, 1000.0, 1000.0 - 2e-4, 0.0])
+    lam = min_eigenpair(block.assemble(x))[0]
+    assert -1e-3 < lam < -EIGEN_CUT_TOL
+    rows_at_milp = []
+    monkeypatch.setattr(misdp, "solve_milp",
+                        lambda model: rows_at_milp.append(model.num_rows) or solve_milp(model))
+    sol = solve_misdp_outer(m, [block])
+    assert sol.status == OPTIMAL
+    assert rows_at_milp[0] == 0 < m.num_rows
+    assert min_eigenpair(block.assemble(sol.x))[0] >= -EIGEN_CUT_TOL
+    assert abs(sol.objective - 1000.0) <= 1e-9 * 1000.0
 
 
 def test_run_type3_bounds_sandwich_with_exact():

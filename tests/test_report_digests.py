@@ -41,3 +41,17 @@ def test_value_dump_comparison(tmp_path):
         assert check(changed, _rec("b")) == 1, changed
     assert check(_rec("a")) == 1  # b has no counterpart here
     assert check(_rec("a"), _rec("b"), _rec("d")) == 1  # d has none in the dump
+    # the work fields are printed, not compared: moved work or a dump
+    # without them passes
+    assert check(_rec("a", stage_solves=40, eigen_cuts_per_stage={"1": 7}),
+                 _rec("b", stage_solves=12, eigen_cuts_per_stage={})) == 0
+
+
+def test_value_records_carry_the_work_fields():
+    tool = _load_tool()
+    report = tool.SolveReport(lb_per_iter=[-5.0], ub_estimate=-4.0, iterations=2,
+                              stage_solves=31, eigen_cuts_per_stage={"1": 9})
+    values = tool.report_values(report)
+    assert values["stage_solves"] == 31 and values["eigen_cuts_per_stage"] == {"1": 9}
+    assert (values["lb"], values["ub"], values["iterations"]) == (-5.0, -4.0, 2)
+    assert set(values) == set(tool.DISCRETE) | set(tool.BOUNDS) | set(tool.WORK)

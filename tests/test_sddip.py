@@ -583,7 +583,10 @@ def test_type3_lb_policy_evaluation_reuses_the_forward_stage_one_solve(monkeypat
 def test_type3_lb_stage_cache_keys_on_the_accepted_solve_not_its_probe(monkeypatch):
     # an audit that flags once makes solve_with_dual_bound probe at 10x
     # the big-M; the probe's cut loop appends rows after the accepted
-    # solve at M, whose solution is stored at the M solve's row count
+    # solve at M, whose solution is stored at the M solve's row count.
+    # The probe here replays the M solve's rows and needs no new one, so
+    # its loop is made to append one more valid cut, as a loop on another
+    # big-M may
     inst, oracle = _type3_lb_oracle()
     audit = reformulate.audit_dual_bounds
     flagged = []
@@ -594,7 +597,18 @@ def test_type3_lb_stage_cache_keys_on_the_accepted_solve_not_its_probe(monkeypat
             return lay.audit_families[0]
         return audit(lay, x)
 
+    outer = misdp.solve_misdp_outer
+    loops = []
+
+    def outer_with_a_cut_in_the_probe(model, blocks):
+        sol = outer(model, blocks)
+        loops.append(1)
+        if len(loops) == 2:
+            misdp._append_cut((model,), blocks[0], np.ones(blocks[0].dim))
+        return sol
+
     monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
+    monkeypatch.setattr(misdp, "solve_misdp_outer", outer_with_a_cut_in_the_probe)
     counts = []  # the eigen rows of each model solved
     solve_once = oracle._solve_once
 
@@ -894,6 +908,56 @@ def test_three_stage_run_converges_to_exact():
     assert rep.status == "Optimal"
     assert abs(rep.lb_per_iter[-1] - exact) <= 1e-6 * max(1.0, abs(exact))
     assert rep.ub_mode == "tree"
+
+
+def test_risk_averse_three_stage_run_solves_to_the_risk_averse_value():
+    # the CVaR blend moves the value at T = 3: the run meets the exact
+    # risk-averse value, which is not the risk-neutral one
+    from ddro.bench import exact_multistage_value
+
+    inst = generate_instance(4, 3, 3, 1, 3, 0.3, eps_mu=40.0, eps_S_lo=0.05, eps_S_hi=3.0,
+                             risk_lambda=0.5, risk_alpha=0.9)
+    averse = exact_multistage_value(inst, 1, risk=True)
+    neutral = exact_multistage_value(inst, 1)
+    assert averse == pytest.approx(-7271.754, abs=1e-3)
+    assert neutral == pytest.approx(-7301.758, abs=1e-3)
+    rep = run(inst, 1, SddipConfig(risk=True))
+    assert rep.status == "Optimal"
+    for bound in (rep.lb_per_iter[-1], rep.ub_estimate):
+        assert abs(bound - averse) <= 1e-6 * abs(averse)
+
+
+def test_an_escalation_drops_the_stage_cache_and_the_kept_models(monkeypatch):
+    # an escalation of the big-M is permanent for the run: every cached
+    # solution and kept model was made at the old big-M, so both go, and a
+    # lookup that hit before solves again
+    inst = _three_stage_instance()
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    x0 = np.zeros(inst.I)
+    first = oracle.solve_stage(1, 0, x0)
+    assert oracle.solve_stage(1, 0, x0) is first
+    M = oracle.dual_bound.value
+    assert (1, M) in oracle._compiled
+    audit = reformulate.audit_dual_bounds
+    flagged = []
+
+    def audit_once(lay, x):
+        if not flagged:
+            flagged.append(1)
+            return lay.audit_families[0]
+        return audit(lay, x)
+
+    monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
+    monkeypatch.setattr(reformulate, "FLAT_FACE_REL", -1.0)  # no probe finds a flat face
+    stage_two = oracle.solve_stage(2, 0, first.x_bits)
+    assert flagged and oracle.dual_bound.escalations == 1
+    assert oracle._compiled == {}
+    assert list(oracle._stage_cache.values()) == [stage_two]
+    solves = oracle.stage_solves
+    again = oracle.solve_stage(1, 0, x0)
+    assert again is not first and oracle.stage_solves == solves + 1
+    assert list(oracle._compiled) == [(1, 10.0 * M)]
+    assert again.value == pytest.approx(first.value, rel=1e-9)
 
 
 def test_single_stage_run_evaluates_its_one_stage():

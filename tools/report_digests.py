@@ -23,12 +23,14 @@ for more), to show that a change alters only those fields.
 
 The value mode prints, in place of the digest, one JSON line per case
 with the report's status, termination, iterations, first_stage_x, lb
-(the last lower bound) and ub (ub_estimate).  Given the dump of another
-commit with --against, it also compares: a case that differs in a
-discrete field, has no counterpart, or moves lb or ub by more than
-REL_TOL = 1e-6 relative to max(1, |value|) is listed on stderr,
-and the exit code is 1.  This shows that a change which moves the last
-bits of the bounds keeps every result.
+(the last lower bound) and ub (ub_estimate), and with its stage_solves
+and eigen_cuts_per_stage.  Given the dump of another commit with
+--against, it also compares: a case that differs in a discrete field,
+has no counterpart, or moves lb or ub by more than REL_TOL = 1e-6
+relative to max(1, |value|) is listed on stderr, and the exit code is
+1.  This shows that a change which moves the last bits of the bounds
+keeps every result.  The work fields are printed and not compared, so
+that a change which moves cut-loop work shows it next to its bounds.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from ddro.sddip import SddipConfig, SolveReport  # noqa: E402
 FIELDS = sorted(f.name for f in dataclasses.fields(SolveReport))
 DISCRETE = ("status", "termination", "iterations", "first_stage_x")
 BOUNDS = ("lb", "ub")
+WORK = ("stage_solves", "eigen_cuts_per_stage")  # printed, not compared
 REL_TOL = 1e-6  # largest relative lb or ub difference --against accepts
 STRETCH = "type3_stretch"
 STRETCH_PATTERNS = ("3-1", "3-3", "3-4")
@@ -93,10 +96,12 @@ def report_text(report: SolveReport, drop=()) -> str:
 
 
 def report_values(report: SolveReport) -> dict:
-    """The result fields of a report that the value mode compares."""
+    """The fields of a report that the value mode prints: the result
+    fields it compares, then the work fields."""
     doc = {name: getattr(report, name) for name in DISCRETE}
     doc["lb"] = report.lb_per_iter[-1] if report.lb_per_iter else float("nan")
     doc["ub"] = report.ub_estimate
+    doc.update((name, getattr(report, name)) for name in WORK)
     return doc
 
 
