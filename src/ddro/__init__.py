@@ -4,7 +4,7 @@ with decision-dependent moment ambiguity sets.
 Modules
 -------
 linalg       dense symmetric eigen/Cholesky kernels
-lpmilp       LP/MILP core (bounded variables, duals, deterministic search)
+lpmilp       LP/MILP core (bounded variables, one result record, deterministic search)
 model        facility-location instance data model and stage feasible sets
 ambiguity    decision-dependent moment maps and worst-case oracles
 reformulate  stage subproblem compilers (dual reformulations, McCormick)

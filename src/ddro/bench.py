@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import numbers
@@ -220,6 +221,7 @@ def make_pattern_instance(pattern: Pattern, seed: int = 0, K: int = 10) -> Insta
     lam_mu = np.array(pattern.lambda_mu_rows, dtype=float)
     mu_bar = np.full(J, 10.0)
     lam_max = float(lam_mu.max())
+    eps = dict(eps_mu=np.full(J, 5.0), eps_S_lo=np.full(J, 0.5), eps_S_hi=np.full(J, 1.5))
     if pattern.ttype == 1:
         sigma_bar = np.full(J, 0.1)
         lam_S = np.tile(np.asarray(pattern.second_coeffs, dtype=float), (J, 1))
@@ -228,8 +230,6 @@ def make_pattern_instance(pattern: Pattern, seed: int = 0, K: int = 10) -> Insta
         lo, hi = 1.0, float(mu_bar[0] * (1.0 + lam_max) + 5.0)
         base = np.linspace(lo, hi, K) + rng.uniform(-0.5, 0.5, K)
         xi2 = np.clip(base, 0.0, None).reshape(K, 1)
-        eps = dict(eps_mu=np.full(J, 5.0), eps_S_lo=np.full(J, 0.5),
-                   eps_S_hi=np.full(J, 1.5))
         gamma, eta = 10.0, 100.0
     elif pattern.ttype == 2:
         sigma_bar = np.full(J, np.sqrt(10.0))
@@ -239,8 +239,6 @@ def make_pattern_instance(pattern: Pattern, seed: int = 0, K: int = 10) -> Insta
         lo, hi = 2.0, float(mu_bar[0] * (1.0 + lam_max) + 11.0)
         a = np.linspace(lo, hi, K) + rng.uniform(-0.4, 0.4, K)
         xi2 = np.clip(np.tile(a.reshape(K, 1), (1, J)), 0.0, None)
-        eps = dict(eps_mu=np.full(J, 5.0), eps_S_lo=np.full(J, 0.5),
-                   eps_S_hi=np.full(J, 1.5))
         gamma, eta = 10.0, 100.0
     else:
         Sigma = SymMatrix(np.array([[0.1, 0.2], [0.2, 0.9]]))
@@ -254,8 +252,6 @@ def make_pattern_instance(pattern: Pattern, seed: int = 0, K: int = 10) -> Insta
         a = np.linspace(1.0, float(mu_bar[0]) * (1.0 + lam_max), K)
         a = a + rng.uniform(-0.3, 0.3, K)
         xi2 = np.clip(a[:, None] + z @ L.T, 0.0, None)
-        eps = dict(eps_mu=np.full(J, 5.0), eps_S_lo=np.full(J, 0.5),
-                   eps_S_hi=np.full(J, 1.5))
         gamma, eta = 1000.0, 500.0
     inst = Instance(
         T=2, I=I, J=J, K=K,
@@ -325,6 +321,13 @@ class ExperimentSpec:
             if (not isinstance(val, (list, tuple)) or not val
                     or any(isinstance(v, bool) or not isinstance(v, kind) for v in val)):
                 raise ValueError(f"{name} must be a nonempty list of {what}, got {val!r}")
+        for name, ok, what in (("seeds", lambda v: v >= 0, ">= 0"),
+                               ("K_grid", lambda v: v >= 1, ">= 1"),
+                               ("rho_grid", lambda v: 0 < v < math.inf, "finite and > 0"),
+                               ("N_grid", lambda v: 0 <= v < math.inf, "finite and >= 0")):
+            bad = [v for v in getattr(self, name) if not ok(v)]
+            if bad:
+                raise ValueError(f"{name} entries must be {what}, got {bad[0]!r}")
         for name in ("T", "I", "J", "max_iters", "ttype"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
@@ -356,26 +359,65 @@ def spec_from_json(text: str) -> ExperimentSpec:
 
 def _cell_solve(inst: Instance, ttype: int, cfg: sddip.SddipConfig) -> dict:
     """One DDDR/DIDR comparison cell; never raises, returns row fields."""
-    out: dict = {}
+    none = dict(lb=None, ub=None, gap=None, x1=None)
     try:
         if ttype == 3:
             lb_rep, ub_rep = sddip.run_type3_bounds(inst, cfg)
-            out.update(lb=lb_rep.lb_per_iter[-1], ub=ub_rep.ub_estimate,
-                       gap=(ub_rep.ub_estimate - lb_rep.lb_per_iter[-1])
-                       / max(1.0, abs(ub_rep.ub_estimate)),
-                       x1=list(ub_rep.first_stage_x), status="ok")
-        else:
-            rep = sddip.run(inst, ttype, cfg)
-            if rep.status == "Unbounded":
-                out.update(lb=None, ub=None, gap=None, x1=None, status="unbounded")
-            else:
-                out.update(lb=rep.lb_per_iter[-1], ub=rep.ub_estimate, gap=rep.gap,
-                           x1=list(rep.first_stage_x), status="ok")
+            lb, ub = lb_rep.lb_per_iter[-1], ub_rep.ub_estimate
+            return dict(lb=lb, ub=ub, gap=(ub - lb) / max(1.0, abs(ub)),
+                        x1=list(ub_rep.first_stage_x), status="ok")
+        rep = sddip.run(inst, ttype, cfg)
+        if rep.status == "Unbounded":
+            return dict(none, status="unbounded")
+        return dict(lb=rep.lb_per_iter[-1], ub=rep.ub_estimate, gap=rep.gap,
+                    x1=list(rep.first_stage_x), status="ok")
     except EmptyAmbiguity:
-        out.update(lb=None, ub=None, gap=None, x1=None, status="unbounded")
+        return dict(none, status="unbounded")
     except Exception as exc:  # record and continue per-cell
-        out.update(lb=None, ub=None, gap=None, x1=None, status=f"error: {exc}")
-    return out
+        return dict(none, status=f"error: {exc}")
+
+
+def _pattern_row(spec: ExperimentSpec, cfg: sddip.SddipConfig, seed: int, pat: Pattern):
+    """The cells.csv row of one pattern cell, and its x for plotdata (none)."""
+    row = {"table": spec.table, "seed": seed, "pattern": pat.name,
+           "reference_obj": pat.reference_objective,
+           "reference_x1": list(pat.reference_x1)}
+    try:
+        inst = make_pattern_instance(pat, seed=seed)
+        enum_res = enumerate_two_stage(inst, pat.ttype)
+        row["candidates"] = json.dumps(
+            [[list(r.x1), r.value if r.value is not None else "unbounded"]
+             for r in enum_res.rows])
+        dddr = _cell_solve(inst, pat.ttype, cfg)
+        didr = _cell_solve(zero_lambda(inst), pat.ttype, cfg)
+        row.update(enum_obj=enum_res.objective,
+                   enum_x1=None if enum_res.best_x1 is None else list(enum_res.best_x1),
+                   dddr_obj=dddr.get("lb"), dddr_x1=dddr.get("x1"),
+                   didr_obj=didr.get("lb"), didr_x1=didr.get("x1"),
+                   status=dddr.get("status"))
+        if dddr.get("lb") is not None and didr.get("lb") is not None:
+            row["dddr_le_didr"] = bool(
+                dddr["lb"] <= didr["lb"] + 1e-6 * max(1.0, abs(didr["lb"])))
+    except Exception as exc:
+        row["status"] = f"error: {exc}"
+    return row, None
+
+
+def _sweep_row(spec: ExperimentSpec, cfg: sddip.SddipConfig, seed: int, K: int,
+               rho: float, N: float):
+    """The cells.csv row of one sweep cell, and its x for plotdata: rho
+    on variance_sweep, N on budget_sweep, K on the others."""
+    row = {"table": spec.table, "seed": seed, "K": K, "rho": rho, "N": N,
+           "distribution": spec.distribution}
+    try:
+        inst = generate_instance(seed, spec.T, spec.I, spec.J, K, rho,
+                                 distribution=spec.distribution, budget=N)
+        for name, cell in (("dddr", _cell_solve(inst, spec.ttype, cfg)),
+                           ("didr", _cell_solve(zero_lambda(inst), spec.ttype, cfg))):
+            row.update({f"{name}_{k}": v for k, v in cell.items()})
+    except Exception as exc:
+        row["dddr_status"] = f"error: {exc}"
+    return row, {"variance_sweep": rho, "budget_sweep": N}.get(spec.table, K)
 
 
 def run_experiment(spec: ExperimentSpec, outdir: str) -> dict:
@@ -383,84 +425,31 @@ def run_experiment(spec: ExperimentSpec, outdir: str) -> dict:
     spec.validate()
     os.makedirs(outdir, exist_ok=True)
     rows: list[dict] = []
-    series: list[tuple[str, float, float]] = []
+    series: list[dict] = []
     notes: list[str] = []
     cfg = sddip.SddipConfig(max_iters=spec.max_iters, tol=spec.tol)
     if spec.table.startswith("patterns_type"):
-        suite = PATTERN_SUITES[int(spec.table[-1])]
+        cells = itertools.product(spec.seeds, PATTERN_SUITES[int(spec.table[-1])])
+        make_row = _pattern_row
         notes.append("pattern supports regenerated from the declared recipe; "
                      "reference objectives are orientation only")
-        for seed in spec.seeds:
-            for pat in suite:
-                row = {"table": spec.table, "seed": seed, "pattern": pat.name,
-                       "reference_obj": pat.reference_objective,
-                       "reference_x1": list(pat.reference_x1)}
-                t0 = time.perf_counter()
-                try:
-                    inst = make_pattern_instance(pat, seed=seed)
-                    enum_res = enumerate_two_stage(inst, pat.ttype)
-                    row["candidates"] = json.dumps(
-                        [[list(r.x1), r.value if r.value is not None else "unbounded"]
-                         for r in enum_res.rows])
-                    dddr = _cell_solve(inst, pat.ttype, cfg)
-                    didr = _cell_solve(zero_lambda(inst), pat.ttype, cfg)
-                    row.update(enum_obj=enum_res.objective,
-                               enum_x1=(None if enum_res.best_x1 is None
-                                        else list(enum_res.best_x1)),
-                               dddr_obj=dddr.get("lb"), dddr_x1=dddr.get("x1"),
-                               didr_obj=didr.get("lb"), didr_x1=didr.get("x1"),
-                               status=dddr.get("status"))
-                    if dddr.get("lb") is not None and didr.get("lb") is not None:
-                        row["dddr_le_didr"] = bool(
-                            dddr["lb"] <= didr["lb"] + 1e-6 * max(1.0, abs(didr["lb"])))
-                except Exception as exc:
-                    row["status"] = f"error: {exc}"
-                row["seconds"] = time.perf_counter() - t0
-                rows.append(row)
     else:
-        for seed in spec.seeds:
-            for K in spec.K_grid:
-                for rho in spec.rho_grid:
-                    for N in spec.N_grid:
-                        if spec.table == "support_sweep":
-                            x_axis = ("K", K)
-                        elif spec.table == "variance_sweep":
-                            x_axis = ("rho", rho)
-                        elif spec.table == "budget_sweep":
-                            x_axis = ("N", N)
-                        else:
-                            x_axis = ("K", K)
-                        row = {"table": spec.table, "seed": seed, "K": K,
-                               "rho": rho, "N": N,
-                               "distribution": spec.distribution}
-                        t0 = time.perf_counter()
-                        try:
-                            inst = generate_instance(
-                                seed, spec.T, spec.I, spec.J, K, rho,
-                                distribution=spec.distribution, budget=N)
-                            dddr = _cell_solve(inst, spec.ttype, cfg)
-                            didr = _cell_solve(zero_lambda(inst), spec.ttype, cfg)
-                            row.update({f"dddr_{k}": v for k, v in dddr.items()})
-                            row.update({f"didr_{k}": v for k, v in didr.items()})
-                            if dddr.get("lb") is not None:
-                                series.append((f"dddr_seed{seed}", x_axis[1], dddr["lb"]))
-                            if didr.get("lb") is not None:
-                                series.append((f"didr_seed{seed}", x_axis[1], didr["lb"]))
-                        except Exception as exc:
-                            row["dddr_status"] = f"error: {exc}"
-                        row["seconds"] = time.perf_counter() - t0
-                        if spec.table == "timing_sweep":
-                            series.append((f"seconds_seed{seed}", x_axis[1],
-                                           row["seconds"]))
-                        rows.append(row)
-    cells_path = os.path.join(outdir, "cells.csv")
-    _write_rows(cells_path, rows)
-    plot_path = os.path.join(outdir, "plotdata.csv")
-    with open(plot_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["series", "x", "y"])
-        for s, xv, yv in series:
-            w.writerow([s, xv, yv])
+        cells = itertools.product(spec.seeds, spec.K_grid, spec.rho_grid, spec.N_grid)
+        make_row = _sweep_row
+    for cell in cells:
+        seed = cell[0]
+        t0 = time.perf_counter()
+        row, x = make_row(spec, cfg, *cell)
+        row["seconds"] = time.perf_counter() - t0
+        rows.append(row)
+        if x is None:
+            continue  # pattern cells plot nothing
+        points = [(f"{name}_seed{seed}", row.get(f"{name}_lb")) for name in ("dddr", "didr")]
+        if spec.table == "timing_sweep":
+            points.append((f"seconds_seed{seed}", row["seconds"]))
+        series.extend({"series": name, "x": x, "y": y} for name, y in points if y is not None)
+    _write_rows(os.path.join(outdir, "cells.csv"), rows)
+    _write_rows(os.path.join(outdir, "plotdata.csv"), series, ("series", "x", "y"))
     index = {"table": spec.table, "cells": len(rows), "notes": notes,
              "files": ["cells.csv", "plotdata.csv"]}
     tmp = os.path.join(outdir, "index.json.tmp")
@@ -470,12 +459,10 @@ def run_experiment(spec: ExperimentSpec, outdir: str) -> dict:
     return index
 
 
-def _write_rows(path: str, rows: list[dict]) -> None:
-    keys: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
+def _write_rows(path: str, rows: list[dict], keys=()) -> None:
+    """A CSV of the rows under keys, then every other key in the order
+    the rows first use it; a missing or None value is written empty."""
+    keys = list(dict.fromkeys([*keys, *(k for row in rows for k in row)]))
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=keys)
         w.writeheader()

@@ -2,11 +2,10 @@
 
 A thin, deterministic layer over HiGHS exposing the model container used
 throughout the kit: bounded variables with continuous/integer/binary
-flags, single-relation rows, minimization objective, constraint duals
-and reduced costs on LP solves, and a CPLEX-LP-dialect text export for
-cross-checking against external solvers.  Dual values follow the
-sensitivity convention: the marginal is the derivative of the optimal
-objective with respect to the row's right-hand side.
+flags, single-relation rows, minimization objective, and a
+CPLEX-LP-dialect text export for cross-checking against external
+solvers.  LPs and MILPs return one Solution record: status, x and
+objective, and a MILP's branch-and-bound node count.
 
 Models are solved on HiGHS handles from the bindings scipy bundles, not
 through scipy.optimize.milp/linprog, whose per-call option checks and
@@ -61,8 +60,7 @@ solve_milps solves independent models as one block-diagonal MILP, run
 once to save HiGHS's fixed cost per call and searched at its root node
 alone, since blocks that branch multiply one search tree; it returns
 None if the batch does not close there.  Each model gets its block of
-x, its objective summed as HiGHS sums one (math.fsum), and that less
-the batch's gap as best_bound.
+x and its objective, summed as HiGHS sums one (math.fsum).
 
 A solver invocation is single-threaded and reentrant; distinct
 LinearModel values may be solved from several threads.  MILP solves
@@ -366,20 +364,13 @@ def _assemble(row_cols, row_vals, row_rel, num_vars: int) -> _RowMatrix:
 
 
 @dataclass
-class LpSolution:
+class Solution:
+    """An LP or MILP result: x and objective where the solve has a
+    point, and the branch-and-bound nodes a MILP took (0 for an LP)."""
+
     status: str
     x: np.ndarray | None
     objective: float | None
-    duals: np.ndarray | None
-    reduced_costs: np.ndarray | None
-
-
-@dataclass
-class MipSolution:
-    status: str
-    x: np.ndarray | None
-    objective: float | None
-    best_bound: float | None
     node_count: int = 0
 
 
@@ -436,29 +427,23 @@ def _highs_model(model: LinearModel, integer: bool) -> tuple:
 
 
 def milp(highs: _Highs, load) -> None:
-    """load() -- a passModel call on the thread's MILP handle -- then run.
+    """load() -- passModel, or addRows on a WarmLp's kept model -- then run.
 
-    Every MILP solve calls this module-level name once, so that the
-    benchmark's traced run can time HiGHS apart from marshalling by
-    patching it; ROADMAP item 4 moves that timing into counters.
+    Every solve calls it once, by the module-level name milp for a MILP
+    and linprog for an LP, so that the benchmark's traced run can time
+    HiGHS apart from marshalling by patching either name; ROADMAP item 4
+    moves that timing into counters.
     """
-    _load_and_run(highs, load)
-
-
-def linprog(highs: _Highs, load) -> None:
-    """load() -- passModel, or addRows on a WarmLp's kept model -- then
-    run, on an LP handle.  Every LP solve calls it once; see milp."""
-    _load_and_run(highs, load)
-
-
-def _load_and_run(highs: _Highs, load) -> None:
     if load() == HighsStatus.kError:
         raise HighsCallError("HiGHS could not load the model")
     highs.run()
 
 
-def solve_lp(model: LinearModel) -> LpSolution:
-    """Solve the continuous relaxation, returning duals and reduced costs."""
+linprog = milp
+
+
+def solve_lp(model: LinearModel) -> Solution:
+    """Solve the continuous relaxation."""
     args = _highs_model(model, integer=False)
     highs = _handle("lp")
     return _run_lp(highs, model, partial(highs.passModel, *args))
@@ -484,7 +469,7 @@ class WarmLp:
         self._highs: _Highs | None = None
         self._loaded = (0, 0, 0)  # the model's edits, columns and rows as loaded
 
-    def solve(self) -> LpSolution:
+    def solve(self) -> Solution:
         model = self.model
         if self._highs is None:
             args = _highs_model(model, False)
@@ -513,29 +498,28 @@ class WarmLp:
                        rows.index[first:], rows.value[first:])
 
 
-def _run_lp(highs: _Highs, model: LinearModel, load) -> LpSolution:
+def _run_lp(highs: _Highs, model: LinearModel, load) -> Solution:
     """Load and run an LP under the iteration cap, and read its result."""
     cap = 10 * (model.num_vars + model.num_rows + ITERATION_CAP_BASE)
     _set_options(highs, {"simplex_iteration_limit": cap, "ipm_iteration_limit": cap})
     linprog(highs, load)
     status = highs.getModelStatus()
     if status == HighsModelStatus.kInfeasible:
-        return LpSolution(INFEASIBLE, None, None, None, None)
+        return Solution(INFEASIBLE, None, None)
     if status == HighsModelStatus.kUnbounded:
-        return LpSolution(UNBOUNDED, None, None, None, None)
+        return Solution(UNBOUNDED, None, None)
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure(f"LP solve failed: {highs.modelStatusToString(status)}")
-    sol = highs.getSolution()
-    return LpSolution(OPTIMAL, np.array(sol.col_value, dtype=float), highs.getObjectiveValue(),
-                      np.array(sol.row_dual, dtype=float), np.array(sol.col_dual, dtype=float))
+    return Solution(OPTIMAL, np.array(highs.getSolution().col_value, dtype=float),
+                    highs.getObjectiveValue())
 
 
-def solve_milp(model: LinearModel) -> MipSolution:
+def solve_milp(model: LinearModel) -> Solution:
     """Exact branch-and-bound solve (zero relative gap) via HiGHS."""
     return _solve_milp_once([model], presolve=True)
 
 
-def solve_milps(models: list[LinearModel]) -> list[MipSolution] | None:
+def solve_milps(models: list[LinearModel]) -> list[Solution] | None:
     """One solution per model from one block-diagonal MILP searched at its
     root alone, or None if it does not close there (see the module docstring)."""
     try:
@@ -544,10 +528,9 @@ def solve_milps(models: list[LinearModel]) -> list[MipSolution] | None:
         return None
     if batch.status != OPTIMAL:
         return None
-    gap = batch.objective - batch.best_bound
     xs = np.split(batch.x, np.cumsum([m.num_vars for m in models])[:-1])
-    objs = [math.fsum(np.asarray(m.objective) * x) for m, x in zip(models, xs)]  # as HiGHS
-    return [MipSolution(OPTIMAL, x, obj, obj - gap, batch.node_count) for x, obj in zip(xs, objs)]
+    return [Solution(OPTIMAL, x, math.fsum(np.asarray(m.objective) * x), batch.node_count)
+            for m, x in zip(models, xs)]  # objectives summed as HiGHS sums them
 
 
 def _block_diagonal(parts) -> tuple:
@@ -570,7 +553,7 @@ _LIMITS = (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit,
            HighsModelStatus.kSolutionLimit)
 
 
-def _solve_milp_once(models: list[LinearModel], presolve: bool, node_limit=None) -> MipSolution:
+def _solve_milp_once(models: list[LinearModel], presolve: bool, node_limit=None) -> Solution:
     """Solve one model, or several as one, in node_limit (or NODE_LIMIT) nodes."""
     integer = any(kind != CONTINUOUS for m in models for kind in m.integrality)
     parts = [_highs_model(m, integer) for m in models]
@@ -584,31 +567,26 @@ def _solve_milp_once(models: list[LinearModel], presolve: bool, node_limit=None)
     info = highs.getInfo()
     nodes = max(info.mip_node_count, 0) if integer else 0
     if status == HighsModelStatus.kInfeasible:
-        return MipSolution(INFEASIBLE, None, None, None, nodes)
+        return Solution(INFEASIBLE, None, None, nodes)
     if status == HighsModelStatus.kUnbounded:
-        return MipSolution(UNBOUNDED, None, None, None, nodes)
+        return Solution(UNBOUNDED, None, None, nodes)
     if status in _LIMITS:
         if info.primal_solution_status != kSolutionStatusFeasible:
-            return MipSolution(GAP_LIMIT, None, None, info.mip_dual_bound, nodes)
-        sol = highs.getSolution()
-        return MipSolution(GAP_LIMIT, np.array(sol.col_value),
-                           info.objective_function_value, info.mip_dual_bound, nodes)
+            return Solution(GAP_LIMIT, None, None, nodes)
+        return Solution(GAP_LIMIT, np.array(highs.getSolution().col_value),
+                        info.objective_function_value, nodes)
     if status == HighsModelStatus.kUnboundedOrInfeasible and len(models) == 1:
         relaxed = solve_lp(models[0])  # classify via the relaxation
-        if relaxed.status == UNBOUNDED:
-            return MipSolution(UNBOUNDED, None, None, None, nodes)
-        if relaxed.status == INFEASIBLE:
-            return MipSolution(INFEASIBLE, None, None, None, nodes)
+        if relaxed.status in (UNBOUNDED, INFEASIBLE):
+            return Solution(relaxed.status, None, None, nodes)
         if relaxed.status == OPTIMAL and presolve:
             # HiGHS presolve mislabels some big-M models whose relaxation
             # is fine; retry the search without it
             return _solve_milp_once(models, presolve=False, node_limit=node_limit)
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure(f"MILP solve failed: {highs.modelStatusToString(status)}")
-    obj = info.objective_function_value
-    bound = info.mip_dual_bound if integer else obj
-    sol = highs.getSolution()
-    return MipSolution(OPTIMAL, np.array(sol.col_value), obj, bound, nodes)
+    return Solution(OPTIMAL, np.array(highs.getSolution().col_value),
+                    info.objective_function_value, nodes)
 
 
 _stdout_lock = threading.Lock()

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import SymMatrix, min_eigenpair
-from .lpmilp import (CONTINUOUS, OPTIMAL, LinearModel, MipSolution, NumericalFailure,
+from .lpmilp import (CONTINUOUS, OPTIMAL, LinearModel, NumericalFailure, Solution,
                      WarmLp, solve_milp)
 
 EIGEN_CUT_TOL = 1e-6
@@ -90,7 +90,7 @@ class PsdBlockRef:
         return self.cols.ravel(), np.outer(v, v).ravel()
 
 
-def solve_misdp_outer(model: LinearModel, blocks) -> MipSolution:
+def solve_misdp_outer(model: LinearModel, blocks) -> Solution:
     """Eigen-cut outer approximation loop (phases in the module
     docstring); the returned objective is a valid lower bound on the
     MISDP optimum (exact in the cut-loop limit).

@@ -36,6 +36,7 @@ a flat optimal face or reruns with 10x M.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,17 +94,14 @@ def default_dual_bound(inst: Instance) -> float:
 
 
 def mccormick_binary_product(model: LinearModel, b: int, y: int, z: int,
-                             L: float, U: float) -> list[int]:
+                             L: float, U: float) -> None:
     """Envelope rows forcing z = b*y at binary b, for y in [L, U]."""
-    if not (np.isfinite(L) and np.isfinite(U)):
+    if not (math.isfinite(L) and math.isfinite(U)):
         raise UnboundedFactor("McCormick factor bounds must be finite")
-    rows = [
-        model.add_row({z: 1.0, b: -U}, "<=", 0.0),
-        model.add_row({z: 1.0, b: -L}, ">=", 0.0),
-        model.add_row({z: 1.0, y: -1.0, b: -L}, "<=", -L),
-        model.add_row({z: 1.0, y: -1.0, b: -U}, ">=", -U),
-    ]
-    return rows
+    model.add_row({z: 1.0, b: -U}, "<=", 0.0)
+    model.add_row({z: 1.0, b: -L}, ">=", 0.0)
+    model.add_row({z: 1.0, y: -1.0, b: -L}, "<=", -L)
+    model.add_row({z: 1.0, y: -1.0, b: -U}, ">=", -U)
 
 
 def _start_stage(inst: Instance, t: int, x_prev, xi,
@@ -182,7 +180,7 @@ def build_type1_stage(inst: Instance, t: int, x_prev, xi,
     """
     m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
-    I, J, K = inst.I, inst.J, inst.K
+    J, K = inst.J, inst.K
     s_base = inst.mu_bar**2 + inst.sigma_bar**2
     a1 = m.add_var(0.0, np.inf, obj=-1.0, name="al1")
     b1 = m.add_var(0.0, np.inf, obj=1.0, name="be1")
@@ -202,14 +200,10 @@ def build_type1_stage(inst: Instance, t: int, x_prev, xi,
         ("z_b2", b2, 1.0, inst.lambda_mu * inst.mu_bar[:, None]),
         ("z_b3", b3, 1.0, inst.lambda_S * (inst.eps_S_hi * s_base)[:, None]),
     ):
-        cols = np.empty((J, I), dtype=int)
-        for j in range(J):
-            for i in range(I):
-                cols[j, i] = m.add_var(0.0, M, obj=sign * float(weight[j, i]),
-                                       name=f"{fam}_{j}_{i}")
-                mccormick_binary_product(m, int(x[i]), int(factor[j]),
-                                         int(cols[j, i]), 0.0, M)
-        prods[fam] = cols
+        # (J, I): one call per j keeps the columns and rows j-major
+        prods[fam] = np.array([_product_vars(m, x, factor[j:j + 1], 0.0, M)[:, 0]
+                               for j in range(J)])
+        _add_objective(m, prods[fam], sign * weight)
     lay.families.update({"alpha1": np.array([a1]), "beta1": np.array([b1]),
                          "alpha2": a2, "alpha3": a3, "beta2": b2, "beta3": b3,
                          **prods})
@@ -272,21 +266,21 @@ def _pair_vars(m: LinearModel, n: int, lb, ub, prefix) -> np.ndarray:
     return cols
 
 
-def _product_vars(m: LinearModel, x: np.ndarray, factor: np.ndarray, M: float) -> np.ndarray:
-    """Column map p[i, ...] = x_i * factor[...] for binary columns x: for
-    each x_i one column in [-M, M], named after its factors, and one
-    McCormick envelope per distinct column of factor, so p repeats a
-    column wherever factor does."""
-    cols = np.empty((len(x),) + factor.shape, dtype=int)
+def _product_vars(m: LinearModel, x: np.ndarray, factor: np.ndarray, lo: float,
+                  M: float) -> np.ndarray:
+    """Column map p[i, ...] = x_i * factor[...] for binary columns x and
+    a factor in [lo, M]: for each x_i one column in [lo, M], named after
+    its factors, and one McCormick envelope per distinct column of
+    factor, so p repeats a column wherever factor does."""
+    flat = [int(f) for f in factor.ravel()]
+    cols = np.empty((len(x), len(flat)), dtype=int)
     for i, b in enumerate(x):
         made: dict[int, int] = {}
-        for idx in np.ndindex(*factor.shape):
-            f = int(factor[idx])
-            if f not in made:
-                made[f] = m.add_var(-M, M, name=f"{m.names[b]}.{m.names[f]}")
-                mccormick_binary_product(m, int(b), f, made[f], -M, M)
-            cols[(i,) + idx] = made[f]
-    return cols
+        for f in dict.fromkeys(flat):
+            made[f] = m.add_var(lo, M, name=f"{m.names[b]}.{m.names[f]}")
+            mccormick_binary_product(m, int(b), f, made[f], lo, M)
+        cols[i] = [made[f] for f in flat]
+    return cols.reshape((len(x),) + factor.shape)
 
 
 def _trilinear_vars(m: LinearModel, x: np.ndarray, prod: np.ndarray, M: float) -> np.ndarray:
@@ -295,7 +289,7 @@ def _trilinear_vars(m: LinearModel, x: np.ndarray, prod: np.ndarray, M: float) -
     x_ip * prod[i] per i < ip, shared by (ip, i)."""
     tri = np.repeat(prod[:, None], len(x), axis=1)
     for ip in range(1, len(x)):
-        tri[:ip, ip] = tri[ip, :ip] = _product_vars(m, x[ip:ip + 1], prod[:ip], M)[0]
+        tri[:ip, ip] = tri[ip, :ip] = _product_vars(m, x[ip:ip + 1], prod[:ip], -M, M)[0]
     return tri
 
 
@@ -317,8 +311,8 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi,
     s = m.add_var(-np.inf, np.inf, obj=1.0, name="s")
     u = m.add_vars(J, -M, M, prefix="u_")
     Y = _pair_vars(m, J, -M, M, "Y_")
-    w = _product_vars(m, x, u, M)
-    zz = _product_vars(m, x, Y, M)
+    w = _product_vars(m, x, u, -M, M)
+    zz = _product_vars(m, x, Y, -M, M)
     v = _trilinear_vars(m, x, zz, M)
     _add_objective(m, u, inst.mu_bar)
     _add_objective(m, Y, sig)
@@ -357,9 +351,9 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi,
     Y = _pair_vars(m, J, -M, M, "Y3_")
     for c in (*np.diag(z1), *np.diag(Y)):
         m.set_bounds(int(c), 0.0, M)  # PSD diagonal
-    w3 = _product_vars(m, x, z1, M)
-    u3 = _product_vars(m, x, z2, M)
-    r3 = _product_vars(m, x, Y, M)
+    w3 = _product_vars(m, x, z1, -M, M)
+    u3 = _product_vars(m, x, z2, -M, M)
+    r3 = _product_vars(m, x, Y, -M, M)
     v3 = _trilinear_vars(m, x, r3, M)
     lam_cov = inst.lambda_cov[:, None, None]
     _add_objective(m, z2, -2.0 * inst.mu_bar)

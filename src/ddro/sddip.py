@@ -295,10 +295,15 @@ class StageOracle:
 
     def risk_spec(self, t: int) -> RiskSpec | None:
         """The blend of the stage-t inner measure, which carries the
-        stage-(t+1) parameters; the terminal stage has no inner measure."""
-        if not self.config.risk or t == self.inst.T:
+        stage-(t+1) parameters; the terminal stage has no inner measure.
+        The config's risk_lambda or risk_alpha, where set, replaces the
+        instance's value at every stage and turns the blend on."""
+        cfg, inst = self.config, self.inst
+        lam, alpha = cfg.risk_lambda, cfg.risk_alpha
+        if not (cfg.risk or lam is not None or alpha is not None) or t == inst.T:
             return None
-        return RiskSpec(float(self.inst.risk_lambda[t]), float(self.inst.risk_alpha[t]))
+        return RiskSpec(float(inst.risk_lambda[t] if lam is None else lam),
+                        float(inst.risk_alpha[t] if alpha is None else alpha))
 
     def batches(self, t: int) -> bool:
         """Whether the jobs of stage t still run as one batch (see StageOracle)."""
@@ -336,13 +341,10 @@ class StageOracle:
             self._stage_cache[self._stage_key(t, ks[j], x_prev, eigen_rows)] = out[j]
         return out
 
-    def relaxed_value(self, t: int, k: int, pi: np.ndarray):
-        """L(pi): stage model with a free binary copy z of the incoming
-        state and objective term -pi'z; returns (value, z*)."""
-        return self.relaxed_values(t, [(k, pi)])[0]
-
     def relaxed_values(self, t: int, jobs):
-        """relaxed_value(t, k, pi) of each (k, pi) job, as one batch."""
+        """(L(pi), z*) of each (k, pi) job, as one batch: the stage-t
+        model at realization k with a free binary copy z of the incoming
+        state and objective term -pi'z, and its relaxed copy z*."""
         self.dual_solves += len(jobs)
         solved = self._solve_jobs(t, [(k, None, np.asarray(pi, dtype=float)) for k, pi in jobs])
         return [(float(sol.objective), round_integral(sol.x, lay.z_copy))
@@ -584,16 +586,6 @@ def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
 def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveReport:
     """Iterate forward/backward passes to convergence; see SolveReport."""
     cfg = config or SddipConfig()
-    if cfg.risk_lambda is not None or cfg.risk_alpha is not None:
-        from .model import replace_fields
-
-        updates = {}
-        if cfg.risk_lambda is not None:
-            updates["risk_lambda"] = np.full(inst.T, float(cfg.risk_lambda))
-        if cfg.risk_alpha is not None:
-            updates["risk_alpha"] = np.full(inst.T, float(cfg.risk_alpha))
-        inst = replace_fields(inst, **updates)
-        cfg = replace_config(cfg, risk=True, risk_lambda=None, risk_alpha=None)
     oracle = StageOracle(inst, ttype, cfg, CutPool(inst.T, inst.K))
     rng = np.random.default_rng(cfg.seed)
     report = SolveReport(ambiguity_type=int(ttype), bound_mode=cfg.bound_mode,

@@ -359,13 +359,20 @@ def test_cli_rejects_malformed_instance_files(tmp_path, capsys):
 
 def test_cli_bench_rejects_malformed_specs(tmp_path, capsys):
     # a non-object spec, a missing key, a grid that is not a list of
-    # numbers, or a scalar of the wrong type or range exits 1 before any cell runs
+    # numbers or has an entry out of range, or a scalar of the wrong type
+    # or range exits 1 before any cell runs
     spec_path, out_dir = tmp_path / "spec.json", tmp_path / "arts"
     base = {"table": "support_sweep", "seeds": [1], "J": 1, "max_iters": 2}
     capsys.readouterr()
     for doc in (5, [base], {"seeds": [1]}, {**base, "seeds": 5}, {**base, "seeds": [1.5]},
                 {**base, "K_grid": [4, "6"]}, {**base, "K_grid": [True]},
                 {**base, "rho_grid": 0.8}, {**base, "N_grid": [None]},
+                {**base, "seeds": [1, -1]}, {**base, "K_grid": [0]}, {**base, "K_grid": [4, -2]},
+                {**base, "rho_grid": [0.0]}, {**base, "rho_grid": [0.8, -1.0]},
+                {**base, "rho_grid": [float("inf")]}, {**base, "rho_grid": [float("nan")]},
+                {**base, "N_grid": [-5]}, {**base, "N_grid": [float("inf")]},
+                {**base, "table": "variance_sweep", "K_grid": [0], "rho_grid": [0.0, -1.0],
+                 "N_grid": [-5]},
                 {**base, "T": "2"}, {**base, "T": 0}, {**base, "I": 2.5}, {**base, "J": True},
                 {**base, "max_iters": 0}, {**base, "tol": -1}, {**base, "tol": "1e-6"},
                 {**base, "tol": True}, {**base, "tol": float("inf")}, {**base, "ttype": True},

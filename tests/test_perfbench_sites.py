@@ -53,3 +53,27 @@ def test_traced_highs_sites_run_once_per_solve(monkeypatch):
     sols = lpmilp.solve_milps([m, m.copy(), m])
     assert [sol.objective for sol in sols] == [-2.0] * 3
     assert calls == ["milp", "linprog", "linprog", "linprog", "milp"]
+
+
+def test_traced_milp_hook_reads_rows_and_node_count():
+    # the traced run's hook on solve_milp adds the model's num_rows and the
+    # result's node_count to its counters; a batch's results carry
+    # node_count too
+    spans = _load_spans()
+    m = lpmilp.LinearModel()
+    x = m.add_var(0.0, 3.0, lpmilp.INTEGER, obj=-1.0)
+    y = m.add_var(0.0, 3.0, lpmilp.INTEGER, obj=-1.0)
+    m.add_row({x: 2.0, y: 2.0}, "<=", 5.0)
+    m.add_row({x: 1.0, y: -1.0}, "<=", 0.5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sol = tracer.root("solve", lpmilp.solve_milp, m)
+    finally:
+        tracer.uninstall()
+    assert sol.objective == -2.0 and isinstance(sol.node_count, int)
+    assert tracer.counts["milp_rows"] == m.num_rows == 2
+    assert tracer.counts["milp_nodes"] == sol.node_count
+    sols = lpmilp.solve_milps([m, m.copy()])
+    assert [s.objective for s in sols] == [-2.0, -2.0]
+    assert all(isinstance(s.node_count, int) and s.node_count >= 0 for s in sols)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddro import lpmilp, misdp, reformulate, sddip
-from ddro.ambiguity import EmptyAmbiguity
+from ddro.ambiguity import EmptyAmbiguity, RiskSpec
 from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, exact_value_function,
                         make_pattern_instance, stretch_to_three_stages, terminal_value)
 from ddro.linalg import SymMatrix
@@ -83,7 +83,7 @@ def test_lagrangian_dual_zero_multiplier_is_valid():
     inst = small_instance()
     pool = CutPool(inst.T, inst.K)
     oracle = StageOracle(inst, 1, SddipConfig(), pool)
-    L0, _ = oracle.relaxed_value(2, 0, np.zeros(3))
+    ((L0, _),) = oracle.relaxed_values(2, [(0, np.zeros(3))])
     batch = oracle.relaxed_values(2, [(k, np.zeros(3)) for k in range(inst.K)])
     assert abs(batch[0][0] - L0) <= 1e-9 * max(1.0, abs(L0))
     for bits in itertools.product((0.0, 1.0), repeat=3):
@@ -192,7 +192,7 @@ def test_terminal_batch_adds_the_cuts_of_searches_run_one_by_one():
         assert len(oracle.pool.cuts[2][k]) == len(states)
         for x_hat, cut in zip(states, oracle.pool.cuts[2][k]):
             ((pi, v),) = lagrangian_dual(
-                _one_by_one(lambda p: alone.relaxed_value(2, k, p)), [x_hat])
+                _one_by_one(lambda p: alone.relaxed_values(2, [(k, p)])[0]), [x_hat])
             assert np.array_equal(cut.pi, pi) and cut.v == v
     assert oracle.dual_solves == alone.dual_solves
 
@@ -276,8 +276,8 @@ def test_a_terminal_batch_that_does_not_close_at_its_root_ends_batching(monkeypa
 
 
 def test_terminal_solves_take_the_batch_path_alone(monkeypatch):
-    # solve_stage and relaxed_value at t = T, one job each, give what the
-    # batch entry point (solve_stages, relaxed_values) gives for all K; a
+    # solve_stage and relaxed_values at t = T, one job each, give what the
+    # batch entry points (solve_stages, relaxed_values) give for all K; a
     # batch makes no one-model solve (_solve_once), a single job makes one
     stages = []
     solve_once = StageOracle._solve_once
@@ -291,7 +291,7 @@ def test_terminal_solves_take_the_batch_path_alone(monkeypatch):
     relaxed = batch.relaxed_values(inst.T, [(k, pi) for k in range(inst.K)])
     assert stages == []
     for k in range(inst.K):
-        sol, (L, z) = oracle.solve_stage(inst.T, k, x), oracle.relaxed_value(inst.T, k, pi)
+        sol, ((L, z),) = oracle.solve_stage(inst.T, k, x), oracle.relaxed_values(inst.T, [(k, pi)])
         assert (sol.value, sol.x_bits) == (pinned[k].value, pinned[k].x_bits)
         assert L == relaxed[k][0] and np.array_equal(z, relaxed[k][1])
     assert stages == [inst.T] * (2 * inst.K) and oracle.stage_solves == batch.stage_solves
@@ -337,7 +337,7 @@ def test_lockstep_searches_below_the_terminal_stage_add_the_cuts_of_searches_alo
         for x_hat in trial_states[t]:
             for k in range(inst.K):
                 ((pi, v),) = lagrangian_dual(
-                    _one_by_one(lambda p: alone.relaxed_value(t, k, p)), [x_hat])
+                    _one_by_one(lambda p: alone.relaxed_values(t, [(k, p)])[0]), [x_hat])
                 alone.pool.add(t, k, Cut(v, pi))
     assert steps_at_two > 1 or not oracle.batches(2)  # stage 2's searches take steps
     assert oracle.pool.num_cuts(2) == alone.pool.num_cuts(2) > 0
@@ -925,6 +925,28 @@ def test_risk_averse_three_stage_run_solves_to_the_risk_averse_value():
     assert rep.status == "Optimal"
     for bound in (rep.lb_per_iter[-1], rep.ub_estimate):
         assert abs(bound - averse) <= 1e-6 * abs(averse)
+
+
+def test_config_risk_override_runs_as_the_instance_blend():
+    # risk_lambda and risk_alpha in the config turn the blend on and
+    # replace the instance's values: the report is the one of a risk run
+    # on an instance that carries them
+    def make(**risk):
+        return generate_instance(4, 3, 3, 1, 3, 0.3, eps_mu=40.0, eps_S_lo=0.05,
+                                 eps_S_hi=3.0, **risk)
+
+    base = make()
+    assert np.all(base.risk_lambda == 0.0) and np.all(base.risk_alpha == 0.95)
+    override = run(base, 1, SddipConfig(risk_lambda=0.5, risk_alpha=0.9)).to_json()
+    blended = run(make(risk_lambda=0.5, risk_alpha=0.9), 1, SddipConfig(risk=True)).to_json()
+    assert override == blended
+    assert override != run(base, 1, SddipConfig()).to_json()
+    # each override replaces its own value alone, at every stage but the last
+    for cfg, spec in ((SddipConfig(risk_lambda=0.5, risk_alpha=0.9), RiskSpec(0.5, 0.9)),
+                      (SddipConfig(risk_alpha=0.9), RiskSpec(0.0, 0.9)),
+                      (SddipConfig(risk_lambda=0.5), RiskSpec(0.5, 0.95))):
+        oracle = StageOracle(base, 1, cfg, CutPool(base.T, base.K))
+        assert [oracle.risk_spec(t) for t in (1, 2, 3)] == [spec, spec, None]
 
 
 def test_an_escalation_drops_the_stage_cache_and_the_kept_models(monkeypatch):
