@@ -13,7 +13,11 @@ covers every stage t = 1..T: the terminal stage, whose cost-to-go is
 zero, compiles to the stage block alone, with no proxies and no duals.
 
 Type 1 carries moment-window duals (alpha, beta); Type 2 the matching
-duals (s, u, Y) with bilinear w, z and trilinear v envelopes; Type 3 the
+duals (s, u, Y) with bilinear w, z and trilinear v envelopes, and, where
+the next stage's support is rank-deficient and the moment maps stay in
+its affine hull at every state, hull rows that remove the directions of
+(u, Y) and of their products that cost nothing (build_type2_stage);
+Type 3 the
 ellipsoid/cone duals (s, Z-blocks, Y) whose PSD side is NOT encoded
 here -- the builders only return symbolic block descriptors for the
 bounding module.  The optional risk blend adds the CVaR shift variable
@@ -31,7 +35,11 @@ column carries the summed coefficients of its positions.
 McCormick needs finite dual bounds; the default big-M is
 1e4 * (1 + max revenue + max transport cost).  A post-solve audit flags
 any dual sitting at its bound, and solve_with_dual_bound settles it on
-a flat optimal face or reruns with 10x M.
+a flat optimal face or reruns with 10x M.  Without the Type 2 hull rows
+a rank-deficient support leaves u and Y a direction that costs nothing,
+HiGHS may park them at the box, and each such solve costs a probe; with
+them, a dual at its bound means the set is empty at the solution's
+state or M is too small, and the probe still tells the two apart.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ DUAL_BOUND_FACTOR = 1e4
 DUAL_BOUND_AUDIT_REL = 1e-6
 FLAT_FACE_REL = 1e-7
 MAX_DUAL_ESCALATIONS = 3
+HULL_RANK_REL = 1e-9  # singular values below this times the data's scale count as zero
 
 
 class UnboundedFactor(ValueError):
@@ -63,10 +72,12 @@ class DualAtBound(RuntimeError):
 
 @dataclass
 class DualBound:
-    """A big-M dual bound and how often it has been escalated."""
+    """A big-M dual bound, how often it has been escalated, and how many
+    flat-face probes solve_with_dual_bound has run at it."""
 
     value: float
     escalations: int = 0
+    probes: int = 0
 
 
 @dataclass
@@ -300,10 +311,67 @@ def _add_objective(m: LinearModel, cols: np.ndarray, weights) -> None:
         m.set_objective(int(c), m.objective[c] + float(w))
 
 
+def hull_directions(inst: Instance, t: int) -> np.ndarray:
+    """Orthonormal rows d, spanning every direction along which the
+    Type 2 set of stage t+1 is flat at every state x: d'(xi_k - xi_0) = 0
+    for the support points xi_k of stage t+1, d'(mu(x) - xi_0) = 0 for
+    the affine mean map mu(x) = mu_bar + (mu_bar * lambda_mu) x, checked
+    on mu_bar - xi_0 and each column of mu_bar * lambda_mu, and
+    Sigma_bar d = 0, so Sigma(x) d = 0: the null space of these rows,
+    from numpy's SVD.  Empty for a support of full rank."""
+    xi = inst.stage_support(t + 1)
+    a = np.vstack([xi[1:] - xi[0], inst.mu_bar - xi[0],
+                   (inst.mu_bar[:, None] * inst.lambda_mu).T, inst.Sigma_bar.entries])
+    _, sv, vt = np.linalg.svd(a)
+    return vt[int(np.sum(sv > HULL_RANK_REL * max(1.0, float(np.abs(a).max())))):]
+
+
+def _add_hull_row(m: LinearModel, cols: np.ndarray, weights: np.ndarray, name: str) -> None:
+    """The row sum(weights * cols) = 0, a repeated column summing its
+    weights and a round-off weight dropped."""
+    coeffs: dict[int, float] = {}
+    for c, wt in zip(cols.ravel(), weights.ravel()):
+        coeffs[int(c)] = coeffs.get(int(c), 0.0) + float(wt)
+    m.add_row({c: wt for c, wt in coeffs.items() if abs(wt) > HULL_RANK_REL}, "=", 0.0,
+              name=name)
+
+
 def build_type2_stage(inst: Instance, t: int, x_prev, xi,
                       risk: RiskSpec | None = None, *, dual_bound: float | None = None
                       ) -> tuple[LinearModel, VarLayout]:
-    """Exact moment-matching stage model (duals s, u, Y; products w, z, v)."""
+    """Exact moment-matching stage model (duals s, u, Y; products w, z, v).
+
+    Where hull_directions(inst, t) is not empty, the model also carries
+    hull rows: for each direction d of it and each vector a of an
+    orthonormal basis of R^J that starts with those directions, d'u = 0,
+    d'w_i = 0 for each product w_i = x_i u, <da' + ad', Y> = 0 and
+    <da' + ad', z_i> = 0 for each product z_i = x_i Y, one row per
+    distinct matrix da' + ad'.  At binary x the envelopes make the
+    product rows copies of the first ones; they also bind the LP
+    relaxation.
+
+    The rows keep the stage value at every state x.  At fixed x, moving
+    u by r*d, Y by r*(da' + ad') and s by -r*d'xi_0 leaves every
+    realization's dual term s + u'xi_k + <Y, (xi_k - mu(x))(xi_k - mu(x))'>
+    unchanged, as d'(xi_k - mu(x)) = 0, and the objective
+    s + u'mu(x) + <Y, Sigma(x)> too, as d'mu(x) = d'xi_0 and
+    Sigma(x) d = 0.  The risk-neutral dual row of realization k is that
+    term minus theta_k; the CVaR dual row is that term minus
+    lam/(1-alpha) pic_k and (1-lam) theta_k, and the CVaR rows and the
+    -lam*shift objective hold no s, u or Y: all are unmoved.  So the
+    orthogonal projection of a feasible (u, Y) onto the rows' subspace,
+    with s shifted to match, is feasible at the same objective, and the
+    dual value without the big-M box is unchanged; an optimum that the
+    audit finds inside the box is then optimal without it, as before.
+    In primal terms the rows drop the matching rows
+    d'(E[xi] - mu(x)) = 0 and a'(E[(xi - mu(x))(xi - mu(x))'] - Sigma(x))d
+    = 0, which read 0 = 0 at every x given sum(p) = 1, so the primal is
+    unchanged, empty or not.  At a state whose set is empty the dual is
+    still unbounded, along a ray that moves u or Y (s alone cannot lower
+    the objective), so the audit still flags the state and the hook of
+    solve_with_dual_bound still reports it; no probe settles a free dual
+    of these directions any more.
+    """
     m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
     J, K = inst.J, inst.K
@@ -320,6 +388,17 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi,
     _add_objective(m, zz, sig[None] * inst.lambda_cov[:, None, None])
     lay.families.update({"s": np.array([s]), "u": u, "Y": Y, "w": w, "z": zz, "v": v})
     lay.audit_families = ("u", "Y")
+    flat = hull_directions(inst, t)
+    if len(flat):
+        basis = np.linalg.svd(flat)[2]  # its first len(flat) rows span flat
+        for r, d in enumerate(basis[:len(flat)]):
+            rows = [("u", u, w, d)] + [
+                (f"Y{c}", Y, zz, np.outer(d, basis[c]) + np.outer(basis[c], d))
+                for c in range(r, J)]
+            for name, dual, prods, weights in rows:
+                _add_hull_row(m, dual, weights, f"hull_{name}_{r}")
+                for i, cols in enumerate(prods):
+                    _add_hull_row(m, cols, weights, f"hull_x{i}{name}_{r}")
     xi_next = inst.stage_support(t + 1)
     dual_coeffs = []
     for k in range(K):
@@ -458,6 +537,7 @@ def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None, first=Non
         family = audit_dual_bounds(lay, sol.x)
         if family is None:
             return out
+        bound.probes += 1
         probe = solve_at(bound.value * 10.0)[0]
         if (probe.status == OPTIMAL and abs(probe.objective - sol.objective)
                 <= FLAT_FACE_REL * max(1.0, abs(sol.objective))):

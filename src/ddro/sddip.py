@@ -234,7 +234,13 @@ class StageOracle:
     audited in turn (and checked for PSD on the "ub" route), a flagged
     one probes at 10x the big-M from its batch solution, which is neither
     solved nor counted again, and an escalation solves the jobs after it
-    again, at the new big-M, as a new batch.  The first batch of a stage
+    again, at the new big-M, as a new batch.  dual_bound counts the
+    escalations and the probes of the run.  Type 2 stage models of a
+    rank-deficient support carry the hull rows of
+    reformulate.build_type2_stage, so their duals have no free direction
+    to leave at the box: a flag there means an empty set at the
+    solution's state, which the emptiness hook reports after the probe,
+    or a big-M too small.  The first batch of a stage
     that does not close at its root ends batching for that stage alone,
     whose jobs then run one by one: models that branch, or take tens of
     milliseconds, cost more batched.  Type 3 "lb" stages with PSD blocks

@@ -170,7 +170,9 @@ def test_criterion_5_strong_duality():
             dual = frozen_dual_value(inst, 1, 1, x, q)
             assert _rel_close(primal, dual), (trial, x)
             counts[1] += 1
-    # type 2 on matching-feasible pattern instances
+    # type 2 on matching-feasible pattern instances, risk-neutral and
+    # under a CVaR blend
+    blend = RiskSpec(0.5, 0.9)
     while counts[2] < 100:
         for p_idx in (0, 1, 2):
             inst = make_pattern_instance(bench.TYPE2_PATTERNS[p_idx],
@@ -180,12 +182,15 @@ def test_criterion_5_strong_duality():
                 if not is_nonempty(inst, AmbiguityType.TYPE2, x):
                     continue
                 q = rng.normal(size=inst.K) * 60 - 60
-                primal = worst_case(inst, AmbiguityType.TYPE2, x, q, stage=2).value
-                dual = frozen_dual_value(inst, 2, 1, x, q)
-                assert _rel_close(primal, dual), (p_idx, bits)
+                for risk in (None, blend):
+                    primal = worst_case(inst, AmbiguityType.TYPE2, x, q, stage=2,
+                                        risk=risk).value
+                    dual = frozen_dual_value(inst, 2, 1, x, q, risk=risk)
+                    assert _rel_close(primal, dual), (p_idx, bits, risk)
                 counts[2] += 1
     print(f"\nACCEPTANCE 5 PASS: inner-max LP equals frozen dual reformulation "
-          f"value at {counts[1]}+{counts[2]} random (x, q) pairs (1e-6)")
+          f"value at {counts[1]}+{counts[2]} random (x, q) pairs, the type 2 ones "
+          f"also under the CVaR blend (0.5, 0.9) (1e-6)")
 
 
 def test_criterion_6_mccormick_exactness():

@@ -12,8 +12,8 @@ from ddro.model import build_stage_block, generate_instance, replace_fields
 from ddro.reformulate import (MAX_DUAL_ESCALATIONS, DualAtBound, DualBound, UnboundedFactor,
                               VarLayout, add_cut_rows, build_stage, build_type1_stage,
                               build_type2_stage, build_type3_stage,
-                              freeze_stage, frozen_dual_value, mccormick_binary_product,
-                              solve_with_dual_bound)
+                              freeze_stage, frozen_dual_value, hull_directions,
+                              mccormick_binary_product, solve_with_dual_bound)
 from test_lpmilp import lp_text
 
 
@@ -113,6 +113,30 @@ def test_strong_duality_type2_pattern():
             assert abs(primal - dual) <= 1e-6 * max(1.0, abs(primal))
             checked += 1
     assert checked >= 12
+
+
+def _hull_rows(inst, t=1):
+    m, _, _ = build_stage(inst, 2, t, np.zeros(inst.I), inst.xi1())
+    return [name for name in m.row_names if name.startswith("hull_")]
+
+
+def test_type2_hull_rows_need_the_hull_condition():
+    inst = make_pattern_instance(TYPE2_PATTERNS[0], seed=1)
+    d = hull_directions(inst, 1)
+    assert d.shape == (1, 2) and abs(d[0] @ [1.0, 1.0]) <= 1e-12
+    assert len(_hull_rows(inst)) == 12
+    # the support stays collinear, but the moment maps leave its line at
+    # some state, or Sigma_bar moves along d: no rows
+    for over in ({"lambda_mu": np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])},
+                 {"mu_bar": np.array([10.0, 12.0])},
+                 {"Sigma_bar": SymMatrix(np.diag([10.0, 10.0]))}):
+        changed = replace_fields(inst, **over)
+        assert hull_directions(changed, 1).shape == (0, 2), over
+        assert _hull_rows(changed) == [], over
+    # a support of full rank, and the terminal stage: no rows
+    full = replace_fields(inst, support=make_pattern_instance(TYPE3_PATTERNS[0], seed=1).support)
+    assert _hull_rows(full) == []
+    assert _hull_rows(inst, t=2) == []
 
 
 def test_strong_duality_with_risk():
@@ -219,23 +243,27 @@ def test_product_columns_equal_their_products(ttype, risk):
             assert np.array_equal(fam["v"][i, i], fam[bilinear][i])
 
 
-@pytest.mark.parametrize("ttype, families, envelope_rows, rows", (
-    (2, ("w", "z", "v"), 96, 115), (3, ("w", "u", "R", "v"), 132, 151)),
+@pytest.mark.parametrize("ttype, families, envelope_rows, hull_rows, rows", (
+    (2, ("w", "z", "v"), 96, 12, 127), (3, ("w", "u", "R", "v"), 132, 0, 151)),
     ids=("type2", "type3"))
 def test_stage_models_envelope_each_distinct_product_once(ttype, families, envelope_rows,
-                                                          rows):
+                                                          hull_rows, rows):
     # one column and one four-row McCormick envelope per distinct product
     # (at I=3, J=2: u, z2 products I*J, symmetric ones I*J(J+1)/2, and
-    # trilinear ones I(I-1)/2 * J(J+1)/2), and no rows tying equal columns
+    # trilinear ones I(I-1)/2 * J(J+1)/2), and no rows tying equal columns;
+    # the collinear Type 2 support adds the hull rows of its one flat
+    # direction d: d'u and (J = 2) * <da'+ad', Y>, each also on the I
+    # products of u and Y, (1 + J) * (1 + I) = 12 rows
     suite = TYPE2_PATTERNS if ttype == 2 else TYPE3_PATTERNS
     inst = make_pattern_instance(suite[0], seed=1)
     xi = inst.support[0][0]
     m, lay, _ = build_stage(inst, ttype, 1, np.zeros(inst.I), xi)
     assert not any(name.startswith("sym_") for name in m.row_names)
+    hull = [name for name in m.row_names if name.startswith("hull_")]
     products = np.unique(np.concatenate([lay.families[f].ravel() for f in families]))
     block_rows = build_stage_block(inst, 1, np.zeros(inst.I), xi).model.num_rows
-    assert m.num_rows - block_rows - inst.K == 4 * products.size == envelope_rows
-    assert (inst.I, inst.J, inst.K, m.num_rows) == (3, 2, 10, rows)
+    assert m.num_rows - block_rows - inst.K - len(hull) == 4 * products.size == envelope_rows
+    assert (inst.I, inst.J, inst.K, len(hull), m.num_rows) == (3, 2, 10, hull_rows, rows)
 
 
 def test_prob_bound_dual_columns_are_neutral():
@@ -382,20 +410,21 @@ def _fake_solve_at(dual, objective, probe_status=OPTIMAL):
 def test_dual_bound_escalation_routine():
     # accept: a dual inside the box is taken at once, with no probe
     solve_at, calls = _fake_solve_at(lambda b: 5.0, lambda b: -5.0)
-    sol, _ = solve_with_dual_bound(solve_at, DualBound(100.0))
-    assert sol.objective == -5.0 and calls == [100.0]
+    bound = DualBound(100.0)
+    sol, _ = solve_with_dual_bound(solve_at, bound)
+    assert sol.objective == -5.0 and calls == [100.0] and bound.probes == 0
     # flat face: the dual rests on the box but a 10x probe keeps the value
     solve_at, calls = _fake_solve_at(lambda b: b, lambda b: -5.0)
     bound = DualBound(100.0)
     solve_with_dual_bound(solve_at, bound)
-    assert calls == [100.0, 1000.0] and bound.escalations == 0
+    assert calls == [100.0, 1000.0] and (bound.escalations, bound.probes) == (0, 1)
     # escalate: the dual binds at 0.1 and 1, its value moves, and 10 holds it
     hooked = []
     solve_at, calls = _fake_solve_at(lambda b: min(b, 5.0), lambda b: -min(b, 5.0))
     bound = DualBound(0.1)
     sol, _ = solve_with_dual_bound(solve_at, bound, lambda s, lay: hooked.append(s.x[0]))
     assert sol.objective == -5.0 and hooked == [0.1, 1.0]
-    assert (bound.value, bound.escalations) == (10.0, 2)
+    assert (bound.value, bound.escalations, bound.probes) == (10.0, 2, 2)
     assert calls == [0.1, 1.0, 1.0, 10.0, 10.0]
     # a probe that is not optimal escalates too
     solve_at, calls = _fake_solve_at(lambda b: min(b, 5.0), lambda b: -5.0, "Infeasible")

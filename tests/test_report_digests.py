@@ -24,7 +24,7 @@ def _rec(case, **fields):
     return rec
 
 
-def test_value_dump_comparison(tmp_path):
+def test_value_dump_comparison(tmp_path, capsys):
     tool = _load_tool()
     dump = tmp_path / "parent.jsonl"
     dump.write_text("".join(json.dumps(r) + "\n"
@@ -42,9 +42,25 @@ def test_value_dump_comparison(tmp_path):
     assert check(_rec("a")) == 1  # b has no counterpart here
     assert check(_rec("a"), _rec("b"), _rec("d")) == 1  # d has none in the dump
     # the work fields are printed, not compared: moved work or a dump
-    # without them passes
+    # without them passes, and only moved work gets a WORK line
+    capsys.readouterr()
     assert check(_rec("a", stage_solves=40, eigen_cuts_per_stage={"1": 7}),
                  _rec("b", stage_solves=12, eigen_cuts_per_stage={})) == 0
+    assert "WORK" not in capsys.readouterr().err
+    dump.write_text("".join(json.dumps(r) + "\n" for r in (
+        _rec("a", stage_solves=54, eigen_cuts_per_stage={}),
+        _rec("b", stage_solves=12, eigen_cuts_per_stage={"1": 7}),
+        _rec("c", stage_solves=9, eigen_cuts_per_stage={}))))
+    assert check(_rec("a", stage_solves=32, eigen_cuts_per_stage={}),
+                 _rec("b", stage_solves=12, eigen_cuts_per_stage={"1": 8}),
+                 _rec("c", stage_solves=9, eigen_cuts_per_stage={})) == 0
+    work = [line for line in capsys.readouterr().err.splitlines() if line.startswith("WORK")]
+    assert work == ["WORK w 1 a: stage_solves 54 -> 32",
+                    "WORK w 1 b: eigen_cuts_per_stage {'1': 7} -> {'1': 8}"]
+    # a moved search next to a changed result: a DIFF line, a WORK line, exit 1
+    assert check(_rec("a", stage_solves=30, iterations=3), _rec("b"), _rec("c")) == 1
+    err = capsys.readouterr().err
+    assert "DIFF w 1 a: iterations 2 -> 3" in err and "WORK w 1 a: stage_solves 54 -> 30" in err
 
 
 def test_value_records_carry_the_work_fields():

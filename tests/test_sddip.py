@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ddro import lpmilp, misdp, reformulate, sddip
-from ddro.ambiguity import EmptyAmbiguity, RiskSpec
+from ddro.ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, is_nonempty
 from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, exact_value_function,
                         make_pattern_instance, stretch_to_three_stages, terminal_value)
 from ddro.linalg import SymMatrix
@@ -1083,6 +1083,40 @@ def test_dual_bound_still_binding_after_three_escalations_raises(monkeypatch):
     monkeypatch.setattr(sddip, "default_dual_bound", lambda inst: 0.01)
     with pytest.raises(DualAtBound, match="after 3 escalations"):
         run(small_instance(), 1, SddipConfig(max_iters=10))
+
+
+def test_type2_patterns_run_no_flat_face_probe(monkeypatch):
+    # the hull rows leave the collinear supports' duals no free direction
+    # to park at the big-M box, so no solve needs a probe
+    oracles = []
+
+    class Recording(StageOracle):
+        def __init__(self, *args):
+            super().__init__(*args)
+            oracles.append(self)
+
+    monkeypatch.setattr(sddip, "StageOracle", Recording)
+    for pat in TYPE2_PATTERNS:
+        for seed in (1, 2):
+            rep = run(make_pattern_instance(pat, seed=seed), 2,
+                      SddipConfig(max_iters=30, seed=seed))
+            assert rep.status == "Optimal", (pat.name, seed)
+            assert oracles[-1].dual_bound.probes == 0, (pat.name, seed)
+            assert oracles[-1].dual_bound.escalations == 0, (pat.name, seed)
+    assert len(oracles) == 6
+
+
+def test_type2_hull_rows_keep_empty_sets_detected():
+    # a support scaled down leaves the single-facility state (0, 0, 1)
+    # with an empty set; the support is still collinear, so the model
+    # carries hull rows, and the empty set still ends the run
+    inst = make_pattern_instance(TYPE2_PATTERNS[0], seed=1)
+    inst = replace_fields(inst, support=(inst.support[0], inst.support[1] * 0.6))
+    assert not is_nonempty(inst, AmbiguityType.TYPE2, np.array([0.0, 0.0, 1.0]))
+    m, _, _ = build_stage(inst, 2, 1, np.zeros(inst.I), inst.xi1())
+    assert sum(name.startswith("hull_") for name in m.row_names) == 12
+    rep = run(inst, 2, SddipConfig(max_iters=10, seed=1))
+    assert (rep.status, rep.termination) == ("Unbounded", "empty_ambiguity_stage_2")
 
 
 def test_config_rejects_bad_seed_risk_and_risk_overrides():
