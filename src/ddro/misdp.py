@@ -18,7 +18,11 @@ Two complementary routes around the mixed-integer SDP:
      absolute tolerance;
   2. MILP rounds: solve the MILP, stop when no block has an eigenvalue
      below -EIGEN_CUT_TOL, else cut the smallest eigenpair of each
-     violating block;
+     violating block.  A caller may solve each round's MILP its own way
+     (the split hook of solve_misdp_outer): the engine splits a stage
+     model at a pinned state on its facility states, so a round is one
+     root-only batch of copies with the binaries fixed, whose least
+     value is the MILP's optimum;
   3. fixed-integer polish: after each MILP round, rerun the LP phase on
      a copy with the integer columns fixed at the rounded incumbent,
      appending its cuts to the MILP model too.
@@ -90,10 +94,14 @@ class PsdBlockRef:
         return self.cols.ravel(), np.outer(v, v).ravel()
 
 
-def solve_misdp_outer(model: LinearModel, blocks) -> Solution:
+def solve_misdp_outer(model: LinearModel, blocks, split=None) -> Solution:
     """Eigen-cut outer approximation loop (phases in the module
     docstring); the returned objective is a valid lower bound on the
     MISDP optimum (exact in the cut-loop limit).
+
+    Each MILP round solves the model by split(model) where that returns
+    a Solution, a solve with the model's optimum as its objective, else
+    by solve_milp, looked up in this module at each call.
 
     The model is mutated in place: every row appended is a cut
     v' M v >= 0, valid for subsequent solves with different objectives
@@ -110,7 +118,7 @@ def solve_misdp_outer(model: LinearModel, blocks) -> Solution:
         rounds = _lp_cut_phase(model, (model,), blocks, max_rounds, scaled=True)
     while rounds < max_rounds:
         rounds += 1
-        sol = solve_milp(model)
+        sol = (split and split(model)) or solve_milp(model)
         if sol.status != OPTIMAL:
             return sol
         found = False

@@ -34,6 +34,10 @@ from .linalg import SymMatrix, sym_eig
 from .lpmilp import BINARY, CONTINUOUS, INTEGER, LinearModel
 
 FORMAT_VERSION = "ddro-instance-v1"
+# budget slack of budget_states, relative to max(1, N): looser than
+# HiGHS's feasibility tolerances (1e-7 primal, 1e-6 MIP), so every state
+# a stage MILP may take is listed
+BUDGET_STATE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -339,6 +343,41 @@ def build_stage_block(inst: Instance, t: int, x_prev, xi) -> StageBlock:
                   name=f"keep_{i}")
     set_stage_data(m, dem, z, x_prev, xi)
     return StageBlock(model=m, x=x, y=y, z_copy=z, dem=dem)
+
+
+def budget_states(inst: Instance, t: int, x_prev, limit: int):
+    """The binary states x of stage t from x_prev -- x >= x_prev and
+    f_t'(x - x_prev) <= N + BUDGET_STATE_TOL * max(1, N) -- as int tuples
+    in lexicographic order, or None if there are more than limit.
+
+    The walk is depth-first over the entries x_prev leaves at 0, 0 before
+    1, and drops a partial state that no completion keeps within the
+    budget.  Every node it keeps leads to a listed state, so it visits
+    O(I * limit) nodes before it stops, never 2^I.
+    """
+    x = [int(round(float(b))) for b in np.asarray(x_prev).ravel()]
+    free = [i for i, b in enumerate(x) if b == 0]
+    f = inst.f[t - 1]
+    cap = inst.N + BUDGET_STATE_TOL * max(1.0, inst.N)
+    # the least cost the free entries from position p on can add
+    least = np.append(np.cumsum(np.minimum(f[free], 0.0)[::-1])[::-1], 0.0)
+    out: list[tuple[int, ...]] = []
+
+    def walk(p: int, spent: float) -> bool:
+        """List the states below the partial one; True once past limit."""
+        if spent + least[p] > cap:
+            return False
+        if p == len(free):
+            out.append(tuple(x))
+            return len(out) > limit
+        if walk(p + 1, spent):
+            return True
+        x[free[p]] = 1
+        stop = walk(p + 1, spent + float(f[free[p]]))
+        x[free[p]] = 0
+        return stop
+
+    return None if walk(0, 0.0) else out
 
 
 def set_stage_data(m: LinearModel, dem, z, x_prev, xi, pi=None) -> None:

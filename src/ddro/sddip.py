@@ -24,8 +24,11 @@ to stage T-1 for trial states, the sampled evaluation to stage T for
 costs.  Every stage without a cut loop -- all but the PSD stages of the
 Type 3 "lb" route -- runs its dual searches in lockstep, and the tree
 evaluation solves the K children of a state together; their MILPs go to
-HiGHS in batches (StageOracle).  Each worst case is computed once per
-run (StageOracle.worst_case).  The cut pool is append-only, updated per
+HiGHS in batches (StageOracle).  A stage solve at a pinned state is
+split on its facility states, one copy per state with the binaries
+fixed, and its decision among tied states follows a fixed rule
+(StageOracle._split).  Each worst case is computed once per run
+(StageOracle.worst_case).  The cut pool is append-only, updated per
 pass.
 """
 
@@ -44,11 +47,12 @@ import numpy as np
 from . import misdp
 from .ambiguity import (AmbiguityType, EmptyAmbiguity, RiskSpec, WorstCase, is_nonempty,
                         worst_case)
-from .lpmilp import OPTIMAL, LinearModel, round_integral, solve_milp, solve_milps
+from .lpmilp import (OPTIMAL, LinearModel, Solution, round_integral, solve_fixed_milps,
+                     solve_milp, solve_milps)
 # perfbench/spans.py traces solve_lp and build_stage_block by these names;
 # neither is called here
 from .lpmilp import solve_lp  # noqa: F401
-from .model import Instance, build_stage_block, set_stage_data  # noqa: F401
+from .model import Instance, budget_states, build_stage_block, set_stage_data  # noqa: F401
 from .reformulate import (DualBound, VarLayout, add_cut_rows, build_stage, default_dual_bound,
                           solve_with_dual_bound)
 
@@ -58,6 +62,12 @@ STALL_WINDOW = 5  # iterations over which an unmoved lb means a stall
 UB_PATHS = 200  # sampled paths of a sampled policy evaluation
 TREE_LIMIT = 1e5  # policies are evaluated on sampled paths above K^(T-1) = this
 SANDWICH_REL_SLACK = 1e-6  # run_type3_bounds accepts lb <= ub + this * max(1, |ub|)
+# A pinned solve with more budget-feasible states is not split: the copies
+# cost about linearly in their number (10 copies of the benchmark's
+# 122-column I = 9 model took 2.8 ms, that model whole 13 ms), and
+# enumeration stops past this many.
+SPLIT_STATES = 16
+SPLIT_TIE_REL = 1e-7  # states within this * max(1, |best|) of the best value tie
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,10 @@ class SolveReport:
     duals and the big-M probes and re-solves among them.  A stage solve
     on the Type 3 "lb" route is one eigen-cut loop of several LPs and
     MILPs, and a hit of the stage cache is no solve.  dual_solves counts
-    the relaxed evaluations of the duals alone."""
+    the relaxed evaluations of the duals alone.  counters holds the
+    oracle's split_solves, split_blocks and split_fallbacks (see
+    StageOracle) and dual_probes, the flat-face probes of the run's big-M
+    (reformulate.DualBound.probes)."""
 
     lb_per_iter: list[float] = field(default_factory=list)
     eigen_cuts_per_stage: dict = field(default_factory=dict)
@@ -174,6 +187,7 @@ class SolveReport:
     ambiguity_type: int = 0
     bound_mode: str = ""
     seed: int = 0
+    counters: dict = field(default_factory=dict)
     iter_rows: list[dict] = field(default_factory=list)
 
     def to_json(self, include_timing: bool = False) -> str:
@@ -275,6 +289,27 @@ class StageOracle:
     the stage cache.
     A worst case (ambiguity.worst_case) depends on its stage, state and
     stage values alone, so worst_case computes each once per run.
+    Every pinned solve -- _solve_once with x_prev given: the plain MILP,
+    each MILP round of the "lb" cut loop, and each probe -- is split on
+    the facility states of (t, x_prev), model.budget_states, listed once
+    per key in lexicographic order: one copy of the model per state with
+    x fixed there by its bounds, all solved as one batch searched at its
+    root (lpmilp.solve_fixed_milps).  The value is the least copy value,
+    and it is the MILP's optimum: the model's feasible set is the union
+    of its slices at fixed x, and the list holds every x the budget row
+    admits, since its tolerance is looser than HiGHS's, while a listed x
+    the row rejects makes its copy, and so the batch, infeasible.  So
+    every lower bound built on a stage value keeps its proof.  The
+    decision (x, theta, g_cost) comes from the first state in the list
+    whose copy value is within SPLIT_TIE_REL * max(1, |value|) of the
+    least one: that copy's solution is feasible for the model and at
+    most that far above its optimum, and the oracle, not HiGHS, picks
+    among tied states.  A key with more than SPLIT_STATES states is
+    solved whole, and so is a batch that fails, infeasible or open at
+    its root; the first failed batch of a stage ends splitting there, as
+    a failed stage batch ends batching.  Relaxed solves, whose copy z is
+    free, and the jobs of a stage batch are not split.  counters counts
+    the split solves, their copies and the solves that fell back.
     """
 
     def __init__(self, inst: Instance, ttype: int, config: SddipConfig,
@@ -298,6 +333,10 @@ class StageOracle:
         # one of its batches failed at its root
         self._batching = {t: config.bound_mode != "lb" or t == inst.T
                           for t in range(1, inst.T + 1)}
+        # whether stage t splits its pinned solves: not after one split failed
+        self._splitting = dict.fromkeys(range(1, inst.T + 1), True)
+        self._states: dict[tuple, list | None] = {}
+        self.counters = dict.fromkeys(("split_solves", "split_blocks", "split_fallbacks"), 0)
 
     def risk_spec(self, t: int) -> RiskSpec | None:
         """The blend of the stage-t inner measure, which carries the
@@ -456,21 +495,50 @@ class StageOracle:
         """(solution, layout, PSD blocks, eigen rows of the solved model):
         the rows replayed plus those the cut loop appended."""
         model, lay, blocks = self._stage_model(t, k, x_prev, pi, dual_bound)
+        split = None if x_prev is None else functools.partial(self._split, t, x_prev, lay.x)
         mode = self.config.bound_mode  # "lb" and "ub" are Type 3 routes
         if mode == "lb" and blocks:  # the terminal stage has no PSD blocks
             done = model.num_rows
-            sol = misdp.solve_misdp_outer(model, blocks)
+            sol = misdp.solve_misdp_outer(model, blocks, split)
             if model.num_rows > done:
                 self._eigen_rows.setdefault(t, []).extend(
                     zip(model.row_cols[done:], model.row_vals[done:]))
         else:
-            sol = solve_milp(model)
+            sol = (split and split(model)) or solve_milp(model)
         self.stage_solves += 1
         if sol.status != OPTIMAL:
             raise RuntimeError(f"stage {t} solve returned {sol.status}")
         if mode == "ub":
             misdp.audit_inner_psd(blocks, sol.x)
         return sol, lay, blocks, len(self._eigen_rows.get(t, ()))
+
+    def _split(self, t: int, x_prev, x_cols, model: LinearModel) -> Solution | None:
+        """The model's MILP at a pinned state, split on the stage-t states
+        of x_prev (model.budget_states, listed once per (t, x_prev)): one
+        copy per state with the columns x_cols fixed there, as one batch
+        searched at its root (lpmilp.solve_fixed_milps).  The objective
+        is the least copy value, and x the solution of the first copy, in
+        list order, within SPLIT_TIE_REL of it.  None where the model is
+        to be solved whole: more than SPLIT_STATES states, or a batch
+        that fails, which ends splitting for stage t (see StageOracle)."""
+        if not self._splitting[t]:
+            return None
+        key = (t, _bits(x_prev))
+        if key not in self._states:
+            self._states[key] = budget_states(self.inst, t, x_prev, SPLIT_STATES)
+        states = self._states[key]
+        sols = None if states is None else solve_fixed_milps(model, x_cols, states)
+        if sols is None:
+            self.counters["split_fallbacks"] += 1
+            if states is not None:
+                self._splitting[t] = False
+            return None
+        self.counters["split_solves"] += 1
+        self.counters["split_blocks"] += len(sols)
+        best = min(sol.objective for sol in sols)
+        tied = best + SPLIT_TIE_REL * max(1.0, abs(best))
+        pick = next(sol for sol in sols if sol.objective <= tied)
+        return Solution(OPTIMAL, pick.x, best, pick.node_count)
 
 
 def lagrangian_dual(evaluate, x_hats):
@@ -649,6 +717,7 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
     report.stage_solves = oracle.stage_solves
     report.dual_solves = oracle.dual_solves
     report.dual_escalations = oracle.dual_bound.escalations
+    report.counters = {**oracle.counters, "dual_probes": oracle.dual_bound.probes}
     report.eigen_cuts_per_stage = {
         str(t): len(v) for t, v in sorted(oracle._eigen_rows.items())}
     report.wall_time = time.perf_counter() - t_start

@@ -279,6 +279,29 @@ def test_milp_batch_that_does_not_close_at_its_root_gives_none():
         assert lpmilp.solve_milps(models + [bad]) is None
 
 
+def test_fixed_milp_copies_are_the_model_with_those_columns_fixed():
+    # one block per row of values, each the model with the columns fixed
+    # at that row: each gets solve_milp's optimum of the fixed model
+    m, _ = _branching_knapsack(0)
+    cols = np.arange(21)
+    values = np.random.default_rng(5).integers(0, 2, (4, 21)).astype(float)
+    sols = lpmilp.solve_fixed_milps(m, cols, values)
+    assert len(sols) == len(values)
+    for row, sol in zip(values, sols):
+        fixed = m.copy()
+        for c, v in zip(cols, row):
+            fixed.set_bounds(int(c), v, v)
+        ref = solve_milp(fixed).objective
+        assert sol.status == OPTIMAL and np.array_equal(sol.x[cols], row)
+        assert abs(sol.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+        assert sol.objective == math.fsum(np.asarray(m.objective) * sol.x)
+        assert _feasible(fixed, sol.x)
+    # an infeasible copy (21 items over the capacity), or one that
+    # branches (24 items free), gives None
+    assert lpmilp.solve_fixed_milps(m, cols, np.vstack([values, np.ones(21)])) is None
+    assert lpmilp.solve_fixed_milps(m, cols[:1], [[0.0]]) is None
+
+
 def test_milp_batch_of_models_that_close_alone_may_not_close_at_its_root():
     # two knapsacks that close alone (in 2333 and 671 nodes) take more
     # than twice as many as one block-diagonal search: no batch, however

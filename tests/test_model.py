@@ -7,8 +7,8 @@ import pytest
 from ddro import model
 from ddro.bench import budget_feasible_states
 from ddro.lpmilp import OPTIMAL, solve_milp
-from ddro.model import (build_stage_block, from_json, generate_instance,
-                        manhattan, replace_fields, to_json, zero_lambda,
+from ddro.model import (BUDGET_STATE_TOL, budget_states, build_stage_block, from_json,
+                        generate_instance, manhattan, replace_fields, to_json, zero_lambda,
                         _normalized_impact)
 
 
@@ -189,3 +189,47 @@ def test_revenue_lower_bound():
     assert lb1 <= lb2 <= 0.0
     expect2 = -max(inst.support[2] @ inst.R)
     assert abs(lb2 - expect2) < 1e-9
+
+
+def test_budget_states_are_the_states_in_budget_in_lexicographic_order():
+    # against the reference walk over every successor (bench), on budgets
+    # of one and two builds, with mixed costs (a free and a paid-for build
+    # among them) and a facility already open
+    base = generate_instance(5, 3, 5, 1, 2, 0.5)
+    f = np.array([[100.0, 40.0, 60.0, 100.0, 0.0], [30.0, 70.0, 100.0, 50.0, -40.0],
+                  [100.0] * 5])
+    for N in (100.0, 130.0):
+        inst = replace_fields(base, f=f, N=N)
+        for t, x_prev in ((1, np.zeros(5)), (2, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))):
+            states = budget_states(inst, t, x_prev, 2 ** inst.I)
+            assert states == [tuple(int(b) for b in x)
+                              for x in budget_feasible_states(inst, t, x_prev)]
+            assert len(states) > 2 and states[0] == tuple(int(b) for b in x_prev)
+
+
+def test_budget_states_keep_a_build_at_the_budget_and_stop_past_the_limit():
+    inst = generate_instance(1, 2, 3, 1, 2, 0.8)  # every build costs N = 100
+    states = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert budget_states(inst, 1, np.zeros(3), 4) == states
+    assert budget_states(inst, 1, np.zeros(3), 3) is None
+    # the cap is N + BUDGET_STATE_TOL * max(1, N), inclusive
+    f = np.array(inst.f)
+    f[0] = [100.0 + BUDGET_STATE_TOL * 100.0, 100.0 + 2 * BUDGET_STATE_TOL * 100.0, 50.0]
+    assert budget_states(replace_fields(inst, f=f), 1, np.zeros(3), 8) == states[:2] + [
+        (1, 0, 0)]
+
+
+def test_budget_states_stop_at_once_on_a_wide_budget():
+    # I = 40 with every one of the 2^40 states in budget: the walk stops
+    # at the 17th state it lists, without walking the others
+    wide = replace_fields(generate_instance(1, 2, 40, 1, 2, 0.8), N=1e5)
+    visited = []  # the cost lookups of the walk, one per build it tries
+
+    class Costs(np.ndarray):
+        def __getitem__(self, key):
+            visited.append(key)
+            return super().__getitem__(key)
+
+    object.__setattr__(wide, "f", np.array(wide.f).view(Costs))
+    assert budget_states(wide, 1, np.zeros(40), 16) is None
+    assert len(visited) < 40 * 17

@@ -1,15 +1,19 @@
+import dataclasses
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from ddro import lpmilp, misdp, reformulate, sddip
 from ddro.ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, is_nonempty
-from ddro.bench import (TYPE2_PATTERNS, TYPE3_PATTERNS, exact_value_function,
+from ddro.bench import (TYPE1_PATTERNS, TYPE2_PATTERNS, TYPE3_PATTERNS, exact_value_function,
                         make_pattern_instance, stretch_to_three_stages, terminal_value)
 from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, round_integral, solve_milp
-from ddro.model import build_stage_block, generate_instance, replace_fields, zero_lambda
+from ddro.model import (BUDGET_STATE_TOL, budget_states, build_stage_block, generate_instance,
+                        replace_fields, zero_lambda)
 from ddro.reformulate import DualAtBound, add_cut_rows, build_stage
 from ddro.sddip import (Cut, CutPool, SddipConfig, StageOracle, backward_pass,
                         evaluate_policy, forward_pass, lagrangian_dual, run)
@@ -200,7 +204,8 @@ def test_terminal_batch_adds_the_cuts_of_searches_run_one_by_one():
 def test_policy_evaluation_caches_each_batched_terminal_solve():
     # at T = 2 the K terminal solves of the first-stage state run as one
     # batch, each cached under solve_stage's key: solve_stage then hits
-    # for every k and returns what a fresh oracle's solve does
+    # for every k and returns what the same batch on a fresh oracle
+    # returns, at the value of a plain MILP solve of the model
     inst = small_instance()
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
     evaluate_policy(oracle, np.random.default_rng(0))
@@ -208,10 +213,14 @@ def test_policy_evaluation_caches_each_batched_terminal_solve():
     solves = oracle.stage_solves
     assert solves == 1 + inst.K
     fresh = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
-    for k in range(inst.K):
-        sol, ref = oracle.solve_stage(inst.T, k, x), fresh.solve_stage(inst.T, k, x)
+    refs = fresh.solve_stages(inst.T, x, range(inst.K))
+    for k, ref in enumerate(refs):
+        sol = oracle.solve_stage(inst.T, k, x)
         assert oracle.stage_solves == solves
         assert sol.value == ref.value and sol.x_bits == ref.x_bits
+        model, _, _ = fresh._stage_model(inst.T, k, x, None, fresh.dual_bound.value)
+        plain = solve_milp(model).objective
+        assert abs(sol.value - plain) <= 1e-9 * max(1.0, abs(plain))
     assert fresh.stage_solves == inst.K
 
 
@@ -272,7 +281,15 @@ def test_a_terminal_batch_that_does_not_close_at_its_root_ends_batching(monkeypa
     assert all(sols is not None for sols in batches[:-1])
     monkeypatch.setattr(sddip, "solve_milps", lambda models: None)
     alone = run(inst, 1, config)
-    assert rep.to_json() == alone.to_json()
+    # solved alone, a pinned terminal model is split on its states
+    assert _without_counters(rep) == _without_counters(alone)
+    assert rep.counters["split_solves"] < alone.counters["split_solves"]
+
+
+def _without_counters(report):
+    doc = json.loads(report.to_json())
+    doc.pop("counters")
+    return doc
 
 
 def test_terminal_solves_take_the_batch_path_alone(monkeypatch):
@@ -454,10 +471,15 @@ def test_a_type3_ub_batch_checks_each_block_for_psd(monkeypatch):
     assert [n for n, _ in audited] == [2] * inst.K
     alone = StageOracle(inst, 3, SddipConfig(bound_mode="ub"), CutPool(inst.T, inst.K))
     for k, (sol, (_, bx)) in enumerate(zip(sols, audited)):
-        assert sddip._bits(round_integral(bx, oracle._compiled[(2, oracle.dual_bound.value)]
-                                          .lay.x)) == sol.x_bits
-        ref = alone.solve_stage(2, k, x)
-        assert (sol.value, sol.x_bits) == (ref.value, ref.x_bits)
+        lay = oracle._compiled[(2, oracle.dual_bound.value)].lay
+        assert sddip._bits(round_integral(bx, lay.x)) == sol.x_bits
+        # the block's route, a plain MILP solve, on a fresh build of its model
+        model, _, _ = alone._stage_model(2, k, x, None, alone.dual_bound.value)
+        ref = solve_milp(model)
+        assert sol.value == ref.objective
+        assert sol.x_bits == sddip._bits(round_integral(ref.x, lay.x))
+        split = alone.solve_stage(2, k, x).value  # split on its states
+        assert abs(sol.value - split) <= 1e-9 * max(1.0, abs(split))
 
 
 def test_a_stage_two_batch_that_fails_at_its_root_ends_batching_for_stage_two_only(
@@ -484,7 +506,9 @@ def test_a_stage_two_batch_that_fails_at_its_root_ends_batching_for_stage_two_on
     assert [c for c in calls if c[0] == 2] == [(2, False)]
     assert (3, True) in calls[calls.index((2, False)):]
     assert all(closed for t, closed in calls if t == 3)
-    assert rep.to_json() == ref.to_json()
+    # the stage-2 models solved alone are split on their states
+    assert _without_counters(rep) == _without_counters(ref)
+    assert rep.counters["split_solves"] > ref.counters["split_solves"]
 
 
 def test_oracle_worst_case_is_the_direct_worst_case_computed_once_per_key(monkeypatch):
@@ -570,14 +594,17 @@ def test_type3_lb_policy_evaluation_reuses_the_forward_stage_one_solve(monkeypat
     assert len(loops) == 1
     x0 = np.zeros(inst.I)
     assert oracle.solve_stage(1, 0, x0) is sol1
-    # a fresh solve of the model with the stored rows replayed appends
-    # none and returns the cached solution
+    # a fresh solve of the model with the stored rows replayed, split on
+    # its states as the oracle splits it, appends none and returns the
+    # cached solution; a loop of plain MILP rounds reaches its value
     model, lay, blocks = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
     rows = model.num_rows
-    fresh = outer(model, blocks)
+    plain = outer(model.copy(), blocks).objective
+    fresh = outer(model, blocks, functools.partial(oracle._split, 1, x0, lay.x))
     assert model.num_rows == rows
     assert float(fresh.objective) == sol1.value
     assert sddip._bits(round_integral(fresh.x, lay.x)) == sol1.x_bits
+    assert abs(plain - sol1.value) <= 1e-9 * max(1.0, abs(plain))
 
 
 def test_type3_lb_stage_cache_keys_on_the_accepted_solve_not_its_probe(monkeypatch):
@@ -600,8 +627,8 @@ def test_type3_lb_stage_cache_keys_on_the_accepted_solve_not_its_probe(monkeypat
     outer = misdp.solve_misdp_outer
     loops = []
 
-    def outer_with_a_cut_in_the_probe(model, blocks):
-        sol = outer(model, blocks)
+    def outer_with_a_cut_in_the_probe(model, blocks, split):
+        sol = outer(model, blocks, split)
         loops.append(1)
         if len(loops) == 2:
             misdp._append_cut((model,), blocks[0], np.ones(blocks[0].dim))
@@ -661,8 +688,8 @@ def test_type3_lb_stage_lookups_follow_the_solves_before_them(monkeypatch):
     # k up after the solves before it, as solve_stage one k at a time does
     outer = misdp.solve_misdp_outer
 
-    def appending(model, blocks):
-        sol = outer(model, blocks)
+    def appending(model, blocks, split):
+        sol = outer(model, blocks, split)
         model.add_row({int(blocks[0].cols[0, 0]): 1.0}, ">=", 0.0)
         return sol
 
@@ -1244,3 +1271,188 @@ def test_patched_stage_models_equal_fresh_builds(label, make, ttype, mode, risk)
     # solving patched copies leaves the kept model as it was built
     oracle.solve_stage(1, 0, np.zeros(inst.I))
     assert lp_text(oracle._compiled[(1, M)].model) == kept_text
+
+
+def _stretched(pattern):
+    return stretch_to_three_stages(make_pattern_instance(pattern, seed=1, K=4))
+
+
+# (label, instance maker, ambiguity type, bound mode) of the split checks:
+# the Type 1-3 pattern suites at K = 4, the two_stage benchmark's I = 6
+# instance, and two T = 3 instances, whose stage 2 is intermediate
+SPLIT_CASES = (
+    *((f"p{p.name}", functools.partial(make_pattern_instance, p, seed=1, K=4), p.ttype, mode)
+      for p in TYPE1_PATTERNS + TYPE2_PATTERNS + TYPE3_PATTERNS
+      for mode in (("lb", "ub") if p.ttype == 3 else ("exact",))),
+    ("t1-I6", lambda: generate_instance(1, 2, 6, 2, 4, 0.8), 1, "exact"),
+    ("t1-T3", lambda: _three_stage_instance(), 1, "exact"),
+    ("p3-1-T3", functools.partial(_stretched, TYPE3_PATTERNS[0]), 3, "lb"),
+    ("p3-1-T3", functools.partial(_stretched, TYPE3_PATTERNS[0]), 3, "ub"),
+)
+
+
+@pytest.mark.parametrize("risk", (False, True), ids=("neutral", "risk"))
+@pytest.mark.parametrize("label, make, ttype, mode", SPLIT_CASES,
+                         ids=[f"{case[0]}-{case[3]}" for case in SPLIT_CASES])
+def test_a_split_stage_solve_has_the_value_of_the_whole_milp(label, make, ttype, mode, risk):
+    # every stage with a continuation, at the empty state and at the last
+    # two states of a first-stage build, at the first and last realization;
+    # the "lb" models carry the eigen rows of a forward pass
+    inst = make()
+    blend = dict(risk_lambda=0.5, risk_alpha=0.9) if risk else {}
+    oracle = StageOracle(inst, ttype, SddipConfig(bound_mode=mode, **blend),
+                         CutPool(inst.T, inst.K))
+    if mode == "lb":
+        forward_pass(oracle, 1, np.random.default_rng(0))
+        assert oracle._eigen_rows
+    before, checked = oracle.counters["split_solves"], 0
+    for t in range(1, inst.T):
+        x_prevs = [np.zeros(inst.I)]
+        if t > 1:
+            x_prevs += [np.array(x, dtype=float)
+                        for x in budget_states(inst, t - 1, np.zeros(inst.I), 16)[-2:]]
+        for x_prev in x_prevs:
+            for k in sorted({0, len(inst.stage_support(t)) - 1}):
+                model, lay, _ = oracle._stage_model(t, k, x_prev, None, oracle.dual_bound.value)
+                split = oracle._split(t, x_prev, lay.x, model)
+                whole = solve_milp(model).objective
+                assert abs(split.objective - whole) <= 1e-9 * max(1.0, abs(whole))
+                checked += 1
+    assert checked == oracle.counters["split_solves"] - before > 0
+    assert oracle.counters["split_fallbacks"] == 0
+
+
+def _state_values(model, x_cols, states):
+    """solve_milp's optimum of the model at each state, fixed by bounds."""
+    values = []
+    for state in states:
+        fixed = model.copy()
+        for col, b in zip(x_cols, state):
+            fixed.set_bounds(int(col), float(b), float(b))
+        values.append(solve_milp(fixed).objective)
+    return values
+
+
+@pytest.mark.parametrize("label, make, ttype, t", (
+    ("terminal", small_instance, 1, 2),
+    ("p2-1", lambda: make_pattern_instance(TYPE2_PATTERNS[0], seed=1, K=4), 2, 1)))
+def test_a_split_stage_solve_decides_for_the_first_tied_state(label, make, ttype, t):
+    # the value is the least state value, and the decision the first state
+    # in budget_states order within SPLIT_TIE_REL of it; these models tie
+    inst = make()
+    oracle = StageOracle(inst, ttype, SddipConfig(), CutPool(inst.T, inst.K))
+    x_prevs = ([np.zeros(inst.I)] if t == 1 else
+               [np.array(x, dtype=float) for x in budget_states(inst, 1, np.zeros(inst.I), 16)])
+    ties = 0
+    for x_prev in x_prevs:
+        for k in range(len(inst.stage_support(t))):
+            model, lay, _ = oracle._stage_model(t, k, x_prev, None, oracle.dual_bound.value)
+            states = budget_states(inst, t, x_prev, sddip.SPLIT_STATES)
+            values = _state_values(model, lay.x, states)
+            best = min(values)
+            tied = [x for x, v in zip(states, values)
+                    if v <= best + sddip.SPLIT_TIE_REL * max(1.0, abs(best))]
+            sol = oracle.solve_stage(t, k, x_prev)
+            assert sol.x_bits == tied[0]
+            assert abs(sol.value - best) <= 1e-9 * max(1.0, abs(best))
+            ties += len(tied) > 1
+    assert ties and oracle.counters["split_fallbacks"] == 0
+
+
+def test_a_split_reports_the_least_copy_value_and_the_first_tied_copy(monkeypatch):
+    # copy values stubbed: the first copy within SPLIT_TIE_REL of the least
+    # value gives the decision, and the least value is the objective
+    inst = small_instance()
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    x0 = np.zeros(inst.I)
+    model, lay, _ = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
+    sols = lpmilp.solve_fixed_milps(model, lay.x, budget_states(inst, 1, x0, 16))
+    best, tol = -1000.0, sddip.SPLIT_TIE_REL
+    for first, picked in ((best * (1 - 0.5 * tol), 0), (best * (1 - 2 * tol), 1)):
+        stub = [dataclasses.replace(sol, objective=v)
+                for sol, v in zip(sols, (first, best, best + 1.0, best))]
+        monkeypatch.setattr(sddip, "solve_fixed_milps", lambda *args, stub=stub: stub)
+        split = oracle._split(1, x0, lay.x, model)
+        assert split.objective == best and split.x is stub[picked].x
+
+
+def _over_the_row(inst):
+    """inst with facility 0's stage-1 cost at the cap of budget_states,
+    above the tolerance of the MILP's budget row."""
+    f = np.array(inst.f)
+    f[0, 0] = inst.N + BUDGET_STATE_TOL * max(1.0, inst.N)
+    return replace_fields(inst, f=f)
+
+
+@pytest.mark.parametrize("failure", ("infeasible", "not-at-root"))
+def test_a_failed_split_falls_back_to_the_whole_milp_and_ends_splitting_its_stage(
+        monkeypatch, failure):
+    # "infeasible": budget_states lists (1, 0, 0), which the budget row
+    # rejects, so its copy and the batch are infeasible; "not-at-root": a
+    # batch stubbed to give what one that does not close at its root
+    # gives.  Either way the stage-1 solve takes the whole MILP's value,
+    # stage 1 solves whole from then on, and stage 2 still splits
+    inst = small_instance()
+    if failure == "infeasible":
+        inst = _over_the_row(inst)
+        assert (1, 0, 0) in budget_states(inst, 1, np.zeros(inst.I), 16)
+    else:
+        fixed = sddip.solve_fixed_milps
+        monkeypatch.setattr(sddip, "solve_fixed_milps",
+                            lambda model, cols, values: None if len(values) == 4
+                            else fixed(model, cols, values))
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    x0 = np.zeros(inst.I)
+    model, _, _ = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
+    sol = oracle.solve_stage(1, 0, x0)
+    assert sol.value == solve_milp(model).objective
+    assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1}
+    assert oracle.batches(1) and not oracle._splitting[1]
+    oracle.solve_stage(2, 0, np.array(sol.x_bits, dtype=float))
+    assert oracle.counters == {"split_solves": 1, "split_blocks": 3, "split_fallbacks": 1}
+    oracle.pool.add(2, 0, Cut(-1e6, np.zeros(inst.I)))  # a new stage-1 model
+    oracle.solve_stage(1, 0, x0)
+    assert oracle.counters["split_fallbacks"] == 1 and oracle.stage_solves == 3
+
+
+def test_a_stage_solve_with_too_many_states_solves_whole_without_enumerating_them():
+    # I = 40 with every state in budget: the stage-1 solve lists no states
+    # (budget_states stops past SPLIT_STATES) and solves the whole MILP;
+    # the stage keeps splitting, and the failed listing is kept
+    inst = replace_fields(generate_instance(1, 2, 40, 1, 2, 0.8), N=1e5)
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    x0 = np.zeros(inst.I)
+    model, _, _ = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
+    assert oracle.solve_stage(1, 0, x0).value == solve_milp(model).objective
+    assert oracle._states == {(1, (0,) * inst.I): None} and oracle._splitting[1]
+    assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1}
+
+
+def test_run_reports_its_split_and_probe_counters(monkeypatch):
+    # on the Type 3 "lb" route of pattern 3-1 every split is a stage-1
+    # cut-loop round at the empty state, over the 4 states of a one-build
+    # budget; an audit that flags once runs one probe.  The counters are
+    # deterministic and in to_json()
+    inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1)
+    audit = reformulate.audit_dual_bounds
+
+    def solve():
+        flagged = []
+
+        def audit_once(lay, x):
+            if not flagged:
+                flagged.append(1)
+                return lay.audit_families[0]
+            return audit(lay, x)
+
+        monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
+        return run(inst, 3, SddipConfig(max_iters=3, bound_mode="lb"))
+
+    rep = solve()
+    counters = rep.counters
+    assert set(counters) == {"split_solves", "split_blocks", "split_fallbacks", "dual_probes"}
+    assert counters["split_solves"] > rep.iterations
+    assert counters["split_blocks"] == 4 * counters["split_solves"]
+    assert (counters["split_fallbacks"], counters["dual_probes"]) == (0, 1)
+    assert json.loads(rep.to_json())["counters"] == counters
+    assert solve().to_json() == rep.to_json()
