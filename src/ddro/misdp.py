@@ -3,37 +3,30 @@
 Two complementary routes around the mixed-integer SDP:
 
 * a lower-bound route that outer-approximates the PSD cones with
-  eigenvector rows v' M v >= 0, in one cut loop with three phases:
+  eigenvector rows v' M v >= 0.  The engine seeds each stage model
+  with the rows of add_dd_star_rows, fixed directions that hold on every
+  PSD block (so the model stays an outer approximation, and every bound
+  it gives keeps its proof), and solve_misdp_outer then cuts in a loop
+  of two phases:
 
-  1. root: solve the LP relaxation and cut every eigenpair of every
-     block below -EIGEN_CUT_TOL * max(1, max|block entry|), the scale
-     PSD_AUDIT_REL uses, until no block violates that or the LP is not
-     optimal.  The tolerance scales with the block because stage blocks
-     hold entries up to about 1e6: under the absolute tolerance, the
-     first stage-1 root phase of the benchmark's pattern 3-4 (seed 1)
-     ran 70 LPs, and its last 22 cut violations of 1.5e-6...2.8e-2 that
-     moved the LP objective by 1.3e-10 relative; the scaled rule stops
-     it after 48.  Root cuts only speed the loop up, and any subset of
-     them leaves a valid relaxation, so the phases below keep the
-     absolute tolerance;
-  2. MILP rounds: solve the MILP, stop when no block has an eigenvalue
+  1. MILP rounds: solve the MILP, stop when no block has an eigenvalue
      below -EIGEN_CUT_TOL, else cut the smallest eigenpair of each
      violating block.  A caller may solve each round's MILP its own way
      (the split hook of solve_misdp_outer): the engine splits a stage
      model at a pinned state on its facility states, so a round is one
      root-only batch of copies with the binaries fixed, whose least
      value is the MILP's optimum;
-  3. fixed-integer polish: after each MILP round, rerun the LP phase on
-     a copy with the integer columns fixed at the rounded incumbent,
-     appending its cuts to the MILP model too.
+  2. fixed-integer polish: after each MILP round, solve the LP on a
+     copy with the integer columns fixed at the rounded incumbent and
+     cut every eigenpair below -EIGEN_CUT_TOL, appending its cuts to the
+     MILP model too, until its blocks clear the tolerance.
 
   Most cuts thus come from LPs, and branch-and-bound re-solves only
   confirm them (the root-node cutting of Gally, Pfetsch & Ulbrich, 2018,
-  and Kobayashi & Takano, 2020).  Each LP phase is Kelley's (1960)
-  loop on one lpmilp.WarmLp: the LP stays loaded, and each round adds
-  its cuts and restarts dual simplex from the last basis.  A model with
-  no integer columns skips phases 1 and 3: its MILP already is the LP;
-  and
+  and Kobayashi & Takano, 2020).  The LP phase is Kelley's (1960) loop
+  on one lpmilp.WarmLp: the LP stays loaded, and each round adds its
+  cuts and restarts dual simplex from the last basis.  A model with no
+  integer columns skips phase 2: its MILP already is the LP; and
 
 * an upper-bound route that inner-approximates each cone by the
   diagonally dominant matrices DD(I), written as plain linear rows on
@@ -54,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .linalg import SymMatrix, min_eigenpair
 from .lpmilp import (CONTINUOUS, OPTIMAL, LinearModel, NumericalFailure, Solution,
                      WarmLp, solve_milp)
@@ -76,15 +68,24 @@ class InnerApproxViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class PsdBlockRef:
-    """Column map of one symmetric matrix block inside a LinearModel."""
+    """Column map of one symmetric matrix block inside a LinearModel;
+    cols must be a square, symmetric map, or construction raises
+    ValueError."""
 
     name: str
     dim: int
     cols: np.ndarray  # (dim, dim) int array of column ids
 
+    def __post_init__(self) -> None:
+        cols = np.asarray(self.cols)
+        if cols.shape != (self.dim, self.dim):
+            raise ValueError(f"block {self.name}: expected a ({self.dim}, {self.dim}) "
+                             f"column map, got shape {cols.shape}")
+        if not np.array_equal(cols, cols.T):
+            raise ValueError(f"block {self.name}: column map is not symmetric")
+
     def assemble(self, x: np.ndarray) -> SymMatrix:
-        """The block's value at x; cols is a symmetric map, so this
-        raises ValueError on one that is not."""
+        """The block's value at x."""
         return SymMatrix(x[self.cols])
 
     def quadratic_form_coeffs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,6 +95,29 @@ class PsdBlockRef:
         return self.cols.ravel(), np.outer(v, v).ravel()
 
 
+def dd_star_directions(d: int) -> np.ndarray:
+    """The fixed directions e_i, then e_i + e_j and e_i - e_j for i < j,
+    as the d + d(d-1) rows of an array, unnormalized.  The rows
+    v' M v >= 0 over them describe the dual of the diagonally dominant
+    cone, DD* (Ahmadi & Majumdar, DSOS and SDSOS optimization, 2019)."""
+    eye = np.eye(d)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return np.array([*eye, *(eye[i] + s * eye[j] for i, j in pairs for s in (1.0, -1.0))])
+
+
+def add_dd_star_rows(model: LinearModel, blocks) -> None:
+    """Append v' M v >= 0 for every block and every v of
+    dd_star_directions, the seed rows of the outer route.  Each holds on
+    every PSD block, so the model stays an outer approximation; with the
+    shared off-diagonal column of a symmetric block, each row's
+    coefficients are 1 and +-2."""
+    for block in blocks:
+        for n, v in enumerate(dd_star_directions(block.dim)):
+            cols, vals = block.quadratic_form_coeffs(v)
+            model.add_row((cols[vals != 0], vals[vals != 0]), ">=", 0.0,
+                          name=f"ddstar_{block.name}_{n}")
+
+
 def solve_misdp_outer(model: LinearModel, blocks, split=None) -> Solution:
     """Eigen-cut outer approximation loop (phases in the module
     docstring); the returned objective is a valid lower bound on the
@@ -101,21 +125,20 @@ def solve_misdp_outer(model: LinearModel, blocks, split=None) -> Solution:
 
     Each MILP round solves the model by split(model) where that returns
     a Solution, a solve with the model's optimum as its objective, else
-    by solve_milp, looked up in this module at each call.
+    by solve_milp, looked up in this module at each call.  The first LP
+    runs after the first MILP round, so seed rows the model carries
+    (add_dd_star_rows) are what shape that round.
 
     The model is mutated in place: every row appended is a cut
     v' M v >= 0, valid for subsequent solves with different objectives
     over the same feasible set, so the cuts are the model's rows past
     its row count on entry.  LP and MILP solves both count against
     MAX_CUT_ROUNDS_OUTER; a block eigenvalue below -EIGEN_CUT_TOL is cut,
-    in the root phase only one below -EIGEN_CUT_TOL * max(1, max|entry|),
     and the blocks of an optimal solution returned clear -EIGEN_CUT_TOL.
     """
     max_rounds = MAX_CUT_ROUNDS_OUTER
     integer_cols = [j for j, kind in enumerate(model.integrality) if kind != CONTINUOUS]
     rounds = 0
-    if integer_cols:
-        rounds = _lp_cut_phase(model, (model,), blocks, max_rounds, scaled=True)
     while rounds < max_rounds:
         rounds += 1
         sol = (split and split(model)) or solve_milp(model)
@@ -138,12 +161,11 @@ def solve_misdp_outer(model: LinearModel, blocks, split=None) -> Solution:
     raise CutLoopLimit(f"no PSD convergence after {max_rounds} rounds")
 
 
-def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int, scaled: bool = False) -> int:
+def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int) -> int:
     """Solve the continuous relaxation of `lp` and cut every eigenpair
     below -EIGEN_CUT_TOL of every block into each model of `targets`, until no
-    block violates, the LP is not optimal, or `budget` solves are spent;
-    `scaled` scales the tolerance by max(1, max|block entry|), block by
-    block.  Returns the number of LP solves."""
+    block violates, the LP is not optimal, or `budget` solves are spent.
+    Returns the number of LP solves."""
     warm = WarmLp(lp)
     for used in range(1, budget + 1):
         try:
@@ -154,21 +176,14 @@ def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int, scaled: bool = 
             return used
         found = False
         for block in blocks:
-            value = block.assemble(sol.x)
-            tol = EIGEN_CUT_TOL * (_entry_scale(value) if scaled else 1.0)
-            for lam, v in linalg.sym_eig(value):
-                if lam >= -tol:
-                    break
-                _append_cut(targets, block, v)
+            # cols is a symmetric map (PsdBlockRef), so the block is symmetric
+            lams, vecs = np.linalg.eigh(sol.x[block.cols])
+            for n in np.flatnonzero(lams < -EIGEN_CUT_TOL):
+                _append_cut(targets, block, vecs[:, n])
                 found = True
         if not found:
             return used
     return budget
-
-
-def _entry_scale(value: SymMatrix) -> float:
-    """max(1, max|entry|) of a block value."""
-    return max(1.0, float(np.abs(value.entries).max()))
 
 
 def _append_cut(models, block: PsdBlockRef, v: np.ndarray) -> None:
@@ -227,7 +242,7 @@ def audit_inner_psd(blocks, x: np.ndarray) -> None:
     for block in blocks:
         value = block.assemble(x)
         lam = min_eigenpair(value)[0]
-        scale = _entry_scale(value)
+        scale = max(1.0, float(np.abs(value.entries).max()))
         if lam < -PSD_AUDIT_REL * scale:
             raise InnerApproxViolation(
                 f"inner-approximation block {block.name} has min eigenvalue "

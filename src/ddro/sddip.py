@@ -269,13 +269,16 @@ class StageOracle:
     sides of the realization, and the bounds of z -- pinned at the state,
     or, for the Lagrangian relaxation, free in [0, 1] with costs -pi.
     On the "ub" route the kept model carries the DD rows of its PSD
-    blocks, written once when it is compiled.  Each solve appends only
-    what the kept model lacks: for the cut rows, a copy extended by the
-    pool's cuts is kept while the number of cuts in the stage's pool is
-    unchanged; the eigen rows of the "lb" route, stored as the cut loop
-    appended them, are replayed per solve.  The solved model equals a
-    fresh build that adds the stage block, the DD rows, the cuts and the
-    eigen rows in that order.
+    blocks, and on the "lb" route their seed rows
+    (misdp.add_dd_star_rows), the fixed DD* directions that start the
+    cut loop, written once when it is compiled; seed rows are not eigen
+    rows, and eigen_cuts_per_stage does not count them.  Each solve
+    appends only what the kept model lacks: for the cut rows, a copy
+    extended by the pool's cuts is kept while the number of cuts in the
+    stage's pool is unchanged; the eigen rows of the "lb" route, stored
+    as the cut loop appended them, are replayed per solve.  The solved
+    model equals a fresh build that adds the stage block, the DD or seed
+    rows, the cuts and the eigen rows in that order.
     The stage cache holds one entry per pinned solve, keyed on the
     model it solved: (t, k, state, cuts in the pool of stage t+1, eigen
     rows of the solved model).  On the "lb" route the cut loop appends
@@ -466,8 +469,8 @@ class StageOracle:
     def _stage_model(self, t: int, k: int, x_prev, pi, dual_bound: float):
         """(model, layout, PSD blocks) of one stage-t solve at big-M
         dual_bound: a copy of the kept model (DD rows included on the "ub"
-        route) with the pool's cuts, the eigen rows found so far, the data
-        of (k, x_prev) and the costs -pi."""
+        route, seed rows on the "lb" route) with the pool's cuts, the eigen
+        rows found so far, the data of (k, x_prev) and the costs -pi."""
         inst = self.inst
         comp = self._compiled.get((t, dual_bound))
         if comp is None:
@@ -476,6 +479,8 @@ class StageOracle:
                 risk=self.risk_spec(t), dual_bound=dual_bound)
             if self.config.bound_mode == "ub" and blocks:
                 model = misdp.add_dd_inner_general(model, blocks)
+            elif self.config.bound_mode == "lb" and blocks:
+                misdp.add_dd_star_rows(model, blocks)
             model.validate()
             comp = self._compiled[(t, dual_bound)] = _Compiled(model, lay, blocks)
         cuts = self.pool.num_cuts(t + 1)

@@ -9,9 +9,10 @@ from ddro.ambiguity import AmbiguityType, worst_case
 from ddro.bench import (TYPE3_PATTERNS, enumerate_two_stage, exact_multistage_value,
                         make_pattern_instance, stretch_to_three_stages)
 from ddro.linalg import min_eigenpair
-from ddro.lpmilp import BINARY, INFEASIBLE, OPTIMAL, LinearModel, solve_milp
-from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef,
-                        add_dd_inner_general, audit_inner_psd, solve_misdp_outer)
+from ddro.lpmilp import BINARY, INFEASIBLE, OPTIMAL, LinearModel, WarmLp, solve_milp
+from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef, add_dd_inner_general,
+                        add_dd_star_rows, audit_inner_psd, dd_star_directions,
+                        solve_misdp_outer)
 from ddro.model import replace_fields
 from ddro.reformulate import freeze_stage
 from ddro.sddip import run_type3_bounds
@@ -42,15 +43,48 @@ def test_psd_block_quadratic_coeffs():
     assert row[c] == 4.0
 
 
-def test_psd_block_assemble_rejects_an_asymmetric_map():
+def test_psd_block_rejects_an_asymmetric_map():
     # a symmetric map reads a symmetric block; one with a distinct column
-    # per off-diagonal position raises, however small the difference
+    # per off-diagonal position, or of the wrong shape, raises when built
     _, block, (a, b, c) = _block_model()
     x = np.array([1.0, 2.0, 3.0, 2.0 + 1e-9])
     assert block.assemble(x).entries.tolist() == [[1.0, 2.0], [2.0, 3.0]]
-    split = PsdBlockRef("Z", 2, np.array([[a, b], [3, c]]))
     with pytest.raises(ValueError, match="not symmetric"):
-        split.assemble(x)
+        PsdBlockRef("Z", 2, np.array([[a, b], [3, c]]))
+    with pytest.raises(ValueError, match="shape"):
+        PsdBlockRef("Z", 3, np.array([[a, b], [b, c]]))
+
+
+def _sym_block(d):
+    """A d x d block over d(d+1)/2 free columns, one per entry a <= b."""
+    m = LinearModel()
+    cols = np.zeros((d, d), dtype=int)
+    for a in range(d):
+        for b in range(a, d):
+            cols[a, b] = cols[b, a] = m.add_var(-np.inf, np.inf)
+    return m, PsdBlockRef("Z", d, cols)
+
+
+def test_dd_star_rows_hold_on_psd_blocks():
+    # d + d(d-1) rows per block, coefficients exactly 1 and +-2, and
+    # every row holds at random PSD matrices, singular ones included
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 3, 4):
+        m, block = _sym_block(d)
+        add_dd_star_rows(m, [block])
+        assert m.num_rows == d + d * (d - 1) == len(dd_star_directions(d))
+        rows = csr_matrix(m)
+        assert set(rows.data) <= {1.0, 2.0, -2.0}
+        for rank in range(1, d + 1):
+            f = rng.normal(size=(d, rank))
+            x = np.zeros(m.num_vars)
+            x[block.cols] = f @ f.T
+            assert (rows @ x >= -1e-12 * np.abs(x).max()).all()
+    m, block = _sym_block(2)
+    add_dd_star_rows(m, [block])
+    x = np.zeros(m.num_vars)
+    x[block.cols] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues 3 and -1
+    assert (csr_matrix(m) @ x < 0).any()
 
 
 def test_outer_no_cuts_when_already_psd():
@@ -194,26 +228,33 @@ def test_outer_cuts_on_lps_before_branch_and_bound(monkeypatch):
     assert len(calls) < 43
 
 
-def test_root_lp_phase_stops_at_the_block_scale(monkeypatch):
-    # a = b = 1000 fixed, c >= 1000 - 2e-4 minimized: the root LP's block
-    # has a smallest eigenvalue of about -1e-4, below -EIGEN_CUT_TOL but
-    # above -EIGEN_CUT_TOL * 1000, so the root phase cuts nothing; the
-    # MILP rounds cut it, and the blocks returned clear -EIGEN_CUT_TOL
+def test_first_lp_runs_after_the_first_milp_round(monkeypatch):
+    # a = b = 1000 fixed, c >= 1000 - 2e-4 minimized: the block's smallest
+    # eigenvalue starts at about -1e-4; the first MILP round comes before
+    # any LP, its cut is polished on the fixed-integer LP, and the blocks
+    # returned clear -EIGEN_CUT_TOL
     m = LinearModel()
     a = m.add_var(1000.0, 1000.0)
     b = m.add_var(1000.0, 1000.0)
     c = m.add_var(1000.0 - 2e-4, 2000.0, obj=1.0)
-    m.add_var(0.0, 1.0, BINARY, obj=1.0)  # an integer column: the LP phases run
+    m.add_var(0.0, 1.0, BINARY, obj=1.0)  # an integer column: the LP phase runs
     block = PsdBlockRef("Z", 2, np.array([[a, b], [b, c]]))
     x = np.array([1000.0, 1000.0, 1000.0 - 2e-4, 0.0])
     lam = min_eigenpair(block.assemble(x))[0]
     assert -1e-3 < lam < -EIGEN_CUT_TOL
-    rows_at_milp = []
+    solves = []
+
+    class CountedLp(WarmLp):
+        def solve(self):
+            solves.append("lp")
+            return super().solve()
+
+    monkeypatch.setattr(misdp, "WarmLp", CountedLp)
     monkeypatch.setattr(misdp, "solve_milp",
-                        lambda model: rows_at_milp.append(model.num_rows) or solve_milp(model))
+                        lambda model: solves.append("milp") or solve_milp(model))
     sol = solve_misdp_outer(m, [block])
     assert sol.status == OPTIMAL
-    assert rows_at_milp[0] == 0 < m.num_rows
+    assert solves[0] == "milp" and "lp" in solves
     assert min_eigenpair(block.assemble(sol.x))[0] >= -EIGEN_CUT_TOL
     assert abs(sol.objective - 1000.0) <= 1e-9 * 1000.0
 

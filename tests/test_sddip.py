@@ -1171,8 +1171,8 @@ def test_config_json_must_be_an_object():
 
 def _fresh_model(oracle, t, k, x_prev, pi, dual_bound):
     """The stage-t model of one solve built from scratch: the builder, the
-    DD copy ("ub"), the pool's cuts (add_cut_rows), the eigen rows, and
-    the z-copy costs -pi."""
+    DD copy ("ub") or the seed rows ("lb"), the pool's cuts
+    (add_cut_rows), the eigen rows, and the z-copy costs -pi."""
     inst = oracle.inst
     xi = inst.stage_support(t)[k]
     if t == inst.T:
@@ -1183,6 +1183,8 @@ def _fresh_model(oracle, t, k, x_prev, pi, dual_bound):
                                          risk=oracle.risk_spec(t), dual_bound=dual_bound)
         if oracle.config.bound_mode == "ub":
             model = misdp.add_dd_inner_general(model, blocks)
+        elif blocks:
+            misdp.add_dd_star_rows(model, blocks)
         add_cut_rows(model, lay, oracle.pool.rows_for_stage_model(t))
         for row in oracle._eigen_rows.get(t, []):
             model.add_row(row, ">=", 0.0)
@@ -1271,6 +1273,25 @@ def test_patched_stage_models_equal_fresh_builds(label, make, ttype, mode, risk)
     # solving patched copies leaves the kept model as it was built
     oracle.solve_stage(1, 0, np.zeros(inst.I))
     assert lp_text(oracle._compiled[(1, M)].model) == kept_text
+
+
+@pytest.mark.parametrize("label, make, ttype, mode, risk", EQUIVALENCE_CASES,
+                         ids=[case[0] for case in EQUIVALENCE_CASES])
+def test_seed_rows_only_on_lb_kept_models(label, make, ttype, mode, risk):
+    # the "lb" route compiles the DD* seed rows into each kept model with
+    # PSD blocks, d + d(d-1) per block, and counts none as an eigen row;
+    # the "ub" route and Type 1/2 models carry none
+    inst = make()
+    oracle = StageOracle(inst, ttype, SddipConfig(bound_mode=mode, risk=risk),
+                         CutPool(inst.T, inst.K))
+    for t in range(1, inst.T + 1):
+        model, _, blocks = oracle._stage_model(t, 0, np.zeros(inst.I), None,
+                                               oracle.dual_bound.value)
+        seeds = [n for n in model.row_names if n.startswith("ddstar_")]
+        want = sum(b.dim + b.dim * (b.dim - 1) for b in blocks) if mode == "lb" else 0
+        assert len(seeds) == want
+        assert bool(want) == (mode == "lb" and t < inst.T)
+    assert oracle._eigen_rows == {}
 
 
 def _stretched(pattern):
