@@ -28,8 +28,8 @@ from enum import IntEnum
 
 import numpy as np
 
-from .linalg import SymMatrix, min_eigenpair
 from .lpmilp import INFEASIBLE, OPTIMAL, LinearModel, solve_lp
+from .misdp import min_eigenpair
 from .model import Instance
 
 MAX_CUT_ROUNDS = 500
@@ -107,10 +107,10 @@ def type1_bounds(inst: Instance, x) -> tuple[np.ndarray, np.ndarray]:
     return l, u
 
 
-def decision_moments_type23(inst: Instance, x) -> tuple[np.ndarray, SymMatrix]:
+def decision_moments_type23(inst: Instance, x) -> tuple[np.ndarray, np.ndarray]:
     """(mu(x), Sigma(x)) with Sigma(x) = Sigma_bar * (1 + sum_i lambda_cov_i x_i)."""
     scale = 1.0 + float(inst.lambda_cov @ np.asarray(x, dtype=float))
-    return mean_map(inst, x), SymMatrix(inst.Sigma_bar.entries * scale)
+    return mean_map(inst, x), inst.Sigma_bar * scale
 
 
 def _moment_matrix_type1(inst: Instance, stage: int) -> np.ndarray:
@@ -158,7 +158,7 @@ def _base_master(inst: Instance, ttype: AmbiguityType, x, stage: int,
             m.add_row((p, xi[:, j]), "=", float(mu_x[j]))
         for j in range(inst.J):
             for jp in range(j, inst.J):
-                m.add_row((p, dev[:, j] * dev[:, jp]), "=", float(sig_x.entries[j, jp]))
+                m.add_row((p, dev[:, j] * dev[:, jp]), "=", float(sig_x[j, jp]))
     elif ttype == AmbiguityType.TYPE3:
         m.add_row((p, np.ones(K)), "=", 1.0)
     else:
@@ -174,10 +174,9 @@ class _Type3Geometry:
 
     def __init__(self, inst: Instance, x, stage: int):
         self.xi = inst.stage_support(stage)
-        self.mu_x, sig = decision_moments_type23(inst, x)
-        self.sigma = sig.entries
+        self.mu_x, self.sigma = decision_moments_type23(inst, x)
         scale = max(1.0, float(np.abs(self.sigma).max()))
-        if min_eigenpair(sig)[0] <= 1e-10 * scale:
+        if min_eigenpair(self.sigma)[0] <= 1e-10 * scale:
             raise ValueError("Type 3 set needs a positive definite covariance map")
         self.gamma = inst.gamma
         dev = self.xi - self.mu_x[None, :]
@@ -192,7 +191,7 @@ class _Type3Geometry:
     def psd_gap(self, p: np.ndarray) -> tuple[float, np.ndarray]:
         """Smallest eigenvalue (and vector) of eta*Sigma(x) - sum_k p_k M_k."""
         a = self.eta_sigma - np.tensordot(p, self.outer, axes=1)
-        return min_eigenpair(SymMatrix.from_array(a))
+        return min_eigenpair((a + a.T) / 2.0)
 
     def add_ellipsoid_cut(self, m: LinearModel, p_cols, p_hat, slack_col=None):
         val, grad = self.ellipsoid_value_grad(p_hat)

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import sddip
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case
-from .linalg import SymMatrix
 from .lpmilp import OPTIMAL, solve_milp
 from .model import (Instance, build_stage_block, generate_instance, replace_fields,
                     validate_instance, zero_lambda)
@@ -226,7 +225,7 @@ def make_pattern_instance(pattern: Pattern, seed: int = 0, K: int = 10) -> Insta
         sigma_bar = np.full(J, 0.1)
         lam_S = np.tile(np.asarray(pattern.second_coeffs, dtype=float), (J, 1))
         lam_cov = np.full(I, 1.0 / I)
-        Sigma = SymMatrix(np.diag(sigma_bar**2))
+        Sigma = np.diag(sigma_bar**2)
         lo, hi = 1.0, float(mu_bar[0] * (1.0 + lam_max) + 5.0)
         base = np.linspace(lo, hi, K) + rng.uniform(-0.5, 0.5, K)
         xi2 = np.clip(base, 0.0, None).reshape(K, 1)
@@ -235,17 +234,17 @@ def make_pattern_instance(pattern: Pattern, seed: int = 0, K: int = 10) -> Insta
         sigma_bar = np.full(J, np.sqrt(10.0))
         lam_S = lam_mu.copy()
         lam_cov = np.asarray(pattern.second_coeffs, dtype=float)
-        Sigma = SymMatrix(np.full((J, J), 10.0))
+        Sigma = np.full((J, J), 10.0)
         lo, hi = 2.0, float(mu_bar[0] * (1.0 + lam_max) + 11.0)
         a = np.linspace(lo, hi, K) + rng.uniform(-0.4, 0.4, K)
         xi2 = np.clip(np.tile(a.reshape(K, 1), (1, J)), 0.0, None)
         gamma, eta = 10.0, 100.0
     else:
-        Sigma = SymMatrix(np.array([[0.1, 0.2], [0.2, 0.9]]))
-        sigma_bar = np.sqrt(np.diag(Sigma.entries))
+        Sigma = np.array([[0.1, 0.2], [0.2, 0.9]])
+        sigma_bar = np.sqrt(np.diag(Sigma))
         lam_S = lam_mu.copy()
         lam_cov = np.asarray(pattern.second_coeffs, dtype=float)
-        L = np.linalg.cholesky(Sigma.entries)
+        L = np.linalg.cholesky(Sigma)
         z = rng.standard_normal((K, J))
         # span from near-zero demand up to the inflated mean so the mean
         # ellipsoid binds differently across candidates

@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     except EmptyAmbiguity as exc:
         print(f"unbounded: {exc}", file=sys.stderr)
         return EXIT_UNBOUNDED
-    except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalFailure, DualAtBound, RuntimeError, AssertionError) as exc:

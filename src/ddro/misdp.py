@@ -47,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SymMatrix, min_eigenpair
 from .lpmilp import (CONTINUOUS, OPTIMAL, LinearModel, NumericalFailure, Solution,
                      WarmLp, solve_milp)
 
@@ -55,6 +54,12 @@ EIGEN_CUT_TOL = 1e-6
 MAX_CUT_ROUNDS_OUTER = 1000
 # Inner-approximation blocks may dip to -PSD_AUDIT_REL * max(1, max|entry|).
 PSD_AUDIT_REL = 1e-6
+
+
+def min_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue of a symmetric array and its unit eigenvector."""
+    lams, vecs = np.linalg.eigh(a)
+    return float(lams[0]), vecs[:, 0].copy()
 
 
 class CutLoopLimit(RuntimeError):
@@ -83,10 +88,6 @@ class PsdBlockRef:
                              f"column map, got shape {cols.shape}")
         if not np.array_equal(cols, cols.T):
             raise ValueError(f"block {self.name}: column map is not symmetric")
-
-    def assemble(self, x: np.ndarray) -> SymMatrix:
-        """The block's value at x."""
-        return SymMatrix(x[self.cols])
 
     def quadratic_form_coeffs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """v' M v as a (cols, vals) row over the block columns; a column
@@ -146,7 +147,7 @@ def solve_misdp_outer(model: LinearModel, blocks, split=None) -> Solution:
             return sol
         found = False
         for block in blocks:
-            lam, v = min_eigenpair(block.assemble(sol.x))
+            lam, v = min_eigenpair(sol.x[block.cols])
             if lam < -EIGEN_CUT_TOL:
                 _append_cut((model,), block, v)
                 found = True
@@ -240,9 +241,9 @@ def audit_inner_psd(blocks, x: np.ndarray) -> None:
     enforce the DD rows and the stage value is not an upper bound.
     """
     for block in blocks:
-        value = block.assemble(x)
+        value = x[block.cols]
         lam = min_eigenpair(value)[0]
-        scale = max(1.0, float(np.abs(value.entries).max()))
+        scale = max(1.0, float(np.abs(value).max()))
         if lam < -PSD_AUDIT_REL * scale:
             raise InnerApproxViolation(
                 f"inner-approximation block {block.name} has min eigenvalue "

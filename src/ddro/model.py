@@ -30,7 +30,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import SymMatrix, sym_eig
 from .lpmilp import BINARY, CONTINUOUS, INTEGER, LinearModel
 
 FORMAT_VERSION = "ddro-instance-v1"
@@ -56,7 +55,7 @@ class Instance:
     mu_bar: np.ndarray  # (J,) empirical means
     sigma_bar: np.ndarray  # (J,) empirical std devs
     rho_bar: float  # demand variation coefficient
-    Sigma_bar: SymMatrix  # (J, J) empirical covariance
+    Sigma_bar: np.ndarray  # (J, J) empirical covariance, exactly symmetric
     support: tuple  # support[0]: (1, J); support[t]: (K, J) for t >= 1
     lambda_mu: np.ndarray  # (J, I) first-moment impacts
     lambda_S: np.ndarray  # (J, I) second-moment impacts
@@ -95,13 +94,6 @@ def validate_instance(inst: Instance) -> None:
                 or not math.isfinite(val) or val < 0 or (strict and val == 0)):
             raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} 0, "
                              f"got {val!r}")
-    for fld in fields(Instance):
-        val = getattr(inst, fld.name)
-        if isinstance(val, str):
-            continue
-        parts = val if fld.name == "support" else (val,)
-        if not all(np.all(np.isfinite(getattr(p, "entries", p))) for p in parts):
-            raise ValueError(f"{fld.name} entries must be finite")
     if min(inst.T, inst.I, inst.J, inst.K) < 1:
         raise ValueError("dimensions must be >= 1")
     T, I, J = inst.T, inst.I, inst.J
@@ -112,11 +104,17 @@ def validate_instance(inst: Instance) -> None:
               "risk_lambda": (T,), "risk_alpha": (T,)}
     for name, shape in shapes.items():
         val = getattr(inst, name)
-        got = np.shape(getattr(val, "entries", val))
+        if not np.all(np.isfinite(val)):
+            raise ValueError(f"{name} entries must be finite")
+        got = np.shape(val)
         if got != shape:
             raise ValueError(f"{name} must have shape {shape}, got {got}")
+    if not np.array_equal(inst.Sigma_bar, inst.Sigma_bar.T):
+        raise ValueError("Sigma_bar must be symmetric")
     if len(inst.support) != inst.T or inst.support[0].shape != (1, inst.J):
         raise ValueError("support must hold T stages with a singleton stage 1")
+    if not all(np.all(np.isfinite(arr)) for arr in inst.support):
+        raise ValueError("support entries must be finite")
     for t in range(1, inst.T):
         if inst.support[t].shape != (inst.K, inst.J):
             raise ValueError(f"stage {t + 1} support must be K x J")
@@ -133,8 +131,8 @@ def validate_instance(inst: Instance) -> None:
         raise ValueError("risk_alpha entries must lie in (0, 1)")
     if inst.y_integrality not in ("integer", "continuous"):
         raise ValueError("y_integrality must be 'integer' or 'continuous'")
-    scale = max(1.0, float(np.abs(inst.Sigma_bar.entries).max()))
-    if sym_eig(inst.Sigma_bar)[0][0] < -1e-8 * scale:
+    scale = max(1.0, float(np.abs(inst.Sigma_bar).max()))
+    if np.linalg.eigvalsh(inst.Sigma_bar)[0] < -1e-8 * scale:
         raise ValueError("Sigma_bar must be positive semidefinite")
 
 
@@ -207,9 +205,10 @@ def generate_instance(seed: int, T: int, I: int, J: int, K: int, rho_bar: float,
             support.append(rng.lognormal(np.log(mu_bar), rho_bar * np.log(mu_bar), (K, J)))
     pooled = np.vstack(support[1:]) if T > 1 else np.empty((0, J))
     if pooled.shape[0] > 1:
-        Sigma_bar = SymMatrix.from_array(np.atleast_2d(np.cov(pooled, rowvar=False, ddof=1)))
+        cov = np.atleast_2d(np.cov(pooled, rowvar=False, ddof=1))
+        Sigma_bar = (cov + cov.T) / 2.0
     else:
-        Sigma_bar = SymMatrix(np.diag(sigma_bar**2))
+        Sigma_bar = np.diag(sigma_bar**2)
     inst = Instance(
         T=T, I=I, J=J, K=K,
         facility_xy=facility_xy, customer_xy=customer_xy,
@@ -251,14 +250,9 @@ def to_json(inst: Instance) -> str:
     doc = {"version": FORMAT_VERSION}
     for fld in fields(Instance):
         val = getattr(inst, fld.name)
-        if isinstance(val, np.ndarray):
-            doc[fld.name] = val.tolist()
-        elif isinstance(val, SymMatrix):
-            doc[fld.name] = val.entries.tolist()
-        elif fld.name == "support":
-            doc[fld.name] = [arr.tolist() for arr in val]
-        else:
-            doc[fld.name] = val
+        if fld.name == "support":
+            val = [arr.tolist() for arr in val]
+        doc[fld.name] = val.tolist() if isinstance(val, np.ndarray) else val
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
@@ -268,23 +262,31 @@ def from_json(text: str) -> Instance:
         raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported instance format: {doc.get('version')!r}")
-    kwargs = {}
-    for fld in fields(Instance):
-        raw = doc[fld.name]
-        if fld.name == "support":
-            kwargs[fld.name] = tuple(np.array(a, dtype=float) for a in raw)
-        elif fld.name == "Sigma_bar":
-            kwargs[fld.name] = SymMatrix(np.array(raw, dtype=float))
-        elif isinstance(raw, list):
-            kwargs[fld.name] = np.array(raw, dtype=float)
-        else:
-            kwargs[fld.name] = raw
+    kwargs = {fld.name: _float_array(fld.name, doc[fld.name]) if fld.type == "np.ndarray"
+              else doc[fld.name] for fld in fields(Instance)}
+    if not isinstance(kwargs["support"], list):
+        raise ValueError("support must be a list of stage arrays")
+    kwargs["support"] = tuple(_float_array(f"support stage {t}", a)
+                              for t, a in enumerate(kwargs["support"], 1))
     for name in ("T", "I", "J", "K"):
         if isinstance(kwargs[name], bool) or not isinstance(kwargs[name], int):
             raise ValueError(f"{name} must be an integer, got {kwargs[name]!r}")
     inst = Instance(**kwargs)
     validate_instance(inst)
     return inst
+
+
+def _float_array(name: str, raw) -> np.ndarray:
+    """A JSON array of numbers as a float array; null, a number, an
+    object, a string, or an array that is ragged or holds anything but
+    numbers, in its place is a ValueError naming the field."""
+    try:
+        arr = np.array(raw) if isinstance(raw, list) else None
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of numbers")
+    return arr.astype(float)
 
 
 def load_instance(path) -> Instance:

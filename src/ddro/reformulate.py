@@ -321,7 +321,7 @@ def hull_directions(inst: Instance, t: int) -> np.ndarray:
     from numpy's SVD.  Empty for a support of full rank."""
     xi = inst.stage_support(t + 1)
     a = np.vstack([xi[1:] - xi[0], inst.mu_bar - xi[0],
-                   (inst.mu_bar[:, None] * inst.lambda_mu).T, inst.Sigma_bar.entries])
+                   (inst.mu_bar[:, None] * inst.lambda_mu).T, inst.Sigma_bar])
     _, sv, vt = np.linalg.svd(a)
     return vt[int(np.sum(sv > HULL_RANK_REL * max(1.0, float(np.abs(a).max())))):]
 
@@ -375,7 +375,7 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi,
     m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
     J, K = inst.J, inst.K
-    sig = inst.Sigma_bar.entries
+    sig = inst.Sigma_bar
     s = m.add_var(-np.inf, np.inf, obj=1.0, name="s")
     u = m.add_vars(J, -M, M, prefix="u_")
     Y = _pair_vars(m, J, -M, M, "Y_")
@@ -421,7 +421,7 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi,
     m, lay, M = _start_stage(inst, t, x_prev, xi, dual_bound)
     x = lay.x
     J, K = inst.J, inst.K
-    sig = inst.Sigma_bar.entries
+    sig = inst.Sigma_bar
     eta = inst.eta_cov
     s = m.add_var(-np.inf, np.inf, obj=1.0, name="s")
     z1 = _pair_vars(m, J, -M, M, "z1_")

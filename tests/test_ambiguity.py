@@ -8,7 +8,6 @@ from ddro import ambiguity
 from ddro.ambiguity import (AmbiguityType, EmptyAmbiguity, NonConvergence, RiskSpec,
                             WorstCase, decision_moments_type23, is_nonempty, mean_map,
                             type1_bounds, type3_slater_slack, worst_case)
-from ddro.linalg import SymMatrix, sym_eig
 from ddro.model import generate_instance, replace_fields
 
 
@@ -26,7 +25,7 @@ def table_pattern_instance():
         lambda_S=np.array([[0.5, 0.5, 0.5]]),
         eps_mu=np.array([5.0]),
         eps_S_lo=np.array([0.5]), eps_S_hi=np.array([1.5]),
-        Sigma_bar=SymMatrix(np.array([[0.01]])),
+        Sigma_bar=np.array([[0.01]]),
     )
 
 
@@ -58,16 +57,16 @@ def test_decision_moments_scaling():
     inst = make_inst(J=2)
     mu0, sig0 = decision_moments_type23(inst, np.zeros(3))
     assert np.allclose(mu0, inst.mu_bar)
-    assert np.allclose(sig0.entries, inst.Sigma_bar.entries)
+    assert np.allclose(sig0, inst.Sigma_bar)
     _, sig_all = decision_moments_type23(inst, np.ones(3))
-    assert np.allclose(sig_all.entries, 2.0 * inst.Sigma_bar.entries)
+    assert np.allclose(sig_all, 2.0 * inst.Sigma_bar)
     for i in range(3):
         e = np.zeros(3)
         e[i] = 1.0
         _, sig_i = decision_moments_type23(inst, e)
         scale = 1.0 + inst.lambda_cov[i]
-        base = np.array([lam for lam, _ in sym_eig(inst.Sigma_bar)])
-        ours = np.array([lam for lam, _ in sym_eig(sig_i)])
+        base = np.linalg.eigvalsh(inst.Sigma_bar)
+        ours = np.linalg.eigvalsh(sig_i)
         assert np.allclose(ours, scale * base, atol=1e-8)
 
 
@@ -81,7 +80,7 @@ def _tiny_type1(support, mu=10.0, eps_mu=1.0):
         eps_mu=np.array([eps_mu]),
         eps_S_lo=np.array([0.0]), eps_S_hi=np.array([1000.0]),
         lambda_mu=np.zeros((1, 3)), lambda_S=np.zeros((1, 3)),
-        Sigma_bar=SymMatrix(np.array([[1.0]])),
+        Sigma_bar=np.array([[1.0]]),
         support=(np.array([[mu]]), np.array(support, dtype=float).reshape(K, 1)),
     )
 
@@ -141,7 +140,7 @@ def test_type2_singleton_exact_match():
     inst = replace_fields(
         inst,
         support=(inst.support[0], inst.mu_bar.reshape(1, 1).copy()),
-        Sigma_bar=SymMatrix(np.array([[0.0]])),
+        Sigma_bar=np.array([[0.0]]),
         lambda_mu=np.zeros((1, 3)), lambda_S=np.zeros((1, 3)),
         lambda_cov=np.zeros(3),
     )
@@ -159,7 +158,7 @@ def _moment_matched_instance(seed=5, J=2, K=15):
     dev = draws - mu[None, :]
     sig = (dev.T @ dev) / K
     return replace_fields(inst, mu_bar=mu, sigma_bar=np.sqrt(np.diag(sig)),
-                          Sigma_bar=SymMatrix.from_array(sig))
+                          Sigma_bar=(sig + sig.T) / 2.0)
 
 
 def test_type2_feasibility_implies_type3():
@@ -236,7 +235,7 @@ def test_nonempty_agrees_with_brute_force():
 def test_type3_worst_case_vs_grid():
     inst = _tiny_type1([8.0, 10.0, 12.0])
     inst = replace_fields(inst, gamma=0.5, eta_cov=1.5,
-                          Sigma_bar=SymMatrix(np.array([[2.0]])))
+                          Sigma_bar=np.array([[2.0]]))
     q = np.array([0.0, 0.0, 1.0])
     x0 = np.zeros(3)
     xi = np.array([8.0, 10.0, 12.0])

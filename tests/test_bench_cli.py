@@ -9,7 +9,6 @@ from ddro import bench, cli, sddip
 from ddro.bench import (ExperimentSpec, enumerate_two_stage,
                         exact_multistage_value, make_pattern_instance,
                         run_experiment, solve_didr, spec_from_json)
-from ddro.linalg import SymMatrix
 from ddro.model import (from_json, generate_instance, load_instance,
                         replace_fields, save_instance, to_json, zero_lambda)
 
@@ -185,7 +184,7 @@ def _empty_ambiguity_instance():
         inst,
         mu_bar=np.array([10.0]), sigma_bar=np.array([1.0]),
         eps_mu=np.array([1.0]), lambda_mu=np.zeros((1, 3)),
-        lambda_S=np.zeros((1, 3)), Sigma_bar=SymMatrix(np.array([[1.0]])),
+        lambda_S=np.zeros((1, 3)), Sigma_bar=np.array([[1.0]]),
         support=(np.array([[10.0]]),
                  np.array([[20.0], [21.0], [22.0], [23.0]])),
     )
@@ -348,13 +347,40 @@ def test_cli_rejects_malformed_instance_files(tmp_path, capsys):
     # a scalar that is not a finite real number, is a bool or is out of
     # range is rejected by name, not solved or left to a TypeError
     for name, val in (("N", [100, 100]), ("N", -3.0), ("gamma", -5.0), ("gamma", True),
-                      ("rho_bar", "x"), ("eta_cov", -1.0)):
+                      ("rho_bar", "x"), ("eta_cov", -1.0), ("y_integrality", None)):
         path.write_text(json.dumps({**doc, name: val}))
         for cmd in (["solve", "--type", "1"], ["export-lp", "--type", "1", "--out",
                                                str(tmp_path / "m.lp")]):
             assert cli.main(cmd + ["--instance", str(path)]) == 1, (name, val)
             err = capsys.readouterr().err
             assert err.startswith(f"validation error: {name} "), (name, val, err)
+    # an array field that is null, an object, a string or a number, or a
+    # support that is not a list, is rejected by name, not left to a
+    # TypeError of isfinite
+    for name, val in (("R", None), ("f", None), ("Sigma_bar", None), ("R", {"a": 1}),
+                      ("lambda_mu", "x"), ("c", 5), ("Sigma_bar", [[1.0], "x"]),
+                      ("R", ["100"]), ("eps_mu", [True]), ("mu_bar", [{"a": 1}]),
+                      ("support", None), ("support", 5), ("support", "x"),
+                      ("support", [doc["support"][0], None])):
+        path.write_text(json.dumps({**doc, name: val}))
+        for cmd in (["solve", "--type", "1"], ["export-lp", "--type", "1", "--out",
+                                               str(tmp_path / "m.lp")]):
+            assert cli.main(cmd + ["--instance", str(path)]) == 1, (name, val)
+            err = capsys.readouterr().err
+            assert err.startswith(f"validation error: {name} "), (name, val, err)
+            assert "Traceback" not in err, (name, val)
+
+
+def test_cli_rejects_a_directory_as_a_file_path(tmp_path, capsys):
+    # a directory where a command reads or writes a file is a validation
+    # error, not an IsADirectoryError traceback
+    capsys.readouterr()
+    for cmd in (["solve", "--instance", str(tmp_path), "--type", "1"],
+                ["bench", "--spec", str(tmp_path), "--out-dir", str(tmp_path / "arts")],
+                ["gen", "--seed", "1", "--out", str(tmp_path)]):
+        assert cli.main(cmd) == 1, cmd
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err, (cmd, err)
 
 
 def test_cli_bench_rejects_malformed_specs(tmp_path, capsys):

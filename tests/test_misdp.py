@@ -8,11 +8,10 @@ from ddro import misdp, sddip
 from ddro.ambiguity import AmbiguityType, worst_case
 from ddro.bench import (TYPE3_PATTERNS, enumerate_two_stage, exact_multistage_value,
                         make_pattern_instance, stretch_to_three_stages)
-from ddro.linalg import min_eigenpair
 from ddro.lpmilp import BINARY, INFEASIBLE, OPTIMAL, LinearModel, WarmLp, solve_milp
 from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef, add_dd_inner_general,
                         add_dd_star_rows, audit_inner_psd, dd_star_directions,
-                        solve_misdp_outer)
+                        min_eigenpair, solve_misdp_outer)
 from ddro.model import replace_fields
 from ddro.reformulate import freeze_stage
 from ddro.sddip import run_type3_bounds
@@ -48,7 +47,7 @@ def test_psd_block_rejects_an_asymmetric_map():
     # per off-diagonal position, or of the wrong shape, raises when built
     _, block, (a, b, c) = _block_model()
     x = np.array([1.0, 2.0, 3.0, 2.0 + 1e-9])
-    assert block.assemble(x).entries.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+    assert x[block.cols].tolist() == [[1.0, 2.0], [2.0, 3.0]]
     with pytest.raises(ValueError, match="not symmetric"):
         PsdBlockRef("Z", 2, np.array([[a, b], [3, c]]))
     with pytest.raises(ValueError, match="shape"):
@@ -108,7 +107,7 @@ def test_outer_drives_determinant_condition():
     sol = solve_misdp_outer(m, [block])
     assert sol.status == OPTIMAL
     assert abs(sol.objective - 1.0) <= 1e-5
-    assert min_eigenpair(block.assemble(sol.x))[0] >= -1e-6
+    assert min_eigenpair(sol.x[block.cols])[0] >= -1e-6
 
 
 def test_dd_inner_identity_feasibility():
@@ -149,7 +148,7 @@ def test_dd_inner_tiny_basis_matches_identity():
     m.set_objective(c, 2.0)
     sol = solve_milp(add_dd_inner_general(m, [block]))
     assert sol.status == OPTIMAL
-    assert min_eigenpair(block.assemble(sol.x))[0] >= -1e-9
+    assert min_eigenpair(sol.x[block.cols])[0] >= -1e-9
     assert abs(sol.objective - 3.0) <= 1e-7  # dd needs a >= 1 and c >= 1
 
 
@@ -188,7 +187,7 @@ def test_frozen_dual_sandwich_against_oracle():
         assert abs(outer.objective - oracle) <= 1e-3 * max(1.0, abs(oracle))
         # inner-approximation solutions have PSD blocks
         for b in blocks:
-            assert min_eigenpair(b.assemble(dd.x))[0] >= -1e-9
+            assert min_eigenpair(dd.x[b.cols])[0] >= -1e-9
 
 
 def _sandwich_models():
@@ -214,7 +213,7 @@ def test_outer_vectors_replay_in_one_milp_solve():
         assert sol.status == OPTIMAL
         assert abs(sol.objective - outer.objective) <= 1e-7 * max(1.0, abs(outer.objective))
         for b in blocks:
-            assert min_eigenpair(b.assemble(sol.x))[0] >= -EIGEN_CUT_TOL
+            assert min_eigenpair(sol.x[b.cols])[0] >= -EIGEN_CUT_TOL
 
 
 def test_outer_cuts_on_lps_before_branch_and_bound(monkeypatch):
@@ -240,7 +239,7 @@ def test_first_lp_runs_after_the_first_milp_round(monkeypatch):
     m.add_var(0.0, 1.0, BINARY, obj=1.0)  # an integer column: the LP phase runs
     block = PsdBlockRef("Z", 2, np.array([[a, b], [b, c]]))
     x = np.array([1000.0, 1000.0, 1000.0 - 2e-4, 0.0])
-    lam = min_eigenpair(block.assemble(x))[0]
+    lam = min_eigenpair(x[block.cols])[0]
     assert -1e-3 < lam < -EIGEN_CUT_TOL
     solves = []
 
@@ -255,7 +254,7 @@ def test_first_lp_runs_after_the_first_milp_round(monkeypatch):
     sol = solve_misdp_outer(m, [block])
     assert sol.status == OPTIMAL
     assert solves[0] == "milp" and "lp" in solves
-    assert min_eigenpair(block.assemble(sol.x))[0] >= -EIGEN_CUT_TOL
+    assert min_eigenpair(sol.x[block.cols])[0] >= -EIGEN_CUT_TOL
     assert abs(sol.objective - 1000.0) <= 1e-9 * 1000.0
 
 
@@ -294,6 +293,47 @@ def test_misdp_imports_no_engine_module():
             names.add((node.module or "").rsplit(".", 1)[-1])
             names.update(alias.name for alias in node.names)
     assert not names & {"sddip", "bench", "cli"}
+
+
+def test_dd_implies_psd():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        n = int(rng.integers(1, 7))
+        a = rng.standard_normal((n, n))
+        a = (a + a.T) / 2.0
+        # force diagonal dominance
+        np.fill_diagonal(a, np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+                         + rng.uniform(0, 1, n))
+        assert np.all(np.diag(a) >= np.abs(a).sum(axis=1) - np.abs(np.diag(a)))
+        assert min_eigenpair(a)[0] >= -1e-9
+
+
+def test_cholesky_iff_psd_cross_check():
+    # the PSD verdict of min_eigenpair agrees with an independent one: a
+    # Cholesky factorization (numpy's) succeeds exactly when the smallest
+    # eigenvalue clears the PSD tolerance, on a spread of clearly PSD /
+    # clearly indefinite cases
+    rng = np.random.default_rng(17)
+    n_checked = 0
+    for _ in range(1000):
+        n = int(rng.integers(1, 7))
+        psd = rng.random() < 0.5
+        a = rng.standard_normal((n, n))
+        m = a @ a.T if psd else a
+        m = (m + m.T) / 2.0
+        scale = max(1.0, np.abs(m).max())
+        lam_min, v = min_eigenpair(m)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        if abs(lam_min) <= 1e-8 * scale:
+            continue  # too close to the boundary to classify
+        try:
+            np.linalg.cholesky(m)
+            ok = True
+        except np.linalg.LinAlgError:
+            ok = False
+        assert ok == (lam_min >= -1e-10 * scale)
+        n_checked += 1
+    assert n_checked > 900
 
 
 def test_huge_radii_bounds_close():

@@ -89,6 +89,26 @@ def test_from_json_rejects_nan_support():
         from_json(json.dumps(doc))
 
 
+def test_sigma_bar_must_be_exactly_symmetric():
+    # Sigma_bar is a plain frozen array: one an ulp off symmetric is
+    # rejected by name, built in code or read from a file, and a generated
+    # one is exactly symmetric
+    for seed, J in ((2, 3), (5, 4), (8, 1)):
+        inst = generate_instance(seed, 3, 2, J, 6, 0.5)
+        assert np.array_equal(inst.Sigma_bar, inst.Sigma_bar.T)
+    with pytest.raises(ValueError):
+        inst.Sigma_bar[0, 0] = 1.0
+    inst = generate_instance(2, 3, 2, 3, 6, 0.5)
+    skew = inst.Sigma_bar.copy()
+    skew[0, 1] = np.nextafter(skew[0, 1], np.inf)
+    with pytest.raises(ValueError, match="Sigma_bar must be symmetric"):
+        replace_fields(inst, Sigma_bar=skew)
+    doc = json.loads(to_json(inst))
+    doc["Sigma_bar"] = skew.tolist()
+    with pytest.raises(ValueError, match="Sigma_bar must be symmetric"):
+        from_json(json.dumps(doc))
+
+
 def test_budget_row():
     inst = generate_instance(4, 2, 1, 1, 3, 0.5)
     states = budget_feasible_states(inst, 1, np.zeros(1))

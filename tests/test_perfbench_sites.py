@@ -4,7 +4,8 @@ name it patches must exist, or a traced run fails at install time."""
 import importlib.util
 from pathlib import Path
 
-from ddro import lpmilp, sddip
+from ddro import ambiguity, lpmilp, misdp, sddip
+from ddro.bench import TYPE3_PATTERNS, make_pattern_instance
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -77,3 +78,20 @@ def test_traced_milp_hook_reads_rows_and_node_count():
     sols = lpmilp.solve_milps([m, m.copy()])
     assert [s.objective for s in sols] == [-2.0, -2.0]
     assert all(isinstance(s.node_count, int) and s.node_count >= 0 for s in sols)
+
+
+def test_traced_type3_run_records_eigen_spans():
+    # the traced eigen layer (linalg.eig) patches min_eigenpair in misdp
+    # and in ambiguity: both names must be the one helper, and a Type 3
+    # solve must call it through them, or the layer reads 0
+    assert misdp.min_eigenpair is ambiguity.min_eigenpair
+    spans = _load_spans()
+    inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1)
+    cfg = sddip.SddipConfig(max_iters=2, bound_mode="lb", seed=1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.root("solve", sddip.run, inst, 3, cfg)
+    finally:
+        tracer.uninstall()
+    assert sum(name == "linalg.eig" for name, *_ in tracer.spans) >= 1

@@ -6,7 +6,6 @@ import pytest
 
 from ddro.ambiguity import AmbiguityType, RiskSpec, is_nonempty, worst_case
 from ddro.bench import TYPE2_PATTERNS, TYPE3_PATTERNS, make_pattern_instance
-from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, OPTIMAL, LinearModel, solve_lp, solve_milp
 from ddro.model import build_stage_block, generate_instance, replace_fields
 from ddro.reformulate import (MAX_DUAL_ESCALATIONS, DualAtBound, DualBound, UnboundedFactor,
@@ -129,7 +128,7 @@ def test_type2_hull_rows_need_the_hull_condition():
     # some state, or Sigma_bar moves along d: no rows
     for over in ({"lambda_mu": np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])},
                  {"mu_bar": np.array([10.0, 12.0])},
-                 {"Sigma_bar": SymMatrix(np.diag([10.0, 10.0]))}):
+                 {"Sigma_bar": np.diag([10.0, 10.0])}):
         changed = replace_fields(inst, **over)
         assert hull_directions(changed, 1).shape == (0, 2), over
         assert _hull_rows(changed) == [], over

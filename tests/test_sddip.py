@@ -10,7 +10,6 @@ from ddro import lpmilp, misdp, reformulate, sddip
 from ddro.ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, is_nonempty
 from ddro.bench import (TYPE1_PATTERNS, TYPE2_PATTERNS, TYPE3_PATTERNS, exact_value_function,
                         make_pattern_instance, stretch_to_three_stages, terminal_value)
-from ddro.linalg import SymMatrix
 from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, round_integral, solve_milp
 from ddro.model import (BUDGET_STATE_TOL, budget_states, build_stage_block, generate_instance,
                         replace_fields, zero_lambda)
@@ -917,7 +916,7 @@ def test_empty_ambiguity_reported_unbounded():
         mu_bar=np.array([10.0]), sigma_bar=np.array([1.0]),
         eps_mu=np.array([1.0]),
         lambda_mu=np.zeros((1, 3)), lambda_S=np.zeros((1, 3)),
-        Sigma_bar=SymMatrix(np.array([[1.0]])),
+        Sigma_bar=np.array([[1.0]]),
         support=(np.array([[10.0]]),
                  np.array([[20.0], [21.0], [22.0], [23.0], [24.0], [25.0]])),
     )
