@@ -28,9 +28,9 @@ Two complementary routes around the mixed-integer SDP:
   cuts and restarts dual simplex from the last basis.  A model with no
   integer columns skips phase 2: its MILP already is the LP; and
 
-* an upper-bound route that inner-approximates each cone by the
-  diagonally dominant matrices DD(I), written as plain linear rows on
-  the block columns: every feasible point has PSD blocks, so the
+* an upper-bound route that inner-approximates each cone by DD, the
+  conic hull of vv' over the directions of the seed rows
+  (add_dd_inner_general): every feasible point has PSD blocks, so the
   optimum is an upper bound.
 
 Outer rows are valid for every integer assignment (they are linear in
@@ -195,41 +195,25 @@ def _append_cut(models, block: PsdBlockRef, v: np.ndarray) -> None:
 
 
 def add_dd_inner_general(model: LinearModel, blocks) -> LinearModel:
-    """Copy of the model with every block in DD(I).
-
-    For each pair a < b one row block[a, b] = qp - qm with qp, qm >= 0,
-    and for each a one row block[a, a] >= sum over b != a of (qp + qm).
-    A diagonally dominant matrix with a nonnegative diagonal is PSD, so
-    the optimum is a valid upper bound on the MISDP optimum.
+    """The model, with rows written in place that hold every block in
+    DD, the conic hull of vv' over dd_star_directions (Barker & Carlson,
+    1975): a weight column alpha >= 0 per pair direction e_a +- e_b, and
+    rows block[a, b] = sum of alpha v_a v_b for a < b, then block[a, a]
+    >= sum of alpha v_a^2, whose slack weighs e_a.  Every point of DD is
+    PSD, so the optimum is a valid upper bound on the MISDP optimum.
     """
-    out = model.copy()
     for block in blocks:
-        _add_dd_rows(out, block)
-    return out
-
-
-def _add_dd_rows(m: LinearModel, block: PsdBlockRef) -> None:
-    d = block.dim
-    tag = block.name
-    split: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            split[a, b] = split[b, a] = (m.add_var(0.0, np.inf, name=f"qp_{tag}_{a}_{b}"),
-                                         m.add_var(0.0, np.inf, name=f"qm_{tag}_{a}_{b}"))
-    # off-diagonal entries through the absolute-value split
-    for a in range(d):
-        for b in range(a + 1, d):
-            qp, qm = split[a, b]
-            m.add_row({int(block.cols[a, b]): -1.0, qp: 1.0, qm: -1.0}, "=", 0.0,
-                      name=f"ddoff_{tag}_{a}_{b}")
-    # diagonal dominance
-    for a in range(d):
-        coeffs = {int(block.cols[a, a]): 1.0}
-        for b in range(d):
-            if b != a:
-                qp, qm = split[a, b]
-                coeffs[qp] = coeffs[qm] = -1.0
-        m.add_row(coeffs, ">=", 0.0, name=f"dd_{tag}_{a}")
+        d = block.dim
+        pairs = dd_star_directions(d)[d:]
+        alpha = model.add_vars(len(pairs), 0.0, np.inf, prefix=f"alpha_{block.name}_")
+        entries = [(a, b) for a in range(d) for b in range(a + 1, d)] + [(a, a) for a in range(d)]
+        for a, b in entries:
+            sign = 1.0 if a == b else -1.0
+            w = pairs[:, a] * pairs[:, b]
+            used = w != 0
+            model.add_row(([block.cols[a, b], *alpha[used]], [sign, *(-sign * w[used])]),
+                          ">=" if a == b else "=", 0.0, name=f"dd_{block.name}_{a}_{b}")
+    return model
 
 
 def audit_inner_psd(blocks, x: np.ndarray) -> None:
@@ -237,7 +221,7 @@ def audit_inner_psd(blocks, x: np.ndarray) -> None:
     a block whose smallest eigenvalue is below
     -PSD_AUDIT_REL * max(1, max|entry|).
 
-    Every point of DD(I) is PSD, so a violation means the solver did not
+    Every point of DD is PSD, so a violation means the solver did not
     enforce the DD rows and the stage value is not an upper bound.
     """
     for block in blocks:

@@ -34,12 +34,12 @@ column carries the summed coefficients of its positions.
 
 McCormick needs finite dual bounds; the default big-M is
 1e4 * (1 + max revenue + max transport cost).  A post-solve audit flags
-any dual sitting at its bound, and solve_with_dual_bound settles it on
-a flat optimal face or reruns with 10x M.  Without the Type 2 hull rows
-a rank-deficient support leaves u and Y a direction that costs nothing,
-HiGHS may park them at the box, and each such solve costs a probe; with
-them, a dual at its bound means the set is empty at the solution's
-state or M is too small, and the probe still tells the two apart.
+any dual sitting at its bound, and solve_with_dual_bound runs its hook,
+then settles it on a flat optimal face or reruns with 10x M.  Without
+the Type 2 hull rows a rank-deficient support leaves u and Y a direction
+that costs nothing, HiGHS may park them at the box, and each such solve
+costs a probe; with them, a dual at its bound means the set is empty at
+the solution's state, which the hook reports first, or M is too small.
 """
 
 from __future__ import annotations
@@ -522,12 +522,12 @@ def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None, first=Non
     a tuple whose first two entries are the solution and its VarLayout;
     first, if given, is solve_at(bound.value)'s result, already at hand.
     Each round audits the optimal solution (audit_dual_bounds).  A dual
-    at its bound is still accepted when a probe at 10x the box is optimal and
-    leaves the objective unchanged to FLAT_FACE_REL relative: the dual
-    then sits on a flat optimal face.  Otherwise on_binding(sol, layout)
-    runs, if given, and may raise; then the bound grows 10x, at most
-    MAX_DUAL_ESCALATIONS times over the life of `bound`, which is updated
-    in place.  Returns the accepted round's solve_at result.
+    at its bound runs on_binding(sol, layout), if given, which may raise;
+    then the solution is still accepted when a probe at 10x the box is
+    optimal and leaves the objective unchanged to FLAT_FACE_REL relative:
+    the dual sits on a flat optimal face.  Otherwise the bound grows 10x,
+    at most MAX_DUAL_ESCALATIONS times over the life of `bound`, which is
+    updated in place.  Returns the accepted round's solve_at result.
     """
     out = first if first is not None else solve_at(bound.value)
     while True:
@@ -537,13 +537,13 @@ def solve_with_dual_bound(solve_at, bound: DualBound, on_binding=None, first=Non
         family = audit_dual_bounds(lay, sol.x)
         if family is None:
             return out
+        if on_binding is not None:
+            on_binding(sol, lay)
         bound.probes += 1
         probe = solve_at(bound.value * 10.0)[0]
         if (probe.status == OPTIMAL and abs(probe.objective - sol.objective)
                 <= FLAT_FACE_REL * max(1.0, abs(sol.objective))):
             return out
-        if on_binding is not None:
-            on_binding(sol, lay)
         if bound.escalations >= MAX_DUAL_ESCALATIONS:
             raise DualAtBound(f"dual family {family} at bound {bound.value:g} after "
                               f"{bound.escalations} escalations")

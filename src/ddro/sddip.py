@@ -49,12 +49,13 @@ from .ambiguity import (AmbiguityType, EmptyAmbiguity, RiskSpec, WorstCase, is_n
                         worst_case)
 from .lpmilp import (OPTIMAL, LinearModel, Solution, round_integral, solve_fixed_milps,
                      solve_milp, solve_milps)
+from .model import Instance, budget_states, set_stage_data
+from .reformulate import (DualBound, VarLayout, add_cut_rows, build_stage, default_dual_bound,
+                          solve_with_dual_bound)
 # perfbench/spans.py traces solve_lp and build_stage_block by these names;
 # neither is called here
 from .lpmilp import solve_lp  # noqa: F401
-from .model import Instance, budget_states, build_stage_block, set_stage_data  # noqa: F401
-from .reformulate import (DualBound, VarLayout, add_cut_rows, build_stage, default_dual_bound,
-                          solve_with_dual_bound)
+from .model import build_stage_block  # noqa: F401
 
 LB_MONOTONE_SLACK = 1e-9
 SUBGRADIENT_ITERS = 50  # subgradient steps of the Lagrangian dual
@@ -68,6 +69,11 @@ SANDWICH_REL_SLACK = 1e-6  # run_type3_bounds accepts lb <= ub + this * max(1, |
 # enumeration stops past this many.
 SPLIT_STATES = 16
 SPLIT_TIE_REL = 1e-7  # states within this * max(1, |best|) of the best value tie
+
+
+class RelaxedStateEmpty(RuntimeError):
+    """A relaxed stage solve, whose free copy z may reach states no trial
+    state leads to, reached one whose next ambiguity set is empty."""
 
 
 @dataclass(frozen=True)
@@ -245,17 +251,16 @@ class StageOracle:
     two or more jobs as one block-diagonal MILP searched at its root
     alone (lpmilp.solve_milps).  Each block, in job order, is the first
     round of its own reformulate.solve_with_dual_bound: the blocks are
-    audited in turn (and checked for PSD on the "ub" route), a flagged
-    one probes at 10x the big-M from its batch solution, which is neither
-    solved nor counted again, and an escalation solves the jobs after it
-    again, at the new big-M, as a new batch.  dual_bound counts the
-    escalations and the probes of the run.  Type 2 stage models of a
-    rank-deficient support carry the hull rows of
-    reformulate.build_type2_stage, so their duals have no free direction
-    to leave at the box: a flag there means an empty set at the
-    solution's state, which the emptiness hook reports after the probe,
-    or a big-M too small.  The first batch of a stage
-    that does not close at its root ends batching for that stage alone,
+    audited in turn, a flagged one probes at 10x the big-M from its batch
+    solution, which is neither solved nor counted again, and an
+    escalation solves the jobs after it again, at the new big-M, as a new
+    batch.  dual_bound counts the escalations and the probes of the run.
+    Type 2 stage models of a rank-deficient support carry the hull rows
+    of reformulate.build_type2_stage, so their duals have no free
+    direction to leave at the box: a flag there means an empty set at
+    the solution's state, which the emptiness hook reports before the
+    probe, or a big-M too small.  The first batch of a stage that does
+    not close at its root ends batching for that stage alone,
     whose jobs then run one by one: models that branch, or take tens of
     milliseconds, cost more batched.  Type 3 "lb" stages with PSD blocks
     never batch: their relaxed solves append eigen rows, so solve order
@@ -438,9 +443,6 @@ class StageOracle:
             self._batching[t] = False
             return None
         self.stage_solves += len(jobs)
-        if self.config.bound_mode == "ub":
-            for sol, (_, _, blocks) in zip(sols, built):
-                misdp.audit_inner_psd(blocks, sol.x)
         # a stage that batches runs no cut loop, so it has no eigen rows
         return [(sol, lay, blocks, 0) for sol, (_, lay, blocks) in zip(sols, built)]
 
@@ -449,14 +451,19 @@ class StageOracle:
         reformulate.solve_with_dual_bound, from the _solve_once result
         first if given, with the emptiness check of the next stage's
         ambiguity set as its hook; returns the accepted _solve_once
-        result.  An escalation is permanent for the run, so it empties
-        the stage cache and drops the kept models."""
+        result, its blocks checked for PSD on the "ub" route, batched or
+        lone.  An escalation is permanent for the run, so it empties the
+        stage cache and drops the kept models.  A relaxed solve raises
+        RelaxedStateEmpty in place of EmptyAmbiguity: the forward pass
+        solves every trial state pinned before the backward pass relaxes
+        it, so an empty set reachable from it has ended the run Unbounded."""
         def check_nonempty(sol, lay):
             x_hat = round_integral(sol.x, lay.x)
             if not is_nonempty(self.inst, self.ttype, x_hat, stage=t + 1):
-                raise EmptyAmbiguity(
-                    f"stage {t + 1} ambiguity set empty at state {list(x_hat)}",
-                    stage=t + 1, x=x_hat)
+                msg = f"stage {t + 1} ambiguity set empty at state {[int(b) for b in x_hat]}"
+                if x_prev is None:
+                    raise RelaxedStateEmpty(f"{msg}, reached by a relaxed stage-{t} solve")
+                raise EmptyAmbiguity(msg, stage=t + 1, x=x_hat)
 
         escalations = self.dual_bound.escalations
         out = solve_with_dual_bound(lambda b: self._solve_once(t, k, x_prev, pi, b),
@@ -464,6 +471,8 @@ class StageOracle:
         if self.dual_bound.escalations != escalations:
             self._stage_cache.clear()
             self._compiled.clear()
+        if self.config.bound_mode == "ub":
+            misdp.audit_inner_psd(out[2], out[0].x)
         return out
 
     def _stage_model(self, t: int, k: int, x_prev, pi, dual_bound: float):
@@ -478,7 +487,7 @@ class StageOracle:
                 inst, int(self.ttype), t, np.zeros(inst.I), np.zeros(inst.J),
                 risk=self.risk_spec(t), dual_bound=dual_bound)
             if self.config.bound_mode == "ub" and blocks:
-                model = misdp.add_dd_inner_general(model, blocks)
+                misdp.add_dd_inner_general(model, blocks)
             elif self.config.bound_mode == "lb" and blocks:
                 misdp.add_dd_star_rows(model, blocks)
             model.validate()
@@ -501,8 +510,7 @@ class StageOracle:
         the rows replayed plus those the cut loop appended."""
         model, lay, blocks = self._stage_model(t, k, x_prev, pi, dual_bound)
         split = None if x_prev is None else functools.partial(self._split, t, x_prev, lay.x)
-        mode = self.config.bound_mode  # "lb" and "ub" are Type 3 routes
-        if mode == "lb" and blocks:  # the terminal stage has no PSD blocks
+        if self.config.bound_mode == "lb" and blocks:  # no PSD blocks at the terminal stage
             done = model.num_rows
             sol = misdp.solve_misdp_outer(model, blocks, split)
             if model.num_rows > done:
@@ -513,8 +521,6 @@ class StageOracle:
         self.stage_solves += 1
         if sol.status != OPTIMAL:
             raise RuntimeError(f"stage {t} solve returned {sol.status}")
-        if mode == "ub":
-            misdp.audit_inner_psd(blocks, sol.x)
         return sol, lay, blocks, len(self._eigen_rows.get(t, ()))
 
     def _split(self, t: int, x_prev, x_cols, model: LinearModel) -> Solution | None:

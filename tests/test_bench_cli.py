@@ -11,6 +11,7 @@ from ddro.bench import (ExperimentSpec, enumerate_two_stage,
                         run_experiment, solve_didr, spec_from_json)
 from ddro.model import (from_json, generate_instance, load_instance,
                         replace_fields, save_instance, to_json, zero_lambda)
+from test_sddip import relaxed_empty_instance
 
 
 def permute_facilities(inst, perm):
@@ -257,7 +258,7 @@ def test_cli_verify_rejects_boolean_bounds(tmp_path, capsys):
         assert f"holds no finite {bad}" in out.err
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # validation error: missing file
     assert cli.main(["solve", "--instance", str(tmp_path / "nope.json"),
                      "--type", "1"]) == 1
@@ -274,11 +275,19 @@ def test_cli_exit_codes(tmp_path):
                          "--config", str(cfg_path)]) == 1, doc
     assert cli.main(["solve", "--instance", str(good), "--type", "1",
                      "--max-iters", "0"]) == 1
-    # unbounded: empty ambiguity set
+    # unbounded: empty ambiguity set, also where the flat-face probe of
+    # the big-M fails (rho = 20), since the emptiness check runs first
     p = tmp_path / "empty.json"
+    for inst in (_empty_ambiguity_instance(), generate_instance(1, 3, 3, 1, 2, 20)):
+        save_instance(inst, p)
+        assert cli.main(["solve", "--instance", str(p), "--type", "1"]) == 3
     save_instance(_empty_ambiguity_instance(), p)
-    assert cli.main(["solve", "--instance", str(p), "--type", "1"]) == 3
     assert cli.main(["enum", "--instance", str(p), "--type", "1"]) == 3
+    # solver failure: an empty set reached by a relaxed solve alone
+    save_instance(relaxed_empty_instance(), p)
+    capsys.readouterr()
+    assert cli.main(["solve", "--instance", str(p), "--type", "1"]) == 2
+    assert "empty at state [1, 1, 1], reached by a relaxed" in capsys.readouterr().err
 
 
 def test_cli_export_lp(tmp_path):

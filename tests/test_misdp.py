@@ -152,6 +152,30 @@ def test_dd_inner_tiny_basis_matches_identity():
     assert abs(sol.objective - 3.0) <= 1e-7  # dd needs a >= 1 and c >= 1
 
 
+def test_dd_inner_at_three_by_three():
+    def fixed(entries):
+        m, block = _sym_block(3)
+        for (a, b), value in entries.items():
+            m.set_bounds(int(block.cols[a, b]), value, value)
+        return add_dd_inner_general(m, [block]), block
+
+    # PSD (eigenvalues 2.8, 0.1, 0.1) but not DD: every row sums to 1.8 > 1
+    psd = {(a, b): 1.0 if a == b else 0.9 for a in range(3) for b in range(a, 3)}
+    assert min_eigenpair(np.full((3, 3), 0.9) + 0.1 * np.eye(3))[0] > 0
+    assert solve_milp(fixed(psd)[0]).status == INFEASIBLE
+    # DD with negative off-diagonal entries
+    dd = {(0, 0): 2.0, (1, 1): 3.0, (2, 2): 2.0, (0, 1): -1.0, (0, 2): -0.5, (1, 2): -1.0}
+    assert solve_milp(fixed(dd)[0]).status == OPTIMAL
+    # the least trace with the off-diagonal entries fixed is sum_{a != b} |M_ab|
+    off = {(0, 1): 1.0, (0, 2): -2.0, (1, 2): 0.5}
+    m, block = fixed(off)
+    for a in range(3):
+        m.set_objective(int(block.cols[a, a]), 1.0)
+    sol = solve_milp(m)
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective - 2 * sum(abs(v) for v in off.values())) <= 1e-9
+
+
 def test_inner_psd_audit_flags_non_psd_block():
     _, block, (a, b, c) = _block_model()
     x = np.zeros(3)

@@ -437,8 +437,8 @@ def test_dual_bound_escalation_routine():
         solve_with_dual_bound(solve_at, bound)
     assert bound.escalations == MAX_DUAL_ESCALATIONS == 3
     assert calls == [1.0, 10.0, 10.0, 100.0, 100.0, 1000.0]
-    # the hook may stop the escalation
+    # the hook may stop the escalation, and it runs before the probe
     solve_at, calls = _fake_solve_at(lambda b: b, lambda b: -b)
     with pytest.raises(ZeroDivisionError):
         solve_with_dual_bound(solve_at, DualBound(1.0), lambda s, lay: 1 / 0)
-    assert calls == [1.0, 10.0]
+    assert calls == [1.0]

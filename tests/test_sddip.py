@@ -8,8 +8,9 @@ import pytest
 
 from ddro import lpmilp, misdp, reformulate, sddip
 from ddro.ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, is_nonempty
-from ddro.bench import (TYPE1_PATTERNS, TYPE2_PATTERNS, TYPE3_PATTERNS, exact_value_function,
-                        make_pattern_instance, stretch_to_three_stages, terminal_value)
+from ddro.bench import (TYPE1_PATTERNS, TYPE2_PATTERNS, TYPE3_PATTERNS, exact_multistage_value,
+                        exact_value_function, make_pattern_instance, stretch_to_three_stages,
+                        terminal_value)
 from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, round_integral, solve_milp
 from ddro.model import (BUDGET_STATE_TOL, budget_states, build_stage_block, generate_instance,
                         replace_fields, zero_lambda)
@@ -923,6 +924,36 @@ def test_empty_ambiguity_reported_unbounded():
     rep = run(inst, 1, SddipConfig(max_iters=5))
     assert rep.status == "Unbounded"
     assert "empty_ambiguity" in rep.termination
+    # the message prints the state as plain ints
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    with pytest.raises(EmptyAmbiguity,
+                       match=r"^stage 2 ambiguity set empty at state \[[01], [01], [01]\]$"):
+        oracle.solve_stage(1, 0, np.zeros(inst.I))
+
+
+def relaxed_empty_instance():
+    """A T = 3 instance with a finite value: budget and build cost are
+    both 100, so each stage opens at most one facility, and state
+    (1, 1, 1), the only one with an empty set, is unreachable at stage 2."""
+    base = generate_instance(1, 3, 3, 1, 3, 0.3, eps_mu=2.0, eps_S_lo=0.05, eps_S_hi=3.0)
+    points = np.array([[6.0], [14.0], [22.0]])
+    return replace_fields(
+        base, mu_bar=np.array([10.0]), sigma_bar=np.array([3.0]), Sigma_bar=np.array([[9.0]]),
+        lambda_mu=np.full((1, 3), 0.5), lambda_S=np.full((1, 3), 0.5),
+        support=(np.array([[10.0]]), points, points))
+
+
+def test_relaxed_solve_at_an_empty_state_is_not_unbounded():
+    # the relaxed stage-2 solve's free copy z reaches (1, 1, 1), whose
+    # stage-3 set is empty: a typed error names them, and the run does
+    # not end Unbounded
+    inst = relaxed_empty_instance()
+    assert exact_multistage_value(inst, 1) == pytest.approx(-4028.25)
+    assert not is_nonempty(inst, AmbiguityType.TYPE1, np.ones(3), stage=3)
+    with pytest.raises(sddip.RelaxedStateEmpty,
+                       match=r"^stage 3 ambiguity set empty at state \[1, 1, 1\], reached by a "
+                             r"relaxed stage-2 solve$"):
+        run(inst, 1, SddipConfig(max_iters=20))
 
 
 def test_three_stage_run_converges_to_exact():
