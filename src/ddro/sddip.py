@@ -5,13 +5,16 @@ A cut (v, pi) for the stage value function comes from relaxing a binary
 copy of the incoming state: for ANY multiplier pi, the relaxed stage
 value L(pi) satisfies Q(x, xi) >= L(pi) + pi'x for every binary x, so
 early stopping of the dual search is always safe.  Every cut comes from
-one route, subgradient ascent on the dual with best-iterate retention
-(lagrangian_dual over StageOracle.relaxed_values).  Trial states are
-binary, and a cut is tight at its trial state x_hat once a step's
-relaxed solution z* equals x_hat.  A search that stops short still
-leaves a valid cut; since Optimal needs an exactly evaluated upper bound
-to meet the lower bound, a loose cut costs iterations or ends the run in
-BoundLimit, never in a wrong Optimal.
+one route, Polyak steps on the dual with best-iterate retention
+(lagrangian_dual over StageOracle.relaxed_values), aimed at the dual's
+known optimum: trial states are binary, and at a binary x_hat the dual
+optimum is the pinned stage value h(x_hat), which the oracle's stage
+cache supplies.  A cut is tight at its trial state once its dual value
+meets that target, or once a step's relaxed solution z* equals x_hat.
+A search that stops short still leaves a valid cut; since Optimal needs
+an exactly evaluated upper bound to meet the lower bound, a loose cut
+costs iterations or ends the run in BoundLimit, never in a wrong
+Optimal.
 
 Upper bounds evaluate the current policy: exactly for two-stage runs
 (first-stage cost plus the worst case over the exact terminal values),
@@ -58,7 +61,7 @@ from .lpmilp import solve_lp  # noqa: F401
 from .model import build_stage_block  # noqa: F401
 
 LB_MONOTONE_SLACK = 1e-9
-SUBGRADIENT_ITERS = 50  # subgradient steps of the Lagrangian dual
+SUBGRADIENT_ITERS = 50  # most steps of one Lagrangian dual search
 STALL_WINDOW = 5  # iterations over which an unmoved lb means a stall
 UB_PATHS = 200  # sampled paths of a sampled policy evaluation
 TREE_LIMIT = 1e5  # policies are evaluated on sampled paths above K^(T-1) = this
@@ -168,7 +171,9 @@ def config_from_json(text: str) -> SddipConfig:
 class SolveReport:
     """What a run found and did.  stage_solves counts stage solves, not
     MILPs: every stage model solved, the relaxed solves of the Lagrangian
-    duals and the big-M probes and re-solves among them.  A stage solve
+    duals, the pinned solves of their targets that miss the stage cache
+    (none at T = 2, where the policy evaluation has solved them), and the
+    big-M probes and re-solves among them.  A stage solve
     on the Type 3 "lb" route is one eigen-cut loop of several LPs and
     MILPs, and a hit of the stage cache is no solve.  dual_solves counts
     the relaxed evaluations of the duals alone.  counters holds the
@@ -552,36 +557,49 @@ class StageOracle:
         return Solution(OPTIMAL, pick.x, best, pick.node_count)
 
 
-def lagrangian_dual(evaluate, x_hats):
-    """Searches in lockstep, one per trial state x_hat, each maximizing
-    g(pi) = L(pi) + pi'x_hat of its relaxed stage by subgradient ascent
-    from pi = 0: at most SUBGRADIENT_ITERS steps a/(10+m) along
-    x_hat - z*, with a = max(1, |L(0)|)/I.  evaluate([(search, pi)])
-    returns [(L(pi), z*)], called once a step with the searches still
-    active.  Returns the best (pi, L(pi)) of each search.
+def lagrangian_dual(evaluate, x_hats, targets):
+    """Searches in lockstep, one per trial state x_hat with target h,
+    each maximizing g(pi) = L(pi) + pi'x_hat of its relaxed stage from
+    pi = 0 by Polyak's step for a known optimum: pi += (h - g(pi)) /
+    |x_hat - z*|^2 * (x_hat - z*), at most SUBGRADIENT_ITERS steps.
+    evaluate([(search, pi)]) returns [(L(pi), z*)], called once a step
+    with the searches still active.  A search stops once z* equals
+    x_hat, or once its best g reaches h - 1e-9 * max(1, |h|).  Returns
+    the best (pi, L(pi)) of each search.
 
-    Any multiplier yields a valid cut.  A search stops once z* equals
-    x_hat: then g(pi) = h(x_hat), the stage value at x_hat, which bounds
-    g from above, so at a binary x_hat the cut is tight.
+    Why h, the pinned stage value at x_hat, is the dual optimum: with
+    the copy z binary and h(z) the stage value at state z (+inf where
+    infeasible), max over pi of g(pi) = max_pi min_z h(z) + pi'(x_hat - z)
+    is the convex envelope of h at x_hat, by LP duality over the finitely
+    many z.  A binary x_hat is a vertex of the cube, so the only convex
+    combination of binary points equal to it is x_hat itself, and the
+    envelope there is h(x_hat).  So g never exceeds h, a search that
+    meets its target (z* = x_hat gives g(pi) = h(x_hat) exactly) holds a
+    cut tight at x_hat, and x_hat - z* is a supergradient of the concave
+    g, along which the step closes the gap h - g in the linear model.
+    Any pi still gives a valid cut: L(pi) <= h(z) - pi'z for every binary
+    z, so L(pi) + pi'x <= h(x) at every binary state x.  A target that g
+    reaches early, as where the Type 3 "lb" route appends eigen rows
+    after the pinned solve and so raises the relaxed stage above it,
+    stops the search there with a valid cut.
     """
     x_hats = [np.asarray(x, dtype=float) for x in x_hats]
     pis = [np.zeros(x.size) for x in x_hats]
-    first = evaluate(list(enumerate(pis)))
-    z_stars = [z for _, z in first]
-    best = [(pi, L, L) for pi, (L, _) in zip(pis, first)]  # g(0) = L(0)
-    steps = [max(1.0, abs(L)) / x.size for (L, _), x in zip(first, x_hats)]
-    active = range(len(x_hats))
-    for m_it in range(SUBGRADIENT_ITERS):
-        active = [j for j in active if np.any(x_hats[j] != z_stars[j])]
+    best = [(None, None, -math.inf)] * len(x_hats)  # (pi, L(pi), g(pi)) of the best g
+    active = list(range(len(x_hats)))
+    for _ in range(1 + SUBGRADIENT_ITERS):  # pi = 0, then one evaluation a step
         if not active:
             break
-        for j in active:
-            pis[j] = pis[j] + steps[j] / (10.0 + m_it) * (x_hats[j] - z_stars[j])
+        stepping = []
         for j, (L, z_star) in zip(active, evaluate([(j, pis[j]) for j in active])):
-            z_stars[j] = z_star
             g = L + float(pis[j] @ x_hats[j])
             if g > best[j][2]:
                 best[j] = (pis[j], L, g)
+            h, d = targets[j], x_hats[j] - z_star
+            if d.any() and best[j][2] < h - 1e-9 * max(1.0, abs(h)):
+                pis[j] = pis[j] + (h - g) / float(d @ d) * d
+                stepping.append(j)
+        active = stepping
     return [(pi, L) for pi, L, _ in best]
 
 
@@ -627,18 +645,22 @@ def _is_sampled(inst: Instance) -> bool:
 
 def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
     """Append one multi-cut family per (stage, realization, trial state)
-    to the oracle's pool, each from the Lagrangian dual at that state: a
+    to the oracle's pool, each from the Lagrangian dual at that state,
+    aimed at the pinned stage value there (solve_stages, through the
+    stage cache; at T = 2 the policy evaluation has solved them all): a
     stage's searches in lockstep where it batches, else one after another
     (see StageOracle)."""
     inst, pool = oracle.inst, oracle.pool
     for t in range(inst.T, 1, -1):
-        jobs = [(x_hat, k) for x_hat in trial_states.get(t, ()) for k in range(inst.K)]
+        jobs = [(x_hat, k, sol.value) for x_hat in trial_states.get(t, ())
+                for k, sol in enumerate(oracle.solve_stages(
+                    t, np.array(x_hat, dtype=float), range(inst.K)))]
         for group in [jobs] if oracle.batches(t) else [[job] for job in jobs]:
             cuts = lagrangian_dual(
                 lambda steps, group=group: oracle.relaxed_values(
                     t, [(group[j][1], pi) for j, pi in steps]),
-                [x_hat for x_hat, _ in group])
-            for (_, k), (pi, v) in zip(group, cuts):
+                [x_hat for x_hat, _, _ in group], [h for _, _, h in group])
+            for (_, k, _), (pi, v) in zip(group, cuts):
                 pool.add(t, k, Cut(v=v, pi=pi))
     return pool
 

@@ -63,11 +63,33 @@ def test_value_dump_comparison(tmp_path, capsys):
     assert "DIFF w 1 a: iterations 2 -> 3" in err and "WORK w 1 a: stage_solves 54 -> 30" in err
 
 
+def test_dual_solves_is_a_work_field_that_an_older_dump_may_lack(tmp_path, capsys):
+    # dual_solves is printed and not compared: moved, it gets a WORK line
+    # and leaves the exit code; a dump written without it compares as before
+    tool = _load_tool()
+    assert "dual_solves" in tool.WORK
+    dump = tmp_path / "parent.jsonl"
+    dump.write_text(json.dumps(_rec("a", stage_solves=32, dual_solves=12,
+                                    eigen_cuts_per_stage={})) + "\n")
+    assert tool.check_against([_rec("a", stage_solves=22, dual_solves=4,
+                                    eigen_cuts_per_stage={})], str(dump)) == 0
+    work = [line for line in capsys.readouterr().err.splitlines() if line.startswith("WORK")]
+    assert work == ["WORK w 1 a: stage_solves 32 -> 22; dual_solves 12 -> 4"]
+    dump.write_text(json.dumps(_rec("a", stage_solves=32, eigen_cuts_per_stage={})) + "\n")
+    assert tool.check_against([_rec("a", stage_solves=32, dual_solves=4,
+                                    eigen_cuts_per_stage={})], str(dump)) == 0
+    assert "WORK" not in capsys.readouterr().err
+    assert tool.check_against([_rec("a", stage_solves=32, dual_solves=4, iterations=3,
+                                    eigen_cuts_per_stage={})], str(dump)) == 1
+    assert "DIFF w 1 a: iterations 2 -> 3" in capsys.readouterr().err
+
+
 def test_value_records_carry_the_work_fields():
     tool = _load_tool()
     report = tool.SolveReport(lb_per_iter=[-5.0], ub_estimate=-4.0, iterations=2,
-                              stage_solves=31, eigen_cuts_per_stage={"1": 9})
+                              stage_solves=31, dual_solves=12, eigen_cuts_per_stage={"1": 9})
     values = tool.report_values(report)
     assert values["stage_solves"] == 31 and values["eigen_cuts_per_stage"] == {"1": 9}
+    assert values["dual_solves"] == 12
     assert (values["lb"], values["ub"], values["iterations"]) == (-5.0, -4.0, 2)
     assert set(values) == set(tool.DISCRETE) | set(tool.BOUNDS) | set(tool.WORK)

@@ -23,16 +23,17 @@ for more), to show that a change alters only those fields.
 
 The value mode prints, in place of the digest, one JSON line per case
 with the report's status, termination, iterations, first_stage_x, lb
-(the last lower bound) and ub (ub_estimate), and with its stage_solves
-and eigen_cuts_per_stage.  Given the dump of another commit with
---against, it also compares: a case that differs in a discrete field,
-has no counterpart, or moves lb or ub by more than REL_TOL = 1e-6
-relative to max(1, |value|) is listed on stderr, and the exit code is
-1.  This shows that a change which moves the last bits of the bounds
+(the last lower bound) and ub (ub_estimate), and with its work fields
+stage_solves, dual_solves and eigen_cuts_per_stage.  Given the dump of
+another commit with --against, it also compares: a case that differs
+in a discrete field, has no counterpart, or moves lb or ub by more than
+REL_TOL = 1e-6 relative to max(1, |value|) is listed on stderr, and the
+exit code is 1.  This shows that a change which moves the last bits of the bounds
 keeps every result.  The work fields are not compared: a case whose
-stage_solves or eigen_cuts_per_stage moved gets one WORK line on
-stderr, which leaves the exit code as it is, so that a change which
-moves the search shows it next to its bounds.
+work fields moved gets one WORK line on stderr, which leaves the exit
+code as it is, so that a change which moves the search shows it next to
+its bounds.  A work field that either dump lacks, as in a dump written
+before the field was printed, is skipped.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from ddro.sddip import SddipConfig, SolveReport  # noqa: E402
 FIELDS = sorted(f.name for f in dataclasses.fields(SolveReport))
 DISCRETE = ("status", "termination", "iterations", "first_stage_x")
 BOUNDS = ("lb", "ub")
-WORK = ("stage_solves", "eigen_cuts_per_stage")  # printed, not compared
+WORK = ("stage_solves", "dual_solves", "eigen_cuts_per_stage")  # printed, not compared
 REL_TOL = 1e-6  # largest relative lb or ub difference --against accepts
 STRETCH = "type3_stretch"
 STRETCH_PATTERNS = ("3-1", "3-3", "3-4")
