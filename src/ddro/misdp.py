@@ -3,30 +3,38 @@
 Two complementary routes around the mixed-integer SDP:
 
 * a lower-bound route that outer-approximates the PSD cones with
-  eigenvector rows v' M v >= 0.  The engine seeds each stage model
-  with the rows of add_dd_star_rows, fixed directions that hold on every
-  PSD block (so the model stays an outer approximation, and every bound
-  it gives keeps its proof), and solve_misdp_outer then cuts in a loop
-  of two phases:
+  rows v' M v >= 0.  The engine seeds each stage model with the rows of
+  add_dd_star_rows, fixed directions that hold on every PSD block (so
+  the model stays an outer approximation, and every bound it gives
+  keeps its proof), and solve_misdp_outer then cuts in a loop of two
+  phases:
 
   1. MILP rounds: solve the MILP, stop when no block has an eigenvalue
-     below -EIGEN_CUT_TOL, else cut the smallest eigenpair of each
-     violating block.  A caller may solve each round's MILP its own way
-     (the split hook of solve_misdp_outer): the engine splits a stage
-     model at a pinned state on its facility states, so a round is one
-     root-only batch of copies with the binaries fixed, whose least
-     value is the MILP's optimum;
+     below -EIGEN_CUT_TOL, else cut each violating block along the
+     directions of cut_directions.  A caller may solve each round's
+     MILP its own way (the split hook of solve_misdp_outer): the engine
+     splits a stage model at a pinned state on its facility states, so
+     a round is one root-only batch of copies with the binaries fixed,
+     whose least value is the MILP's optimum;
   2. fixed-integer polish: after each MILP round, solve the LP on a
      copy with the integer columns fixed at the rounded incumbent and
-     cut every eigenpair below -EIGEN_CUT_TOL, appending its cuts to the
+     cut each block along cut_directions, appending its cuts to the
      MILP model too, until its blocks clear the tolerance.
 
-  Most cuts thus come from LPs, and branch-and-bound re-solves only
-  confirm them (the root-node cutting of Gally, Pfetsch & Ulbrich, 2018,
-  and Kobayashi & Takano, 2020).  The LP phase is Kelley's (1960) loop
-  on one lpmilp.WarmLp: the LP stays loaded, and each round adds its
-  cuts and restarts dual simplex from the last basis.  A model with no
-  integer columns skips phase 2: its MILP already is the LP; and
+  Both phases share the one cut rule, cut_directions: each eigenvector
+  of an eigenvalue below -EIGEN_CUT_TOL, then its two neighbours toward
+  each eigenvector of a positive eigenvalue.  Most cuts thus come from
+  LPs, and branch-and-bound re-solves only confirm them (the root-node
+  cutting of Gally, Pfetsch & Ulbrich, 2018, and Kobayashi & Takano,
+  2020).  The LP phase is Kelley's (1960) loop on one lpmilp.WarmLp:
+  the LP stays loaded, and each round adds its cuts and restarts dual
+  simplex from the last basis.  An eigenvector cut alone lets the next
+  LP point slide along the cone's boundary (on 2 x 2 blocks the
+  violation shrank only 4x per LP); the neighbour rows are tangent
+  planes of the cone on both sides of it, which stop that slide.
+  Several valid cuts per round is the idea of Sherali & Fraticelli
+  (J. Global Optim., 2002).  A model with no integer columns skips
+  phase 2: its MILP already is the LP; and
 
 * an upper-bound route that inner-approximates each cone by DD, the
   conic hull of vv' over the directions of the seed rows
@@ -51,6 +59,8 @@ from .lpmilp import (CONTINUOUS, OPTIMAL, LinearModel, NumericalFailure, Solutio
                      WarmLp, solve_milp)
 
 EIGEN_CUT_TOL = 1e-6
+# the work counts solve_misdp_outer adds to a caller's counters
+PSD_COUNTERS = ("psd_milp_rounds", "psd_lp_solves")
 MAX_CUT_ROUNDS_OUTER = 1000
 # Inner-approximation blocks may dip to -PSD_AUDIT_REL * max(1, max|entry|).
 PSD_AUDIT_REL = 1e-6
@@ -119,7 +129,37 @@ def add_dd_star_rows(model: LinearModel, blocks) -> None:
                           name=f"ddstar_{block.name}_{n}")
 
 
-def solve_misdp_outer(model: LinearModel, blocks, split=None) -> Solution:
+def cut_directions(a: np.ndarray) -> list[np.ndarray]:
+    """The directions v of the cuts v' M v >= 0 that cut off the
+    symmetric block value a = sum of lam_k v_k v_k' (np.linalg.eigh),
+    empty where no eigenvalue is below -EIGEN_CUT_TOL.  For each such
+    eigenpair i, in eigenvalue order: v_i, then its two neighbours
+    cos(t) v_i + sin(t) v_j and cos(t) v_i - sin(t) v_j for each j with
+    lam_j > 0, in eigenvalue order, where tan(t)^2 = -lam_i / (2 lam_j).
+
+    Every direction is valid, v' M v >= 0 on every PSD block, so the
+    model stays an outer approximation.  Every direction is violated at
+    a: v_i' a v_i = lam_i, and a neighbour gives
+    cos(t)^2 lam_i + sin(t)^2 lam_j = cos(t)^2 (lam_i + tan(t)^2 lam_j)
+    = cos(t)^2 lam_i / 2 < 0.  The factor 1/2 is fixed: it puts
+    tan(t)^2 midway between 0, at v_i, and -lam_i / lam_j, where
+    v' a v reaches 0 and the row would no longer cut a off.  A caller
+    passes a symmetric a (the cols of a PsdBlockRef are a symmetric
+    map)."""
+    lams, vecs = np.linalg.eigh(a)
+    out = []
+    for i in np.flatnonzero(lams < -EIGEN_CUT_TOL):
+        out.append(vecs[:, i])
+        for j in np.flatnonzero(lams > 0):
+            # cos^2 = 1 / (1 + tan^2) and sin^2 = tan^2 / (1 + tan^2), in
+            # a form that stays finite however small lam_j is
+            den = 2.0 * lams[j] - lams[i]
+            cos, sin = np.sqrt(2.0 * lams[j] / den), np.sqrt(-lams[i] / den)
+            out += [cos * vecs[:, i] + sin * vecs[:, j], cos * vecs[:, i] - sin * vecs[:, j]]
+    return out
+
+
+def solve_misdp_outer(model: LinearModel, blocks, split=None, counters=None) -> Solution:
     """Eigen-cut outer approximation loop (phases in the module
     docstring); the returned objective is a valid lower bound on the
     MISDP optimum (exact in the cut-loop limit).
@@ -128,7 +168,8 @@ def solve_misdp_outer(model: LinearModel, blocks, split=None) -> Solution:
     a Solution, a solve with the model's optimum as its objective, else
     by solve_milp, looked up in this module at each call.  The first LP
     runs after the first MILP round, so seed rows the model carries
-    (add_dd_star_rows) are what shape that round.
+    (add_dd_star_rows) are what shape that round.  Both phases cut each
+    block along cut_directions of its value.
 
     The model is mutated in place: every row appended is a cut
     v' M v >= 0, valid for subsequent solves with different objectives
@@ -136,36 +177,35 @@ def solve_misdp_outer(model: LinearModel, blocks, split=None) -> Solution:
     its row count on entry.  LP and MILP solves both count against
     MAX_CUT_ROUNDS_OUTER; a block eigenvalue below -EIGEN_CUT_TOL is cut,
     and the blocks of an optimal solution returned clear -EIGEN_CUT_TOL.
+    Where counters is a dict, the loop adds its MILP rounds to
+    counters["psd_milp_rounds"] and its LP solves to
+    counters["psd_lp_solves"] (keys of PSD_COUNTERS).
     """
     max_rounds = MAX_CUT_ROUNDS_OUTER
+    count = counters if counters is not None else dict.fromkeys(PSD_COUNTERS, 0)
     integer_cols = [j for j, kind in enumerate(model.integrality) if kind != CONTINUOUS]
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
+        count["psd_milp_rounds"] += 1
         sol = (split and split(model)) or solve_milp(model)
-        if sol.status != OPTIMAL:
-            return sol
-        found = False
-        for block in blocks:
-            lam, v = min_eigenpair(sol.x[block.cols])
-            if lam < -EIGEN_CUT_TOL:
-                _append_cut((model,), block, v)
-                found = True
-        if not found:
+        if sol.status != OPTIMAL or not _cut_blocks((model,), blocks, sol.x):
             return sol
         if integer_cols:
             fixed = model.copy()
             for j in integer_cols:
                 val = float(np.rint(sol.x[j]))
                 fixed.set_bounds(j, val, val)
-            rounds += _lp_cut_phase(fixed, (fixed, model), blocks, max_rounds - rounds)
+            used = _lp_cut_phase(fixed, (fixed, model), blocks, max_rounds - rounds)
+            count["psd_lp_solves"] += used
+            rounds += used
     raise CutLoopLimit(f"no PSD convergence after {max_rounds} rounds")
 
 
 def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int) -> int:
-    """Solve the continuous relaxation of `lp` and cut every eigenpair
-    below -EIGEN_CUT_TOL of every block into each model of `targets`, until no
-    block violates, the LP is not optimal, or `budget` solves are spent.
+    """Solve the continuous relaxation of `lp` and cut every block along
+    cut_directions into each model of `targets`, until no block
+    violates, the LP is not optimal, or `budget` solves are spent.
     Returns the number of LP solves."""
     warm = WarmLp(lp)
     for used in range(1, budget + 1):
@@ -173,18 +213,20 @@ def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int) -> int:
             sol = warm.solve()
         except NumericalFailure:
             return used  # LP cuts only speed the loop up; the MILP rounds decide
-        if sol.status != OPTIMAL:
-            return used
-        found = False
-        for block in blocks:
-            # cols is a symmetric map (PsdBlockRef), so the block is symmetric
-            lams, vecs = np.linalg.eigh(sol.x[block.cols])
-            for n in np.flatnonzero(lams < -EIGEN_CUT_TOL):
-                _append_cut(targets, block, vecs[:, n])
-                found = True
-        if not found:
+        if sol.status != OPTIMAL or not _cut_blocks(targets, blocks, sol.x):
             return used
     return budget
+
+
+def _cut_blocks(models, blocks, x: np.ndarray) -> bool:
+    """Append v' M v >= 0 to each model for every block and every v of
+    cut_directions(block value at x); whether any cut was appended."""
+    found = False
+    for block in blocks:
+        for v in cut_directions(x[block.cols]):
+            _append_cut(models, block, v)
+            found = True
+    return found
 
 
 def _append_cut(models, block: PsdBlockRef, v: np.ndarray) -> None:

@@ -178,8 +178,10 @@ class SolveReport:
     MILPs, and a hit of the stage cache is no solve.  dual_solves counts
     the relaxed evaluations of the duals alone.  counters holds the
     oracle's split_solves, split_blocks and split_fallbacks (see
-    StageOracle) and dual_probes, the flat-face probes of the run's big-M
-    (reformulate.DualBound.probes)."""
+    StageOracle), psd_milp_rounds and psd_lp_solves, the MILP rounds and
+    fixed-integer LP solves of the Type 3 "lb" route's eigen-cut loops
+    (misdp.solve_misdp_outer; 0 on other routes), and dual_probes, the
+    flat-face probes of the run's big-M (reformulate.DualBound.probes)."""
 
     lb_per_iter: list[float] = field(default_factory=list)
     eigen_cuts_per_stage: dict = field(default_factory=dict)
@@ -322,7 +324,9 @@ class StageOracle:
     its root; the first failed batch of a stage ends splitting there, as
     a failed stage batch ends batching.  Relaxed solves, whose copy z is
     free, and the jobs of a stage batch are not split.  counters counts
-    the split solves, their copies and the solves that fell back.
+    the split solves, their copies and the solves that fell back, and
+    the MILP rounds and LP solves of every eigen-cut loop
+    (misdp.PSD_COUNTERS).
     """
 
     def __init__(self, inst: Instance, ttype: int, config: SddipConfig,
@@ -349,7 +353,8 @@ class StageOracle:
         # whether stage t splits its pinned solves: not after one split failed
         self._splitting = dict.fromkeys(range(1, inst.T + 1), True)
         self._states: dict[tuple, list | None] = {}
-        self.counters = dict.fromkeys(("split_solves", "split_blocks", "split_fallbacks"), 0)
+        self.counters = dict.fromkeys(
+            ("split_solves", "split_blocks", "split_fallbacks", *misdp.PSD_COUNTERS), 0)
 
     def risk_spec(self, t: int) -> RiskSpec | None:
         """The blend of the stage-t inner measure, which carries the
@@ -517,7 +522,7 @@ class StageOracle:
         split = None if x_prev is None else functools.partial(self._split, t, x_prev, lay.x)
         if self.config.bound_mode == "lb" and blocks:  # no PSD blocks at the terminal stage
             done = model.num_rows
-            sol = misdp.solve_misdp_outer(model, blocks, split)
+            sol = misdp.solve_misdp_outer(model, blocks, split, self.counters)
             if model.num_rows > done:
                 self._eigen_rows.setdefault(t, []).extend(
                     zip(model.row_cols[done:], model.row_vals[done:]))

@@ -10,8 +10,8 @@ from ddro.bench import (TYPE3_PATTERNS, enumerate_two_stage, exact_multistage_va
                         make_pattern_instance, stretch_to_three_stages)
 from ddro.lpmilp import BINARY, INFEASIBLE, OPTIMAL, LinearModel, WarmLp, solve_milp
 from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef, add_dd_inner_general,
-                        add_dd_star_rows, audit_inner_psd, dd_star_directions,
-                        min_eigenpair, solve_misdp_outer)
+                        add_dd_star_rows, audit_inner_psd, cut_directions,
+                        dd_star_directions, min_eigenpair, solve_misdp_outer)
 from ddro.model import replace_fields
 from ddro.reformulate import freeze_stage
 from ddro.sddip import run_type3_bounds
@@ -84,6 +84,69 @@ def test_dd_star_rows_hold_on_psd_blocks():
     x = np.zeros(m.num_vars)
     x[block.cols] = [[1.0, 2.0], [2.0, 1.0]]  # eigenvalues 3 and -1
     assert (csr_matrix(m) @ x < 0).any()
+
+
+def test_cut_directions_cut_off_the_block_eigenvector_first():
+    # per eigenvalue below -EIGEN_CUT_TOL: its eigenvector, then two
+    # neighbours per positive eigenvalue, each at cos(t)^2 lam_i / 2 < 0
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        d = int(rng.integers(1, 6))
+        f = rng.standard_normal((d, d))
+        a = (f + f.T) / 2.0
+        lams, vecs = np.linalg.eigh(a)
+        neg, pos = lams[lams < -EIGEN_CUT_TOL], lams[lams > 0]
+        dirs = cut_directions(a)
+        assert len(dirs) == len(neg) * (1 + 2 * len(pos))
+        for n, lam in enumerate(neg):
+            group = dirs[n * (1 + 2 * len(pos)):(n + 1) * (1 + 2 * len(pos))]
+            v = group[0]
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+            assert abs(v @ a @ v - lam) <= 1e-12 * max(1.0, np.abs(lams).max())
+            for m, mu in enumerate(pos):
+                cos2 = 1.0 / (1.0 - lam / (2.0 * mu))
+                for w in group[1 + 2 * m:3 + 2 * m]:
+                    assert abs(w @ w - 1.0) <= 1e-12
+                    assert abs(w @ a @ w - cos2 * lam / 2.0) <= 1e-12 * max(1.0, np.abs(lams).max())
+        for v in dirs:
+            assert v @ a @ v < 0.0
+
+
+def test_cut_directions_hold_on_psd_blocks():
+    # every direction returned is a valid row v' M v >= 0 at random PSD
+    # matrices, singular ones included, and a PSD block returns none
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        d = int(rng.integers(1, 6))
+        f = rng.standard_normal((d, d))
+        dirs = cut_directions((f + f.T) / 2.0)
+        for rank in range(1, d + 1):
+            g = rng.standard_normal((d, rank))
+            m = g @ g.T
+            assert cut_directions(m) == []
+            for v in dirs:
+                assert v @ m @ v >= -1e-12 * np.abs(m).max()
+    assert cut_directions(np.zeros((3, 3))) == []
+    assert cut_directions(np.diag([1.0, -EIGEN_CUT_TOL / 2])) == []
+
+
+def test_outer_counts_its_milp_rounds_and_lp_solves(monkeypatch):
+    solves = []
+
+    class CountedLp(WarmLp):
+        def solve(self):
+            solves.append("lp")
+            return super().solve()
+
+    monkeypatch.setattr(misdp, "WarmLp", CountedLp)
+    monkeypatch.setattr(misdp, "solve_milp",
+                        lambda model: solves.append("milp") or solve_milp(model))
+    x, model, blocks = list(_sandwich_models())[3]
+    counters = {"psd_milp_rounds": 0, "psd_lp_solves": 0, "other": 7}
+    assert solve_misdp_outer(model, blocks, counters=counters).status == OPTIMAL
+    assert counters == {"psd_milp_rounds": solves.count("milp"),
+                        "psd_lp_solves": solves.count("lp"), "other": 7}
+    assert counters["psd_lp_solves"] > 0
 
 
 def test_outer_no_cuts_when_already_psd():

@@ -698,8 +698,8 @@ def test_type3_lb_stage_cache_keys_on_the_accepted_solve_not_its_probe(monkeypat
     outer = misdp.solve_misdp_outer
     loops = []
 
-    def outer_with_a_cut_in_the_probe(model, blocks, split):
-        sol = outer(model, blocks, split)
+    def outer_with_a_cut_in_the_probe(model, blocks, *args):
+        sol = outer(model, blocks, *args)
         loops.append(1)
         if len(loops) == 2:
             misdp._append_cut((model,), blocks[0], np.ones(blocks[0].dim))
@@ -762,8 +762,8 @@ def test_type3_lb_stage_lookups_follow_the_solves_before_them(monkeypatch):
     # k up after the solves before it, as solve_stage one k at a time does
     outer = misdp.solve_misdp_outer
 
-    def appending(model, blocks, split):
-        sol = outer(model, blocks, split)
+    def appending(model, blocks, *args):
+        sol = outer(model, blocks, *args)
         model.add_row({int(blocks[0].cols[0, 0]): 1.0}, ">=", 0.0)
         return sol
 
@@ -1175,12 +1175,27 @@ def test_bound_mode_guards():
 
 
 def test_subgradient_dual_path_converges(monkeypatch):
-    # with a shorter subgradient search the cuts still close the gap
+    # capped at one step, the searches at capacity 20 from x_hat = (0, 0, 0)
+    # stop short: 9 relaxed solves where the uncapped searches take 18,
+    # and three cuts end below the stage value at x_hat.  Each cut is
+    # still valid, at or below the pinned stage value at all 8 binary
+    # states, and the run with the cap still closes the gap
     from ddro.bench import enumerate_two_stage
 
-    inst = generate_instance(100, 2, 3, 1, 10, 0.8)
+    monkeypatch.setattr(sddip, "SUBGRADIENT_ITERS", 1)
+    inst = small_instance(h=np.full((2, 3), 20.0))
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    backward_pass(oracle, {2: [(0, 0, 0)]})
+    assert oracle.dual_solves == 9
+    short = 0
+    for k in range(inst.K):
+        (cut,) = oracle.pool.cuts[2][k]
+        for x in itertools.product((0.0, 1.0), repeat=inst.I):
+            value = oracle.solve_stage(2, k, np.array(x)).value
+            assert cut.v + cut.pi @ np.array(x) <= value + 1e-9 * max(1.0, abs(value))
+            short += not any(x) and cut.v < value - 1.0
+    assert short == 3
     ref = enumerate_two_stage(inst, 1).objective
-    monkeypatch.setattr(sddip, "SUBGRADIENT_ITERS", 25)
     rep = run(inst, 1, SddipConfig(max_iters=20))
     assert rep.status == "Optimal"
     assert abs(rep.lb_per_iter[-1] - ref) <= 1e-6 * max(1.0, abs(ref))
@@ -1531,10 +1546,13 @@ def test_a_failed_split_falls_back_to_the_whole_milp_and_ends_splitting_its_stag
     model, _, _ = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
     sol = oracle.solve_stage(1, 0, x0)
     assert sol.value == solve_milp(model).objective
-    assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1}
+    no_loop = {"psd_milp_rounds": 0, "psd_lp_solves": 0}  # Type 1 runs no cut loop
+    assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1,
+                               **no_loop}
     assert oracle.batches(1) and not oracle._splitting[1]
     oracle.solve_stage(2, 0, np.array(sol.x_bits, dtype=float))
-    assert oracle.counters == {"split_solves": 1, "split_blocks": 3, "split_fallbacks": 1}
+    assert oracle.counters == {"split_solves": 1, "split_blocks": 3, "split_fallbacks": 1,
+                               **no_loop}
     oracle.pool.add(2, 0, Cut(-1e6, np.zeros(inst.I)))  # a new stage-1 model
     oracle.solve_stage(1, 0, x0)
     assert oracle.counters["split_fallbacks"] == 1 and oracle.stage_solves == 3
@@ -1550,14 +1568,16 @@ def test_a_stage_solve_with_too_many_states_solves_whole_without_enumerating_the
     model, _, _ = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
     assert oracle.solve_stage(1, 0, x0).value == solve_milp(model).objective
     assert oracle._states == {(1, (0,) * inst.I): None} and oracle._splitting[1]
-    assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1}
+    assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1,
+                               "psd_milp_rounds": 0, "psd_lp_solves": 0}
 
 
 def test_run_reports_its_split_and_probe_counters(monkeypatch):
     # on the Type 3 "lb" route of pattern 3-1 every split is a stage-1
     # cut-loop round at the empty state, over the 4 states of a one-build
-    # budget; an audit that flags once runs one probe.  The counters are
-    # deterministic and in to_json()
+    # budget, and so one MILP round of the cut loops, which also count
+    # their fixed-integer LPs; an audit that flags once runs one probe.
+    # The counters are deterministic and in to_json()
     inst = make_pattern_instance(TYPE3_PATTERNS[0], seed=1)
     audit = reformulate.audit_dual_bounds
 
@@ -1575,8 +1595,11 @@ def test_run_reports_its_split_and_probe_counters(monkeypatch):
 
     rep = solve()
     counters = rep.counters
-    assert set(counters) == {"split_solves", "split_blocks", "split_fallbacks", "dual_probes"}
+    assert set(counters) == {"split_solves", "split_blocks", "split_fallbacks",
+                             "psd_milp_rounds", "psd_lp_solves", "dual_probes"}
     assert counters["split_solves"] > rep.iterations
+    assert counters["psd_milp_rounds"] >= counters["split_solves"]
+    assert counters["psd_lp_solves"] > 0
     assert counters["split_blocks"] == 4 * counters["split_solves"]
     assert (counters["split_fallbacks"], counters["dual_probes"]) == (0, 1)
     assert json.loads(rep.to_json())["counters"] == counters

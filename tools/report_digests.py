@@ -11,7 +11,11 @@ the benchmark does.  After the workload lines come those of the
 "type3_stretch" cases, which no workload covers: Type 3 patterns 3-1,
 3-3 and 3-4 at K = 4 stretched to T = 3 (bench.stretch_to_three_stages),
 whose stage 2 is an intermediate PSD stage, on the "lb" and "ub" routes.
-Pattern 3-2 is left out: its two routes take about 10 s.
+Pattern 3-2 is left out: at seeds 2 and 3 its "lb" route raises
+sddip.RelaxedStateEmpty after about 0.1 s, because a relaxed stage-2
+solve reaches the state (1, 1, 1), whose stage-3 set is empty, so it has
+no report to digest.  At seed 1 both of its routes end, in about 0.7 s
+("lb") and 0.3 s ("ub") on a 2-core Xeon.
 
     python3 tools/report_digests.py --drop stage_solves 1 2 3
 
