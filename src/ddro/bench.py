@@ -1,8 +1,16 @@
-"""Experiment front door: the two-stage enumeration oracle, an exact
-multistage value recursion for small state spaces, regenerated benchmark
+"""Experiment front door: the exact references, regenerated benchmark
 pattern suites with their published reference objectives for
 orientation, decision-independent baselines, and the grid experiment
 runner emitting CSV cells and plot-data series.
+
+The exact references are one recursion for small state spaces: one
+candidate loop over the facility states of model.budget_states prices
+each state at g_t plus the worst case over exact next-stage values.
+exact_value_function takes the minimum at each level, and
+enumerate_two_stage is its first level at T = 2 with one row per
+candidate.  A candidate whose next-stage set is empty makes the value
+unbounded below: the enumeration is then "unbounded" and the recursion
+raises EmptyAmbiguity, the verdict of the engine's run.
 
 Reference objectives attached to the pattern definitions are NOT
 reproduction targets: the published support samples are unavailable, so
@@ -30,8 +38,8 @@ import numpy as np
 from . import sddip
 from .ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, worst_case
 from .lpmilp import OPTIMAL, solve_milp
-from .model import (Instance, build_stage_block, generate_instance, replace_fields,
-                    validate_instance, zero_lambda)
+from .model import (Instance, budget_states, build_stage_block, generate_instance,
+                    replace_fields, validate_instance, zero_lambda)
 
 ENUM_MAX_FACILITIES = 12
 
@@ -49,25 +57,6 @@ class EnumerationResult:
     best_x1: tuple[int, ...] | None
     rows: list[CandidateRow]
     status: str  # "ok" | "unbounded"
-
-
-def budget_feasible_states(inst: Instance, t: int, x_prev) -> list[np.ndarray]:
-    """All monotone successors of x_prev within the stage-t budget."""
-    if inst.I > ENUM_MAX_FACILITIES:
-        raise ValueError(f"state enumeration capped at I <= {ENUM_MAX_FACILITIES}")
-    x_prev = np.asarray(x_prev, dtype=float)
-    f_t = inst.f[t - 1]
-    closed = [i for i in range(inst.I) if x_prev[i] < 0.5]
-    out = []
-    for mask in range(2 ** len(closed)):
-        x = x_prev.copy()
-        for b, i in enumerate(closed):
-            if (mask >> b) & 1:
-                x[i] = 1.0
-        if float(f_t @ (x - x_prev)) <= inst.N + 1e-9:
-            out.append(x)
-    out.sort(key=lambda x: tuple(x))
-    return out
 
 
 def stage_flow_value(inst: Instance, t: int, x, xi) -> float:
@@ -98,40 +87,52 @@ def _stage_risk(inst: Instance, t: int, risk: bool) -> RiskSpec | None:
     return RiskSpec(float(inst.risk_lambda[t]), float(inst.risk_alpha[t]))
 
 
+def _stage_candidates(inst: Instance, ttype: int, t: int, x_prev, k: int, risk: bool,
+                      memo: dict):
+    """The one candidate loop of both exact references: for each stage-t
+    state x_t from x_prev (model.budget_states, in lexicographic order),
+    its bits and g_t(x_t, xi_t^k) plus the worst case over the exact
+    stage-(t+1) values, or None where the stage-(t+1) set at x_t is
+    empty."""
+    if inst.I > ENUM_MAX_FACILITIES:
+        raise ValueError(f"state enumeration capped at I <= {ENUM_MAX_FACILITIES}")
+    xi = inst.stage_support(t)[k]
+    for bits in budget_states(inst, t, x_prev, 2 ** inst.I):
+        x_t = np.array(bits, dtype=float)
+        g = stage_flow_value(inst, t, x_t, xi)
+        q = np.array([exact_value_function(inst, ttype, t + 1, x_t, kp, risk, memo)
+                      for kp in range(inst.K)])
+        try:
+            wc = worst_case(inst, AmbiguityType(int(ttype)), x_t, q, stage=t + 1,
+                            risk=_stage_risk(inst, t, risk))
+        except EmptyAmbiguity:
+            yield bits, None
+            continue
+        yield bits, g + wc.value
+
+
 def enumerate_two_stage(inst: Instance, ttype: int, risk: bool = False) -> EnumerationResult:
-    """Gold-standard two-stage solve: enumerate first-stage candidates and
-    price each with the exact inner worst-case oracle over exact
-    second-stage values."""
+    """Gold-standard two-stage solve: the first level of the exact
+    recursion, with one row per first-stage candidate.  A candidate with
+    an empty stage-2 set makes the minimum unbounded below, so any such
+    row makes the result unbounded, as it does the engine's run."""
     if inst.T != 2:
         raise ValueError("the enumeration oracle needs T = 2")
-    ttype = AmbiguityType(int(ttype))
-    rows: list[CandidateRow] = []
-    q_cache: dict[tuple, np.ndarray] = {}
-    for x1 in budget_feasible_states(inst, 1, np.zeros(inst.I)):
-        bits = tuple(int(b) for b in x1)
-        cost1 = stage_flow_value(inst, 1, x1, inst.xi1())
-        q = q_cache.get(bits)
-        if q is None:
-            q = np.array([terminal_value(inst, x1, xi)
-                          for xi in inst.stage_support(2)])
-            q_cache[bits] = q
-        try:
-            wc = worst_case(inst, ttype, x1, q, stage=2,
-                            risk=_stage_risk(inst, 1, risk))
-            rows.append(CandidateRow(bits, cost1 + wc.value, "ok"))
-        except EmptyAmbiguity:
-            rows.append(CandidateRow(bits, None, "unbounded"))
-    ok = [r for r in rows if r.status == "ok"]
-    if not ok:
+    rows = [CandidateRow(bits, value, "unbounded" if value is None else "ok")
+            for bits, value in _stage_candidates(inst, ttype, 1, np.zeros(inst.I), 0,
+                                                 risk, {})]
+    if any(r.status == "unbounded" for r in rows):
         return EnumerationResult(None, None, rows, "unbounded")
-    best_val = min(r.value for r in ok)
-    ties = [r.x1 for r in ok if r.value <= best_val + 1e-9 * max(1.0, abs(best_val))]
+    best_val = min(r.value for r in rows)
+    ties = [r.x1 for r in rows if r.value <= best_val + 1e-9 * max(1.0, abs(best_val))]
     return EnumerationResult(best_val, min(ties), rows, "ok")
 
 
 def exact_value_function(inst: Instance, ttype: int, t: int, x_prev, k: int,
                          risk: bool = False, _memo=None) -> float:
-    """Exact Q_t(x_prev, xi_t^k) by full candidate/support recursion.
+    """Exact Q_t(x_prev, xi_t^k) by full candidate/support recursion,
+    memoized on (t, bits of x_prev, k); raises EmptyAmbiguity at the first
+    candidate whose next-stage set is empty.
 
     Only for small instances (enumerates binary states and the support
     tree); serves as the independent oracle for cut-validity audits.
@@ -140,21 +141,17 @@ def exact_value_function(inst: Instance, ttype: int, t: int, x_prev, k: int,
     key = (t, tuple(int(b) for b in np.asarray(x_prev)), k)
     if key in memo:
         return memo[key]
-    xi = inst.stage_support(t)[k]
     if t == inst.T:
-        val = terminal_value(inst, x_prev, xi)
-        memo[key] = val
-        return val
-    best = np.inf
-    for x_t in budget_feasible_states(inst, t, x_prev):
-        g = stage_flow_value(inst, t, x_t, xi)
-        q = np.array([exact_value_function(inst, ttype, t + 1, x_t, kp, risk, memo)
-                      for kp in range(inst.K)])
-        wc = worst_case(inst, AmbiguityType(int(ttype)), x_t, q, stage=t + 1,
-                        risk=_stage_risk(inst, t, risk))
-        best = min(best, g + wc.value)
-    memo[key] = best
-    return best
+        val = terminal_value(inst, x_prev, inst.stage_support(t)[k])
+    else:
+        val = np.inf
+        for bits, value in _stage_candidates(inst, ttype, t, x_prev, k, risk, memo):
+            if value is None:
+                raise EmptyAmbiguity(f"stage {t + 1} ambiguity set empty at state "
+                                     f"{list(bits)}", t + 1, bits)
+            val = min(val, value)
+    memo[key] = val
+    return val
 
 
 def exact_multistage_value(inst: Instance, ttype: int, risk: bool = False) -> float:
@@ -357,19 +354,20 @@ def spec_from_json(text: str) -> ExperimentSpec:
 
 
 def _cell_solve(inst: Instance, ttype: int, cfg: sddip.SddipConfig) -> dict:
-    """One DDDR/DIDR comparison cell; never raises, returns row fields."""
+    """One DDDR/DIDR comparison cell; never raises, returns row fields.
+    The bounds are the lb and ub of one run, or for Type 3 of the lb and
+    ub routes; a run that ended Unbounded makes the cell unbounded."""
     none = dict(lb=None, ub=None, gap=None, x1=None)
     try:
         if ttype == 3:
             lb_rep, ub_rep = sddip.run_type3_bounds(inst, cfg)
-            lb, ub = lb_rep.lb_per_iter[-1], ub_rep.ub_estimate
-            return dict(lb=lb, ub=ub, gap=(ub - lb) / max(1.0, abs(ub)),
-                        x1=list(ub_rep.first_stage_x), status="ok")
-        rep = sddip.run(inst, ttype, cfg)
-        if rep.status == "Unbounded":
+        else:
+            lb_rep = ub_rep = sddip.run(inst, ttype, cfg)
+        if "Unbounded" in (lb_rep.status, ub_rep.status):
             return dict(none, status="unbounded")
-        return dict(lb=rep.lb_per_iter[-1], ub=rep.ub_estimate, gap=rep.gap,
-                    x1=list(rep.first_stage_x), status="ok")
+        lb, ub = lb_rep.lb_per_iter[-1], ub_rep.ub_estimate
+        return dict(lb=lb, ub=ub, gap=(ub - lb) / max(1.0, abs(ub)),
+                    x1=list(ub_rep.first_stage_x), status="ok")
     except EmptyAmbiguity:
         return dict(none, status="unbounded")
     except Exception as exc:  # record and continue per-cell

@@ -545,27 +545,19 @@ def solve_milps(models: list[LinearModel]) -> list[Solution] | None:
 def solve_fixed_milps(model: LinearModel, cols, values) -> list[Solution] | None:
     """solve_milps of one copy of the model per row of values, with the
     columns cols fixed at that row by their bounds.  The model is
-    marshalled once, and the block-diagonal arrays tile its arrays."""
-    (ncol, nrow, nnz, fmt, sense, offset, cost, lower, upper, row_lower, row_upper,
-     start, index, value, integrality) = _highs_model(model, integer=True)
-    copies = len(values)
-
-    def tile(a):
-        return np.concatenate([a] * copies)
-
-    lower, upper = tile(lower).reshape(copies, ncol), tile(upper).reshape(copies, ncol)
-    lower[:, cols] = upper[:, cols] = values
-    step = np.arange(copies, dtype=np.int32)[:, None]
-    start = np.append((start[:-1] + nnz * step).ravel(), np.int32(copies * nnz))
-    index = (index + ncol * step).ravel()
-    batch = _solve_at_root([model] * copies, (
-        copies * ncol, copies * nrow, copies * nnz, fmt, sense, offset, tile(cost),
-        lower.ravel(), upper.ravel(), tile(row_lower), tile(row_upper), start, index,
-        tile(value), tile(integrality)))
+    marshalled once, and the copies differ in their bounds alone."""
+    part = _highs_model(model, integer=True)
+    cost, lower, upper = part[6:9]
+    parts = []
+    for row in values:
+        lo, up = lower.copy(), upper.copy()
+        lo[cols] = up[cols] = row
+        parts.append(part[:7] + (lo, up) + part[9:])
+    batch = _solve_at_root([model] * len(parts), _block_diagonal(parts))
     if batch is None:
         return None
     return [Solution(OPTIMAL, x, math.fsum(cost * x), batch.node_count)
-            for x in batch.x.reshape(copies, ncol)]
+            for x in batch.x.reshape(len(parts), cost.size)]
 
 
 def _solve_at_root(models: list[LinearModel], args=None) -> Solution | None:

@@ -763,14 +763,16 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
 
 
 def run_type3_bounds(inst: Instance, config: SddipConfig | None = None):
-    """Lower and upper bound runs for the Type 3 model; asserts lb <= ub."""
+    """Lower and upper bound runs for the Type 3 model; asserts lb <= ub
+    unless either run ended Unbounded, which has no bound to compare."""
     cfg = config if config is not None else SddipConfig()
     t0 = time.perf_counter()
     lb_report = run(inst, 3, replace_config(cfg, bound_mode="lb"))
     ub_report = run(inst, 3, replace_config(cfg, bound_mode="ub"))
-    lb = lb_report.lb_per_iter[-1]
-    ub = ub_report.ub_estimate
-    if lb > ub + SANDWICH_REL_SLACK * max(1.0, abs(ub)):
-        raise AssertionError(f"bound sandwich violated: lb={lb} > ub={ub}")
+    if "Unbounded" not in (lb_report.status, ub_report.status):
+        lb = lb_report.lb_per_iter[-1]
+        ub = ub_report.ub_estimate
+        if lb > ub + SANDWICH_REL_SLACK * max(1.0, abs(ub)):
+            raise AssertionError(f"bound sandwich violated: lb={lb} > ub={ub}")
     lb_report.wall_time = time.perf_counter() - t0
     return lb_report, ub_report

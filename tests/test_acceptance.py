@@ -15,8 +15,7 @@ from scipy.optimize import linprog
 from ddro import bench
 from ddro.ambiguity import (AmbiguityType, RiskSpec, is_nonempty, type1_bounds,
                             worst_case)
-from ddro.bench import (PATTERN_SUITES, budget_feasible_states,
-                        enumerate_two_stage, exact_value_function,
+from ddro.bench import (PATTERN_SUITES, enumerate_two_stage, exact_value_function,
                         make_pattern_instance, solve_didr, terminal_value)
 from ddro.misdp import min_eigenpair
 from ddro.model import generate_instance, replace_fields, zero_lambda

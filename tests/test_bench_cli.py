@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ddro import bench, cli, sddip
+from ddro.ambiguity import EmptyAmbiguity
 from ddro.bench import (ExperimentSpec, enumerate_two_stage,
                         exact_multistage_value, make_pattern_instance,
                         run_experiment, solve_didr, spec_from_json)
-from ddro.model import (from_json, generate_instance, load_instance,
+from ddro.model import (budget_states, from_json, generate_instance, load_instance,
                         replace_fields, save_instance, to_json, zero_lambda)
 from test_sddip import relaxed_empty_instance
 
@@ -64,12 +65,12 @@ def test_didr_reduction_identical_reports():
 
 def test_pattern_instances_have_nonempty_sets():
     from ddro.ambiguity import AmbiguityType, is_nonempty
-    from ddro.bench import PATTERN_SUITES, budget_feasible_states
+    from ddro.bench import PATTERN_SUITES
 
     for ttype, suite in PATTERN_SUITES.items():
         for pat in suite:
             inst = make_pattern_instance(pat, seed=1)
-            for x in budget_feasible_states(inst, 1, np.zeros(inst.I)):
+            for x in budget_states(inst, 1, np.zeros(inst.I), 2 ** inst.I):
                 assert is_nonempty(inst, AmbiguityType(ttype), x), (pat.name, x)
 
 
@@ -283,6 +284,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli.main(["solve", "--instance", str(p), "--type", "1"]) == 3
     save_instance(_empty_ambiguity_instance(), p)
     assert cli.main(["enum", "--instance", str(p), "--type", "1"]) == 3
+    # partly empty: three of the four first-stage candidates have an
+    # empty stage-2 set, so both commands and both references say unbounded
+    partly = generate_instance(4, 2, 3, 1, 3, 5.0)
+    save_instance(partly, p)
+    assert cli.main(["solve", "--instance", str(p), "--type", "1"]) == 3
+    assert cli.main(["enum", "--instance", str(p), "--type", "1"]) == 3
+    res = enumerate_two_stage(partly, 1)
+    assert (res.status, res.objective, res.best_x1) == ("unbounded", None, None)
+    assert [r.x1 for r in res.rows] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert [r.status for r in res.rows].count("unbounded") == 3
+    with pytest.raises(EmptyAmbiguity, match=r"^stage 2 ambiguity set empty at state \[0, 0, 0\]$"):
+        exact_multistage_value(partly, 1)
     # solver failure: an empty set reached by a relaxed solve alone
     save_instance(relaxed_empty_instance(), p)
     capsys.readouterr()
@@ -464,13 +477,33 @@ def test_tie_breaking_lexicographic_on_pattern_12():
 
 
 def test_variance_sweep_records_unbounded_cells(tmp_path):
-    spec = ExperimentSpec(table="variance_sweep", seeds=[1],
-                          rho_grid=[0.2, 1.0], I=2, J=8, T=3, K_grid=[10],
-                          max_iters=6)
-    run_experiment(spec, str(tmp_path))
-    text = (tmp_path / "cells.csv").read_text()
-    assert "unbounded" in text  # the low-variance cell is empty-set
-    assert "ok" in text
+    specs = {
+        "type1": ExperimentSpec(table="variance_sweep", seeds=[1], rho_grid=[0.2, 1.0], I=2,
+                                J=8, T=3, K_grid=[10], max_iters=6),
+        # Type 3, whose lb run ends Unbounded before its first bound
+        "type3": ExperimentSpec(table="variance_sweep", seeds=[1], ttype=3, rho_grid=[0.05],
+                                I=3, J=2, K_grid=[4], max_iters=5),
+    }
+    for name, spec in specs.items():
+        run_experiment(spec, str(tmp_path / name))
+        with open(tmp_path / name / "cells.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows[0]["dddr_status"] == "unbounded", name  # the low-variance cell is empty-set
+        assert {row["didr_status"] for row in rows} == {"ok"}, name
+
+
+def test_a_run_that_ends_unbounded_makes_an_unbounded_cell(monkeypatch):
+    # the status decides, also after a first iteration gave a bound
+    inst = generate_instance(1, 2, 2, 1, 3, 0.8)
+    cfg = sddip.SddipConfig(max_iters=2)
+
+    def unbounded_run(inst, ttype, config=None):
+        return sddip.SolveReport(ambiguity_type=ttype, lb_per_iter=[-1.0], status="Unbounded")
+
+    monkeypatch.setattr(sddip, "run", unbounded_run)
+    for ttype in (1, 2, 3):
+        assert bench._cell_solve(inst, ttype, cfg) == dict(
+            lb=None, ub=None, gap=None, x1=None, status="unbounded")
 
 
 def test_cli_risk_flags(tmp_path):

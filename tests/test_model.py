@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ddro import model
-from ddro.bench import budget_feasible_states
 from ddro.lpmilp import OPTIMAL, solve_milp
 from ddro.model import (BUDGET_STATE_TOL, budget_states, build_stage_block, from_json,
                         generate_instance, manhattan, replace_fields, to_json, zero_lambda,
@@ -109,13 +108,28 @@ def test_sigma_bar_must_be_exactly_symmetric():
         from_json(json.dumps(doc))
 
 
+def _successor_walk(inst, t, x_prev):
+    """Reference for budget_states: every monotone successor of x_prev,
+    kept where f_t'(x - x_prev) is within the budget's cap."""
+    x_prev = np.asarray(x_prev, dtype=float)
+    cap = inst.N + BUDGET_STATE_TOL * max(1.0, inst.N)
+    closed = [i for i in range(inst.I) if x_prev[i] < 0.5]
+    out = []
+    for mask in range(2 ** len(closed)):
+        x = x_prev.copy()
+        for b, i in enumerate(closed):
+            if (mask >> b) & 1:
+                x[i] = 1.0
+        if float(inst.f[t - 1] @ (x - x_prev)) <= cap:
+            out.append(tuple(int(b) for b in x))
+    return sorted(out)
+
+
 def test_budget_row():
     inst = generate_instance(4, 2, 1, 1, 3, 0.5)
-    states = budget_feasible_states(inst, 1, np.zeros(1))
-    assert [tuple(s) for s in states] == [(0.0,), (1.0,)]
+    assert budget_states(inst, 1, np.zeros(1), 2) == [(0,), (1,)]
     tight = replace_fields(inst, N=99.0)
-    states = budget_feasible_states(tight, 1, np.zeros(1))
-    assert [tuple(s) for s in states] == [(0.0,)]
+    assert budget_states(tight, 1, np.zeros(1), 2) == [(0,)]
 
 
 def test_flow_block_all_open_zero_demand():
@@ -212,7 +226,7 @@ def test_revenue_lower_bound():
 
 
 def test_budget_states_are_the_states_in_budget_in_lexicographic_order():
-    # against the reference walk over every successor (bench), on budgets
+    # against the reference walk over every successor, on budgets
     # of one and two builds, with mixed costs (a free and a paid-for build
     # among them) and a facility already open
     base = generate_instance(5, 3, 5, 1, 2, 0.5)
@@ -222,8 +236,7 @@ def test_budget_states_are_the_states_in_budget_in_lexicographic_order():
         inst = replace_fields(base, f=f, N=N)
         for t, x_prev in ((1, np.zeros(5)), (2, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))):
             states = budget_states(inst, t, x_prev, 2 ** inst.I)
-            assert states == [tuple(int(b) for b in x)
-                              for x in budget_feasible_states(inst, t, x_prev)]
+            assert states == _successor_walk(inst, t, x_prev)
             assert len(states) > 2 and states[0] == tuple(int(b) for b in x_prev)
 
 
