@@ -443,7 +443,7 @@ def milp(highs: _Highs, load) -> None:
 
     Every solve calls it once, by the module-level name milp for a MILP
     and linprog for an LP, so that the benchmark's traced run can time
-    HiGHS apart from marshalling by patching either name; ROADMAP item 4
+    HiGHS apart from marshalling by patching either name; ROADMAP item 6
     moves that timing into counters.
     """
     if load() == HighsStatus.kError:

@@ -24,13 +24,13 @@ otherwise; the mode is flagged in the report.
 
 One walker, _sample_path, draws every sampled path: forward passes walk
 to stage T-1 for trial states, the sampled evaluation to stage T for
-costs.  Every stage without a cut loop -- all but the PSD stages of the
-Type 3 "lb" route -- runs its dual searches in lockstep, and the tree
-evaluation solves the K children of a state together; their MILPs go to
-HiGHS in batches (StageOracle).  A stage solve at a pinned state is
-split on its facility states, one copy per state with the binaries
-fixed, and its decision among tied states follows a fixed rule
-(StageOracle._split).  Each worst case is computed once per run
+costs.  Every stage runs its dual searches in lockstep, and the tree
+evaluation solves the K children of a state together; at every stage
+without a cut loop -- all but the PSD stages of the Type 3 "lb" route --
+their MILPs go to HiGHS in batches (StageOracle).  A stage solve at a
+pinned state is split on its facility states, one copy per state with
+the binaries fixed, and its decision among tied states follows a fixed
+rule (StageOracle._split).  Each worst case is computed once per run
 (StageOracle.worst_case).  The cut pool is append-only, updated per
 pass.
 """
@@ -270,9 +270,8 @@ class StageOracle:
     not close at its root ends batching for that stage alone,
     whose jobs then run one by one: models that branch, or take tens of
     milliseconds, cost more batched.  Type 3 "lb" stages with PSD blocks
-    never batch: their relaxed solves append eigen rows, so solve order
-    decides the rows, and their jobs and dual searches run one after
-    another (batches).
+    never batch, since each of their solves is a cut loop: their jobs run
+    one by one, in job order.
     Stage models are compiled once and re-solved by patching: the oracle
     keeps one model per (stage, big-M), whose rows are assembled once
     (see lpmilp.LinearModel).  In each, the incoming state is the binary
@@ -291,17 +290,22 @@ class StageOracle:
     as the cut loop appended them, are replayed per solve.  The solved
     model equals a fresh build that adds the stage block, the DD or seed
     rows, the cuts and the eigen rows in that order.
-    The stage cache holds one entry per pinned solve, keyed on the
-    model it solved: (t, k, state, cuts in the pool of stage t+1, eigen
-    rows of the solved model).  On the "lb" route the cut loop appends
-    eigen rows during the solve, so the entry lands past the row count
-    of the lookup that missed, where the next lookup finds it; a re-solve
-    there would replay the same rows in the same order.  The count is the
-    accepted solve's own: a flat-face probe at 10x the big-M
-    (reformulate.solve_with_dual_bound) may append rows after it, and a
-    lookup that counts those misses.  Other routes append no eigen rows.
-    An escalation of the big-M bound drops the kept models along with
-    the stage cache.
+    The stage cache holds one entry per pinned solve, keyed on (t, k,
+    state, cuts in the pool of stage t+1).  On the "lb" route a hit may
+    come from a model with fewer eigen rows than a solve would replay
+    now, and its value is still a lower bound: a stage's eigen rows are
+    only appended, so the model the hit solved -- stage block, seed rows
+    and cuts as now, the eigen rows stored then and those its cut loop
+    appended -- has a subset of the rows of the current one, and so
+    relaxes it; its value is at most a fresh solve's.  Every eigen row
+    v'Mv >= 0 holds on the whole PSD cone, so either value is at most the
+    stage value of the MISDP, and any cut or bound built on it stays
+    valid; SDDiP needs valid cuts and bounds, not one solve order (Zou,
+    Ahmed & Sun 2019).  A flat-face probe at 10x the big-M
+    (reformulate.solve_with_dual_bound) may append rows after the
+    accepted solve, which is the entry stored.  Other routes append no
+    eigen rows.  An escalation of the big-M bound drops the kept models
+    along with the stage cache.
     A worst case (ambiguity.worst_case) depends on its stage, state and
     stage values alone, so worst_case computes each once per run.
     Every pinned solve -- _solve_once with x_prev given: the plain MILP,
@@ -368,10 +372,6 @@ class StageOracle:
         return RiskSpec(float(inst.risk_lambda[t] if lam is None else lam),
                         float(inst.risk_alpha[t] if alpha is None else alpha))
 
-    def batches(self, t: int) -> bool:
-        """Whether the jobs of stage t still run as one batch (see StageOracle)."""
-        return self._batching[t]
-
     def worst_case(self, t: int, x_prev, q) -> WorstCase:
         """ambiguity.worst_case over the stage-t set at x_prev with stage
         values q, under the stage-(t-1) risk blend; computed once per
@@ -389,19 +389,15 @@ class StageOracle:
 
     def solve_stages(self, t: int, x_prev, ks) -> list[StageSolution]:
         """solve_stage(t, k, x_prev) for each k in ks, the misses as one
-        batch.  The stage cache is read at the eigen rows stored now, and
-        written at those of the model solved, which include the rows its
-        cut loop appended (see StageOracle); where a cut loop runs, each
-        lookup follows the solves before it."""
-        if not self._batching[t] and len(ks) > 1:
-            return [self.solve_stage(t, k, x_prev) for k in ks]
-        keys = [self._stage_key(t, k, x_prev) for k in ks]
+        batch.  On the Type 3 "lb" route a hit may come from a model with
+        fewer eigen rows than a solve would replay now; its value is still
+        a lower bound (see StageOracle)."""
+        keys = [(t, k, _bits(x_prev), self.pool.num_cuts(t + 1)) for k in ks]
         out = [self._stage_cache.get(key) for key in keys]
         missed = [j for j, sol in enumerate(out) if sol is None]
         solved = self._solve_jobs(t, [(ks[j], x_prev, None) for j in missed])
-        for j, (sol, lay, _, eigen_rows) in zip(missed, solved):
-            out[j] = self._stage_solution(t, sol, lay)
-            self._stage_cache[self._stage_key(t, ks[j], x_prev, eigen_rows)] = out[j]
+        for j, (sol, lay, _) in zip(missed, solved):
+            out[j] = self._stage_cache[keys[j]] = self._stage_solution(t, sol, lay)
         return out
 
     def relaxed_values(self, t: int, jobs):
@@ -411,12 +407,7 @@ class StageOracle:
         self.dual_solves += len(jobs)
         solved = self._solve_jobs(t, [(k, None, np.asarray(pi, dtype=float)) for k, pi in jobs])
         return [(float(sol.objective), round_integral(sol.x, lay.z_copy))
-                for sol, lay, _, _ in solved]
-
-    def _stage_key(self, t: int, k: int, x_prev, eigen_rows: int | None = None) -> tuple:
-        """The stage-cache key at eigen_rows rows, by default those stored now."""
-        rows = len(self._eigen_rows.get(t, ())) if eigen_rows is None else eigen_rows
-        return (t, k, _bits(x_prev), self.pool.num_cuts(t + 1), rows)
+                for sol, lay, _ in solved]
 
     def _stage_solution(self, t: int, sol, lay: VarLayout) -> StageSolution:
         value = float(sol.objective)  # at t = T, the stage cost itself
@@ -453,8 +444,7 @@ class StageOracle:
             self._batching[t] = False
             return None
         self.stage_solves += len(jobs)
-        # a stage that batches runs no cut loop, so it has no eigen rows
-        return [(sol, lay, blocks, 0) for sol, (_, lay, blocks) in zip(sols, built)]
+        return [(sol, lay, blocks) for sol, (_, lay, blocks) in zip(sols, built)]
 
     def _solve_compiled(self, t: int, k: int, x_prev, pi, first=None):
         """Build and solve a compiled stage model through
@@ -516,8 +506,8 @@ class StageOracle:
         return model, comp.lay, comp.blocks
 
     def _solve_once(self, t: int, k: int, x_prev, pi, dual_bound):
-        """(solution, layout, PSD blocks, eigen rows of the solved model):
-        the rows replayed plus those the cut loop appended."""
+        """(solution, layout, PSD blocks) of one stage-t solve at big-M
+        dual_bound, storing the eigen rows its cut loop appended."""
         model, lay, blocks = self._stage_model(t, k, x_prev, pi, dual_bound)
         split = None if x_prev is None else functools.partial(self._split, t, x_prev, lay.x)
         if self.config.bound_mode == "lb" and blocks:  # no PSD blocks at the terminal stage
@@ -531,7 +521,7 @@ class StageOracle:
         self.stage_solves += 1
         if sol.status != OPTIMAL:
             raise RuntimeError(f"stage {t} solve returned {sol.status}")
-        return sol, lay, blocks, len(self._eigen_rows.get(t, ()))
+        return sol, lay, blocks
 
     def _split(self, t: int, x_prev, x_cols, model: LinearModel) -> Solution | None:
         """The model's MILP at a pinned state, split on the stage-t states
@@ -652,21 +642,21 @@ def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
     """Append one multi-cut family per (stage, realization, trial state)
     to the oracle's pool, each from the Lagrangian dual at that state,
     aimed at the pinned stage value there (solve_stages, through the
-    stage cache; at T = 2 the policy evaluation has solved them all): a
-    stage's searches in lockstep where it batches, else one after another
-    (see StageOracle)."""
+    stage cache; at T = 2 the policy evaluation has solved them all).  A
+    stage's searches run in lockstep: each step's relaxed solves go to
+    relaxed_values together, which batches them where the stage batches
+    and else solves them in job order (see StageOracle)."""
     inst, pool = oracle.inst, oracle.pool
     for t in range(inst.T, 1, -1):
         jobs = [(x_hat, k, sol.value) for x_hat in trial_states.get(t, ())
                 for k, sol in enumerate(oracle.solve_stages(
                     t, np.array(x_hat, dtype=float), range(inst.K)))]
-        for group in [jobs] if oracle.batches(t) else [[job] for job in jobs]:
-            cuts = lagrangian_dual(
-                lambda steps, group=group: oracle.relaxed_values(
-                    t, [(group[j][1], pi) for j, pi in steps]),
-                [x_hat for x_hat, _, _ in group], [h for _, _, h in group])
-            for (_, k, _), (pi, v) in zip(group, cuts):
-                pool.add(t, k, Cut(v=v, pi=pi))
+        cuts = lagrangian_dual(
+            lambda steps: oracle.relaxed_values(
+                t, [(jobs[j][1], pi) for j, pi in steps]),
+            [x_hat for x_hat, _, _ in jobs], [h for _, _, h in jobs])
+        for (_, k, _), (pi, v) in zip(jobs, cuts):
+            pool.add(t, k, Cut(v=v, pi=pi))
     return pool
 
 

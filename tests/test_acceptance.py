@@ -218,7 +218,7 @@ def test_criterion_7_psd_compliance():
         for _ in range(3):
             _, states = forward_pass(oracle, 1, rng)
             backward_pass(oracle, states)
-        sol, lay, blocks, _ = oracle._solve_compiled(1, 0, np.zeros(inst.I), None)
+        sol, lay, blocks = oracle._solve_compiled(1, 0, np.zeros(inst.I), None)
         lam_mins = [min_eigenpair(sol.x[b.cols])[0] for b in blocks]
         for lam in lam_mins:
             assert lam >= -tol, (mode, lam)

@@ -93,3 +93,19 @@ def test_value_records_carry_the_work_fields():
     assert values["dual_solves"] == 12
     assert (values["lb"], values["ub"], values["iterations"]) == (-5.0, -4.0, 2)
     assert set(values) == set(tool.DISCRETE) | set(tool.BOUNDS) | set(tool.WORK)
+
+
+def test_counters_is_a_work_field_shown_by_the_entries_that_moved(tmp_path, capsys):
+    # the split and eigen-cut loop counters are printed, not compared; a
+    # WORK line names only the counters that moved, or that one side lacks
+    tool = _load_tool()
+    assert "counters" in tool.WORK
+    dump = tmp_path / "parent.jsonl"
+    dump.write_text(json.dumps(_rec("a", counters={
+        "split_solves": 18, "split_blocks": 58, "psd_lp_solves": 120})) + "\n")
+    assert tool.check_against([_rec("a", counters={
+        "split_solves": 14, "split_blocks": 58, "psd_lp_solves": 120, "dual_probes": 0})],
+        str(dump)) == 0
+    work = [line for line in capsys.readouterr().err.splitlines() if line.startswith("WORK")]
+    assert work == ["WORK w 1 a: counters {'split_solves': 18} -> "
+                    "{'split_solves': 14, 'dual_probes': 0}"]

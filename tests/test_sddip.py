@@ -427,7 +427,7 @@ def test_lockstep_searches_below_the_terminal_stage_add_the_cuts_of_searches_alo
                     _one_by_one(lambda p: alone.relaxed_values(t, [(k, p)])[0]), [x_hat],
                     [sols[k].value])
                 alone.pool.add(t, k, Cut(v, pi))
-    assert steps_at_two > 1 or not oracle.batches(2)  # stage 2's searches take steps
+    assert steps_at_two > 1 or not oracle._batching[2]  # stage 2's searches take steps
     assert oracle.pool.num_cuts(2) == alone.pool.num_cuts(2) > 0
     assert oracle.pool.num_cuts(3) == alone.pool.num_cuts(3) > 0
     for (t, k, mine), (t_alone, k_alone, cut) in zip(oracle.pool.all_cuts(),
@@ -473,7 +473,7 @@ def test_a_flagged_block_of_a_stage_two_batch_probes_from_its_batch_solution(mon
     monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
     _run_passes(oracle, 3)
-    assert flagged and oracle.dual_bound.escalations == 0 and oracle.batches(2)
+    assert flagged and oracle.dual_bound.escalations == 0 and oracle._batching[2]
     assert oracle.stage_solves == plain.stage_solves + 1
     assert oracle.dual_solves == plain.dual_solves
     assert oracle.pool.num_cuts(2) == plain.pool.num_cuts(2) > 0
@@ -538,7 +538,7 @@ def test_a_type3_ub_batch_checks_each_block_for_psd(monkeypatch):
                         lambda blocks, x: audited.append((len(blocks), x)) or audit(blocks, x))
     x = np.array([0.0, 0.0, 1.0])
     sols = oracle.solve_stages(2, x, range(inst.K))
-    assert oracle.batches(2) and oracle.stage_solves == inst.K
+    assert oracle._batching[2] and oracle.stage_solves == inst.K
     assert [n for n, _ in audited] == [2] * inst.K
     alone = StageOracle(inst, 3, SddipConfig(bound_mode="ub"), CutPool(inst.T, inst.K))
     for k, (sol, (_, bx)) in enumerate(zip(sols, audited)):
@@ -678,104 +678,87 @@ def test_type3_lb_policy_evaluation_reuses_the_forward_stage_one_solve(monkeypat
     assert abs(plain - sol1.value) <= 1e-9 * max(1.0, abs(plain))
 
 
-def test_type3_lb_stage_cache_keys_on_the_accepted_solve_not_its_probe(monkeypatch):
-    # an audit that flags once makes solve_with_dual_bound probe at 10x
-    # the big-M; the probe's cut loop appends rows after the accepted
-    # solve at M, whose solution is stored at the M solve's row count.
-    # The probe here replays the M solve's rows and needs no new one, so
-    # its loop is made to append one more valid cut, as a loop on another
-    # big-M may
-    inst, oracle = _type3_lb_oracle()
-    audit = reformulate.audit_dual_bounds
-    flagged = []
-
-    def audit_once(lay, x):
-        if not flagged:
-            flagged.append(1)
-            return lay.audit_families[0]
-        return audit(lay, x)
-
-    outer = misdp.solve_misdp_outer
-    loops = []
-
-    def outer_with_a_cut_in_the_probe(model, blocks, *args):
-        sol = outer(model, blocks, *args)
-        loops.append(1)
-        if len(loops) == 2:
-            misdp._append_cut((model,), blocks[0], np.ones(blocks[0].dim))
-        return sol
-
-    monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
-    monkeypatch.setattr(misdp, "solve_misdp_outer", outer_with_a_cut_in_the_probe)
-    counts = []  # the eigen rows of each model solved
-    solve_once = oracle._solve_once
-
-    def counting(*args):
-        out = solve_once(*args)
-        counts.append(out[3])
-        return out
-
-    monkeypatch.setattr(oracle, "_solve_once", counting)
-    x0 = np.zeros(inst.I)
-    sol = oracle.solve_stage(1, 0, x0)
-    assert flagged and oracle.dual_bound.escalations == 0
-    at_m, after_probe = counts  # the solve at M, then the probe at 10x M
-    assert at_m < after_probe == len(oracle._eigen_rows[1])
-    assert oracle._stage_cache == {(1, 0, (0,) * inst.I, 0, at_m): sol}
-    # a lookup with the probe's rows stored is another model: it solves
-    solves = oracle.stage_solves
-    again = oracle.solve_stage(1, 0, x0)
-    assert oracle.stage_solves == solves + 1 and again is not sol
-    assert oracle._stage_cache[(1, 0, (0,) * inst.I, 0, counts[-1])] is again
-
-
-def _type3_lb_stretch_oracle():
-    inst = stretch_to_three_stages(make_pattern_instance(TYPE3_PATTERNS[0], seed=1, K=4))
+def _type3_lb_stretch_oracle(pattern=0):
+    inst = stretch_to_three_stages(make_pattern_instance(TYPE3_PATTERNS[pattern], seed=1, K=4))
     return inst, StageOracle(inst, 3, SddipConfig(bound_mode="lb"), CutPool(inst.T, inst.K))
 
 
-def test_type3_lb_psd_stages_run_one_search_after_another(monkeypatch):
+def _type3_lb_stretch_backward(monkeypatch):
+    """A stretch "lb" oracle after one forward and one backward pass, the
+    trial states, and per stage-2 trial state the targets of the pass
+    with the stage-2 eigen rows stored right after they were solved."""
+    inst, oracle = _type3_lb_stretch_oracle(pattern=2)
+    _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
+    targets = {}
+    solve_stages = oracle.solve_stages
+
+    def recording(t, x_prev, ks):
+        out = solve_stages(t, x_prev, ks)
+        if t == 2:
+            targets[sddip._bits(x_prev)] = out, len(oracle._eigen_rows[2])
+        return out
+
+    monkeypatch.setattr(oracle, "solve_stages", recording)
+    backward_pass(oracle, trial_states)
+    monkeypatch.undo()
+    return inst, oracle, trial_states, targets
+
+
+def test_type3_lb_stage_lookups_hit_across_later_eigen_rows_at_a_lower_bound(monkeypatch):
+    # the stage-2 searches of a backward pass append eigen rows after its
+    # targets were solved; a lookup then is still a hit, and the model the
+    # hit solved relaxes the current one, so its value is at most a fresh
+    # solve's at the rows stored now
+    inst, oracle, trial_states, targets = _type3_lb_stretch_backward(monkeypatch)
+    for x_hat in trial_states[2]:
+        sols, rows = targets[x_hat]
+        assert len(oracle._eigen_rows[2]) > rows
+        x = np.array(x_hat, dtype=float)
+        solves = oracle.stage_solves
+        again = oracle.solve_stages(2, x, range(inst.K))
+        assert oracle.stage_solves == solves
+        assert all(hit is sol for hit, sol in zip(again, sols))
+        for k, sol in enumerate(sols):
+            fresh = oracle._solve_compiled(2, k, x, None)[0].objective
+            assert sol.value <= fresh + 1e-9 * max(1.0, abs(fresh))
+
+
+def test_type3_lb_forward_pass_reads_the_stage_two_targets_back(monkeypatch):
+    # the next forward pass returns to the stage-2 trial state under the
+    # same stage-3 cuts, so it solves stage 1 alone
+    _, oracle, trial_states, _ = _type3_lb_stretch_backward(monkeypatch)
+    stages = []
+    solve_once = oracle._solve_once
+    monkeypatch.setattr(oracle, "_solve_once",
+                        lambda t, *a: stages.append(t) or solve_once(t, *a))
+    sol1, _ = forward_pass(oracle, 2, np.random.default_rng(1))
+    assert sol1.x_bits in trial_states[2]
+    assert set(stages) == {1}
+
+
+def test_type3_lb_psd_stages_run_their_searches_in_lockstep(monkeypatch):
     # a PSD stage of the "lb" route never batches: each relaxed solve, and
-    # each pinned solve of a target, runs its own cut loop, whose eigen
-    # rows the next solve replays, so the searches of stage 2 run one after
-    # another; the terminal stage batches
-    inst, oracle = _type3_lb_stretch_oracle()
-    assert [oracle.batches(t) for t in (1, 2, 3)] == [False, False, True]
+    # each pinned solve of a target, runs its own cut loop, in job order;
+    # its searches still step together, one relaxed_values call a step
+    # with every search still active
+    inst, oracle = _type3_lb_stretch_oracle(pattern=2)
+    assert [oracle._batching[t] for t in (1, 2, 3)] == [False, False, True]
     _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
     calls, loops = [], []
     relaxed = oracle.relaxed_values
     monkeypatch.setattr(oracle, "relaxed_values",
-                        lambda t, jobs: calls.append((t, len(jobs))) or relaxed(t, jobs))
+                        lambda t, jobs: calls.append((t, [k for k, _ in jobs])) or relaxed(t, jobs))
     outer = misdp.solve_misdp_outer
     monkeypatch.setattr(misdp, "solve_misdp_outer", lambda *a: loops.append(1) or outer(*a))
     backward_pass(oracle, trial_states)
-    at_two = [n for t, n in calls if t == 2]
+    at_two = [ks for t, ks in calls if t == 2]
+    assert at_two[0] == list(range(inst.K)) * len(trial_states[2])
+    assert len(at_two) > 1 and len(at_two[-1]) < len(at_two[0])
+    for before, after in zip(at_two, at_two[1:]):  # searches only drop out
+        assert all(k in before for k in after) and after == sorted(after)
     # stage 2's targets miss the cache: the stage-3 cuts just added are new
-    assert at_two and set(at_two) == {1}
-    assert len(loops) == sum(at_two) + len(trial_states[2]) * inst.K
-    assert max(n for t, n in calls if t == 3) == len(trial_states[3]) * inst.K > 1
-
-
-def test_type3_lb_stage_lookups_follow_the_solves_before_them(monkeypatch):
-    # each stage-2 cut loop here appends a valid row (Z[0, 0] >= 0), so a
-    # solve moves the row count of the next lookup: solve_stages looks each
-    # k up after the solves before it, as solve_stage one k at a time does
-    outer = misdp.solve_misdp_outer
-
-    def appending(model, blocks, *args):
-        sol = outer(model, blocks, *args)
-        model.add_row({int(blocks[0].cols[0, 0]): 1.0}, ">=", 0.0)
-        return sol
-
-    monkeypatch.setattr(misdp, "solve_misdp_outer", appending)
-    x = np.array([0.0, 0.0, 1.0])
-    (_, batch), (_, alone) = _type3_lb_stretch_oracle(), _type3_lb_stretch_oracle()
-    batch.solve_stage(2, 1, x)
-    sols = batch.solve_stages(2, x, [0, 1])
-    refs = [alone.solve_stage(2, k, x) for k in (1, 0, 1)][1:]
-    assert batch.stage_solves == alone.stage_solves == 3
-    assert [(s.value, s.x_bits) for s in sols] == [(r.value, r.x_bits) for r in refs]
-    assert batch._stage_cache.keys() == alone._stage_cache.keys()
+    assert len(loops) == sum(map(len, at_two)) + len(trial_states[2]) * inst.K
+    assert max(len(ks) for t, ks in calls if t == 3) == len(trial_states[3]) * inst.K > 1
 
 
 def test_type3_ub_dd_rows_are_written_once_per_compiled_model(monkeypatch):
@@ -1549,7 +1532,7 @@ def test_a_failed_split_falls_back_to_the_whole_milp_and_ends_splitting_its_stag
     no_loop = {"psd_milp_rounds": 0, "psd_lp_solves": 0}  # Type 1 runs no cut loop
     assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1,
                                **no_loop}
-    assert oracle.batches(1) and not oracle._splitting[1]
+    assert oracle._batching[1] and not oracle._splitting[1]
     oracle.solve_stage(2, 0, np.array(sol.x_bits, dtype=float))
     assert oracle.counters == {"split_solves": 1, "split_blocks": 3, "split_fallbacks": 1,
                                **no_loop}

@@ -28,7 +28,8 @@ for more), to show that a change alters only those fields.
 The value mode prints, in place of the digest, one JSON line per case
 with the report's status, termination, iterations, first_stage_x, lb
 (the last lower bound) and ub (ub_estimate), and with its work fields
-stage_solves, dual_solves and eigen_cuts_per_stage.  Given the dump of
+stage_solves, dual_solves, eigen_cuts_per_stage and counters (the split
+and eigen-cut loop counts of SolveReport.counters).  Given the dump of
 another commit with --against, it also compares: a case that differs
 in a discrete field, has no counterpart, or moves lb or ub by more than
 REL_TOL = 1e-6 relative to max(1, |value|) is listed on stderr, and the
@@ -36,8 +37,9 @@ exit code is 1.  This shows that a change which moves the last bits of the bound
 keeps every result.  The work fields are not compared: a case whose
 work fields moved gets one WORK line on stderr, which leaves the exit
 code as it is, so that a change which moves the search shows it next to
-its bounds.  A work field that either dump lacks, as in a dump written
-before the field was printed, is skipped.
+its bounds; a work field that is a dict shows only its entries that
+moved.  A work field that either dump lacks, as in a dump written before
+the field was printed, is skipped.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ from ddro.sddip import SddipConfig, SolveReport  # noqa: E402
 FIELDS = sorted(f.name for f in dataclasses.fields(SolveReport))
 DISCRETE = ("status", "termination", "iterations", "first_stage_x")
 BOUNDS = ("lb", "ub")
-WORK = ("stage_solves", "dual_solves", "eigen_cuts_per_stage")  # printed, not compared
+WORK = ("stage_solves", "dual_solves", "eigen_cuts_per_stage",
+        "counters")  # printed, not compared
 REL_TOL = 1e-6  # largest relative lb or ub difference --against accepts
 STRETCH = "type3_stretch"
 STRETCH_PATTERNS = ("3-1", "3-3", "3-4")
@@ -134,9 +137,18 @@ def compare(new: dict, old: dict) -> list[str]:
 
 def moved_work(new: dict, old: dict) -> list[str]:
     """The work fields that moved between two value records of one
-    case; a field either record lacks is skipped."""
-    return [f"{name} {old[name]} -> {new[name]}" for name in WORK
-            if name in new and name in old and new[name] != old[name]]
+    case, a dict field by the entries that moved; a field either record
+    lacks is skipped."""
+    out = []
+    for name in WORK:
+        if name not in new or name not in old or new[name] == old[name]:
+            continue
+        was, now = old[name], new[name]
+        if isinstance(was, dict) and isinstance(now, dict):
+            moved = [k for k in {**was, **now} if was.get(k) != now.get(k)]
+            was, now = ({k: d[k] for k in moved if k in d} for d in (was, now))
+        out.append(f"{name} {was} -> {now}")
+    return out
 
 
 def key(rec: dict) -> tuple:
