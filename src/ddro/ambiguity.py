@@ -123,11 +123,9 @@ def _add_risk_block(m: LinearModel, p_cols: np.ndarray, q_values: np.ndarray,
                     risk: RiskSpec) -> np.ndarray:
     """CVaR reweighting variables: qt <= p*lam/(1-alpha), sum(qt) = lam."""
     K = p_cols.size
-    qt = m.add_vars(K, 0.0, np.inf, prefix="qt_")
+    qt = m.add_vars(K, 0.0, np.inf, prefix="qt_", obj=-np.asarray(q_values, dtype=float))
     ratio = risk.lam / (1.0 - risk.alpha)
-    for k in range(K):
-        m.add_row({int(qt[k]): 1.0, int(p_cols[k]): -ratio}, "<=", 0.0)
-        m.set_objective(int(qt[k]), -float(q_values[k]))
+    m.add_rows(np.column_stack([p_cols, qt]), [-ratio, 1.0], "<=", 0.0)
     m.add_row((qt, np.ones(K)), "=", risk.lam)
     return qt
 
@@ -138,27 +136,23 @@ def _base_master(inst: Instance, ttype: AmbiguityType, x, stage: int,
     K = inst.K
     q = np.zeros(K) if q is None else np.asarray(q, dtype=float)
     m = LinearModel()
-    p = m.add_vars(K, 0.0, 1.0, prefix="p_")
     obj_scale = 1.0 if risk is None else (1.0 - risk.lam)
-    for k in range(K):
-        m.set_objective(int(p[k]), -obj_scale * float(q[k]))  # maximize
+    p = m.add_vars(K, 0.0, 1.0, prefix="p_", obj=-obj_scale * q)  # maximize
     if ttype == AmbiguityType.TYPE1:
+        # sum(p) = 1, then l_r <= F_r'p <= u_r for each moment r
         F = _moment_matrix_type1(inst, stage)
         l, u = type1_bounds(inst, x)
-        m.add_row((p, F[0]), "=", 1.0)
-        for r in range(1, F.shape[0]):
-            m.add_row((p, F[r]), ">=", float(l[r]))
-            m.add_row((p, F[r]), "<=", float(u[r]))
+        window = np.repeat(np.arange(1, F.shape[0]), 2)
+        m.add_rows(p, F[np.append(0, window)], ["="] + [">=", "<="] * (F.shape[0] - 1),
+                   np.append(1.0, np.column_stack([l[1:], u[1:]]).ravel()))
     elif ttype == AmbiguityType.TYPE2:
+        # sum(p) = 1, the J means, then the covariances of the pairs j <= jp
         xi = inst.stage_support(stage)
         mu_x, sig_x = decision_moments_type23(inst, x)
         dev = xi - mu_x[None, :]
-        m.add_row((p, np.ones(K)), "=", 1.0)
-        for j in range(inst.J):
-            m.add_row((p, xi[:, j]), "=", float(mu_x[j]))
-        for j in range(inst.J):
-            for jp in range(j, inst.J):
-                m.add_row((p, dev[:, j] * dev[:, jp]), "=", float(sig_x[j, jp]))
+        j, jp = np.triu_indices(inst.J)
+        m.add_rows(p, np.vstack([np.ones(K), xi.T, (dev[:, j] * dev[:, jp]).T]), "=",
+                   np.concatenate([[1.0], mu_x, sig_x[j, jp]]))
     elif ttype == AmbiguityType.TYPE3:
         m.add_row((p, np.ones(K)), "=", 1.0)
     else:
@@ -224,8 +218,12 @@ def type3_slater_slack(inst: Instance, x, stage: int = 2) -> float:
     left the bounds stalled at [-2.28e-8, 7.01e-8] around SLATER_SLACK,
     and the call raised NonConvergence.
     """
-    geo = _Type3Geometry(inst, x, stage)
-    K = inst.K
+    return _slater_slack(_Type3Geometry(inst, x, stage))
+
+
+def _slater_slack(geo: _Type3Geometry) -> float:
+    """type3_slater_slack over the set of geo."""
+    K = geo.xi.shape[0]
     m = LinearModel()
     p = m.add_vars(K, 0.0, 1.0, prefix="p_")
     s = m.add_var(-np.inf, np.inf, obj=-1.0, name="slack")  # maximize s
@@ -292,7 +290,7 @@ def worst_case(inst: Instance, ttype: AmbiguityType, x, q,
         return _finish(sol, p_cols, qt_cols)
 
     geo = _Type3Geometry(inst, x, stage)
-    if not is_nonempty(inst, ttype, x, stage):
+    if _slater_slack(geo) < SLATER_SLACK:  # is_nonempty, from geo
         raise EmptyAmbiguity("empty type-3 ambiguity set", stage, x)
     for _ in range(MAX_CUT_ROUNDS):
         sol = solve_lp(m)

@@ -63,8 +63,7 @@ def stage_flow_value(inst: Instance, t: int, x, xi) -> float:
     """Stage cost g_t at a pinned open-facility vector (flows optimized)."""
     x = np.asarray(x, dtype=float)
     block = build_stage_block(inst, t, x, xi)
-    for i, col in enumerate(block.x):
-        block.model.set_bounds(int(col), x[i], x[i])
+    block.model.set_bounds(block.x, x, x)
     sol = solve_milp(block.model)
     if sol.status != OPTIMAL:
         raise RuntimeError(f"stage flow solve returned {sol.status}")

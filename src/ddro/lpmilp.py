@@ -28,9 +28,21 @@ directory under scipy's, and registered in sys.modules under its usual
 name; a later import of scipy.optimize reuses that module object.
 Where the file is not found, the plain import runs instead.
 
+A model is numpy-native.  Columns and rows are appended in blocks:
+add_vars and add_rows, of which add_var and add_row are the one-entry
+cases.  A block of rows is checked as a whole, every column in range
+and every relation known, before any of it is stored, and the model
+keeps read-only copies of its coefficients.  The objective, bounds,
+integrality, right-hand sides and relations are arrays, which a solve
+hands to HiGHS as they are, and the setters take an index array as
+well as one index.
+
 Rows are append-only and assembled once.  A model keeps its rows in
 canonical CSR form (columns sorted, a repeated column summed), built in
-numpy and checked as each row first reaches a solve or validate();
+numpy and checked as each row first reaches a solve or validate().
+Rows whose columns already increase strictly, as the stage compilers
+write most of them, are taken as they are; only others are sorted and
+summed, and either way every value is bit for bit what the sort gives.
 copy() shares that matrix, so a copy that gains rows assembles only
 those.  What a re-solve changes in place -- right-hand sides (set_rhs),
 objective entries and bounds -- is read afresh and checked on every
@@ -152,110 +164,181 @@ ITERATION_CAP_BASE = 1000  # LP iteration cap = 10*(n + m + base)
 class LinearModel:
     """Mixed-integer linear model: minimize c'x subject to rows and bounds.
 
-    Rows are append-only (see the module docstring): add_row stores
-    read-only arrays, and set_rhs is the one change a stored row takes.
+    Columns and rows are appended in blocks, add_vars and add_rows, of
+    which add_var and add_row are the one-entry cases.  The model keeps
+    its columns' objective, lower and upper bounds and integrality, and
+    its rows' right-hand sides and relations, in numpy arrays, and the
+    names in lists.  Rows are append-only (see the module docstring):
+    add_rows stores read-only copies of the coefficients, and set_rhs is
+    the one change a stored row takes.
     """
 
     def __init__(self) -> None:
-        self.objective: list[float] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.integrality: list[int] = []
+        self.objective = np.zeros(0)
+        self.lower = np.zeros(0)
+        self.upper = np.zeros(0)
+        self.integrality = np.zeros(0, dtype=int)
         self.names: list[str] = []
-        self.row_cols: list[np.ndarray] = []
-        self.row_vals: list[np.ndarray] = []
-        self.row_rel: list[str] = []
-        self.row_rhs: list[float] = []
+        self.row_rhs = np.zeros(0)
+        self.row_rel = np.zeros(0, dtype="<U2")
         self.row_names: list[str] = []
-        self._rows = _EMPTY_ROWS  # checked CSR of the first _rows.count rows
+        self._blocks: list[RowBlock] = []  # every row's coefficients, as appended
+        self._rows = _EMPTY_ROWS  # checked CSR of the first _rows.blocks blocks
         self._edits = 0  # calls of set_objective, set_rhs and set_bounds
 
     @property
     def num_vars(self) -> int:
-        return len(self.objective)
+        return self.objective.size
 
     @property
     def num_rows(self) -> int:
-        return len(self.row_rhs)
+        return self.row_rhs.size
 
     def add_var(self, lb: float, ub: float, kind: int = CONTINUOUS,
                 obj: float = 0.0, name: str | None = None) -> int:
-        if lb > ub:
-            raise ValueError(f"lb {lb} > ub {ub}")
-        if kind == BINARY and (lb < 0.0 or ub > 1.0):
-            raise ValueError("binary variable bounds must lie within [0, 1]")
-        idx = self.num_vars
-        self.objective.append(float(obj))
-        self.lower.append(float(lb))
-        self.upper.append(float(ub))
-        self.integrality.append(int(kind))
-        self.names.append(name if name is not None else f"v{idx}")
-        return idx
+        return int(self.add_vars(1, lb, ub, kind, obj=obj,
+                                 names=None if name is None else [name])[0])
 
-    def add_vars(self, count: int, lb: float, ub: float, kind: int = CONTINUOUS,
-                 prefix: str = "v") -> np.ndarray:
-        return np.array([self.add_var(lb, ub, kind, name=f"{prefix}{self.num_vars}")
-                         for _ in range(count)], dtype=int)
+    def add_vars(self, count: int, lb, ub, kind: int = CONTINUOUS, prefix: str = "v",
+                 obj=0.0, names=None) -> np.ndarray:
+        """Append count columns of one kind and return their indices.  lb,
+        ub and obj are one value for all or one per column; names, one per
+        column, default to prefix and the column's index."""
+        lb, ub, obj = (_filled(v, count, float) for v in (lb, ub, obj))
+        if (lb > ub).any():
+            bad = np.flatnonzero(lb > ub)[0]
+            raise ValueError(f"lb {lb[bad]} > ub {ub[bad]}")
+        if kind == BINARY and ((lb < 0.0).any() or (ub > 1.0).any()):
+            raise ValueError("binary variable bounds must lie within [0, 1]")
+        first = self.num_vars
+        if names is None:
+            names = [f"{prefix}{j}" for j in range(first, first + count)]
+        elif len(names) != count:
+            raise ValueError(f"{len(names)} names for {count} columns")
+        cat = np.concatenate
+        self.objective = cat([self.objective, obj])
+        self.lower = cat([self.lower, lb])
+        self.upper = cat([self.upper, ub])
+        self.integrality = cat([self.integrality, np.full(count, int(kind))])
+        self.names.extend(names)
+        return np.arange(first, first + count)
 
     def add_row(self, coeffs, rel: str, rhs: float, name: str | None = None) -> int:
-        """Append a constraint; coeffs is a {col: val} dict or (cols, vals) pair.
-
-        The row keeps read-only copies of its columns and values: rows are
-        append-only, and copies of the model share the assembled matrix of
-        the rows they inherit, so a stored row never changes in place.
-        """
-        if rel not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}")
+        """Append a constraint; coeffs is a {col: val} dict or (cols, vals)
+        pair.  The one-row case of add_rows."""
         if isinstance(coeffs, dict):
-            cols = np.fromiter(coeffs.keys(), dtype=int, count=len(coeffs))
-            vals = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+            coeffs = list(coeffs.keys()), list(coeffs.values())
+        cols, vals = coeffs
+        return int(self.add_rows([cols], [vals], rel, rhs,
+                                 names=None if name is None else [name])[0])
+
+    def add_rows(self, cols, vals, rel, rhs, *, start=None, keep=None, names=None) -> np.ndarray:
+        """Append a block of rows and return their indices.
+
+        Without start, cols and vals broadcast to one 2-D array each, one
+        row per line, and keep, a boolean array of that shape if given,
+        marks the entries stored.  With start, cols and vals are flat and
+        row r holds entries start[r] to start[r + 1] (CSR).  A column may
+        repeat within a row; assembly sums it.  rel and rhs are one value
+        for the block or one per row; names, one per row, default to r
+        and the row's index.
+
+        The block is checked as a whole, every column in range and every
+        relation known, before anything is stored, so a bad block leaves
+        the model unchanged.  The model keeps read-only copies of the
+        coefficients: rows are append-only, and copies of the model share
+        the assembled matrix of the rows they inherit, so a stored row
+        never changes in place.
+        """
+        if start is None:
+            cols, vals = np.array(cols, dtype=np.intp), np.array(vals, dtype=float)  # copies
+            if cols.shape != vals.shape:
+                shape = np.broadcast(cols, vals).shape
+                cols, vals = _filled(cols, shape), _filled(vals, shape)
+            if cols.ndim != 2:
+                raise ValueError("a row block without start needs 2-D cols and vals")
+            count, width = cols.shape
+            if keep is None:
+                start = np.arange(count + 1) * width
+                cols, vals = cols.ravel(), vals.ravel()
+            else:
+                keep = np.broadcast_to(keep, cols.shape)
+                start = np.append(0, np.cumsum(np.count_nonzero(keep, axis=1)))
+                cols, vals = cols[keep], vals[keep]
         else:
-            cols, vals = coeffs
-            cols = np.array(cols, dtype=int)
-            vals = np.array(vals, dtype=float)
-        if cols.size and (cols.min() < 0 or cols.max() >= self.num_vars):
+            start = np.array(start, dtype=np.intp)
+            count = start.size - 1
+            if count < 0 or start[0] != 0 or (start[1:] < start[:-1]).any():
+                raise ValueError("row offsets must start at 0 and never decrease")
+            cols = np.array(cols, dtype=np.intp).ravel()
+            vals = np.array(vals, dtype=float).ravel()
+        if cols.size != vals.size or start[-1] != cols.size:
+            raise ValueError("row offsets, columns and values do not match")
+        # a negative column, seen as unsigned, is past every real one
+        if cols.size and cols.view(np.uintp).max() >= self.num_vars:
             raise ValueError("row references unknown column")
-        cols.flags.writeable = False
-        vals.flags.writeable = False
-        idx = self.num_rows
-        self.row_cols.append(cols)
-        self.row_vals.append(vals)
-        self.row_rel.append(rel)
-        self.row_rhs.append(float(rhs))
-        self.row_names.append(name if name is not None else f"r{idx}")
-        return idx
+        if isinstance(rel, str):
+            known = rel in _RELATIONS
+        elif isinstance(rel, np.ndarray):
+            known = not ((rel != "<=") & (rel != "=") & (rel != ">=")).any()
+        else:  # a list: a set test beats building an array to compare
+            known = set(_RELATIONS).issuperset(rel)
+        if not known:
+            raise ValueError(f"relation must be one of {_RELATIONS}")
+        rel, rhs = _filled(rel, count, "<U2"), _filled(rhs, count, float)
+        first = self.num_rows
+        if names is None:
+            names = [f"r{r}" for r in range(first, first + count)]
+        elif len(names) != count:
+            raise ValueError(f"{len(names)} names for {count} rows")
+        self._blocks.append(RowBlock(cols, vals, start))
+        self.row_rhs = np.concatenate([self.row_rhs, rhs])
+        self.row_rel = np.concatenate([self.row_rel, rel])
+        self.row_names.extend(names)
+        return np.arange(first, first + count)
 
-    def set_objective(self, col: int, coef: float) -> None:
-        self.objective[col] = float(coef)
+    def rows(self, first: int = 0) -> "RowBlock":
+        """The coefficients of the rows from `first` on, as appended (a
+        repeated column not summed), in one block."""
+        tail, row = [], self.num_rows
+        for block in reversed(self._blocks):
+            if row <= first:
+                break
+            tail.append(block)
+            row -= len(block)
+        return RowBlock.join(tail[::-1]).drop(first - row)
+
+    def set_objective(self, col, coef) -> None:
+        """Set the objective of a column, or of an index array of them."""
+        self.objective[col] = coef
         self._edits += 1
 
-    def set_rhs(self, row: int, value: float) -> None:
-        self.row_rhs[row] = float(value)
+    def set_rhs(self, row, value) -> None:
+        """Set the right-hand side of a row, or of an index array of them."""
+        self.row_rhs[row] = value
         self._edits += 1
 
-    def set_bounds(self, col: int, lb: float, ub: float) -> None:
-        if lb > ub:
+    def set_bounds(self, col, lb, ub) -> None:
+        """Set the bounds of a column, or of an index array of them."""
+        if (np.asarray(lb) > ub).any():
             raise ValueError(f"lb {lb} > ub {ub}")
-        self.lower[col] = float(lb)
-        self.upper[col] = float(ub)
+        self.lower[col] = lb
+        self.upper[col] = ub
         self._edits += 1
 
     def copy(self) -> "LinearModel":
         """An independent copy that shares the assembled matrix of the
         rows assembled so far (by a solve or validate()), so solving it
         assembles only the rows appended to it."""
-        m = LinearModel()
-        m.objective = list(self.objective)
-        m.lower = list(self.lower)
-        m.upper = list(self.upper)
-        m.integrality = list(self.integrality)
+        m = LinearModel.__new__(LinearModel)
+        m.objective, m.lower, m.upper, m.integrality, m.row_rhs, m.row_rel = (
+            a.copy() for a in (self.objective, self.lower, self.upper, self.integrality,
+                               self.row_rhs, self.row_rel))
         m.names = list(self.names)
-        m.row_cols = list(self.row_cols)
-        m.row_vals = list(self.row_vals)
-        m.row_rel = list(self.row_rel)
-        m.row_rhs = list(self.row_rhs)
         m.row_names = list(self.row_names)
+        m._blocks = list(self._blocks)
         m._rows = self._rows
+        m._edits = 0
         return m
 
     def validate(self) -> None:
@@ -271,20 +354,19 @@ class LinearModel:
 
     def _solver_arrays(self):
         """(assembled rows, objective, lower, upper, row lower, row upper),
-        checked as validate() describes."""
-        objective = np.asarray(self.objective, dtype=float)
-        if not np.all(np.isfinite(objective)):
+        checked as validate() describes; the column arrays are the
+        model's own."""
+        if not np.isfinite(self.objective).all():
             raise ValueError("objective coefficients must be finite")
         rows, row_lower, row_upper = self._rows_from(0)
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
+        lower, upper = self.lower, self.upper
+        if np.isnan(lower).any() or np.isnan(upper).any():
             raise ValueError("variable bounds must not be NaN")
-        bad = (np.asarray(self.integrality) == BINARY) & ((lower < 0.0) | (upper > 1.0))
-        if np.any(bad):
+        bad = (self.integrality == BINARY) & ((lower < 0.0) | (upper > 1.0))
+        if bad.any():
             name = self.names[int(np.flatnonzero(bad)[0])]
             raise ValueError(f"binary variable {name} has bounds outside [0, 1]")
-        return rows, objective, lower, upper, row_lower, row_upper
+        return rows, self.objective, lower, upper, row_lower, row_upper
 
     def _rows_from(self, first: int):
         """(every row assembled, lower and upper bounds of the rows from
@@ -293,37 +375,93 @@ class LinearModel:
         rows = self._row_matrix()
         if not rows.finite:
             raise ValueError("constraint coefficients must be finite")
-        rhs = np.asarray(self.row_rhs[first:], dtype=float)
-        if np.any(np.isnan(rhs)):
+        rhs = self.row_rhs[first:]
+        if np.isnan(rhs).any():
             raise ValueError("right-hand sides must not be NaN")
         return (rows, np.where(rows.no_lower[first:], -np.inf, rhs),
                 np.where(rows.no_upper[first:], np.inf, rhs))
 
     def _row_matrix(self) -> "_RowMatrix":
-        """Every row assembled: the kept matrix, extended by the rows
+        """Every row assembled: the kept matrix, extended by the blocks
         appended since it was made."""
         done = self._rows
         if done.count != self.num_rows:
             if done.count > self.num_rows:
                 raise RuntimeError("rows were removed from a model with assembled rows")
-            self._rows = done.extend(_assemble(
-                self.row_cols[done.count:], self.row_vals[done.count:],
-                self.row_rel[done.count:], self.num_vars))
+            tail = self._blocks[done.blocks:]
+            self._rows = done.extend(_assemble(RowBlock.join(tail), self.row_rel[done.count:],
+                                               self.num_vars, len(tail)))
         return self._rows
+
+
+def _filled(value, shape, dtype=None) -> np.ndarray:
+    """A new array of the given shape and dtype filled with value,
+    broadcast: one value for all entries, or one per entry."""
+    value = np.asarray(value, dtype=dtype)
+    out = np.empty(shape, dtype=value.dtype)
+    out[...] = value
+    return out
+
+
+class RowBlock:
+    """Rows in CSR form, as appended: row r holds the columns
+    cols[start[r]:start[r + 1]] with the values vals[...], a column
+    perhaps repeated.  Indexing gives a row's (cols, vals).  The arrays
+    are made read-only: a block is never changed in place."""
+
+    __slots__ = ("cols", "vals", "start")
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray, start: np.ndarray):
+        for arr in (cols, vals, start):
+            arr.flags.writeable = False
+        self.cols, self.vals, self.start = cols, vals, start
+
+    def __len__(self) -> int:
+        return self.start.size - 1
+
+    def __getitem__(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        r = range(len(self))[r]
+        a, b = self.start[r], self.start[r + 1]
+        return self.cols[a:b], self.vals[a:b]
+
+    @staticmethod
+    def join(blocks) -> "RowBlock":
+        """The rows of the blocks, in order, as one block."""
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return _EMPTY_BLOCK
+        offsets = np.cumsum([0] + [b.cols.size for b in blocks])
+        return RowBlock(np.concatenate([b.cols for b in blocks]),
+                        np.concatenate([b.vals for b in blocks]),
+                        np.concatenate([[0]] + [b.start[1:] + off
+                                                for b, off in zip(blocks, offsets)]))
+
+    def drop(self, count: int) -> "RowBlock":
+        """The block without its first count rows."""
+        if not count:
+            return self
+        a = self.start[count]
+        return RowBlock(self.cols[a:], self.vals[a:], self.start[count:] - a)
+
+
+_EMPTY_BLOCK = RowBlock(np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(1, dtype=np.intp))
 
 
 @dataclass(frozen=True)
 class _RowMatrix:
-    """The first `count` rows of a model in row-wise CSR form, canonical as
-    scipy.sparse's sum_duplicates leaves it (columns sorted within a row,
-    a repeated column summed, explicit zeros kept), with each row's
-    relation as two masks.  _assemble builds it in numpy.
+    """The first `count` rows of a model, its first `blocks` row blocks,
+    in row-wise CSR form, canonical as scipy.sparse's sum_duplicates
+    leaves it (columns sorted within a row, a repeated column summed,
+    explicit zeros kept), with each row's relation as two masks.
+    _assemble builds it in numpy.
 
     A row is assembled and checked once: copies of a model share the
     object, and appending rows makes a new one for the copy alone.
     """
 
     count: int
+    blocks: int
     start: np.ndarray  # int32, as HiGHS's array calls take it
     index: np.ndarray  # int32
     value: np.ndarray
@@ -332,10 +470,10 @@ class _RowMatrix:
     finite: bool  # every coefficient of the rows is finite
 
     def extend(self, tail: "_RowMatrix") -> "_RowMatrix":
-        if not self.count:
+        if not self.blocks:
             return tail
         return _RowMatrix(
-            self.count + tail.count,
+            self.count + tail.count, self.blocks + tail.blocks,
             np.concatenate([self.start, tail.start[1:] + self.start[-1]]),
             np.concatenate([self.index, tail.index]),
             np.concatenate([self.value, tail.value]),
@@ -344,35 +482,47 @@ class _RowMatrix:
             self.finite and tail.finite)
 
 
-_EMPTY_ROWS = _RowMatrix(0, np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32),
+_EMPTY_ROWS = _RowMatrix(0, 0, np.zeros(1, dtype=np.int32), np.zeros(0, dtype=np.int32),
                          np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0, dtype=bool), True)
 
 
-def _assemble(row_cols, row_vals, row_rel, num_vars: int) -> _RowMatrix:
-    """The given rows in canonical CSR form, built in one pass.
+def _assemble(rows: RowBlock, rel: np.ndarray, num_vars: int, blocks: int) -> _RowMatrix:
+    """The rows, which make up `blocks` blocks, in canonical CSR form.
 
-    Entries are sorted by (row, column) with a stable sort, and the
-    entries of a repeated column are summed in the order they were
-    given, left to right, as sum_duplicates does.  np.add.at sums that
-    way; np.add.reduceat would add a run of three or more as
-    first + (rest), which differs in the last bit.  Explicit zeros stay,
-    also where repeated columns cancel.
+    Rows whose columns already increase strictly, as the stage compilers
+    write them, are canonical and are taken as they are; otherwise every row
+    goes through _sum_duplicates.  Either way each value is what
+    sum_duplicates makes of it: a lone entry is kept bit for bit.
     """
-    count = len(row_cols)
-    rows = np.repeat(np.arange(count), [cols.size for cols in row_cols])
-    cols = np.concatenate(row_cols)
-    key = rows * num_vars + cols  # one per (row, column)
+    count = len(rows)
+    key = np.repeat(np.arange(count), np.diff(rows.start)) * num_vars + rows.cols
+    if (key[1:] > key[:-1]).all():
+        start, index, value = rows.start, rows.cols, rows.vals
+    else:
+        start, index, value = _sum_duplicates(key, rows.cols, rows.vals, count, num_vars)
+    return _RowMatrix(count, blocks, start.astype(np.int32), index.astype(np.int32), value,
+                      rel == "<=", rel == ">=", bool(np.isfinite(rows.vals).all()))
+
+
+def _sum_duplicates(key, cols, vals, count: int, num_vars: int):
+    """(start, index, value) of the rows given by their entries' keys
+    row * num_vars + column, built in one pass.
+
+    Entries are sorted by key with a stable sort, and the entries of a
+    repeated column are summed in the order they were given, left to
+    right, as sum_duplicates does.  np.add.at sums that way;
+    np.add.reduceat would add a run of three or more as first + (rest),
+    which differs in the last bit.  Explicit zeros stay, also where
+    repeated columns cancel.
+    """
     order = np.argsort(key, kind="stable")
-    key, cols, values = key[order], cols[order], np.concatenate(row_vals)[order]
+    key, cols, vals = key[order], cols[order], vals[order]
     first = np.ones(key.size, dtype=bool)  # the first entry of its key
     first[1:] = key[1:] != key[:-1]
     kept = key[first]
     summed = np.full(kept.size, -0.0)  # -0.0 + x is x, for every x
-    np.add.at(summed, np.cumsum(first) - 1, values)
-    start = np.searchsorted(kept, np.arange(count + 1) * num_vars).astype(np.int32)
-    rel = np.asarray(row_rel, dtype="<U2")
-    return _RowMatrix(count, start, cols[first].astype(np.int32), summed,
-                      rel == "<=", rel == ">=", bool(np.all(np.isfinite(values))))
+    np.add.at(summed, np.cumsum(first) - 1, vals)
+    return np.searchsorted(kept, np.arange(count + 1) * num_vars), cols[first], summed
 
 
 @dataclass
@@ -430,12 +580,10 @@ def _highs_model(model: LinearModel, integer: bool) -> tuple:
     the row-wise matrix with row bounds, minimized, without offset."""
     rows, objective, lower, upper, row_lower, row_upper = model._solver_arrays()
     # one entry per column, 0 continuous or 1 integer; HiGHS reads num_col of them
-    integrality = np.zeros(model.num_vars, dtype=np.int32)
-    if integer:
-        integrality[np.asarray(model.integrality) != CONTINUOUS] = 1
+    integrality = (model.integrality != CONTINUOUS) & integer
     return (model.num_vars, model.num_rows, rows.index.size, _ROWWISE, _MINIMIZE, 0.0,
             objective, lower, upper, row_lower, row_upper,
-            rows.start, rows.index, rows.value, integrality)
+            rows.start, rows.index, rows.value, integrality.astype(np.int32))
 
 
 def milp(highs: _Highs, load) -> None:
@@ -522,8 +670,12 @@ def _run_lp(highs: _Highs, model: LinearModel, load) -> Solution:
         return Solution(UNBOUNDED, None, None)
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure(f"LP solve failed: {highs.modelStatusToString(status)}")
-    return Solution(OPTIMAL, np.array(highs.getSolution().col_value, dtype=float),
-                    highs.getObjectiveValue())
+    return Solution(OPTIMAL, _col_values(highs), highs.getObjectiveValue())
+
+
+def _col_values(highs: _Highs) -> np.ndarray:
+    """The column values of the solution HiGHS holds."""
+    return np.fromiter(highs.getSolution().col_value, dtype=float)
 
 
 def solve_milp(model: LinearModel) -> Solution:
@@ -578,10 +730,11 @@ def _block_diagonal(parts) -> tuple:
     col0 = np.cumsum((0,) + ncol[:-1])
     nz0 = np.cumsum((0,) + nnz[:-1])
     cat = np.concatenate
-    start = cat([s[:-1] + o for s, o in zip(start, nz0)] + [[sum(nnz)]]).astype(np.int32)
-    index = cat([ix + o for ix, o in zip(index, col0)]).astype(np.int32)
+    start = np.append(cat([s[:-1] for s in start]) + np.repeat(nz0, nrow), sum(nnz))
+    index = cat(index) + np.repeat(col0, nnz)
     return (sum(ncol), sum(nrow), sum(nnz), _ROWWISE, _MINIMIZE, 0.0, cat(cost), cat(lower),
-            cat(upper), cat(row_lower), cat(row_upper), start, index, cat(value), cat(integrality))
+            cat(upper), cat(row_lower), cat(row_upper), start.astype(np.int32),
+            index.astype(np.int32), cat(value), cat(integrality))
 
 
 # A MILP stopped at one of these limits reports GapLimit, with the
@@ -596,7 +749,7 @@ def _solve_milp_once(models: list[LinearModel], presolve: bool, node_limit=None,
     nodes, from args, their passModel tuple, if given.  An "infeasible or
     unbounded" status is classified, and retried, for one model solved
     from its own arrays alone."""
-    integer = any(kind != CONTINUOUS for m in models for kind in m.integrality)
+    integer = any((m.integrality != CONTINUOUS).any() for m in models)
     given = args is not None
     if not given:
         parts = [_highs_model(m, integer) for m in models]
@@ -607,17 +760,15 @@ def _solve_milp_once(models: list[LinearModel], presolve: bool, node_limit=None,
     with _stdout_to_stderr():
         milp(highs, partial(highs.passModel, *args))
     status = highs.getModelStatus()
-    info = highs.getInfo()
-    nodes = max(info.mip_node_count, 0) if integer else 0
+    nodes = max(highs.getInfoValue("mip_node_count")[1], 0) if integer else 0
     if status == HighsModelStatus.kInfeasible:
         return Solution(INFEASIBLE, None, None, nodes)
     if status == HighsModelStatus.kUnbounded:
         return Solution(UNBOUNDED, None, None, nodes)
     if status in _LIMITS:
-        if info.primal_solution_status != kSolutionStatusFeasible:
+        if highs.getInfoValue("primal_solution_status")[1] != kSolutionStatusFeasible:
             return Solution(GAP_LIMIT, None, None, nodes)
-        return Solution(GAP_LIMIT, np.array(highs.getSolution().col_value),
-                        info.objective_function_value, nodes)
+        return Solution(GAP_LIMIT, _col_values(highs), highs.getObjectiveValue(), nodes)
     if status == HighsModelStatus.kUnboundedOrInfeasible and len(models) == 1 and not given:
         relaxed = solve_lp(models[0])  # classify via the relaxation
         if relaxed.status in (UNBOUNDED, INFEASIBLE):
@@ -628,8 +779,7 @@ def _solve_milp_once(models: list[LinearModel], presolve: bool, node_limit=None,
             return _solve_milp_once(models, presolve=False, node_limit=node_limit)
     if status != HighsModelStatus.kOptimal:
         raise NumericalFailure(f"MILP solve failed: {highs.modelStatusToString(status)}")
-    return Solution(OPTIMAL, np.array(highs.getSolution().col_value),
-                    info.objective_function_value, nodes)
+    return Solution(OPTIMAL, _col_values(highs), highs.getObjectiveValue(), nodes)
 
 
 _stdout_lock = threading.Lock()
@@ -686,10 +836,10 @@ def write_lp(model: LinearModel, path, name: str = "ddro_model") -> None:
     obj_vals = np.asarray(model.objective)
     lines.append(" obj: " + _lp_terms(obj_cols, obj_vals, model.names))
     lines.append("Subject To")
-    for r in range(model.num_rows):
+    for r, (cols, vals) in enumerate(model.rows()):
         lines.append(
             f" {_lp_name(model.row_names[r])}: "
-            + _lp_terms(model.row_cols[r], model.row_vals[r], model.names)
+            + _lp_terms(cols, vals, model.names)
             + f" {model.row_rel[r]} {model.row_rhs[r]:.17g}"
         )
     lines.append("Bounds")

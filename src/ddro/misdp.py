@@ -102,8 +102,11 @@ class PsdBlockRef:
     def quadratic_form_coeffs(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """v' M v as a (cols, vals) row over the block columns; a column
         the block repeats appears once per position, and assembling the
-        row sums it."""
-        return self.cols.ravel(), np.outer(v, v).ravel()
+        row sums it.  Given directions as the rows of a 2-D v, vals holds
+        one such row per direction."""
+        v = np.asarray(v)
+        return self.cols.ravel(), (v[..., :, None] * v[..., None, :]).reshape(
+            v.shape[:-1] + (-1,))
 
 
 def dd_star_directions(d: int) -> np.ndarray:
@@ -123,10 +126,9 @@ def add_dd_star_rows(model: LinearModel, blocks) -> None:
     shared off-diagonal column of a symmetric block, each row's
     coefficients are 1 and +-2."""
     for block in blocks:
-        for n, v in enumerate(dd_star_directions(block.dim)):
-            cols, vals = block.quadratic_form_coeffs(v)
-            model.add_row((cols[vals != 0], vals[vals != 0]), ">=", 0.0,
-                          name=f"ddstar_{block.name}_{n}")
+        cols, vals = block.quadratic_form_coeffs(dd_star_directions(block.dim))
+        model.add_rows(cols, vals, ">=", 0.0, keep=vals != 0,
+                       names=[f"ddstar_{block.name}_{n}" for n in range(len(vals))])
 
 
 def cut_directions(a: np.ndarray) -> list[np.ndarray]:
@@ -183,7 +185,7 @@ def solve_misdp_outer(model: LinearModel, blocks, split=None, counters=None) -> 
     """
     max_rounds = MAX_CUT_ROUNDS_OUTER
     count = counters if counters is not None else dict.fromkeys(PSD_COUNTERS, 0)
-    integer_cols = [j for j, kind in enumerate(model.integrality) if kind != CONTINUOUS]
+    integer_cols = np.flatnonzero(model.integrality != CONTINUOUS)
     rounds = 0
     while rounds < max_rounds:
         rounds += 1
@@ -191,11 +193,10 @@ def solve_misdp_outer(model: LinearModel, blocks, split=None, counters=None) -> 
         sol = (split and split(model)) or solve_milp(model)
         if sol.status != OPTIMAL or not _cut_blocks((model,), blocks, sol.x):
             return sol
-        if integer_cols:
+        if integer_cols.size:
             fixed = model.copy()
-            for j in integer_cols:
-                val = float(np.rint(sol.x[j]))
-                fixed.set_bounds(j, val, val)
+            val = np.rint(sol.x[integer_cols])
+            fixed.set_bounds(integer_cols, val, val)
             used = _lp_cut_phase(fixed, (fixed, model), blocks, max_rounds - rounds)
             count["psd_lp_solves"] += used
             rounds += used
@@ -220,20 +221,19 @@ def _lp_cut_phase(lp: LinearModel, targets, blocks, budget: int) -> int:
 
 def _cut_blocks(models, blocks, x: np.ndarray) -> bool:
     """Append v' M v >= 0 to each model for every block and every v of
-    cut_directions(block value at x); whether any cut was appended."""
+    cut_directions(block value at x), one block of rows per PSD block
+    and model; whether any cut was appended."""
     found = False
     for block in blocks:
-        for v in cut_directions(x[block.cols]):
-            _append_cut(models, block, v)
-            found = True
+        directions = cut_directions(x[block.cols])
+        if not directions:
+            continue
+        cols, vals = block.quadratic_form_coeffs(np.array(directions))
+        for m in models:
+            m.add_rows(cols, vals, ">=", 0.0, names=[
+                f"eig_{block.name}_{r}" for r in range(m.num_rows, m.num_rows + len(vals))])
+        found = True
     return found
-
-
-def _append_cut(models, block: PsdBlockRef, v: np.ndarray) -> None:
-    """Append v' M v >= 0 for the block to each model."""
-    row = block.quadratic_form_coeffs(v)
-    for m in models:
-        m.add_row(row, ">=", 0.0, name=f"eig_{block.name}_{m.num_rows}")
 
 
 def add_dd_inner_general(model: LinearModel, blocks) -> LinearModel:
@@ -249,12 +249,16 @@ def add_dd_inner_general(model: LinearModel, blocks) -> LinearModel:
         pairs = dd_star_directions(d)[d:]
         alpha = model.add_vars(len(pairs), 0.0, np.inf, prefix=f"alpha_{block.name}_")
         entries = [(a, b) for a in range(d) for b in range(a + 1, d)] + [(a, a) for a in range(d)]
+        cols, vals, start = [], [], [0]
         for a, b in entries:
             sign = 1.0 if a == b else -1.0
             w = pairs[:, a] * pairs[:, b]
             used = w != 0
-            model.add_row(([block.cols[a, b], *alpha[used]], [sign, *(-sign * w[used])]),
-                          ">=" if a == b else "=", 0.0, name=f"dd_{block.name}_{a}_{b}")
+            cols += [block.cols[a, b], *alpha[used]]
+            vals += [sign, *(-sign * w[used])]
+            start.append(len(cols))
+        model.add_rows(cols, vals, [">=" if a == b else "=" for a, b in entries], 0.0,
+                       start=start, names=[f"dd_{block.name}_{a}_{b}" for a, b in entries])
     return model
 
 

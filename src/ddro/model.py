@@ -322,27 +322,21 @@ def build_stage_block(inst: Instance, t: int, x_prev, xi) -> StageBlock:
     so a compiled block is re-solved by patching a copy of its model.
     """
     I, J = inst.I, inst.J
+    h_t, f_t = inst.h[t - 1], inst.f[t - 1]
     m = LinearModel()
     x = m.add_vars(I, 0.0, 1.0, BINARY, prefix="x_")
     y_kind = INTEGER if inst.y_integrality == "integer" else CONTINUOUS
-    y = np.empty((I, J), dtype=int)
-    for i in range(I):
-        for j in range(J):
-            y[i, j] = m.add_var(0.0, float(inst.h[t - 1, i]), y_kind, name=f"y_{i}_{j}")
-            m.set_objective(y[i, j], float(inst.c[i, j] - inst.R[j]))
+    y = m.add_vars(I * J, 0.0, np.repeat(h_t, J), y_kind, obj=(inst.c - inst.R).ravel(),
+                   names=[f"y_{i}_{j}" for i in range(I) for j in range(J)]).reshape(I, J)
     z = m.add_vars(I, 0.0, 1.0, BINARY, prefix="z_")
-    dem = np.array([m.add_row((y[:, j], np.ones(I)), "<=", 0.0, name=f"dem_{j}")
-                    for j in range(J)], dtype=int)
-    for i in range(I):  # capacity of open facilities
-        cols = np.append(y[i, :], x[i])
-        vals = np.append(np.ones(J), -float(inst.h[t - 1, i]))
-        m.add_row((cols, vals), "<=", 0.0, name=f"cap_{i}")
-    f_t = inst.f[t - 1]
+    dem = m.add_rows(y.T, 1.0, "<=", 0.0, names=[f"dem_{j}" for j in range(J)])
+    # capacity of open facilities: sum_j y_ij - h_ti x_i <= 0
+    m.add_rows(np.column_stack([x, y]), np.column_stack([-h_t, np.ones((I, J))]), "<=", 0.0,
+               names=[f"cap_{i}" for i in range(I)])
     m.add_row((np.concatenate([x, z]), np.concatenate([f_t, -f_t])), "<=", float(inst.N),
               name="budget")
-    for i in range(I):
-        m.add_row((np.array([x[i], z[i]]), np.array([1.0, -1.0])), ">=", 0.0,
-                  name=f"keep_{i}")
+    m.add_rows(np.column_stack([x, z]), [1.0, -1.0], ">=", 0.0,
+               names=[f"keep_{i}" for i in range(I)])
     set_stage_data(m, dem, z, x_prev, xi)
     return StageBlock(model=m, x=x, y=y, z_copy=z, dem=dem)
 
@@ -386,14 +380,12 @@ def set_stage_data(m: LinearModel, dem, z, x_prev, xi, pi=None) -> None:
     """Write the stage data into a stage model: the demand caps xi on the
     rows dem, the bounds of the copy columns z -- pinned at x_prev, or
     [0, 1] when x_prev is None -- and their costs -pi (0 without pi)."""
-    xi = np.asarray(xi, dtype=float)
-    for j, row in enumerate(dem):
-        m.set_rhs(int(row), float(xi[j]))
-    lo, hi = (np.zeros(len(z)), np.ones(len(z))) if x_prev is None else (x_prev, x_prev)
-    cost = np.zeros(len(z)) if pi is None else -np.asarray(pi, dtype=float)
-    for i, col in enumerate(z):
-        m.set_bounds(int(col), float(lo[i]), float(hi[i]))
-        m.set_objective(int(col), float(cost[i]))
+    m.set_rhs(dem, xi)
+    if x_prev is None:
+        m.set_bounds(z, 0.0, 1.0)
+    else:
+        m.set_bounds(z, x_prev, x_prev)
+    m.set_objective(z, 0.0 if pi is None else -np.asarray(pi, dtype=float))
 
 
 def revenue_lower_bound(inst: Instance, t: int) -> float:

@@ -104,15 +104,22 @@ def default_dual_bound(inst: Instance) -> float:
                                 + float(np.abs(inst.c).max()))
 
 
-def mccormick_binary_product(model: LinearModel, b: int, y: int, z: int,
-                             L: float, U: float) -> None:
-    """Envelope rows forcing z = b*y at binary b, for y in [L, U]."""
+def mccormick_binary_product(model: LinearModel, b, y, z, L: float, U: float) -> None:
+    """Envelope rows forcing z = b*y at binary b, for y in [L, U]: four
+    rows per product, in the order z <= U b, z >= L b, z - y <= L (b - 1)
+    and z - y >= U (b - 1), for each entry of the equal-length column
+    arrays (or single columns) b, y and z, as one block."""
     if not (math.isfinite(L) and math.isfinite(U)):
         raise UnboundedFactor("McCormick factor bounds must be finite")
-    model.add_row({z: 1.0, b: -U}, "<=", 0.0)
-    model.add_row({z: 1.0, b: -L}, ">=", 0.0)
-    model.add_row({z: 1.0, y: -1.0, b: -L}, "<=", -L)
-    model.add_row({z: 1.0, y: -1.0, b: -U}, ">=", -U)
+    b, y, z = np.broadcast_arrays(*np.atleast_1d(b, y, z))
+    n = b.size
+    # each product's rows hold 2, 2, 3 and 3 entries, in the column order
+    # b < y < z in which the compilers make them
+    cols = np.column_stack([b, z, b, z, b, y, z, b, y, z])
+    vals = np.array([-U, 1.0, -L, 1.0, -L, -1.0, 1.0, -U, -1.0, 1.0])
+    start = np.append((np.arange(n)[:, None] * 10 + [0, 2, 4, 7]).ravel(), 10 * n)
+    model.add_rows(cols.ravel(), np.tile(vals, n), np.tile(["<=", ">=", "<=", ">="], n),
+                   np.tile([0.0, 0.0, -L, -U], n), start=start)
 
 
 def _start_stage(inst: Instance, t: int, x_prev, xi,
@@ -136,46 +143,75 @@ def _block_layout(block: StageBlock, theta: np.ndarray, dual_bound: float = 0.0)
     return lay
 
 
-def _finish_stage(m: LinearModel, inst: Instance, lay: VarLayout, dual_coeffs_per_k,
+def _finish_stage(m: LinearModel, inst: Instance, lay: VarLayout, dual: DualTable,
                   risk: RiskSpec | None, shift_sign: float) -> None:
     """Common tail of every stage builder: the CVaR columns when risk is
-    on and one dual-feasibility row per realization (plus its CVaR row).
-    The pooled cut rows come after, appended by add_cut_rows.
+    on and one dual-feasibility row per realization (plus its CVaR row),
+    as one block from the compiler's table of the dual terms.  The pooled
+    cut rows come after, appended by add_cut_rows.
 
     shift_sign encodes the printed convention of the risk theorems: the
     moment-window form carries +lam*shift and rows pi_k + shift >= theta_k;
     the matching/cone forms carry -lam*shift and rows pi_k - shift >= theta_k.
     """
+    K, n = inst.K, dual.cols.size
+    k = np.arange(K)
     theta = lay.theta
-    if risk is not None:
-        pi_cvar = m.add_vars(inst.K, 0.0, np.inf, prefix="pic_")
+    if risk is None:
+        # rows dual_k: the dual terms - theta_k
+        cols = np.concatenate([dual.cols, theta])
+        kinds = ("dual",)
+    else:
+        pi_cvar = m.add_vars(K, 0.0, np.inf, prefix="pic_")
         shift = m.add_var(-np.inf, np.inf, name="cvar_shift")
         lay.families["pi_cvar"] = pi_cvar
         lay.families["cvar_shift"] = np.array([shift])
         m.set_objective(shift, shift_sign * risk.lam)
-    for k in range(inst.K):
-        coeffs = dict(dual_coeffs_per_k[k])
-        if risk is None:
-            coeffs[int(theta[k])] = coeffs.get(int(theta[k]), 0.0) - 1.0
-            m.add_row(coeffs, ">=", 0.0, name=f"dual_{k}")
-        else:
-            coeffs[int(pi_cvar[k])] = -risk.lam / (1.0 - risk.alpha)
-            coeffs[int(theta[k])] = -(1.0 - risk.lam)
-            m.add_row(coeffs, ">=", 0.0, name=f"dual_{k}")
-            m.add_row({int(pi_cvar[k]): 1.0, shift: shift_sign,
-                       int(theta[k]): -1.0}, ">=", 0.0, name=f"cvar_{k}")
+        # rows dual_k and cvar_k, in turn: the dual terms
+        # - lam/(1-alpha) pic_k - (1-lam) theta_k, then
+        # pic_k + shift_sign shift - theta_k
+        cols = np.concatenate([dual.cols, theta, pi_cvar, [shift]])
+        kinds = ("dual", "cvar")
+    vals = np.zeros((K, len(kinds), cols.size))
+    keep = np.zeros(vals.shape, dtype=bool)
+    vals[:, 0, :n], keep[:, 0, :n] = dual.vals, dual.keep
+    keep[k, :, n + k] = True
+    if risk is None:
+        vals[k, 0, n + k] = -1.0
+    else:
+        keep[k, :, n + K + k] = keep[:, 1, -1] = True
+        vals[k, 0, n + k], vals[k, 0, n + K + k] = -(1.0 - risk.lam), -risk.lam / (1.0 - risk.alpha)
+        vals[k, 1, n + k], vals[k, 1, n + K + k], vals[:, 1, -1] = -1.0, 1.0, shift_sign
+    order = np.argsort(cols)
+    m.add_rows(cols[order], vals.reshape(-1, cols.size)[:, order], ">=", 0.0,
+               keep=keep.reshape(-1, cols.size)[:, order],
+               names=[f"{kind}_{r}" for r in range(K) for kind in kinds])
 
 
 def add_cut_rows(m: LinearModel, lay: VarLayout, cuts) -> None:
     """One row theta_k - pi'x >= v per cut (v, pi) in cuts[k], realization
-    by realization: the last rows of a compiled stage model."""
-    for k, cut_list in enumerate(cuts):
-        for v, pi in cut_list:
-            coeffs = {int(lay.theta[k]): 1.0}
-            for i, col in enumerate(lay.x):
-                if pi[i] != 0.0:
-                    coeffs[int(col)] = -float(pi[i])
-            m.add_row(coeffs, ">=", float(v))
+    by realization, pi's zero entries left out, as one block: the last
+    rows of a compiled stage model."""
+    ks = [k for k, cut_list in enumerate(cuts) for _ in cut_list]
+    if not ks:
+        return
+    rhs = [v for cut_list in cuts for v, _ in cut_list]
+    pis = np.array([pi for cut_list in cuts for _, pi in cut_list], dtype=float)
+    cols = np.column_stack([np.broadcast_to(lay.x, pis.shape), lay.theta[ks]])
+    vals = np.column_stack([-pis, np.ones(len(ks))])
+    keep = np.column_stack([pis != 0.0, np.ones(len(ks), dtype=bool)])
+    m.add_rows(cols, vals, ">=", rhs, keep=keep)
+
+
+@dataclass
+class DualTable:
+    """The terms of the K dual-feasibility rows of a stage model before
+    theta: the columns, their coefficients per realization (K, columns),
+    and which entries each row holds; a row may hold a coefficient 0.0."""
+
+    cols: np.ndarray
+    vals: np.ndarray
+    keep: np.ndarray
 
 
 def build_type1_stage(inst: Instance, t: int, x_prev, xi,
@@ -195,120 +231,134 @@ def build_type1_stage(inst: Instance, t: int, x_prev, xi,
     s_base = inst.mu_bar**2 + inst.sigma_bar**2
     a1 = m.add_var(0.0, np.inf, obj=-1.0, name="al1")
     b1 = m.add_var(0.0, np.inf, obj=1.0, name="be1")
-    a2 = m.add_vars(J, 0.0, M, prefix="al2_")
-    a3 = m.add_vars(J, 0.0, M, prefix="al3_")
-    b2 = m.add_vars(J, 0.0, M, prefix="be2_")
-    b3 = m.add_vars(J, 0.0, M, prefix="be3_")
-    for j in range(J):
-        m.set_objective(int(a2[j]), -(inst.mu_bar[j] - inst.eps_mu[j]))
-        m.set_objective(int(a3[j]), -s_base[j] * inst.eps_S_lo[j])
-        m.set_objective(int(b2[j]), inst.mu_bar[j] + inst.eps_mu[j])
-        m.set_objective(int(b3[j]), s_base[j] * inst.eps_S_hi[j])
-    prods = {}
-    for fam, factor, sign, weight in (
+    a2 = m.add_vars(J, 0.0, M, prefix="al2_", obj=-(inst.mu_bar - inst.eps_mu))
+    a3 = m.add_vars(J, 0.0, M, prefix="al3_", obj=-s_base * inst.eps_S_lo)
+    b2 = m.add_vars(J, 0.0, M, prefix="be2_", obj=inst.mu_bar + inst.eps_mu)
+    b3 = m.add_vars(J, 0.0, M, prefix="be3_", obj=s_base * inst.eps_S_hi)
+    fams = (
         ("z_a2", a2, -1.0, inst.lambda_mu * inst.mu_bar[:, None]),
         ("z_a3", a3, -1.0, inst.lambda_S * (inst.eps_S_lo * s_base)[:, None]),
         ("z_b2", b2, 1.0, inst.lambda_mu * inst.mu_bar[:, None]),
         ("z_b3", b3, 1.0, inst.lambda_S * (inst.eps_S_hi * s_base)[:, None]),
-    ):
-        # (J, I): one call per j keeps the columns and rows j-major
-        prods[fam] = np.array([_product_vars(m, x, factor[j:j + 1], 0.0, M)[:, 0]
-                               for j in range(J)])
+    )
+    # (J, I) per family: one group per j keeps the columns and rows j-major
+    maps = _product_vars(m, [(x, factor[j:j + 1]) for _, factor, _, _ in fams
+                             for j in range(J)], 0.0, M)
+    prods = {}
+    for f, (fam, _, sign, weight) in enumerate(fams):
+        prods[fam] = np.array([p[:, 0] for p in maps[f * J:(f + 1) * J]])
         _add_objective(m, prods[fam], sign * weight)
     lay.families.update({"alpha1": np.array([a1]), "beta1": np.array([b1]),
                          "alpha2": a2, "alpha3": a3, "beta2": b2, "beta3": b3,
                          **prods})
     lay.audit_families = ("alpha2", "alpha3", "beta2", "beta3")
 
-    xi_next = inst.stage_support(t + 1)
-    dual_coeffs = []
-    for k in range(K):
-        coeffs = {a1: -1.0, b1: 1.0}
-        for j in range(J):
-            coeffs[int(a2[j])] = -xi_next[k, j]
-            coeffs[int(b2[j])] = xi_next[k, j]
-            coeffs[int(a3[j])] = -(xi_next[k, j] ** 2)
-            coeffs[int(b3[j])] = xi_next[k, j] ** 2
-        dual_coeffs.append(coeffs)
-    _finish_stage(m, inst, lay, dual_coeffs, risk, 1.0)
+    # dual rows: -alpha1 + beta1 + sum_j xi_j (beta2_j - alpha2_j)
+    # + xi_j^2 (beta3_j - alpha3_j)
+    xi = inst.stage_support(t + 1)
+    # each square by the C library's pow, as a float's ** takes it; an
+    # array's ** multiplies, which differs in the last bit now and then
+    sq = np.array([v ** 2 for v in xi.ravel().tolist()]).reshape(xi.shape)
+    cols = np.concatenate([[a1, b1], a2, b2, a3, b3])
+    vals = np.hstack([np.tile([-1.0, 1.0], (K, 1)), -xi, xi, -sq, sq])
+    _finish_stage(m, inst, lay, DualTable(cols, vals, np.ones(vals.shape, dtype=bool)),
+                  risk, 1.0)
     return m, lay
 
 
-def _quadratic_value_coeffs(inst: Instance, xi_k: np.ndarray, Y: np.ndarray,
-                            prod: np.ndarray, tri: np.ndarray) -> dict[int, float]:
-    """Coefficients of (xi - mu(x))(xi - mu(x))' . Y with the binary
-    products substituted: prod[i,j,jp] = x_i Y[j,jp], tri[i,ip,j,jp] =
-    x_i x_ip Y[j,jp]; a column the maps repeat sums its terms."""
-    J, I = inst.J, inst.I
-    mu_b = inst.mu_bar
-    lam = inst.lambda_mu
-    coeffs: dict[int, float] = {}
+def _quadratic_value_table(inst: Instance, xi: np.ndarray, Y: np.ndarray,
+                           prod: np.ndarray, tri: np.ndarray) -> DualTable:
+    """The terms of (xi_k - mu(x))(xi_k - mu(x))' . Y with the binary
+    products substituted, prod[i,j,jp] = x_i Y[j,jp] and tri[i,ip,j,jp] =
+    x_i x_ip Y[j,jp], for every realization xi_k (the rows of xi) at once.
 
-    def bump(col, val):
-        if val != 0.0:
-            c = int(col)
-            coeffs[c] = coeffs.get(c, 0.0) + float(val)
-
-    for j in range(J):
-        for jp in range(J):
-            bump(Y[j, jp], xi_k[j] * xi_k[jp])
-            t1 = xi_k[j] * mu_b[jp]
-            bump(Y[j, jp], -t1)
-            bump(Y[jp, j], -t1)
-            for i in range(I):
-                r = lam[jp, i] * t1
-                bump(prod[i, jp, j], -r)
-                bump(prod[i, j, jp], -r)
-            t2 = mu_b[j] * mu_b[jp]
-            bump(Y[j, jp], t2)
-            for i in range(I):
-                bump(prod[i, j, jp], (lam[j, i] + lam[jp, i]) * t2)
-                for ip in range(I):
-                    bump(tri[i, ip, j, jp], lam[j, i] * lam[jp, ip] * t2)
-    return coeffs
+    Per pair (j, jp) the terms are, in this order: Y[j,jp] xi_j xi_jp;
+    -t1 on Y[j,jp] and on Y[jp,j], t1 = xi_j mu_jp; for each i, -lam[jp,i]
+    t1 on prod[i,jp,j] and on prod[i,j,jp]; t2 = mu_j mu_jp on Y[j,jp];
+    for each i, (lam[j,i] + lam[jp,i]) t2 on prod[i,j,jp], then
+    lam[j,i] lam[jp,ip] t2 on tri[i,ip,j,jp] for each ip.  A column the
+    maps repeat sums its terms in that order, from 0.0, and a row holds a
+    column where one of its terms is nonzero.
+    """
+    J, I, K = inst.J, inst.I, xi.shape[0]
+    mu, lam = inst.mu_bar, inst.lambda_mu
+    t1 = xi[:, :, None] * mu  # (K, j, jp)
+    r = lam * t1[..., None]  # (K, j, jp, i): lam[jp, i] t1
+    t2 = mu[:, None] * mu  # (j, jp)
+    per_i = np.concatenate([((lam[:, None] + lam) * t2[..., None])[..., None],
+                            lam[:, None, :, None] * lam[None, :, None, :]
+                            * t2[..., None, None]], axis=-1)  # (j, jp, i, 1 + ip)
+    vals = np.concatenate([
+        (xi[:, :, None] * xi[:, None, :])[..., None], -t1[..., None], -t1[..., None],
+        np.repeat(-r, 2, axis=-1), np.broadcast_to(t2[..., None], (K, J, J, 1)),
+        np.broadcast_to(per_i.reshape(J, J, -1), (K, J, J, I * (1 + I)))], axis=-1)
+    prod_jpj = prod.transpose(2, 1, 0)  # [j, jp, i] = prod[i, jp, j]
+    prod_jjp = prod.transpose(1, 2, 0)  # [j, jp, i] = prod[i, j, jp]
+    cols = np.concatenate([
+        Y[..., None], Y[..., None], Y.T[..., None],
+        np.stack([prod_jpj, prod_jjp], axis=-1).reshape(J, J, 2 * I), Y[..., None],
+        np.concatenate([prod_jjp[..., None], tri.transpose(2, 3, 0, 1)],
+                       axis=-1).reshape(J, J, -1)], axis=-1).ravel()
+    vals = vals.reshape(K, -1)
+    distinct, slot = np.unique(cols, return_inverse=True)
+    summed = np.zeros((distinct.size, K))
+    np.add.at(summed, slot, vals.T)
+    held = np.zeros((distinct.size, K), dtype=bool)
+    np.logical_or.at(held, slot, vals.T != 0.0)
+    return DualTable(distinct, summed.T, held.T)
 
 
 def _pair_vars(m: LinearModel, n: int, lb, ub, prefix) -> np.ndarray:
-    """Symmetric (n, n) column map: one column per unordered pair j <= jp."""
+    """Symmetric (n, n) column map: one column per unordered pair j <= jp,
+    made in the order (0, 0), (0, 1), ..., (n-1, n-1)."""
+    j, jp = np.triu_indices(n)
+    made = m.add_vars(j.size, lb, ub, names=[f"{prefix}{a}_{b}" for a, b in zip(j, jp)])
     cols = np.empty((n, n), dtype=int)
-    for j in range(n):
-        for jp in range(j, n):
-            cols[j, jp] = cols[jp, j] = m.add_var(lb, ub, name=f"{prefix}{j}_{jp}")
+    cols[j, jp] = cols[jp, j] = made
     return cols
 
 
-def _product_vars(m: LinearModel, x: np.ndarray, factor: np.ndarray, lo: float,
-                  M: float) -> np.ndarray:
-    """Column map p[i, ...] = x_i * factor[...] for binary columns x and
-    a factor in [lo, M]: for each x_i one column in [lo, M], named after
-    its factors, and one McCormick envelope per distinct column of
-    factor, so p repeats a column wherever factor does."""
-    flat = [int(f) for f in factor.ravel()]
-    cols = np.empty((len(x), len(flat)), dtype=int)
-    for i, b in enumerate(x):
-        made: dict[int, int] = {}
-        for f in dict.fromkeys(flat):
-            made[f] = m.add_var(lo, M, name=f"{m.names[b]}.{m.names[f]}")
-            mccormick_binary_product(m, int(b), f, made[f], lo, M)
-        cols[i] = [made[f] for f in flat]
-    return cols.reshape((len(x),) + factor.shape)
+def _product_vars(m: LinearModel, groups, lo: float, M: float) -> list[np.ndarray]:
+    """Column maps p[i, ...] = x_i * factor[...], one per (x, factor) in
+    groups, for binary columns x and factors in [lo, M]: for each x_i, one
+    column in [lo, M] per distinct column of factor, named after its
+    factors, with its McCormick envelope, so p repeats a column wherever
+    factor does.  The columns and their envelopes are one block, group by
+    group, x_i by x_i, each over factor's distinct columns in the order
+    they first appear."""
+    b, f, picks = [], [], []
+    for x, factor in groups:
+        flat = factor.ravel().tolist()
+        distinct = list(dict.fromkeys(flat))
+        b += [c for c in x for _ in distinct]
+        f += distinct * len(x)
+        picks.append((len(x), len(distinct), [distinct.index(c) for c in flat], factor.shape))
+    made = m.add_vars(len(b), lo, M, names=[f"{m.names[i]}.{m.names[j]}" for i, j in zip(b, f)])
+    mccormick_binary_product(m, b, f, made, lo, M)
+    maps, at = [], 0
+    for n, d, pick, shape in picks:
+        maps.append(made[at:at + n * d].reshape(n, d)[:, pick].reshape((n,) + shape))
+        at += n * d
+    return maps
 
 
 def _trilinear_vars(m: LinearModel, x: np.ndarray, prod: np.ndarray, M: float) -> np.ndarray:
     """Column map of x_i * x_ip * factor from prod = x_i * factor.  Its
     diagonal i = ip is prod itself, as x_i^2 = x_i; off it, one column
-    x_ip * prod[i] per i < ip, shared by (ip, i)."""
+    x_ip * prod[i] per i < ip, shared by (ip, i), made ip by ip."""
     tri = np.repeat(prod[:, None], len(x), axis=1)
-    for ip in range(1, len(x)):
-        tri[:ip, ip] = tri[ip, :ip] = _product_vars(m, x[ip:ip + 1], prod[:ip], -M, M)[0]
+    maps = _product_vars(m, [(x[ip:ip + 1], prod[:ip]) for ip in range(1, len(x))], -M, M)
+    for ip, made in enumerate(maps, 1):
+        tri[:ip, ip] = tri[ip, :ip] = made[0]
     return tri
 
 
 def _add_objective(m: LinearModel, cols: np.ndarray, weights) -> None:
-    """Add weights to the objective of cols, position by position, so a
-    repeated column gets their sum."""
-    for c, w in zip(cols.ravel(), np.broadcast_to(weights, cols.shape).ravel()):
-        m.set_objective(int(c), m.objective[c] + float(w))
+    """Add weights to the objective of cols, position by position in
+    order (np.add.at), so a repeated column gets their sum."""
+    objective = m.objective.copy()
+    np.add.at(objective, cols.ravel(), np.broadcast_to(weights, cols.shape).ravel())
+    m.set_objective(cols.ravel(), objective[cols.ravel()])
 
 
 def hull_directions(inst: Instance, t: int) -> np.ndarray:
@@ -326,14 +376,19 @@ def hull_directions(inst: Instance, t: int) -> np.ndarray:
     return vt[int(np.sum(sv > HULL_RANK_REL * max(1.0, float(np.abs(a).max())))):]
 
 
-def _add_hull_row(m: LinearModel, cols: np.ndarray, weights: np.ndarray, name: str) -> None:
-    """The row sum(weights * cols) = 0, a repeated column summing its
-    weights and a round-off weight dropped."""
-    coeffs: dict[int, float] = {}
-    for c, wt in zip(cols.ravel(), weights.ravel()):
-        coeffs[int(c)] = coeffs.get(int(c), 0.0) + float(wt)
-    m.add_row({c: wt for c, wt in coeffs.items() if abs(wt) > HULL_RANK_REL}, "=", 0.0,
-              name=name)
+def _add_hull_rows(m: LinearModel, rows, names) -> None:
+    """Append the row sum(weights * cols) = 0 of each (cols, weights) pair
+    in rows, as one block: a repeated column sums its weights, in order
+    from 0.0, and a round-off weight is dropped."""
+    nv = m.num_vars
+    key = np.concatenate([r * nv + cols.ravel() for r, (cols, _) in enumerate(rows)])
+    distinct, slot = np.unique(key, return_inverse=True)
+    summed = np.zeros(distinct.size)
+    np.add.at(summed, slot, np.concatenate([weights.ravel() for _, weights in rows]))
+    kept = np.abs(summed) > HULL_RANK_REL
+    row, col = np.divmod(distinct[kept], nv)
+    m.add_rows(col, summed[kept], "=", 0.0, start=np.searchsorted(row, np.arange(len(rows) + 1)),
+               names=names)
 
 
 def build_type2_stage(inst: Instance, t: int, x_prev, xi,
@@ -379,8 +434,7 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi,
     s = m.add_var(-np.inf, np.inf, obj=1.0, name="s")
     u = m.add_vars(J, -M, M, prefix="u_")
     Y = _pair_vars(m, J, -M, M, "Y_")
-    w = _product_vars(m, x, u, -M, M)
-    zz = _product_vars(m, x, Y, -M, M)
+    w, zz = _product_vars(m, [(x, u), (x, Y)], -M, M)
     v = _trilinear_vars(m, x, zz, M)
     _add_objective(m, u, inst.mu_bar)
     _add_objective(m, Y, sig)
@@ -391,23 +445,21 @@ def build_type2_stage(inst: Instance, t: int, x_prev, xi,
     flat = hull_directions(inst, t)
     if len(flat):
         basis = np.linalg.svd(flat)[2]  # its first len(flat) rows span flat
+        rows, names = [], []
         for r, d in enumerate(basis[:len(flat)]):
-            rows = [("u", u, w, d)] + [
-                (f"Y{c}", Y, zz, np.outer(d, basis[c]) + np.outer(basis[c], d))
-                for c in range(r, J)]
-            for name, dual, prods, weights in rows:
-                _add_hull_row(m, dual, weights, f"hull_{name}_{r}")
-                for i, cols in enumerate(prods):
-                    _add_hull_row(m, cols, weights, f"hull_x{i}{name}_{r}")
-    xi_next = inst.stage_support(t + 1)
-    dual_coeffs = []
-    for k in range(K):
-        coeffs = _quadratic_value_coeffs(inst, xi_next[k], Y, zz, v)
-        coeffs[s] = 1.0
-        for j in range(J):
-            coeffs[int(u[j])] = coeffs.get(int(u[j]), 0.0) + xi_next[k, j]
-        dual_coeffs.append(coeffs)
-    _finish_stage(m, inst, lay, dual_coeffs, risk, -1.0)
+            for name, dual, prods, weights in [("u", u, w, d)] + [
+                    (f"Y{c}", Y, zz, np.outer(d, basis[c]) + np.outer(basis[c], d))
+                    for c in range(r, J)]:
+                rows += [(cols, weights) for cols in (dual, *prods)]
+                names += [f"hull_{name}_{r}"] + [f"hull_x{i}{name}_{r}" for i in range(len(prods))]
+        _add_hull_rows(m, rows, names)
+    # dual rows: s + u'xi_k + the quadratic terms
+    xi = inst.stage_support(t + 1)
+    quad = _quadratic_value_table(inst, xi, Y, zz, v)
+    _finish_stage(m, inst, lay, DualTable(
+        np.concatenate([[s], u, quad.cols]),
+        np.hstack([np.ones((K, 1)), 0.0 + xi, quad.vals]),
+        np.hstack([np.ones((K, 1 + J), dtype=bool), quad.keep])), risk, -1.0)
     return m, lay
 
 
@@ -428,11 +480,8 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi,
     z2 = m.add_vars(J, -M, M, prefix="z2_")
     z3 = m.add_var(0.0, np.inf, obj=float(inst.gamma), name="z3")
     Y = _pair_vars(m, J, -M, M, "Y3_")
-    for c in (*np.diag(z1), *np.diag(Y)):
-        m.set_bounds(int(c), 0.0, M)  # PSD diagonal
-    w3 = _product_vars(m, x, z1, -M, M)
-    u3 = _product_vars(m, x, z2, -M, M)
-    r3 = _product_vars(m, x, Y, -M, M)
+    m.set_bounds(np.concatenate([np.diag(z1), np.diag(Y)]), 0.0, M)  # PSD diagonal
+    w3, u3, r3 = _product_vars(m, [(x, z1), (x, z2), (x, Y)], -M, M)
     v3 = _trilinear_vars(m, x, r3, M)
     lam_cov = inst.lambda_cov[:, None, None]
     _add_objective(m, z2, -2.0 * inst.mu_bar)
@@ -445,15 +494,13 @@ def build_type3_stage(inst: Instance, t: int, x_prev, xi,
                          "z3": np.array([z3]), "Y": Y, "w": w3, "u": u3,
                          "R": r3, "v": v3})
     lay.audit_families = ("z1", "z2", "Y")
-    xi_next = inst.stage_support(t + 1)
-    dual_coeffs = []
-    for k in range(K):
-        coeffs = _quadratic_value_coeffs(inst, xi_next[k], Y, r3, v3)
-        coeffs[s] = 1.0
-        for j in range(J):
-            coeffs[int(z2[j])] = coeffs.get(int(z2[j]), 0.0) - 2.0 * xi_next[k, j]
-        dual_coeffs.append(coeffs)
-    _finish_stage(m, inst, lay, dual_coeffs, risk, -1.0)
+    # dual rows: s - 2 z2'xi_k + the quadratic terms
+    xi = inst.stage_support(t + 1)
+    quad = _quadratic_value_table(inst, xi, Y, r3, v3)
+    _finish_stage(m, inst, lay, DualTable(
+        np.concatenate([[s], z2, quad.cols]),
+        np.hstack([np.ones((K, 1)), 0.0 - 2.0 * xi, quad.vals]),
+        np.hstack([np.ones((K, 1 + J), dtype=bool), quad.keep])), risk, -1.0)
     zdim = J + 1
     zcols = np.empty((zdim, zdim), dtype=int)
     zcols[:J, :J] = z1
@@ -505,12 +552,9 @@ def freeze_stage(inst: Instance, ttype: int, t: int, x, q,
     model, lay, blocks = build_stage(inst, ttype, t, x, np.zeros(inst.J),
                                      risk=risk, dual_bound=dual_bound)
     q = np.asarray(q, dtype=float)
-    for i, col in enumerate(lay.x):
-        model.set_bounds(int(col), x[i], x[i])
-    for col in lay.y.ravel():
-        model.set_bounds(int(col), 0.0, 0.0)
-    for k, col in enumerate(lay.theta):
-        model.set_bounds(int(col), q[k], q[k])
+    model.set_bounds(lay.x, x, x)
+    model.set_bounds(lay.y.ravel(), 0.0, 0.0)
+    model.set_bounds(lay.theta, q, q)
     return model, lay, blocks
 
 

@@ -50,8 +50,8 @@ import numpy as np
 from . import misdp
 from .ambiguity import (AmbiguityType, EmptyAmbiguity, RiskSpec, WorstCase, is_nonempty,
                         worst_case)
-from .lpmilp import (OPTIMAL, LinearModel, Solution, round_integral, solve_fixed_milps,
-                     solve_milp, solve_milps)
+from .lpmilp import (OPTIMAL, LinearModel, RowBlock, Solution, round_integral,
+                     solve_fixed_milps, solve_milp, solve_milps)
 from .model import Instance, budget_states, set_stage_data
 from .reformulate import (DualBound, VarLayout, add_cut_rows, build_stage, default_dual_bound,
                           solve_with_dual_bound)
@@ -348,7 +348,7 @@ class StageOracle:
         self.dual_solves = 0
         self._stage_cache: dict = {}
         self._compiled: dict[tuple, _Compiled] = {}
-        self._eigen_rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._eigen_rows: dict[int, RowBlock] = {}
         self._worst: dict[tuple, WorstCase] = {}
         # whether stage t batches: not where a cut loop runs, and not after
         # one of its batches failed at its root
@@ -392,7 +392,8 @@ class StageOracle:
         batch.  On the Type 3 "lb" route a hit may come from a model with
         fewer eigen rows than a solve would replay now; its value is still
         a lower bound (see StageOracle)."""
-        keys = [(t, k, _bits(x_prev), self.pool.num_cuts(t + 1)) for k in ks]
+        bits, cuts = _bits(x_prev), self.pool.num_cuts(t + 1)
+        keys = [(t, k, bits, cuts) for k in ks]
         out = [self._stage_cache.get(key) for key in keys]
         missed = [j for j, sol in enumerate(out) if sol is None]
         solved = self._solve_jobs(t, [(ks[j], x_prev, None) for j in missed])
@@ -499,8 +500,9 @@ class StageOracle:
             extended.validate()
             comp.cuts, comp.extended = cuts, extended
         model = comp.extended.copy()
-        for row in self._eigen_rows.get(t, ()):
-            model.add_row(row, ">=", 0.0)
+        eigen = self._eigen_rows.get(t)
+        if eigen is not None:
+            model.add_rows(eigen.cols, eigen.vals, ">=", 0.0, start=eigen.start)
         set_stage_data(model, comp.lay.dem, comp.lay.z_copy, x_prev,
                        inst.stage_support(t)[k], pi)
         return model, comp.lay, comp.blocks
@@ -514,8 +516,9 @@ class StageOracle:
             done = model.num_rows
             sol = misdp.solve_misdp_outer(model, blocks, split, self.counters)
             if model.num_rows > done:
-                self._eigen_rows.setdefault(t, []).extend(
-                    zip(model.row_cols[done:], model.row_vals[done:]))
+                found = model.rows(done)
+                self._eigen_rows[t] = (RowBlock.join([self._eigen_rows[t], found])
+                                       if t in self._eigen_rows else found)
         else:
             sol = (split and split(model)) or solve_milp(model)
         self.stage_solves += 1

@@ -261,6 +261,30 @@ def test_type3_slater_slack_positive_on_interior():
     assert type3_slater_slack(tight, np.ones(3)) < 1e-9
 
 
+def test_type3_worst_case_builds_its_geometry_once(monkeypatch):
+    # the emptiness check inside worst_case reuses worst_case's own
+    # geometry: one build per call, with the verdicts is_nonempty gives
+    builds = []
+
+    class Counted(ambiguity._Type3Geometry):
+        def __init__(self, *args):
+            builds.append(args)
+            super().__init__(*args)
+
+    inst = make_inst(J=2, seed=13)
+    tight = replace_fields(inst, gamma=1e-15, eta_cov=1.0)
+    q = np.random.default_rng(3).normal(size=inst.K) * 10
+    expected = worst_case(inst, AmbiguityType.TYPE3, np.zeros(3), q).value
+    monkeypatch.setattr(ambiguity, "_Type3Geometry", Counted)
+    assert worst_case(inst, AmbiguityType.TYPE3, np.zeros(3), q).value == expected
+    assert len(builds) == 1
+    assert not is_nonempty(tight, AmbiguityType.TYPE3, np.ones(3))
+    builds.clear()
+    with pytest.raises(EmptyAmbiguity):
+        worst_case(tight, AmbiguityType.TYPE3, np.ones(3), q)
+    assert len(builds) == 1
+
+
 def test_type3_slater_slack_flags_a_stalled_sign(monkeypatch):
     # this set's largest slack is 10 to LP tolerance, so with the threshold
     # at 10 neither Kelley bound can settle the sign

@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from ddro import lpmilp
@@ -42,7 +44,7 @@ def test_lp_unbounded():
 def dense_row(m: LinearModel, r: int) -> np.ndarray:
     """Row r of m as a dense vector, a repeated column summed."""
     row = np.zeros(m.num_vars)
-    np.add.at(row, m.row_cols[r], m.row_vals[r])
+    np.add.at(row, *m.rows()[r])
     return row
 
 
@@ -470,6 +472,13 @@ def _random_row(rng, num_vars: int):
     return cols, rng.normal(size=cols.size)
 
 
+def _block(row_cols, row_vals) -> lpmilp.RowBlock:
+    """The rows given by their columns and values as one RowBlock."""
+    return lpmilp.RowBlock(np.concatenate([np.asarray(c, dtype=np.intp) for c in row_cols]),
+                           np.concatenate([np.asarray(v, dtype=float) for v in row_vals]),
+                           np.cumsum([0] + [len(c) for c in row_cols]))
+
+
 def test_assemble_matches_scipy_sum_duplicates():
     rng = np.random.default_rng(2024)
     for trial in range(300):
@@ -480,7 +489,8 @@ def test_assemble_matches_scipy_sum_duplicates():
             cols, vals = _random_row(rng, num_vars)
             row_cols.append(np.array(cols, dtype=int))
             row_vals.append(np.array(vals, dtype=float))
-        rows = lpmilp._assemble(row_cols, row_vals, ["<="] * num_rows, num_vars)
+        rows = lpmilp._assemble(_block(row_cols, row_vals), np.full(num_rows, "<="),
+                                num_vars, 1)
         a = sparse.csr_matrix((np.concatenate(row_vals), np.concatenate(row_cols),
                                np.cumsum([0] + [c.size for c in row_cols])),
                               shape=(num_rows, num_vars))
@@ -493,8 +503,8 @@ def test_assemble_matches_scipy_sum_duplicates():
         assert rows.value.tobytes() == a.data.tobytes()  # the signs of zeros too
     # a column that cancels keeps its explicit zero; an empty row and the
     # unused trailing columns hold no entry
-    rows = lpmilp._assemble([np.array([2, 0, 2]), np.array([], dtype=int)],
-                            [np.array([1.5, 3.0, -1.5]), np.array([])], ["<=", "="], 5)
+    rows = lpmilp._assemble(_block([[2, 0, 2], []], [[1.5, 3.0, -1.5], []]),
+                            np.array(["<=", "="]), 5, 1)
     assert rows.start.tolist() == [0, 2, 2]
     assert rows.index.tolist() == [0, 2] and rows.value.tolist() == [3.0, 0.0]
 
@@ -587,9 +597,9 @@ def test_copy_assembles_only_new_rows_like_a_fresh_model():
     assert copy._rows.count == 5 and template._rows is kept and kept.count == 3
     assert np.array_equal(copy._rows.index[:kept.index.size], kept.index)
     # the canonical form is what scipy's sum_duplicates makes of the rows
-    a = sparse.csr_matrix(
-        (np.concatenate(fresh.row_vals), np.concatenate(fresh.row_cols),
-         np.cumsum([0] + [c.size for c in fresh.row_cols])), shape=(5, 5))
+    appended = fresh.rows()
+    a = sparse.csr_matrix((appended.vals, appended.cols, appended.start), shape=(5, 5),
+                          copy=True)
     a.sum_duplicates()
     assert np.array_equal(copy._rows.start, a.indptr)
     assert np.array_equal(copy._rows.index, a.indices)
@@ -606,19 +616,35 @@ def test_stored_rows_are_read_only_copies():
     cols, vals = np.array([0, 2]), np.array([1.0, 2.0])
     r = m.add_row((cols, vals), "<=", 1.0)
     cols[0], vals[0] = 1, 9.0  # the caller's arrays stay the caller's
-    assert m.row_cols[r].tolist() == [0, 2] and m.row_vals[r].tolist() == [1.0, 2.0]
+    assert [a.tolist() for a in m.rows()[r]] == [[0, 2], [1.0, 2.0]]
+    # so do those of a block, 2-D, masked or flat with offsets
+    grid_cols, grid_vals = np.array([[0, 1], [2, 1]]), np.array([[1.0, 0.0], [3.0, 4.0]])
+    keep = np.array([[True, False], [True, True]])
+    flat_cols, flat_vals, start = np.array([1, 0, 1]), np.array([5.0, 6.0, 7.0]), np.array([0, 1, 3])
+    m.add_rows(grid_cols, grid_vals, "=", 0.0)
+    m.add_rows(grid_cols, grid_vals, ">=", [1.0, 2.0], keep=keep)
+    m.add_rows(flat_cols, flat_vals, "<=", 0.0, start=start)
+    expected = [([0, 2], [1.0, 2.0]), ([0, 1], [1.0, 0.0]), ([2, 1], [3.0, 4.0]),
+                ([0], [1.0]), ([2, 1], [3.0, 4.0]), ([1], [5.0]), ([0, 1], [6.0, 7.0])]
+    for arr in (grid_cols, grid_vals, flat_cols, flat_vals, start):
+        arr[0] = arr[-1] = 0
+    keep[...] = False
+    assert [tuple(a.tolist() for a in row) for row in m.rows()] == expected
     m.validate()
     shared = m.copy()
-    for stored in (m.row_cols[r], m.row_vals[r], shared.row_vals[r]):
-        with pytest.raises(ValueError, match="read-only"):
-            stored[0] = 0
+    for model in (m, shared):
+        for first in (0, r + 1, 5):
+            block = model.rows(first)
+            assert [tuple(a.tolist() for a in row) for row in block] == expected[first:]
+            for stored in (block.cols, block.vals, block.start, *block[0]):
+                with pytest.raises(ValueError, match="read-only"):
+                    stored[0] = 0
     d = m.add_row({1: 1.0}, ">=", 0.0)
     with pytest.raises(ValueError, match="read-only"):
-        m.row_vals[d][0] = 5.0
+        m.rows(d)[0][1][0] = 5.0
     # rows are append-only: a model that lost assembled rows is not solved
     m.validate()
-    for rows in (m.row_cols, m.row_vals, m.row_rel, m.row_rhs, m.row_names):
-        del rows[-1]
+    m.row_rhs, m.row_rel = m.row_rhs[:-1], m.row_rel[:-1]
     with pytest.raises(RuntimeError, match="removed"):
         solve_lp(m)
 
@@ -634,6 +660,126 @@ def test_row_checks_cover_rows_assembled_earlier():
     for model in (m, copy):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             solve_lp(model)
+
+
+# -- the block path: add_rows against add_row, property-based ---------------
+
+BLOCK_VARS = 6
+_coefficient = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _row_lists(draw, sorted_rows=False):
+    """(rows, rels, rhs, names) of a block of random rows over BLOCK_VARS
+    columns: a row's columns unsorted (sorted if sorted_rows, and then
+    mostly strictly increasing) and repeated, explicit zeros of both
+    signs, empty rows, and all three relations."""
+    count = draw(st.integers(0, 7))
+    rows = []
+    for _ in range(count):
+        cols = draw(st.lists(st.integers(0, BLOCK_VARS - 1), max_size=8))
+        if sorted_rows:
+            cols = sorted(cols if draw(st.integers(0, 3)) == 0 else set(cols))
+        vals = draw(st.lists(_coefficient, min_size=len(cols), max_size=len(cols)))
+        rows.append((cols, vals))
+    rels = draw(st.lists(st.sampled_from(("<=", "=", ">=")), min_size=count, max_size=count))
+    rhs = draw(st.lists(st.floats(-100, 100, allow_nan=False), min_size=count, max_size=count))
+    names = draw(st.none() | st.just([f"b{r}" for r in range(count)]))
+    return rows, rels, rhs, names
+
+
+def _csr(rows):
+    """Flat columns, values and row offsets of (cols, vals) rows."""
+    return (np.array([c for cols, _ in rows for c in cols], dtype=np.intp),
+            np.array([v for _, vals in rows for v in vals], dtype=float),
+            np.cumsum([0] + [len(cols) for cols, _ in rows]))
+
+
+def _block_model(validated_rows=()) -> LinearModel:
+    m = LinearModel()
+    m.add_vars(BLOCK_VARS, 0.0, 1.0)
+    for cols, vals in validated_rows:  # rows assembled before the block
+        m.add_row((cols, vals), ">=", 0.0)
+    m.validate()
+    return m
+
+
+def _row_state(m: LinearModel) -> tuple:
+    """Every row array a solve reads, as bytes, and the rows' names."""
+    rows = m._row_matrix()
+    return (rows.count, rows.start.tobytes(), rows.index.tobytes(), rows.value.tobytes(),
+            rows.no_lower.tobytes(), rows.no_upper.tobytes(), m.row_rhs.tobytes(),
+            m.row_rel.tolist(), list(m.row_names))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_lists(), _row_lists())
+def test_a_block_of_rows_equals_its_rows_added_one_at_a_time(before, block):
+    rows, rels, rhs, names = block
+    one_by_one = _block_model(before[0])
+    for r, (cols, vals) in enumerate(rows):
+        one_by_one.add_row((cols, vals), rels[r], rhs[r], None if names is None else names[r])
+    as_block = _block_model(before[0])
+    cols, vals, start = _csr(rows)
+    first = as_block.num_rows
+    got = as_block.add_rows(cols, vals, rels, rhs, start=start, names=names)
+    assert got.tolist() == list(range(first, first + len(rows)))
+    assert _row_state(as_block) == _row_state(one_by_one)
+    # the same rows as a 2-D table with the padding masked out
+    width = max([len(c) for c, _ in rows], default=0)
+    table_cols = np.zeros((len(rows), width), dtype=int)
+    table_vals = np.full((len(rows), width), np.nan)
+    keep = np.zeros((len(rows), width), dtype=bool)
+    for r, (c, v) in enumerate(rows):
+        table_cols[r, :len(c)], table_vals[r, :len(v)], keep[r, :len(c)] = c, v, True
+    masked = _block_model(before[0])
+    masked.add_rows(table_cols, table_vals, rels, rhs, keep=keep, names=names)
+    assert _row_state(masked) == _row_state(one_by_one)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_lists(sorted_rows=True))
+def test_canonical_rows_skip_the_sort_and_give_its_arrays(block):
+    # rows whose columns increase strictly are stored as given, and give
+    # what the sorting path gives; a sorted row that repeats a column is
+    # not canonical, and is summed
+    rows, rels, _, _ = block
+    cols, vals, start = _csr(rows)
+    got = lpmilp._assemble(lpmilp.RowBlock(cols, vals, start), np.array(rels, dtype="<U2"),
+                           BLOCK_VARS, 1)
+    key = np.repeat(np.arange(len(rows)), np.diff(start)) * BLOCK_VARS + cols
+    sorted_start, sorted_index, sorted_value = lpmilp._sum_duplicates(
+        key, cols, vals, len(rows), BLOCK_VARS)
+    assert got.start.tobytes() == sorted_start.astype(np.int32).tobytes()
+    assert got.index.tobytes() == sorted_index.astype(np.int32).tobytes()
+    assert got.value.tobytes() == sorted_value.tobytes()  # -0.0 stays -0.0
+    canonical = all(list(c) == sorted(set(c)) for c, _ in rows)
+    assert np.shares_memory(got.value, vals) == (canonical and vals.size > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_row_lists(), st.data())
+def test_a_bad_block_raises_and_leaves_the_model_unchanged(block, data):
+    rows, rels, rhs, names = block
+    rows = rows or [([0], [1.0])]
+    rels, rhs = (rels or ["="]), (rhs or [0.0])
+    r = data.draw(st.integers(0, len(rows) - 1))
+    if data.draw(st.booleans()):
+        cols, vals = rows[r]
+        at = data.draw(st.integers(0, len(cols)))
+        rows[r] = (cols[:at] + [data.draw(st.sampled_from([-1, BLOCK_VARS, 99]))] + cols[at:],
+                   vals[:at] + [1.0] + vals[at:])
+        match = "unknown column"
+    else:
+        rels = rels[:r] + [data.draw(st.sampled_from(["<", "==", "=>", "", "<=>"]))] + rels[r + 1:]
+        match = "relation"
+    m = _block_model([([1, 1, 0], [2.0, -1.0, 3.0])])
+    state = (_row_state(m), m.num_rows, len(m._blocks), m.objective.tobytes())
+    cols, vals, start = _csr(rows)
+    with pytest.raises(ValueError, match=match):
+        m.add_rows(cols, vals, rels, rhs, start=start)
+    assert (_row_state(m), m.num_rows, len(m._blocks), m.objective.tobytes()) == state
 
 
 def _grow_random_lp(rng, m: LinearModel, x0: np.ndarray) -> None:

@@ -294,7 +294,7 @@ def test_outer_vectors_replay_in_one_milp_solve():
         assert outer.status == OPTIMAL
         assert looped.num_rows > model.num_rows
         replay = model.copy()
-        for row in zip(looped.row_cols[model.num_rows:], looped.row_vals[model.num_rows:]):
+        for row in looped.rows(model.num_rows):
             replay.add_row(row, ">=", 0.0)
         sol = solve_milp(replay)
         assert sol.status == OPTIMAL

@@ -271,13 +271,19 @@ def test_prob_bound_dual_columns_are_neutral():
     m_off, _ = build_type1_stage(inst, 1, np.zeros(3), xi)
     # the printed form: duals gamma_lo, gamma_hi >= 0 of 0 <= p_k <= 1
     # enter each value row as -gamma_lo_k + gamma_hi_k, at cost gamma_hi_k
-    m_on = m_off.copy()
+    m_on = LinearModel()
+    for c in range(m_off.num_vars):
+        m_on.add_var(m_off.lower[c], m_off.upper[c], m_off.integrality[c],
+                     m_off.objective[c], m_off.names[c])
+    gamma = {}
     for k in range(inst.K):
-        gam_lo = m_on.add_var(0.0, np.inf, name=f"gl_{k}")
-        gam_hi = m_on.add_var(0.0, np.inf, obj=1.0, name=f"gh_{k}")
-        r = m_on.row_names.index(f"dual_{k}")
-        m_on.row_cols[r] = np.append(m_on.row_cols[r], [gam_lo, gam_hi])
-        m_on.row_vals[r] = np.append(m_on.row_vals[r], [-1.0, 1.0])
+        gamma[f"dual_{k}"] = (m_on.add_var(0.0, np.inf, name=f"gl_{k}"),
+                              m_on.add_var(0.0, np.inf, obj=1.0, name=f"gh_{k}"))
+    for r, (cols, vals) in enumerate(m_off.rows()):
+        name = m_off.row_names[r]
+        if name in gamma:
+            cols, vals = np.append(cols, gamma[name]), np.append(vals, [-1.0, 1.0])
+        m_on.add_row((cols, vals), m_off.row_rel[r], m_off.row_rhs[r], name)
     assert m_on.num_vars == m_off.num_vars + 2 * inst.K
     v_off = solve_milp(m_off)
     v_on = solve_milp(m_on)
@@ -323,8 +329,7 @@ def _fixed_data_form(model, z, x_prev):
     for c in kept:
         out.add_var(model.lower[c], model.upper[c], model.integrality[c],
                     model.objective[c], model.names[c])
-    for r in range(model.num_rows):
-        cols, vals = model.row_cols[r], model.row_vals[r]
+    for r, (cols, vals) in enumerate(model.rows()):
         free = new_id[cols] >= 0
         out.add_row((new_id[cols[free]], vals[free]), model.row_rel[r],
                     model.row_rhs[r] - float(vals @ value[cols]), model.row_names[r])
@@ -365,7 +370,7 @@ def test_pinned_copy_equals_fixed_data_form(label, make, ttype):
             assert fixed.row_rhs[budget] == inst.N + f_t @ x_prev
             for i in range(inst.I):
                 r = fixed.row_names.index(f"keep_{i}")
-                assert fixed.row_vals[r].tolist() == [1.0]
+                assert fixed.rows()[r][1].tolist() == [1.0]
                 assert (fixed.row_rel[r], fixed.row_rhs[r]) == (">=", x_prev[i])
             a, b = solve_milp(pinned), solve_milp(fixed)
             assert a.status == b.status == OPTIMAL, (label, t, bits)

@@ -109,3 +109,42 @@ def test_counters_is_a_work_field_shown_by_the_entries_that_moved(tmp_path, caps
     work = [line for line in capsys.readouterr().err.splitlines() if line.startswith("WORK")]
     assert work == ["WORK w 1 a: counters {'split_solves': 18} -> "
                     "{'split_solves': 14, 'dual_probes': 0}"]
+
+
+def test_input_digest_hashes_every_highs_load_in_order():
+    # the same solve twice hands HiGHS the same arrays; one changed
+    # right-hand side changes the digest, and the patched names are restored
+    from ddro import lpmilp
+    from ddro.lpmilp import INTEGER, LinearModel, WarmLp, solve_milp
+
+    tool = _load_tool()
+    saved = lpmilp.milp, lpmilp.linprog
+
+    def model(rhs):
+        m = LinearModel()
+        x = m.add_var(0.0, 3.0, INTEGER, obj=-1.0)
+        y = m.add_var(0.0, 3.0, obj=-1.0)
+        m.add_row({x: 1.0, y: 2.0}, "<=", rhs)
+        return m
+
+    def solve(rhs):
+        def run():
+            solve_milp(model(rhs))
+            lp = model(rhs)
+            warm = WarmLp(lp)
+            warm.solve()
+            lp.add_row({0: 1.0}, "<=", 2.0)
+            warm.solve()  # an addRows load
+        return run
+
+    first = tool.input_digest(solve(4.0))
+    assert first[1] == 3 and tool.input_digest(solve(4.0)) == first
+    assert tool.input_digest(solve(4.5))[0] != first[0]
+    assert (lpmilp.milp, lpmilp.linprog) == saved
+
+
+def test_input_digest_of_a_workload_case_repeats():
+    tool = _load_tool()
+    case = tool.workloads.build("type3_upper", 1)[0]
+    digest, loads = tool.input_digest(case.solve)
+    assert loads > 10 and tool.input_digest(case.solve) == (digest, loads)

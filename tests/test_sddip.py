@@ -11,7 +11,8 @@ from ddro.ambiguity import AmbiguityType, EmptyAmbiguity, RiskSpec, is_nonempty
 from ddro.bench import (TYPE1_PATTERNS, TYPE2_PATTERNS, TYPE3_PATTERNS, exact_multistage_value,
                         exact_value_function, make_pattern_instance, stretch_to_three_stages,
                         terminal_value)
-from ddro.lpmilp import BINARY, INTEGER, OPTIMAL, LinearModel, round_integral, solve_milp
+from ddro.lpmilp import (BINARY, INTEGER, OPTIMAL, LinearModel, RowBlock, round_integral,
+                         solve_milp)
 from ddro.model import (BUDGET_STATE_TOL, budget_states, build_stage_block, generate_instance,
                         replace_fields, zero_lambda)
 from ddro.reformulate import DualAtBound, add_cut_rows, build_stage
@@ -1096,6 +1097,52 @@ def test_an_escalation_drops_the_stage_cache_and_the_kept_models(monkeypatch):
     assert again.value == pytest.approx(first.value, rel=1e-9)
 
 
+def _compile_log(monkeypatch):
+    """Wrap sddip.build_stage and StageOracle._stage_model: the (t, big-M)
+    of every compile, and of every stage model a solve takes, in order."""
+    builds, uses = [], []
+    build, stage_model = sddip.build_stage, StageOracle._stage_model
+
+    def counted_build(inst, ttype, t, *args, dual_bound=None, **kwargs):
+        builds.append((t, dual_bound))
+        return build(inst, ttype, t, *args, dual_bound=dual_bound, **kwargs)
+
+    def logged(oracle, t, k, x_prev, pi, dual_bound):
+        uses.append((t, dual_bound))
+        return stage_model(oracle, t, k, x_prev, pi, dual_bound)
+
+    monkeypatch.setattr(sddip, "build_stage", counted_build)
+    monkeypatch.setattr(StageOracle, "_stage_model", logged)
+    return builds, uses
+
+
+def test_a_run_compiles_each_stage_model_once(monkeypatch):
+    # every solve patches a copy of its stage's kept model: without an
+    # escalation, one compile per stage for the whole run, at its first use
+    builds, uses = _compile_log(monkeypatch)
+    for inst, ttype, config in (
+            (_three_stage_instance(), 1, SddipConfig(max_iters=10)),
+            (make_pattern_instance(TYPE3_PATTERNS[0], seed=1), 3,
+             SddipConfig(max_iters=12, bound_mode="lb"))):
+        builds.clear()
+        uses.clear()
+        rep = run(inst, ttype, config)
+        assert rep.dual_escalations == 0 and len(uses) > 2 * inst.T
+        assert [t for t, _ in builds] == list(range(1, inst.T + 1))
+        assert builds == list(dict.fromkeys(uses))
+
+
+def test_an_escalation_compiles_again_only_the_stages_solved_after_it(monkeypatch):
+    # an escalation drops the kept models; a stage is compiled again at the
+    # new big-M at its first solve after it, once, and not otherwise
+    monkeypatch.setattr(sddip, "default_dual_bound", lambda inst: 0.1)
+    builds, uses = _compile_log(monkeypatch)
+    rep = run(small_instance(), 1, SddipConfig(max_iters=10))
+    assert rep.dual_escalations > 0
+    assert len({bound for _, bound in builds}) == rep.dual_escalations + 1
+    assert builds == list(dict.fromkeys(uses))
+
+
 def test_single_stage_run_evaluates_its_one_stage():
     # at T = 1 stage 1 is the terminal stage: the policy's cost is its value
     inst = generate_instance(1, 1, 3, 1, 3, 0.3)
@@ -1350,9 +1397,11 @@ def test_patched_stage_models_equal_fresh_builds(label, make, ttype, mode, risk)
     M = oracle.dual_bound.value
     if mode == "lb":
         blocks = build_stage(inst, ttype, 1, np.zeros(inst.I), inst.xi1())[2]
-        oracle._eigen_rows[1] = [
-            blocks[b].quadratic_form_coeffs(rng.normal(size=blocks[b].dim))
-            for b in (0, 1, 0)]
+        rows = [blocks[b].quadratic_form_coeffs(rng.normal(size=blocks[b].dim))
+                for b in (0, 1, 0)]
+        oracle._eigen_rows[1] = RowBlock(np.concatenate([c for c, _ in rows]),
+                                         np.concatenate([v for _, v in rows]),
+                                         np.cumsum([0] + [c.size for c, _ in rows]))
     states = [np.zeros(inst.I), (np.arange(inst.I) % 2).astype(float), np.ones(inst.I)]
     pi = rng.normal(scale=50.0, size=inst.I)
     kept_text = None

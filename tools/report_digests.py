@@ -40,6 +40,17 @@ code as it is, so that a change which moves the search shows it next to
 its bounds; a work field that is a dict shows only its entries that
 moved.  A work field that either dump lacks, as in a dump written before
 the field was printed, is skipped.
+
+    python3 tools/report_digests.py --inputs 1 2 3 > inputs.txt
+
+The input mode prints, in place of the report's digest, the md5 of every
+HiGHS load the case's solve makes, in call order, and the number of
+loads.  Every load is a functools.partial of a _Highs method (passModel,
+or addRows on a kept LP) that reaches lpmilp.milp or lpmilp.linprog; the
+mode patches both names and hashes each load's method name and
+arguments there: an array by its dtype, shape and bytes, a scalar by its
+value.  Run it on two commits and diff the outputs to show that a change
+hands HiGHS byte-identical models.
 """
 
 from __future__ import annotations
@@ -52,11 +63,13 @@ import math
 import os
 import sys
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
-from ddro import bench  # noqa: E402
+from ddro import bench, lpmilp  # noqa: E402
 from ddro.sddip import SddipConfig, SolveReport  # noqa: E402
 
 FIELDS = sorted(f.name for f in dataclasses.fields(SolveReport))
@@ -187,6 +200,40 @@ def check_against(records: list[dict], path: str) -> int:
     return 1 if failed else 0
 
 
+def hash_load(md5, load) -> None:
+    """Add one HiGHS load (a functools.partial of a _Highs method) to md5:
+    the method's name, then each argument, an array by its dtype, shape
+    and bytes and a scalar by its value."""
+    md5.update(load.func.__name__.encode())
+    for arg in load.args:
+        if isinstance(arg, np.ndarray):
+            md5.update(f"|{arg.dtype.str}{arg.shape}|".encode())
+            md5.update(np.ascontiguousarray(arg).tobytes())
+        else:
+            md5.update(f"|{arg.item() if isinstance(arg, np.generic) else arg!r}|".encode())
+
+
+def input_digest(solve) -> tuple[str, int]:
+    """(md5 of every HiGHS load solve() makes, in call order, number of
+    loads), read where each load reaches lpmilp.milp or lpmilp.linprog."""
+    md5, loads = hashlib.md5(), []
+    saved = lpmilp.milp, lpmilp.linprog
+
+    def hashed(run):
+        def traced(highs, load):
+            hash_load(md5, load)
+            loads.append(load.func.__name__)
+            return run(highs, load)
+        return traced
+
+    lpmilp.milp, lpmilp.linprog = (hashed(run) for run in saved)
+    try:
+        solve()
+    finally:
+        lpmilp.milp, lpmilp.linprog = saved
+    return md5.hexdigest(), len(loads)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("seeds", nargs="+", type=int, help="workload seeds")
@@ -194,6 +241,8 @@ def main(argv=None) -> int:
                     metavar="FIELD", help="report field left out of the digest; repeatable")
     ap.add_argument("--values", action="store_true",
                     help="print each case's result fields as a JSON line, not a digest")
+    ap.add_argument("--inputs", action="store_true",
+                    help="print the md5 of each case's HiGHS loads, not of its report")
     ap.add_argument("--against", metavar="FILE",
                     help="--values dump of another commit to compare with; exit 1 on a difference")
     args = ap.parse_args(argv)
@@ -201,8 +250,14 @@ def main(argv=None) -> int:
         ap.error("--against needs --values")
     if args.values and args.drop:
         ap.error("--drop applies to digests, not --values")
+    if args.inputs and (args.values or args.drop):
+        ap.error("--inputs takes neither --values nor --drop")
     records = []
     for name, seed, case in all_cases(args.seeds):
+        if args.inputs:
+            digest, loads = input_digest(case.solve)
+            print(f"{name} {seed} {case.label} {digest} {loads}", flush=True)
+            continue
         report = case.solve()
         if args.values:
             records.append({"workload": name, "seed": seed, "case": case.label,
