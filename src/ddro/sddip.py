@@ -16,23 +16,18 @@ an exactly evaluated upper bound to meet the lower bound, a loose cut
 costs iterations or ends the run in BoundLimit, never in a wrong
 Optimal.
 
-Upper bounds evaluate the current policy: exactly for two-stage runs
-(first-stage cost plus the worst case over the exact terminal values),
-by full support-tree recursion while the tree is small, and by
-Monte-Carlo path sampling under the stage-wise worst-case distributions
-otherwise; the mode is flagged in the report.
-
-One walker, _sample_path, draws every sampled path: forward passes walk
-to stage T-1 for trial states, the sampled evaluation to stage T for
-costs.  Every stage runs its dual searches in lockstep, and the tree
-evaluation solves the K children of a state together; at every stage
-without a cut loop -- all but the PSD stages of the Type 3 "lb" route --
-their MILPs go to HiGHS in batches (StageOracle).  A stage solve at a
-pinned state is split on its facility states, one copy per state with
-the binaries fixed, and its decision among tied states follows a fixed
-rule (StageOracle._split).  Each worst case is computed once per run
-(StageOracle.worst_case).  The cut pool is append-only, updated per
-pass.
+Every iteration's upper bound is the current policy's exact worst-case
+cost, at every T, by a recursion over the states it visits
+(evaluate_policy).  Only forward passes sample, walking to stage T-1
+for trial states.  Every stage runs its dual searches in lockstep, and
+the policy evaluation solves the K children of a state together; at
+every stage without a cut loop -- all but the PSD stages of the Type 3
+"lb" route -- their MILPs go to HiGHS in batches (StageOracle).  A
+stage solve at a pinned state is split on its facility states, one
+copy per state with the binaries fixed, and its decision among tied
+states follows a fixed rule (StageOracle._split).  Each worst case is
+computed once per run (StageOracle.worst_case).  The cut pool is
+append-only, updated per pass.
 """
 
 from __future__ import annotations
@@ -63,8 +58,6 @@ from .model import build_stage_block  # noqa: F401
 LB_MONOTONE_SLACK = 1e-9
 SUBGRADIENT_ITERS = 50  # most steps of one Lagrangian dual search
 STALL_WINDOW = 5  # iterations over which an unmoved lb means a stall
-UB_PATHS = 200  # sampled paths of a sampled policy evaluation
-TREE_LIMIT = 1e5  # policies are evaluated on sampled paths above K^(T-1) = this
 SANDWICH_REL_SLACK = 1e-6  # run_type3_bounds accepts lb <= ub + this * max(1, |ub|)
 # A pinned solve with more budget-feasible states is not split: the copies
 # cost about linearly in their number (10 copies of the benchmark's
@@ -169,24 +162,27 @@ def config_from_json(text: str) -> SddipConfig:
 
 @dataclass
 class SolveReport:
-    """What a run found and did.  stage_solves counts stage solves, not
-    MILPs: every stage model solved, the relaxed solves of the Lagrangian
-    duals, the pinned solves of their targets that miss the stage cache
-    (none at T = 2, where the policy evaluation has solved them), and the
-    big-M probes and re-solves among them.  A stage solve
-    on the Type 3 "lb" route is one eigen-cut loop of several LPs and
-    MILPs, and a hit of the stage cache is no solve.  dual_solves counts
-    the relaxed evaluations of the duals alone.  counters holds the
-    oracle's split_solves, split_blocks and split_fallbacks (see
-    StageOracle), psd_milp_rounds and psd_lp_solves, the MILP rounds and
-    fixed-integer LP solves of the Type 3 "lb" route's eigen-cut loops
-    (misdp.solve_misdp_outer; 0 on other routes), and dual_probes, the
-    flat-face probes of the run's big-M (reformulate.DualBound.probes)."""
+    """What a run found and did.  ub_estimate is the exact worst-case
+    cost of the last iteration's policy (evaluate_policy), NaN only if
+    the run ended before evaluating one; the run is Optimal once it is
+    within tol of the last lower bound.  stage_solves counts stage
+    solves, not MILPs: every stage model solved, the relaxed solves of
+    the Lagrangian duals, the pinned solves of their targets that miss
+    the stage cache (none at T = 2, where the policy evaluation has
+    solved them), and the big-M probes and re-solves among them.  A
+    stage solve on the Type 3 "lb" route is one eigen-cut loop of
+    several LPs and MILPs, and a hit of the stage cache is no solve.
+    dual_solves counts the relaxed evaluations of the duals alone.
+    counters holds the oracle's split_solves, split_blocks and
+    split_fallbacks (see StageOracle), psd_milp_rounds and psd_lp_solves,
+    the MILP rounds and fixed-integer LP solves of the Type 3 "lb"
+    route's eigen-cut loops (misdp.solve_misdp_outer; 0 on other
+    routes), and dual_probes, the flat-face probes of the run's big-M
+    (reformulate.DualBound.probes)."""
 
     lb_per_iter: list[float] = field(default_factory=list)
     eigen_cuts_per_stage: dict = field(default_factory=dict)
     ub_estimate: float = float("nan")
-    ub_stderr: float = 0.0
     gap: float = float("nan")
     first_stage_x: list[int] = field(default_factory=list)
     iterations: int = 0
@@ -194,7 +190,6 @@ class SolveReport:
     dual_solves: int = 0
     dual_escalations: int = 0
     wall_time: float = 0.0
-    ub_mode: str = ""
     status: str = ""
     termination: str = ""
     ambiguity_type: int = 0
@@ -615,30 +610,15 @@ def forward_pass(oracle: StageOracle, num_paths: int, rng: np.random.Generator):
     if inst.T >= 2:
         trial_states[2].append(sol1.x_bits)
     for _ in range(num_paths):
-        for t, sol in enumerate(_sample_path(oracle, sol1, rng, inst.T - 1), start=3):
-            if sol.x_bits not in trial_states[t]:
-                trial_states[t].append(sol.x_bits)
+        sol = sol1
+        for t in range(2, inst.T):
+            x_prev = np.array(sol.x_bits, dtype=float)
+            wc = oracle.worst_case(t, x_prev, sol.theta)
+            k = int(rng.choice(inst.K, p=wc.sampling_weights(oracle.risk_spec(t - 1))))
+            sol = oracle.solve_stage(t, k, x_prev)
+            if sol.x_bits not in trial_states[t + 1]:
+                trial_states[t + 1].append(sol.x_bits)
     return sol1, trial_states
-
-
-def _sample_path(oracle: StageOracle, sol1: StageSolution, rng: np.random.Generator,
-                 last: int):
-    """Yield the stage solutions of one path from the stage-1 solution,
-    stages 2..last, each stage's realization drawn from the worst-case
-    distribution of the stage before."""
-    sol = sol1
-    for t in range(2, last + 1):
-        x_prev = np.array(sol.x_bits, dtype=float)
-        wc = oracle.worst_case(t, x_prev, sol.theta)
-        k = int(rng.choice(oracle.inst.K, p=wc.sampling_weights(oracle.risk_spec(t - 1))))
-        sol = oracle.solve_stage(t, k, x_prev)
-        yield sol
-
-
-def _is_sampled(inst: Instance) -> bool:
-    """Whether the policy is evaluated by sampled paths: more than two
-    stages and a support tree with more than TREE_LIMIT scenarios."""
-    return inst.T > 2 and inst.K ** (inst.T - 1) > TREE_LIMIT
 
 
 def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
@@ -663,8 +643,20 @@ def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
     return pool
 
 
-def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
-    """Upper-bound evaluation of the current policy; see module docstring."""
+def evaluate_policy(oracle: StageOracle) -> float:
+    """The current policy's exact worst-case cost, an upper bound: its
+    stage-1 cost plus continuation(1, x_1), where continuation(t, x) is
+    the worst case at (t+1, x), under the stage-t risk blend, of the
+    costs g_k + continuation(t+1, x_k) of the K stage-(t+1) decisions
+    at x, and continuation(T, .) = 0.  A decision at (t, k, x_prev)
+    depends only on the state (the pool is fixed meanwhile, and the
+    stage cache keyed on it), the worst case at (t+1, x) only on x and
+    its costs, and the risk blend only on the stage; so continuation,
+    memoized on (t, x), runs once per visited pair.  With R_t the states
+    reachable at stage t, one evaluation makes at most 1 + sum over t =
+    1..T-1 of min(K^(t-1), |R_t|) * K stage solves and one worst case
+    per visited state; |R_t| <= 2^I, and the K^(T-1) scenarios are never
+    walked."""
     inst = oracle.inst
 
     @functools.cache
@@ -680,12 +672,7 @@ def evaluate_policy(oracle: StageOracle, rng: np.random.Generator):
         return oracle.worst_case(t + 1, x, q).value
 
     sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
-    if not _is_sampled(inst):
-        mode = "exact" if inst.T == 2 else "tree"
-        return sol1.g_cost + continuation(1, sol1.x_bits), 0.0, mode
-    costs = np.array([sum((sol.g_cost for sol in _sample_path(oracle, sol1, rng, inst.T)),
-                          sol1.g_cost) for _ in range(UB_PATHS)])
-    return float(costs.mean()), float(costs.std(ddof=1) / np.sqrt(len(costs))), "sampled"
+    return sol1.g_cost + continuation(1, sol1.x_bits)
 
 
 def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveReport:
@@ -698,8 +685,6 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
     t_start = time.perf_counter()
     incumbents: dict[tuple[int, ...], float] = {}
     ub = float("nan")
-    ub_err = 0.0
-    ub_mode = ""
     try:
         for it in range(1, cfg.max_iters + 1):
             t_iter = time.perf_counter()
@@ -713,17 +698,13 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
             w = STALL_WINDOW
             stalled = (len(report.lb_per_iter) >= w and abs(lb - report.lb_per_iter[-w])
                        <= cfg.tol * max(1.0, abs(lb)))
-            # a sampled run evaluates its policy only on its last iteration
-            if not _is_sampled(inst) or stalled or it == cfg.max_iters:
-                ub, ub_err, ub_mode = evaluate_policy(oracle, rng)
-                incumbents[sol1.x_bits] = ub
+            ub = incumbents[sol1.x_bits] = evaluate_policy(oracle)
             gap = (ub - lb) / max(1.0, abs(ub)) if np.isfinite(ub) else float("nan")
             report.iter_rows.append({
                 "iter": it, "lb": lb, "ub": ub, "gap": gap,
                 "seconds": time.perf_counter() - t_iter,
             })
-            exactish = ub_mode in ("exact", "tree")
-            if exactish and np.isfinite(ub) and ub - lb <= cfg.tol * max(1.0, abs(ub)):
+            if np.isfinite(ub) and ub - lb <= cfg.tol * max(1.0, abs(ub)):
                 report.termination = "gap_closed"
                 break
             if stalled:
@@ -737,8 +718,6 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
         report.status = "Unbounded"
         report.termination = f"empty_ambiguity_stage_{exc.stage}"
     report.ub_estimate = ub
-    report.ub_stderr = ub_err
-    report.ub_mode = ub_mode
     if report.lb_per_iter and np.isfinite(ub):
         report.gap = (ub - report.lb_per_iter[-1]) / max(1.0, abs(ub))
     if incumbents:

@@ -276,7 +276,7 @@ def test_policy_evaluation_caches_each_batched_terminal_solve():
     # returns, at the value of a plain MILP solve of the model
     inst = small_instance()
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
-    evaluate_policy(oracle, np.random.default_rng(0))
+    evaluate_policy(oracle)
     x = np.array(oracle.solve_stage(1, 0, np.zeros(inst.I)).x_bits, dtype=float)
     solves = oracle.stage_solves
     assert solves == 1 + inst.K
@@ -662,7 +662,7 @@ def test_type3_lb_policy_evaluation_reuses_the_forward_stage_one_solve(monkeypat
     rng = np.random.default_rng(0)
     sol1, _ = forward_pass(oracle, 1, rng)
     assert len(loops) == 1 and oracle._eigen_rows[1]
-    evaluate_policy(oracle, rng)
+    evaluate_policy(oracle)
     assert len(loops) == 1
     x0 = np.zeros(inst.I)
     assert oracle.solve_stage(1, 0, x0) is sol1
@@ -794,7 +794,7 @@ def test_tree_evaluation_solves_the_children_of_each_state_once(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "solve_stages", recording)
-    evaluate_policy(oracle, np.random.default_rng(0))
+    evaluate_policy(oracle)
     (x1,), children = calls[0][2], calls[1][2]
     assert len(set(children)) < len(children)
     assert [(t, x) for t, x, _ in calls] == [(1, (0,) * inst.I), (2, x1), (3, children[0])]
@@ -1022,7 +1022,7 @@ def test_three_stage_run_converges_to_exact():
     exact = exact_multistage_value(inst, 1)
     assert rep.status == "Optimal"
     assert abs(rep.lb_per_iter[-1] - exact) <= 1e-6 * max(1.0, abs(exact))
-    assert rep.ub_mode == "tree"
+    assert abs(rep.ub_estimate - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 def test_risk_averse_three_stage_run_solves_to_the_risk_averse_value():
@@ -1147,7 +1147,7 @@ def test_single_stage_run_evaluates_its_one_stage():
     # at T = 1 stage 1 is the terminal stage: the policy's cost is its value
     inst = generate_instance(1, 1, 3, 1, 3, 0.3)
     rep = run(inst, 1, SddipConfig(max_iters=5))
-    assert rep.status == "Optimal" and rep.ub_mode == "tree"
+    assert rep.status == "Optimal" and rep.termination == "gap_closed"
     assert rep.ub_estimate == rep.lb_per_iter[-1] == -2554.5
 
 
@@ -1231,17 +1231,21 @@ def test_subgradient_dual_path_converges(monkeypatch):
     assert abs(rep.lb_per_iter[-1] - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
-def test_sampled_run_that_stalls_still_evaluates_its_policy(monkeypatch):
-    # K^(T-1) = 36 > TREE_LIMIT: sampled mode; the lb stalls before max_iters
-    inst = generate_instance(1, 3, 3, 1, 6, 0.3, eps_mu=40, eps_S_lo=0.05, eps_S_hi=3.0)
-    monkeypatch.setattr(sddip, "TREE_LIMIT", 10)
+# bench.exact_multistage_value(inst, 1) of the T = 8 instance below, which
+# takes about 0.8 s
+LONG_HORIZON_VALUE = -14314.070912219684
+
+
+def test_long_horizon_run_closes_with_an_exact_upper_bound():
+    # K^(T-1) = 6^7 = 279,936 scenarios, but the policy visits a few states
+    # per stage: every iteration's evaluation is exact, and the run closes
+    inst = generate_instance(1, 8, 3, 1, 6, 0.3, eps_mu=40, eps_S_lo=0.05, eps_S_hi=3.0)
     rep = run(inst, 1, SddipConfig(max_iters=30, seed=0))
-    assert rep.termination == "lb_stalled"
-    assert rep.iterations < 30
-    assert np.isfinite(rep.ub_estimate)
-    assert rep.ub_mode == "sampled"
-    assert rep.first_stage_x
-    assert np.isfinite(rep.iter_rows[-1]["ub"])
+    assert rep.status == "Optimal" and rep.termination == "gap_closed"
+    assert rep.iterations <= 2
+    for bound in (rep.ub_estimate, rep.lb_per_iter[-1]):
+        assert abs(bound - LONG_HORIZON_VALUE) <= 1e-6 * abs(LONG_HORIZON_VALUE)
+    assert all(np.isfinite(row["ub"]) for row in rep.iter_rows)
 
 
 # lb of small_instance() with SddipConfig(max_iters=10) from the default big-M
