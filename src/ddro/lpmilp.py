@@ -26,7 +26,10 @@ which imports scipy.sparse too, and those cost more than many solves
 take.  So the module is loaded from its file, looked up in its own
 directory under scipy's, and registered in sys.modules under its usual
 name; a later import of scipy.optimize reuses that module object.
-Where the file is not found, the plain import runs instead.
+scipy's directory comes from its import spec, so not even scipy's own
+package __init__ runs; scipy is imported only to name its version when
+the bindings cannot be loaded.  Where the file is not found, the plain
+import runs instead.
 
 A model is numpy-native.  Columns and rows are appended in blocks:
 add_vars and add_rows, of which add_var and add_row are the one-entry
@@ -107,10 +110,12 @@ from functools import partial
 from importlib.machinery import PathFinder
 
 import numpy as np
-import scipy
 
 _CORE = "scipy.optimize._highspy._core"
-_CORE_DIR = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+_SCIPY = importlib.util.find_spec("scipy")
+if _SCIPY is None:
+    raise ModuleNotFoundError("ddro needs scipy, which is not installed", name="scipy")
+_CORE_DIR = os.path.join(os.path.dirname(_SCIPY.origin), "optimize", "_highspy")
 
 
 def _load_core():
@@ -124,6 +129,8 @@ def _load_core():
         core = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(core)
     except ImportError as exc:
+        import scipy
+
         raise ImportError(f"ddro needs the HiGHS bindings {_CORE}, which scipy "
                           f"{scipy.__version__} does not provide: {exc}") from exc
     sys.modules[_CORE] = core

@@ -16,18 +16,27 @@ an exactly evaluated upper bound to meet the lower bound, a loose cut
 costs iterations or ends the run in BoundLimit, never in a wrong
 Optimal.
 
-Every iteration's upper bound is the current policy's exact worst-case
-cost, at every T, by a recursion over the states it visits
-(evaluate_policy).  Only forward passes sample, walking to stage T-1
-for trial states.  Every stage runs its dual searches in lockstep, and
-the policy evaluation solves the K children of a state together; at
-every stage without a cut loop -- all but the PSD stages of the Type 3
-"lb" route -- their MILPs go to HiGHS in batches (StageOracle).  A
-stage solve at a pinned state is split on its facility states, one
-copy per state with the binaries fixed, and its decision among tied
-states follows a fixed rule (StageOracle._split).  Each worst case is
-computed once per run (StageOracle.worst_case).  The cut pool is
-append-only, updated per pass.
+Each iteration starts with the policy evaluation (evaluate_policy),
+whose stage-1 solve gives the lower bound and whose result, the current
+policy's exact worst-case cost at every T, the upper bound: a recursion
+that solves every realization at every state the policy visits, the K
+of a state together.  The forward pass then only samples trial states,
+reading the evaluation's solves back from the stage cache; an
+iteration that closes its gap or stalls walks none.  The backward pass
+sends each stage's missing targets with the K relaxed solves at pi = 0,
+which every trial state's search shares, and then steps the stage's
+searches in lockstep.  Each of these -- a state's K children in the
+evaluation, a stage's targets and first step, a step of its searches
+-- is one call of StageOracle.solve_level, and at every stage without
+a cut loop -- all but the PSD stages of the Type 3 "lb" route -- its
+MILPs go to HiGHS as one batch (StageOracle): HiGHS's fixed
+cost per call, not the size of the model, sets the cost of these small
+MILPs.  A stage solve at a pinned state outside a batch is split on
+its facility states, one copy per state with the binaries fixed, and
+its decision among tied states follows a fixed rule
+(StageOracle._split).  Each worst case is computed once per run
+(StageOracle.worst_case).  The cut pool is append-only, updated per
+pass.
 """
 
 from __future__ import annotations
@@ -172,7 +181,10 @@ class SolveReport:
     solved them), and the big-M probes and re-solves among them.  A
     stage solve on the Type 3 "lb" route is one eigen-cut loop of
     several LPs and MILPs, and a hit of the stage cache is no solve.
-    dual_solves counts the relaxed evaluations of the duals alone.
+    dual_solves counts the relaxed evaluations of the duals alone: per
+    backward stage, K at pi = 0, which all of the stage's searches share
+    whatever the number of trial states, and then one per search per
+    further step.
     counters holds the oracle's split_solves, split_blocks and
     split_fallbacks (see StageOracle), psd_milp_rounds and psd_lp_solves,
     the MILP rounds and fixed-integer LP solves of the Type 3 "lb"
@@ -247,8 +259,9 @@ class StageOracle:
     big-M escalation on the dual-bound audit, and batching.
 
     Every solve goes through one entry point, _solve_jobs, for a list of
-    (k, x_prev, pi) jobs at one stage: pinned states for solve_stages,
-    copied states for relaxed_values.  A stage without a cut loop (the
+    (k, x_prev, pi) jobs at one stage, which solve_level sends: the
+    pinned states that miss the stage cache, then the relaxed jobs with
+    a free copy of the state.  A stage without a cut loop (the
     terminal stage, every Type 1/2 stage, every Type 3 "ub" stage) solves
     two or more jobs as one block-diagonal MILP searched at its root
     alone (lpmilp.solve_milps).  Each block, in job order, is the first
@@ -380,30 +393,33 @@ class StageOracle:
 
     def solve_stage(self, t: int, k: int, x_prev) -> StageSolution:
         """Value/decision of the stage-t subproblem at (x_prev, xi_t^k)."""
-        return self.solve_stages(t, x_prev, [k])[0]
+        return self.solve_level(t, [(k, x_prev)])[0][0]
 
-    def solve_stages(self, t: int, x_prev, ks) -> list[StageSolution]:
-        """solve_stage(t, k, x_prev) for each k in ks, the misses as one
-        batch.  On the Type 3 "lb" route a hit may come from a model with
-        fewer eigen rows than a solve would replay now; its value is still
-        a lower bound (see StageOracle)."""
-        bits, cuts = _bits(x_prev), self.pool.num_cuts(t + 1)
-        keys = [(t, k, bits, cuts) for k in ks]
+    def solve_level(self, t: int, pinned, relaxed=()):
+        """(solve_stage(t, k, x_prev) of each (k, x_prev) in pinned,
+        relaxed_values(t, relaxed)), from one _solve_jobs call: the
+        stage-cache misses in order, then the relaxed jobs.  On the Type 3
+        "lb" route a hit may come from a model with fewer eigen rows than
+        a solve would replay now; its value is still a lower bound (see
+        StageOracle)."""
+        cuts = self.pool.num_cuts(t + 1)
+        keys = [(t, k, _bits(x_prev), cuts) for k, x_prev in pinned]
         out = [self._stage_cache.get(key) for key in keys]
         missed = [j for j, sol in enumerate(out) if sol is None]
-        solved = self._solve_jobs(t, [(ks[j], x_prev, None) for j in missed])
+        jobs = ([(*pinned[j], None) for j in missed]
+                + [(k, None, np.asarray(pi, dtype=float)) for k, pi in relaxed])
+        self.dual_solves += len(relaxed)
+        solved = self._solve_jobs(t, jobs) if jobs else []
         for j, (sol, lay, _) in zip(missed, solved):
             out[j] = self._stage_cache[keys[j]] = self._stage_solution(t, sol, lay)
-        return out
+        return out, [(float(sol.objective), round_integral(sol.x, lay.z_copy))
+                     for sol, lay, _ in solved[len(missed):]]
 
     def relaxed_values(self, t: int, jobs):
         """(L(pi), z*) of each (k, pi) job, as one batch: the stage-t
         model at realization k with a free binary copy z of the incoming
         state and objective term -pi'z, and its relaxed copy z*."""
-        self.dual_solves += len(jobs)
-        solved = self._solve_jobs(t, [(k, None, np.asarray(pi, dtype=float)) for k, pi in jobs])
-        return [(float(sol.objective), round_integral(sol.x, lay.z_copy))
-                for sol, lay, _ in solved]
+        return self.solve_level(t, (), jobs)[1]
 
     def _stage_solution(self, t: int, sol, lay: VarLayout) -> StageSolution:
         value = float(sol.objective)  # at t = T, the stage cost itself
@@ -450,9 +466,10 @@ class StageOracle:
         result, its blocks checked for PSD on the "ub" route, batched or
         lone.  An escalation is permanent for the run, so it empties the
         stage cache and drops the kept models.  A relaxed solve raises
-        RelaxedStateEmpty in place of EmptyAmbiguity: the forward pass
-        solves every trial state pinned before the backward pass relaxes
-        it, so an empty set reachable from it has ended the run Unbounded."""
+        RelaxedStateEmpty in place of EmptyAmbiguity: the policy
+        evaluation solves every trial state pinned before the backward
+        pass relaxes it, so an empty set reachable from it has ended the
+        run Unbounded."""
         def check_nonempty(sol, lay):
             x_hat = round_integral(sol.x, lay.x)
             if not is_nonempty(self.inst, self.ttype, x_hat, stage=t + 1):
@@ -550,15 +567,15 @@ class StageOracle:
         return Solution(OPTIMAL, pick.x, best, pick.node_count)
 
 
-def lagrangian_dual(evaluate, x_hats, targets):
+def lagrangian_dual(evaluate, x_hats, targets, first):
     """Searches in lockstep, one per trial state x_hat with target h,
     each maximizing g(pi) = L(pi) + pi'x_hat of its relaxed stage from
-    pi = 0 by Polyak's step for a known optimum: pi += (h - g(pi)) /
-    |x_hat - z*|^2 * (x_hat - z*), at most SUBGRADIENT_ITERS steps.
-    evaluate([(search, pi)]) returns [(L(pi), z*)], called once a step
-    with the searches still active.  A search stops once z* equals
-    x_hat, or once its best g reaches h - 1e-9 * max(1, |h|).  Returns
-    the best (pi, L(pi)) of each search.
+    pi = 0, whose (L(0), z*) first gives, by Polyak's step for a known
+    optimum: pi += (h - g(pi)) / |x_hat - z*|^2 * (x_hat - z*), at most
+    SUBGRADIENT_ITERS steps.  evaluate([(search, pi)]) returns
+    [(L(pi), z*)], called once a step with the searches still active.  A
+    search stops once z* equals x_hat, or once its best g reaches
+    h - 1e-9 * max(1, |h|).  Returns the best (pi, L(pi)) of each search.
 
     Why h, the pinned stage value at x_hat, is the dual optimum: with
     the copy z binary and h(z) the stage value at state z (+inf where
@@ -579,12 +596,10 @@ def lagrangian_dual(evaluate, x_hats, targets):
     x_hats = [np.asarray(x, dtype=float) for x in x_hats]
     pis = [np.zeros(x.size) for x in x_hats]
     best = [(None, None, -math.inf)] * len(x_hats)  # (pi, L(pi), g(pi)) of the best g
-    active = list(range(len(x_hats)))
-    for _ in range(1 + SUBGRADIENT_ITERS):  # pi = 0, then one evaluation a step
-        if not active:
-            break
+    active, values = list(range(len(x_hats))), first
+    for step in range(1 + SUBGRADIENT_ITERS):
         stepping = []
-        for j, (L, z_star) in zip(active, evaluate([(j, pis[j]) for j in active])):
+        for j, (L, z_star) in zip(active, values):
             g = L + float(pis[j] @ x_hats[j])
             if g > best[j][2]:
                 best[j] = (pis[j], L, g)
@@ -593,6 +608,9 @@ def lagrangian_dual(evaluate, x_hats, targets):
                 pis[j] = pis[j] + (h - g) / float(d @ d) * d
                 stepping.append(j)
         active = stepping
+        if not active or step == SUBGRADIENT_ITERS:
+            break
+        values = evaluate([(j, pis[j]) for j in active])
     return [(pi, L) for pi, L, _ in best]
 
 
@@ -600,9 +618,16 @@ def forward_pass(oracle: StageOracle, num_paths: int, rng: np.random.Generator):
     """Sample trial states under the stage-wise worst-case distributions.
 
     Returns (first_stage, trial_states): the stage-1 solution under the
-    oracle's current pool, whose value is the lower bound, and per t the
-    distinct incoming states of the stage-t backward duals, taken from
-    num_paths paths walked to stage T-1 (at T = 2, stage 1 alone).
+    oracle's current pool and per t the distinct incoming states of the
+    stage-t backward duals, taken from num_paths paths walked to stage
+    T-1 (at T = 2, stage 1 alone).  Each path draws its realization at
+    stage t from the worst case at its state, with the stage-(t-1)
+    continuation proxies as stage values.  Run after evaluate_policy
+    under the same pool, as run does, every stage solve it asks for is a
+    hit of the stage cache, since the evaluation solved every
+    realization at every state the policy visits; so it draws and reads,
+    and solves nothing, unless a big-M escalation emptied the cache
+    meanwhile.
     """
     inst = oracle.inst
     sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
@@ -624,22 +649,31 @@ def forward_pass(oracle: StageOracle, num_paths: int, rng: np.random.Generator):
 def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
     """Append one multi-cut family per (stage, realization, trial state)
     to the oracle's pool, each from the Lagrangian dual at that state,
-    aimed at the pinned stage value there (solve_stages, through the
-    stage cache; at T = 2 the policy evaluation has solved them all).  A
-    stage's searches run in lockstep: each step's relaxed solves go to
-    relaxed_values together, which batches them where the stage batches
-    and else solves them in job order (see StageOracle)."""
+    aimed at the pinned stage value there.  From stage T down to 2, one
+    solve_level call per stage gives the targets of all its trial states
+    -- through the stage cache, so at the terminal stage the policy
+    evaluation has solved them all, and below it only the cuts just
+    added make them miss -- together with the first step of every
+    search: L_k(0), with z free and no multiplier term, does not depend
+    on x_hat, so the K relaxed solves at pi = 0 serve every trial state.
+    The stage's searches then step in lockstep: each step's relaxed
+    solves go to relaxed_values together, which batches them where the
+    stage batches and else solves them in job order (see StageOracle)."""
     inst, pool = oracle.inst, oracle.pool
+    K = inst.K
     for t in range(inst.T, 1, -1):
-        jobs = [(x_hat, k, sol.value) for x_hat in trial_states.get(t, ())
-                for k, sol in enumerate(oracle.solve_stages(
-                    t, np.array(x_hat, dtype=float), range(inst.K)))]
+        x_hats = trial_states.get(t, ())
+        if not x_hats:
+            continue
+        targets, first = oracle.solve_level(
+            t, [(k, np.array(x_hat, dtype=float)) for x_hat in x_hats for k in range(K)],
+            [(k, np.zeros(inst.I)) for k in range(K)])
         cuts = lagrangian_dual(
-            lambda steps: oracle.relaxed_values(
-                t, [(jobs[j][1], pi) for j, pi in steps]),
-            [x_hat for x_hat, _, _ in jobs], [h for _, _, h in jobs])
-        for (_, k, _), (pi, v) in zip(jobs, cuts):
-            pool.add(t, k, Cut(v=v, pi=pi))
+            lambda steps: oracle.relaxed_values(t, [(j % K, pi) for j, pi in steps]),
+            [x_hat for x_hat in x_hats for _ in range(K)], [sol.value for sol in targets],
+            first * len(x_hats))
+        for j, (pi, v) in enumerate(cuts):
+            pool.add(t, j % K, Cut(v=v, pi=pi))
     return pool
 
 
@@ -652,31 +686,43 @@ def evaluate_policy(oracle: StageOracle) -> float:
     depends only on the state (the pool is fixed meanwhile, and the
     stage cache keyed on it), the worst case at (t+1, x) only on x and
     its costs, and the risk blend only on the stage; so continuation,
-    memoized on (t, x), runs once per visited pair.  With R_t the states
+    memoized on (t, x), runs once per visited pair, and its K stage
+    solves are one solve_level call, whose stage-cache misses HiGHS
+    solves as one batch where the stage batches.  With R_t the states
     reachable at stage t, one evaluation makes at most 1 + sum over t =
     1..T-1 of min(K^(t-1), |R_t|) * K stage solves and one worst case
     per visited state; |R_t| <= 2^I, and the K^(T-1) scenarios are never
     walked."""
+    sol1 = oracle.solve_stage(1, 0, np.zeros(oracle.inst.I))
+    return sol1.g_cost + _continuation(oracle, {}, 1, sol1.x_bits)
+
+
+def _continuation(oracle: StageOracle, memo: dict, t: int, x_bits) -> float:
+    """The worst case over stage t+1 from the stage-t state x_bits (none
+    past the terminal stage), with the K stage-(t+1) solves as one call,
+    memoized in memo on (t, x_bits).  A module function, not a memoized
+    closure: a recursive closure is a reference cycle, which would keep
+    the oracle, with its models and HiGHS handles, alive after the run
+    until the cyclic garbage collector runs."""
     inst = oracle.inst
-
-    @functools.cache
-    def continuation(t: int, x_bits) -> float:
-        """The worst case over stage t+1 from the stage-t state x_bits
-        (none past the terminal stage), with the K stage-(t+1) solves as
-        one batch."""
-        if t == inst.T:
-            return 0.0
+    if t == inst.T:
+        return 0.0
+    if (t, x_bits) not in memo:
         x = np.array(x_bits, dtype=float)
-        q = [sol.value if t + 1 == inst.T else sol.g_cost + continuation(t + 1, sol.x_bits)
-             for sol in oracle.solve_stages(t + 1, x, range(inst.K))]
-        return oracle.worst_case(t + 1, x, q).value
-
-    sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
-    return sol1.g_cost + continuation(1, sol1.x_bits)
+        sols, _ = oracle.solve_level(t + 1, [(k, x) for k in range(inst.K)])
+        q = [sol.value if t + 1 == inst.T
+             else sol.g_cost + _continuation(oracle, memo, t + 1, sol.x_bits) for sol in sols]
+        memo[t, x_bits] = oracle.worst_case(t + 1, x, q).value
+    return memo[t, x_bits]
 
 
 def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveReport:
-    """Iterate forward/backward passes to convergence; see SolveReport."""
+    """Iterate to convergence; see SolveReport.  Each iteration first
+    evaluates its policy (evaluate_policy), whose cost is the upper
+    bound, and reads the stage-1 solution it solved, whose value is the
+    lower bound; an iteration that closes the gap or stalls ends the run
+    there, and any other walks its forward pass, which reads the
+    evaluation's solves back, and adds the cuts of its backward pass."""
     cfg = config or SddipConfig()
     oracle = StageOracle(inst, ttype, cfg, CutPool(inst.T, inst.K))
     rng = np.random.default_rng(cfg.seed)
@@ -688,7 +734,8 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
     try:
         for it in range(1, cfg.max_iters + 1):
             t_iter = time.perf_counter()
-            sol1, trial_states = forward_pass(oracle, cfg.num_paths, rng)
+            ub = evaluate_policy(oracle)
+            sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))  # solved by the evaluation
             lb = sol1.value
             if report.lb_per_iter and lb < report.lb_per_iter[-1] - LB_MONOTONE_SLACK * max(
                     1.0, abs(lb)):
@@ -698,7 +745,7 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
             w = STALL_WINDOW
             stalled = (len(report.lb_per_iter) >= w and abs(lb - report.lb_per_iter[-w])
                        <= cfg.tol * max(1.0, abs(lb)))
-            ub = incumbents[sol1.x_bits] = evaluate_policy(oracle)
+            incumbents[sol1.x_bits] = ub
             gap = (ub - lb) / max(1.0, abs(ub)) if np.isfinite(ub) else float("nan")
             report.iter_rows.append({
                 "iter": it, "lb": lb, "ub": ub, "gap": gap,
@@ -710,6 +757,7 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
             if stalled:
                 report.termination = "lb_stalled"
                 break
+            _, trial_states = forward_pass(oracle, cfg.num_paths, rng)
             backward_pass(oracle, trial_states)
         else:
             report.termination = "max_iters"

@@ -102,7 +102,8 @@ def test_import_ddro_loads_neither_scipy_optimize_nor_sparse():
         import json, sys
         import ddro.cli
         from ddro import lpmilp
-        loaded = {name: name in sys.modules for name in ("scipy.optimize", "scipy.sparse")}
+        loaded = {name: name in sys.modules
+                  for name in ("scipy", "scipy.optimize", "scipy.sparse")}
         import numpy as np
         import scipy.optimize
         import scipy.optimize._highspy._core as core
@@ -119,9 +120,27 @@ def test_import_ddro_loads_neither_scipy_optimize_nor_sparse():
                           timeout=120, env={**os.environ, "PYTHONPATH": pythonpath})
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.strip().splitlines()[-1])
-    assert out["loaded"] == {"scipy.optimize": False, "scipy.sparse": False}
+    assert out["loaded"] == {"scipy": False, "scipy.optimize": False, "scipy.sparse": False}
     assert out["same_core"], "scipy.optimize loaded a second copy of " + CORE
     assert out["status"] == 0 and out["fun"] == -3.0
+
+
+def test_import_ddro_without_scipy_names_scipy():
+    # a fresh interpreter in which scipy cannot be found
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["scipy"] = None
+        try:
+            from ddro import lpmilp
+        except ModuleNotFoundError as exc:
+            print(exc.name)
+    """)
+    pythonpath = os.pathsep.join([str(LPMILP.parents[1]),
+                                  os.environ.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "scipy"
 
 
 def test_core_loader_falls_back_to_the_plain_import(monkeypatch, tmp_path):
@@ -131,8 +150,11 @@ def test_core_loader_falls_back_to_the_plain_import(monkeypatch, tmp_path):
     import_module = importlib.import_module
     monkeypatch.setattr(lpmilp, "_CORE_DIR", str(tmp_path))  # no extension file there
     monkeypatch.delitem(sys.modules, CORE)
-    # the plain import binds _core on its package; put the kept one back after
-    monkeypatch.setattr(sys.modules["scipy.optimize._highspy"], "_core", lpmilp._core)
+    # the plain import binds _core on its package; put the kept one back
+    # after, or unbind it where the package never bound it, as when ddro
+    # loaded the module before scipy.optimize was first imported
+    monkeypatch.setattr(sys.modules["scipy.optimize._highspy"], "_core", lpmilp._core,
+                        raising=False)
     monkeypatch.setattr(importlib, "import_module",
                         lambda name: imported.append(name) or import_module(name))
     core = lpmilp._load_core()

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -61,6 +63,19 @@ def _one_by_one(evaluate):
     return lambda steps: [evaluate(pi) for _, pi in steps]
 
 
+def _dual(evaluate, x_hats, targets):
+    """lagrangian_dual started from evaluate's values at pi = 0."""
+    first = evaluate([(j, np.zeros(np.size(x))) for j, x in enumerate(x_hats)])
+    return lagrangian_dual(evaluate, x_hats, targets, first)
+
+
+def _level(oracle, t, x):
+    """The oracle's K stage-t solutions at state x, from one solve_level
+    call."""
+    x = np.array(x, dtype=float)
+    return oracle.solve_level(t, [(k, x) for k in range(oracle.inst.K)])[0]
+
+
 def test_lagrangian_dual_one_dim_toy():
     # Q(0) = 5, Q(1) = 3: the dual at each binary x_hat reaches Q(x_hat),
     # its target, at once at x_hat = 1 and after one step at x_hat = 0
@@ -75,7 +90,7 @@ def test_lagrangian_dual_one_dim_toy():
 
     for x, evaluations in ((1, 1), (0, 2)):
         calls.clear()
-        ((pi, L),) = lagrangian_dual(_one_by_one(evaluate), [np.array([float(x)])], [q[x]])
+        ((pi, L),) = _dual(_one_by_one(evaluate), [np.array([float(x)])], [q[x]])
         g = L + pi[0] * x
         # grid-search oracle over multipliers
         grid_best = max(min(5.0, 3.0 - p) + p * x for p in np.arange(-10.0, 10.0, 1e-3))
@@ -97,7 +112,7 @@ def test_lagrangian_dual_stops_where_g_of_zero_meets_its_target():
         calls.append(pi.copy())
         return 3.0 - max(pi[0], 0.0), np.array([float(pi[0] > 0.0)])
 
-    ((pi, L),) = lagrangian_dual(_one_by_one(evaluate), [np.array([1.0])], [3.0])
+    ((pi, L),) = _dual(_one_by_one(evaluate), [np.array([1.0])], [3.0])
     assert len(calls) == 1 and np.array_equal(pi, [0.0]) and L == 3.0
 
 
@@ -114,7 +129,7 @@ def test_lagrangian_dual_with_a_target_below_g_takes_no_step():
         z_star = min(vals, key=lambda z: (vals[z], z))
         return vals[z_star], np.array([float(z_star)])
 
-    ((pi, L),) = lagrangian_dual(_one_by_one(evaluate), [np.array([0.0])], [2.0])
+    ((pi, L),) = _dual(_one_by_one(evaluate), [np.array([0.0])], [2.0])
     assert len(calls) == 1 and np.array_equal(pi, [0.0]) and L == 3.0
     for z in (0, 1):
         assert L + pi[0] * z <= q[z]
@@ -150,11 +165,11 @@ def test_lagrangian_dual_that_stops_short_still_gives_a_valid_cut(monkeypatch):
         visited.append(s)
         return float(h[s] - states[s] @ pi), states[s].copy()
 
-    ((pi, L),) = lagrangian_dual(_one_by_one(evaluate), [x_hat], [h[3]])
+    ((pi, L),) = _dual(_one_by_one(evaluate), [x_hat], [h[3]])
     assert visited == [0, 1, 2, 1] and abs(L + pi @ x_hat - h[3]) <= 1e-9
     visited.clear()
     monkeypatch.setattr(sddip, "SUBGRADIENT_ITERS", 2)
-    ((pi, L),) = lagrangian_dual(_one_by_one(evaluate), [x_hat], [h[3]])
+    ((pi, L),) = _dual(_one_by_one(evaluate), [x_hat], [h[3]])
     assert visited == [0, 1, 2]  # x_hat is never visited
     assert np.all(L + states @ pi <= h + 1e-9)  # a valid cut ...
     assert abs(L - np.min(h - states @ pi)) <= 1e-9  # ... whose L is L(pi)
@@ -197,7 +212,7 @@ def test_lagrangian_dual_lockstep_equals_each_search_alone():
         calls.append([j for j, _ in steps])
         return [relaxed(j, pi) for j, pi in steps]
 
-    together = lagrangian_dual(batch, x_hats, targets)
+    together = _dual(batch, x_hats, targets)
     assert calls[0] == list(range(len(x_hats)))
     assert all(b and set(b) <= set(a) and b == sorted(b) for a, b in zip(calls, calls[1:]))
     assert 1 < len(calls) < 1 + sddip.SUBGRADIENT_ITERS  # searches step, and stop by target
@@ -208,7 +223,7 @@ def test_lagrangian_dual_lockstep_equals_each_search_alone():
             alone.append(1)
             return [relaxed(j, pi) for _, pi in steps]
 
-        ((pi, L),) = lagrangian_dual(one, [x_hat], [targets[j]])
+        ((pi, L),) = _dual(one, [x_hat], [targets[j]])
         assert np.array_equal(together[j][0], pi) and together[j][1] == L
         assert sum(j in c for c in calls) == len(alone)
         assert abs(L + pi @ x_hat - targets[j]) <= 1e-9 * abs(targets[j])
@@ -224,7 +239,7 @@ def test_backward_pass_makes_only_relaxed_solves_and_tight_cuts():
     inst = small_instance(h=np.full((2, 3), 20.0))
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
     x_hat = (0, 1, 0)
-    values = [sol.value for sol in oracle.solve_stages(2, np.array(x_hat, float), range(inst.K))]
+    values = [sol.value for sol in _level(oracle, 2, x_hat)]
     stage_solves, dual_solves = oracle.stage_solves, oracle.dual_solves
     backward_pass(oracle, {2: [x_hat]})
     assert oracle.dual_solves > dual_solves + inst.K
@@ -252,19 +267,21 @@ def test_backward_pass_cuts_are_tight_at_capacity_twenty_from_the_empty_state():
 def test_terminal_batch_adds_the_cuts_of_searches_run_one_by_one():
     # the lockstep backward pass adds, per realization and in trial-state
     # order, the cut each search returns when run alone on a fresh oracle,
-    # aimed at the same targets (the oracle's batched pinned solves)
+    # aimed at the same targets (the oracle's batched pinned solves) and
+    # started from the one relaxed solve at pi = 0 of its realization
     inst = small_instance(h=np.full((2, 3), 20.0))
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
     states = [(0, 1, 0), (1, 1, 0), (0, 0, 1)]
     backward_pass(oracle, {2: states})
     alone = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
-    targets = [alone.solve_stages(2, np.array(x_hat, float), range(inst.K)) for x_hat in states]
+    targets = [_level(alone, 2, x_hat) for x_hat in states]
     for k in range(inst.K):
         assert len(oracle.pool.cuts[2][k]) == len(states)
+        first = alone.relaxed_values(2, [(k, np.zeros(inst.I))])
         for x_hat, sols, cut in zip(states, targets, oracle.pool.cuts[2][k]):
             ((pi, v),) = lagrangian_dual(
                 _one_by_one(lambda p: alone.relaxed_values(2, [(k, p)])[0]), [x_hat],
-                [sols[k].value])
+                [sols[k].value], first)
             assert np.array_equal(cut.pi, pi) and cut.v == v
     assert (oracle.stage_solves, oracle.dual_solves) == (alone.stage_solves, alone.dual_solves)
 
@@ -281,7 +298,7 @@ def test_policy_evaluation_caches_each_batched_terminal_solve():
     solves = oracle.stage_solves
     assert solves == 1 + inst.K
     fresh = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
-    refs = fresh.solve_stages(inst.T, x, range(inst.K))
+    refs = _level(fresh, inst.T, x)
     for k, ref in enumerate(refs):
         sol = oracle.solve_stage(inst.T, k, x)
         assert oracle.stage_solves == solves
@@ -327,7 +344,7 @@ def test_an_infeasible_terminal_batch_raises_as_one_solve_does(monkeypatch):
     with pytest.raises(RuntimeError, match=message):
         oracle.solve_stage(2, 1, x)
     with pytest.raises(RuntimeError, match=message):
-        oracle.solve_stages(2, x, range(inst.K))
+        _level(oracle, 2, x)
     with pytest.raises(RuntimeError, match=message):
         oracle.relaxed_values(2, [(k, np.zeros(inst.I)) for k in range(inst.K)])
     assert not oracle._stage_cache
@@ -362,7 +379,7 @@ def _without_counters(report):
 
 def test_terminal_solves_take_the_batch_path_alone(monkeypatch):
     # solve_stage and relaxed_values at t = T, one job each, give what the
-    # batch entry points (solve_stages, relaxed_values) give for all K; a
+    # batch entry points (solve_level, relaxed_values) give for all K; a
     # batch makes no one-model solve (_solve_once), a single job makes one
     stages = []
     solve_once = StageOracle._solve_once
@@ -372,7 +389,7 @@ def test_terminal_solves_take_the_batch_path_alone(monkeypatch):
     oracle, batch = (StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
                      for _ in range(2))
     x, pi = np.array([0.0, 1.0, 0.0]), np.array([40.0, -25.0, 10.0])
-    pinned = batch.solve_stages(inst.T, x, range(inst.K))
+    pinned = _level(batch, inst.T, x)
     relaxed = batch.relaxed_values(inst.T, [(k, pi) for k in range(inst.K)])
     assert stages == []
     for k in range(inst.K):
@@ -403,8 +420,9 @@ def test_lockstep_searches_below_the_terminal_stage_add_the_cuts_of_searches_alo
         monkeypatch, label, make, ttype, mode):
     # a backward pass over a T = 3 forward pass's trial states adds, per
     # stage, realization and trial state, the cut each search returns when
-    # run alone at the same targets, with the same solves; stage 2's
-    # searches run in lockstep
+    # run alone at the same targets from the same relaxed solve at pi = 0,
+    # with the same solves; stage 2's targets and first step are one
+    # batch, and its searches run in lockstep
     inst, config = make(), SddipConfig(bound_mode=mode)
     batches = []
     solve_batch = StageOracle._solve_batch
@@ -417,18 +435,18 @@ def test_lockstep_searches_below_the_terminal_stage_add_the_cuts_of_searches_alo
     forward_pass(alone, 2, np.random.default_rng(0))
     batches.clear()
     backward_pass(oracle, trial_states)
-    assert (2, len(trial_states[2]) * inst.K) in batches  # stage 2's first step
-    steps_at_two = sum(t == 2 for t, _ in batches)
+    # stage 2's targets miss the cache, as the stage-3 cuts just added are
+    # new, and go with its K relaxed solves at pi = 0
+    assert (2, (len(trial_states[2]) + 1) * inst.K) in batches
     for t in (3, 2):
-        targets = [alone.solve_stages(t, np.array(x_hat, float), range(inst.K))
-                   for x_hat in trial_states[t]]
+        targets = [_level(alone, t, x_hat) for x_hat in trial_states[t]]
+        first = [alone.relaxed_values(t, [(k, np.zeros(inst.I))]) for k in range(inst.K)]
         for x_hat, sols in zip(trial_states[t], targets):
             for k in range(inst.K):
                 ((pi, v),) = lagrangian_dual(
                     _one_by_one(lambda p: alone.relaxed_values(t, [(k, p)])[0]), [x_hat],
-                    [sols[k].value])
+                    [sols[k].value], first[k])
                 alone.pool.add(t, k, Cut(v, pi))
-    assert steps_at_two > 1 or not oracle._batching[2]  # stage 2's searches take steps
     assert oracle.pool.num_cuts(2) == alone.pool.num_cuts(2) > 0
     assert oracle.pool.num_cuts(3) == alone.pool.num_cuts(3) > 0
     for (t, k, mine), (t_alone, k_alone, cut) in zip(oracle.pool.all_cuts(),
@@ -538,7 +556,7 @@ def test_a_type3_ub_batch_checks_each_block_for_psd(monkeypatch):
     monkeypatch.setattr(misdp, "audit_inner_psd",
                         lambda blocks, x: audited.append((len(blocks), x)) or audit(blocks, x))
     x = np.array([0.0, 0.0, 1.0])
-    sols = oracle.solve_stages(2, x, range(inst.K))
+    sols = _level(oracle, 2, x)
     assert oracle._batching[2] and oracle.stage_solves == inst.K
     assert [n for n, _ in audited] == [2] * inst.K
     alone = StageOracle(inst, 3, SddipConfig(bound_mode="ub"), CutPool(inst.T, inst.K))
@@ -690,16 +708,25 @@ def _type3_lb_stretch_backward(monkeypatch):
     with the stage-2 eigen rows stored right after they were solved."""
     inst, oracle = _type3_lb_stretch_oracle(pattern=2)
     _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
-    targets = {}
-    solve_stages = oracle.solve_stages
+    targets, rows = {}, {}
+    solve_level, solve_once = oracle.solve_level, oracle._solve_once
 
-    def recording(t, x_prev, ks):
-        out = solve_stages(t, x_prev, ks)
-        if t == 2:
-            targets[sddip._bits(x_prev)] = out, len(oracle._eigen_rows[2])
+    def recording(t, pinned, relaxed=()):
+        out = solve_level(t, pinned, relaxed)
+        if t == 2 and pinned:
+            for i in range(0, len(pinned), inst.K):
+                bits = sddip._bits(pinned[i][1])
+                targets[bits] = out[0][i:i + inst.K], rows[bits]
         return out
 
-    monkeypatch.setattr(oracle, "solve_stages", recording)
+    def pinned_rows(t, k, x_prev, *args):
+        out = solve_once(t, k, x_prev, *args)
+        if t == 2 and x_prev is not None:
+            rows[sddip._bits(x_prev)] = len(oracle._eigen_rows[2])
+        return out
+
+    monkeypatch.setattr(oracle, "solve_level", recording)
+    monkeypatch.setattr(oracle, "_solve_once", pinned_rows)
     backward_pass(oracle, trial_states)
     monkeypatch.undo()
     return inst, oracle, trial_states, targets
@@ -716,7 +743,7 @@ def test_type3_lb_stage_lookups_hit_across_later_eigen_rows_at_a_lower_bound(mon
         assert len(oracle._eigen_rows[2]) > rows
         x = np.array(x_hat, dtype=float)
         solves = oracle.stage_solves
-        again = oracle.solve_stages(2, x, range(inst.K))
+        again = _level(oracle, 2, x)
         assert oracle.stage_solves == solves
         assert all(hit is sol for hit, sol in zip(again, sols))
         for k, sol in enumerate(sols):
@@ -739,27 +766,32 @@ def test_type3_lb_forward_pass_reads_the_stage_two_targets_back(monkeypatch):
 
 def test_type3_lb_psd_stages_run_their_searches_in_lockstep(monkeypatch):
     # a PSD stage of the "lb" route never batches: each relaxed solve, and
-    # each pinned solve of a target, runs its own cut loop, in job order;
-    # its searches still step together, one relaxed_values call a step
-    # with every search still active
+    # each pinned solve of a target, runs its own cut loop, in job order.
+    # Per stage, one solve_level call takes the targets of every trial
+    # state and the K relaxed solves at pi = 0 that start every search;
+    # the searches then step together, one call a step with every search
+    # still active
     inst, oracle = _type3_lb_stretch_oracle(pattern=2)
     assert [oracle._batching[t] for t in (1, 2, 3)] == [False, False, True]
     _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
-    calls, loops = [], []
-    relaxed = oracle.relaxed_values
-    monkeypatch.setattr(oracle, "relaxed_values",
-                        lambda t, jobs: calls.append((t, [k for k, _ in jobs])) or relaxed(t, jobs))
+    calls, loops = [], []  # (stage, pinned jobs, relaxed jobs' k) of each call
+    solve_level = oracle.solve_level
+    monkeypatch.setattr(oracle, "solve_level", lambda t, pinned, relaxed=(): calls.append(
+        (t, len(pinned), [k for k, _ in relaxed])) or solve_level(t, pinned, relaxed))
     outer = misdp.solve_misdp_outer
     monkeypatch.setattr(misdp, "solve_misdp_outer", lambda *a: loops.append(1) or outer(*a))
     backward_pass(oracle, trial_states)
-    at_two = [ks for t, ks in calls if t == 2]
-    assert at_two[0] == list(range(inst.K)) * len(trial_states[2])
-    assert len(at_two) > 1 and len(at_two[-1]) < len(at_two[0])
-    for before, after in zip(at_two, at_two[1:]):  # searches only drop out
-        assert all(k in before for k in after) and after == sorted(after)
-    # stage 2's targets miss the cache: the stage-3 cuts just added are new
-    assert len(loops) == sum(map(len, at_two)) + len(trial_states[2]) * inst.K
-    assert max(len(ks) for t, ks in calls if t == 3) == len(trial_states[3]) * inst.K > 1
+    for t in (3, 2):
+        assert calls[0] == (t, len(trial_states[t]) * inst.K, list(range(inst.K)))
+        steps = [ks for at, pinned, ks in calls[1:] if at == t and not pinned]
+        calls = calls[1 + len(steps):]
+        for before, after in zip(steps, steps[1:]):  # searches only drop out
+            assert all(k in before for k in after) and after == sorted(after)
+    assert calls == []
+    # stage 2's searches step, and some stop before the last step; its
+    # targets miss the cache, as the stage-3 cuts just added are new
+    assert steps and len(steps[-1]) < len(trial_states[2]) * inst.K
+    assert len(loops) == (len(trial_states[2]) + 1) * inst.K + sum(map(len, steps))
 
 
 def test_type3_ub_dd_rows_are_written_once_per_compiled_model(monkeypatch):
@@ -782,22 +814,112 @@ def test_type3_ub_dd_rows_are_written_once_per_compiled_model(monkeypatch):
 
 def test_tree_evaluation_solves_the_children_of_each_state_once(monkeypatch):
     # the three stage-2 children of the first-stage state share one state,
-    # whose terminal children are solved, as one batch, once
+    # whose terminal children are solved, as one call, once
     inst = _three_stage_instance()
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
     calls = []
-    solve_stages = oracle.solve_stages
+    solve_level = oracle.solve_level
 
-    def recording(t, x_prev, ks):
-        out = solve_stages(t, x_prev, ks)
-        calls.append((t, sddip._bits(x_prev), [sol.x_bits for sol in out]))
+    def recording(t, pinned, relaxed=()):
+        out = solve_level(t, pinned, relaxed)
+        calls.append((t, [(k, sddip._bits(x)) for k, x in pinned],
+                      [sol.x_bits for sol in out[0]], len(relaxed)))
         return out
 
-    monkeypatch.setattr(oracle, "solve_stages", recording)
+    monkeypatch.setattr(oracle, "solve_level", recording)
     evaluate_policy(oracle)
     (x1,), children = calls[0][2], calls[1][2]
     assert len(set(children)) < len(children)
-    assert [(t, x) for t, x, _ in calls] == [(1, (0,) * inst.I), (2, x1), (3, children[0])]
+    K = range(inst.K)
+    assert [(t, pinned, relaxed) for t, pinned, _, relaxed in calls] == [
+        (1, [(0, (0,) * inst.I)], 0), (2, [(k, x1) for k in K], 0),
+        (3, [(k, children[0]) for k in K], 0)]
+
+
+def test_a_run_frees_its_oracle_without_the_garbage_collector(monkeypatch):
+    # the oracle, with its compiled models and HiGHS handles, is freed as
+    # soon as the run returns: the policy evaluation leaves no reference
+    # cycle to it for the cyclic garbage collector to find later
+    oracles = []
+    init = StageOracle.__init__
+    monkeypatch.setattr(StageOracle, "__init__",
+                        lambda self, *args: init(self, *args) or oracles.append(weakref.ref(self)))
+    inst = _three_stage_instance()
+    gc.collect()
+    gc.disable()
+    try:
+        rep = run(inst, 1, SddipConfig(max_iters=30, seed=1))
+        alive = [ref() is not None for ref in oracles]
+    finally:
+        gc.enable()
+    assert rep.status == "Optimal" and rep.iterations > 1 and alive == [False]
+
+
+# (label, instance, most states one evaluation visits at one stage) of the
+# run checks: the T = 5 case of the multi_stage benchmark, whose policies
+# keep one state per stage, and a T = 4 case at capacity 20, whose
+# policies reach two
+RUN_CASES = (
+    ("multi_stage-T5", dict(seed=1, T=5, rho_bar=0.3), 1),
+    ("capacity-20-T4", dict(seed=2, T=4, rho_bar=0.8, capacity=20.0), 2),
+)
+
+
+@pytest.mark.parametrize("label, recipe, states", RUN_CASES,
+                         ids=[case[0] for case in RUN_CASES])
+def test_a_run_evaluates_each_policy_before_its_forward_pass(monkeypatch, label, recipe,
+                                                             states):
+    # each iteration evaluates its policy first, solving each stage solve
+    # it visits once and the K of a state as one call, so its forward pass
+    # finds every stage solve in the stage cache and calls no solve, and
+    # the iteration that closes the gap walks none; each backward stage
+    # sends its targets and the K relaxed solves at pi = 0 as one call,
+    # then one a further step; and the bounds are the exact value
+    inst = generate_instance(I=3, J=1, K=3, eps_mu=40.0, eps_S_lo=0.05, eps_S_hi=3.0, **recipe)
+    calls, passes, within = [], [], [None]  # within: (pass name, pass number) or None
+
+    def traced(name, fn):
+        def wrapped(*args):
+            passes.append(name)
+            within[0] = (name, len(passes))
+            try:
+                return fn(*args)
+            finally:
+                within[0] = None
+        return wrapped
+
+    def recording(label):
+        def wrapped(self, t, jobs):
+            calls.append((label, within[0], t, jobs))
+            return original[label](self, t, jobs)
+        return wrapped
+
+    original = {"jobs": StageOracle._solve_jobs, "step": StageOracle.relaxed_values}
+    monkeypatch.setattr(StageOracle, "_solve_jobs", recording("jobs"))
+    monkeypatch.setattr(StageOracle, "relaxed_values", recording("step"))
+    for name in ("evaluate_policy", "forward_pass", "backward_pass"):
+        monkeypatch.setattr(sddip, name, traced(name, getattr(sddip, name)))
+    rep = run(inst, 1, SddipConfig(max_iters=30, seed=1))
+    assert rep.status == "Optimal" and rep.iterations > 1
+    assert passes.count("evaluate_policy") == rep.iterations
+    assert passes.count("forward_pass") == passes.count("backward_pass") == rep.iterations - 1
+    evaluations = [(at, t, [(k, sddip._bits(x)) for k, x, _ in jobs])
+                   for _, at, t, jobs in calls if at and at[0] == "evaluate_policy"]
+    assert all(len({x for _, x in jobs}) == 1 for _, _, jobs in evaluations)
+    solved = [(at, t, job) for at, t, jobs in evaluations for job in jobs]
+    assert len(solved) == len(set(solved))
+    assert max(sum(t == s for at_, s, _ in evaluations if at_ == at)
+               for at, t, _ in evaluations) == states
+    assert not [c for c in calls if c[1] and c[1][0] == "forward_pass"]
+    for at in {c[1] for c in calls if c[1] and c[1][0] == "backward_pass"}:
+        for t in range(inst.T, 1, -1):
+            jobs = [c[3] for c in calls if c[:3] == ("jobs", at, t)]
+            steps = [c for c in calls if c[:3] == ("step", at, t)]
+            assert len(jobs) == 1 + len(steps)
+            assert [k for k, x_prev, _ in jobs[0] if x_prev is None] == list(range(inst.K))
+    exact = exact_multistage_value(inst, 1)
+    for bound in (rep.lb_per_iter[-1], rep.ub_estimate):
+        assert abs(bound - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 def test_forward_pass_structure_two_stage():
