@@ -75,16 +75,6 @@ class RiskSpec:
 class WorstCase:
     value: float
     p: np.ndarray
-    q_cvar: np.ndarray | None = None
-
-    def sampling_weights(self, risk: RiskSpec | None) -> np.ndarray:
-        """Probability weights of the blended worst-case measure."""
-        if risk is None or self.q_cvar is None:
-            w = self.p.copy()
-        else:
-            w = (1.0 - risk.lam) * self.p + self.q_cvar
-        w = np.clip(w, 0.0, None)
-        return w / w.sum()
 
 
 def mean_map(inst: Instance, x) -> np.ndarray:
@@ -120,18 +110,17 @@ def _moment_matrix_type1(inst: Instance, stage: int) -> np.ndarray:
 
 
 def _add_risk_block(m: LinearModel, p_cols: np.ndarray, q_values: np.ndarray,
-                    risk: RiskSpec) -> np.ndarray:
+                    risk: RiskSpec) -> None:
     """CVaR reweighting variables: qt <= p*lam/(1-alpha), sum(qt) = lam."""
     K = p_cols.size
     qt = m.add_vars(K, 0.0, np.inf, prefix="qt_", obj=-np.asarray(q_values, dtype=float))
     ratio = risk.lam / (1.0 - risk.alpha)
     m.add_rows(np.column_stack([p_cols, qt]), [-ratio, 1.0], "<=", 0.0)
     m.add_row((qt, np.ones(K)), "=", risk.lam)
-    return qt
 
 
 def _base_master(inst: Instance, ttype: AmbiguityType, x, stage: int,
-                 q, risk: RiskSpec | None) -> tuple[LinearModel, np.ndarray, np.ndarray | None]:
+                 q, risk: RiskSpec | None) -> tuple[LinearModel, np.ndarray]:
     """LP over the probability vector with the type's linear moment rows."""
     K = inst.K
     q = np.zeros(K) if q is None else np.asarray(q, dtype=float)
@@ -157,10 +146,9 @@ def _base_master(inst: Instance, ttype: AmbiguityType, x, stage: int,
         m.add_row((p, np.ones(K)), "=", 1.0)
     else:
         raise ValueError(f"unknown ambiguity type {ttype}")
-    qt = None
     if risk is not None:
-        qt = _add_risk_block(m, p, q, risk)
-    return m, p, qt
+        _add_risk_block(m, p, q, risk)
+    return m, p
 
 
 class _Type3Geometry:
@@ -258,7 +246,7 @@ def is_nonempty(inst: Instance, ttype: AmbiguityType, x, stage: int = 2) -> bool
     """Feasibility of the stage ambiguity set at state x."""
     if ttype == AmbiguityType.TYPE3:
         return type3_slater_slack(inst, x, stage) >= SLATER_SLACK
-    m, _, _ = _base_master(inst, ttype, x, stage, None, None)
+    m, _ = _base_master(inst, ttype, x, stage, None, None)
     sol = solve_lp(m)
     if sol.status == OPTIMAL:
         return True
@@ -280,14 +268,14 @@ def worst_case(inst: Instance, ttype: AmbiguityType, x, q,
     q = np.asarray(q, dtype=float)
     if q.shape != (inst.K,):
         raise ValueError("q must have one value per support point")
-    m, p_cols, qt_cols = _base_master(inst, ttype, x, stage, q, risk)
+    m, p_cols = _base_master(inst, ttype, x, stage, q, risk)
     if ttype != AmbiguityType.TYPE3:
         sol = solve_lp(m)
         if sol.status == INFEASIBLE:
             raise EmptyAmbiguity(f"empty type-{int(ttype)} ambiguity set", stage, x)
         if sol.status != OPTIMAL:
             raise NonConvergence(f"worst-case solve returned {sol.status}")
-        return _finish(sol, p_cols, qt_cols)
+        return _finish(sol, p_cols)
 
     geo = _Type3Geometry(inst, x, stage)
     if _slater_slack(geo) < SLATER_SLACK:  # is_nonempty, from geo
@@ -305,7 +293,7 @@ def worst_case(inst: Instance, ttype: AmbiguityType, x, q,
         ell_val, _ = geo.ellipsoid_value_grad(p_hat)
         lam_min, v = geo.psd_gap(p_hat)
         if max(ell_val, -lam_min) <= CUT_VIOLATION_TOL:
-            return _finish(sol, p_cols, qt_cols)
+            return _finish(sol, p_cols)
         if ell_val > 1e-9:
             geo.add_ellipsoid_cut(m, p_cols, p_hat)
         if lam_min < -1e-9:
@@ -313,10 +301,9 @@ def worst_case(inst: Instance, ttype: AmbiguityType, x, q,
     raise NonConvergence("type-3 cutting planes exceeded the round limit")
 
 
-def _finish(sol, p_cols, qt_cols) -> WorstCase:
+def _finish(sol, p_cols) -> WorstCase:
     p = np.clip(sol.x[p_cols], 0.0, None)
     total = p.sum()
     if abs(total - 1.0) > 1e-8:
         raise NonConvergence(f"worst-case distribution mass {total}")
-    qt = None if qt_cols is None else np.clip(sol.x[qt_cols], 0.0, None)
-    return WorstCase(value=-float(sol.objective), p=p / total, q_cvar=qt)
+    return WorstCase(value=-float(sol.objective), p=p / total)

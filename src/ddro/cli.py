@@ -3,7 +3,9 @@
 Subcommands: gen (instance -> JSON), solve (decomposition run -> report
 files), enum (two-stage oracle), bench (experiment grid -> artifact
 directory), export-lp (debug model dump), verify (bound sandwich check).
-Every command is a pure function of its input files, flags, and seed.
+Every command is a pure function of its input files and flags: gen's
+--seed sets its draws, and solve's only labels the report, since the
+solver draws nothing at random.
 Exit codes: 0 success, 1 validation error, 2 solver failure, 3 empty
 ambiguity set / unbounded model.
 """
@@ -57,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="type-3 bounding route (default: exact for types 1-2, lb for 3)")
     s.add_argument("--config", help="run-config JSON file")
     s.add_argument("--max-iters", type=int)
-    s.add_argument("--num-paths", type=int)
     s.add_argument("--tol", type=float)
     s.add_argument("--seed", type=int)
     s.add_argument("--risk", action="store_true", help="use the instance risk blend")
@@ -112,8 +113,7 @@ def _load_config(args) -> sddip.SddipConfig:
             text = fh.read()
         cfg, file_keys = sddip.config_from_json(text), json.loads(text)
     overrides = {}
-    for name, val in (("max_iters", args.max_iters), ("num_paths", args.num_paths),
-                      ("tol", args.tol), ("seed", args.seed),
+    for name, val in (("max_iters", args.max_iters), ("tol", args.tol), ("seed", args.seed),
                       ("risk_lambda", getattr(args, "risk_lambda", None)),
                       ("risk_alpha", getattr(args, "risk_alpha", None))):
         if val is not None:

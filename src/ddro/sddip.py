@@ -1,5 +1,6 @@
-"""Decomposition engine: forward passes, backward passes that price
-Lagrangian cuts, cut pooling, bound tracking, and termination.
+"""Decomposition engine: a forward walk of the policy, backward passes
+that price Lagrangian cuts, cut pooling, bound tracking, and
+termination.
 
 A cut (v, pi) for the stage value function comes from relaxing a binary
 copy of the incoming state: for ANY multiplier pi, the relaxed stage
@@ -16,17 +17,18 @@ an exactly evaluated upper bound to meet the lower bound, a loose cut
 costs iterations or ends the run in BoundLimit, never in a wrong
 Optimal.
 
-Each iteration starts with the policy evaluation (evaluate_policy),
-whose stage-1 solve gives the lower bound and whose result, the current
-policy's exact worst-case cost at every T, the upper bound: a recursion
-that solves every realization at every state the policy visits, the K
-of a state together.  The forward pass then only samples trial states,
-reading the evaluation's solves back from the stage cache; an
-iteration that closes its gap or stalls walks none.  The backward pass
-sends each stage's missing targets with the K relaxed solves at pi = 0,
+Each iteration starts with the forward walk (forward_pass), which
+solves every realization at every state the current policy visits, the
+K of a state together, and whose stage-1 solve gives the lower bound.
+The policy evaluation (evaluate_policy) takes the worst cases of the
+walk's solves bottom-up, which gives the policy's exact worst-case cost
+at every T, the upper bound.  An iteration that neither closes its gap
+nor stalls then runs the backward pass at every state the walk visited
+(the exhaustive forward pass of SDDiP; see forward_pass).  It sends
+each stage's missing targets with the K relaxed solves at pi = 0,
 which every trial state's search shares, and then steps the stage's
 searches in lockstep.  Each of these -- a state's K children in the
-evaluation, a stage's targets and first step, a step of its searches
+walk, a stage's targets and first step, a step of its searches
 -- is one call of StageOracle.solve_level, and at every stage without
 a cut loop -- all but the PSD stages of the Type 3 "lb" route -- its
 MILPs go to HiGHS as one batch (StageOracle): HiGHS's fixed
@@ -121,19 +123,17 @@ class CutPool:
 @dataclass(frozen=True)
 class SddipConfig:
     max_iters: int = 30
-    num_paths: int = 2
     tol: float = 1e-6
-    seed: int = 0
+    seed: int = 0  # only labels the run and its report: the engine draws nothing at random
     risk: bool = False
     risk_lambda: float | None = None  # override the instance blend weights
     risk_alpha: float | None = None  # override the instance CVaR levels
     bound_mode: str = "exact"  # "exact" (types 1-2) | "lb" | "ub" (type 3)
 
     def __post_init__(self):
-        for name in ("max_iters", "num_paths"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
+        val = self.max_iters
+        if isinstance(val, bool) or not isinstance(val, numbers.Integral) or val < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {val!r}")
         tol = self.tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
             raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
@@ -177,8 +177,8 @@ class SolveReport:
     within tol of the last lower bound.  stage_solves counts stage
     solves, not MILPs: every stage model solved, the relaxed solves of
     the Lagrangian duals, the pinned solves of their targets that miss
-    the stage cache (none at T = 2, where the policy evaluation has
-    solved them), and the big-M probes and re-solves among them.  A
+    the stage cache (none at T = 2, where the walk has solved them), and
+    the big-M probes and re-solves among them.  A
     stage solve on the Type 3 "lb" route is one eigen-cut loop of
     several LPs and MILPs, and a hit of the stage cache is no solve.
     dual_solves counts the relaxed evaluations of the duals alone: per
@@ -233,7 +233,6 @@ class SolveReport:
 class StageSolution:
     value: float
     x_bits: tuple[int, ...]
-    theta: np.ndarray  # continuation proxies; empty at the terminal stage
     g_cost: float
 
 
@@ -424,7 +423,6 @@ class StageOracle:
     def _stage_solution(self, t: int, sol, lay: VarLayout) -> StageSolution:
         value = float(sol.objective)  # at t = T, the stage cost itself
         return StageSolution(value, _bits(round_integral(sol.x, lay.x)),
-                             np.asarray(sol.x)[lay.theta].copy(),
                              value if t == self.inst.T else lay.cost_value(self.inst, sol.x))
 
     def _solve_jobs(self, t: int, jobs) -> list:
@@ -466,10 +464,9 @@ class StageOracle:
         result, its blocks checked for PSD on the "ub" route, batched or
         lone.  An escalation is permanent for the run, so it empties the
         stage cache and drops the kept models.  A relaxed solve raises
-        RelaxedStateEmpty in place of EmptyAmbiguity: the policy
-        evaluation solves every trial state pinned before the backward
-        pass relaxes it, so an empty set reachable from it has ended the
-        run Unbounded."""
+        RelaxedStateEmpty in place of EmptyAmbiguity: the walk solves
+        every trial state pinned before the backward pass relaxes it, so
+        an empty set reachable from it has ended the run Unbounded."""
         def check_nonempty(sol, lay):
             x_hat = round_integral(sol.x, lay.x)
             if not is_nonempty(self.inst, self.ttype, x_hat, stage=t + 1):
@@ -614,57 +611,72 @@ def lagrangian_dual(evaluate, x_hats, targets, first):
     return [(pi, L) for pi, L, _ in best]
 
 
-def forward_pass(oracle: StageOracle, num_paths: int, rng: np.random.Generator):
-    """Sample trial states under the stage-wise worst-case distributions.
+def forward_pass(oracle: StageOracle):
+    """Walk the current policy over every state it visits.
 
-    Returns (first_stage, trial_states): the stage-1 solution under the
-    oracle's current pool and per t the distinct incoming states of the
-    stage-t backward duals, taken from num_paths paths walked to stage
-    T-1 (at T = 2, stage 1 alone).  Each path draws its realization at
-    stage t from the worst case at its state, with the stage-(t-1)
-    continuation proxies as stage values.  Run after evaluate_policy
-    under the same pool, as run does, every stage solve it asks for is a
-    hit of the stage cache, since the evaluation solved every
-    realization at every state the policy visits; so it draws and reads,
-    and solves nothing, unless a big-M escalation emptied the cache
-    meanwhile.
+    Solves stage 1, then, for t = 2..T, each state reached at stage t-1,
+    in first-visit order, at all K stage-t realizations, as one
+    solve_level call.  Returns (sol1, visited): the stage-1 solution
+    under the oracle's current pool, and per t = 2..T a dict that maps
+    each incoming state of stage t, in first-visit order, to its K
+    stage-t solutions.  A decision at (t, k, x) depends only on the
+    state, since the pool is fixed meanwhile and the stage cache keyed
+    on it; so with R_t the states reachable at stage t, one walk makes
+    at most 1 + sum over t = 1..T-1 of min(K^(t-1), |R_t|) * K stage
+    solves, each (t, k, x) once, |R_t| <= 2^I, and never walks the
+    K^(T-1) scenarios.
+
+    Every visited state is a trial state of the backward pass: this is
+    the exhaustive forward pass of SDDiP, whose finite convergence for
+    binary states Zou, Ahmed & Sun (Math. Prog. 2019) prove; SDDP samples
+    paths (Pereira & Pinto, Math. Prog. 1991) only where the tree cannot
+    be walked.  The argument: let a walk visit only states that the walk
+    before it visited.  The backward pass between them cut at each of
+    those states, from stage T down, and a cut whose search meets its
+    target is tight there, so the stage-t proxies are exact at every
+    state the new walk reaches at stage t+1: at stage T by the exact
+    stage values, and below by induction, since each stage-t solve of
+    the new walk at a visited state is a target of that pass, solved
+    under those proxies.  So each of the walk's solves values the
+    policy's own worst-case cost from its state, its stage-1 value, the
+    lower bound, meets the upper one, and the gap closes.  An iteration
+    that does not close its gap thus reaches a state outside the walk
+    before; with finitely many binary states and tight cuts drawn from a
+    finite family, that happens finitely often.  A search stopped short
+    (SUBGRADIENT_ITERS) only slows this, or ends the run in BoundLimit.
     """
     inst = oracle.inst
     sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))
-    trial_states: dict[int, list[tuple[int, ...]]] = {t: [] for t in range(2, inst.T + 1)}
-    if inst.T >= 2:
-        trial_states[2].append(sol1.x_bits)
-    for _ in range(num_paths):
-        sol = sol1
-        for t in range(2, inst.T):
-            x_prev = np.array(sol.x_bits, dtype=float)
-            wc = oracle.worst_case(t, x_prev, sol.theta)
-            k = int(rng.choice(inst.K, p=wc.sampling_weights(oracle.risk_spec(t - 1))))
-            sol = oracle.solve_stage(t, k, x_prev)
-            if sol.x_bits not in trial_states[t + 1]:
-                trial_states[t + 1].append(sol.x_bits)
-    return sol1, trial_states
+    visited: dict[int, dict[tuple[int, ...], list[StageSolution]]] = {}
+    reached = [sol1.x_bits]
+    for t in range(2, inst.T + 1):
+        level = visited[t] = {}
+        for x_bits in reached:
+            x = np.array(x_bits, dtype=float)
+            level[x_bits] = oracle.solve_level(t, [(k, x) for k in range(inst.K)])[0]
+        reached = list(dict.fromkeys(sol.x_bits for sols in level.values() for sol in sols))
+    return sol1, visited
 
 
-def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
+def backward_pass(oracle: StageOracle, visited) -> CutPool:
     """Append one multi-cut family per (stage, realization, trial state)
     to the oracle's pool, each from the Lagrangian dual at that state,
-    aimed at the pinned stage value there.  From stage T down to 2, one
-    solve_level call per stage gives the targets of all its trial states
-    -- through the stage cache, so at the terminal stage the policy
-    evaluation has solved them all, and below it only the cuts just
-    added make them miss -- together with the first step of every
-    search: L_k(0), with z free and no multiplier term, does not depend
-    on x_hat, so the K relaxed solves at pi = 0 serve every trial state.
-    The stage's searches then step in lockstep: each step's relaxed
-    solves go to relaxed_values together, which batches them where the
-    stage batches and else solves them in job order (see StageOracle)."""
+    aimed at the pinned stage value there; the trial states of stage t
+    are the walk's incoming states of that stage, visited[t]
+    (forward_pass).  From stage T down to 2, one solve_level call per
+    stage gives the targets of all its trial states -- through the stage
+    cache, so at the terminal stage the walk has solved them all, and
+    below it only the cuts just added make them miss -- together with the
+    first step of every search: L_k(0), with z free and no multiplier
+    term, does not depend on x_hat, so the K relaxed solves at pi = 0
+    serve every trial state.  The stage's searches then step in lockstep:
+    each step's relaxed solves go to relaxed_values together, which
+    batches them where the stage batches and else solves them in job
+    order (see StageOracle)."""
     inst, pool = oracle.inst, oracle.pool
     K = inst.K
     for t in range(inst.T, 1, -1):
-        x_hats = trial_states.get(t, ())
-        if not x_hats:
-            continue
+        x_hats = list(visited[t])
         targets, first = oracle.solve_level(
             t, [(k, np.array(x_hat, dtype=float)) for x_hat in x_hats for k in range(K)],
             [(k, np.zeros(inst.I)) for k in range(K)])
@@ -677,55 +689,36 @@ def backward_pass(oracle: StageOracle, trial_states) -> CutPool:
     return pool
 
 
-def evaluate_policy(oracle: StageOracle) -> float:
-    """The current policy's exact worst-case cost, an upper bound: its
+def evaluate_policy(oracle: StageOracle, sol1: StageSolution, visited) -> float:
+    """The walked policy's exact worst-case cost, an upper bound: its
     stage-1 cost plus continuation(1, x_1), where continuation(t, x) is
     the worst case at (t+1, x), under the stage-t risk blend, of the
     costs g_k + continuation(t+1, x_k) of the K stage-(t+1) decisions
-    at x, and continuation(T, .) = 0.  A decision at (t, k, x_prev)
-    depends only on the state (the pool is fixed meanwhile, and the
-    stage cache keyed on it), the worst case at (t+1, x) only on x and
-    its costs, and the risk blend only on the stage; so continuation,
-    memoized on (t, x), runs once per visited pair, and its K stage
-    solves are one solve_level call, whose stage-cache misses HiGHS
-    solves as one batch where the stage batches.  With R_t the states
-    reachable at stage t, one evaluation makes at most 1 + sum over t =
-    1..T-1 of min(K^(t-1), |R_t|) * K stage solves and one worst case
-    per visited state; |R_t| <= 2^I, and the K^(T-1) scenarios are never
-    walked."""
-    sol1 = oracle.solve_stage(1, 0, np.zeros(oracle.inst.I))
-    return sol1.g_cost + _continuation(oracle, {}, 1, sol1.x_bits)
-
-
-def _continuation(oracle: StageOracle, memo: dict, t: int, x_bits) -> float:
-    """The worst case over stage t+1 from the stage-t state x_bits (none
-    past the terminal stage), with the K stage-(t+1) solves as one call,
-    memoized in memo on (t, x_bits).  A module function, not a memoized
-    closure: a recursive closure is a reference cycle, which would keep
-    the oracle, with its models and HiGHS handles, alive after the run
-    until the cyclic garbage collector runs."""
+    at x, and continuation(T, .) = 0.  A decision depends only on its
+    (t, k, state) (forward_pass), the worst case at (t+1, x) only on x
+    and its costs, and the risk blend only on the stage; so taken
+    bottom-up over the states the walk visited, from stage T to 2, each
+    continuation is one worst case per visited state, and the
+    evaluation solves no stage."""
     inst = oracle.inst
-    if t == inst.T:
-        return 0.0
-    if (t, x_bits) not in memo:
-        x = np.array(x_bits, dtype=float)
-        sols, _ = oracle.solve_level(t + 1, [(k, x) for k in range(inst.K)])
-        q = [sol.value if t + 1 == inst.T
-             else sol.g_cost + _continuation(oracle, memo, t + 1, sol.x_bits) for sol in sols]
-        memo[t, x_bits] = oracle.worst_case(t + 1, x, q).value
-    return memo[t, x_bits]
+    cont: dict[tuple[int, ...], float] = {}  # continuation(t - 1, x) of each state x of stage t
+    for t in range(inst.T, 1, -1):
+        above = {}
+        for x_bits, sols in visited[t].items():
+            q = [sol.value if t == inst.T else sol.g_cost + cont[sol.x_bits] for sol in sols]
+            above[x_bits] = oracle.worst_case(t, np.array(x_bits, dtype=float), q).value
+        cont = above
+    return sol1.g_cost + cont.get(sol1.x_bits, 0.0)
 
 
 def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveReport:
-    """Iterate to convergence; see SolveReport.  Each iteration first
-    evaluates its policy (evaluate_policy), whose cost is the upper
-    bound, and reads the stage-1 solution it solved, whose value is the
-    lower bound; an iteration that closes the gap or stalls ends the run
-    there, and any other walks its forward pass, which reads the
-    evaluation's solves back, and adds the cuts of its backward pass."""
+    """Iterate to convergence; see SolveReport.  Each iteration walks its
+    policy (forward_pass), whose stage-1 value is the lower bound, and
+    evaluates it (evaluate_policy), whose cost is the upper bound; an
+    iteration that closes the gap or stalls ends the run there, and any
+    other adds the cuts of its backward pass at the walk's states."""
     cfg = config or SddipConfig()
     oracle = StageOracle(inst, ttype, cfg, CutPool(inst.T, inst.K))
-    rng = np.random.default_rng(cfg.seed)
     report = SolveReport(ambiguity_type=int(ttype), bound_mode=cfg.bound_mode,
                          seed=cfg.seed)
     t_start = time.perf_counter()
@@ -734,8 +727,8 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
     try:
         for it in range(1, cfg.max_iters + 1):
             t_iter = time.perf_counter()
-            ub = evaluate_policy(oracle)
-            sol1 = oracle.solve_stage(1, 0, np.zeros(inst.I))  # solved by the evaluation
+            sol1, visited = forward_pass(oracle)
+            ub = evaluate_policy(oracle, sol1, visited)
             lb = sol1.value
             if report.lb_per_iter and lb < report.lb_per_iter[-1] - LB_MONOTONE_SLACK * max(
                     1.0, abs(lb)):
@@ -757,8 +750,7 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
             if stalled:
                 report.termination = "lb_stalled"
                 break
-            _, trial_states = forward_pass(oracle, cfg.num_paths, rng)
-            backward_pass(oracle, trial_states)
+            backward_pass(oracle, visited)
         else:
             report.termination = "max_iters"
         report.status = "Optimal" if report.termination == "gap_closed" else "BoundLimit"

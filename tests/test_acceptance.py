@@ -112,9 +112,8 @@ def _run_with_pool(inst, ttype, iters=4, seed=0, bound_mode=None):
         bound_mode = "lb" if ttype == 3 else "exact"
     cfg = SddipConfig(max_iters=iters, seed=seed, bound_mode=bound_mode)
     oracle = StageOracle(inst, ttype, cfg, pool)
-    rng = np.random.default_rng(seed)
     for _ in range(iters):
-        _, states = forward_pass(oracle, 1, rng)
+        _, states = forward_pass(oracle)
         backward_pass(oracle, states)
     return pool
 
@@ -214,9 +213,8 @@ def test_criterion_7_psd_compliance():
         pool = CutPool(inst.T, inst.K)
         cfg = SddipConfig(max_iters=4, seed=0, bound_mode=mode)
         oracle = StageOracle(inst, 3, cfg, pool)
-        rng = np.random.default_rng(0)
         for _ in range(3):
-            _, states = forward_pass(oracle, 1, rng)
+            _, states = forward_pass(oracle)
             backward_pass(oracle, states)
         sol, lay, blocks = oracle._solve_compiled(1, 0, np.zeros(inst.I), None)
         lam_mins = [min_eigenpair(sol.x[b.cols])[0] for b in blocks]

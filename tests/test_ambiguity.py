@@ -302,8 +302,7 @@ def test_risk_reduces_to_neutral_at_zero_lambda():
     risky = worst_case(inst, AmbiguityType.TYPE1, np.zeros(3), q, stage=2,
                        risk=RiskSpec(0.0, 0.95))
     assert abs(neutral.value - risky.value) <= 1e-8 * max(1.0, abs(neutral.value))
-    w = risky.sampling_weights(RiskSpec(0.0, 0.95))
-    assert abs(w.sum() - 1.0) < 1e-9
+    assert abs(risky.p.sum() - 1.0) < 1e-9
 
 
 def test_risk_value_monotone_in_lambda():

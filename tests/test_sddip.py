@@ -287,14 +287,15 @@ def test_terminal_batch_adds_the_cuts_of_searches_run_one_by_one():
 
 
 def test_policy_evaluation_caches_each_batched_terminal_solve():
-    # at T = 2 the K terminal solves of the first-stage state run as one
-    # batch, each cached under solve_stage's key: solve_stage then hits
-    # for every k and returns what the same batch on a fresh oracle
-    # returns, at the value of a plain MILP solve of the model
+    # at T = 2 the walk runs the K terminal solves of the first-stage
+    # state as one batch, each cached under solve_stage's key:
+    # solve_stage then hits for every k and returns what the same batch
+    # on a fresh oracle returns, at the value of a plain MILP solve of
+    # the model
     inst = small_instance()
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
-    evaluate_policy(oracle)
-    x = np.array(oracle.solve_stage(1, 0, np.zeros(inst.I)).x_bits, dtype=float)
+    sol1, _ = forward_pass(oracle)
+    x = np.array(sol1.x_bits, dtype=float)
     solves = oracle.stage_solves
     assert solves == 1 + inst.K
     fresh = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
@@ -418,26 +419,32 @@ STAGE_TWO_CASES = (
                          ids=[case[0] for case in STAGE_TWO_CASES])
 def test_lockstep_searches_below_the_terminal_stage_add_the_cuts_of_searches_alone(
         monkeypatch, label, make, ttype, mode):
-    # a backward pass over a T = 3 forward pass's trial states adds, per
+    # a backward pass over a T = 3 walk's trial states adds, per
     # stage, realization and trial state, the cut each search returns when
     # run alone at the same targets from the same relaxed solve at pi = 0,
     # with the same solves; stage 2's targets and first step are one
-    # batch, and its searches run in lockstep
+    # call, one batch where the stage still batches (the walk's stage-2
+    # batch of the "ub" case does not close at its root, which ends it),
+    # and its searches run in lockstep
     inst, config = make(), SddipConfig(bound_mode=mode)
-    batches = []
-    solve_batch = StageOracle._solve_batch
+    batches, jobs = [], []
+    solve_batch, solve_jobs = StageOracle._solve_batch, StageOracle._solve_jobs
     monkeypatch.setattr(StageOracle, "_solve_batch",
-                        lambda self, t, jobs: batches.append((t, len(jobs)))
-                        or solve_batch(self, t, jobs))
+                        lambda self, t, js: batches.append((t, len(js)))
+                        or solve_batch(self, t, js))
+    monkeypatch.setattr(StageOracle, "_solve_jobs",
+                        lambda self, t, js: jobs.append((t, len(js))) or solve_jobs(self, t, js))
     oracle, alone = (StageOracle(inst, ttype, config, CutPool(inst.T, inst.K))
                      for _ in range(2))
-    _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
-    forward_pass(alone, 2, np.random.default_rng(0))
+    _, trial_states = forward_pass(oracle)
+    forward_pass(alone)
     batches.clear()
+    jobs.clear()
     backward_pass(oracle, trial_states)
     # stage 2's targets miss the cache, as the stage-3 cuts just added are
     # new, and go with its K relaxed solves at pi = 0
-    assert (2, (len(trial_states[2]) + 1) * inst.K) in batches
+    merged = (2, (len(trial_states[2]) + 1) * inst.K)
+    assert merged in jobs and (merged in batches) == oracle._batching[2]
     for t in (3, 2):
         targets = [_level(alone, t, x_hat) for x_hat in trial_states[t]]
         first = [alone.relaxed_values(t, [(k, np.zeros(inst.I))]) for k in range(inst.K)]
@@ -457,10 +464,9 @@ def test_lockstep_searches_below_the_terminal_stage_add_the_cuts_of_searches_alo
 
 
 def _run_passes(oracle, iterations):
-    rng = np.random.default_rng(0)
     for _ in range(iterations):
-        _, trial_states = forward_pass(oracle, 2, rng)
-        backward_pass(oracle, trial_states)
+        _, visited = forward_pass(oracle)
+        backward_pass(oracle, visited)
 
 
 def test_a_flagged_block_of_a_stage_two_batch_probes_from_its_batch_solution(monkeypatch):
@@ -613,7 +619,6 @@ def test_oracle_worst_case_is_the_direct_worst_case_computed_once_per_key(monkey
     first = oracle.worst_case(2, x, q)
     direct = worst_case(inst, oracle.ttype, x, q, stage=2, risk=oracle.risk_spec(1))
     assert first.value == direct.value and np.array_equal(first.p, direct.p)
-    assert np.array_equal(first.q_cvar, direct.q_cvar)
     assert oracle.worst_case(2, x.copy(), list(q)) is first
     assert computed == [2]
     oracle.worst_case(2, x, q + 1.0)
@@ -657,7 +662,7 @@ def test_type3_lb_terminal_solves_run_no_lp(monkeypatch):
         sol = oracle.solve_stage(inst.T, k, x_prev)
         truth = terminal_value(inst, x_prev, inst.stage_support(inst.T)[k])
         assert abs(sol.value - truth) <= 1e-9 * max(1.0, abs(truth))
-        assert sol.g_cost == sol.value and sol.theta.size == 0
+        assert sol.g_cost == sol.value
     assert calls == [] and oracle.stage_solves == inst.K
     oracle.solve_stage(1, 0, np.zeros(inst.I))
     assert calls  # a stage-1 solve does run the LP phase
@@ -669,18 +674,19 @@ def _type3_lb_oracle():
 
 
 def test_type3_lb_policy_evaluation_reuses_the_forward_stage_one_solve(monkeypatch):
-    # the forward pass's stage-1 cut loop appends eigen rows; its solution
-    # is cached under the model it solved, rows included, so evaluating
-    # the policy right after runs no stage-1 cut loop
+    # the walk's stage-1 cut loop appends eigen rows; its solution is
+    # cached under the model it solved, rows included, so evaluating the
+    # policy and walking it again under the same pool run no stage-1 cut
+    # loop
     inst, oracle = _type3_lb_oracle()
     loops = []
     outer = misdp.solve_misdp_outer
     monkeypatch.setattr(misdp, "solve_misdp_outer",
                         lambda *a: loops.append(1) or outer(*a))
-    rng = np.random.default_rng(0)
-    sol1, _ = forward_pass(oracle, 1, rng)
+    sol1, visited = forward_pass(oracle)
     assert len(loops) == 1 and oracle._eigen_rows[1]
-    evaluate_policy(oracle)
+    evaluate_policy(oracle, sol1, visited)
+    assert forward_pass(oracle)[0] is sol1
     assert len(loops) == 1
     x0 = np.zeros(inst.I)
     assert oracle.solve_stage(1, 0, x0) is sol1
@@ -707,7 +713,7 @@ def _type3_lb_stretch_backward(monkeypatch):
     trial states, and per stage-2 trial state the targets of the pass
     with the stage-2 eigen rows stored right after they were solved."""
     inst, oracle = _type3_lb_stretch_oracle(pattern=2)
-    _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
+    _, trial_states = forward_pass(oracle)
     targets, rows = {}, {}
     solve_level, solve_once = oracle.solve_level, oracle._solve_once
 
@@ -752,16 +758,17 @@ def test_type3_lb_stage_lookups_hit_across_later_eigen_rows_at_a_lower_bound(mon
 
 
 def test_type3_lb_forward_pass_reads_the_stage_two_targets_back(monkeypatch):
-    # the next forward pass returns to the stage-2 trial state under the
-    # same stage-3 cuts, so it solves stage 1 alone
+    # the next walk returns to the stage-2 trial state under the same
+    # stage-3 cuts, so it reads the backward pass's stage-2 targets back
+    # and solves no stage-2 model
     _, oracle, trial_states, _ = _type3_lb_stretch_backward(monkeypatch)
     stages = []
     solve_once = oracle._solve_once
     monkeypatch.setattr(oracle, "_solve_once",
                         lambda t, *a: stages.append(t) or solve_once(t, *a))
-    sol1, _ = forward_pass(oracle, 2, np.random.default_rng(1))
+    sol1, _ = forward_pass(oracle)
     assert sol1.x_bits in trial_states[2]
-    assert set(stages) == {1}
+    assert 1 in stages and 2 not in stages
 
 
 def test_type3_lb_psd_stages_run_their_searches_in_lockstep(monkeypatch):
@@ -773,7 +780,7 @@ def test_type3_lb_psd_stages_run_their_searches_in_lockstep(monkeypatch):
     # still active
     inst, oracle = _type3_lb_stretch_oracle(pattern=2)
     assert [oracle._batching[t] for t in (1, 2, 3)] == [False, False, True]
-    _, trial_states = forward_pass(oracle, 2, np.random.default_rng(0))
+    _, trial_states = forward_pass(oracle)
     calls, loops = [], []  # (stage, pinned jobs, relaxed jobs' k) of each call
     solve_level = oracle.solve_level
     monkeypatch.setattr(oracle, "solve_level", lambda t, pinned, relaxed=(): calls.append(
@@ -803,11 +810,10 @@ def test_type3_ub_dd_rows_are_written_once_per_compiled_model(monkeypatch):
     add_dd = misdp.add_dd_inner_general
     monkeypatch.setattr(misdp, "add_dd_inner_general",
                         lambda *a: calls.append(1) or add_dd(*a))
-    rng = np.random.default_rng(0)
-    _, trial_states = forward_pass(oracle, 1, rng)
+    _, trial_states = forward_pass(oracle)
     backward_pass(oracle, trial_states)
     assert oracle.pool.num_cuts(2) > 0
-    forward_pass(oracle, 1, rng)  # stage 1 again, under the second cut version
+    forward_pass(oracle)  # stage 1 again, under the second cut version
     assert oracle._compiled[(1, oracle.dual_bound.value)].cuts == oracle.pool.num_cuts(2)
     assert len(calls) == sum(1 for comp in oracle._compiled.values() if comp.blocks) == 1
 
@@ -827,7 +833,7 @@ def test_tree_evaluation_solves_the_children_of_each_state_once(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "solve_level", recording)
-    evaluate_policy(oracle)
+    forward_pass(oracle)
     (x1,), children = calls[0][2], calls[1][2]
     assert len(set(children)) < len(children)
     K = range(inst.K)
@@ -855,83 +861,101 @@ def test_a_run_frees_its_oracle_without_the_garbage_collector(monkeypatch):
     assert rep.status == "Optimal" and rep.iterations > 1 and alive == [False]
 
 
-# (label, instance, most states one evaluation visits at one stage) of the
-# run checks: the T = 5 case of the multi_stage benchmark, whose policies
-# keep one state per stage, and a T = 4 case at capacity 20, whose
-# policies reach two
+# (label, instance recipe, most states one walk visits at one stage) of
+# the run checks: the T = 5 case of the multi_stage benchmark, whose
+# policies keep one state per stage, and a T = 4 case at capacity 20,
+# whose policies reach two
 RUN_CASES = (
     ("multi_stage-T5", dict(seed=1, T=5, rho_bar=0.3), 1),
     ("capacity-20-T4", dict(seed=2, T=4, rho_bar=0.8, capacity=20.0), 2),
 )
 
 
+def _run_case_instance(recipe):
+    return generate_instance(I=3, J=1, K=3, eps_mu=40.0, eps_S_lo=0.05, eps_S_hi=3.0, **recipe)
+
+
 @pytest.mark.parametrize("label, recipe, states", RUN_CASES,
                          ids=[case[0] for case in RUN_CASES])
-def test_a_run_evaluates_each_policy_before_its_forward_pass(monkeypatch, label, recipe,
-                                                             states):
-    # each iteration evaluates its policy first, solving each stage solve
-    # it visits once and the K of a state as one call, so its forward pass
-    # finds every stage solve in the stage cache and calls no solve, and
-    # the iteration that closes the gap walks none; each backward stage
-    # sends its targets and the K relaxed solves at pi = 0 as one call,
-    # then one a further step; and the bounds are the exact value
-    inst = generate_instance(I=3, J=1, K=3, eps_mu=40.0, eps_S_lo=0.05, eps_S_hi=3.0, **recipe)
-    calls, passes, within = [], [], [None]  # within: (pass name, pass number) or None
+def test_a_run_walks_each_policy_once_and_cuts_at_every_state_it_visits(
+        monkeypatch, label, recipe, states):
+    # each iteration walks its policy once: stage 1, then one solve_level
+    # call per visited state, so each (t, k, state) is solved once; the
+    # evaluation then solves nothing, the backward pass takes every state
+    # the walk visited as a trial state, and the bounds are the exact value
+    inst = _run_case_instance(recipe)
+    K = range(inst.K)
+    passes, calls, within = [], [], [None]  # within: index in passes of the running pass
 
     def traced(name, fn):
         def wrapped(*args):
-            passes.append(name)
-            within[0] = (name, len(passes))
+            passes.append([name, None])
+            within[0] = len(passes) - 1
             try:
-                return fn(*args)
+                passes[-1][1] = fn(*args)
+                return passes[-1][1]
             finally:
                 within[0] = None
         return wrapped
 
-    def recording(label):
-        def wrapped(self, t, jobs):
-            calls.append((label, within[0], t, jobs))
-            return original[label](self, t, jobs)
-        return wrapped
+    solve_level = StageOracle.solve_level
 
-    original = {"jobs": StageOracle._solve_jobs, "step": StageOracle.relaxed_values}
-    monkeypatch.setattr(StageOracle, "_solve_jobs", recording("jobs"))
-    monkeypatch.setattr(StageOracle, "relaxed_values", recording("step"))
+    def recording(self, t, pinned, relaxed=()):
+        calls.append((within[0], t, [(k, sddip._bits(x)) for k, x in pinned], len(relaxed)))
+        return solve_level(self, t, pinned, relaxed)
+
+    monkeypatch.setattr(StageOracle, "solve_level", recording)
     for name in ("evaluate_policy", "forward_pass", "backward_pass"):
         monkeypatch.setattr(sddip, name, traced(name, getattr(sddip, name)))
     rep = run(inst, 1, SddipConfig(max_iters=30, seed=1))
     assert rep.status == "Optimal" and rep.iterations > 1
-    assert passes.count("evaluate_policy") == rep.iterations
-    assert passes.count("forward_pass") == passes.count("backward_pass") == rep.iterations - 1
-    evaluations = [(at, t, [(k, sddip._bits(x)) for k, x, _ in jobs])
-                   for _, at, t, jobs in calls if at and at[0] == "evaluate_policy"]
-    assert all(len({x for _, x in jobs}) == 1 for _, _, jobs in evaluations)
-    solved = [(at, t, job) for at, t, jobs in evaluations for job in jobs]
-    assert len(solved) == len(set(solved))
-    assert max(sum(t == s for at_, s, _ in evaluations if at_ == at)
-               for at, t, _ in evaluations) == states
-    assert not [c for c in calls if c[1] and c[1][0] == "forward_pass"]
-    for at in {c[1] for c in calls if c[1] and c[1][0] == "backward_pass"}:
-        for t in range(inst.T, 1, -1):
-            jobs = [c[3] for c in calls if c[:3] == ("jobs", at, t)]
-            steps = [c for c in calls if c[:3] == ("step", at, t)]
-            assert len(jobs) == 1 + len(steps)
-            assert [k for k, x_prev, _ in jobs[0] if x_prev is None] == list(range(inst.K))
+    assert [name for name, _ in passes] == (
+        ["forward_pass", "evaluate_policy", "backward_pass"] * (rep.iterations - 1)
+        + ["forward_pass", "evaluate_policy"])
+    most = 0
+    for i, (name, out) in enumerate(passes):
+        mine = [call[1:] for call in calls if call[0] == i]
+        if name == "evaluate_policy":
+            assert mine == []
+        elif name == "forward_pass":
+            sol1, visited = out
+            assert mine == [(1, [(0, (0,) * inst.I)], 0)] + [
+                (t, [(k, x) for k in K], 0) for t in visited for x in visited[t]]
+            reached = [sol1.x_bits]
+            for t in range(2, inst.T + 1):
+                assert list(visited[t]) == reached
+                reached = list(dict.fromkeys(sol.x_bits for sols in visited[t].values()
+                                             for sol in sols))
+            most = max(most, *map(len, visited.values()))
+        else:  # each stage's one pinned call holds every visited state at every k
+            _, visited = passes[i - 2][1]
+            assert [(t, pinned) for t, pinned, _ in mine if pinned] == [
+                (t, [(k, x) for x in visited[t] for k in K]) for t in range(inst.T, 1, -1)]
+    assert most == states
     exact = exact_multistage_value(inst, 1)
     for bound in (rep.lb_per_iter[-1], rep.ub_estimate):
         assert abs(bound - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
+def test_a_run_reports_the_same_at_any_seed():
+    # the engine draws nothing at random: the seed only labels the report
+    inst = _run_case_instance(RUN_CASES[1][1])
+    docs = [json.loads(run(inst, 1, SddipConfig(max_iters=30, seed=seed)).to_json())
+            for seed in (1, 999)]
+    assert [doc.pop("seed") for doc in docs] == [1, 999]
+    assert docs[0] == docs[1]
+
+
 def test_forward_pass_structure_two_stage():
+    # at T = 2 the walk visits the first-stage state alone and returns its
+    # K terminal solutions under it
     inst = small_instance()
-    pool = CutPool(inst.T, inst.K)
-    cfg = SddipConfig(num_paths=3)
-    oracle = StageOracle(inst, 1, cfg, pool)
-    rng = np.random.default_rng(0)
-    sol1, trial_states = forward_pass(oracle, 3, rng)
-    assert list(trial_states) == [2]
-    assert trial_states[2] == [sol1.x_bits]
-    assert np.isfinite(sol1.value)
+    oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
+    sol1, visited = forward_pass(oracle)
+    assert list(visited) == [2] and list(visited[2]) == [sol1.x_bits]
+    assert visited[2][sol1.x_bits] == [oracle.solve_stage(2, k, np.array(sol1.x_bits))
+                                       for k in range(inst.K)]
+    assert np.isfinite(sol1.value) and oracle.stage_solves == 1 + inst.K
 
 
 def _wide_windows(inst):
@@ -942,27 +966,17 @@ def _wide_windows(inst):
                           eps_S_hi=np.full(inst.J, 20.0))
 
 
-def test_forward_deterministic_when_k1():
-    inst = _wide_windows(generate_instance(5, 2, 3, 1, 1, 0.8))
-    pool = CutPool(inst.T, inst.K)
-    cfg = SddipConfig()
-    oracle = StageOracle(inst, 1, cfg, pool)
-    sol_a, states_a = forward_pass(oracle, 2, np.random.default_rng(1))
-    sol_b, states_b = forward_pass(oracle, 2, np.random.default_rng(999))
-    assert sol_a.value == sol_b.value
-    assert states_a == states_b
-
-
-def _record_forward_pass(monkeypatch, inst, num_paths):
+def _record_forward_pass(monkeypatch, inst):
     """forward_pass on a fresh oracle, recording the stage of each
-    StageOracle.worst_case call, each ambiguity worst case it computes,
-    each solve_stage call and each stage-model solve."""
+    StageOracle.worst_case call and of each ambiguity worst case it
+    computes, and each solve_level call as (stage, (k, state) of its
+    pinned jobs, number of relaxed jobs)."""
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
-    seen = {"worst_case": [], "computed": [], "solve_stage": [], "model_solve": []}
+    seen = {"worst_case": [], "computed": [], "solve_level": []}
 
-    def recording(key, fn, stage_of):
+    def recording(key, fn, record):
         def wrapped(*args, **kw):
-            seen[key].append(stage_of(*args, **kw))
+            seen[key].append(record(*args, **kw))
             return fn(*args, **kw)
         return wrapped
 
@@ -970,31 +984,39 @@ def _record_forward_pass(monkeypatch, inst, num_paths):
         "worst_case", oracle.worst_case, lambda t, *a: t))
     monkeypatch.setattr(sddip, "worst_case", recording(
         "computed", sddip.worst_case, lambda *a, stage, **kw: stage))
-    monkeypatch.setattr(oracle, "solve_stage", recording(
-        "solve_stage", oracle.solve_stage, lambda t, *a: t))
-    monkeypatch.setattr(oracle, "_solve_once", recording(
-        "model_solve", oracle._solve_once, lambda t, *a: t))
-    sol1, trial_states = forward_pass(oracle, num_paths, np.random.default_rng(0))
-    return sol1, trial_states, seen
+    monkeypatch.setattr(oracle, "solve_level", recording(
+        "solve_level", oracle.solve_level, lambda t, pinned, relaxed=(): (
+            t, [(k, sddip._bits(x)) for k, x in pinned], len(relaxed))))
+    sol1, visited = forward_pass(oracle)
+    return oracle, sol1, visited, seen
 
 
-def test_two_stage_forward_pass_solves_stage_one_only(monkeypatch):
-    # stage 2's decisions are no trial state at T = 2: no path is walked
-    sol1, trial_states, seen = _record_forward_pass(monkeypatch, small_instance(), 3)
+def test_two_stage_forward_pass_solves_the_terminal_children_of_its_state(monkeypatch):
+    # the walk solves stage 1 and the K terminal children of its state,
+    # as one call, and computes no worst case
+    inst = small_instance()
+    oracle, sol1, visited, seen = _record_forward_pass(monkeypatch, inst)
     assert seen["worst_case"] == seen["computed"] == []
-    assert seen["solve_stage"] == [1] and set(seen["model_solve"]) == {1}
-    assert trial_states == {2: [sol1.x_bits]}
+    assert seen["solve_level"] == [(1, [(0, (0,) * inst.I)], 0),
+                                   (2, [(k, sol1.x_bits) for k in range(inst.K)], 0)]
+    assert list(visited) == [2] and list(visited[2]) == [sol1.x_bits]
+    assert oracle.stage_solves == 1 + inst.K
 
 
-def test_three_stage_forward_pass_stops_before_stage_three(monkeypatch):
+def test_three_stage_forward_pass_solves_every_state_it_reaches_once(monkeypatch):
+    # the walk solves the terminal children of every state it reaches at
+    # stage 2, in first-visit order, each state once, and computes no
+    # worst case
     inst = _wide_windows(generate_instance(3, 3, 2, 1, 3, 0.8))
-    sol1, trial_states, seen = _record_forward_pass(monkeypatch, inst, 4)
-    assert seen["worst_case"] == [2] * 4
-    assert seen["computed"] == [2]  # the four paths leave one state, one q
-    assert seen["solve_stage"] == [1] + [2] * 4
-    assert 3 not in seen["model_solve"]
-    assert trial_states[2] == [sol1.x_bits]
-    assert trial_states[3] and len(set(trial_states[3])) == len(trial_states[3])
+    oracle, sol1, visited, seen = _record_forward_pass(monkeypatch, inst)
+    assert seen["worst_case"] == seen["computed"] == []
+    K = range(inst.K)
+    reached = list(dict.fromkeys(sol.x_bits for sol in visited[2][sol1.x_bits]))
+    assert list(visited[2]) == [sol1.x_bits] and list(visited[3]) == reached
+    assert seen["solve_level"] == [(1, [(0, (0,) * inst.I)], 0),
+                                   (2, [(k, sol1.x_bits) for k in K], 0)] + [
+        (3, [(k, x) for k in K], 0) for x in reached]
+    assert oracle.stage_solves == 1 + (1 + len(reached)) * inst.K
 
 
 def _extensive_form_value(inst):
@@ -1053,9 +1075,8 @@ def test_cut_validity_exhaustive_two_stage():
     pool = CutPool(inst.T, inst.K)
     cfg = SddipConfig(max_iters=6)
     oracle = StageOracle(inst, 1, cfg, pool)
-    rng = np.random.default_rng(0)
     for _ in range(4):
-        _, trial_states = forward_pass(oracle, 1, rng)
+        _, trial_states = forward_pass(oracle)
         backward_pass(oracle, trial_states)
     assert pool.num_cuts(2) > 0
     xi2 = inst.stage_support(2)
@@ -1072,10 +1093,9 @@ def test_appending_cuts_never_decreases_lb():
     pool = CutPool(inst.T, inst.K)
     cfg = SddipConfig()
     oracle = StageOracle(inst, 1, cfg, pool)
-    rng = np.random.default_rng(0)
-    sol0, states = forward_pass(oracle, 1, rng)
+    sol0, states = forward_pass(oracle)
     backward_pass(oracle, states)
-    sol1, _ = forward_pass(oracle, 1, rng)
+    sol1, _ = forward_pass(oracle)
     assert sol1.value >= sol0.value - 1e-9 * max(1.0, abs(sol0.value))
 
 
@@ -1140,7 +1160,7 @@ def test_three_stage_run_converges_to_exact():
     from ddro.bench import exact_multistage_value
 
     inst = _wide_windows(generate_instance(3, 3, 2, 1, 3, 0.8))
-    rep = run(inst, 1, SddipConfig(max_iters=25, num_paths=2, seed=1))
+    rep = run(inst, 1, SddipConfig(max_iters=25, seed=1))
     exact = exact_multistage_value(inst, 1)
     assert rep.status == "Optimal"
     assert abs(rep.lb_per_iter[-1] - exact) <= 1e-6 * max(1.0, abs(exact))
@@ -1288,11 +1308,10 @@ def test_config_json_roundtrip():
     with pytest.raises(ValueError):
         sddip.config_from_json('{"bogus_key": 1}')
     # the smallest valid values pass; malformed ones are rejected
-    assert sddip.config_from_json('{"max_iters": 1, "num_paths": 1, "tol": 0}').tol == 0
+    assert sddip.config_from_json('{"max_iters": 1, "tol": 0}').tol == 0
     for doc in ('{"max_iters": "3"}', '{"max_iters": 2.5}', '{"max_iters": 0}',
-                '{"max_iters": true}', '{"num_paths": 0}', '{"num_paths": 1.0}',
-                '{"tol": -1}', '{"tol": NaN}', '{"tol": Infinity}', '{"tol": "0"}',
-                '{"bound_mode": "both"}'):
+                '{"max_iters": true}', '{"tol": -1}', '{"tol": NaN}', '{"tol": Infinity}',
+                '{"tol": "0"}', '{"bound_mode": "both"}'):
         with pytest.raises(ValueError):
             sddip.config_from_json(doc)
     with pytest.raises(ValueError):
@@ -1303,7 +1322,7 @@ def test_config_rejects_removed_iterated_dd_key():
     # a removed option is rejected, not silently ignored
     for key in ("dd_iterative", "dual_bound", "max_dual_escalations",
                 "subgradient_iters", "dual_enum_states", "stall_window",
-                "ub_paths", "tree_limit"):
+                "ub_paths", "tree_limit", "num_paths"):
         with pytest.raises(ValueError):
             sddip.config_from_json(f'{{"{key}": 1}}')
 
@@ -1595,13 +1614,13 @@ SPLIT_CASES = (
 def test_a_split_stage_solve_has_the_value_of_the_whole_milp(label, make, ttype, mode, risk):
     # every stage with a continuation, at the empty state and at the last
     # two states of a first-stage build, at the first and last realization;
-    # the "lb" models carry the eigen rows of a forward pass
+    # the "lb" models carry the eigen rows of a walk
     inst = make()
     blend = dict(risk_lambda=0.5, risk_alpha=0.9) if risk else {}
     oracle = StageOracle(inst, ttype, SddipConfig(bound_mode=mode, **blend),
                          CutPool(inst.T, inst.K))
     if mode == "lb":
-        forward_pass(oracle, 1, np.random.default_rng(0))
+        forward_pass(oracle)
         assert oracle._eigen_rows
     before, checked = oracle.counters["split_solves"], 0
     for t in range(1, inst.T):
