@@ -160,8 +160,7 @@ def _truncated_normal(rng, mu, sd, shape) -> np.ndarray:
 def generate_instance(seed: int, T: int, I: int, J: int, K: int, rho_bar: float,
                       distribution: str = "normal", cost_mode: str = "manhattan4",
                       flat_cost: float = 10.0, budget: float = 100.0,
-                      build_cost: float = 100.0, capacity: float = 1000.0,
-                      revenue: float = 100.0,
+                      capacity: float = 1000.0,
                       eps_mu: float = 25.0, eps_S_lo: float = 0.1, eps_S_hi: float = 1.9,
                       gamma: float = 10.0, eta_cov: float = 100.0,
                       risk_lambda: float = 0.0, risk_alpha: float = 0.95,
@@ -174,6 +173,7 @@ def generate_instance(seed: int, T: int, I: int, J: int, K: int, rho_bar: float,
     zero by resampling; log-normal supports use location log(mu) and
     shape rho*log(mu).  The empirical covariance is the sample
     covariance of the pooled stage draws.
+    Every build cost f and unit revenue R is 100.
     """
     if min(T, I, J, K) < 1:
         raise ValueError("dimensions must be >= 1")
@@ -212,8 +212,8 @@ def generate_instance(seed: int, T: int, I: int, J: int, K: int, rho_bar: float,
     inst = Instance(
         T=T, I=I, J=J, K=K,
         facility_xy=facility_xy, customer_xy=customer_xy,
-        c=c, f=np.full((T, I), float(build_cost)), h=np.full((T, I), float(capacity)),
-        N=float(budget), R=np.full(J, float(revenue)),
+        c=c, f=np.full((T, I), 100.0), h=np.full((T, I), float(capacity)),
+        N=float(budget), R=np.full(J, 100.0),
         mu_bar=mu_bar, sigma_bar=sigma_bar, rho_bar=float(rho_bar), Sigma_bar=Sigma_bar,
         support=tuple(support),
         lambda_mu=lambda_mu, lambda_S=lambda_S, lambda_cov=lambda_cov,

@@ -22,9 +22,10 @@ solves every realization at every state the current policy visits, the
 K of a state together, and whose stage-1 solve gives the lower bound.
 The policy evaluation (evaluate_policy) takes the worst cases of the
 walk's solves bottom-up, which gives the policy's exact worst-case cost
-at every T, the upper bound.  An iteration that neither closes its gap
-nor stalls then runs the backward pass at every state the walk visited
-(the exhaustive forward pass of SDDiP; see forward_pass).  It sends
+at every T, an upper bound.  An iteration that does not close the gap
+to the best upper bound so far then runs the backward pass at every
+state the walk visited (the exhaustive forward pass of SDDiP; see
+forward_pass).  It sends
 each stage's missing targets with the K relaxed solves at pi = 0,
 which every trial state's search shares, and then steps the stage's
 searches in lockstep.  Each of these -- a state's K children in the
@@ -68,7 +69,6 @@ from .model import build_stage_block  # noqa: F401
 
 LB_MONOTONE_SLACK = 1e-9
 SUBGRADIENT_ITERS = 50  # most steps of one Lagrangian dual search
-STALL_WINDOW = 5  # iterations over which an unmoved lb means a stall
 SANDWICH_REL_SLACK = 1e-6  # run_type3_bounds accepts lb <= ub + this * max(1, |ub|)
 # A pinned solve with more budget-feasible states is not split: the copies
 # cost about linearly in their number (10 copies of the benchmark's
@@ -171,14 +171,18 @@ def config_from_json(text: str) -> SddipConfig:
 
 @dataclass
 class SolveReport:
-    """What a run found and did.  ub_estimate is the exact worst-case
-    cost of the last iteration's policy (evaluate_policy), NaN only if
-    the run ended before evaluating one; the run is Optimal once it is
-    within tol of the last lower bound.  stage_solves counts stage
-    solves, not MILPs: every stage model solved, the relaxed solves of
-    the Lagrangian duals, the pinned solves of their targets that miss
-    the stage cache (none at T = 2, where the walk has solved them), and
-    the big-M probes and re-solves among them.  A
+    """What a run found and did.  ub_estimate is the least exact
+    worst-case cost of the policies the run evaluated (evaluate_policy),
+    first_stage_x that policy's stage-1 decision (the lexicographically
+    least among ties) and gap its distance to the last lower bound; the
+    run is Optimal once ub_estimate is within tol of that bound.  An
+    Unbounded run reports no bound: lb_per_iter and iter_rows are empty,
+    ub_estimate and gap NaN and first_stage_x empty.  Each row of
+    iter_rows holds its iteration's own lb, ub and gap.  stage_solves
+    counts stage solves, not MILPs: every stage model solved, the
+    relaxed solves of the Lagrangian duals, the pinned solves of their
+    targets that miss the stage cache (none at T = 2, where the walk has
+    solved them), and the big-M probes and re-solves among them.  A
     stage solve on the Type 3 "lb" route is one eigen-cut loop of
     several LPs and MILPs, and a hit of the stage cache is no solve.
     dual_solves counts the relaxed evaluations of the duals alone: per
@@ -266,9 +270,9 @@ class StageOracle:
     alone (lpmilp.solve_milps).  Each block, in job order, is the first
     round of its own reformulate.solve_with_dual_bound: the blocks are
     audited in turn, a flagged one probes at 10x the big-M from its batch
-    solution, which is neither solved nor counted again, and an
-    escalation solves the jobs after it again, at the new big-M, as a new
-    batch.  dual_bound counts the escalations and the probes of the run.
+    solution, which is neither solved nor counted again, and the jobs
+    after an escalation are solved one by one at the new big-M.
+    dual_bound counts the escalations and the probes of the run.
     Type 2 stage models of a rank-deficient support carry the hull rows
     of reformulate.build_type2_stage, so their duals have no free
     direction to leave at the box: a flag there means an empty set at
@@ -317,8 +321,8 @@ class StageOracle:
     stage values alone, so worst_case computes each once per run.
     Every pinned solve -- _solve_once with x_prev given: the plain MILP,
     each MILP round of the "lb" cut loop, and each probe -- is split on
-    the facility states of (t, x_prev), model.budget_states, listed once
-    per key in lexicographic order: one copy of the model per state with
+    the facility states of (t, x_prev), model.budget_states, listed per
+    solve in lexicographic order: one copy of the model per state with
     x fixed there by its bounds, all solved as one batch searched at its
     root (lpmilp.solve_fixed_milps).  The value is the least copy value,
     and it is the MILP's optimum: the model's feasible set is the union
@@ -330,10 +334,9 @@ class StageOracle:
     whose copy value is within SPLIT_TIE_REL * max(1, |value|) of the
     least one: that copy's solution is feasible for the model and at
     most that far above its optimum, and the oracle, not HiGHS, picks
-    among tied states.  A key with more than SPLIT_STATES states is
-    solved whole, and so is a batch that fails, infeasible or open at
-    its root; the first failed batch of a stage ends splitting there, as
-    a failed stage batch ends batching.  Relaxed solves, whose copy z is
+    among tied states.  A solve with more than SPLIT_STATES states is
+    solved whole, and so is one whose batch fails, infeasible or open at
+    its root, for that solve alone.  Relaxed solves, whose copy z is
     free, and the jobs of a stage batch are not split.  counters counts
     the split solves, their copies and the solves that fell back, and
     the MILP rounds and LP solves of every eigen-cut loop
@@ -361,9 +364,6 @@ class StageOracle:
         # one of its batches failed at its root
         self._batching = {t: config.bound_mode != "lb" or t == inst.T
                           for t in range(1, inst.T + 1)}
-        # whether stage t splits its pinned solves: not after one split failed
-        self._splitting = dict.fromkeys(range(1, inst.T + 1), True)
-        self._states: dict[tuple, list | None] = {}
         self.counters = dict.fromkeys(
             ("split_solves", "split_blocks", "split_fallbacks", *misdp.PSD_COUNTERS), 0)
 
@@ -428,20 +428,15 @@ class StageOracle:
     def _solve_jobs(self, t: int, jobs) -> list:
         """The accepted _solve_once result of each (k, x_prev, pi) job at
         stage t, in job order: one batch while the stage batches, each
-        block accepted by _solve_compiled from its batch solution, and the
-        jobs after an escalation batched again at the new big-M."""
-        out = []
-        while len(out) < len(jobs):
-            rest = jobs[len(out):]
-            batch = self._solve_batch(t, rest) if len(rest) > 1 and self._batching[t] else None
-            if batch is None:
-                return out + [self._solve_compiled(t, k, x_prev, pi) for k, x_prev, pi in rest]
-            for (k, x_prev, pi), first in zip(rest, batch):
-                escalations = self.dual_bound.escalations
-                out.append(self._solve_compiled(t, k, x_prev, pi, first))
-                if self.dual_bound.escalations != escalations:
-                    break
-        return out
+        block accepted by _solve_compiled from its batch solution up to an
+        escalation, and the jobs after one solved one by one at the new
+        big-M."""
+        batch = (self._solve_batch(t, jobs) if len(jobs) > 1 and self._batching[t]
+                 else None) or [None] * len(jobs)
+        escalations = self.dual_bound.escalations
+        return [self._solve_compiled(t, k, x_prev, pi,
+                                     first if self.dual_bound.escalations == escalations else None)
+                for (k, x_prev, pi), first in zip(jobs, batch)]
 
     def _solve_batch(self, t: int, jobs):
         """The _solve_once result of each job at the current big-M, from one
@@ -537,24 +532,17 @@ class StageOracle:
 
     def _split(self, t: int, x_prev, x_cols, model: LinearModel) -> Solution | None:
         """The model's MILP at a pinned state, split on the stage-t states
-        of x_prev (model.budget_states, listed once per (t, x_prev)): one
-        copy per state with the columns x_cols fixed there, as one batch
-        searched at its root (lpmilp.solve_fixed_milps).  The objective
+        of x_prev (model.budget_states): one copy per state with the
+        columns x_cols fixed there, as one batch searched at its root
+        (lpmilp.solve_fixed_milps).  The objective
         is the least copy value, and x the solution of the first copy, in
         list order, within SPLIT_TIE_REL of it.  None where the model is
         to be solved whole: more than SPLIT_STATES states, or a batch
-        that fails, which ends splitting for stage t (see StageOracle)."""
-        if not self._splitting[t]:
-            return None
-        key = (t, _bits(x_prev))
-        if key not in self._states:
-            self._states[key] = budget_states(self.inst, t, x_prev, SPLIT_STATES)
-        states = self._states[key]
+        that fails (see StageOracle)."""
+        states = budget_states(self.inst, t, x_prev, SPLIT_STATES)
         sols = None if states is None else solve_fixed_milps(model, x_cols, states)
         if sols is None:
             self.counters["split_fallbacks"] += 1
-            if states is not None:
-                self._splitting[t] = False
             return None
         self.counters["split_solves"] += 1
         self.counters["split_blocks"] += len(sols)
@@ -711,19 +699,24 @@ def evaluate_policy(oracle: StageOracle, sol1: StageSolution, visited) -> float:
     return sol1.g_cost + cont.get(sol1.x_bits, 0.0)
 
 
+def _gap(ub: float, lb: float) -> float:
+    return (ub - lb) / max(1.0, abs(ub)) if np.isfinite(ub) else float("nan")
+
+
 def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveReport:
     """Iterate to convergence; see SolveReport.  Each iteration walks its
     policy (forward_pass), whose stage-1 value is the lower bound, and
-    evaluates it (evaluate_policy), whose cost is the upper bound; an
-    iteration that closes the gap or stalls ends the run there, and any
-    other adds the cuts of its backward pass at the walk's states."""
+    evaluates it (evaluate_policy), whose cost is an upper bound; an
+    iteration whose lower bound meets the best policy's cost within tol
+    ends the run there, and any other adds the cuts of its backward pass
+    at the walk's states.  An empty ambiguity set ends the run Unbounded,
+    with no bound, gap or stage-1 decision."""
     cfg = config or SddipConfig()
     oracle = StageOracle(inst, ttype, cfg, CutPool(inst.T, inst.K))
     report = SolveReport(ambiguity_type=int(ttype), bound_mode=cfg.bound_mode,
                          seed=cfg.seed)
     t_start = time.perf_counter()
-    incumbents: dict[tuple[int, ...], float] = {}
-    ub = float("nan")
+    incumbents: dict[tuple[int, ...], float] = {}  # least ub evaluated per stage-1 decision
     try:
         for it in range(1, cfg.max_iters + 1):
             t_iter = time.perf_counter()
@@ -735,35 +728,27 @@ def run(inst: Instance, ttype: int, config: SddipConfig | None = None) -> SolveR
                 raise AssertionError("lower bound decreased across iterations")
             report.lb_per_iter.append(lb)
             report.iterations = it
-            w = STALL_WINDOW
-            stalled = (len(report.lb_per_iter) >= w and abs(lb - report.lb_per_iter[-w])
-                       <= cfg.tol * max(1.0, abs(lb)))
-            incumbents[sol1.x_bits] = ub
-            gap = (ub - lb) / max(1.0, abs(ub)) if np.isfinite(ub) else float("nan")
+            incumbents[sol1.x_bits] = min(ub, incumbents.get(sol1.x_bits, math.inf))
+            report.ub_estimate = best = min(incumbents.values())
+            report.gap = _gap(best, lb)
             report.iter_rows.append({
-                "iter": it, "lb": lb, "ub": ub, "gap": gap,
+                "iter": it, "lb": lb, "ub": ub, "gap": _gap(ub, lb),
                 "seconds": time.perf_counter() - t_iter,
             })
-            if np.isfinite(ub) and ub - lb <= cfg.tol * max(1.0, abs(ub)):
+            if np.isfinite(best) and best - lb <= cfg.tol * max(1.0, abs(best)):
                 report.termination = "gap_closed"
-                break
-            if stalled:
-                report.termination = "lb_stalled"
                 break
             backward_pass(oracle, visited)
         else:
             report.termination = "max_iters"
         report.status = "Optimal" if report.termination == "gap_closed" else "BoundLimit"
+        ties = [x for x, v in incumbents.items() if v <= best + 1e-9 * max(1.0, abs(best))]
+        report.first_stage_x = list(min(ties))
     except EmptyAmbiguity as exc:
         report.status = "Unbounded"
         report.termination = f"empty_ambiguity_stage_{exc.stage}"
-    report.ub_estimate = ub
-    if report.lb_per_iter and np.isfinite(ub):
-        report.gap = (ub - report.lb_per_iter[-1]) / max(1.0, abs(ub))
-    if incumbents:
-        best = min(incumbents.values())
-        ties = [b for b, v in incumbents.items() if v <= best + 1e-9 * max(1.0, abs(best))]
-        report.first_stage_x = list(min(ties))
+        report.lb_per_iter, report.iter_rows = [], []
+        report.ub_estimate = report.gap = float("nan")
     report.stage_solves = oracle.stage_solves
     report.dual_solves = oracle.dual_solves
     report.dual_escalations = oracle.dual_bound.escalations

@@ -123,6 +123,41 @@ def test_milp_infeasible_and_unbounded():
     assert solve_milp(m2).status in (UNBOUNDED, GAP_LIMIT)
 
 
+def test_a_milp_that_presolve_mislabels_is_searched_again_without_it(monkeypatch):
+    # HiGHS with presolve on calls the model "infeasible or unbounded"
+    # (stubbed here) while its relaxation is optimal: the search runs
+    # again with presolve off, and its optimum stands
+    class Mislabelling:
+        """The kept MILP handle, whose searches with presolve on end
+        "infeasible or unbounded"."""
+
+        def __init__(self, highs):
+            self.highs, self.presolve = highs, []
+
+        def __getattr__(self, name):
+            return getattr(self.highs, name)
+
+        def run(self):
+            self.presolve.append(self.highs.getOptionValue("presolve")[1])
+            return self.highs.run()
+
+        def getModelStatus(self):
+            if self.presolve[-1] == "on":
+                return lpmilp.HighsModelStatus.kUnboundedOrInfeasible
+            return self.highs.getModelStatus()
+
+    handle, handle_of = Mislabelling(lpmilp._handle("milp")), lpmilp._handle
+    monkeypatch.setattr(lpmilp, "_handle",
+                        lambda kind: handle if kind == "milp" else handle_of(kind))
+    m = LinearModel()
+    x = m.add_var(0.0, 1.0, BINARY, obj=-1.0)
+    y = m.add_var(0.0, 1.0, BINARY, obj=-1.0)
+    m.add_row({x: 1.0, y: 1.0}, "<=", 1.5)
+    sol = solve_milp(m)
+    assert handle.presolve == ["on", "off"]
+    assert sol.status == OPTIMAL and abs(sol.objective + 1.0) < 1e-9
+
+
 def test_milp_knapsack_brute_force():
     rng = np.random.default_rng(77)
     n_items = 12

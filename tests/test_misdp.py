@@ -8,7 +8,8 @@ from ddro import misdp, sddip
 from ddro.ambiguity import AmbiguityType, worst_case
 from ddro.bench import (TYPE3_PATTERNS, enumerate_two_stage, exact_multistage_value,
                         make_pattern_instance, stretch_to_three_stages)
-from ddro.lpmilp import BINARY, INFEASIBLE, OPTIMAL, LinearModel, WarmLp, solve_milp
+from ddro.lpmilp import (BINARY, INFEASIBLE, OPTIMAL, LinearModel, NumericalFailure, WarmLp,
+                         solve_milp)
 from ddro.misdp import (EIGEN_CUT_TOL, InnerApproxViolation, PsdBlockRef, add_dd_inner_general,
                         add_dd_star_rows, audit_inner_psd, cut_directions,
                         dd_star_directions, min_eigenpair, solve_misdp_outer)
@@ -147,6 +148,27 @@ def test_outer_counts_its_milp_rounds_and_lp_solves(monkeypatch):
     assert counters == {"psd_milp_rounds": solves.count("milp"),
                         "psd_lp_solves": solves.count("lp"), "other": 7}
     assert counters["psd_lp_solves"] > 0
+
+
+def test_a_numerically_failed_lp_leaves_the_cut_loop_to_its_milp_rounds(monkeypatch):
+    # every fixed-integer LP raises NumericalFailure: each LP phase ends
+    # after its one solve, and the MILP rounds alone reach the loop's
+    # value, with blocks that clear -EIGEN_CUT_TOL
+    x, model, blocks = list(_sandwich_models())[3]
+    reference = solve_misdp_outer(model.copy(), blocks)
+
+    class FailingLp(WarmLp):
+        def solve(self):
+            raise NumericalFailure("stubbed LP failure")
+
+    monkeypatch.setattr(misdp, "WarmLp", FailingLp)
+    counters = dict.fromkeys(misdp.PSD_COUNTERS, 0)
+    sol = solve_misdp_outer(model, blocks, counters=counters)
+    assert sol.status == OPTIMAL
+    assert counters["psd_lp_solves"] == counters["psd_milp_rounds"] - 1 > 0
+    for b in blocks:
+        assert min_eigenpair(sol.x[b.cols])[0] >= -EIGEN_CUT_TOL
+    assert abs(sol.objective - reference.objective) <= 1e-9 * max(1.0, abs(reference.objective))
 
 
 def test_outer_no_cuts_when_already_psd():

@@ -148,3 +148,15 @@ def test_input_digest_of_a_workload_case_repeats():
     case = tool.workloads.build("type3_upper", 1)[0]
     digest, loads = tool.input_digest(case.solve)
     assert loads > 10 and tool.input_digest(case.solve) == (digest, loads)
+
+
+def test_the_case_sets_end_with_one_cap_case_per_seed():
+    # after the workload and stretch lines, one type1_cap line per seed,
+    # whose run stops at its iteration cap
+    tool = _load_tool()
+    cases = list(tool.all_cases([1, 2]))
+    assert [name for name, _, _ in cases[-4:]] == [tool.STRETCH, tool.STRETCH, tool.CAP,
+                                                  tool.CAP]
+    cap = [case for name, _, case in cases if name == tool.CAP]
+    assert [(case.label, case.config.seed, case.config.max_iters) for case in cap] == [
+        ("t1-T4-I6-K4-g1", 1, tool.CAP_ITERS), ("t1-T4-I6-K4-g1", 2, tool.CAP_ITERS)]

@@ -512,27 +512,32 @@ def test_a_flagged_block_of_a_stage_two_batch_probes_from_its_batch_solution(mon
 def test_an_escalation_inside_a_stage_two_batch_solves_the_rest_again(monkeypatch):
     # the audit flags the first block of the first stage-2 batch and no
     # probe finds a flat face: the big-M escalates from that block's batch
-    # solution, and the other blocks are solved again, as one batch at the
-    # new big-M; the cuts stay valid
+    # solution, and the other blocks are solved again, one by one at the
+    # new big-M, before any further batch; the cuts stay valid
     inst = _three_stage_instance()
-    batches, flagged = [], []  # (stage, jobs, big-M, first block's x) of each batch
-    solve_batch = StageOracle._solve_batch
+    events, flagged = [], []  # ("batch", stage, jobs, big-M, first block's x) or ("once", ...)
+    solve_batch, solve_once = StageOracle._solve_batch, StageOracle._solve_once
 
     def recording(self, t, jobs):
         bound = self.dual_bound.value
         out = solve_batch(self, t, jobs)
-        batches.append((t, len(jobs), bound, out[0][0].x if out else None))
+        events.append(("batch", t, len(jobs), bound, out[0][0].x if out else None))
         return out
+
+    def recording_once(self, t, k, x_prev, pi, dual_bound):
+        events.append(("once", t, dual_bound))
+        return solve_once(self, t, k, x_prev, pi, dual_bound)
 
     audit = reformulate.audit_dual_bounds
 
     def audit_once(lay, x):
-        if not flagged and batches and batches[-1][0] == 2 and x is batches[-1][3]:
-            flagged.append(len(batches) - 1)
+        if not flagged and events and events[-1][:2] == ("batch", 2) and x is events[-1][4]:
+            flagged.append(len(events) - 1)
             return lay.audit_families[0]
         return audit(lay, x)
 
     monkeypatch.setattr(StageOracle, "_solve_batch", recording)
+    monkeypatch.setattr(StageOracle, "_solve_once", recording_once)
     monkeypatch.setattr(reformulate, "audit_dual_bounds", audit_once)
     monkeypatch.setattr(reformulate, "FLAT_FACE_REL", -1.0)
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
@@ -540,9 +545,12 @@ def test_an_escalation_inside_a_stage_two_batch_solves_the_rest_again(monkeypatc
     _run_passes(oracle, 3)
     (at,) = flagged
     assert oracle.dual_bound.escalations == 1 and oracle.dual_bound.value == 10.0 * M
-    t, jobs, bound, _ = batches[at]
+    _, t, jobs, bound, _ = events[at]
     assert (t, bound) == (2, M) and jobs >= 3
-    assert batches[at + 1][:3] == (2, jobs - 1, 10.0 * M)
+    # the flagged block's probe and its solve at the new big-M, then the
+    # other jobs - 1 blocks one by one
+    after = next(i for i in range(at + 1, len(events)) if events[i][0] == "batch")
+    assert events[at + 1:after] == [("once", 2, 10.0 * M)] * (jobs + 1)
     assert oracle.pool.num_cuts(2) > 0
     for t, k, cut in oracle.pool.all_cuts():
         for bits in itertools.product((0.0, 1.0), repeat=inst.I):
@@ -1131,6 +1139,36 @@ def test_empty_ambiguity_reported_unbounded():
         oracle.solve_stage(1, 0, np.zeros(inst.I))
 
 
+def test_an_unbounded_run_reports_no_bound():
+    # the "ub" route meets the empty stage-3 set in its second walk, after
+    # one evaluated iteration, and the "lb" route in its first: neither
+    # report carries a lower bound, upper bound, gap or stage-1 decision,
+    # and both keep their work counts
+    inst = generate_instance(1, 3, 4, 1, 3, 0.3)
+    for mode, iterations in (("ub", 1), ("lb", 0)):
+        rep = run(inst, 3, SddipConfig(bound_mode=mode))
+        assert (rep.status, rep.termination, rep.iterations) == (
+            "Unbounded", "empty_ambiguity_stage_3", iterations)
+        assert rep.lb_per_iter == rep.iter_rows == rep.first_stage_x == []
+        assert np.isnan(rep.ub_estimate) and np.isnan(rep.gap)
+        assert rep.stage_solves > 0
+
+
+def test_a_run_stopped_at_its_cap_reports_its_best_policy():
+    # the three iterations evaluate policies of cost -6836.37, -6996.13
+    # and -6701.05: the report holds the second, with its gap to the last
+    # lower bound and its stage-1 decision; each row keeps its own ub
+    inst = generate_instance(1, 4, 6, 1, 4, 0.3, eps_mu=40, eps_S_lo=0.05, eps_S_hi=3.0)
+    rep = run(inst, 1, SddipConfig(max_iters=3))
+    assert (rep.status, rep.termination, rep.iterations) == ("BoundLimit", "max_iters", 3)
+    ubs = [row["ub"] for row in rep.iter_rows]
+    assert ubs == pytest.approx([-6836.37, -6996.13, -6701.05], abs=5e-3)
+    assert rep.ub_estimate == ubs[1]
+    assert rep.gap == (ubs[1] - rep.lb_per_iter[-1]) / abs(ubs[1]) == pytest.approx(0.099,
+                                                                                    abs=5e-4)
+    assert rep.first_stage_x == [0, 0, 0, 0, 1, 0]
+
+
 def relaxed_empty_instance():
     """A T = 3 instance with a finite value: budget and build cost are
     both 100, so each stage opens at most one facility, and state
@@ -1702,22 +1740,25 @@ def _over_the_row(inst):
 
 
 @pytest.mark.parametrize("failure", ("infeasible", "not-at-root"))
-def test_a_failed_split_falls_back_to_the_whole_milp_and_ends_splitting_its_stage(
+def test_a_failed_split_falls_back_to_the_whole_milp_for_that_solve_alone(
         monkeypatch, failure):
     # "infeasible": budget_states lists (1, 0, 0), which the budget row
-    # rejects, so its copy and the batch are infeasible; "not-at-root": a
-    # batch stubbed to give what one that does not close at its root
-    # gives.  Either way the stage-1 solve takes the whole MILP's value,
-    # stage 1 solves whole from then on, and stage 2 still splits
+    # rejects, so its copy and the batch are infeasible, at every try;
+    # "not-at-root": the first batch is stubbed to give what one that does
+    # not close at its root gives.  Either way the stage-1 solve takes the
+    # whole MILP's value, stage 2 still splits, and the next stage-1 solve
+    # splits again
     inst = small_instance()
     if failure == "infeasible":
         inst = _over_the_row(inst)
         assert (1, 0, 0) in budget_states(inst, 1, np.zeros(inst.I), 16)
-    else:
-        fixed = sddip.solve_fixed_milps
-        monkeypatch.setattr(sddip, "solve_fixed_milps",
-                            lambda model, cols, values: None if len(values) == 4
-                            else fixed(model, cols, values))
+    fixed, tries = sddip.solve_fixed_milps, []
+
+    def recording(model, cols, values):
+        tries.append(len(values))
+        return None if failure == "not-at-root" and len(tries) == 1 else fixed(model, cols, values)
+
+    monkeypatch.setattr(sddip, "solve_fixed_milps", recording)
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
     x0 = np.zeros(inst.I)
     model, _, _ = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
@@ -1726,25 +1767,27 @@ def test_a_failed_split_falls_back_to_the_whole_milp_and_ends_splitting_its_stag
     no_loop = {"psd_milp_rounds": 0, "psd_lp_solves": 0}  # Type 1 runs no cut loop
     assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1,
                                **no_loop}
-    assert oracle._batching[1] and not oracle._splitting[1]
+    assert oracle._batching[1]
     oracle.solve_stage(2, 0, np.array(sol.x_bits, dtype=float))
     assert oracle.counters == {"split_solves": 1, "split_blocks": 3, "split_fallbacks": 1,
                                **no_loop}
     oracle.pool.add(2, 0, Cut(-1e6, np.zeros(inst.I)))  # a new stage-1 model
     oracle.solve_stage(1, 0, x0)
-    assert oracle.counters["split_fallbacks"] == 1 and oracle.stage_solves == 3
+    assert tries == [4, 3, 4] and oracle.stage_solves == 3
+    assert oracle.counters == ({"split_solves": 1, "split_blocks": 3, "split_fallbacks": 2,
+                                **no_loop} if failure == "infeasible" else
+                               {"split_solves": 2, "split_blocks": 7, "split_fallbacks": 1,
+                                **no_loop})
 
 
 def test_a_stage_solve_with_too_many_states_solves_whole_without_enumerating_them():
     # I = 40 with every state in budget: the stage-1 solve lists no states
-    # (budget_states stops past SPLIT_STATES) and solves the whole MILP;
-    # the stage keeps splitting, and the failed listing is kept
+    # (budget_states stops past SPLIT_STATES) and solves the whole MILP
     inst = replace_fields(generate_instance(1, 2, 40, 1, 2, 0.8), N=1e5)
     oracle = StageOracle(inst, 1, SddipConfig(), CutPool(inst.T, inst.K))
     x0 = np.zeros(inst.I)
     model, _, _ = oracle._stage_model(1, 0, x0, None, oracle.dual_bound.value)
     assert oracle.solve_stage(1, 0, x0).value == solve_milp(model).objective
-    assert oracle._states == {(1, (0,) * inst.I): None} and oracle._splitting[1]
     assert oracle.counters == {"split_solves": 0, "split_blocks": 0, "split_fallbacks": 1,
                                "psd_milp_rounds": 0, "psd_lp_solves": 0}
 

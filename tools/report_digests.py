@@ -15,7 +15,13 @@ Pattern 3-2 is left out: at seeds 2 and 3 its "lb" route raises
 sddip.RelaxedStateEmpty after about 0.1 s, because a relaxed stage-2
 solve reaches the state (1, 1, 1), whose stage-3 set is empty, so it has
 no report to digest.  At seed 1 both of its routes end, in about 0.7 s
-("lb") and 0.3 s ("ub") on a 2-core Xeon.
+("lb") and 0.3 s ("ub") on a 2-core Xeon.  Last come the "type1_cap"
+lines, one per seed given: the Type 1 instance
+generate_instance(1, 4, 6, 1, 4, 0.3) at the multi_stage recipe's
+windows, solved at max_iters = 3, which it needs 9 iterations to close.
+Each of its runs ends on that cap, so its report shows what a run that
+stops short reports; the seed only labels the report.  It takes about
+0.5 s on a 2-core Xeon.
 
     python3 tools/report_digests.py --drop stage_solves 1 2 3
 
@@ -70,6 +76,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402  (perfbench/workloads.py)
 from ddro import bench, lpmilp  # noqa: E402
+from ddro.model import generate_instance  # noqa: E402
 from ddro.sddip import SddipConfig, SolveReport  # noqa: E402
 
 FIELDS = sorted(f.name for f in dataclasses.fields(SolveReport))
@@ -81,6 +88,8 @@ REL_TOL = 1e-6  # largest relative lb or ub difference --against accepts
 STRETCH = "type3_stretch"
 STRETCH_PATTERNS = ("3-1", "3-3", "3-4")
 STRETCH_K = 4  # realizations per stage of a stretch case
+CAP = "type1_cap"
+CAP_ITERS = 3  # the cap case's iteration cap, below the 9 iterations it needs
 
 
 def stretch_cases(seed: int):
@@ -95,9 +104,17 @@ def stretch_cases(seed: int):
             yield workloads.Case(f"p{pat.name}-{mode}", mode, inst, 3, config, None)
 
 
+def cap_case(seed: int):
+    """The type1_cap case at one seed, as workloads.Case."""
+    T, I, K = 4, 6, 4
+    inst = generate_instance(1, T, I, 1, K, 0.3, **workloads.MULTI_RECIPE)
+    config = SddipConfig(max_iters=CAP_ITERS, seed=seed)
+    return workloads.Case(f"t1-T{T}-I{I}-K{K}-g1", "exact", inst, 1, config, None)
+
+
 def all_cases(seeds):
     """(workload, seed, case) of every case: the workloads' at each seed,
-    then the stretch cases at each seed."""
+    then the stretch cases at each seed, then the cap case at each seed."""
     for seed in seeds:
         for name in workloads.WORKLOADS:
             for case in workloads.build(name, seed):
@@ -105,6 +122,8 @@ def all_cases(seeds):
     for seed in seeds:
         for case in stretch_cases(seed):
             yield STRETCH, seed, case
+    for seed in seeds:
+        yield CAP, seed, cap_case(seed)
 
 
 def report_text(report: SolveReport, drop=()) -> str:
